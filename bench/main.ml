@@ -26,6 +26,12 @@ let metrics_file = ref None
 
 let sep title = Printf.printf "\n== %s ==\n%!" title
 
+let time config machine src =
+  fst (P.time_schedule_ext (P.Config config) machine src)
+
+let gflops config machine src ~flops =
+  Machine.Perf.gflops ~flops (time config machine src)
+
 (* ---------------- Figure 8 ---------------------------------------------- *)
 
 let fig8 () =
@@ -62,7 +68,7 @@ let sec51 () =
   let src = W.mm ~ni:n ~nj:n ~nk:n () in
   let flops = 2. *. float_of_int (n * n * n) in
   let machine = MM.amd_2920x in
-  let g config = P.gflops config machine src ~flops in
+  let g config = gflops config machine src ~flops in
   let clang = g P.Clang_O3 in
   let blis = g P.Mlt_affine_blis in
   Printf.printf "SGEMM %dx%dx%d (paper: 2088x2048)\n" n n n;
@@ -90,7 +96,7 @@ let fig9_machine machine =
       Printf.printf "%-16s%!" name;
       List.iteri
         (fun i config ->
-          let g = P.gflops config machine src ~flops in
+          let g = gflops config machine src ~flops in
           geo.(i) <- geo.(i) +. log g;
           Printf.printf " %12.2f%!" g)
         configs;
@@ -219,7 +225,9 @@ let micro () =
             })
          body)
   in
-  let raise_gemm () = ignore (P.prepare P.Mlt_linalg gemm_src) in
+  let raise_gemm () =
+    ignore (P.prepare_schedule (P.Config P.Mlt_linalg) gemm_src)
+  in
   let chain_dp () =
     ignore
       (Mlt.Matrix_chain.optimal [| 30; 35; 15; 5; 10; 20; 25; 40; 12; 33; 7 |])
@@ -814,7 +822,7 @@ let tune_section () =
   let outcome = Tune.search ~domains:cores ~machine ~translate space in
   let wall = Unix.gettimeofday () -. t0 in
   let st = outcome.Tune.o_stats in
-  let default_report = P.time P.Pluto_default machine src in
+  let default_report = time P.Pluto_default machine src in
   let default_seconds = default_report.Machine.Perf.seconds in
   Printf.printf
     "gemm %dx%dx%d on %s: %d candidates (%d evaluated) on %d domains in \
@@ -1185,7 +1193,7 @@ let ablation () =
          .Machine.Perf.seconds
     /. 1e9
   in
-  let ttgt = P.gflops P.Mlt_linalg machine csrc ~flops:cflops in
+  let ttgt = gflops P.Mlt_linalg machine csrc ~flops:cflops in
   Printf.printf "%s: tile the 5-d loops directly: %6.2f GFLOPS\n" name direct;
   Printf.printf "%s: TTGT to matmul (MLT-Linalg): %6.2f GFLOPS\n" name ttgt;
 

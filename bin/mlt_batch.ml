@@ -1,12 +1,12 @@
-(* mlt-batch: the sharded multi-domain batch compiler.
+(* mlt-batch: the multi-domain batch compiler.
 
-   Reads a JSON manifest of mini-C / IR inputs, shards it across a pool
+   Reads a JSON manifest of mini-C / IR inputs, fans it out over a pool
    of OCaml domains, compiles every entry through its configured
    pipeline, and writes per-entry IR plus an aggregated JSON report.
    A crashing input fails only its own manifest entry. Examples:
 
      mlt-batch manifest.json --domains 4 --output out/
-     mlt-batch manifest.json --seq --report report.json
+     mlt-batch manifest.json --domains 1 --report report.json
      mlt-batch manifest.json --pipeline mlt-blas --remarks
      mlt-batch manifest.json --transform-script schedule.mlir
      mlt-batch manifest.json --cache-dir cache/            # warm the cache
@@ -14,7 +14,7 @@
 
 open Cmdliner
 
-let run manifest_path domains seq pipeline script capture_remarks output
+let run manifest_path domains pipeline script capture_remarks output
     report cache_dir resume quiet metrics progress =
   try
     Cli_common.with_observability ?metrics ~trace:None ~remarks:None
@@ -30,12 +30,10 @@ let run manifest_path domains seq pipeline script capture_remarks output
                (Batch.Manifest.entries manifest))
     in
     let domains =
-      if seq then 1
-      else
-        match domains with
-        | Some n when n >= 1 -> n
-        | Some n -> Support.Diag.errorf "--domains %d: need at least 1" n
-        | None -> Domain.recommended_domain_count ()
+      match domains with
+      | Some n when n >= 1 -> n
+      | Some n -> Support.Diag.errorf "--domains %d: need at least 1" n
+      | None -> Domain.recommended_domain_count ()
     in
     let cache =
       match cache_dir with
@@ -113,15 +111,8 @@ let domains_arg =
     & info [ "domains" ] ~docv:"N"
         ~doc:
           "Size of the domain pool (default: the runtime's recommended \
-           domain count). Entry $(i,i) is compiled by shard $(i,i) mod N.")
-
-let seq_arg =
-  Arg.(
-    value & flag
-    & info [ "seq" ]
-        ~doc:
-          "Sequential oracle mode: compile every entry on the calling \
-           domain (equivalent to --domains 1; no domain is spawned).")
+           domain count). Each worker compiles the next unclaimed entry; \
+           1 compiles every entry on the calling domain.")
 
 (* The shared --config/--pipeline spelling plus --transform-script:
    either overrides every entry's schedule. *)
@@ -141,8 +132,8 @@ let output_arg =
     & opt (some string) None
     & info [ "o"; "output" ] ~docv:"DIR"
         ~doc:
-          "Write each entry's IR to DIR/shard-N/III-NAME.mlir and the \
-           report to DIR/report.json.")
+          "Write each entry's IR to DIR/III-NAME.mlir (III the manifest \
+           index) and the report to DIR/report.json.")
 
 let report_arg =
   Arg.(
@@ -193,14 +184,14 @@ let progress_arg =
 let cmd =
   let term =
     Term.(
-      const run $ manifest_arg $ domains_arg $ seq_arg
+      const run $ manifest_arg $ domains_arg
       $ Cli_common.config_name_arg $ Cli_common.transform_script_arg
       $ remarks_arg $ output_arg $ report_arg $ cache_dir_arg $ resume_arg
       $ quiet_arg $ Cli_common.metrics $ progress_arg)
   in
   Cmd.v
     (Cmd.info "mlt-batch" ~version:"1.0"
-       ~doc:"Sharded multi-domain batch compiler for Multi-Level Tactics")
+       ~doc:"Multi-domain batch compiler for Multi-Level Tactics")
     Term.(term_result term)
 
 let () = exit (Cmd.eval cmd)

@@ -50,7 +50,10 @@ let () =
   let machine = Machine.Machine_model.amd_2920x in
   let flops = 2. *. (128. ** 3.) in
   let time config =
-    Mlt.Pipeline.gflops config machine c_source ~flops
+    Machine.Perf.gflops ~flops
+      (fst
+         (Mlt.Pipeline.time_schedule_ext (Mlt.Pipeline.Config config) machine
+            c_source))
   in
   Printf.printf "--- 6. Simulated performance (%s) ---\n"
     machine.Machine.Machine_model.name;

@@ -45,5 +45,8 @@ let () =
     (fun config ->
       Printf.printf "  %-12s %8.2f GFLOPS\n"
         (Mlt.Pipeline.config_name config)
-        (Mlt.Pipeline.gflops config machine src ~flops))
+        (Machine.Perf.gflops ~flops
+           (fst
+              (Mlt.Pipeline.time_schedule_ext (Mlt.Pipeline.Config config)
+                 machine src))))
     [ Mlt.Pipeline.Clang_O3; Mlt.Pipeline.Mlt_linalg; Mlt.Pipeline.Mlt_blas ]

@@ -32,14 +32,6 @@ let nest_trip_counts loops =
       | _ -> None)
     loops (Some [])
 
-let iv_position ivs v =
-  let rec go i = function
-    | [] -> None
-    | iv :: _ when Core.value_equal iv v -> Some i
-    | _ :: rest -> go (i + 1) rest
-  in
-  go 0 ivs
-
 let elem_strides shape =
   let n = List.length shape in
   let arr = Array.of_list shape in

@@ -30,9 +30,6 @@ val all_loops : Core.op -> Core.op list
     [None] if any loop has non-constant bounds. *)
 val nest_trip_counts : Core.op list -> int list option
 
-(** [iv_position ivs v] — index of [v] among the induction variables. *)
-val iv_position : Core.value list -> Core.value -> int option
-
 (** [access_stride_wrt iv op]: derivative of the access's element offset
     with respect to [iv] for an [affine.load]/[affine.store] over a
     statically shaped memref, or [None] when the subscripts are

@@ -114,7 +114,7 @@ let payload_of_result r =
    at hand. Any shape mismatch — wrong format version, missing field,
    IR digest divergence — raises [Bad_payload]; the caller treats it as
    a miss and recompiles. *)
-let result_of_payload ~entry ~shard ~seconds json =
+let result_of_payload ~entry ~worker ~seconds json =
   if jint (jfield "format" json) <> payload_format then raise Bad_payload;
   let ir = jstr (jfield "ir" json) in
   if
@@ -124,7 +124,7 @@ let result_of_payload ~entry ~shard ~seconds json =
   {
     r_name = entry.Manifest.e_name;
     r_config = Mlt.Pipeline.schedule_name entry.Manifest.e_schedule;
-    r_shard = shard;
+    r_shard = worker;
     r_status = Done;
     r_cached = true;
     r_ir = ir;
@@ -155,8 +155,8 @@ let entry_key ~capture_remarks (e : Manifest.entry) src =
    pipeline, printing, cache lookup/commit — happens inside this
    function, and any exception it raises is converted into a [Failed]
    result. One crashing input therefore fails exactly its own manifest
-   entry; the shard moves on to its next entry. *)
-let compile_entry ~capture_remarks ~shard ?cache (e : Manifest.entry) =
+   entry; the worker moves on to the next entry. *)
+let compile_entry ~capture_remarks ~worker ?cache (e : Manifest.entry) =
   let t0 = Unix.gettimeofday () in
   let remarks_rev = ref [] in
   let attempts0, rewrites0 = Ir.Rewriter.counter_totals () in
@@ -172,7 +172,7 @@ let compile_entry ~capture_remarks ~shard ?cache (e : Manifest.entry) =
     {
       r_name = e.Manifest.e_name;
       r_config = Mlt.Pipeline.schedule_name e.Manifest.e_schedule;
-      r_shard = shard;
+      r_shard = worker;
       r_status = status;
       r_cached = false;
       r_ir = ir;
@@ -196,7 +196,7 @@ let compile_entry ~capture_remarks ~shard ?cache (e : Manifest.entry) =
           | None -> None
           | Some payload ->
               Some
-                (result_of_payload ~entry:e ~shard
+                (result_of_payload ~entry:e ~worker
                    ~seconds:(Unix.gettimeofday () -. t0)
                    payload)
         in
@@ -218,8 +218,12 @@ let compile_entry ~capture_remarks ~shard ?cache (e : Manifest.entry) =
               else Met.Emit_affine.translate ?file src
             in
             let pm = Ir.Pass.create_manager () in
-            let m = Mlt.Pipeline.prepare_schedule_module ~pm e.Manifest.e_schedule m in
-            (src, Ir.Printer.op_to_string m ^ "\n", Ir.Pass.summarize pm))
+            let m =
+              Mlt.Pipeline.prepare_schedule_module ~pm e.Manifest.e_schedule m
+            in
+            let ir = Ir.Printer.op_to_string m ^ "\n" in
+            Ir.Core.erase_op m;
+            (src, ir, Ir.Pass.summarize pm))
       with
       | src, ir, summary ->
           let r = finish Done ir summary in
@@ -265,9 +269,9 @@ let m_wall_seconds =
     (Ir.Metrics.gauge ~help:"wall-clock of the last batch run"
        "mlt_batch_wall_seconds")
 
-let shard_hist shard =
-  Ir.Metrics.histogram ~help:"per-entry wall-clock on this shard"
-    (Printf.sprintf "mlt_batch_shard%d_entry_seconds" shard)
+let worker_hist worker =
+  Ir.Metrics.histogram ~help:"per-entry wall-clock on this pool worker"
+    (Printf.sprintf "mlt_batch_worker%d_entry_seconds" worker)
 
 (* ---- progress heartbeat --------------------------------------------------
 
@@ -326,13 +330,13 @@ let run ?(domains = 1) ?(capture_remarks = false) ?(progress = false) ?cache
   Mlt.Pipeline.register_dialects ();
   let entries = Array.of_list (Manifest.entries manifest) in
   let n = Array.length entries in
-  let domains = max 1 (min domains (max 1 n)) in
+  let domains = max 1 (min domains n) in
+  (* Each result slot is written by exactly one worker — whichever
+     claimed the index — so the plain array needs no synchronization;
+     the pool's joins publish the writes. The cache handle, when
+     present, is shared — its operations serialize on an internal
+     mutex. *)
   let results : entry_result option array = Array.make n None in
-  (* Round-robin sharding: entry [i] belongs to shard [i mod domains].
-     Each result slot is written by exactly one domain, so the plain
-     array needs no synchronization; [Domain.join] publishes the
-     writes. The cache handle, when present, is shared — its operations
-     serialize on an internal mutex. *)
   let t0 = Unix.gettimeofday () in
   let pg =
     if progress && n > 0 then
@@ -347,35 +351,24 @@ let run ?(domains = 1) ?(capture_remarks = false) ?(progress = false) ?cache
         }
     else None
   in
-  let work shard () =
-    let hist = shard_hist shard in
-    let i = ref shard in
-    while !i < n do
-      let r = compile_entry ~capture_remarks ~shard ?cache entries.(!i) in
-      results.(!i) <- Some r;
-      Ir.Metrics.observe hist r.r_seconds;
-      (match pg with
-      | None -> ()
-      | Some st ->
-          (match r.r_status with
-          | Done -> Atomic.incr st.pg_done
-          | Failed _ -> Atomic.incr st.pg_failed);
-          if r.r_cached then Atomic.incr st.pg_cached);
-      i := !i + domains
-    done
+  let hists = Array.init domains worker_hist in
+  (* Worker 0 runs on the calling domain — its listener/sink/counter
+     state is domain-local, so this does not disturb the caller beyond
+     advancing its own rewriter counters. *)
+  let compile ~worker i =
+    let r = compile_entry ~capture_remarks ~worker ?cache entries.(i) in
+    results.(i) <- Some r;
+    Ir.Metrics.observe hists.(worker) r.r_seconds;
+    match pg with
+    | None -> ()
+    | Some st ->
+        (match r.r_status with
+        | Done -> Atomic.incr st.pg_done
+        | Failed _ -> Atomic.incr st.pg_failed);
+        if r.r_cached then Atomic.incr st.pg_cached
   in
   let ticker = Option.map progress_ticker pg in
-  if domains = 1 then work 0 ()
-  else begin
-    let spawned =
-      List.init (domains - 1) (fun s -> Domain.spawn (work (s + 1)))
-    in
-    (* Shard 0 runs on the calling domain — its listener/sink/counter
-       state is domain-local, so this does not disturb the caller beyond
-       advancing its own rewriter counters. *)
-    work 0 ();
-    List.iter Domain.join spawned
-  end;
+  Support.Pool.run ~domains n compile;
   (match (pg, ticker) with
   | Some st, Some t ->
       Atomic.set st.pg_stop true;
@@ -468,7 +461,7 @@ let entry_json_value r =
       ])
 
 (* CPU-time view to set against [wall_seconds]: the sum of per-entry
-   wall-clocks across all shards. Wall-clock only — excluded (like every
+   wall-clocks across all workers. Wall-clock only — excluded (like every
    seconds field) from both signatures. *)
 let total_entry_seconds rp =
   List.fold_left (fun acc r -> acc +. r.r_seconds) 0. rp.rp_results
@@ -490,7 +483,7 @@ let report_json_value rp =
 
 let report_json rp = J.to_string (report_json_value rp)
 
-(* ---- sharded output ----------------------------------------------------- *)
+(* ---- output ------------------------------------------------------------- *)
 
 let sanitize name =
   String.map
@@ -500,12 +493,12 @@ let sanitize name =
       | _ -> '_')
     name
 
-(* Per-shard subdirectories mirror how each domain could stream its own
-   output file without contending on a shared writer; the report at the
-   top level is the aggregated view. Filenames are prefixed with the
-   manifest index: sanitizing collapses distinct entry names ("gemm#0"
-   and "gemm_0" both sanitize to "gemm_0"), and manifests may repeat a
-   name outright, so the index is what guarantees one file per entry.
+(* One flat directory: which worker compiled an entry depends on
+   scheduling, so it must not reach a path. Filenames are prefixed with
+   the manifest index: sanitizing collapses distinct entry names
+   ("gemm#0" and "gemm_0" both sanitize to "gemm_0"), and manifests may
+   repeat a name outright, so the index is what guarantees one file per
+   entry.
    Every file commits through the atomic writer: a kill mid-run leaves
    whole files and absent files, never torn ones. *)
 let write_outputs ~dir rp =
@@ -515,12 +508,8 @@ let write_outputs ~dir rp =
       match r.r_status with
       | Failed _ -> ()
       | Done ->
-          let shard_dir =
-            Filename.concat dir (Printf.sprintf "shard-%d" r.r_shard)
-          in
-          Support.Atomic_io.mkdir_p shard_dir;
           let path =
-            Filename.concat shard_dir
+            Filename.concat dir
               (Printf.sprintf "%03d-%s.mlir" idx (sanitize r.r_name))
           in
           Support.Atomic_io.write_file ~path r.r_ir)

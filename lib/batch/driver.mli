@@ -1,15 +1,15 @@
-(** The sharded multi-domain batch compiler: shards a {!Manifest} across
-    a pool of OCaml domains, compiles every entry through its configured
+(** The multi-domain batch compiler: fans a {!Manifest} out over a
+    {!Support.Pool} of OCaml domains, compiles every entry through its configured
     {!Mlt.Pipeline}, isolates per-entry faults, and aggregates results
     deterministically (docs/CONCURRENCY.md describes the state model
     that makes the domain pool sound; docs/CACHE.md the compilation
     cache below).
 
     Roles, after the docudactyl HPC pipeline: manifest loading
-    ({!Manifest}), sharding + the domain pool ({!run}), fault handling
+    ({!Manifest}), the domain pool ({!run}), fault handling
     (per-entry — a crashing input fails its own manifest entry only),
     content-addressed caching with per-entry checkpoint commits
-    ({!Cache}), sharded output ({!write_outputs}), and result
+    ({!Cache}), output ({!write_outputs}), and result
     aggregation (manifest order, so reports are independent of domain
     scheduling). *)
 
@@ -18,7 +18,9 @@ type status = Done | Failed of string
 type entry_result = {
   r_name : string;
   r_config : string;  (** schedule name (pipeline config or script) *)
-  r_shard : int;  (** which shard (= domain index) compiled/served it *)
+  r_shard : int;
+      (** the pool worker that compiled or served it — scheduling
+          dependent, so never part of a signature or an output path *)
   r_status : status;
   r_cached : bool;  (** served from the compilation cache *)
   r_ir : string;  (** printed IR; [""] when failed *)
@@ -45,10 +47,13 @@ val ok_count : report -> int
 val failed_count : report -> int
 
 (** [run ~domains manifest] compiles every entry. [domains] (default 1,
-    clamped to the entry count) sets the pool size: entry [i] goes to
-    shard [i mod domains]; shard 0 runs on the calling domain, the rest
-    on spawned domains. With [domains = 1] no domain is spawned — the
-    sequential oracle the tests compare against. [capture_remarks]
+    clamped to the entry count) sets the {!Support.Pool} size: each
+    worker claims the next uncompiled entry; worker 0 runs on the
+    calling domain, the rest on spawned domains. With [domains = 1] no
+    domain is spawned — the sequential oracle the tests compare
+    against. Every payload module is erased once printed, so a run
+    leaves the calling domain's region registry as it found it.
+    [capture_remarks]
     (default false) installs a per-entry remark sink and records the
     rendered remarks in the result (off by default: an installed sink
     makes tactics compute near-miss explanations, which costs compile
@@ -76,8 +81,8 @@ val failed_count : report -> int
     wall-clock observability — nothing it reads or prints flows into
     results, reports, or {!result_signature}.
 
-    When {!Ir.Metrics.enabled}, a run also records per-shard entry
-    latency histograms ([mlt_batch_shard<N>_entry_seconds]) and the
+    When {!Ir.Metrics.enabled}, a run also records per-worker entry
+    latency histograms ([mlt_batch_worker<N>_entry_seconds]) and the
     [mlt_batch_entries_{done,failed,cached}] counters — bumped from the
     same aggregation as the report, so the two artifacts agree. *)
 val run :
@@ -88,15 +93,6 @@ val run :
   Manifest.t ->
   report
 
-(** [compile_entry ~capture_remarks ~shard e] — the single-entry unit of
-    work (exposed for tests). Never raises. *)
-val compile_entry :
-  capture_remarks:bool ->
-  shard:int ->
-  ?cache:Cache.t ->
-  Manifest.entry ->
-  entry_result
-
 (** Deterministic comparison keys: summaries and results rendered
     {e without} wall-clock fields, so a 4-domain run can be asserted
     equal to the sequential oracle — and a cache-served run to a fresh
@@ -106,7 +102,7 @@ val summary_signature : Ir.Pass.summary list -> string
 
 val result_signature : entry_result -> string
 
-(** Sum of per-entry wall-clock seconds across all shards (the CPU-time
+(** Sum of per-entry wall-clock seconds across all workers (the CPU-time
     view to set against [wall_seconds]); the report's
     ["total_entry_seconds"] member. Wall-clock only — never part of a
     signature. *)
@@ -117,7 +113,7 @@ val total_entry_seconds : report -> float
 val report_json : report -> string
 
 (** [write_outputs ~dir rp] writes each successful entry's IR to
-    [dir/shard-N/III-name.mlir] ([III] the zero-padded manifest index —
+    [dir/III-name.mlir] ([III] the zero-padded manifest index —
     sanitized names are not unique) and the JSON report to
     [dir/report.json], creating directories as needed. All files commit
     through {!Support.Atomic_io} — a kill mid-write never leaves a torn

@@ -10,11 +10,6 @@ let default_engine = ref Compiled
 
 let engine_name = function Walk -> "walk" | Compiled -> "compiled"
 
-let engine_of_string = function
-  | "walk" | "walker" | "oracle" -> Some Walk
-  | "compiled" | "compile" | "closure" -> Some Compiled
-  | _ -> None
-
 let floordivsi x y =
   if y = 0 then fail "interp: division by zero" else Affine_expr.floordiv x y
 

@@ -16,7 +16,6 @@ type engine = Walk | Compiled
 
 val default_engine : engine ref
 val engine_name : engine -> string
-val engine_of_string : string -> engine option
 
 (** Signed floor-division semantics shared by both engines (and by affine
     expression folding — see {!Ir.Affine_expr.floordiv}): correct for

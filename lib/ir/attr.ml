@@ -149,9 +149,7 @@ let kind_error want got =
 let get_int = function Int i -> i | a -> kind_error "int" a
 let get_float = function Float f -> f | a -> kind_error "float" a
 let get_str = function Str s -> s | a -> kind_error "string" a
-let get_bool = function Bool b -> b | a -> kind_error "bool" a
 let get_ints = function Ints is -> is | a -> kind_error "ints" a
 let get_map = function Map m -> m | a -> kind_error "affine map" a
-let get_type = function Type t -> t | a -> kind_error "type" a
 let get_grouping = function Grouping g -> g | a -> kind_error "grouping" a
 let get_list = function List l -> l | a -> kind_error "list" a

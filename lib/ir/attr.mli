@@ -37,9 +37,7 @@ val to_string : t -> string
 val get_int : t -> int
 val get_float : t -> float
 val get_str : t -> string
-val get_bool : t -> bool
 val get_ints : t -> int list
 val get_map : t -> Affine_map.t
-val get_type : t -> Typ.t
 val get_grouping : t -> int list list
 val get_list : t -> t list

@@ -5,8 +5,6 @@ type t = { mutable point : point }
 let create point = { point }
 let at_end block = { point = At_end block }
 let before op = { point = Before op }
-let insertion_point t = t.point
-let set_insertion_point t p = t.point <- p
 
 let insert t op =
   (match t.point with

@@ -14,8 +14,6 @@ type t
 val create : point -> t
 val at_end : Core.block -> t
 val before : Core.op -> t
-val insertion_point : t -> point
-val set_insertion_point : t -> point -> unit
 
 (** [insert b op] attaches [op] at the insertion point and returns it. *)
 val insert : t -> Core.op -> Core.op

@@ -83,8 +83,6 @@ let with_listener l f =
 let ambient_loc_key : Support.Loc.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Support.Loc.unknown)
 
-let current_loc () = Domain.DLS.get ambient_loc_key
-
 let with_loc loc f =
   let saved = Domain.DLS.get ambient_loc_key in
   Domain.DLS.set ambient_loc_key loc;
@@ -199,8 +197,6 @@ let attr op name =
 let set_attr op name a =
   op.o_attrs <- (name, Attr.intern a) :: List.remove_assoc name op.o_attrs
 
-let remove_attr op name = op.o_attrs <- List.remove_assoc name op.o_attrs
-let has_attr op name = Option.is_some (find_attr op name)
 let region op i = op.o_regions.(i)
 
 let single_block op i =
@@ -262,12 +258,6 @@ let append_op block op =
   register_regions op;
   op.o_parent <- Some block;
   block.b_tail_rev <- op :: block.b_tail_rev;
-  notify_inserted op
-
-let prepend_op block op =
-  register_regions op;
-  op.o_parent <- Some block;
-  block.b_head <- op :: block.b_head;
   notify_inserted op
 
 let insert_relative ~before ~anchor op =

@@ -85,9 +85,6 @@ val create_op :
     Frontends scope each statement's emission with this. *)
 val with_loc : Support.Loc.t -> (unit -> 'a) -> 'a
 
-(** The current ambient location ([Loc.unknown] outside {!with_loc}). *)
-val current_loc : unit -> Support.Loc.t
-
 val op_loc : op -> Support.Loc.t
 val set_loc : op -> Support.Loc.t -> unit
 
@@ -114,8 +111,6 @@ val attr : op -> string -> Attr.t
 
 val find_attr : op -> string -> Attr.t option
 val set_attr : op -> string -> Attr.t -> unit
-val remove_attr : op -> string -> unit
-val has_attr : op -> string -> bool
 
 val region : op -> int -> region
 
@@ -174,8 +169,6 @@ val listener_depth : unit -> int
 
 val append_op : block -> op -> unit
 (** O(1): pushes onto the block's pending tail. *)
-
-val prepend_op : block -> op -> unit
 
 (** [insert_before ~anchor op] places [op] just before [anchor] in the
     anchor's block. Raises if [anchor] is detached. *)

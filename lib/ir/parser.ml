@@ -1161,12 +1161,3 @@ let parse_module ?(file = "<ir>") src =
       Core.detach_op m;
       Verifier.verify m;
       m)
-
-let parse_func ?(file = "<ir>") src =
-  with_state ~file src (fun st ->
-      let holder = Core.create_block [] in
-      let b = Builder.at_end holder in
-      let f = parse_func_at st b in
-      Core.detach_op f;
-      Verifier.verify f;
-      f)

@@ -10,6 +10,3 @@
     Raises {!Support.Diag.Error} on syntax errors. The result is
     verified. *)
 val parse_module : ?file:string -> string -> Core.op
-
-(** [parse_func ?file src] — a bare [func.func]. *)
-val parse_func : ?file:string -> string -> Core.op

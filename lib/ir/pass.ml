@@ -455,8 +455,6 @@ let summary_entry_json s =
 let summaries_json_value summaries =
   J.List (List.map summary_entry_json summaries)
 
-let summaries_json summaries = J.to_string (summaries_json_value summaries)
-
 let summary_json m =
   J.to_string
     (J.Obj

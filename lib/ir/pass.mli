@@ -148,12 +148,9 @@ val summary_table : manager -> string
 val summary_json : manager -> string
 
 (** The JSON array of summary rows alone (the ["passes"] field of
-    {!summary_json}), for embedding aggregated cross-manager summaries
-    in other reports (the batch driver's). *)
-val summaries_json : summary list -> string
-
-(** Same array as a {!Support.Json} value, for emitters that build a
-    larger report through the shared writer. *)
+    {!summary_json}) as a {!Support.Json} value, for embedding
+    aggregated cross-manager summaries in other reports (the batch
+    driver's). *)
 val summaries_json_value : summary list -> Support.Json.t
 
 (** JSON round-trip for {!gc_delta}, shared with the batch cache payload

@@ -14,11 +14,6 @@ let names =
 
 let is_linalg (op : Core.op) = List.mem op.o_name names
 let is_matmul (op : Core.op) = String.equal op.o_name "linalg.matmul"
-let is_matvec (op : Core.op) = String.equal op.o_name "linalg.matvec"
-let is_transpose (op : Core.op) = String.equal op.o_name "linalg.transpose"
-let is_reshape (op : Core.op) = String.equal op.o_name "linalg.reshape"
-let is_conv2d (op : Core.op) = String.equal op.o_name "linalg.conv2d_nchw"
-let is_contract (op : Core.op) = String.equal op.o_name "linalg.contract"
 let is_fill (op : Core.op) = String.equal op.o_name "linalg.fill"
 
 let shape_of (v : Core.value) name =

@@ -44,11 +44,6 @@ val contract :
 val fill : Builder.t -> value:float -> Core.value -> Core.op
 
 val is_matmul : Core.op -> bool
-val is_matvec : Core.op -> bool
-val is_transpose : Core.op -> bool
-val is_reshape : Core.op -> bool
-val is_conv2d : Core.op -> bool
-val is_contract : Core.op -> bool
 val is_fill : Core.op -> bool
 
 (** Any op of this dialect. *)

@@ -65,8 +65,6 @@ let reset t =
 
 type hierarchy = { l1 : t; l2 : t; l3 : t }
 
-type level_stats = { l1_miss : int; l2_miss : int; l3_miss : int; total : int }
-
 let create_hierarchy ~l1 ~l2 ~l3 = { l1; l2; l3 }
 
 let access_hierarchy h addr =
@@ -74,16 +72,3 @@ let access_hierarchy h addr =
   else if access h.l2 addr then 2
   else if access h.l3 addr then 3
   else 4
-
-let hierarchy_stats h =
-  {
-    l1_miss = misses h.l1;
-    l2_miss = misses h.l2;
-    l3_miss = misses h.l3;
-    total = accesses h.l1;
-  }
-
-let reset_hierarchy h =
-  reset h.l1;
-  reset h.l2;
-  reset h.l3

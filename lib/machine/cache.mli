@@ -20,14 +20,9 @@ val reset : t -> unit
 
 type hierarchy
 
-type level_stats = { l1_miss : int; l2_miss : int; l3_miss : int; total : int }
-
 val create_hierarchy :
   l1:t -> l2:t -> l3:t -> hierarchy
 
 (** [access_hierarchy h addr] probes L1, then L2, then L3 on misses;
     returns the innermost level that hit (1-4, 4 = memory). *)
 val access_hierarchy : hierarchy -> int -> int
-
-val hierarchy_stats : hierarchy -> level_stats
-val reset_hierarchy : hierarchy -> unit

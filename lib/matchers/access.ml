@@ -6,10 +6,6 @@ type array_placeholder = int
 
 type reject = Shape | Unify
 
-let reject_stage = function
-  | Shape -> "op-chain"
-  | Unify -> "access-unification"
-
 type ctx = {
   mutable next_ph : int;
   mutable next_aph : int;

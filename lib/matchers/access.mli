@@ -77,9 +77,6 @@ val reset_ctx : ctx -> unit
     array subscripts could not be unified with the pattern accesses. *)
 type reject = Shape | Unify
 
-(** Stage name for remarks: ["op-chain"] / ["access-unification"]. *)
-val reject_stage : reject -> string
-
 (** After a failed [match_block]: the rejecting stage ([None] after a
     success or before any match). Survives {!reset_ctx}-free re-reads;
     overwritten by the next [match_block] on this ctx. *)

@@ -114,29 +114,26 @@ let steps_of_config = function
   | Mlt_affine_blis ->
       [ Script.Canonicalize false; Script.Raise "affine-matmul" ]
 
-let script_of_config config = Script.of_steps (steps_of_config config)
-
 (* ---- schedules ------------------------------------------------------------ *)
 
 type schedule =
   | Config of config
   | Custom of { name : string; steps : Script.step list }
 
-let schedule_of_config config = Config config
+(* The printed script of [steps]; the module built to print it is
+   erased so the domain's region registry does not grow. *)
+let print_steps steps =
+  let m = Script.of_steps steps in
+  Fun.protect ~finally:(fun () -> Core.erase_op m) (fun () -> Script.print m)
 
 let schedule_of_steps ?name steps =
   let name =
     match name with
     | Some n -> n
     | None ->
-        "script:"
-        ^ String.sub
-            (Support.Digest.string (Script.print (Script.of_steps steps)))
-            0 12
+        "script:" ^ String.sub (Support.Digest.string (print_steps steps)) 0 12
   in
   Custom { name; steps }
-
-let schedule_of_script ?name m = schedule_of_steps ?name (Script.steps_of m)
 
 let schedule_of_script_text ?name ?file src =
   schedule_of_steps ?name (Script.parse_steps ?file src)
@@ -149,13 +146,9 @@ let schedule_steps = function
   | Config c -> steps_of_config c
   | Custom { steps; _ } -> steps
 
-let script_of_schedule s = Script.of_steps (schedule_steps s)
-
 let passes_of_schedule s =
   register_transform_steps ();
   Transform.Interp.passes_of_steps (schedule_steps s)
-
-let passes_of_config config = passes_of_schedule (Config config)
 
 (* Bump whenever pipeline or pattern-set *behavior* changes in a way the
    printed script below cannot express (a tactic's rewrite changes, the
@@ -174,9 +167,7 @@ let schedule_cache_identity s =
      could change printed canonical forms), so cached artifacts must
      never alias across interning disciplines (docs/PERF.md). *)
   Printf.sprintf "%s+%s:%s" cache_version Support.Intern.version
-    (Script.print (script_of_schedule s))
-
-let cache_identity config = schedule_cache_identity (Config config)
+    (print_steps (schedule_steps s))
 
 (* ---- preparation ---------------------------------------------------------- *)
 
@@ -191,23 +182,19 @@ let prepare_schedule_module ?pm schedule m =
 let prepare_schedule ?pm schedule src =
   prepare_schedule_module ?pm schedule (translate src)
 
-let prepare_module ?pm config m =
-  prepare_schedule_module ?pm (Config config) m
-
-let prepare ?pm config src = prepare_schedule ?pm (Config config) src
-
 (* ---- simulated timing ----------------------------------------------------- *)
 
 (* Score every Pluto sweep configuration on the machine model and keep
    the fastest — the model-driven stand-in for the paper's multi-day
    autotuning, now running through the general tuner with the sweep
-   sharded across a domain pool. The winner (first strict minimum in
+   fanned out over Support.Pool. The winner (first strict minimum in
    sweep order) and its IR are byte-identical to the legacy sequential
    sweep's (asserted in test_tune). *)
 let tuned ?pm machine src =
   register_dialects ();
   let probe = translate src in
   let trips = Tune.max_trip_count (sole_func probe) in
+  Core.erase_op probe;
   let space = Tune.pluto_space ~max_trip:trips in
   let outcome =
     Tune.search
@@ -218,12 +205,13 @@ let tuned ?pm machine src =
   in
   (* The sweep runs outside any manager; replay the winning script
      through the caller's manager so the recorded stats describe the
-     schedule [time] effectively selected. *)
+     schedule [time_schedule_ext] effectively selected. *)
   (match pm with
   | Some mgr ->
       let m = translate src in
       Pass.add_all mgr (Transform.Interp.passes_of_steps outcome.Tune.o_best.Tune.c_steps);
-      Pass.run mgr (sole_func m)
+      Pass.run mgr (sole_func m);
+      Core.erase_op m
   | None -> ());
   (outcome.Tune.o_best_report, Some outcome.Tune.o_stats)
 
@@ -232,17 +220,9 @@ let time_schedule_ext ?pm schedule machine src =
   | Config Pluto_best -> tuned ?pm machine src
   | _ ->
       let m = prepare_schedule ?pm schedule src in
-      (M.Perf.time_func machine (sole_func m), None)
-
-let time_schedule ?pm schedule machine src =
-  fst (time_schedule_ext ?pm schedule machine src)
-
-let time ?pm config machine src =
-  time_schedule ?pm (Config config) machine src
-
-let gflops config machine src ~flops =
-  let report = time config machine src in
-  M.Perf.gflops ~flops report
+      let report = M.Perf.time_func machine (sole_func m) in
+      Core.erase_op m;
+      (report, None)
 
 (* ---- differential execution ----------------------------------------------- *)
 
@@ -250,10 +230,10 @@ let check_schedule_semantics ?(seed = 0) ?eps ?engine schedule src =
   let reference = translate src in
   let transformed = prepare_schedule schedule src in
   let name = Core.func_name (sole_func reference) in
-  Interp.Eval.equivalent ?eps ?engine reference transformed name ~seed
-
-let check_semantics ?seed ?eps ?engine config src =
-  check_schedule_semantics ?seed ?eps ?engine (Config config) src
+  let ok = Interp.Eval.equivalent ?eps ?engine reference transformed name ~seed in
+  Core.erase_op reference;
+  Core.erase_op transformed;
+  ok
 
 (* ---- compile-time measurement (§5.2) -------------------------------------- *)
 

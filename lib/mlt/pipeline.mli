@@ -45,20 +45,14 @@ val all_figure9_configs : config list
 (** [register_dialects ()] eagerly registers every dialect's op
     definitions into the {!Ir.Dialect} registry — including the
     transform dialect and this library's transform-step implementations
-    ({!register_transform_steps}). The registry is
+    ([transform.raise] over the tactic sets [linalg], [affine-matmul]
+    and [affine], [transform.reorder_chains], [transform.to_blas]). The
+    registry is
     write-once-before-parallelism, so anything that spawns domains which
     compile IR must call this first, on the spawning domain
     ([Batch.Driver.run] does). Idempotent and cheap after the first
     call. *)
 val register_dialects : unit -> unit
-
-(** Installs the transform-step implementations only this library can
-    provide — [transform.raise] over the tactic sets ([linalg],
-    [affine-matmul], [affine]), [transform.reorder_chains] and
-    [transform.to_blas] — into {!Transform.Interp}'s registry.
-    Write-once; called by {!register_dialects} and by every script
-    elaboration here. *)
-val register_transform_steps : unit -> unit
 
 (** {2 Configs as transform scripts} *)
 
@@ -66,11 +60,6 @@ val register_transform_steps : unit -> unit
     [Clang_O3]; [Pluto_best] elaborates like [Pluto_default] — the sweep
     is resolved at timing, when a machine model is in hand). *)
 val steps_of_config : config -> Transform.Script.step list
-
-(** [script_of_config c] = [Transform.Script.of_steps (steps_of_config c)]
-    — the configuration as a parseable [builtin.module] of transform
-    ops. *)
-val script_of_config : config -> Core.op
 
 (** {2 Schedules}
 
@@ -81,15 +70,10 @@ type schedule =
   | Config of config
   | Custom of { name : string; steps : Transform.Script.step list }
 
-val schedule_of_config : config -> schedule
-
 (** [schedule_of_steps steps] — a custom schedule. The default [name] is
     ["script:" ^ digest-prefix] of the printed script, so two textually
     identical scripts get the same display name. *)
 val schedule_of_steps : ?name:string -> Transform.Script.step list -> schedule
-
-(** [schedule_of_script m] — from an already parsed script module. *)
-val schedule_of_script : ?name:string -> Core.op -> schedule
 
 (** [schedule_of_script_text src] — parse script IR text (errors carry
     [file] positions). *)
@@ -98,9 +82,6 @@ val schedule_of_script_text :
 
 val schedule_name : schedule -> string
 val schedule_steps : schedule -> Transform.Script.step list
-
-(** The schedule's steps as a script module. *)
-val script_of_schedule : schedule -> Core.op
 
 (** {2 Derived artifacts} *)
 
@@ -115,17 +96,11 @@ val script_of_schedule : schedule -> Core.op
     name is deliberately excluded: equal scripts share cache entries. *)
 val schedule_cache_identity : schedule -> string
 
-(** [cache_identity config] = [schedule_cache_identity (Config config)]. *)
-val cache_identity : config -> string
-
 (** The schedule's transformation pipeline, as pass-manager passes in
     application order — one pass per script step, named by
     {!Transform.Script.step_name}. Pattern-backed steps compile their
     tactic sets once, at list construction. *)
 val passes_of_schedule : schedule -> Pass.t list
-
-(** [passes_of_config c] = [passes_of_schedule (Config c)]. *)
-val passes_of_config : config -> Pass.t list
 
 (** {2 Preparation} *)
 
@@ -140,43 +115,24 @@ val prepare_schedule : ?pm:Pass.manager -> schedule -> string -> Core.op
 val prepare_schedule_module :
   ?pm:Pass.manager -> schedule -> Core.op -> Core.op
 
-val prepare : ?pm:Pass.manager -> config -> string -> Core.op
-val prepare_module : ?pm:Pass.manager -> config -> Core.op -> Core.op
-
 (** {2 Simulated timing} *)
 
 (** [time_schedule_ext schedule machine src] — simulated report for the
     single kernel in [src], plus tuner statistics when the schedule
     triggered a search. [Config Pluto_best] routes through {!Tune}:
-    the Pluto sweep as transform scripts, sharded across a domain pool,
+    the Pluto sweep as transform scripts, fanned out over {!Support.Pool},
     winner byte-identical to the legacy sequential sweep. With [pm], the
     preparation pipeline records per-pass statistics into the caller's
     (fresh) manager; for [Pluto_best] the sweep runs uninstrumented and
-    the winning script is replayed through [pm]. *)
+    the winning script is replayed through [pm]. Every module built
+    here is erased before returning. GFLOPS come from
+    {!Machine.Perf.gflops} on the report. *)
 val time_schedule_ext :
   ?pm:Pass.manager ->
   schedule ->
   Machine.Machine_model.t ->
   string ->
   Machine.Perf.report * Tune.stats option
-
-val time_schedule :
-  ?pm:Pass.manager ->
-  schedule ->
-  Machine.Machine_model.t ->
-  string ->
-  Machine.Perf.report
-
-val time :
-  ?pm:Pass.manager ->
-  config ->
-  Machine.Machine_model.t ->
-  string ->
-  Machine.Perf.report
-
-(** [gflops config machine src ~flops] *)
-val gflops :
-  config -> Machine.Machine_model.t -> string -> flops:float -> float
 
 (** {2 Differential execution} *)
 
@@ -191,14 +147,6 @@ val check_schedule_semantics :
   ?eps:float ->
   ?engine:Interp.Eval.engine ->
   schedule ->
-  string ->
-  bool
-
-val check_semantics :
-  ?seed:int ->
-  ?eps:float ->
-  ?engine:Interp.Eval.engine ->
-  config ->
   string ->
   bool
 
@@ -218,10 +166,6 @@ val compile_time :
   [ `Baseline | `With_mlt | `Match_only ] ->
   string list ->
   float
-
-(** The pass list a {!compile_time} mode runs per source. *)
-val compile_passes :
-  [ `Baseline | `With_mlt | `Match_only ] -> Pass.t list
 
 (** {2 Figure 8: callsite detection} *)
 

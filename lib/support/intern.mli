@@ -23,9 +23,9 @@
     observe fully constructed slots. *)
 
 (** Version tag for the interning representation, for inclusion in cache
-    identities (see [Mlt.Pipeline.cache_identity]): bump when canonical
-    forms or the interning discipline change in a way that could alias
-    cached artifacts across representations. *)
+    identities (see [Mlt.Pipeline.schedule_cache_identity]): bump when
+    canonical forms or the interning discipline change in a way that
+    could alias cached artifacts across representations. *)
 val version : string
 
 type stats = {

@@ -65,13 +65,4 @@ let pp_stmt fmt s =
       Format.fprintf fmt " where %s = %s" f (String.concat " * " group)
   | None -> ()
 
-let pp_tactic fmt t =
-  Format.fprintf fmt "def %s {\n  pattern\n    %a\n" t.t_name pp_stmt
-    t.t_pattern;
-  if t.t_builder <> [] then begin
-    Format.fprintf fmt "  builder\n";
-    List.iter (fun s -> Format.fprintf fmt "    %a\n" pp_stmt s) t.t_builder
-  end;
-  Format.fprintf fmt "}\n"
-
 let stmt_to_string s = Format.asprintf "%a" pp_stmt s

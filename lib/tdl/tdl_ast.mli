@@ -44,5 +44,4 @@ val simple_indices : ref_ -> string list option
 val stmt_vars : stmt -> string list
 
 val pp_stmt : Format.formatter -> stmt -> unit
-val pp_tactic : Format.formatter -> tactic -> unit
 val stmt_to_string : stmt -> string

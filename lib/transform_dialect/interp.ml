@@ -208,7 +208,14 @@ let compile script =
       script.Core.o_name;
   List.map compile_op (Core.ops_of_block (Core.module_block script))
 
-let compile_steps steps = compile (Script.of_steps steps)
+(* The script module only lives long enough to compile: the closures
+   keep what they need of it, and erasing it keeps the domain's region
+   registry from growing by one module per compilation. *)
+let compile_steps steps =
+  let script = Script.of_steps steps in
+  Fun.protect
+    ~finally:(fun () -> Core.erase_op script)
+    (fun () -> compile script)
 
 let apply_step c payload =
   Trace.span ~cat:"transform" c.c_name (fun () ->
@@ -221,7 +228,6 @@ let apply_step c payload =
 let pass_of_compiled c =
   Pass.make ~name:c.c_name (fun payload -> ignore (apply_step c payload))
 
-let passes_of_script script = List.map pass_of_compiled (compile script)
 let passes_of_steps steps = List.map pass_of_compiled (compile_steps steps)
 
 let run script payload =

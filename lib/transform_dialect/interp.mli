@@ -41,16 +41,16 @@ type compiled = {
     with workers (frozen pattern sets included). *)
 val compile : Core.op -> compiled list
 
+(** [compile_steps steps] — {!compile} on a script module built from
+    [steps] and erased afterwards. *)
 val compile_steps : Script.step list -> compiled list
 
 (** [apply_step c payload] — one step, with its trace span and
     inapplicability remark; returns the application count. *)
 val apply_step : compiled -> Core.op -> int
 
-(** One {!Ir.Pass} per script op (named {!Script.step_name}), for
-    running a script under an instrumented pass manager. *)
-val passes_of_script : Core.op -> Pass.t list
-
+(** One {!Ir.Pass} per step (named {!Script.step_name}), for running a
+    script under an instrumented pass manager. *)
 val passes_of_steps : Script.step list -> Pass.t list
 
 (** [run script payload] — compile and apply every step to [payload]

@@ -1,10 +1,6 @@
 open Ir
 module D = Support.Diag
 
-let prefix = "transform."
-
-let is_transform_op_name name = String.starts_with ~prefix name
-
 (* ---- attribute shape checks --------------------------------------------- *)
 
 let err (op : Core.op) fmt =
@@ -151,9 +147,6 @@ let defs =
     Dialect.def "transform.to_blas" ~verify:verify_bare
       ~summary:"replace Linalg ops with vendor-library calls";
   ]
-
-let op_names =
-  List.sort compare (List.map (fun d -> d.Dialect.od_name) defs)
 
 let registered = Atomic.make false
 

@@ -15,12 +15,6 @@
     verifiers below enforce shape and ranges, so a malformed script is
     rejected at parse/verify time, before interpretation. *)
 
-(** Fully qualified names of every transform op, sorted. *)
-val op_names : string list
-
-(** True iff [name] starts with ["transform."]. *)
-val is_transform_op_name : string -> bool
-
 (** Registers the op definitions ({!Ir.Dialect.register_once});
     idempotent, write-once-before-parallelism like every dialect. *)
 val register : unit -> unit

@@ -141,4 +141,8 @@ let parse ?file src =
   ignore (steps_of m);
   m
 
-let parse_steps ?file src = steps_of (parse ?file src)
+let parse_steps ?file src =
+  let m = parse ?file src in
+  let steps = steps_of m in
+  Core.erase_op m;
+  steps

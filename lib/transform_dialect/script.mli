@@ -59,5 +59,6 @@ val print : Core.op -> string
     [file] positions. *)
 val parse : ?file:string -> string -> Core.op
 
-(** [parse_steps ?file src] = [steps_of (parse ?file src)]. *)
+(** [parse_steps ?file src] = [steps_of (parse ?file src)]; the parsed
+    module is erased. *)
 val parse_steps : ?file:string -> string -> step list

@@ -277,19 +277,3 @@ let pass = Pass.make ~name:"lower-linalg-to-affine" run
 
 let tiled_pass ~size =
   Pass.make ~name:"lower-linalg-tiled" (run_tiled ~size)
-
-let lower_affine_matmul_naive root =
-  let pat =
-    Rewriter.pattern ~name:"lower-affine-matmul"
-      ~roots:(Rewriter.Roots [ "affine.matmul" ])
-      ~generated_ops:[ "affine.for"; "affine.load"; "affine.store" ]
-      (fun ctx op ->
-        if A.is_matmul op then begin
-          lower_matmul ctx.builder (Core.operand op 0) (Core.operand op 1)
-            (Core.operand op 2);
-          Core.erase_op op;
-          true
-        end
-        else false)
-  in
-  ignore (Rewriter.apply_sweeps root (Rewriter.freeze [ pat ]))

@@ -24,7 +24,3 @@ val pass : Ir.Pass.t
 
 (** {!run_tiled} as a pass, named ["lower-linalg-tiled"]. *)
 val tiled_pass : size:int -> Ir.Pass.t
-
-(** Also lower [affine.matmul] (§5.1) to its naive loop nest — used as
-    the reference lowering when not taking the BLIS path. *)
-val lower_affine_matmul_naive : Ir.Core.op -> unit

@@ -155,16 +155,20 @@ let search ?(domains = 1) ?(seed = 0) ?limit ~machine ~translate candidates =
   in
   (* Wall-clock cost of evaluating each candidate — the tuner's own
      latency, distinct from the modelled seconds it scores. Each slot is
-     written by exactly one shard; [Domain.join] publishes them. *)
+     written by exactly one worker; the pool's joins publish them. *)
   let walls = Array.make n 0. in
-  let eval i =
+  let eval_seconds = Lazy.force m_eval_seconds in
+  let eval ~worker:_ i =
     let t0 = Unix.gettimeofday () in
     (match
        let m = translate () in
-       let f = sole_func m in
-       List.iter (fun c -> ignore (Interp.apply_step c f)) compiled.(i);
-       Verifier.verify m;
-       Machine.Perf.time_func machine f
+       Fun.protect
+         ~finally:(fun () -> Core.erase_op m)
+         (fun () ->
+           let f = sole_func m in
+           List.iter (fun c -> ignore (Interp.apply_step c f)) compiled.(i);
+           Verifier.verify m;
+           Machine.Perf.time_func machine f)
      with
     | report -> results.(i) <- (Some report, None)
     | exception D.Error (loc, msg) ->
@@ -172,25 +176,10 @@ let search ?(domains = 1) ?(seed = 0) ?limit ~machine ~translate candidates =
     | exception exn -> results.(i) <- (None, Some (Printexc.to_string exn)));
     let w = Unix.gettimeofday () -. t0 in
     walls.(i) <- w;
-    Metrics.observe (Lazy.force m_eval_seconds) w
-  in
-  let domains = max 1 (min domains n) in
-  let work shard () =
-    let i = ref shard in
-    while !i < n do
-      eval !i;
-      i := !i + domains
-    done
+    Metrics.observe eval_seconds w
   in
   Trace.span ~cat:"driver" "tune-search" (fun () ->
-      if domains = 1 then work 0 ()
-      else begin
-        let spawned =
-          List.init (domains - 1) (fun s -> Domain.spawn (work (s + 1)))
-        in
-        work 0 ();
-        List.iter Domain.join spawned
-      end);
+      Support.Pool.run ~domains n eval);
   (* First strict minimum in candidate order — the exact argmin the
      legacy sequential Pluto sweep computed. *)
   let best = ref None in

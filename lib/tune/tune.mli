@@ -7,8 +7,8 @@
     candidate position and the winner is the {e first strict minimum} in
     candidate order, so the result is independent of the domain count;
     with a fixed [seed] the optional subsampling is deterministic too.
-    Sharding follows the batch driver's round-robin discipline
-    (docs/CONCURRENCY.md): populate the dialect and transform-step
+    Candidates fan out over {!Support.Pool} like the batch driver's
+    entries (docs/CONCURRENCY.md): populate the dialect and transform-step
     registries on the calling domain first
     ([Mlt.Pipeline.register_dialects]). *)
 
@@ -70,8 +70,8 @@ val blis_space : ?quick:bool -> unit -> candidate list
 val gemm_space : ?quick:bool -> max_trip:int -> unit -> candidate list
 
 (** [search ~machine ~translate candidates] evaluates every candidate on
-    a fresh [translate ()] payload and returns the winner. [domains]
-    shards candidates round-robin across a domain pool (default 1);
+    a fresh [translate ()] payload, erased once scored, and returns the
+    winner. [domains] sizes the {!Support.Pool} (default 1);
     [limit] (with [seed], default 0) deterministically subsamples the
     space, always keeping the first candidate — by convention the
     baseline schedule. Raises {!Support.Diag.Error} when the space is

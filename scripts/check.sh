@@ -67,6 +67,15 @@ grep -q '"name":"mlt_batch_entries_done"' "$obs_tmp/metrics.json" || {
   echo "check.sh: metrics file lacks the batch counters" >&2
   exit 1
 }
+# Scheduling must never reach the emitted files: the same manifest on one
+# domain writes exactly the files the 2-domain pool wrote (only
+# report.json differs, by its wall-clock and worker fields).
+dune exec bin/mlt_batch.exe -- examples/kernels/batch_manifest.json \
+  --domains 1 --quiet --output "$obs_tmp/batch-seq"
+diff -r -x report.json "$obs_tmp/batch-seq" "$obs_tmp/batch" || {
+  echo "check.sh: 1-domain and 2-domain batch outputs differ" >&2
+  exit 1
+}
 # Smoke the compilation cache: a second run over the same manifest and
 # cache directory must be served entirely from the cache (cache_misses 0)
 # and write byte-identical per-entry IR (docs/CACHE.md).

@@ -30,6 +30,7 @@ let () =
       ("mlt", Test_mlt.suite);
       ("transform-dialect", Test_transform_dialect.suite);
       ("tune", Test_tune.suite);
+      ("pool", Test_pool.suite);
       ("batch", Test_batch.suite);
       ("cache", Test_cache.suite);
     ]

@@ -336,6 +336,95 @@ let test_fault_isolation () =
             r.Batch.Driver.r_ir)
     rp.Batch.Driver.rp_results
 
+(* ---- dynamic claiming vs the oracle -------------------------------- *)
+
+let test_skewed_manifest_matches_oracle () =
+  (* One heavy matrix chain among many tiny entries, at an even index —
+     where round-robin striping used to pin it to shard 0. Whichever
+     worker claims it, the results must equal the sequential oracle. *)
+  let chain =
+    {
+      Batch.Manifest.e_name = "chain";
+      e_source =
+        Batch.Manifest.Inline
+          (W.matrix_chain
+             [ 24; 40; 16; 56; 32; 48; 24; 64; 40; 16; 72; 32; 56; 24; 48; 40; 64 ]);
+      e_schedule = Mlt.Pipeline.Config Mlt.Pipeline.Mlt_blas;
+    }
+  in
+  let entries =
+    match stress_entries () @ stress_entries () with
+    | a :: b :: rest -> a :: b :: chain :: rest
+    | short -> chain :: short
+  in
+  let manifest = Batch.Manifest.of_entries entries in
+  let seq = Batch.Driver.run ~domains:1 manifest in
+  let par = Batch.Driver.run ~domains:2 manifest in
+  List.iter2
+    (fun (s : Batch.Driver.entry_result) (p : Batch.Driver.entry_result) ->
+      Alcotest.(check string)
+        (s.Batch.Driver.r_name ^ " IR byte-identical")
+        s.Batch.Driver.r_ir p.Batch.Driver.r_ir;
+      Alcotest.(check string)
+        (s.Batch.Driver.r_name ^ " result signature identical")
+        (Batch.Driver.result_signature s)
+        (Batch.Driver.result_signature p);
+      Alcotest.(check bool)
+        (p.Batch.Driver.r_name ^ " ran on a pool worker")
+        true
+        (p.Batch.Driver.r_shard >= 0 && p.Batch.Driver.r_shard < 2))
+    seq.Batch.Driver.rp_results par.Batch.Driver.rp_results;
+  Alcotest.(check string) "aggregated pass stats identical"
+    (Batch.Driver.summary_signature seq.Batch.Driver.rp_summary)
+    (Batch.Driver.summary_signature par.Batch.Driver.rp_summary);
+  Alcotest.(check int) "no failures" 0 (Batch.Driver.failed_count par)
+
+(* ---- region-registry leaks ------------------------------------------ *)
+
+(* Every module the library builds and then drops must be erased, or
+   the calling domain's region registry grows by it on every call. *)
+let test_no_retained_regions () =
+  Mlt.Pipeline.register_dialects ();
+  let src = W.gemm ~ni:8 ~nj:8 ~nk:8 () in
+  let machine = Machine.Machine_model.amd_2920x in
+  let translate () = Met.Emit_affine.translate src in
+  let unchanged what f =
+    let before = Core.region_registry_size () in
+    f ();
+    Alcotest.(check int)
+      (what ^ " leaves the region registry unchanged")
+      before
+      (Core.region_registry_size ())
+  in
+  let blas = Mlt.Pipeline.Config Mlt.Pipeline.Mlt_blas in
+  let best = Mlt.Pipeline.Config Mlt.Pipeline.Pluto_best in
+  unchanged "Interp.compile_steps" (fun () ->
+      ignore (Transform.Interp.compile_steps (Mlt.Pipeline.schedule_steps blas)));
+  unchanged "schedule_cache_identity" (fun () ->
+      ignore (Mlt.Pipeline.schedule_cache_identity blas));
+  unchanged "Tune.search" (fun () ->
+      ignore
+        (Tune.search ~domains:1 ~machine ~translate
+           (Tune.pluto_space ~max_trip:8)));
+  unchanged "time_schedule_ext (pluto-best)" (fun () ->
+      ignore
+        (Mlt.Pipeline.time_schedule_ext ~pm:(Pass.create_manager ()) best
+           machine src));
+  unchanged "time_schedule_ext (mlt-blas)" (fun () ->
+      ignore (Mlt.Pipeline.time_schedule_ext blas machine src));
+  unchanged "check_schedule_semantics" (fun () ->
+      ignore (Mlt.Pipeline.check_schedule_semantics blas src));
+  (* From the test directory under [dune runtest], or the repo root. *)
+  let manifest =
+    List.find Sys.file_exists
+      [
+        "../examples/kernels/batch_manifest.json";
+        "examples/kernels/batch_manifest.json";
+      ]
+  in
+  unchanged "Batch.Driver.run" (fun () ->
+      ignore (Batch.Driver.run ~domains:1 (Batch.Manifest.load manifest)))
+
 (* ---- write-once dialect registration ------------------------------- *)
 
 let test_register_once_parallel () =
@@ -378,7 +467,7 @@ let test_register_once_parallel () =
     && Dialect.is_registered "memref.load"
     && Dialect.is_registered "affine.for")
 
-(* ---- sharded output filenames -------------------------------------- *)
+(* ---- output filenames ---------------------------------------------- *)
 
 let test_write_outputs_distinct_files () =
   (* "gemm#0" and "gemm_0" both sanitize to "gemm_0"; the manifest-index
@@ -398,21 +487,12 @@ let test_write_outputs_distinct_files () =
   Alcotest.(check int) "both entries compiled" 2 (Batch.Driver.ok_count rp);
   let dir = Filename.temp_dir "mlt_batch_out" "" in
   Batch.Driver.write_outputs ~dir rp;
-  let shard0 = Filename.concat dir "shard-0" in
-  let mlir_files =
-    Array.to_list (Sys.readdir shard0)
-    |> List.filter (fun f -> Filename.check_suffix f ".mlir")
-    |> List.sort compare
-  in
-  List.iter
-    (fun f -> Sys.remove (Filename.concat shard0 f))
-    (Array.to_list (Sys.readdir shard0));
-  Sys.remove (Filename.concat dir "report.json");
-  Sys.rmdir shard0;
+  let files = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  List.iter (fun f -> Sys.remove (Filename.concat dir f)) files;
   Sys.rmdir dir;
-  Alcotest.(check (list string)) "one output file per manifest entry"
-    [ "000-gemm_0.mlir"; "001-gemm_0.mlir" ]
-    mlir_files
+  Alcotest.(check (list string)) "one flat output file per manifest entry"
+    [ "000-gemm_0.mlir"; "001-gemm_0.mlir"; "report.json" ]
+    files
 
 let suite =
   [
@@ -441,4 +521,8 @@ let suite =
       test_report_metrics_agreement;
     Alcotest.test_case "crashing input fails only its own entry" `Quick
       test_fault_isolation;
+    Alcotest.test_case "skewed manifest on 2 domains matches the oracle"
+      `Quick test_skewed_manifest_matches_oracle;
+    Alcotest.test_case "no module left in the region registry" `Quick
+      test_no_retained_regions;
   ]

@@ -207,7 +207,9 @@ let test_pipeline_check_semantics () =
     (fun config ->
       List.iter
         (fun engine ->
-          if not (Mlt.Pipeline.check_semantics ~engine config src) then
+          let schedule = Mlt.Pipeline.Config config in
+          if not (Mlt.Pipeline.check_schedule_semantics ~engine schedule src)
+          then
             Alcotest.failf "%s changed semantics (engine %s)"
               (Mlt.Pipeline.config_name config)
               (Interp.Rt.engine_name engine))

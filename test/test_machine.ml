@@ -143,7 +143,12 @@ let test_figure9_headline_ordering () =
   (* gemm at a modest size: clang < pluto-default < mlt-blas, and
      mlt-blas is the fastest of all configurations (level-3 story). *)
   let src = W.gemm ~ni:128 ~nj:128 ~nk:128 () in
-  let time c = (Mlt.Pipeline.time c MM.amd_2920x src).Machine.Perf.seconds in
+  let time c =
+    let r, _ =
+      Mlt.Pipeline.time_schedule_ext (Mlt.Pipeline.Config c) MM.amd_2920x src
+    in
+    r.Machine.Perf.seconds
+  in
   let t_clang = time Mlt.Pipeline.Clang_O3 in
   let t_pluto = time Mlt.Pipeline.Pluto_default in
   let t_blas = time Mlt.Pipeline.Mlt_blas in
@@ -159,7 +164,12 @@ let test_level2_overhead_story () =
      MLT-Blas from beating the autotuned loop code on atax — Pluto-best
      yields code "as fast or faster" than the BLAS substitution. *)
   let src = W.atax ~m:128 ~n:128 () in
-  let time c = (Mlt.Pipeline.time c MM.amd_2920x src).Machine.Perf.seconds in
+  let time c =
+    let r, _ =
+      Mlt.Pipeline.time_schedule_ext (Mlt.Pipeline.Config c) MM.amd_2920x src
+    in
+    r.Machine.Perf.seconds
+  in
   let t_blas = time Mlt.Pipeline.Mlt_blas in
   let t_best = time Mlt.Pipeline.Pluto_best in
   Alcotest.(check bool)

@@ -115,7 +115,10 @@ let test_printer_parser_sgemv_transpose_attr () =
     "void f(float A[4][6], float x[4], float y[6]) { for (int i = 0; i < \
      4; ++i) for (int j = 0; j < 6; ++j) y[j] += A[i][j] * x[i]; }"
   in
-  let m = Mlt.Pipeline.prepare Mlt.Pipeline.Mlt_blas src in
+  let m =
+    Mlt.Pipeline.prepare_schedule (Mlt.Pipeline.Config Mlt.Pipeline.Mlt_blas)
+      src
+  in
   Alcotest.(check int) "sgemv" 1 (count_ops m "blas.sgemv");
   let printed = Printer.op_to_string m in
   Alcotest.(check bool) "prints transpose attr" true

@@ -187,7 +187,9 @@ let test_pipelines_preserve_semantics () =
           match config with
           | Mlt.Pipeline.Pluto_best -> () (* timing-level only *)
           | _ ->
-              let m = Mlt.Pipeline.prepare config src in
+              let m =
+                Mlt.Pipeline.prepare_schedule (Mlt.Pipeline.Config config) src
+              in
               if not (Interp.Eval.equivalent reference m fname ~seed:13) then
                 Alcotest.failf "%s under %s: semantics changed" kname
                   (Mlt.Pipeline.config_name config))
@@ -197,13 +199,19 @@ let test_pipelines_preserve_semantics () =
 let test_pipeline_sec51_semantics () =
   let src = W.mm ~ni:8 ~nj:8 ~nk:8 () in
   let reference = Met.Emit_affine.translate src in
-  let m = Mlt.Pipeline.prepare Mlt.Pipeline.Mlt_affine_blis src in
+  let m =
+    Mlt.Pipeline.prepare_schedule
+      (Mlt.Pipeline.Config Mlt.Pipeline.Mlt_affine_blis) src
+  in
   Alcotest.(check int) "affine.matmul" 1 (count_ops m "affine.matmul");
   Alcotest.(check bool) "equivalent" true
     (Interp.Eval.equivalent reference m "mm" ~seed:4)
 
 let test_pipeline_mlt_blas_raises_gemm () =
-  let m = Mlt.Pipeline.prepare Mlt.Pipeline.Mlt_blas (W.gemm ~ni:16 ~nj:16 ~nk:16 ()) in
+  let m =
+    Mlt.Pipeline.prepare_schedule (Mlt.Pipeline.Config Mlt.Pipeline.Mlt_blas)
+      (W.gemm ~ni:16 ~nj:16 ~nk:16 ())
+  in
   Alcotest.(check int) "sgemm" 1 (count_ops m "blas.sgemm")
 
 let test_fig8_callsite_counts () =

@@ -48,10 +48,15 @@ let test_roundtrip_raised_linalg () =
   ignore (roundtrip_once "ttgt" m)
 
 let test_roundtrip_blas_and_affine_matmul () =
-  let m = Mlt.Pipeline.prepare Mlt.Pipeline.Mlt_blas (W.gemm ~ni:8 ~nj:8 ~nk:8 ()) in
+  let m =
+    Mlt.Pipeline.prepare_schedule (Mlt.Pipeline.Config Mlt.Pipeline.Mlt_blas)
+      (W.gemm ~ni:8 ~nj:8 ~nk:8 ())
+  in
   ignore (roundtrip_once "blas" m);
   let m2 =
-    Mlt.Pipeline.prepare Mlt.Pipeline.Mlt_affine_blis (W.mm ~ni:8 ~nj:8 ~nk:8 ())
+    Mlt.Pipeline.prepare_schedule
+      (Mlt.Pipeline.Config Mlt.Pipeline.Mlt_affine_blis)
+      (W.mm ~ni:8 ~nj:8 ~nk:8 ())
   in
   ignore (roundtrip_once "affine.matmul" m2)
 

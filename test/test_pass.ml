@@ -127,7 +127,10 @@ let test_mlt_linalg_pipeline_stats () =
   (* The Mlt_linalg evaluation pipeline, instrumented end to end. *)
   let pm = Pass.create_manager () in
   let m = Met.Emit_affine.translate (W.mm ~ni:8 ~nj:8 ~nk:8 ()) in
-  ignore (Mlt.Pipeline.prepare_module ~pm Mlt.Pipeline.Mlt_linalg m);
+  ignore
+    (Mlt.Pipeline.prepare_schedule_module ~pm
+       (Mlt.Pipeline.Config Mlt.Pipeline.Mlt_linalg)
+       m);
   let ts = Pass.timings pm in
   Alcotest.(check (list string)) "pipeline passes"
     [
@@ -156,7 +159,10 @@ let test_ir_snapshots () =
       ()
   in
   let m = Met.Emit_affine.translate (W.mm ~ni:8 ~nj:8 ~nk:8 ()) in
-  ignore (Mlt.Pipeline.prepare_module ~pm Mlt.Pipeline.Mlt_linalg m);
+  ignore
+    (Mlt.Pipeline.prepare_schedule_module ~pm
+       (Mlt.Pipeline.Config Mlt.Pipeline.Mlt_linalg)
+       m);
   let snaps = List.rev !snaps in
   Alcotest.(check int) "one snapshot per pass" 3 (List.length snaps);
   let after_raise = List.assoc "transform.raise[linalg]" snaps in

@@ -94,7 +94,7 @@ let test_configs_match_legacy () =
     (fun config ->
       List.iter
         (fun (kname, src) ->
-          let scripted = P.prepare config src in
+          let scripted = P.prepare_schedule (P.Config config) src in
           let legacy = Met.Emit_affine.translate src in
           let pm = Pass.create_manager () in
           Pass.add_all pm (legacy_passes config);

@@ -111,7 +111,9 @@ let test_gemm_space_beats_default () =
       (Tune.gemm_space ~max_trip ())
   in
   let default_seconds =
-    (Mlt.Pipeline.time Mlt.Pipeline.Pluto_default machine src)
+    (fst
+       (Mlt.Pipeline.time_schedule_ext
+          (Mlt.Pipeline.Config Mlt.Pipeline.Pluto_default) machine src))
       .M.Perf.seconds
   in
   Alcotest.(check bool) "tuned never worse than pluto-default" true
