@@ -334,16 +334,6 @@ let proves_in_bounds shape ranges =
     ranges;
   !ok
 
-(* Stride-weighted linear offset of the access expressions, as one folded
-   affine expression ([Affine_map.make] already simplified each result, and
-   the smart constructors merge the stride constants). *)
-let offset_expr strides exprs =
-  let acc = ref (E.const 0) in
-  List.iteri
-    (fun i e -> acc := E.add !acc (E.mul (E.const strides.(i)) e))
-    exprs;
-  !acc
-
 let compile_affine_access ctx op ~is_store =
   let memref = A.access_memref op in
   let bslot = buf_slot ctx memref in
@@ -367,7 +357,7 @@ let compile_affine_access ctx op ~is_store =
   in
   let in_bounds = proves_in_bounds shape result_ranges in
   let comp = Array.of_list (List.map (compile_expr slots) exprs) in
-  let off = compile_expr slots (offset_expr strides exprs) in
+  let off = compile_expr slots (E.row_major_offset strides exprs) in
   let kind =
     if is_store then `Store (float_rd ctx (A.stored_value op))
     else `Load (def_float ctx (Core.result op 0))

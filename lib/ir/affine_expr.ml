@@ -228,6 +228,11 @@ let rec substitute_dims f = function
   | Floor_div (a, b) -> floor_div (substitute_dims f a) (substitute_dims f b)
   | Mod (a, b) -> mod_ (substitute_dims f a) (substitute_dims f b)
 
+let row_major_offset strides exprs =
+  let acc = ref (const 0) in
+  List.iteri (fun i e -> acc := add !acc (mul (const strides.(i)) e)) exprs;
+  !acc
+
 (* Monomorphic structural walk with a physical fast path at every node.
    Interned expressions (the canonical nodes every [Affine_map] stores)
    short-circuit immediately. *)

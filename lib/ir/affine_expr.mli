@@ -90,6 +90,12 @@ val max_dim : t -> int
 (** [substitute_dims f e] replaces every [Dim i] with [f i]. *)
 val substitute_dims : (int -> t) -> t -> t
 
+(** [row_major_offset strides exprs] is the element offset
+    [sum_i strides.(i) * e_i] of a subscript list, as one simplified
+    expression (linear whenever every subscript is), so stagers can fold
+    the strides into a single linear form. *)
+val row_major_offset : int array -> t list -> t
+
 (** Semantic equality up to {!simplify}, computed by a monomorphic
     structural walk with a physical ([==]) fast path — interned canonical
     nodes (see {!intern}) compare in O(1). *)

@@ -6,10 +6,14 @@
 type t
 
 (** [create ~size ~line ~ways] — sizes in bytes; [size] must be a
-    multiple of [line * ways]. *)
+    multiple of [line * ways], and both [line] and the set count
+    [size / (line * ways)] must be powers of two (lines and sets are
+    found by shift and mask). Raises [Invalid_argument] otherwise. *)
 val create : size:int -> line:int -> ways:int -> t
 
-(** [access t addr] returns [true] on hit and updates LRU state. *)
+(** [access t addr] returns [true] on hit and updates LRU state. The
+    replacement is exact LRU: a miss evicts the least recently used way
+    of the set (the first such way before any has been used). *)
 val access : t -> int -> bool
 
 val accesses : t -> int

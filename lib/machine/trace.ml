@@ -98,13 +98,72 @@ let slot_of ctx (v : Core.value) =
       Hashtbl.replace ctx.slots v.Core.v_id s;
       s
 
-(* Unit-stride (prefetchable) accesses pay streaming-bandwidth cost per
-   miss; non-streamed misses pay the level latency, amortized over the
-   machine's memory-level parallelism. *)
+(* ---- staged affine expressions ---------------------------------------- *)
+
+(* What the staged evaluators cannot run is rejected here, before the
+   walk: symbols, dimensions with no operand, and floordiv/mod by anything
+   but a non-zero constant. *)
+let check_expr what n_dims e =
+  let rec go = function
+    | Affine_expr.Dim i ->
+        if i < 0 || i >= n_dims then
+          D.errorf "trace: %s reads d%d but has %d operands" what i n_dims
+    | Affine_expr.Sym _ -> D.errorf "trace: %s uses affine symbols" what
+    | Affine_expr.Const _ -> ()
+    | Affine_expr.Add (a, b) | Affine_expr.Mul (a, b) ->
+        go a;
+        go b
+    | Affine_expr.Floor_div (a, b) | Affine_expr.Mod (a, b) -> (
+        go a;
+        match Affine_expr.is_constant b with
+        | Some k when k <> 0 -> ()
+        | _ -> D.errorf "trace: %s divides by a non-constant or zero" what)
+  in
+  go e
+
+(* [stage ctx what slots e] evaluates [e] with dimension [d] read from
+   [ctx.env.(slots.(d))]. A linear [e] becomes [b + sum k_i * env.(s_i)],
+   with dedicated closures for up to three terms; floordiv/mod go through
+   [Affine_expr.compile] over a gathered dimension vector. *)
+let stage ctx what slots e =
+  check_expr what (Array.length slots) e;
+  let env = ctx.env in
+  match Affine_expr.linearize e with
+  | Some { Affine_expr.dim_coeffs; constant = b; _ } -> (
+      match List.map (fun (d, k) -> (slots.(d), k)) dim_coeffs with
+      | [] -> fun () -> b
+      | [ (s0, k0) ] -> fun () -> b + (k0 * env.(s0))
+      | [ (s0, k0); (s1, k1) ] ->
+          fun () -> b + (k0 * env.(s0)) + (k1 * env.(s1))
+      | [ (s0, k0); (s1, k1); (s2, k2) ] ->
+          fun () -> b + (k0 * env.(s0)) + (k1 * env.(s1)) + (k2 * env.(s2))
+      | terms ->
+          let ss = Array.of_list (List.map fst terms) in
+          let ks = Array.of_list (List.map snd terms) in
+          fun () ->
+            let acc = ref b in
+            for i = 0 to Array.length ss - 1 do
+              acc := !acc + (ks.(i) * env.(ss.(i)))
+            done;
+            !acc)
+  | None ->
+      let f = Affine_expr.compile e in
+      let dims = Array.make (Array.length slots) 0 in
+      fun () ->
+        for i = 0 to Array.length slots - 1 do
+          dims.(i) <- env.(slots.(i))
+        done;
+        f dims
+
+(* ---- accesses --------------------------------------------------------- *)
+
+(* Cycles charged to an L1 miss served by [level] (2-4). Unit-stride
+   (prefetchable) accesses pay streaming-bandwidth cost per miss;
+   non-streamed misses pay the level latency, amortized over the machine's
+   memory-level parallelism. *)
 let miss_cost ctx ~streamed level =
   let m = ctx.model in
-  if level = 1 then 0.
-  else if streamed then Machine_model.stream_miss_cycles m
+  if streamed then Machine_model.stream_miss_cycles m
   else
     let raw =
       match level with
@@ -131,6 +190,11 @@ let is_streamed (op : Core.op) =
       | Some s -> abs s <= 2
       | None -> false)
 
+(* The buffer base, the row-major strides and the 4-byte element size fold
+   into the staged address; the miss costs, indexed by the level that hit,
+   are fixed per site. An L1 hit adds nothing: its cost would be [+0.], and
+   [mem_cycles] only grows from [+0.], so skipping the add leaves every
+   bit as it was. *)
 let compile_access ctx (op : Core.op) =
   let memref = A.access_memref op in
   let base =
@@ -139,40 +203,41 @@ let compile_access ctx (op : Core.op) =
     | None -> D.errorf "trace: access to a buffer with no address"
   in
   let strides = elem_strides memref.Core.v_typ in
-  let exprs = Array.of_list (A.access_map op).Affine_map.exprs in
-  let operand_slots =
-    Array.of_list (List.map (slot_of ctx) (A.access_indices op))
+  let exprs = (A.access_map op).Affine_map.exprs in
+  if List.length exprs <> Array.length strides then
+    D.errorf "trace: %s map arity does not match memref rank" op.Core.o_name;
+  let slots = Array.of_list (List.map (slot_of ctx) (A.access_indices op)) in
+  let addr =
+    stage ctx op.Core.o_name slots
+      Affine_expr.(
+        add (const base)
+          (mul (const 4) (row_major_offset strides exprs)))
   in
-  let dims = Array.make (Array.length operand_slots) 0 in
-  let stats = ctx.stats in
   let streamed = is_streamed op in
+  let costs =
+    Array.init 5 (fun level ->
+        if level < 2 then 0. else miss_cost ctx ~streamed level)
+  in
+  let hier = ctx.hier and stats = ctx.stats in
   fun () ->
-    for i = 0 to Array.length dims - 1 do
-      dims.(i) <- ctx.env.(operand_slots.(i))
-    done;
-    let off = ref 0 in
-    for r = 0 to Array.length exprs - 1 do
-      off := !off + (Affine_expr.eval ~dims ~syms:[||] exprs.(r) * strides.(r))
-    done;
-    let level = Cache.access_hierarchy ctx.hier (base + (4 * !off)) in
+    let level = Cache.access_hierarchy hier (addr ()) in
     stats.accesses <- stats.accesses +. 1.;
-    stats.mem_cycles <- stats.mem_cycles +. miss_cost ctx ~streamed level
+    if level > 1 then stats.mem_cycles <- stats.mem_cycles +. costs.(level)
 
 let eval_bound ctx ~minimize ((map, args) : A.bound) =
-  let slots = List.map (slot_of ctx) args in
-  let dims = Array.make (List.length args) 0 in
-  let exprs = map.Affine_map.exprs in
-  fun () ->
-    List.iteri (fun i s -> dims.(i) <- ctx.env.(s)) slots;
-    match exprs with
-    | [] -> D.errorf "trace: empty bound map"
-    | e :: rest ->
-        List.fold_left
-          (fun acc e' ->
-            let v = Affine_expr.eval ~dims ~syms:[||] e' in
-            if minimize then min acc v else max acc v)
-          (Affine_expr.eval ~dims ~syms:[||] e)
-          rest
+  let slots = Array.of_list (List.map (slot_of ctx) args) in
+  match List.map (stage ctx "loop bound" slots) map.Affine_map.exprs with
+  | [] -> D.errorf "trace: empty bound map"
+  | [ f ] -> f
+  | f :: rest ->
+      let rest = Array.of_list rest in
+      fun () ->
+        let acc = ref (f ()) in
+        for i = 0 to Array.length rest - 1 do
+          let v = rest.(i) () in
+          if (if minimize then v < !acc else v > !acc) then acc := v
+        done;
+        !acc
 
 let rec compile_block ctx (ops : Core.op list) =
   (* Returns (closures, direct float-op count). *)
@@ -210,20 +275,15 @@ let rec compile_block ctx (ops : Core.op list) =
             (fun () -> ctx.env.(r) <- f ctx.env.(a) ctx.env.(b)) :: !closures
       | "affine.apply" ->
           let map = Attr.get_map (Core.attr op "map") in
-          let slots =
-            Array.of_list
-              (List.map (slot_of ctx) (Array.to_list op.o_operands))
+          let slots = Array.map (slot_of ctx) op.o_operands in
+          let e =
+            match map.Affine_map.exprs with
+            | e :: _ -> e
+            | [] -> D.errorf "trace: affine.apply with an empty map"
           in
-          let dims = Array.make (Array.length slots) 0 in
-          let e = List.hd map.Affine_map.exprs in
-          let r = slot_of ctx (Core.result op 0) in
-          closures :=
-            (fun () ->
-              for i = 0 to Array.length slots - 1 do
-                dims.(i) <- ctx.env.(slots.(i))
-              done;
-              ctx.env.(r) <- Affine_expr.eval ~dims ~syms:[||] e)
-            :: !closures
+          let f = stage ctx "affine.apply" slots e in
+          let env = ctx.env and r = slot_of ctx (Core.result op 0) in
+          closures := (fun () -> env.(r) <- f ()) :: !closures
       | "memref.alloc" | "memref.dealloc" -> ()
       | name -> D.errorf "trace: cannot simulate operation '%s'" name)
     ops;

@@ -2,6 +2,10 @@
     closures once, then its full iteration space is walked; every
     [affine.load]/[affine.store] produces a byte address that probes the
     cache hierarchy, while arithmetic is counted statically per iteration.
+    Addresses, bounds and [affine.apply] results are staged: a linear map
+    folds its strides, element size and buffer base into one
+    [b + sum k_i * iv_i] form; floordiv/mod maps run through
+    {!Ir.Affine_expr.compile}.
 
     Vectorizability follows the Clang-style check the paper's baselines
     rely on: an innermost loop whose accesses all have address stride 0 or
@@ -28,8 +32,10 @@ val assign_addresses : Core.op -> address_map
 
 (** [simulate m hierarchy addresses stats ops] executes the given
     top-level affine ops (loops and straight-line affine/arith code),
-    accumulating into [stats]. Raises {!Support.Diag.Error} on
-    non-affine ops. *)
+    accumulating into [stats]. Raises {!Support.Diag.Error}, before it
+    simulates any of [ops], on non-affine ops and on maps it cannot stage:
+    symbols, empty maps, dimensions with no operand, and floordiv/mod by
+    anything but a non-zero constant. *)
 val simulate :
   ?fast_math:bool ->
   Machine_model.t ->

@@ -99,3 +99,19 @@ diff -r -x report.json "$obs_tmp/batch-cold" "$obs_tmp/batch-warm" || {
   echo "check.sh: cache-served IR differs from freshly compiled IR" >&2
   exit 1
 }
+# The simulator must reproduce all 170 Figure-9 simulate cells bit for
+# bit: regenerate the expectations into the temp dir and compare every
+# column but the last (column 15, cost_us, is a wall-clock hint). The
+# committed perfbench files are only read.
+_build/default/perfbench/bench.exe --regen-expected "$obs_tmp/sim.tsv" \
+  2> "$obs_tmp/regen.log" || {
+  cat "$obs_tmp/regen.log" >&2
+  echo "check.sh: regenerating the simulate expectations failed" >&2
+  exit 1
+}
+cut -f1-14 "$obs_tmp/sim.tsv" > "$obs_tmp/sim.cells"
+cut -f1-14 perfbench/expected_simulate.tsv > "$obs_tmp/sim.expected"
+diff "$obs_tmp/sim.expected" "$obs_tmp/sim.cells" || {
+  echo "check.sh: simulated Figure-9 cells differ from perfbench/expected_simulate.tsv" >&2
+  exit 1
+}

@@ -55,6 +55,160 @@ let test_hierarchy_levels () =
   done;
   Alcotest.(check int) "L2 hit after L1 eviction" 2 (C.access_hierarchy h 0)
 
+let test_cache_power_of_two () =
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "Cache.create accepted %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "48-byte lines" (fun () ->
+      C.create ~size:(48 * 4 * 2) ~line:48 ~ways:2);
+  rejects "3 sets" (fun () -> C.create ~size:(64 * 3 * 2) ~line:64 ~ways:2);
+  rejects "a size that is no multiple of line * ways" (fun () ->
+      C.create ~size:500 ~line:64 ~ways:2);
+  rejects "zero ways" (fun () -> C.create ~size:512 ~line:64 ~ways:0);
+  (* The way count itself need not be a power of two. *)
+  let c = C.create ~size:(64 * 4 * 3) ~line:64 ~ways:3 in
+  Alcotest.(check bool) "3-way cache works" false (C.access c 0);
+  List.iter (fun m -> ignore (MM.fresh_hierarchy m)) MM.platforms
+
+(* ---- exact-LRU differential ------------------------------------------
+
+   A naive reference: one most-recent-first list of line ids per set; a
+   hit moves the line to the front, a miss pushes it there and drops the
+   tail once the set holds [ways] lines. [Machine.Cache] must agree with
+   it on every access, which is what licenses its last-line and MRU-way
+   shortcuts. *)
+
+module Ref_lru = struct
+  type t = {
+    line : int;
+    ways : int;
+    lists : int list array;
+    mutable accesses : int;
+    mutable misses : int;
+  }
+
+  let create ~line ~sets ~ways =
+    { line; ways; lists = Array.make sets []; accesses = 0; misses = 0 }
+
+  let access t addr =
+    let line_id = addr / t.line in
+    let set = line_id mod Array.length t.lists in
+    let l = t.lists.(set) in
+    let hit = List.mem line_id l in
+    let rest = List.filter (fun x -> x <> line_id) l in
+    let rest =
+      if hit then rest
+      else begin
+        t.misses <- t.misses + 1;
+        List.filteri (fun i _ -> i < t.ways - 1) rest
+      end
+    in
+    t.accesses <- t.accesses + 1;
+    t.lists.(set) <- line_id :: rest;
+    hit
+
+  let reset t =
+    Array.fill t.lists 0 (Array.length t.lists) [];
+    t.accesses <- 0;
+    t.misses <- 0
+end
+
+type lru_op = Fresh of int * int * int | Repeat of int | Reset
+
+(* Streams over at most three sets and [ways + 3] lines per set: heavy
+   same-set conflicts; [Repeat] re-touches the previous line at a new
+   offset, the case the last-line shortcut serves. *)
+let gen_lru_ops ~line ~sets ~ways =
+  let open QCheck.Gen in
+  let fresh =
+    map3
+      (fun set tag off -> Fresh (set, tag, off))
+      (int_bound (min sets 3 - 1))
+      (int_bound (ways + 2))
+      (int_bound (line - 1))
+  in
+  list_size (int_range 1 400)
+    (frequency
+       [
+         (40, fresh);
+         (20, map (fun o -> Repeat o) (int_bound (line - 1)));
+         (1, return Reset);
+       ])
+
+let print_lru_op = function
+  | Fresh (set, tag, off) -> Printf.sprintf "set%d/tag%d+%d" set tag off
+  | Repeat off -> Printf.sprintf "again+%d" off
+  | Reset -> "reset"
+
+(* Replays [ops] on both models; returns the first disagreement. *)
+let lru_disagreement ~line ~sets ~ways ops =
+  let c = C.create ~size:(line * sets * ways) ~line ~ways in
+  let r = Ref_lru.create ~line ~sets ~ways in
+  let prev = ref 0 in
+  let rec go i = function
+    | [] -> None
+    | Reset :: rest ->
+        C.reset c;
+        Ref_lru.reset r;
+        go (i + 1) rest
+    | op :: rest ->
+        let addr =
+          match op with
+          | Fresh (set, tag, off) -> (((tag * sets) + set) * line) + off
+          | Repeat off -> (!prev / line * line) + off
+          | Reset -> assert false
+        in
+        prev := addr;
+        let got = C.access c addr and want = Ref_lru.access r addr in
+        if got <> want then
+          Some
+            (Printf.sprintf "op %d (addr %d): hit %b, reference %b" i addr got
+               want)
+        else if
+          C.accesses c <> r.Ref_lru.accesses || C.misses c <> r.Ref_lru.misses
+        then
+          Some
+            (Printf.sprintf "op %d: %d/%d accesses/misses, reference %d/%d" i
+               (C.accesses c) (C.misses c) r.Ref_lru.accesses r.Ref_lru.misses)
+        else go (i + 1) rest
+  in
+  go 0 ops
+
+(* (line, sets, ways) *)
+let lru_geometries = [ (16, 4, 1); (32, 8, 2); (64, 4, 8); (64, 2, 16) ]
+
+let prop_lru_matches_reference (line, sets, ways) =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "%d-way cache = reference LRU (%dB lines, %d sets)" ways
+         line sets)
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map print_lru_op ops))
+       (gen_lru_ops ~line ~sets ~ways))
+    (fun ops ->
+      match lru_disagreement ~line ~sets ~ways ops with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
+let test_lru_across_reset () =
+  (* The same stream before and after a reset: the reset cache must be
+     indistinguishable from a fresh one, the last-line and MRU state
+     included. *)
+  let stream =
+    QCheck.Gen.generate1 ~rand:(Random.State.make [| 7 |])
+      (gen_lru_ops ~line:64 ~sets:4 ~ways:8)
+    |> List.filter (fun op -> op <> Reset)
+    |> List.cons (Fresh (0, 0, 0))
+  in
+  match
+    lru_disagreement ~line:64 ~sets:4 ~ways:8 (stream @ (Reset :: stream))
+  with
+  | None -> ()
+  | Some msg -> Alcotest.fail msg
+
 let func_of src name =
   let m = Met.Emit_affine.translate src in
   Option.get (Core.find_func m name)
@@ -176,6 +330,189 @@ let test_level2_overhead_story () =
     (Printf.sprintf "pluto-best (%.2e) <= blas (%.2e) on level-2" t_best t_blas)
     true (t_best <= t_blas)
 
+(* ---- pinned reports --------------------------------------------------
+
+   Exact Machine.Perf reports for small kernels that exercise the access
+   and bound shapes the Figure-9 cells may not: tile-32 [min] upper
+   bounds, a triangular nest with a [max] lower bound, a Fig. 8
+   linearized subscript, and non-linear (floordiv/mod) access offsets and
+   [affine.apply] maps. The hex floats were recorded from the simulator's
+   per-subscript tree-walking evaluator and scan-only cache model; the
+   staged simulator must match every field bit for bit. *)
+
+let pinned_triangular =
+  {|builtin.module {
+  func.func @tri(%C: memref<80x80xf32>) {
+    affine.for %i = 0 to 80 {
+      affine.for %j = 0 to min(%i + 1, 80) {
+        affine.for %k = max(%j - 16, 0) to %j + 1 {
+          %0 = affine.load %C[%i, %k] : memref<80x80xf32>
+          %1 = arith.mulf %0, %0 : f32
+          affine.store %1, %C[%k, %j] : memref<80x80xf32>
+          affine.yield
+        }
+        affine.yield
+      }
+      affine.yield
+    }
+    func.return
+  }
+}|}
+
+let pinned_nonlinear =
+  {|builtin.module {
+  func.func @nonlin(%A: memref<64x64xf32>, %B: memref<4096xf32>) {
+    affine.for %i = 0 to 64 {
+      affine.for %j = 0 to 64 {
+        %p = affine.apply %i * 64 + %j mod 61
+        %0 = affine.load %A[%j floordiv 4 + %i mod 3 * 16, %i * 3 mod 64] : memref<64x64xf32>
+        %1 = affine.load %B[%p] : memref<4096xf32>
+        %2 = arith.addf %0, %1 : f32
+        affine.store %2, %B[(%i * 64 + %j) floordiv 2] : memref<4096xf32>
+        affine.yield
+      }
+      affine.yield
+    }
+    func.return
+  }
+}|}
+
+let pinned_kernels () =
+  let of_ir src name =
+    Option.get (Core.find_func (Parser.parse_module src) name)
+  in
+  let tiled = func_of (W.mm ~ni:72 ~nj:72 ~nk:72 ()) "mm" in
+  Transforms.Loop_tile.tile_all tiled ~size:32;
+  [
+    ("mm-tile32", tiled);
+    ("triangular", of_ir pinned_triangular "tri");
+    ( "darknet-linearized",
+      func_of (W.darknet_gemm ~m:48 ~n:56 ~k:40 ()) "darknet_gemm" );
+    ("nonlinear", of_ir pinned_nonlinear "nonlin");
+  ]
+
+let report_fields (r : Machine.Perf.report) =
+  let s = r.Machine.Perf.stats in
+  Machine.Trace.
+    [|
+      r.Machine.Perf.seconds;
+      r.Machine.Perf.loop_seconds;
+      r.Machine.Perf.library_seconds;
+      s.flops_scalar;
+      s.flops_vector;
+      s.mem_cycles;
+      s.iterations;
+      s.accesses;
+    |]
+
+let report_field_names =
+  [|
+    "seconds"; "loop_seconds"; "library_seconds"; "flops_scalar";
+    "flops_vector"; "mem_cycles"; "iterations"; "accesses";
+  |]
+
+let pinned_expected : (string * string * float array) list =
+  [
+    ( "mm-tile32",
+      "intel-i9-9900k",
+      [|
+        0x1.4ae1082678731p-12; 0x1.4ae1082678731p-12; 0x0p+0; 0x1.6c8p+19;
+        0x0p+0; 0x1.48d19999999c3p+14; 0x1.7c5bcp+18; 0x1.6c8p+20;
+      |] );
+    ( "mm-tile32",
+      "amd-2920x",
+      [|
+        0x1.1503d732117e2p-12; 0x1.1503d732117e2p-12; 0x0p+0; 0x1.6c8p+19;
+        0x0p+0; 0x1.a4f3fffffff88p+14; 0x1.7c5bcp+18; 0x1.6c8p+20;
+      |] );
+    ( "triangular",
+      "intel-i9-9900k",
+      [|
+        0x1.b1c8c3f9d7508p-16; 0x1.b1c8c3f9d7508p-16; 0x0p+0; 0x1.5eap+15;
+        0x0p+0; 0x1.16be2be2be2bap+12; 0x1.789p+15; 0x1.5eap+16;
+      |] );
+    ( "triangular",
+      "amd-2920x",
+      [|
+        0x1.6b2b0f3c5501fp-16; 0x1.6b2b0f3c5501fp-16; 0x0p+0; 0x1.5eap+15;
+        0x0p+0; 0x1.6f6db6db6db6ep+12; 0x1.789p+15; 0x1.5eap+16;
+      |] );
+    ( "darknet-linearized",
+      "intel-i9-9900k",
+      [|
+        0x1.8a27192cdb0dcp-17; 0x1.8a27192cdb0dcp-17; 0x0p+0; 0x0p+0;
+        0x1.a4p+17; 0x1.602ecfb9c866dp+11; 0x1.e18p+13; 0x1.a4p+18;
+      |] );
+    ( "darknet-linearized",
+      "amd-2920x",
+      [|
+        0x1.0ddf0bc8a217dp-16; 0x1.0ddf0bc8a217dp-16; 0x0p+0; 0x0p+0;
+        0x1.a4p+17; 0x1.06ea0ea0ea118p+12; 0x1.e18p+13; 0x1.a4p+18;
+      |] );
+    ( "nonlinear",
+      "intel-i9-9900k",
+      [|
+        0x1.0e061f1b73824p-18; 0x1.0e061f1b73824p-18; 0x0p+0; 0x1p+12;
+        0x0p+0; 0x1.42a9b101767f9p+13; 0x1.04p+12; 0x1.8p+13;
+      |] );
+    ( "nonlinear",
+      "amd-2920x",
+      [|
+        0x1.0cffc3ca60216p-18; 0x1.0cffc3ca60216p-18; 0x0p+0; 0x1p+12;
+        0x0p+0; 0x1.98a0ea0ea0eebp+13; 0x1.04p+12; 0x1.8p+13;
+      |] );
+  ]
+
+let test_pinned_reports () =
+  List.iter
+    (fun (kname, f) ->
+      List.iter
+        (fun (m : MM.t) ->
+          let got = report_fields (Machine.Perf.time_func m f) in
+          match
+            List.find_opt
+              (fun (k, mn, _) -> k = kname && mn = m.MM.name)
+              pinned_expected
+          with
+          | None -> Alcotest.failf "%s/%s: no pinned report" kname m.MM.name
+          | Some (_, _, want) ->
+              Array.iteri
+                (fun i w ->
+                  if Int64.bits_of_float w <> Int64.bits_of_float got.(i) then
+                    Alcotest.failf "%s/%s: %s is %h, pinned %h" kname
+                      m.MM.name report_field_names.(i) got.(i) w)
+                want)
+        MM.platforms)
+    (pinned_kernels ())
+
+(* Maps the simulator cannot stage fail before the walk with a located
+   error, never an [Invalid_argument] from the walk itself. *)
+let test_unstageable_maps_are_diag_errors () =
+  let expect what edit =
+    let f =
+      Option.get
+        (Core.find_func (Parser.parse_module pinned_nonlinear) "nonlin")
+    in
+    let target = ref None in
+    Core.walk f (fun op ->
+        if !target = None && op.Core.o_name = what then target := Some op);
+    edit (Option.get !target);
+    match Machine.Perf.time_func MM.intel_i9 f with
+    | _ -> Alcotest.failf "%s: simulated an unstageable map" what
+    | exception Support.Diag.Error _ -> ()
+  in
+  let set_map m op = Core.set_attr op "map" (Attr.Map m) in
+  expect "affine.load"
+    (set_map
+       (Affine_map.make ~n_dims:2 ~n_syms:1
+          [ Affine_expr.add (Affine_expr.dim 0) (Affine_expr.sym 0);
+            Affine_expr.dim 1 ]));
+  expect "affine.apply" (set_map (Affine_map.make ~n_dims:2 []));
+  expect "affine.apply"
+    (set_map
+       (Affine_map.make ~n_dims:2
+          [ Affine_expr.Mod (Affine_expr.dim 0, Affine_expr.dim 1) ]))
+
 let suite =
   [
     Alcotest.test_case "cache basics" `Quick test_cache_basics;
@@ -194,4 +531,15 @@ let suite =
       test_figure9_headline_ordering;
     Alcotest.test_case "level-2 overhead story (atax)" `Quick
       test_level2_overhead_story;
+    Alcotest.test_case "pinned reports (tile, triangular, linearized, \
+       non-linear)" `Quick test_pinned_reports;
+    Alcotest.test_case "unstageable maps are located errors" `Quick
+      test_unstageable_maps_are_diag_errors;
+    Alcotest.test_case "cache geometry must be a power of two" `Quick
+      test_cache_power_of_two;
+    Alcotest.test_case "cache = reference LRU across a reset" `Quick
+      test_lru_across_reset;
   ]
+  @ List.map
+      (fun g -> QCheck_alcotest.to_alcotest (prop_lru_matches_reference g))
+      lru_geometries
