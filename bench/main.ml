@@ -603,8 +603,8 @@ let patterns_section () =
    trees), root-only ([Frozen.strip_prefixes], the PR 4 proxy) and
    unindexed ([Frozen.relax]). Wall-clock, attempts, and printed-IR
    digests are recorded in BENCH_scale.json; the >= 5x end-to-end target
-   vs the unindexed scan is always measured but, like the batch bench,
-   only asserted under MLT_BENCH_ASSERT_SPEEDUP=1 (shared CI hosts).
+   vs the unindexed scan is always measured but only asserted under
+   MLT_BENCH_ASSERT_SPEEDUP=1 (shared CI hosts).
    Result identity is always asserted. *)
 let scale () =
   sep "Scale: raise + canonicalize a synthesized million-op module";
@@ -882,231 +882,6 @@ let tune_section () =
       "bench tune: best schedule %.6fs slower than pluto-default %.6fs"
       st.Tune.t_best_seconds default_seconds
 
-(* ---------------- Sharded batch compilation ------------------------------ *)
-
-(* The mlt-batch architecture end-to-end: the polybench manifest compiled
-   sequentially (the oracle) and on a 4-domain pool must produce
-   byte-identical per-input IR and identical pass-stat signatures; a
-   deliberately crashing input must fail only its own manifest entry.
-   The >= 2.5x wall-clock speedup target is always measured and
-   reported, but only asserted with MLT_BENCH_ASSERT_SPEEDUP=1 — core
-   count alone says nothing about deliverable throughput on shared CI
-   hosts. Writes BENCH_batch.json. *)
-let batch () =
-  sep "Sharded batch compilation: 4-domain pool vs sequential oracle";
-  let pool_domains = 4 in
-  let reps = if !quick then 2 else 4 in
-  let configs = [| P.Mlt_linalg; P.Mlt_blas; P.Mlt_affine_blis |] in
-  let entries =
-    List.concat
-      (List.init reps (fun rep ->
-           List.mapi
-             (fun i (name, src, _) ->
-               {
-                 Batch.Manifest.e_name = Printf.sprintf "%s#%d" name rep;
-                 e_source = Batch.Manifest.Inline src;
-                 e_schedule = Mlt.Pipeline.Config configs.((i + rep) mod Array.length configs);
-               })
-             (W.figure9_suite ())))
-  in
-  let manifest = Batch.Manifest.of_entries entries in
-  Printf.printf "manifest: %d entries (%d kernels x %d reps)\n%!"
-    (Batch.Manifest.size manifest)
-    (List.length (W.figure9_suite ()))
-    reps;
-  let seq = Batch.Driver.run ~domains:1 manifest in
-  let par = Batch.Driver.run ~domains:pool_domains manifest in
-  (* Per-input determinism: byte-identical IR, identical stats. *)
-  let ir_mismatches = ref 0 and stat_mismatches = ref 0 in
-  List.iter2
-    (fun (s : Batch.Driver.entry_result) (p : Batch.Driver.entry_result) ->
-      if not (String.equal s.Batch.Driver.r_ir p.Batch.Driver.r_ir) then begin
-        incr ir_mismatches;
-        Printf.printf "  IR MISMATCH on %s\n" s.Batch.Driver.r_name
-      end;
-      if
-        not
-          (String.equal
-             (Batch.Driver.result_signature s)
-             (Batch.Driver.result_signature p))
-      then begin
-        incr stat_mismatches;
-        Printf.printf "  STAT MISMATCH on %s\n" s.Batch.Driver.r_name
-      end)
-    seq.Batch.Driver.rp_results par.Batch.Driver.rp_results;
-  let aggregate_same =
-    String.equal
-      (Batch.Driver.summary_signature seq.Batch.Driver.rp_summary)
-      (Batch.Driver.summary_signature par.Batch.Driver.rp_summary)
-  in
-  let speedup =
-    seq.Batch.Driver.rp_wall_seconds /. par.Batch.Driver.rp_wall_seconds
-  in
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "sequential:      %8.3f s\n" seq.Batch.Driver.rp_wall_seconds;
-  Printf.printf "%d domains:       %8.3f s   (%.2fx, %d core%s available)\n"
-    pool_domains par.Batch.Driver.rp_wall_seconds speedup cores
-    (if cores = 1 then "" else "s");
-  Printf.printf "per-input IR byte-identical:   %s\n"
-    (if !ir_mismatches = 0 then "yes" else "NO");
-  Printf.printf "per-input stats identical:     %s\n"
-    (if !stat_mismatches = 0 then "yes" else "NO");
-  Printf.printf "aggregated pass stats identical: %s\n"
-    (if aggregate_same then "yes" else "NO");
-  (* Fault isolation: a parse error and a mid-pipeline diagnostic, mixed
-     into the manifest, must each fail exactly their own entry. *)
-  let crash_entries =
-    [
-      {
-        Batch.Manifest.e_name = "crash-parse";
-        e_source = Batch.Manifest.Inline "void broken(float A[8][8]) {";
-        e_schedule = Mlt.Pipeline.Config P.Mlt_linalg;
-      };
-      {
-        Batch.Manifest.e_name = "crash-two-kernels";
-        e_source =
-          Batch.Manifest.Inline
-            "void f(float A[4]) { for (int i = 0; i < 4; ++i) A[i] = 0.0; }\n\
-             void g(float A[4]) { for (int i = 0; i < 4; ++i) A[i] = 1.0; }";
-        e_schedule = Mlt.Pipeline.Config P.Mlt_linalg;
-      };
-    ]
-  in
-  let insert_at k x xs =
-    let rec go i = function
-      | rest when i = k -> x :: rest
-      | [] -> [ x ]
-      | y :: rest -> y :: go (i + 1) rest
-    in
-    go 0 xs
-  in
-  let faulty =
-    Batch.Manifest.of_entries
-      (insert_at 3 (List.hd crash_entries)
-         (insert_at 7 (List.nth crash_entries 1) entries))
-  in
-  let frun = Batch.Driver.run ~domains:pool_domains faulty in
-  let failed_names =
-    List.filter_map
-      (fun (r : Batch.Driver.entry_result) ->
-        match r.Batch.Driver.r_status with
-        | Batch.Driver.Failed _ -> Some r.Batch.Driver.r_name
-        | Batch.Driver.Done -> None)
-      frun.Batch.Driver.rp_results
-  in
-  let fault_isolated =
-    List.sort compare failed_names
-    = List.sort compare [ "crash-parse"; "crash-two-kernels" ]
-  in
-  Printf.printf
-    "fault isolation: %d/%d entries failed (%s) -- %s\n"
-    (Batch.Driver.failed_count frun)
-    (List.length frun.Batch.Driver.rp_results)
-    (String.concat ", " failed_names)
-    (if fault_isolated then "isolated" else "NOT ISOLATED");
-  (* Warm-cache phase: the same manifest through a fresh content-addressed
-     cache (cold fill), then again through a *reopened* handle (warm).
-     The warm run must serve every entry from the cache and still match
-     the sequential oracle byte-for-byte — the repeat-traffic economics
-     the cache exists for, measured end to end including the journal
-     replay of Cache.open_. *)
-  let cache_dir = Filename.temp_dir "mlt_bench_cache" "" in
-  let cold =
-    Batch.Driver.run ~domains:pool_domains
-      ~cache:(Batch.Cache.open_ ~dir:cache_dir)
-      manifest
-  in
-  let warm =
-    Batch.Driver.run ~domains:pool_domains
-      ~cache:(Batch.Cache.open_ ~dir:cache_dir)
-      manifest
-  in
-  let warm_identical =
-    List.for_all2
-      (fun (s : Batch.Driver.entry_result) (w : Batch.Driver.entry_result) ->
-        String.equal s.Batch.Driver.r_ir w.Batch.Driver.r_ir
-        && String.equal
-             (Batch.Driver.result_signature s)
-             (Batch.Driver.result_signature w))
-      seq.Batch.Driver.rp_results warm.Batch.Driver.rp_results
-  in
-  let warm_all_hits =
-    warm.Batch.Driver.rp_cache_hits = Batch.Manifest.size manifest
-  in
-  let cache_speedup =
-    cold.Batch.Driver.rp_wall_seconds /. warm.Batch.Driver.rp_wall_seconds
-  in
-  Printf.printf "cold cache fill: %8.3f s   (%d misses)\n"
-    cold.Batch.Driver.rp_wall_seconds cold.Batch.Driver.rp_cache_misses;
-  Printf.printf "warm cache:      %8.3f s   (%.1fx, %d/%d served from cache)\n"
-    warm.Batch.Driver.rp_wall_seconds cache_speedup
-    warm.Batch.Driver.rp_cache_hits
-    (Batch.Manifest.size manifest);
-  Printf.printf "warm run matches sequential oracle: %s%s\n"
-    (if warm_identical then "yes" else "NO")
-    (if warm_all_hits then "" else "  (WARNING: not all entries hit)");
-  let rec rm_rf path =
-    if (try Sys.is_directory path with Sys_error _ -> false) then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      try Sys.rmdir path with Sys_error _ -> ()
-    end
-    else try Sys.remove path with Sys_error _ -> ()
-  in
-  rm_rf cache_dir;
-  let speedup_target = 2.5 in
-  (* Shared/loaded CI hosts can report 4+ cores yet not deliver 4 cores
-     of throughput, so core count alone cannot justify hard-failing on
-     speed: the speedup is always measured and recorded in
-     BENCH_batch.json, but the assertion is explicit opt-in. *)
-  let assert_speedup =
-    match Sys.getenv_opt "MLT_BENCH_ASSERT_SPEEDUP" with
-    | Some ("1" | "true" | "yes") -> true
-    | _ -> false
-  in
-  Support.Atomic_io.write_file ~path:"BENCH_batch.json"
-    (Printf.sprintf
-       "{\n  \"run_meta\": %s,\n  \"quick\": %b,\n  \"entries\": %d,\n  \"domains\": %d,\n  \
-        \"cores\": %d,\n  \"seq_seconds\": %.6f,\n  \"par_seconds\": %.6f,\n  \
-        \"speedup\": %.3f,\n  \"speedup_target\": %.2f,\n  \
-        \"speedup_asserted\": %b,\n  \"ir_identical\": %b,\n  \
-        \"stats_identical\": %b,\n  \"aggregate_identical\": %b,\n  \
-        \"fault_isolated\": %b,\n  \"cache_cold_seconds\": %.6f,\n  \
-        \"cache_warm_seconds\": %.6f,\n  \"cache_speedup\": %.3f,\n  \
-        \"cache_warm_hits\": %d,\n  \"cache_warm_identical\": %b\n}\n"
-       (Support.Run_meta.to_string ())
-       !quick
-       (Batch.Manifest.size manifest)
-       pool_domains cores seq.Batch.Driver.rp_wall_seconds
-       par.Batch.Driver.rp_wall_seconds speedup speedup_target assert_speedup
-       (!ir_mismatches = 0) (!stat_mismatches = 0) aggregate_same
-       fault_isolated cold.Batch.Driver.rp_wall_seconds
-       warm.Batch.Driver.rp_wall_seconds cache_speedup
-       warm.Batch.Driver.rp_cache_hits warm_identical);
-  Printf.printf "wrote BENCH_batch.json\n";
-  if !ir_mismatches > 0 || !stat_mismatches > 0 || not aggregate_same then
-    Support.Diag.errorf
-      "bench batch: %d-domain run diverges from the sequential oracle"
-      pool_domains;
-  if not fault_isolated then
-    Support.Diag.errorf
-      "bench batch: crashing inputs did not fail in isolation";
-  if not (warm_identical && warm_all_hits) then
-    Support.Diag.errorf
-      "bench batch: warm-cache run diverged (%d/%d hits, identical=%b)"
-      warm.Batch.Driver.rp_cache_hits
-      (Batch.Manifest.size manifest)
-      warm_identical;
-  if assert_speedup && speedup < speedup_target then
-    Support.Diag.errorf
-      "bench batch: %.2fx speedup on %d domains below the %.1fx target"
-      speedup pool_domains speedup_target;
-  if not assert_speedup then
-    Printf.printf
-      "(speedup target %.1fx reported, not asserted — set \
-       MLT_BENCH_ASSERT_SPEEDUP=1 to enforce; %d core%s available)\n"
-      speedup_target cores
-      (if cores = 1 then "" else "s")
-
 (* ---------------- Ablations (design choices from DESIGN.md) ------------- *)
 
 let ablation () =
@@ -1268,7 +1043,7 @@ let () =
     if args = [] || args = [ "all" ] then
       [
         "fig8"; "sec51"; "fig9"; "table2"; "overhead"; "ablation"; "interp";
-        "patterns"; "scale"; "micro"; "tune"; "batch";
+        "patterns"; "scale"; "micro"; "tune";
       ]
     else args
   in
@@ -1286,7 +1061,6 @@ let () =
         | "scale" -> scale ()
         | "micro" -> micro ()
         | "tune" -> tune_section ()
-        | "batch" -> batch ()
         | other -> Printf.eprintf "unknown section %S\n" other)
       sections
   in

@@ -1,7 +1,6 @@
 (* Flag definitions shared by mlt-opt, mlt-sim and mlt-batch, so the
    drivers spell their common surface identically (--config /
-   --transform-script, --interp, --verify-exec, --timing,
-   --pass-stats). *)
+   --transform-script, --verify-exec, --timing, --pass-stats). *)
 
 open Cmdliner
 
@@ -88,18 +87,6 @@ let pass_stats_json ?tune pm =
         (Support.Json.Obj
            ((("run_meta", Support.Run_meta.json ()) :: fields) @ tune_fields))
   | _ -> base
-
-let interp_engine =
-  Arg.(
-    value
-    & opt
-        (enum [ ("compiled", Interp.Rt.Compiled); ("walk", Interp.Rt.Walk) ])
-        Interp.Rt.Compiled
-    & info [ "interp" ] ~docv:"ENGINE"
-        ~doc:
-          "Interpreter execution engine for the execution checks: \
-           'compiled' (staged closures, default) or 'walk' (the \
-           tree-walking oracle). See docs/INTERP.md.")
 
 (* The canonical differential-execution flag. The long-deprecated
    [--verify] alias is gone: --verify-exec is the one spelling. *)

@@ -2,7 +2,9 @@
 
    Reads mini-C (with --c or a .c extension) or textual IR, applies the
    requested passes in the canonical pipeline order, and prints the
-   resulting IR. Examples:
+   resulting IR. Every pass flag is one transform-script step
+   (docs/TRANSFORM.md has the flag -> step table), appended to the
+   --config / --transform-script steps. Examples:
 
      mlt-opt gemm.c --raise-affine-to-linalg
      mlt-opt gemm.c --raise-affine-to-affine
@@ -14,7 +16,7 @@
      mlt-opt gemm.c --tactics my_tactics.tdl --dump-tds *)
 
 open Cmdliner
-module T = Transforms
+module S = Transform.Script
 
 let read_file = Cli_common.read_file
 
@@ -33,12 +35,41 @@ let list_ops () =
       | None -> ())
     (Ir.Dialect.registered_ops ())
 
+(* The pass flags as transform-script steps, in the fixed canonical
+   order. A fusion heuristic goes through the transform.fuse verifier,
+   so an unknown name fails with its error. *)
+let flag_steps ~delinearize ~raise_scf ~canonicalize ~fast_math ~raise_affine
+    ~raise_linalg ~reorder_chains ~to_blas ~lower_linalg ~lower_linalg_tiled
+    ~fuse ~tile ~lower_affine ~dce =
+  let opt cond step = if cond then [ step ] else [] in
+  let fuse_step h =
+    S.step_of_op
+      (Ir.Core.create_op ~attrs:[ ("heuristic", Ir.Attr.Str h) ] "transform.fuse")
+  in
+  List.concat
+    [
+      opt raise_scf (S.Raise "affine");
+      opt delinearize S.Delinearize;
+      opt canonicalize (S.Canonicalize fast_math);
+      opt raise_affine (S.Raise "affine-matmul");
+      opt raise_linalg (S.Raise "linalg");
+      opt reorder_chains S.Reorder_chains;
+      opt to_blas S.To_blas;
+      (match lower_linalg_tiled with
+      | Some size -> [ S.Lower_linalg (Some size) ]
+      | None -> opt lower_linalg (S.Lower_linalg None));
+      Option.to_list (Option.map fuse_step fuse);
+      Option.to_list (Option.map (fun size -> S.Tile [ size ]) tile);
+      opt lower_affine S.Lower_affine;
+      opt dce S.Dce;
+    ]
+
 let run input list_ops_flag force_c config script tactics_file dump_tds
     delinearize
     raise_scf canonicalize fast_math raise_affine raise_linalg reorder_chains
     to_blas
     lower_linalg lower_linalg_tiled fuse tile lower_affine dce verify_each
-    verify_exec engine timing pass_stats trace metrics print_debug_locs remarks
+    verify_exec timing pass_stats trace metrics print_debug_locs remarks
     print_ir_after_all print_ir_after output =
   if list_ops_flag then (
     list_ops ();
@@ -46,7 +77,7 @@ let run input list_ops_flag force_c config script tactics_file dump_tds
   else
   try
     Cli_common.with_observability ?metrics ~trace ~remarks @@ fun () ->
-    Interp.Eval.default_engine := engine;
+    Mlt.Pipeline.register_dialects ();
     let src = read_file input in
     let is_c =
       force_c || Filename.check_suffix input ".c" || input = "-"
@@ -76,40 +107,32 @@ let run input list_ops_flag force_c config script tactics_file dump_tds
     in
     let pm = Ir.Pass.create_manager ~verify_each ~snapshot () in
     (* A named config or transform script runs first, in script order;
-       the flag-driven passes below append to it. *)
-    (match Cli_common.resolve_schedule ~config ~script with
-    | Some schedule ->
-        Ir.Pass.add_all pm (Mlt.Pipeline.passes_of_schedule schedule)
-    | None -> ());
-    let padd cond pass = if cond then Ir.Pass.add pm pass in
-    padd raise_scf T.Raise_scf.pass;
-    padd delinearize T.Delinearize.pass;
-    padd canonicalize
-      (if fast_math then T.Canonicalize.fast_math_pass else T.Canonicalize.pass);
-    padd raise_affine (Mlt.Tactics.raise_to_affine_matmul_pass ());
-    padd raise_linalg
-      (Mlt.Tactics.raise_to_linalg_pass ?patterns:tactic_patterns ());
-    padd reorder_chains Mlt.Raise_chain.pass;
-    padd to_blas Mlt.To_blas.pass;
-    (match lower_linalg_tiled with
-    | Some size -> Ir.Pass.add pm (T.Lower_linalg.tiled_pass ~size)
-    | None -> padd lower_linalg T.Lower_linalg.pass);
-    (match fuse with
-    | Some h ->
-        let heuristic =
-          match h with
-          | "nofuse" -> T.Loop_fuse.No_fuse
-          | "smartfuse" -> T.Loop_fuse.Smart_fuse
-          | "maxfuse" -> T.Loop_fuse.Max_fuse
-          | other -> Support.Diag.errorf "unknown fusion heuristic %S" other
-        in
-        Ir.Pass.add pm (T.Loop_fuse.pass heuristic)
-    | None -> ());
-    (match tile with
-    | Some size -> Ir.Pass.add pm (T.Loop_tile.pass ~size)
-    | None -> ());
-    padd lower_affine T.Lower_affine.pass;
-    padd dce T.Dce.pass;
+       the flag steps append to it. *)
+    let schedule_steps =
+      match Cli_common.resolve_schedule ~config ~script with
+      | Some schedule -> Mlt.Pipeline.schedule_steps schedule
+      | None -> []
+    in
+    let flag_steps =
+      flag_steps ~delinearize ~raise_scf ~canonicalize ~fast_math ~raise_affine
+        ~raise_linalg ~reorder_chains ~to_blas ~lower_linalg
+        ~lower_linalg_tiled ~fuse ~tile ~lower_affine ~dce
+    in
+    let passes_of_steps = Transform.Interp.passes_of_steps in
+    (* --tactics replaces the tactic set of the flag's raise-linalg step
+       (a config's own raising keeps the built-in set). *)
+    let flag_pass step =
+      match (step, tactic_patterns) with
+      | S.Raise "linalg", Some patterns ->
+          let frozen = Ir.Rewriter.freeze patterns in
+          [
+            Ir.Pass.make ~name:(S.step_name step) (fun root ->
+                ignore (Ir.Rewriter.apply_greedily root frozen));
+          ]
+      | _ -> passes_of_steps [ step ]
+    in
+    Ir.Pass.add_all pm
+      (passes_of_steps schedule_steps @ List.concat_map flag_pass flag_steps);
     Ir.Pass.run pm m;
     Ir.Verifier.verify m;
     (match pristine with
@@ -121,8 +144,7 @@ let run input list_ops_flag force_c config script tactics_file dump_tds
               if not (Interp.Eval.equivalent reference m name ~seed:0) then
                 Support.Diag.errorf
                   "verify-exec: pipeline changed the semantics of %S" name;
-              Printf.eprintf "verify-exec: %s preserved (engine: %s)\n%!" name
-                (Interp.Rt.engine_name engine)
+              Printf.eprintf "verify-exec: %s preserved\n%!" name
             end)
           (Ir.Core.ops_of_block (Ir.Core.module_block reference))
     | None -> ());
@@ -192,7 +214,6 @@ let cmd =
     $ flag [ "dce" ] "Dead-code (and dead-buffer) elimination."
     $ flag [ "verify-each" ] "Verify the IR after every pass."
     $ Cli_common.verify_exec ()
-    $ Cli_common.interp_engine
     $ Cli_common.timing
     $ Cli_common.pass_stats
     $ Cli_common.trace
@@ -202,7 +223,8 @@ let cmd =
     $ flag [ "print-ir-after-all" ] "Print the IR after every pass."
     $ Arg.(value & opt_all string []
            & info [ "print-ir-after" ] ~docv:"PASS"
-               ~doc:"Print the IR after the named pass (repeatable).")
+               ~doc:"Print the IR after the named pass, a step name such as \
+                     transform.raise[linalg] (repeatable).")
     $ Arg.(value & opt (some string) None
            & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write output here.")
   in

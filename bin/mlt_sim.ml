@@ -58,11 +58,10 @@ let run_tune ~machine ~quick ~pass_stats src =
     print_endline
       (Cli_common.pass_stats_json ~tune:st (Ir.Pass.create_manager ()))
 
-let run input config script tune quick machine flops engine execute verify
+let run input config script tune quick machine flops execute verify
     timing pass_stats trace metrics remarks =
   try
     Cli_common.with_observability ?metrics ~trace ~remarks @@ fun () ->
-    Interp.Eval.default_engine := engine;
     let src = Cli_common.read_file input in
     if tune then begin
       run_tune ~machine ~quick ~pass_stats src;
@@ -79,10 +78,8 @@ let run input config script tune quick machine flops engine execute verify
         if timing || pass_stats then Some (Ir.Pass.create_manager ()) else None
       in
       if verify then
-        if Mlt.Pipeline.check_schedule_semantics ~engine schedule src then
-          Printf.printf
-            "verify:           %s preserves semantics (engine: %s)\n" name
-            (Interp.Rt.engine_name engine)
+        if Mlt.Pipeline.check_schedule_semantics schedule src then
+          Printf.printf "verify:           %s preserves semantics\n" name
         else
           Support.Diag.errorf "mlt-sim: %s pipeline changed kernel semantics"
             name;
@@ -90,11 +87,9 @@ let run input config script tune quick machine flops engine execute verify
         let m = Mlt.Pipeline.prepare_schedule schedule src in
         let fname = Ir.Core.func_name (sole_func m) in
         let t0 = Unix.gettimeofday () in
-        ignore (Interp.Eval.run_on_random ~engine m fname ~seed:0);
+        ignore (Interp.Eval.run_on_random m fname ~seed:0);
         let t1 = Unix.gettimeofday () in
-        Printf.printf "executed:         %s in %.6f s (engine: %s)\n" fname
-          (t1 -. t0)
-          (Interp.Rt.engine_name engine)
+        Printf.printf "executed:         %s in %.6f s\n" fname (t1 -. t0)
       end;
       let report, tune_stats =
         Mlt.Pipeline.time_schedule_ext ?pm schedule machine src
@@ -150,7 +145,6 @@ let cmd =
       $ Arg.(value & opt (some float) None
              & info [ "flops" ] ~docv:"N"
                  ~doc:"Mathematical flop count, to report GFLOPS.")
-      $ Cli_common.interp_engine
       $ Arg.(value & flag
              & info [ "execute" ]
                  ~doc:"Actually interpret the prepared kernel on random \

@@ -26,8 +26,8 @@ exception Runtime_error of string
 (** Re-export of {!Rt.engine} so callers can say [Interp.Eval.Walk]. *)
 type engine = Rt.engine = Walk | Compiled
 
-(** Process-wide default engine, [Compiled] initially; the [--interp] CLI
-    flag and the bench harness override it. *)
+(** Process-wide default engine, [Compiled] initially. No CLI flag
+    changes it; callers that want the oracle pass [~engine:Walk]. *)
 val default_engine : engine ref
 
 (** [run_func f args] executes a [func.func]; [args] provides one buffer

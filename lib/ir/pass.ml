@@ -52,7 +52,6 @@ type timing = {
   ops_after : int;
   match_attempts : int;
   rewrites : int;
-  depth : int;
   gc : gc_delta;
   pattern_stats : Rewriter.pattern_stat list;
 }
@@ -91,10 +90,8 @@ let pattern_delta before after =
 
 type snapshot_policy = No_snapshots | After_all | After_named of string list
 
-type item = Single of t | Nested of string * item list
-
 type manager = {
-  mutable items_rev : item list;  (** reverse order *)
+  mutable passes_rev : t list;  (** reverse order *)
   mutable recorded : timing list;  (** reverse order *)
   verify_each : bool;
   snapshot : snapshot_policy;
@@ -106,13 +103,10 @@ let default_ir_sink ~pass_name ~ir =
 
 let create_manager ?(verify_each = false) ?(snapshot = No_snapshots)
     ?(ir_sink = default_ir_sink) () =
-  { items_rev = []; recorded = []; verify_each; snapshot; ir_sink }
+  { passes_rev = []; recorded = []; verify_each; snapshot; ir_sink }
 
-let add m p = m.items_rev <- Single p :: m.items_rev
+let add m p = m.passes_rev <- p :: m.passes_rev
 let add_all m ps = List.iter (add m) ps
-
-let add_pipeline m name ps =
-  m.items_rev <- Nested (name, List.map (fun p -> Single p) ps) :: m.items_rev
 
 let count_ops root =
   let n = ref 0 in
@@ -140,7 +134,7 @@ let metric_pass_major_collections =
     (Metrics.counter ~help:"major collections triggered inside passes"
        "mlt_pass_major_collections")
 
-let timed m ~name ~depth root body =
+let timed m ~name root body =
   let ops_before = count_ops root in
   let attempts0, rewrites0 = Rewriter.counter_totals () in
   let patterns0 = Rewriter.pattern_totals () in
@@ -167,13 +161,12 @@ let timed m ~name ~depth root body =
           ops_after = count_ops root;
           match_attempts = attempts1 - attempts0;
           rewrites = rewrites1 - rewrites0;
-          depth;
           gc;
           pattern_stats = pattern_delta patterns0 (Rewriter.pattern_totals ());
         }
       in
       m.recorded <- entry :: m.recorded;
-      if Metrics.enabled () && depth = 0 then begin
+      if Metrics.enabled () then begin
         Metrics.observe (Lazy.force metric_pass_seconds) seconds;
         Metrics.add
           (Lazy.force metric_pass_minor_words)
@@ -194,42 +187,27 @@ let timed m ~name ~depth root body =
           name)
     body
 
-let rec run_item m ~depth ~prefix root = function
-  | Single p ->
-      let qualified = prefix ^ p.name in
-      (* Re-report mid-pass diagnostics with the failing pass's qualified
-         name; the location (stamped by the rewriter when the failure
-         happened at a located op) rides along untouched. *)
-      (try timed m ~name:qualified ~depth root (fun () -> p.run root)
-       with Support.Diag.Error (loc, msg) ->
-         raise
-           (Support.Diag.Error
-              (loc, Printf.sprintf "pass '%s': %s" qualified msg)));
-      if wants_snapshot m p.name then
-        m.ir_sink ~pass_name:qualified ~ir:(Printer.op_to_string root);
-      if m.verify_each then (
-        match Verifier.verify_result root with
-        | Ok () -> ()
-        | Error msg ->
-            Support.Diag.errorf "after pass '%s': %s" qualified msg)
-  | Nested (name, items) ->
-      let qualified = prefix ^ name in
-      timed m ~name:qualified ~depth root (fun () ->
-          List.iter
-            (run_item m ~depth:(depth + 1) ~prefix:(qualified ^ "/") root)
-            items)
+let run_pass m root p =
+  (* Re-report mid-pass diagnostics with the failing pass's name; the
+     location (stamped by the rewriter when the failure happened at a
+     located op) rides along untouched. *)
+  (try timed m ~name:p.name root (fun () -> p.run root)
+   with Support.Diag.Error (loc, msg) ->
+     raise
+       (Support.Diag.Error (loc, Printf.sprintf "pass '%s': %s" p.name msg)));
+  if wants_snapshot m p.name then
+    m.ir_sink ~pass_name:p.name ~ir:(Printer.op_to_string root);
+  if m.verify_each then
+    match Verifier.verify_result root with
+    | Ok () -> ()
+    | Error msg -> Support.Diag.errorf "after pass '%s': %s" p.name msg
 
-let run m root =
-  List.iter (run_item m ~depth:0 ~prefix:"" root) (List.rev m.items_rev)
+let run m root = List.iter (run_pass m root) (List.rev m.passes_rev)
 
 let timings m = List.rev m.recorded
 
 let total_seconds m =
-  (* Nested entries are already contained in their pipeline's aggregate
-     entry; summing depth-0 entries avoids double counting. *)
-  List.fold_left
-    (fun acc t -> if t.depth = 0 then acc +. t.seconds else acc)
-    0. (timings m)
+  List.fold_left (fun acc t -> acc +. t.seconds) 0. (timings m)
 
 let clear_timings m = m.recorded <- []
 
@@ -266,8 +244,8 @@ let merge_pattern_stats acc ps =
       go acc)
     acc ps
 
-(* Fold one summary row into an accumulated list, merging by qualified
-   name and keeping first-appearance order — the same discipline
+(* Fold one summary row into an accumulated list, merging by pass name
+   and keeping first-appearance order — the same discipline
    [summarize] applies to per-run timings, lifted to whole summaries so
    per-domain results can be combined deterministically. *)
 let add_summary acc (x : summary) =
@@ -292,7 +270,7 @@ let add_summary acc (x : summary) =
 let merge_summaries a b = List.fold_left add_summary a b
 
 let summarize m =
-  (* Aggregate by qualified name, keeping first-appearance order. *)
+  (* Aggregate by pass name, keeping first-appearance order. *)
   let fold acc (t : timing) =
     let bump s =
       {
@@ -337,10 +315,9 @@ let report_table m =
        "ops-in" "ops-out" "matches" "rewrites" "minor-Mw" "majGCs");
   List.iter
     (fun t ->
-      let indent = String.make (2 * t.depth) ' ' in
       Buffer.add_string buf
         (Printf.sprintf "%-40s %12.6f %8d %8d %9d %9d %10.2f %6d\n"
-           (indent ^ t.pass_name) t.seconds t.ops_before t.ops_after
+           t.pass_name t.seconds t.ops_before t.ops_after
            t.match_attempts t.rewrites
            (t.gc.minor_words /. 1e6)
            t.gc.major_collections);
@@ -348,7 +325,7 @@ let report_table m =
         (fun (p : Rewriter.pattern_stat) ->
           Buffer.add_string buf
             (Printf.sprintf "%-40s %12s %8s %8s %9d %9d\n"
-               (indent ^ "  . " ^ p.ps_name) "" "" "" p.ps_attempts p.ps_hits))
+               ("  . " ^ p.ps_name) "" "" "" p.ps_attempts p.ps_hits))
         t.pattern_stats)
     (timings m);
   Buffer.add_string buf
@@ -426,7 +403,6 @@ let timing_json (t : timing) =
       ("ops_after", J.num_int t.ops_after);
       ("match_attempts", J.num_int t.match_attempts);
       ("rewrites", J.num_int t.rewrites);
-      ("depth", J.num_int t.depth);
       ("gc", gc_json t.gc);
       ("patterns", J.List (List.map pattern_stat_json t.pattern_stats));
     ]

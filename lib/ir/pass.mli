@@ -33,18 +33,13 @@ val add_gc : gc_delta -> gc_delta -> gc_delta
 
 type timing = {
   pass_name : string;
-      (** Qualified with the enclosing pipeline path, e.g. ["opt/dce"]. *)
   seconds : float;
   ops_before : int;
   ops_after : int;
   match_attempts : int;
       (** Pattern [p_apply] invocations during this pass. *)
   rewrites : int;  (** Successful pattern applications during this pass. *)
-  depth : int;  (** Nesting depth: 0 for top-level passes. *)
-  gc : gc_delta;
-      (** Allocation/collection activity during this pass. Nested
-          entries are contained in their pipeline's aggregate, like
-          [seconds]. *)
+  gc : gc_delta;  (** Allocation/collection activity during this pass. *)
   pattern_stats : Rewriter.pattern_stat list;
       (** Per-pattern attempt/hit/activation deltas for this pass,
           restricted to the patterns that participated (a pattern counts
@@ -55,7 +50,7 @@ type timing = {
 
 (** Which passes trigger an IR snapshot to the manager's sink after they
     run ([--print-ir-after-all] / [--print-ir-after=<name>]). [After_named]
-    matches the unqualified pass name. *)
+    matches the pass name. *)
 type snapshot_policy = No_snapshots | After_all | After_named of string list
 
 type manager
@@ -72,13 +67,7 @@ val create_manager :
 val add : manager -> t -> unit
 val add_all : manager -> t list -> unit
 
-(** [add_pipeline m name passes] registers a named nested pipeline: its
-    passes record with names qualified as ["name/pass"] at depth 1, and an
-    aggregate entry for the whole pipeline is recorded (after its
-    children) under ["name"] at depth 0. *)
-val add_pipeline : manager -> string -> t list -> unit
-
-(** [run m root] executes the registered items in order; with
+(** [run m root] executes the registered passes in order; with
     [verify_each] the verifier runs after every pass and failures name the
     culprit pass. A pass that raises still records its (partial) timing
     entry before the exception propagates. Statistics accumulate across
@@ -88,8 +77,7 @@ val run : manager -> Core.op -> unit
 
 val timings : manager -> timing list
 
-(** Total seconds across recorded top-level (depth-0) entries — nested
-    entries are already contained in their pipeline's aggregate. *)
+(** Total seconds across recorded entries. *)
 val total_seconds : manager -> float
 
 val clear_timings : manager -> unit
@@ -102,7 +90,7 @@ val count_ops : Core.op -> int
 
     When a manager is run repeatedly (e.g. one pipeline over many
     kernels), [summarize] folds the per-run entries into one row per
-    qualified pass name, in first-appearance order. *)
+    pass name, in first-appearance order. *)
 
 type summary = {
   s_name : string;
@@ -119,7 +107,7 @@ type summary = {
 val summarize : manager -> summary list
 
 (** [merge_summaries a b] folds [b]'s rows into [a], merging rows with
-    the same qualified pass name (counters summed, per-pattern rows
+    the same pass name (counters summed, per-pattern rows
     merged) and keeping first-appearance order. Deterministic: merging
     per-domain/per-input summaries in a fixed order (e.g. manifest order)
     yields the same aggregate as a sequential run, which is what the
@@ -131,14 +119,13 @@ val merge_summaries : summary list -> summary list -> summary list
 
     The JSON schema is documented in [docs/OBSERVABILITY.md]. *)
 
-(** Human-readable per-entry table (one row per pass per run, nested
-    passes indented by depth). *)
+(** Human-readable per-entry table (one row per pass per run). *)
 val report_table : manager -> string
 
 (** Per-entry JSON:
     [{"total_seconds":s,"passes":[{"name":...,"seconds":...,
     "ops_before":...,"ops_after":...,"match_attempts":...,
-    "rewrites":...,"depth":...,"patterns":[{"name":...,"attempts":...,
+    "rewrites":...,"gc":{...},"patterns":[{"name":...,"attempts":...,
     "hits":...,"activations":...}, ...]}, ...]}]. *)
 val report_json : manager -> string
 

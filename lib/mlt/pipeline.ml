@@ -29,9 +29,8 @@ let all_figure9_configs =
   [ Clang_O3; Pluto_default; Pluto_best; Mlt_linalg; Mlt_blas ]
 
 (* The raising steps only this library can implement: the tactic sets
-   compile TDL and freeze pattern sets at script-compilation time, so
-   interpreting [transform.raise {set = "linalg"}] matches the legacy
-   [Tactics.raise_to_linalg_pass ()] exactly. Registered through the
+   compile TDL and freeze pattern sets at script-compilation time, once
+   per script rather than once per payload. Registered through the
    same write-once-before-parallelism discipline as dialects. *)
 let steps_registered = Atomic.make false
 
@@ -87,9 +86,8 @@ let linalg_tile_size = 32
 
 (* ---- configs as transform scripts ---------------------------------------- *)
 
-(* Each variant elaborates to a script whose interpretation reproduces
-   the legacy hard-coded pass list byte-for-byte (asserted in
-   test_transform_dialect). *)
+(* Each variant elaborates to a script; test_transform_dialect pins the
+   digest of the IR each one prints on mm and 2mm. *)
 let steps_of_config = function
   | Clang_O3 -> []
   | Pluto_default | Pluto_best ->
@@ -237,38 +235,41 @@ let check_schedule_semantics ?(seed = 0) ?eps ?engine schedule src =
 
 (* ---- compile-time measurement (§5.2) -------------------------------------- *)
 
-let compile_passes mode =
-  match mode with
-  | `Match_only ->
-      (* Canonicalize first so matching is measured on the same IR the
-         [`With_mlt] raising pass sees. *)
-      [ T.Canonicalize.pass; Tactics.raise_to_linalg_pass () ]
-  | `Baseline -> [ T.Lower_affine.pass ]
+(* Canonicalize first so matching is measured on the same IR the
+   [`With_mlt] raising step sees. *)
+let match_steps = [ Script.Canonicalize false; Script.Raise "linalg" ]
+
+let overhead_steps = function
+  | `Match_only -> match_steps
+  | `Baseline -> [ Script.Lower_affine ]
   | `With_mlt ->
-      [
-        T.Canonicalize.pass;
-        Tactics.raise_to_linalg_pass ();
-        T.Lower_linalg.pass;
-        (* Common progressive lowering to the SCF level. *)
-        T.Lower_affine.pass;
-      ]
+      (* Common progressive lowering to the SCF level. *)
+      match_steps @ [ Script.Lower_linalg None; Script.Lower_affine ]
 
 let compile_time ?pm mode sources =
   let mgr = match pm with Some pm -> pm | None -> Pass.create_manager () in
-  Pass.add_all mgr (compile_passes mode);
+  register_transform_steps ();
+  Pass.add_all mgr (Transform.Interp.passes_of_steps (overhead_steps mode));
   let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun src ->
-      let m = translate src in
-      Pass.run mgr (sole_func m);
-      match mode with
-      | `Match_only -> ()
-      | `Baseline | `With_mlt -> Verifier.verify m)
-    sources;
-  Unix.gettimeofday () -. t0
+  let modules =
+    List.map
+      (fun src ->
+        let m = translate src in
+        Pass.run mgr (sole_func m);
+        (match mode with
+        | `Match_only -> ()
+        | `Baseline | `With_mlt -> Verifier.verify m);
+        m)
+      sources
+  in
+  let seconds = Unix.gettimeofday () -. t0 in
+  (* Erased outside the timed region, so the figure stays comparable. *)
+  List.iter Core.erase_op modules;
+  seconds
 
 let count_gemm_callsites ?(delinearize = false) src =
   let m = translate src in
+  Fun.protect ~finally:(fun () -> Core.erase_op m) @@ fun () ->
   if delinearize then
     Core.walk m (fun op ->
         if Core.is_func op then ignore (T.Delinearize.run op));

@@ -96,12 +96,6 @@ val schedule_steps : schedule -> Transform.Script.step list
     name is deliberately excluded: equal scripts share cache entries. *)
 val schedule_cache_identity : schedule -> string
 
-(** The schedule's transformation pipeline, as pass-manager passes in
-    application order — one pass per script step, named by
-    {!Transform.Script.step_name}. Pattern-backed steps compile their
-    tactic sets once, at list construction. *)
-val passes_of_schedule : schedule -> Pass.t list
-
 (** {2 Preparation} *)
 
 (** [prepare_schedule schedule src] — parse, distribute, interpret the
@@ -159,8 +153,10 @@ val check_schedule_semantics :
     solving) — the same prefix [`With_mlt] executes, so the overhead
     comparison measures matching on identical IR. Tactic-set compilation
     happens at pass registration, outside the timed region, in every
-    mode. With [pm] (fresh manager), per-pass statistics accumulate
-    across all sources; read them with {!Pass.summarize}. *)
+    mode. Each mode is a transform-script step list, so the passes are
+    named by {!Transform.Script.step_name}. With [pm] (fresh manager),
+    per-pass statistics accumulate across all sources; read them with
+    {!Pass.summarize}. Every translated module is erased. *)
 val compile_time :
   ?pm:Pass.manager ->
   [ `Baseline | `With_mlt | `Match_only ] ->
@@ -171,5 +167,6 @@ val compile_time :
 
 (** [count_gemm_callsites ?delinearize src] — number of sites the GEMM
     tactic raises; with [delinearize] the optimistic delinearization pass
-    (the paper's proposed fix for Darknet) runs first. *)
+    (the paper's proposed fix for Darknet) runs first. The translated
+    module is erased. *)
 val count_gemm_callsites : ?delinearize:bool -> string -> int

@@ -204,6 +204,3 @@ let pattern () =
 let frozen = lazy (Rewriter.freeze [ pattern () ])
 
 let reorder func = Rewriter.apply_greedily func (Lazy.force frozen)
-
-let pass = Pass.make ~name:"reorder-matmul-chains" (fun root ->
-    Core.walk root (fun op -> if Core.is_func op then ignore (reorder op)))

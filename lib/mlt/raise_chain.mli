@@ -29,5 +29,3 @@ val detect : Core.op -> chain list
     parenthesization beats the current one; dead intermediates are
     cleaned up. Returns the number of chains rewritten. *)
 val reorder : Core.op -> int
-
-val pass : Pass.t

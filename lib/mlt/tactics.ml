@@ -113,15 +113,3 @@ let raise_to_affine_matmul root =
       Tdl.Frontend.gemm_tdl
   in
   Rewriter.apply_greedily root (Rewriter.freeze pats)
-
-let raise_to_linalg_pass ?patterns () =
-  (* Freeze once at pass construction; every run reuses the index. *)
-  let frozen =
-    Rewriter.freeze (match patterns with Some ps -> ps | None -> all ())
-  in
-  Pass.make ~name:"raise-affine-to-linalg" (fun root ->
-      ignore (Rewriter.apply_greedily root frozen))
-
-let raise_to_affine_matmul_pass () =
-  Pass.make ~name:"raise-affine-to-affine" (fun root ->
-      ignore (raise_to_affine_matmul root))

@@ -37,12 +37,3 @@ val raise_to_linalg : Core.op -> int
 (** [raise_to_affine_matmul root] — the §5.1 path: GEMM loop nests become
     [affine.matmul] (flag [-raise-affine-to-affine]). *)
 val raise_to_affine_matmul : Core.op -> int
-
-(** {!raise_to_linalg} as a pass, named ["raise-affine-to-linalg"];
-    [patterns] substitutes a user tactic set (e.g. compiled from
-    [--tactics]) for {!all}. The pattern set is compiled once, at pass
-    construction. *)
-val raise_to_linalg_pass : ?patterns:Rewriter.pattern list -> unit -> Pass.t
-
-(** {!raise_to_affine_matmul} as a pass, named ["raise-affine-to-affine"]. *)
-val raise_to_affine_matmul_pass : unit -> Pass.t

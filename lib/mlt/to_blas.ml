@@ -65,5 +65,3 @@ let patterns () =
 
 let frozen = Rewriter.freeze (patterns ())
 let run root = Rewriter.apply_sweeps root frozen
-
-let pass = Pass.make ~name:"convert-linalg-to-blas" (fun root -> ignore (run root))

@@ -9,5 +9,3 @@ val patterns : unit -> Rewriter.pattern list
     with no library counterpart (e.g. [linalg.contract], which the TTGT
     tactics decompose before this pass) raise {!Support.Diag.Error}. *)
 val run : Core.op -> int
-
-val pass : Pass.t

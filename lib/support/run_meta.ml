@@ -1,4 +1,4 @@
-let schema_version = 1
+let schema_version = 2
 
 let hostname () = try Unix.gethostname () with _ -> "unknown"
 

@@ -149,6 +149,14 @@ let canonicalize_impl t_op =
   let fast_math = Core.find_attr t_op "fast_math" = Some (Attr.Int 1) in
   fun payload -> T.Canonicalize.run ~fast_math payload
 
+(* Delinearization rewrites a function's signature, so it runs once per
+   function wherever the payload root sits. *)
+let delinearize_impl _t_op payload =
+  let n = ref 0 in
+  Core.walk payload (fun op ->
+      if Core.is_func op then n := !n + T.Delinearize.run op);
+  !n
+
 let builtin_registered = Atomic.make false
 
 (* Built-ins never clobber an already-registered implementation:
@@ -170,6 +178,7 @@ let register_builtins () =
       register_builtin "transform.blis_schedule" blis_impl;
       register_builtin "transform.raise" raise_impl;
       register_builtin "transform.canonicalize" canonicalize_impl;
+      register_builtin "transform.delinearize" delinearize_impl;
       register_builtin "transform.dce" (fun _t_op -> T.Dce.run))
 
 let registered_steps () =

@@ -140,6 +140,9 @@ let defs =
     Dialect.def "transform.canonicalize" ~verify:verify_canonicalize
       ~summary:"algebraic canonicalization ({fast_math = 1} enables \
                 value-unsafe folds)";
+    Dialect.def "transform.delinearize" ~verify:verify_bare
+      ~summary:"optimistically delinearize rank-1 buffers into their \
+                row-major shape (Darknet-style linearized GEMMs)";
     Dialect.def "transform.dce" ~verify:verify_bare
       ~summary:"dead-code and dead-buffer elimination";
     Dialect.def "transform.reorder_chains" ~verify:verify_bare

@@ -12,6 +12,7 @@ type step =
   | Blis_schedule of T.Blis_schedule.blocking
   | Raise of string
   | Canonicalize of bool
+  | Delinearize
   | Dce
   | Reorder_chains
   | To_blas
@@ -34,6 +35,7 @@ let step_name = function
   | Raise set -> Printf.sprintf "transform.raise[%s]" set
   | Canonicalize false -> "transform.canonicalize"
   | Canonicalize true -> "transform.canonicalize[fast-math]"
+  | Delinearize -> "transform.delinearize"
   | Dce -> "transform.dce"
   | Reorder_chains -> "transform.reorder_chains"
   | To_blas -> "transform.to_blas"
@@ -62,6 +64,7 @@ let op_fields = function
   | Canonicalize false -> ("transform.canonicalize", [])
   | Canonicalize true ->
       ("transform.canonicalize", [ ("fast_math", Attr.Int 1) ])
+  | Delinearize -> ("transform.delinearize", [])
   | Dce -> ("transform.dce", [])
   | Reorder_chains -> ("transform.reorder_chains", [])
   | To_blas -> ("transform.to_blas", [])
@@ -104,6 +107,7 @@ let step_of_op (op : Core.op) =
   | "transform.raise" -> Raise (Attr.get_str (Core.attr op "set"))
   | "transform.canonicalize" ->
       Canonicalize (Core.find_attr op "fast_math" = Some (Attr.Int 1))
+  | "transform.delinearize" -> Delinearize
   | "transform.dce" -> Dce
   | "transform.reorder_chains" -> Reorder_chains
   | "transform.to_blas" -> To_blas

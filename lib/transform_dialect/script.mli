@@ -23,6 +23,7 @@ type step =
   | Blis_schedule of Transforms.Blis_schedule.blocking
   | Raise of string
   | Canonicalize of bool
+  | Delinearize
   | Dce
   | Reorder_chains
   | To_blas

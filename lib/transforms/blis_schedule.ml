@@ -107,6 +107,3 @@ let run ?(blocking = default_blocking) root =
         else false)
   in
   ignore (Rewriter.apply_sweeps root (Rewriter.freeze [ pat ]))
-
-let pass =
-  Pass.make ~name:"lower-affine-matmul-blis" (fun root -> run root)

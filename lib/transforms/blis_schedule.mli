@@ -31,5 +31,3 @@ val default_blocking : blocking
 
 (** Lower every [affine.matmul] under [root] to the packed schedule. *)
 val run : ?blocking:blocking -> Core.op -> unit
-
-val pass : Pass.t

@@ -68,9 +68,3 @@ let run ?(fast_math = false) root =
   (* Folding orphans constants; sweep them. *)
   ignore (Dce.run root);
   n
-
-let pass = Pass.make ~name:"canonicalize" (fun root -> ignore (run root))
-
-let fast_math_pass =
-  Pass.make ~name:"canonicalize-fast-math" (fun root ->
-      ignore (run ~fast_math:true root))

@@ -13,8 +13,3 @@ val patterns : ?fast_math:bool -> unit -> Rewriter.pattern list
 
 (** Returns the number of pattern applications. *)
 val run : ?fast_math:bool -> Core.op -> int
-
-val pass : Pass.t
-
-(** Same pass with the value-unsafe folds enabled. *)
-val fast_math_pass : Pass.t

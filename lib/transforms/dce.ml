@@ -118,5 +118,3 @@ let run root =
       !allocs
   done;
   !erased
-
-let pass = Pass.make ~name:"dce" (fun root -> ignore (run root))

@@ -13,5 +13,3 @@ val run : Core.op -> int
     nest-consuming raise would otherwise block structural matching on
     sibling nests). Dead buffers and empty loops still need {!run}. *)
 val pattern : unit -> Rewriter.pattern
-
-val pass : Pass.t

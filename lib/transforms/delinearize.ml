@@ -170,7 +170,3 @@ let run func =
   in
   if n > 0 then refresh_signature func;
   n
-
-let pass =
-  Pass.make ~name:"delinearize" (fun root ->
-      Core.walk root (fun op -> if Core.is_func op then ignore (run op)))

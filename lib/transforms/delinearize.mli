@@ -16,5 +16,3 @@ open Ir
     the function must pass correspondingly reshaped buffers afterwards
     (row-major data is unchanged). *)
 val run : Core.op -> int
-
-val pass : Pass.t

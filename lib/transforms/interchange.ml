@@ -129,7 +129,3 @@ let vectorize_func func =
   in
   process func;
   !changed
-
-let pass =
-  Pass.make ~name:"interchange-for-vectorization" (fun root ->
-      ignore (vectorize_func root))

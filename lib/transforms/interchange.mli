@@ -19,5 +19,3 @@ val vectorize_func : Core.op -> int
 (** Exposed for tests: is this single-statement nest body a permutable
     reduction/copy? *)
 val permutable_body : Core.block -> bool
-
-val pass : Pass.t

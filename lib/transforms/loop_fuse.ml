@@ -158,7 +158,3 @@ let run h root =
     done
   end;
   !fused
-
-let pass h =
-  Pass.make ~name:("fuse-" ^ heuristic_to_string h) (fun root ->
-      ignore (run h root))

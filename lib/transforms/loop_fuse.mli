@@ -18,5 +18,3 @@ val heuristic_to_string : heuristic -> string
     fused bodies may expose further inner fusion). Returns the number of
     loop pairs fused. *)
 val run : heuristic -> Core.op -> int
-
-val pass : heuristic -> Pass.t

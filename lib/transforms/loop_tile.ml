@@ -97,7 +97,3 @@ let tile_all root ~size =
         op.Core.o_regions
   in
   process root
-
-let pass ~size =
-  Pass.make ~name:(Printf.sprintf "tile-%d" size) (fun root ->
-      tile_all root ~size)

@@ -17,5 +17,3 @@ val tile_nest : Core.op list -> sizes:int list -> unit
     uniformly with [size] in each tileable dimension. Nests of depth 1
     are left untouched. *)
 val tile_all : Core.op -> size:int -> unit
-
-val pass : size:int -> Pass.t

@@ -51,7 +51,3 @@ let unroll_innermost root ~factor =
       (Affine.Loops.all_loops root)
   in
   List.length (List.filter (fun l -> unroll_loop l ~factor) innermost)
-
-let pass ~factor =
-  Pass.make ~name:(Printf.sprintf "unroll-%d" factor) (fun root ->
-      ignore (unroll_innermost root ~factor))

@@ -15,5 +15,3 @@ val unroll_loop : Core.op -> factor:int -> bool
 (** [unroll_innermost root ~factor] unrolls every innermost loop under
     [root]; returns the number of loops unrolled. *)
 val unroll_innermost : Core.op -> factor:int -> int
-
-val pass : factor:int -> Pass.t

@@ -99,5 +99,3 @@ let patterns () =
 
 let frozen = Rewriter.freeze (patterns ())
 let run root = ignore (Rewriter.apply_sweeps root frozen)
-
-let pass = Pass.make ~name:"lower-affine-to-scf" run

@@ -11,5 +11,3 @@ open Ir
     constant-bounded IR through it; min/max bounds would need [scf.if]
     or index min/max ops, which this subset does not model). *)
 val run : Core.op -> unit
-
-val pass : Pass.t

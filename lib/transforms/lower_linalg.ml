@@ -272,8 +272,3 @@ let run_tiled ~size root =
               ~generated_ops:[ "affine.for"; "affine.load"; "affine.store" ]
               (lower_op ~tile_size:size);
           ]))
-
-let pass = Pass.make ~name:"lower-linalg-to-affine" run
-
-let tiled_pass ~size =
-  Pass.make ~name:"lower-linalg-tiled" (run_tiled ~size)

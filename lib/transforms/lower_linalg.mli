@@ -18,9 +18,3 @@ val run : Ir.Core.op -> unit
     (only the loops produced by the lowering; surrounding code is left
     untouched, as the real Linalg path only transforms its own ops). *)
 val run_tiled : size:int -> Ir.Core.op -> unit
-
-(** The pass (for pass-manager pipelines). *)
-val pass : Ir.Pass.t
-
-(** {!run_tiled} as a pass, named ["lower-linalg-tiled"]. *)
-val tiled_pass : size:int -> Ir.Pass.t

@@ -37,7 +37,3 @@ let sweep_configs ~max_trip =
              List.map (fun tile -> { tile; fusion; vectorize }) tiles)
            [ Loop_fuse.No_fuse; Loop_fuse.Smart_fuse; Loop_fuse.Max_fuse ])
        [ false; true ]
-
-let pass config =
-  Pass.make ~name:("pluto-" ^ config_to_string config) (fun (root : Core.op) ->
-      apply config root)

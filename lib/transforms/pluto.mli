@@ -24,5 +24,3 @@ val apply : config -> Core.op -> unit
     quarter of [max_trip], times the three fusion heuristics, times
     interchange on/off. *)
 val sweep_configs : max_trip:int -> config list
-
-val pass : config -> Pass.t

@@ -139,5 +139,3 @@ let run root =
   (* Bound constants and index arithmetic are now dead. *)
   ignore (Dce.run root);
   n
-
-let pass = Pass.make ~name:"raise-scf-to-affine" (fun root -> ignore (run root))

@@ -16,5 +16,3 @@ val patterns : unit -> Rewriter.pattern list
 
 (** Returns the number of raised operations. *)
 val run : Core.op -> int
-
-val pass : Pass.t

@@ -50,6 +50,15 @@ dune exec bin/mlt_opt.exe -- examples/kernels/gemm.c \
   > "$obs_tmp/stats2.json"
 dune exec tools/trace_stats/trace_stats.exe -- --diff \
   "$obs_tmp/stats.json" "$obs_tmp/stats2.json"
+# mlt-opt's pass flags run as transform-script steps: every invocation
+# of a fixed flag matrix (each flag alone, the README combinations,
+# configs plus flags, --tactics, the Darknet GEMM, IR input) must print
+# the IR whose digests scripts/mlt_opt_digests.txt records.
+scripts/mlt_opt_matrix.sh > "$obs_tmp/mlt_opt_digests.txt"
+diff scripts/mlt_opt_digests.txt "$obs_tmp/mlt_opt_digests.txt" || {
+  echo "check.sh: mlt-opt flag output differs from scripts/mlt_opt_digests.txt" >&2
+  exit 1
+}
 # Smoke the multi-domain batch driver: the example manifest must compile
 # cleanly on a 2-domain pool (domains time-share cores on small machines,
 # so this checks safety, not speed) and produce a well-formed report with

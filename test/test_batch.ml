@@ -302,32 +302,43 @@ let test_random_order_qcheck =
          sorted_lines rp = sorted_lines oracle))
 
 let test_fault_isolation () =
-  (* A parse error in the middle of the manifest fails exactly its own
-     entry; every other entry still matches the oracle. *)
+  (* A parse error and a mid-pipeline diagnostic (two kernels where the
+     pipeline takes one) in the middle of the manifest each fail exactly
+     their own entry; every other entry still matches the oracle. *)
   let good = stress_entries () in
-  let crash =
+  let crash name src =
     {
-      Batch.Manifest.e_name = "crash";
-      e_source = Batch.Manifest.Inline "void broken(float A[4]) {";
+      Batch.Manifest.e_name = name;
+      e_source = Batch.Manifest.Inline src;
       e_schedule = Mlt.Pipeline.Config Mlt.Pipeline.Mlt_linalg;
     }
   in
+  let crashes = [ "crash-parse"; "crash-two-kernels" ] in
   let entries =
     match good with
-    | a :: b :: rest -> a :: b :: crash :: rest
-    | short -> crash :: short
+    | a :: b :: c :: rest ->
+        a :: b
+        :: crash "crash-parse" "void broken(float A[4]) {"
+        :: c
+        :: crash "crash-two-kernels"
+             "void f(float A[4]) { for (int i = 0; i < 4; ++i) A[i] = 0.0; }\n\
+              void g(float A[4]) { for (int i = 0; i < 4; ++i) A[i] = 1.0; }"
+        :: rest
+    | _ -> Alcotest.fail "stress manifest too short"
   in
   let oracle = Batch.Driver.run ~domains:1 (Batch.Manifest.of_entries good) in
   let rp = Batch.Driver.run ~domains:4 (Batch.Manifest.of_entries entries) in
-  Alcotest.(check int) "exactly one failure" 1 (Batch.Driver.failed_count rp);
+  Alcotest.(check int) "exactly the crashing entries fail"
+    (List.length crashes)
+    (Batch.Driver.failed_count rp);
   List.iter
     (fun (r : Batch.Driver.entry_result) ->
       match (r.Batch.Driver.r_name, r.Batch.Driver.r_status) with
-      | "crash", Batch.Driver.Failed msg ->
+      | name, Batch.Driver.Failed msg when List.mem name crashes ->
           Alcotest.(check bool) "failure mentions a diagnostic" true
             (String.length msg > 0)
-      | "crash", Batch.Driver.Done ->
-          Alcotest.fail "crashing entry reported Done"
+      | name, Batch.Driver.Done when List.mem name crashes ->
+          Alcotest.failf "crashing entry %s reported Done" name
       | name, Batch.Driver.Failed msg ->
           Alcotest.failf "healthy entry %s failed: %s" name msg
       | name, Batch.Driver.Done ->
@@ -414,6 +425,10 @@ let test_no_retained_regions () =
       ignore (Mlt.Pipeline.time_schedule_ext blas machine src));
   unchanged "check_schedule_semantics" (fun () ->
       ignore (Mlt.Pipeline.check_schedule_semantics blas src));
+  unchanged "compile_time" (fun () ->
+      ignore (Mlt.Pipeline.compile_time `With_mlt [ src; src ]));
+  unchanged "count_gemm_callsites" (fun () ->
+      ignore (Mlt.Pipeline.count_gemm_callsites ~delinearize:true src));
   (* From the test directory under [dune runtest], or the repo root. *)
   let manifest =
     List.find Sys.file_exists

@@ -3,6 +3,10 @@
 
 open Ir
 module W = Workloads.Polybench
+module S = Transform.Script
+
+let () = Mlt.Pipeline.register_dialects ()
+let passes_of_steps = Transform.Interp.passes_of_steps
 
 let test_manager_runs_in_order () =
   let log = ref [] in
@@ -16,18 +20,19 @@ let test_manager_runs_in_order () =
 let test_manager_records_timings () =
   let pm = Pass.create_manager () in
   Pass.add_all pm
-    [
-      Transforms.Canonicalize.pass;
-      Transforms.Lower_linalg.pass;
-      Transforms.Lower_affine.pass;
-      Transforms.Dce.pass;
-    ];
+    (passes_of_steps
+       [ S.Canonicalize false; S.Lower_linalg None; S.Lower_affine; S.Dce ]);
   let m = Met.Emit_affine.translate (W.gemm ~ni:8 ~nj:8 ~nk:8 ()) in
   Pass.run pm m;
   let ts = Pass.timings pm in
   Alcotest.(check int) "one timing per pass" 4 (List.length ts);
-  Alcotest.(check (list string)) "names"
-    [ "canonicalize"; "lower-linalg-to-affine"; "lower-affine-to-scf"; "dce" ]
+  Alcotest.(check (list string)) "step names"
+    [
+      "transform.canonicalize";
+      "transform.lower_linalg";
+      "transform.lower_affine";
+      "transform.dce";
+    ]
     (List.map (fun t -> t.Pass.pass_name) ts);
   Alcotest.(check bool) "total accumulates" true (Pass.total_seconds pm >= 0.);
   Pass.clear_timings pm;
@@ -58,16 +63,16 @@ let test_full_pipeline_as_passes () =
   let m = Met.Emit_affine.translate (W.gemm ~ni:8 ~nj:8 ~nk:8 ()) in
   let pm = Pass.create_manager ~verify_each:true () in
   Pass.add_all pm
-    [
-      Transforms.Canonicalize.pass;
-      Pass.make ~name:"raise-to-linalg" (fun root ->
-          ignore (Mlt.Tactics.raise_to_linalg root));
-      Mlt.Raise_chain.pass;
-      Mlt.To_blas.pass;
-      Transforms.Lower_linalg.pass;
-      Transforms.Lower_affine.pass;
-      Transforms.Dce.pass;
-    ];
+    (passes_of_steps
+       [
+         S.Canonicalize false;
+         S.Raise "linalg";
+         S.Reorder_chains;
+         S.To_blas;
+         S.Lower_linalg None;
+         S.Lower_affine;
+         S.Dce;
+       ]);
   Pass.run pm m;
   Alcotest.(check bool) "equivalent after 7-pass pipeline" true
     (Interp.Eval.equivalent reference m "gemm" ~seed:83)
@@ -88,40 +93,6 @@ let test_failing_pass_keeps_timing () =
   Alcotest.(check (list string)) "partial report keeps the failing pass"
     [ "ok"; "boom" ]
     (List.map (fun t -> t.Pass.pass_name) (Pass.timings pm))
-
-let test_nested_pipeline_timing () =
-  let pm = Pass.create_manager () in
-  Pass.add pm Transforms.Canonicalize.pass;
-  Pass.add_pipeline pm "lowering"
-    [ Transforms.Lower_linalg.pass; Transforms.Lower_affine.pass ];
-  let m = Met.Emit_affine.translate (W.mm ~ni:4 ~nj:4 ~nk:4 ()) in
-  Pass.run pm m;
-  let ts = Pass.timings pm in
-  Alcotest.(check (list string)) "qualified names, aggregate after children"
-    [
-      "canonicalize";
-      "lowering/lower-linalg-to-affine";
-      "lowering/lower-affine-to-scf";
-      "lowering";
-    ]
-    (List.map (fun t -> t.Pass.pass_name) ts);
-  let depth name =
-    (List.find (fun t -> t.Pass.pass_name = name) ts).Pass.depth
-  in
-  Alcotest.(check int) "children at depth 1" 1
-    (depth "lowering/lower-affine-to-scf");
-  Alcotest.(check int) "aggregate at depth 0" 0 (depth "lowering");
-  let seconds name =
-    (List.find (fun t -> t.Pass.pass_name = name) ts).Pass.seconds
-  in
-  Alcotest.(check bool) "aggregate covers its children" true
-    (seconds "lowering"
-    >= seconds "lowering/lower-linalg-to-affine"
-       +. seconds "lowering/lower-affine-to-scf");
-  (* total sums only depth-0 entries: no double counting. *)
-  Alcotest.(check bool) "total excludes nested entries" true
-    (Pass.total_seconds pm
-    <= seconds "canonicalize" +. seconds "lowering" +. 1e-9)
 
 let test_mlt_linalg_pipeline_stats () =
   (* The Mlt_linalg evaluation pipeline, instrumented end to end. *)
@@ -174,8 +145,7 @@ let test_ir_snapshots () =
 
 let test_reports_and_summaries () =
   let pm = Pass.create_manager () in
-  Pass.add_all pm
-    [ Transforms.Canonicalize.pass; Transforms.Dce.pass ];
+  Pass.add_all pm (passes_of_steps [ S.Canonicalize false; S.Dce ]);
   let run_once () =
     Pass.run pm (Met.Emit_affine.translate (W.mm ~ni:4 ~nj:4 ~nk:4 ()))
   in
@@ -189,17 +159,19 @@ let test_reports_and_summaries () =
         true
         (Astring_contains.contains json needle))
     [
-      "\"total_seconds\":"; "\"passes\":["; "\"name\":\"canonicalize\"";
-      "\"ops_before\":"; "\"ops_after\":"; "\"match_attempts\":";
-      "\"rewrites\":"; "\"depth\":0";
+      "\"total_seconds\":"; "\"passes\":[";
+      "\"name\":\"transform.canonicalize\""; "\"ops_before\":";
+      "\"ops_after\":"; "\"match_attempts\":"; "\"rewrites\":"; "\"gc\":";
     ];
+  Alcotest.(check bool) "json has no nesting depth" false
+    (Astring_contains.contains json "\"depth\"");
   let table = Pass.report_table pm in
   Alcotest.(check bool) "table lists dce" true
-    (Astring_contains.contains table "dce");
+    (Astring_contains.contains table "transform.dce");
   (* Two runs aggregate into one row per pass. *)
   let summaries = Pass.summarize pm in
   Alcotest.(check (list string)) "summary order"
-    [ "canonicalize"; "dce" ]
+    [ "transform.canonicalize"; "transform.dce" ]
     (List.map (fun s -> s.Pass.s_name) summaries);
   List.iter
     (fun s -> Alcotest.(check int) "two runs each" 2 s.Pass.s_runs)
@@ -212,9 +184,9 @@ let test_summary_merges_pattern_stats () =
      per-run [patterns] arrays into one per-pattern row with summed
      counters, and [summary_json] must render that array. *)
   let pm = Pass.create_manager () in
-  Pass.add pm (Mlt.Tactics.raise_to_linalg_pass ());
+  Pass.add_all pm (passes_of_steps [ S.Raise "linalg" ]);
   let run_once () =
-    Pass.run pm (Met.Emit_affine.translate (W.mm ~ni:8 ~nj:8 ~nk:8 ()))
+    Pass.run pm (Met.Emit_affine.translate (W.gemm ~ni:8 ~nj:8 ~nk:8 ()))
   in
   run_once ();
   run_once ();
@@ -235,7 +207,7 @@ let test_summary_merges_pattern_stats () =
   (* ...and the summary folds them. *)
   (match Pass.summarize pm with
   | [ s ] ->
-      Alcotest.(check string) "one row" "raise-affine-to-linalg" s.Pass.s_name;
+      Alcotest.(check string) "one row" "transform.raise[linalg]" s.Pass.s_name;
       Alcotest.(check int) "two runs" 2 s.Pass.s_runs;
       let gemm =
         List.find
@@ -263,10 +235,10 @@ let test_summary_merges_pattern_stats () =
 
 let test_diag_error_names_pass_and_loc () =
   (* A Diag.Error raised mid-pass is re-reported with the failing pass's
-     qualified name; a location attached by the pass body survives. *)
+     name; a location attached by the pass body survives. *)
   let loc = Support.Loc.make ~file:"k.c" ~line:7 ~col:2 in
   let pm = Pass.create_manager () in
-  Pass.add_pipeline pm "pipe"
+  Pass.add_all pm
     [
       Pass.make ~name:"ok" (fun _ -> ());
       Pass.make ~name:"boom" (fun _ ->
@@ -276,8 +248,8 @@ let test_diag_error_names_pass_and_loc () =
   match Support.Diag.wrap (fun () -> Pass.run pm m) with
   | Ok () -> Alcotest.fail "expected the pass to raise"
   | Error msg ->
-      Alcotest.(check bool) "qualified pass name" true
-        (Astring_contains.contains msg "pass 'pipe/boom'");
+      Alcotest.(check bool) "pass name" true
+        (Astring_contains.contains msg "pass 'boom'");
       Alcotest.(check bool) "original message kept" true
         (Astring_contains.contains msg "kaboom");
       Alcotest.(check bool) "location kept" true
@@ -317,13 +289,15 @@ let suite =
       test_full_pipeline_as_passes;
     Alcotest.test_case "failing pass keeps its timing entry" `Quick
       test_failing_pass_keeps_timing;
-    Alcotest.test_case "nested pipeline timing" `Quick
-      test_nested_pipeline_timing;
     Alcotest.test_case "mlt-linalg pipeline statistics" `Quick
       test_mlt_linalg_pipeline_stats;
     Alcotest.test_case "IR snapshots after each pass" `Quick
       test_ir_snapshots;
     Alcotest.test_case "JSON/table reports and aggregation" `Quick
       test_reports_and_summaries;
+    Alcotest.test_case "summaries merge per-pattern stats" `Quick
+      test_summary_merges_pattern_stats;
+    Alcotest.test_case "pass diagnostics keep name and location" `Quick
+      test_diag_error_names_pass_and_loc;
     Alcotest.test_case "dialect registry" `Quick test_dialect_registry;
   ]

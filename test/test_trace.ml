@@ -8,6 +8,10 @@ module W = Workloads.Polybench
 
 let contains = Astring_contains.contains
 
+let raise_linalg () =
+  Mlt.Pipeline.register_dialects ();
+  Transform.Interp.passes_of_steps [ Transform.Script.Raise "linalg" ]
+
 let events_where pred t =
   List.filter pred (Trace.Memory.events t)
 
@@ -29,7 +33,7 @@ let test_memory_captures_pipeline () =
   Alcotest.(check bool) "sink install enables tracing" true (Trace.enabled ());
   let m = Met.Emit_affine.translate (W.mm ~ni:8 ~nj:8 ~nk:8 ()) in
   let pm = Pass.create_manager () in
-  Pass.add pm (Mlt.Tactics.raise_to_linalg_pass ());
+  Pass.add_all pm (raise_linalg ());
   Pass.run pm m;
   Trace.Memory.detach t;
   Alcotest.(check bool) "detach disables tracing" false (Trace.enabled ());
@@ -37,7 +41,7 @@ let test_memory_captures_pipeline () =
     events_where
       (fun e ->
         e.Trace.ev_cat = "pass" && e.Trace.ev_phase = Trace.Begin
-        && e.Trace.ev_name = "raise-affine-to-linalg")
+        && e.Trace.ev_name = "transform.raise[linalg]")
       t
   in
   Alcotest.(check int) "one pass Begin" 1 (List.length pass_begin);
@@ -45,7 +49,7 @@ let test_memory_captures_pipeline () =
     events_where
       (fun e ->
         e.Trace.ev_cat = "pass" && e.Trace.ev_phase = Trace.End
-        && e.Trace.ev_name = "raise-affine-to-linalg")
+        && e.Trace.ev_name = "transform.raise[linalg]")
       t
   in
   Alcotest.(check int) "one pass End" 1 (List.length pass_end);
@@ -177,7 +181,7 @@ let test_chrome_json_valid () =
   let c = Trace.Chrome.create () in
   let m = Met.Emit_affine.translate (W.mm ~ni:8 ~nj:8 ~nk:8 ()) in
   let pm = Pass.create_manager () in
-  Pass.add pm (Mlt.Tactics.raise_to_linalg_pass ());
+  Pass.add_all pm (raise_linalg ());
   Pass.run pm m;
   Trace.Chrome.detach c;
   Alcotest.(check bool) "captured events" true (Trace.Chrome.count c > 0);
@@ -209,7 +213,10 @@ let test_chrome_json_valid () =
               ignore (num "tid");
               Alcotest.(check bool) "known category" true
                 (List.mem (str "cat")
-                   [ "pass"; "driver"; "pattern"; "interp"; "remark" ]))
+                   [
+                     "pass"; "transform"; "driver"; "pattern"; "interp";
+                     "remark";
+                   ]))
             evs
       | _ -> Alcotest.fail "no traceEvents array")
 

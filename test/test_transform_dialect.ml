@@ -1,8 +1,8 @@
 (* The transform dialect: script construction, printer/parser
    round-trips (QCheck over random valid scripts), interpretation
    against payloads, byte-identity of every pipeline configuration's
-   script elaboration with the legacy hard-coded pass lists, per-step
-   inapplicability remarks, and verifier rejections. *)
+   script elaboration with pinned IR digests, per-step inapplicability
+   remarks, and verifier rejections. *)
 
 open Ir
 module T = Transforms
@@ -34,6 +34,7 @@ let gen_step =
       map (fun s -> Script.Raise s)
         (oneofl [ "linalg"; "affine-matmul"; "affine" ]);
       map (fun b -> Script.Canonicalize b) bool;
+      return Script.Delinearize;
       return Script.Dce;
       return Script.Reorder_chains;
       return Script.To_blas;
@@ -55,35 +56,31 @@ let prop_roundtrip =
       (* And printing is a fixpoint: parse . print . parse = parse. *)
       && String.equal text (Script.print (Script.of_steps steps')))
 
-(* ---- every config's script reproduces the legacy pass list ------------- *)
+(* ---- every config's script reproduces the pinned IR ------------------- *)
 
-(* The hard-coded pass lists Mlt.Pipeline shipped before the transform
-   dialect, inlined verbatim: the redesign's contract is that each
-   configuration's script elaboration produces byte-identical IR. *)
-let legacy_passes = function
-  | P.Clang_O3 -> []
-  | P.Pluto_default | P.Pluto_best -> [ T.Pluto.pass T.Pluto.default_config ]
-  | P.Mlt_linalg ->
-      [
-        T.Canonicalize.pass;
-        Mlt.Tactics.raise_to_linalg_pass ();
-        T.Lower_linalg.tiled_pass ~size:32;
-      ]
-  | P.Mlt_blas ->
-      [
-        T.Canonicalize.pass;
-        Mlt.Tactics.raise_to_linalg_pass ();
-        Mlt.Raise_chain.pass;
-        Mlt.To_blas.pass;
-        T.Lower_linalg.pass;
-      ]
-  | P.Mlt_affine_blis ->
-      [ T.Canonicalize.pass; Mlt.Tactics.raise_to_affine_matmul_pass () ]
+(* Digests of the IR each configuration printed when it was still a
+   hard-coded pass list (the scripts were byte-identical to those lists
+   then); a change here is a change to the compiler's output. *)
+let config_digests =
+  [
+    ("clang-O3", "mm", "96152b990393f530bafb525af271f169");
+    ("clang-O3", "2mm", "7a1c91108a7ba606b784fdc62bdf09cf");
+    ("pluto-default", "mm", "0ba590f692e9f6c0c923d6268a469a80");
+    ("pluto-default", "2mm", "78d0eff9bcebda0bccc8f5ec8a40e400");
+    ("pluto-best", "mm", "0ba590f692e9f6c0c923d6268a469a80");
+    ("pluto-best", "2mm", "78d0eff9bcebda0bccc8f5ec8a40e400");
+    ("mlt-linalg", "mm", "0ba590f692e9f6c0c923d6268a469a80");
+    ("mlt-linalg", "2mm", "78d0eff9bcebda0bccc8f5ec8a40e400");
+    ("mlt-blas", "mm", "a6a206b4be87f548aabca0cb822fd865");
+    ("mlt-blas", "2mm", "acbb2d8a2186f7c4dce31e8b3a3f5b03");
+    ("mlt-affine-blis", "mm", "654ed3670309089b2c3c1f5f70c4ca09");
+    ("mlt-affine-blis", "2mm", "0084b8db6910657c88ceacd146daea1a");
+  ]
 
 let sole_func m =
   List.find Core.is_func (Core.ops_of_block (Core.module_block m))
 
-let test_configs_match_legacy () =
+let test_configs_match_pinned_digests () =
   let kernels =
     [
       ("mm", W.mm ~ni:8 ~nj:8 ~nk:8 ());
@@ -94,17 +91,19 @@ let test_configs_match_legacy () =
     (fun config ->
       List.iter
         (fun (kname, src) ->
-          let scripted = P.prepare_schedule (P.Config config) src in
-          let legacy = Met.Emit_affine.translate src in
-          let pm = Pass.create_manager () in
-          Pass.add_all pm (legacy_passes config);
-          Pass.run pm (sole_func legacy);
-          Verifier.verify legacy;
+          let cname = P.config_name config in
+          let m = P.prepare_schedule (P.Config config) src in
+          let _, _, expected =
+            List.find
+              (fun (c, k, _) -> String.equal c cname && String.equal k kname)
+              config_digests
+          in
           Alcotest.(check string)
-            (Printf.sprintf "%s on %s byte-identical to legacy pass list"
-               (P.config_name config) kname)
-            (Printer.op_to_string legacy)
-            (Printer.op_to_string scripted))
+            (Printf.sprintf "%s on %s matches the pinned IR digest" cname
+               kname)
+            expected
+            (Support.Digest.string (Printer.op_to_string m));
+          Core.erase_op m)
         kernels)
     P.all_configs
 
@@ -225,8 +224,8 @@ let test_schedule_names () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_roundtrip;
-    Alcotest.test_case "six configs byte-identical to legacy pass lists"
-      `Quick test_configs_match_legacy;
+    Alcotest.test_case "six configs byte-identical to pinned IR digests"
+      `Quick test_configs_match_pinned_digests;
     Alcotest.test_case "vectorized pluto elaborations match Pluto.apply"
       `Quick test_vectorized_pluto_matches_apply;
     Alcotest.test_case "Interp.run applies steps in sequence" `Quick
