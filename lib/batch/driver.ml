@@ -41,60 +41,14 @@ module J = Support.Json
    3: summaries carry per-pass GC deltas. *)
 let payload_format = 3
 
-let pattern_stat_to_json (p : Ir.Rewriter.pattern_stat) =
-  J.Obj
-    [
-      ("name", J.Str p.ps_name);
-      ("attempts", J.num_int p.ps_attempts);
-      ("hits", J.num_int p.ps_hits);
-      ("activations", J.num_int p.ps_activations);
-    ]
-
-let summary_to_json (s : Ir.Pass.summary) =
-  J.Obj
-    [
-      ("name", J.Str s.s_name);
-      ("runs", J.num_int s.s_runs);
-      ("seconds", J.Num s.s_seconds);
-      ("match_attempts", J.num_int s.s_match_attempts);
-      ("rewrites", J.num_int s.s_rewrites);
-      ("ops_delta", J.num_int s.s_ops_delta);
-      ("gc", Ir.Pass.gc_json s.s_gc);
-      ("patterns", J.List (List.map pattern_stat_to_json s.s_patterns));
-    ]
-
 exception Bad_payload
 
 let jstr = function J.Str s -> s | _ -> raise Bad_payload
 let jint v = match J.to_int v with Some i -> i | None -> raise Bad_payload
-let jfloat = function J.Num f -> f | _ -> raise Bad_payload
 let jlist = function J.List l -> l | _ -> raise Bad_payload
 
 let jfield key json =
   match J.member key json with Some v -> v | None -> raise Bad_payload
-
-let pattern_stat_of_json j : Ir.Rewriter.pattern_stat =
-  {
-    ps_name = jstr (jfield "name" j);
-    ps_attempts = jint (jfield "attempts" j);
-    ps_hits = jint (jfield "hits" j);
-    ps_activations = jint (jfield "activations" j);
-  }
-
-let summary_of_json j : Ir.Pass.summary =
-  {
-    s_name = jstr (jfield "name" j);
-    s_runs = jint (jfield "runs" j);
-    s_seconds = jfloat (jfield "seconds" j);
-    s_match_attempts = jint (jfield "match_attempts" j);
-    s_rewrites = jint (jfield "rewrites" j);
-    s_ops_delta = jint (jfield "ops_delta" j);
-    s_gc =
-      (match J.member "gc" j with
-      | Some g -> Ir.Pass.gc_of_json g
-      | None -> Ir.Pass.zero_gc);
-    s_patterns = List.map pattern_stat_of_json (jlist (jfield "patterns" j));
-  }
 
 let payload_of_result r =
   J.Obj
@@ -107,13 +61,14 @@ let payload_of_result r =
       ("match_attempts", J.num_int r.r_match_attempts);
       ("rewrites", J.num_int r.r_rewrites);
       ("remarks", J.List (List.map (fun m -> J.Str m) r.r_remarks));
-      ("passes", J.List (List.map summary_to_json r.r_summary));
+      ("passes", Ir.Pass.summaries_json_value r.r_summary);
     ]
 
 (* Decode a committed payload back into a (cached) result for the entry
    at hand. Any shape mismatch — wrong format version, missing field,
-   IR digest divergence — raises [Bad_payload]; the caller treats it as
-   a miss and recompiles. *)
+   IR digest divergence — raises ([Bad_payload], or [Failure] from a
+   malformed pass summary); the caller treats it as a miss and
+   recompiles. *)
 let result_of_payload ~entry ~worker ~seconds json =
   if jint (jfield "format" json) <> payload_format then raise Bad_payload;
   let ir = jstr (jfield "ir" json) in
@@ -131,7 +86,7 @@ let result_of_payload ~entry ~worker ~seconds json =
     r_seconds = seconds;
     r_match_attempts = jint (jfield "match_attempts" json);
     r_rewrites = jint (jfield "rewrites" json);
-    r_summary = List.map summary_of_json (jlist (jfield "passes" json));
+    r_summary = List.map Ir.Pass.summary_of_json (jlist (jfield "passes" json));
     r_remarks = List.map jstr (jlist (jfield "remarks" json));
   }
 
@@ -221,9 +176,7 @@ let compile_entry ~capture_remarks ~worker ?cache (e : Manifest.entry) =
             let m =
               Mlt.Pipeline.prepare_schedule_module ~pm e.Manifest.e_schedule m
             in
-            let ir = Ir.Printer.op_to_string m ^ "\n" in
-            Ir.Core.erase_op m;
-            (src, ir, Ir.Pass.summarize pm))
+            (src, Ir.Printer.op_to_string m ^ "\n", Ir.Pass.summarize pm))
       with
       | src, ir, summary ->
           let r = finish Done ir summary in

@@ -51,13 +51,10 @@ val failed_count : report -> int
     worker claims the next uncompiled entry; worker 0 runs on the
     calling domain, the rest on spawned domains. With [domains = 1] no
     domain is spawned — the sequential oracle the tests compare
-    against. Every payload module is erased once printed, so a run
-    leaves the calling domain's region registry as it found it.
-    [capture_remarks]
-    (default false) installs a per-entry remark sink and records the
-    rendered remarks in the result (off by default: an installed sink
-    makes tactics compute near-miss explanations, which costs compile
-    time).
+    against. [capture_remarks] (default false) installs a per-entry
+    remark sink and records the rendered remarks in the result (off by
+    default: an installed sink makes tactics compute near-miss
+    explanations, which costs compile time).
 
     With [cache], each entry is first looked up by content address
     (source text + pipeline/pattern-set identity + remark-capture mode);

@@ -30,7 +30,11 @@ and block = {
   mutable b_parent : region option;
 }
 
-and region = { r_id : int; mutable r_blocks : block list }
+and region = {
+  r_id : int;
+  mutable r_blocks : block list;
+  mutable r_parent : op option;
+}
 
 let ids = Support.Id_gen.global
 let fresh () = Support.Id_gen.next ids
@@ -131,6 +135,7 @@ let create_op ?loc ?(operands = []) ?(result_types = []) ?(attrs = [])
       o_prov = [];
     }
   in
+  Array.iter (fun r -> r.r_parent <- Some op) op.o_regions;
   Array.iteri (fun i v -> add_use v op i) op.o_operands;
   op.o_results <-
     Array.of_list
@@ -167,7 +172,7 @@ let create_block ?(hints = []) arg_types =
   block
 
 let create_region blocks =
-  let r = { r_id = fresh (); r_blocks = blocks } in
+  let r = { r_id = fresh (); r_blocks = blocks; r_parent = None } in
   List.iter (fun b -> b.b_parent <- Some r) blocks;
   r
 
@@ -207,28 +212,11 @@ let single_block op i =
         (Printf.sprintf "Core.single_block: %s region %d has %d blocks"
            op.o_name i (List.length bs))
 
-(* Map region -> enclosing op, rebuilt lazily. We avoid a region->op pointer
-   to keep [create_op] non-cyclic over regions; lookups scan the block's
-   parent region against candidate ops via a registry keyed by region id.
-   [erase_op] unregisters the erased subtree so the table stays bounded
-   across pipeline runs. The table is domain-local: IR is confined to the
-   domain that created it (docs/CONCURRENCY.md), and region ids are
-   globally unique (atomic Id_gen), so per-domain tables never alias. *)
-let region_owner_key : (int, op) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
-
-let region_owner () = Domain.DLS.get region_owner_key
-
-let region_registry_size () = Hashtbl.length (region_owner ())
-
-let register_regions op =
-  let owner = region_owner () in
-  Array.iter (fun r -> Hashtbl.replace owner r.r_id op) op.o_regions
+(* Nothing is registered; see core.mli for why the stub stays. *)
+let region_registry_size () = 0
 
 let block_parent_op block =
-  match block.b_parent with
-  | None -> None
-  | Some r -> Hashtbl.find_opt (region_owner ()) r.r_id
+  match block.b_parent with None -> None | Some r -> r.r_parent
 
 let parent_op op =
   match op.o_parent with None -> None | Some b -> block_parent_op b
@@ -255,7 +243,6 @@ let ops_of_block b =
   b.b_head
 
 let append_op block op =
-  register_regions op;
   op.o_parent <- Some block;
   block.b_tail_rev <- op :: block.b_tail_rev;
   notify_inserted op
@@ -264,7 +251,6 @@ let insert_relative ~before ~anchor op =
   match anchor.o_parent with
   | None -> invalid_arg "Core.insert: anchor is detached"
   | Some block ->
-      register_regions op;
       op.o_parent <- Some block;
       flush_block block;
       let rec go = function
@@ -339,13 +325,10 @@ let erase_op op =
   notify_erased op;
   detach_op op;
   (* Structurally invalidate the whole subtree: drop its operand use-list
-     entries (so use counts of surviving values stay exact) and unregister
-     its regions (so the region registry does not grow across runs). *)
-  let owner = region_owner () in
+     entries so use counts of surviving values stay exact. *)
   walk op (fun o ->
       Array.iteri (fun i v -> remove_use v o i) o.o_operands;
-      o.o_operands <- [||];
-      Array.iter (fun r -> Hashtbl.remove owner r.r_id) o.o_regions)
+      o.o_operands <- [||])
 
 (* ---- use-def queries and mutation --------------------------------------- *)
 
@@ -396,9 +379,7 @@ let find_op root p =
 let create_module () =
   let block = create_block [] in
   let region = create_region [ block ] in
-  let m = create_op ~regions:[ region ] "builtin.module" in
-  register_regions m;
-  m
+  create_op ~regions:[ region ] "builtin.module"
 
 let module_block m =
   if not (String.equal m.o_name "builtin.module") then
@@ -409,13 +390,9 @@ let create_func ~name ~arg_types ?arg_hints ?(result_types = []) () =
   let entry = create_block ?hints:arg_hints arg_types in
   let region = create_region [ entry ] in
   let fn_type = Typ.Fun (arg_types, result_types) in
-  let f =
-    create_op ~regions:[ region ]
-      ~attrs:[ ("sym_name", Attr.Str name); ("function_type", Attr.Type fn_type) ]
-      "func.func"
-  in
-  register_regions f;
-  f
+  create_op ~regions:[ region ]
+    ~attrs:[ ("sym_name", Attr.Str name); ("function_type", Attr.Type fn_type) ]
+    "func.func"
 
 let is_func op = String.equal op.o_name "func.func"
 
@@ -472,7 +449,6 @@ let rec clone_op_with map op =
       ~result_types:(Array.to_list (Array.map (fun r -> r.v_typ) op.o_results))
       ~attrs:op.o_attrs ~regions op.o_name
   in
-  register_regions op';
   op'.o_loc <- op.o_loc;
   op'.o_prov <- op.o_prov;
   Array.iteri

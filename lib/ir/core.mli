@@ -59,13 +59,19 @@ and block = {
   mutable b_parent : region option;
 }
 
-and region = { r_id : int; mutable r_blocks : block list }
+and region = {
+  r_id : int;
+  mutable r_blocks : block list;
+  mutable r_parent : op option;
+      (** the op owning this region; set once, by {!create_op} *)
+}
 
 (** {2 Construction} *)
 
 (** [create_op name ~operands ~result_types ~attrs ~regions] builds a
     detached operation and its result values, registering the op on each
-    operand's use-list. [loc] defaults to the ambient location
+    operand's use-list and making it the owner ([r_parent]) of each of
+    [regions], which must be fresh. [loc] defaults to the ambient location
     ({!with_loc}). *)
 val create_op :
   ?loc:Support.Loc.t ->
@@ -120,20 +126,19 @@ val single_block : op -> int -> block
 (** The parent operation owning the block this op lives in, if attached. *)
 val parent_op : op -> op option
 
-(** The region's enclosing op, found via the region registry; only valid
-    while attached. *)
+(** The op owning the block's region ([None] for a block outside any
+    region). A plain pointer read: it answers the same on every domain. *)
 val block_parent_op : block -> op option
 
 (** [is_under ~root op] — is [op] equal to [root] or transitively nested
-    inside it (following parent pointers)? Detached and erased ops are
-    under nothing. *)
+    inside it (following parent pointers)? Detached ops are under nothing
+    but themselves, and an erased op's subtree is under nothing outside
+    it. *)
 val is_under : root:op -> op -> bool
 
-(** Number of live entries in the calling domain's region->owner
-    registry. Exposed for leak regression tests: erasing an op
-    unregisters its whole subtree, so the size must return to baseline
-    after build-and-erase cycles. The registry is domain-local — IR must
-    stay confined to the domain that created it (docs/CONCURRENCY.md). *)
+(** Always [0]. There is no region registry any more; the stub remains
+    only because the benchmark driver still reports it as
+    [ir.retained_regions], and goes with that metric. *)
 val region_registry_size : unit -> int
 
 (** {2 Mutation listeners}
@@ -179,9 +184,11 @@ val insert_after : anchor:op -> op -> unit
 (** Detach [op] from its block (no-op if already detached). *)
 val detach_op : op -> unit
 
-(** Detach and structurally invalidate the whole subtree: clears operand
-    arrays (removing their use-list entries) and unregisters nested
-    regions from the registry. Erased ops must not be reused. *)
+(** Remove [op] from live IR: fires the erase listeners, detaches it and
+    structurally invalidates its subtree by clearing operand arrays (so
+    the use-lists of surviving values stay exact). Erased ops must not be
+    reused. A dropped module needs no erase: nothing outside it points
+    into it, so the GC reclaims it. *)
 val erase_op : op -> unit
 
 (** {2 Use-def queries and mutation} *)

@@ -245,9 +245,8 @@ let merge_pattern_stats acc ps =
     acc ps
 
 (* Fold one summary row into an accumulated list, merging by pass name
-   and keeping first-appearance order — the same discipline
-   [summarize] applies to per-run timings, lifted to whole summaries so
-   per-domain results can be combined deterministically. *)
+   and keeping first-appearance order, so per-run timings ([summarize])
+   and per-domain results ([merge_summaries]) combine deterministically. *)
 let add_summary acc (x : summary) =
   let rec go = function
     | [] -> [ x ]
@@ -269,42 +268,22 @@ let add_summary acc (x : summary) =
 
 let merge_summaries a b = List.fold_left add_summary a b
 
+let summary_of_timing (t : timing) =
+  {
+    s_name = t.pass_name;
+    s_runs = 1;
+    s_seconds = t.seconds;
+    s_match_attempts = t.match_attempts;
+    s_rewrites = t.rewrites;
+    s_ops_delta = t.ops_after - t.ops_before;
+    s_gc = t.gc;
+    s_patterns = t.pattern_stats;
+  }
+
 let summarize m =
-  (* Aggregate by pass name, keeping first-appearance order. *)
-  let fold acc (t : timing) =
-    let bump s =
-      {
-        s with
-        s_runs = s.s_runs + 1;
-        s_seconds = s.s_seconds +. t.seconds;
-        s_match_attempts = s.s_match_attempts + t.match_attempts;
-        s_rewrites = s.s_rewrites + t.rewrites;
-        s_ops_delta = s.s_ops_delta + t.ops_after - t.ops_before;
-        s_gc = add_gc s.s_gc t.gc;
-        s_patterns = merge_pattern_stats s.s_patterns t.pattern_stats;
-      }
-    in
-    let rec go = function
-      | [] ->
-          [
-            bump
-              {
-                s_name = t.pass_name;
-                s_runs = 0;
-                s_seconds = 0.;
-                s_match_attempts = 0;
-                s_rewrites = 0;
-                s_ops_delta = 0;
-                s_gc = zero_gc;
-                s_patterns = [];
-              };
-          ]
-      | s :: rest when String.equal s.s_name t.pass_name -> bump s :: rest
-      | s :: rest -> s :: go rest
-    in
-    go acc
-  in
-  List.fold_left fold [] (timings m)
+  List.fold_left
+    (fun acc t -> add_summary acc (summary_of_timing t))
+    [] (timings m)
 
 (* ---- reports ----------------------------------------------------------- *)
 
@@ -392,6 +371,38 @@ let gc_of_json j =
     promoted_words = num "promoted_words";
     minor_collections = int "minor_collections";
     major_collections = int "major_collections";
+  }
+
+(* The decoders raise [Failure] on a missing or ill-typed member, so a
+   malformed cache payload reads as a miss. *)
+let member conv k j =
+  match Option.bind (J.member k j) conv with
+  | Some v -> v
+  | None -> failwith ("Pass: summary JSON lacks a valid " ^ k)
+
+let str = function J.Str s -> Some s | _ -> None
+let num = function J.Num f -> Some f | _ -> None
+let list = function J.List l -> Some l | _ -> None
+
+let pattern_stat_of_json j : Rewriter.pattern_stat =
+  {
+    ps_name = member str "name" j;
+    ps_attempts = member J.to_int "attempts" j;
+    ps_hits = member J.to_int "hits" j;
+    ps_activations = member J.to_int "activations" j;
+  }
+
+let summary_of_json j =
+  {
+    s_name = member str "name" j;
+    s_runs = member J.to_int "runs" j;
+    s_seconds = member num "seconds" j;
+    s_match_attempts = member J.to_int "match_attempts" j;
+    s_rewrites = member J.to_int "rewrites" j;
+    s_ops_delta = member J.to_int "ops_delta" j;
+    s_gc =
+      (match J.member "gc" j with Some g -> gc_of_json g | None -> zero_gc);
+    s_patterns = List.map pattern_stat_of_json (member list "patterns" j);
   }
 
 let timing_json (t : timing) =

@@ -146,3 +146,8 @@ val summaries_json_value : summary list -> Support.Json.t
 val gc_json : gc_delta -> Support.Json.t
 
 val gc_of_json : Support.Json.t -> gc_delta
+
+(** Inverse of one element of {!summaries_json_value}, for the batch
+    cache payload. A missing ["gc"] member reads as {!zero_gc}; any
+    other missing or ill-typed member raises [Failure]. *)
+val summary_of_json : Support.Json.t -> summary

@@ -37,32 +37,15 @@ let to_string r =
 
 type sink = t -> unit
 
-(* Domain-local, like [Trace.sinks]: remarks emitted by a compilation on
-   one domain reach only the sinks that compilation installed. Handles
-   come from one atomic counter so they are unique process-wide. *)
-let sinks_key : (int * sink) list Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> [])
+let sinks : t Support.Sink_stack.t = Support.Sink_stack.create ()
 
-let next_handle = Atomic.make 0
+type handle = Support.Sink_stack.handle
 
-type handle = int
-
-let install sink =
-  let h = 1 + Atomic.fetch_and_add next_handle 1 in
-  Domain.DLS.set sinks_key ((h, sink) :: Domain.DLS.get sinks_key);
-  h
-
-let uninstall h =
-  Domain.DLS.set sinks_key
-    (List.filter (fun (h', _) -> h' <> h) (Domain.DLS.get sinks_key))
-
-let with_sink sink f =
-  let h = install sink in
-  Fun.protect ~finally:(fun () -> uninstall h) f
-
-let enabled () = Domain.DLS.get sinks_key <> []
-
-let installed_count () = List.length (Domain.DLS.get sinks_key)
+let install sink = Support.Sink_stack.install sinks sink
+let uninstall h = Support.Sink_stack.uninstall sinks h
+let with_sink sink f = Support.Sink_stack.with_sink sinks sink f
+let enabled () = Support.Sink_stack.enabled sinks
+let installed_count () = Support.Sink_stack.installed_count sinks
 
 let trace_args r =
   let opt key = function
@@ -82,12 +65,9 @@ let emit r =
      pattern attempts that rejected it. *)
   if Trace.enabled () then
     Trace.instant ~cat:"remark" ~args:(trace_args r) r.r_message;
-  match Domain.DLS.get sinks_key with
-  | [] ->
-      (* Unwatched warnings must still reach the user (the pre-existing
-         behaviour of the ad-hoc [Printf.eprintf] call sites). *)
-      if r.r_kind = Warning then prerr_endline (to_string r)
-  | sinks -> List.iter (fun (_, sink) -> sink r) sinks
+  (* Unwatched warnings must still reach the user. *)
+  if (not (Support.Sink_stack.dispatch sinks r)) && r.r_kind = Warning then
+    prerr_endline (to_string r)
 
 let remark ?(loc = Support.Loc.unknown) ?context ?pattern ?stage kind fmt =
   Printf.ksprintf

@@ -676,5 +676,3 @@ let replace_op_local ctx op values =
           Core.replace_uses_in_block block ~old_v:(Core.result op i) ~new_v)
         values;
       Core.erase_op op
-
-let erase_op = Core.erase_op

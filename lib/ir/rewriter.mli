@@ -232,6 +232,3 @@ val replace_op : ctx -> Core.op -> Core.value list -> unit
     true for scalar SSA values in this IR's structured control flow —
     and much cheaper on large functions. *)
 val replace_op_local : ctx -> Core.op -> Core.value list -> unit
-
-(** [erase_op op] — re-exported for symmetry. *)
-val erase_op : Core.op -> unit

@@ -16,49 +16,26 @@ type event = {
 
 type sink = event -> unit
 
-(* Installed sinks, newest first, each keyed by a handle so [uninstall] is
-   order-independent. The stack is domain-local (Domain.DLS): a sink
-   installed by one compilation never observes events from a concurrent
-   compilation on another domain, and installing/uninstalling never
-   races. Handles are drawn from one atomic counter so they stay unique
-   process-wide. The hot path is "no sinks installed": [emit] reads the
-   domain-local slot and returns, so tracing costs nothing when
-   disabled. *)
-let sinks_key : (int * sink) list Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> [])
+(* The hot path is "no sinks installed": [emit] reads the domain-local
+   stack and returns, so tracing costs nothing when disabled. *)
+let sinks : event Support.Sink_stack.t = Support.Sink_stack.create ()
 
-let next_handle = Atomic.make 0
+type handle = Support.Sink_stack.handle
 
-type handle = int
-
-let install sink =
-  let h = 1 + Atomic.fetch_and_add next_handle 1 in
-  Domain.DLS.set sinks_key ((h, sink) :: Domain.DLS.get sinks_key);
-  h
-
-let uninstall h =
-  Domain.DLS.set sinks_key
-    (List.filter (fun (h', _) -> h' <> h) (Domain.DLS.get sinks_key))
-
-let with_sink sink f =
-  let h = install sink in
-  Fun.protect ~finally:(fun () -> uninstall h) f
-
-let enabled () = Domain.DLS.get sinks_key <> []
-
-let installed_count () = List.length (Domain.DLS.get sinks_key)
-
-let dispatch sinks ev = List.iter (fun (_, sink) -> sink ev) sinks
+let install sink = Support.Sink_stack.install sinks sink
+let uninstall h = Support.Sink_stack.uninstall sinks h
+let with_sink sink f = Support.Sink_stack.with_sink sinks sink f
+let enabled () = Support.Sink_stack.enabled sinks
+let installed_count () = Support.Sink_stack.installed_count sinks
 
 let now () = Unix.gettimeofday ()
 
 let emit ?(args = []) ~cat ~phase name =
-  match Domain.DLS.get sinks_key with
-  | [] -> ()
-  | sinks ->
-      dispatch sinks
-        { ev_ts = now (); ev_cat = cat; ev_name = name; ev_phase = phase;
-          ev_args = args }
+  if enabled () then
+    ignore
+      (Support.Sink_stack.dispatch sinks
+         { ev_ts = now (); ev_cat = cat; ev_name = name; ev_phase = phase;
+           ev_args = args })
 
 let instant ?args ~cat name = emit ?args ~cat ~phase:Instant name
 let begin_ ?args ~cat name = emit ?args ~cat ~phase:Begin name

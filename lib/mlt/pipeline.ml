@@ -118,11 +118,7 @@ type schedule =
   | Config of config
   | Custom of { name : string; steps : Script.step list }
 
-(* The printed script of [steps]; the module built to print it is
-   erased so the domain's region registry does not grow. *)
-let print_steps steps =
-  let m = Script.of_steps steps in
-  Fun.protect ~finally:(fun () -> Core.erase_op m) (fun () -> Script.print m)
+let print_steps steps = Script.print (Script.of_steps steps)
 
 let schedule_of_steps ?name steps =
   let name =
@@ -190,9 +186,7 @@ let prepare_schedule ?pm schedule src =
    sweep's (asserted in test_tune). *)
 let tuned ?pm machine src =
   register_dialects ();
-  let probe = translate src in
-  let trips = Tune.max_trip_count (sole_func probe) in
-  Core.erase_op probe;
+  let trips = Tune.max_trip_count (sole_func (translate src)) in
   let space = Tune.pluto_space ~max_trip:trips in
   let outcome =
     Tune.search
@@ -208,8 +202,7 @@ let tuned ?pm machine src =
   | Some mgr ->
       let m = translate src in
       Pass.add_all mgr (Transform.Interp.passes_of_steps outcome.Tune.o_best.Tune.c_steps);
-      Pass.run mgr (sole_func m);
-      Core.erase_op m
+      Pass.run mgr (sole_func m)
   | None -> ());
   (outcome.Tune.o_best_report, Some outcome.Tune.o_stats)
 
@@ -218,9 +211,7 @@ let time_schedule_ext ?pm schedule machine src =
   | Config Pluto_best -> tuned ?pm machine src
   | _ ->
       let m = prepare_schedule ?pm schedule src in
-      let report = M.Perf.time_func machine (sole_func m) in
-      Core.erase_op m;
-      (report, None)
+      (M.Perf.time_func machine (sole_func m), None)
 
 (* ---- differential execution ----------------------------------------------- *)
 
@@ -228,10 +219,7 @@ let check_schedule_semantics ?(seed = 0) ?eps ?engine schedule src =
   let reference = translate src in
   let transformed = prepare_schedule schedule src in
   let name = Core.func_name (sole_func reference) in
-  let ok = Interp.Eval.equivalent ?eps ?engine reference transformed name ~seed in
-  Core.erase_op reference;
-  Core.erase_op transformed;
-  ok
+  Interp.Eval.equivalent ?eps ?engine reference transformed name ~seed
 
 (* ---- compile-time measurement (§5.2) -------------------------------------- *)
 
@@ -251,25 +239,18 @@ let compile_time ?pm mode sources =
   register_transform_steps ();
   Pass.add_all mgr (Transform.Interp.passes_of_steps (overhead_steps mode));
   let t0 = Unix.gettimeofday () in
-  let modules =
-    List.map
-      (fun src ->
-        let m = translate src in
-        Pass.run mgr (sole_func m);
-        (match mode with
-        | `Match_only -> ()
-        | `Baseline | `With_mlt -> Verifier.verify m);
-        m)
-      sources
-  in
-  let seconds = Unix.gettimeofday () -. t0 in
-  (* Erased outside the timed region, so the figure stays comparable. *)
-  List.iter Core.erase_op modules;
-  seconds
+  List.iter
+    (fun src ->
+      let m = translate src in
+      Pass.run mgr (sole_func m);
+      match mode with
+      | `Match_only -> ()
+      | `Baseline | `With_mlt -> Verifier.verify m)
+    sources;
+  Unix.gettimeofday () -. t0
 
 let count_gemm_callsites ?(delinearize = false) src =
   let m = translate src in
-  Fun.protect ~finally:(fun () -> Core.erase_op m) @@ fun () ->
   if delinearize then
     Core.walk m (fun op ->
         if Core.is_func op then ignore (T.Delinearize.run op));

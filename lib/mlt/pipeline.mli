@@ -118,8 +118,7 @@ val prepare_schedule_module :
     winner byte-identical to the legacy sequential sweep. With [pm], the
     preparation pipeline records per-pass statistics into the caller's
     (fresh) manager; for [Pluto_best] the sweep runs uninstrumented and
-    the winning script is replayed through [pm]. Every module built
-    here is erased before returning. GFLOPS come from
+    the winning script is replayed through [pm]. GFLOPS come from
     {!Machine.Perf.gflops} on the report. *)
 val time_schedule_ext :
   ?pm:Pass.manager ->
@@ -156,7 +155,7 @@ val check_schedule_semantics :
     mode. Each mode is a transform-script step list, so the passes are
     named by {!Transform.Script.step_name}. With [pm] (fresh manager),
     per-pass statistics accumulate across all sources; read them with
-    {!Pass.summarize}. Every translated module is erased. *)
+    {!Pass.summarize}. *)
 val compile_time :
   ?pm:Pass.manager ->
   [ `Baseline | `With_mlt | `Match_only ] ->
@@ -167,6 +166,5 @@ val compile_time :
 
 (** [count_gemm_callsites ?delinearize src] — number of sites the GEMM
     tactic raises; with [delinearize] the optimistic delinearization pass
-    (the paper's proposed fix for Darknet) runs first. The translated
-    module is erased. *)
+    (the paper's proposed fix for Darknet) runs first. *)
 val count_gemm_callsites : ?delinearize:bool -> string -> int

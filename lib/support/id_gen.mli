@@ -2,8 +2,8 @@
 
     Generators are atomic: concurrent [next] calls from multiple domains
     never return the same id. The IR layer relies on this — op/value ids
-    key domain-local registries (e.g. the region-owner table), so a
-    cross-domain collision would silently corrupt unrelated IR. *)
+    key tables such as [Ir.Core.clone_op]'s value map, so a cross-domain
+    collision would silently corrupt unrelated IR. *)
 
 type t
 

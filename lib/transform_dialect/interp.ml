@@ -217,14 +217,7 @@ let compile script =
       script.Core.o_name;
   List.map compile_op (Core.ops_of_block (Core.module_block script))
 
-(* The script module only lives long enough to compile: the closures
-   keep what they need of it, and erasing it keeps the domain's region
-   registry from growing by one module per compilation. *)
-let compile_steps steps =
-  let script = Script.of_steps steps in
-  Fun.protect
-    ~finally:(fun () -> Core.erase_op script)
-    (fun () -> compile script)
+let compile_steps steps = compile (Script.of_steps steps)
 
 let apply_step c payload =
   Trace.span ~cat:"transform" c.c_name (fun () ->

@@ -42,7 +42,7 @@ type compiled = {
 val compile : Core.op -> compiled list
 
 (** [compile_steps steps] — {!compile} on a script module built from
-    [steps] and erased afterwards. *)
+    [steps]. *)
 val compile_steps : Script.step list -> compiled list
 
 (** [apply_step c payload] — one step, with its trace span and

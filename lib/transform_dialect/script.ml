@@ -145,8 +145,4 @@ let parse ?file src =
   ignore (steps_of m);
   m
 
-let parse_steps ?file src =
-  let m = parse ?file src in
-  let steps = steps_of m in
-  Core.erase_op m;
-  steps
+let parse_steps ?file src = steps_of (parse ?file src)

@@ -60,6 +60,5 @@ val print : Core.op -> string
     [file] positions. *)
 val parse : ?file:string -> string -> Core.op
 
-(** [parse_steps ?file src] = [steps_of (parse ?file src)]; the parsed
-    module is erased. *)
+(** [parse_steps ?file src] = [steps_of (parse ?file src)]. *)
 val parse_steps : ?file:string -> string -> step list

@@ -162,13 +162,10 @@ let search ?(domains = 1) ?(seed = 0) ?limit ~machine ~translate candidates =
     let t0 = Unix.gettimeofday () in
     (match
        let m = translate () in
-       Fun.protect
-         ~finally:(fun () -> Core.erase_op m)
-         (fun () ->
-           let f = sole_func m in
-           List.iter (fun c -> ignore (Interp.apply_step c f)) compiled.(i);
-           Verifier.verify m;
-           Machine.Perf.time_func machine f)
+       let f = sole_func m in
+       List.iter (fun c -> ignore (Interp.apply_step c f)) compiled.(i);
+       Verifier.verify m;
+       Machine.Perf.time_func machine f
      with
     | report -> results.(i) <- (Some report, None)
     | exception D.Error (loc, msg) ->

@@ -70,8 +70,7 @@ val blis_space : ?quick:bool -> unit -> candidate list
 val gemm_space : ?quick:bool -> max_trip:int -> unit -> candidate list
 
 (** [search ~machine ~translate candidates] evaluates every candidate on
-    a fresh [translate ()] payload, erased once scored, and returns the
-    winner. [domains] sizes the {!Support.Pool} (default 1);
+    a fresh [translate ()] payload and returns the winner. [domains] sizes the {!Support.Pool} (default 1);
     [limit] (with [seed], default 0) deterministically subsamples the
     space, always keeping the first candidate — by convention the
     baseline schedule. Raises {!Support.Diag.Error} when the space is

@@ -59,6 +59,16 @@ diff scripts/mlt_opt_digests.txt "$obs_tmp/mlt_opt_digests.txt" || {
   echo "check.sh: mlt-opt flag output differs from scripts/mlt_opt_digests.txt" >&2
   exit 1
 }
+# Smoke mlt-sim: a simulated run whose output must pass the interpreter's
+# differential check (--verify-exec exits non-zero on a mismatch) and end
+# in a well-formed --pass-stats JSON line, then a trimmed schedule search.
+# (pluto-best is left out: on this kernel its full sweep takes ~30 s.)
+dune exec bin/mlt_sim.exe -- examples/kernels/gemm.c --config mlt-blas \
+  --verify-exec --pass-stats > "$obs_tmp/sim.out"
+tail -n 1 "$obs_tmp/sim.out" > "$obs_tmp/sim_stats.json"
+dune exec tools/json_check/json_check.exe -- "$obs_tmp/sim_stats.json" passes
+dune exec bin/mlt_sim.exe -- examples/kernels/gemm.c --tune --quick \
+  > /dev/null
 # Smoke the multi-domain batch driver: the example manifest must compile
 # cleanly on a 2-domain pool (domains time-share cores on small machines,
 # so this checks safety, not speed) and produce a well-formed report with

@@ -390,56 +390,6 @@ let test_skewed_manifest_matches_oracle () =
     (Batch.Driver.summary_signature par.Batch.Driver.rp_summary);
   Alcotest.(check int) "no failures" 0 (Batch.Driver.failed_count par)
 
-(* ---- region-registry leaks ------------------------------------------ *)
-
-(* Every module the library builds and then drops must be erased, or
-   the calling domain's region registry grows by it on every call. *)
-let test_no_retained_regions () =
-  Mlt.Pipeline.register_dialects ();
-  let src = W.gemm ~ni:8 ~nj:8 ~nk:8 () in
-  let machine = Machine.Machine_model.amd_2920x in
-  let translate () = Met.Emit_affine.translate src in
-  let unchanged what f =
-    let before = Core.region_registry_size () in
-    f ();
-    Alcotest.(check int)
-      (what ^ " leaves the region registry unchanged")
-      before
-      (Core.region_registry_size ())
-  in
-  let blas = Mlt.Pipeline.Config Mlt.Pipeline.Mlt_blas in
-  let best = Mlt.Pipeline.Config Mlt.Pipeline.Pluto_best in
-  unchanged "Interp.compile_steps" (fun () ->
-      ignore (Transform.Interp.compile_steps (Mlt.Pipeline.schedule_steps blas)));
-  unchanged "schedule_cache_identity" (fun () ->
-      ignore (Mlt.Pipeline.schedule_cache_identity blas));
-  unchanged "Tune.search" (fun () ->
-      ignore
-        (Tune.search ~domains:1 ~machine ~translate
-           (Tune.pluto_space ~max_trip:8)));
-  unchanged "time_schedule_ext (pluto-best)" (fun () ->
-      ignore
-        (Mlt.Pipeline.time_schedule_ext ~pm:(Pass.create_manager ()) best
-           machine src));
-  unchanged "time_schedule_ext (mlt-blas)" (fun () ->
-      ignore (Mlt.Pipeline.time_schedule_ext blas machine src));
-  unchanged "check_schedule_semantics" (fun () ->
-      ignore (Mlt.Pipeline.check_schedule_semantics blas src));
-  unchanged "compile_time" (fun () ->
-      ignore (Mlt.Pipeline.compile_time `With_mlt [ src; src ]));
-  unchanged "count_gemm_callsites" (fun () ->
-      ignore (Mlt.Pipeline.count_gemm_callsites ~delinearize:true src));
-  (* From the test directory under [dune runtest], or the repo root. *)
-  let manifest =
-    List.find Sys.file_exists
-      [
-        "../examples/kernels/batch_manifest.json";
-        "examples/kernels/batch_manifest.json";
-      ]
-  in
-  unchanged "Batch.Driver.run" (fun () ->
-      ignore (Batch.Driver.run ~domains:1 (Batch.Manifest.load manifest)))
-
 (* ---- write-once dialect registration ------------------------------- *)
 
 let test_register_once_parallel () =
@@ -538,6 +488,4 @@ let suite =
       test_fault_isolation;
     Alcotest.test_case "skewed manifest on 2 domains matches the oracle"
       `Quick test_skewed_manifest_matches_oracle;
-    Alcotest.test_case "no module left in the region registry" `Quick
-      test_no_retained_regions;
   ]

@@ -186,18 +186,43 @@ let test_erase_scrubs_nested_uses () =
     (Core.has_uses f c);
   Alcotest.(check int) "raw use-list scrubbed" 0 (List.length c.Core.v_uses)
 
-let test_region_registry_no_leak () =
-  let baseline = Core.region_registry_size () in
-  for _ = 1 to 10 do
-    let m = Core.create_module () in
-    let f = mk_gemm () in
-    Core.append_op (Core.module_block m) f;
-    (* Rewrite a bit so intermediate loop structures come and go too. *)
-    Transforms.Loop_tile.tile_all f ~size:2;
-    Core.erase_op m
-  done;
-  Alcotest.(check int) "registry returns to baseline" baseline
-    (Core.region_registry_size ())
+(* Nothing outside a module points into it, so a module that is dropped
+   without [erase_op] is garbage once unreachable — also after a
+   pipeline has rewritten it. *)
+let test_dropped_module_collected () =
+  let src = Workloads.Polybench.gemm ~ni:8 ~nj:8 ~nk:8 () in
+  let w = Weak.create 2 in
+  let[@inline never] build () =
+    Weak.set w 0 (Some (Met.Emit_affine.translate src));
+    Weak.set w 1
+      (Some
+         (Mlt.Pipeline.prepare_schedule
+            (Mlt.Pipeline.Config Mlt.Pipeline.Mlt_blas) src))
+  in
+  build ();
+  Gc.full_major ();
+  Alcotest.(check bool) "dropped module reclaimed" false (Weak.check w 0);
+  Alcotest.(check bool) "dropped pipeline output reclaimed" false
+    (Weak.check w 1)
+
+(* Parent links are plain pointers: an op's owner reads the same from a
+   domain other than the one that built the IR. *)
+let test_parent_op_across_domains () =
+  let m = Core.create_module () in
+  let f = mk_gemm () in
+  Core.append_op (Core.module_block m) f;
+  let outer = List.hd (Affine.Loops.top_level_loops f) in
+  let inner = List.hd (Core.ops_of_block (Core.single_block outer 0)) in
+  let here = Core.parent_op inner in
+  let there, under =
+    Domain.join
+      (Domain.spawn (fun () -> (Core.parent_op inner, Core.is_under ~root:m inner)))
+  in
+  Alcotest.(check bool) "owner is the outer loop" true
+    (match here with Some p -> p == outer | None -> false);
+  Alcotest.(check bool) "same owner on another domain" true
+    (match (here, there) with Some a, Some b -> a == b | _ -> false);
+  Alcotest.(check bool) "is_under from another domain" true under
 
 let test_append_many_then_read () =
   (* O(1) appends flush correctly and preserve order across interleaved
@@ -254,8 +279,10 @@ let suite =
       test_use_lists_track_mutation;
     Alcotest.test_case "erase scrubs nested uses" `Quick
       test_erase_scrubs_nested_uses;
-    Alcotest.test_case "region registry does not leak" `Quick
-      test_region_registry_no_leak;
+    Alcotest.test_case "dropped module is reclaimed by the GC" `Quick
+      test_dropped_module_collected;
+    Alcotest.test_case "parent_op answers the same on every domain" `Quick
+      test_parent_op_across_domains;
     Alcotest.test_case "O(1) append flushes in order" `Quick
       test_append_many_then_read;
     Alcotest.test_case "insert and detach" `Quick test_insert_detach;
