@@ -174,36 +174,39 @@ let with_lock t f =
    which is the part worth watching once many domains share one
    handle. *)
 let m_hits =
-  lazy (Ir.Metrics.counter ~help:"cache lookups served a payload" "mlt_cache_hits")
+  Support.Once.make (fun () ->
+      Ir.Metrics.counter ~help:"cache lookups served a payload"
+        "mlt_cache_hits")
 
 let m_misses =
-  lazy
-    (Ir.Metrics.counter ~help:"cache lookups that fell through to a compile"
-       "mlt_cache_misses")
+  Support.Once.make (fun () ->
+      Ir.Metrics.counter ~help:"cache lookups that fell through to a compile"
+        "mlt_cache_misses")
 
 let m_stores =
-  lazy (Ir.Metrics.counter ~help:"cache blobs committed" "mlt_cache_stores")
+  Support.Once.make (fun () ->
+      Ir.Metrics.counter ~help:"cache blobs committed" "mlt_cache_stores")
 
 let m_find_seconds =
-  lazy
-    (Ir.Metrics.histogram ~help:"Cache.find latency incl. lock wait"
-       "mlt_cache_find_seconds")
+  Support.Once.make (fun () ->
+      Ir.Metrics.histogram ~help:"Cache.find latency incl. lock wait"
+        "mlt_cache_find_seconds")
 
 let m_store_seconds =
-  lazy
-    (Ir.Metrics.histogram ~help:"Cache.store latency incl. lock wait"
-       "mlt_cache_store_seconds")
+  Support.Once.make (fun () ->
+      Ir.Metrics.histogram ~help:"Cache.store latency incl. lock wait"
+        "mlt_cache_store_seconds")
 
 let count_hit t =
   t.c_hits <- t.c_hits + 1;
-  Ir.Metrics.incr (Lazy.force m_hits)
+  Ir.Metrics.incr (Support.Once.get m_hits)
 
 let count_miss t =
   t.c_misses <- t.c_misses + 1;
-  Ir.Metrics.incr (Lazy.force m_misses)
+  Ir.Metrics.incr (Support.Once.get m_misses)
 
 let find t k =
-  Ir.Metrics.time (Lazy.force m_find_seconds) @@ fun () ->
+  Ir.Metrics.time (Support.Once.get m_find_seconds) @@ fun () ->
   with_lock t (fun () ->
       if not (Hashtbl.mem t.c_committed k) then begin
         count_miss t;
@@ -240,10 +243,10 @@ let hit_miss t = with_lock t (fun () -> (t.c_hits, t.c_misses))
 let store t ~key:k json =
   if not (Support.Digest.is_hex k) then
     invalid_arg "Cache.store: key is not a digest";
-  Ir.Metrics.time (Lazy.force m_store_seconds) @@ fun () ->
+  Ir.Metrics.time (Support.Once.get m_store_seconds) @@ fun () ->
   with_lock t (fun () ->
       if not (Hashtbl.mem t.c_committed k) then begin
-        Ir.Metrics.incr (Lazy.force m_stores);
+        Ir.Metrics.incr (Support.Once.get m_stores);
         let path = blob_path t.c_dir k in
         Support.Atomic_io.mkdir_p (Filename.dirname path);
         let payload = Support.Json.to_string json in

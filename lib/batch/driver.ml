@@ -205,22 +205,24 @@ let compile_entry ~capture_remarks ~worker ?cache (e : Manifest.entry) =
    counters are bumped from the same aggregation that builds
    report.json, so a --metrics file and the report cannot disagree. *)
 let m_entries_done =
-  lazy
-    (Ir.Metrics.counter ~help:"batch entries compiled or served ok"
-       "mlt_batch_entries_done")
+  Support.Once.make (fun () ->
+      Ir.Metrics.counter ~help:"batch entries compiled or served ok"
+        "mlt_batch_entries_done")
 
 let m_entries_failed =
-  lazy (Ir.Metrics.counter ~help:"batch entries failed" "mlt_batch_entries_failed")
+  Support.Once.make (fun () ->
+      Ir.Metrics.counter ~help:"batch entries failed"
+        "mlt_batch_entries_failed")
 
 let m_entries_cached =
-  lazy
-    (Ir.Metrics.counter ~help:"batch entries served from the cache"
-       "mlt_batch_entries_cached")
+  Support.Once.make (fun () ->
+      Ir.Metrics.counter ~help:"batch entries served from the cache"
+        "mlt_batch_entries_cached")
 
 let m_wall_seconds =
-  lazy
-    (Ir.Metrics.gauge ~help:"wall-clock of the last batch run"
-       "mlt_batch_wall_seconds")
+  Support.Once.make (fun () ->
+      Ir.Metrics.gauge ~help:"wall-clock of the last batch run"
+        "mlt_batch_wall_seconds")
 
 let worker_hist worker =
   Ir.Metrics.histogram ~help:"per-entry wall-clock on this pool worker"
@@ -359,10 +361,10 @@ let run ?(domains = 1) ?(capture_remarks = false) ?(progress = false) ?cache
     }
   in
   if Ir.Metrics.enabled () then begin
-    Ir.Metrics.add (Lazy.force m_entries_done) (ok_count rp);
-    Ir.Metrics.add (Lazy.force m_entries_failed) (failed_count rp);
-    Ir.Metrics.add (Lazy.force m_entries_cached) hits;
-    Ir.Metrics.set (Lazy.force m_wall_seconds) wall
+    Ir.Metrics.add (Support.Once.get m_entries_done) (ok_count rp);
+    Ir.Metrics.add (Support.Once.get m_entries_failed) (failed_count rp);
+    Ir.Metrics.add (Support.Once.get m_entries_cached) hits;
+    Ir.Metrics.set (Support.Once.get m_wall_seconds) wall
   end;
   rp
 

@@ -643,14 +643,14 @@ type compiled = {
 }
 
 let m_compile_seconds =
-  lazy
-    (Metrics.histogram ~help:"Interp.Compile.compile_func latency"
-       "mlt_interp_compile_seconds")
+  Support.Once.make (fun () ->
+      Metrics.histogram ~help:"Interp.Compile.compile_func latency"
+        "mlt_interp_compile_seconds")
 
 let compile_func f =
   if not (Core.is_func f) then
     invalid_arg "Interp.Compile.compile_func: not a func.func";
-  Metrics.time (Lazy.force m_compile_seconds)
+  Metrics.time (Support.Once.get m_compile_seconds)
   @@ fun () ->
   Trace.span ~cat:"interp"
     ~args:[ ("func", Trace.A_str (Core.func_name f)) ]

@@ -212,13 +212,13 @@ let walk_func f args =
 (* ---------------- engine dispatch --------------------------------------- *)
 
 let m_exec_seconds =
-  lazy
-    (Metrics.histogram ~help:"interpreter function-execution latency"
-       "mlt_interp_exec_seconds")
+  Support.Once.make (fun () ->
+      Metrics.histogram ~help:"interpreter function-execution latency"
+        "mlt_interp_exec_seconds")
 
 let run_func ?engine f args =
   let engine = Option.value engine ~default:!Rt.default_engine in
-  Metrics.time (Lazy.force m_exec_seconds)
+  Metrics.time (Support.Once.get m_exec_seconds)
   @@ fun () ->
   Trace.span ~cat:"interp"
     ~args:

@@ -312,24 +312,38 @@ let prec = function
   | Mul _ | Floor_div _ | Mod _ -> 2
   | Add _ -> 1
 
-let rec pp_prec req fmt e =
+let rec add_prec b req e =
   let wrap = prec e < req in
-  if wrap then Format.fprintf fmt "(";
+  if wrap then Buffer.add_char b '(';
   (match e with
-  | Dim i -> Format.fprintf fmt "d%d" i
-  | Sym i -> Format.fprintf fmt "s%d" i
-  | Const c -> Format.fprintf fmt "%d" c
+  | Dim i ->
+      Buffer.add_char b 'd';
+      Buffer.add_string b (string_of_int i)
+  | Sym i ->
+      Buffer.add_char b 's';
+      Buffer.add_string b (string_of_int i)
+  | Const c -> Buffer.add_string b (string_of_int c)
   | Add (a, Const c) when c < 0 ->
-      Format.fprintf fmt "%a - %d" (pp_prec 1) a (-c)
-  | Add (a, Mul (Const (-1), b)) ->
-      Format.fprintf fmt "%a - %a" (pp_prec 1) a (pp_prec 2) b
-  | Add (a, b) -> Format.fprintf fmt "%a + %a" (pp_prec 1) a (pp_prec 1) b
-  | Mul (a, b) -> Format.fprintf fmt "%a * %a" (pp_prec 2) a (pp_prec 2) b
-  | Floor_div (a, b) ->
-      Format.fprintf fmt "%a floordiv %a" (pp_prec 3) a (pp_prec 3) b
-  | Mod (a, b) -> Format.fprintf fmt "%a mod %a" (pp_prec 3) a (pp_prec 3) b);
-  if wrap then Format.fprintf fmt ")"
+      add_prec b 1 a;
+      Buffer.add_string b " - ";
+      Buffer.add_string b (string_of_int (-c))
+  | Add (a, Mul (Const (-1), c)) -> add_binary b 1 a " - " 2 c
+  | Add (a, c) -> add_binary b 1 a " + " 1 c
+  | Mul (a, c) -> add_binary b 2 a " * " 2 c
+  | Floor_div (a, c) -> add_binary b 3 a " floordiv " 3 c
+  | Mod (a, c) -> add_binary b 3 a " mod " 3 c);
+  if wrap then Buffer.add_char b ')'
 
-let pp fmt e = pp_prec 0 fmt e
+and add_binary b pa a op pc c =
+  add_prec b pa a;
+  Buffer.add_string b op;
+  add_prec b pc c
 
-let to_string e = Format.asprintf "%a" pp e
+let add_to_buffer b e = add_prec b 0 e
+
+let to_string e =
+  let b = Buffer.create 32 in
+  add_to_buffer b e;
+  Buffer.contents b
+
+let pp fmt e = Format.pp_print_string fmt (to_string e)

@@ -138,19 +138,33 @@ let inverse_permutation p =
 
 let minor_identity ~n_dims ~results = make ~n_dims (List.map E.dim results)
 
-let pp fmt t =
-  let pp_vars fmt (prefix, n) =
+let add_to_buffer b t =
+  let add_vars prefix n =
     for i = 0 to n - 1 do
-      if i > 0 then Format.fprintf fmt ", ";
-      Format.fprintf fmt "%s%d" prefix i
+      if i > 0 then Buffer.add_string b ", ";
+      Buffer.add_string b prefix;
+      Buffer.add_string b (string_of_int i)
     done
   in
-  Format.fprintf fmt "(%a)" pp_vars ("d", t.n_dims);
-  if t.n_syms > 0 then Format.fprintf fmt "[%a]" pp_vars ("s", t.n_syms);
-  Format.fprintf fmt " -> (%a)"
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.fprintf fmt ", ")
-       E.pp)
-    t.exprs
+  Buffer.add_char b '(';
+  add_vars "d" t.n_dims;
+  Buffer.add_char b ')';
+  if t.n_syms > 0 then begin
+    Buffer.add_char b '[';
+    add_vars "s" t.n_syms;
+    Buffer.add_char b ']'
+  end;
+  Buffer.add_string b " -> (";
+  List.iteri
+    (fun i e ->
+      if i > 0 then Buffer.add_string b ", ";
+      E.add_to_buffer b e)
+    t.exprs;
+  Buffer.add_char b ')'
 
-let to_string t = Format.asprintf "%a" pp t
+let to_string t =
+  let b = Buffer.create 64 in
+  add_to_buffer b t;
+  Buffer.contents b
+
+let pp fmt t = Format.pp_print_string fmt (to_string t)

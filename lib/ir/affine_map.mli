@@ -63,5 +63,11 @@ val minor_identity : n_dims:int -> results:int list -> t
 val equal : t -> t -> bool
 
 val interner_stats : unit -> Support.Intern.stats
+
+(** [add_to_buffer b x] appends the textual form of [x] to [b]: the one
+    printer of this type, which {!Printer} calls directly; [pp] and
+    [to_string] are derived from it. *)
+val add_to_buffer : Buffer.t -> t -> unit
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -105,43 +105,57 @@ let rec intern a =
 
 let interner_stats = Interner.stats
 
-let rec pp fmt = function
-  | Unit -> Format.fprintf fmt "unit"
-  | Bool b -> Format.fprintf fmt "%b" b
-  | Int i -> Format.fprintf fmt "%d" i
-  | Float f -> Format.fprintf fmt "%h" f
-  | Str s -> Format.fprintf fmt "%S" s
-  | Type t -> Typ.pp fmt t
-  | Ints is ->
-      Format.fprintf fmt "[%a]"
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.fprintf fmt ", ")
-           Format.pp_print_int)
-        is
-  | Map m -> Format.fprintf fmt "affine_map<%a>" Affine_map.pp m
-  | Grouping g ->
-      let pp_group fmt = function
-        | [ d ] -> Format.fprintf fmt "%d" d
-        | ds ->
-            Format.fprintf fmt "{%a}"
-              (Format.pp_print_list
-                 ~pp_sep:(fun fmt () -> Format.fprintf fmt ", ")
-                 Format.pp_print_int)
-              ds
-      in
-      Format.fprintf fmt "{%a}"
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.fprintf fmt ", ")
-           pp_group)
-        g
-  | List l ->
-      Format.fprintf fmt "[%a]"
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.fprintf fmt ", ")
-           pp)
-        l
+let add_list b add xs =
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string b ", ";
+      add x)
+    xs
 
-let to_string t = Format.asprintf "%a" pp t
+let add_int b i = Buffer.add_string b (string_of_int i)
+
+(* Floats print in hexadecimal ([%h], exact) and strings as OCaml
+   literals ([%S]), so both parse back bit for bit. *)
+let rec add_to_buffer b = function
+  | Unit -> Buffer.add_string b "unit"
+  | Bool x -> Buffer.add_string b (string_of_bool x)
+  | Int i -> add_int b i
+  | Float f -> Buffer.add_string b (Printf.sprintf "%h" f)
+  | Str s ->
+      Buffer.add_char b '"';
+      Buffer.add_string b (String.escaped s);
+      Buffer.add_char b '"'
+  | Type t -> Typ.add_to_buffer b t
+  | Ints is ->
+      Buffer.add_char b '[';
+      add_list b (add_int b) is;
+      Buffer.add_char b ']'
+  | Map m ->
+      Buffer.add_string b "affine_map<";
+      Affine_map.add_to_buffer b m;
+      Buffer.add_char b '>'
+  | Grouping g ->
+      let add_group = function
+        | [ d ] -> add_int b d
+        | ds ->
+            Buffer.add_char b '{';
+            add_list b (add_int b) ds;
+            Buffer.add_char b '}'
+      in
+      Buffer.add_char b '{';
+      add_list b add_group g;
+      Buffer.add_char b '}'
+  | List l ->
+      Buffer.add_char b '[';
+      add_list b (add_to_buffer b) l;
+      Buffer.add_char b ']'
+
+let to_string t =
+  let b = Buffer.create 32 in
+  add_to_buffer b t;
+  Buffer.contents b
+
+let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 let kind_error want got =
   invalid_arg (Printf.sprintf "Attr: expected %s, got %s" want (to_string got))

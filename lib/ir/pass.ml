@@ -122,17 +122,18 @@ let wants_snapshot m name =
 (* Timing is recorded in a [Fun.protect] finalizer so that a pass raising
    mid-run still contributes its (partial) entry to the report. *)
 let metric_pass_seconds =
-  lazy (Metrics.histogram ~help:"per-pass wall-clock seconds" "mlt_pass_seconds")
+  Support.Once.make (fun () ->
+      Metrics.histogram ~help:"per-pass wall-clock seconds" "mlt_pass_seconds")
 
 let metric_pass_minor_words =
-  lazy
-    (Metrics.counter ~help:"minor-heap words allocated inside passes"
-       "mlt_pass_minor_words")
+  Support.Once.make (fun () ->
+      Metrics.counter ~help:"minor-heap words allocated inside passes"
+        "mlt_pass_minor_words")
 
 let metric_pass_major_collections =
-  lazy
-    (Metrics.counter ~help:"major collections triggered inside passes"
-       "mlt_pass_major_collections")
+  Support.Once.make (fun () ->
+      Metrics.counter ~help:"major collections triggered inside passes"
+        "mlt_pass_major_collections")
 
 let timed m ~name root body =
   let ops_before = count_ops root in
@@ -167,12 +168,12 @@ let timed m ~name root body =
       in
       m.recorded <- entry :: m.recorded;
       if Metrics.enabled () then begin
-        Metrics.observe (Lazy.force metric_pass_seconds) seconds;
+        Metrics.observe (Support.Once.get metric_pass_seconds) seconds;
         Metrics.add
-          (Lazy.force metric_pass_minor_words)
+          (Support.Once.get metric_pass_minor_words)
           (int_of_float gc.minor_words);
         Metrics.add
-          (Lazy.force metric_pass_major_collections)
+          (Support.Once.get metric_pass_major_collections)
           gc.major_collections
       end;
       if Trace.enabled () then

@@ -1,4 +1,9 @@
-module F = Format
+(* A hand-written emitter: every token goes straight into one [Buffer.t]
+   with [Buffer.add_string]/[add_char], and types, attributes and maps
+   append themselves through their own [add_to_buffer]. The output must
+   keep the bytes that scripts/mlt_opt_digests.txt and the cache-identity
+   pins recorded, quirks included: the double space before a [loc(]
+   trailer after an [outs(...)] group, and [%g] for float constants. *)
 
 type env = {
   names : (int, string) Hashtbl.t;  (** value id -> printed name *)
@@ -12,36 +17,58 @@ type env = {
   debug_locs : bool;
       (** append [loc(...)] trailers; off by default so the output stays
           parseable (the round-trip property the tests enforce) *)
+  b : Buffer.t;
 }
 
-let create_env ?(debug_locs = false) () =
+let create_env ?(debug_locs = false) b =
   {
     names = Hashtbl.create 64;
     used = Hashtbl.create 64;
     next_suffix = Hashtbl.create 64;
     counter = 0;
     debug_locs;
+    b;
   }
+
+let add_string env s = Buffer.add_string env.b s
+let add_char env c = Buffer.add_char env.b c
+let add_int env i = Buffer.add_string env.b (string_of_int i)
+
+let add_pad env indent =
+  for _ = 1 to indent do
+    Buffer.add_char env.b ' '
+  done
 
 (* [loc("gemm.c":4:3)] for frontend ops; derived ops name the pattern and
    the source locations its rewrite consumed, newest derivation first. *)
-let pp_loc_trailer fmt (op : Core.op) =
+let add_loc_trailer env (op : Core.op) =
   let known = Support.Loc.is_known op.Core.o_loc in
   match op.Core.o_prov with
   | [] ->
-      if known then
-        F.fprintf fmt " loc(%s)" (Support.Loc.to_string op.Core.o_loc)
+      if known then begin
+        add_string env " loc(";
+        add_string env (Support.Loc.to_string op.Core.o_loc);
+        add_char env ')'
+      end
   | dvs ->
-      F.fprintf fmt " loc(";
+      add_string env " loc(";
       List.iteri
         (fun i (d : Core.derivation) ->
-          if i > 0 then F.fprintf fmt " | ";
-          F.fprintf fmt "derived \"%s\" from [%s]" d.Core.dv_pattern
-            (String.concat ", "
-               (List.map Support.Loc.to_string d.Core.dv_locs)))
+          if i > 0 then add_string env " | ";
+          add_string env "derived \"";
+          add_string env d.Core.dv_pattern;
+          add_string env "\" from [";
+          List.iteri
+            (fun j l ->
+              if j > 0 then add_string env ", ";
+              add_string env (Support.Loc.to_string l))
+            d.Core.dv_locs;
+          add_char env ']')
         dvs;
-      F.fprintf fmt ")"
+      add_char env ')'
 
+(* The printed name of [v], assigned on first sight. A use before its
+   definition (never in verified IR) still prints something. *)
 let assign_name env (v : Core.value) =
   match Hashtbl.find_opt env.names v.v_id with
   | Some n -> n
@@ -58,7 +85,7 @@ let assign_name env (v : Core.value) =
         if not (Hashtbl.mem env.used base) then base
         else
           let rec try_suffix i =
-            let cand = Printf.sprintf "%s_%d" base i in
+            let cand = base ^ "_" ^ string_of_int i in
             if Hashtbl.mem env.used cand then try_suffix (i + 1)
             else begin
               Hashtbl.replace env.next_suffix base (i + 1);
@@ -72,268 +99,325 @@ let assign_name env (v : Core.value) =
       Hashtbl.replace env.names v.v_id name;
       name
 
-let value_ref env (v : Core.value) =
-  match Hashtbl.find_opt env.names v.v_id with
-  | Some n -> "%" ^ n
-  | None -> "%" ^ assign_name env v (* use before def: still print something *)
+let add_name env name =
+  add_char env '%';
+  add_string env name
+
+let add_value env v = add_name env (assign_name env v)
+
+let add_comma_list env add xs =
+  List.iteri
+    (fun i x ->
+      if i > 0 then add_string env ", ";
+      add x)
+    xs
+
+let add_values env vs = add_comma_list env (add_value env) vs
+let add_typ env t = Typ.add_to_buffer env.b t
+let add_attr env a = Attr.add_to_buffer env.b a
+
+let add_types env (vs : Core.value list) =
+  add_comma_list env (fun (v : Core.value) -> add_typ env v.v_typ) vs
 
 (* Print an affine map applied to operand values as inline index
    expressions, e.g. the map (d0, d1) -> (2*d0 + 1, d1) over [%i; %j]
    prints as "2 * %i + 1, %j". *)
-let pp_applied_expr env fmt (operands : Core.value array) e =
+let add_applied_expr env (operands : Core.value array) e =
   let module E = Affine_expr in
   let prec = function
     | E.Dim _ | E.Sym _ | E.Const _ -> 3
     | E.Mul _ | E.Floor_div _ | E.Mod _ -> 2
     | E.Add _ -> 1
   in
-  let rec go req fmt e =
+  let rec go req e =
     let wrap = prec e < req in
-    if wrap then F.fprintf fmt "(";
+    if wrap then add_char env '(';
     (match e with
-    | E.Dim i -> F.fprintf fmt "%s" (value_ref env operands.(i))
-    | E.Sym i -> F.fprintf fmt "s%d" i
-    | E.Const c -> F.fprintf fmt "%d" c
+    | E.Dim i -> add_value env operands.(i)
+    | E.Sym i ->
+        add_char env 's';
+        add_int env i
+    | E.Const c -> add_int env c
     | E.Add (a, E.Const c) when c < 0 ->
-        F.fprintf fmt "%a - %d" (go 1) a (-c)
-    | E.Add (a, b) -> F.fprintf fmt "%a + %a" (go 1) a (go 1) b
-    | E.Mul (a, b) -> F.fprintf fmt "%a * %a" (go 2) a (go 2) b
-    | E.Floor_div (a, b) -> F.fprintf fmt "%a floordiv %a" (go 3) a (go 3) b
-    | E.Mod (a, b) -> F.fprintf fmt "%a mod %a" (go 3) a (go 3) b);
-    if wrap then F.fprintf fmt ")"
+        go 1 a;
+        add_string env " - ";
+        add_int env (-c)
+    | E.Add (a, c) -> binary 1 a " + " 1 c
+    | E.Mul (a, c) -> binary 2 a " * " 2 c
+    | E.Floor_div (a, c) -> binary 3 a " floordiv " 3 c
+    | E.Mod (a, c) -> binary 3 a " mod " 3 c);
+    if wrap then add_char env ')'
+  and binary pa a op pc c =
+    go pa a;
+    add_string env op;
+    go pc c
   in
-  go 0 fmt e
+  go 0 e
 
-let pp_applied_map env fmt (map : Affine_map.t) operands =
-  List.iteri
-    (fun i e ->
-      if i > 0 then F.fprintf fmt ", ";
-      pp_applied_expr env fmt operands e)
-    map.Affine_map.exprs
-
-let pp_comma_list pp fmt xs =
-  List.iteri
-    (fun i x ->
-      if i > 0 then F.fprintf fmt ", ";
-      pp fmt x)
-    xs
-
-let pp_values env fmt vs =
-  pp_comma_list (fun fmt v -> F.pp_print_string fmt (value_ref env v)) fmt vs
+let add_applied_map env (map : Affine_map.t) operands =
+  add_comma_list env (add_applied_expr env operands) map.Affine_map.exprs
 
 (* ins(%a, %b : t, t) outs(%c : t) used by the linalg forms. *)
-let pp_ins_outs env fmt ~ins ~outs =
-  let pp_group kw fmt vs =
-    if vs <> [] then (
-      F.fprintf fmt "%s(%a : %a) " kw (pp_values env) vs
-        (pp_comma_list (fun fmt (v : Core.value) -> Typ.pp fmt v.v_typ))
-        vs)
+let add_ins_outs env ~ins ~outs =
+  let group kw vs =
+    if vs <> [] then begin
+      add_string env kw;
+      add_char env '(';
+      add_values env vs;
+      add_string env " : ";
+      add_types env vs;
+      add_string env ") "
+    end
   in
-  pp_group "ins" fmt ins;
-  pp_group "outs" fmt outs
+  group "ins" ins;
+  group "outs" outs
 
-let rec pp_op_in env indent fmt (op : Core.op) =
-  pp_op_body env indent fmt op;
-  if env.debug_locs then pp_loc_trailer fmt op
+let sorted_attrs (op : Core.op) = List.sort compare op.o_attrs
 
-and pp_op_body env indent fmt (op : Core.op) =
-  let pad = String.make indent ' ' in
+let add_results env results =
+  if results <> [] then begin
+    add_values env results;
+    add_string env " = "
+  end
+
+let add_close env indent =
+  add_pad env indent;
+  add_char env '}'
+
+let rec add_op env indent (op : Core.op) =
+  add_op_body env indent op;
+  if env.debug_locs then add_loc_trailer env op
+
+and add_op_body env indent (op : Core.op) =
+  Array.iter (fun r -> ignore (assign_name env r)) op.o_results;
   let results = Array.to_list op.o_results in
-  List.iter (fun r -> ignore (assign_name env r)) results;
-  let pp_results fmt =
-    if results <> [] then F.fprintf fmt "%a = " (pp_values env) results
-  in
   let operands = Array.to_list op.o_operands in
-  F.fprintf fmt "%s" pad;
+  add_pad env indent;
   match op.o_name with
   | "builtin.module" ->
-      F.fprintf fmt "builtin.module {\n";
-      pp_block_contents env (indent + 2) fmt (Core.single_block op 0);
-      F.fprintf fmt "%s}" pad
+      add_string env "builtin.module {\n";
+      add_block_contents env (indent + 2) (Core.single_block op 0);
+      add_close env indent
   | "func.func" ->
-      let name = Core.func_name op in
       let entry = Core.func_entry op in
-      F.fprintf fmt "func.func @%s(" name;
+      add_string env "func.func @";
+      add_string env (Core.func_name op);
+      add_char env '(';
       Array.iteri
         (fun i (a : Core.value) ->
-          if i > 0 then F.fprintf fmt ", ";
-          F.fprintf fmt "%s: %a"
-            ("%" ^ assign_name env a)
-            Typ.pp a.v_typ)
+          if i > 0 then add_string env ", ";
+          add_value env a;
+          add_string env ": ";
+          add_typ env a.v_typ)
         entry.b_args;
-      F.fprintf fmt ") {\n";
-      pp_block_contents env (indent + 2) fmt entry;
-      F.fprintf fmt "%s}" pad
-  | "func.return" ->
-      F.fprintf fmt "func.return";
-      if operands <> [] then F.fprintf fmt " %a" (pp_values env) operands
+      add_string env ") {\n";
+      add_block_contents env (indent + 2) entry;
+      add_close env indent
+  | ("func.return" | "affine.yield" | "scf.yield") as name ->
+      add_string env name;
+      if operands <> [] then begin
+        add_char env ' ';
+        add_values env operands
+      end
   | "affine.for" ->
       let iv = (Core.single_block op 0).b_args.(0) in
       let lb_map = Attr.get_map (Core.attr op "lower_bound") in
       let ub_map = Attr.get_map (Core.attr op "upper_bound") in
       let step = Attr.get_int (Core.attr op "step") in
-      let n_lb = Affine_map.n_results lb_map in
-      let lb_ops = Array.sub op.o_operands 0 (Array.length op.o_operands) in
       (* Operand layout: lb map operands then ub map operands. *)
-      let lb_operands = Array.sub lb_ops 0 lb_map.Affine_map.n_dims in
+      let lb_operands = Array.sub op.o_operands 0 lb_map.Affine_map.n_dims in
       let ub_operands =
-        Array.sub lb_ops lb_map.Affine_map.n_dims ub_map.Affine_map.n_dims
+        Array.sub op.o_operands lb_map.Affine_map.n_dims
+          ub_map.Affine_map.n_dims
       in
-      F.fprintf fmt "affine.for %s = " ("%" ^ assign_name env iv);
-      (if n_lb = 1 then pp_applied_map env fmt lb_map lb_operands
-       else (
-         F.fprintf fmt "max(";
-         pp_applied_map env fmt lb_map lb_operands;
-         F.fprintf fmt ")"));
-      F.fprintf fmt " to ";
-      (if Affine_map.n_results ub_map = 1 then
-         pp_applied_map env fmt ub_map ub_operands
-       else (
-         F.fprintf fmt "min(";
-         pp_applied_map env fmt ub_map ub_operands;
-         F.fprintf fmt ")"));
-      if step <> 1 then F.fprintf fmt " step %d" step;
-      F.fprintf fmt " {\n";
-      pp_block_contents env (indent + 2) fmt (Core.single_block op 0);
-      F.fprintf fmt "%s}" pad
-  | "affine.yield" ->
-      F.fprintf fmt "affine.yield";
-      if operands <> [] then F.fprintf fmt " %a" (pp_values env) operands
+      let bound kw map operands =
+        if Affine_map.n_results map = 1 then add_applied_map env map operands
+        else begin
+          add_string env kw;
+          add_char env '(';
+          add_applied_map env map operands;
+          add_char env ')'
+        end
+      in
+      add_string env "affine.for ";
+      add_value env iv;
+      add_string env " = ";
+      bound "max" lb_map lb_operands;
+      add_string env " to ";
+      bound "min" ub_map ub_operands;
+      if step <> 1 then begin
+        add_string env " step ";
+        add_int env step
+      end;
+      add_string env " {\n";
+      add_block_contents env (indent + 2) (Core.single_block op 0);
+      add_close env indent
   | "affine.load" ->
       let map = Attr.get_map (Core.attr op "map") in
       let memref = op.o_operands.(0) in
-      let idx_operands =
-        Array.sub op.o_operands 1 (Array.length op.o_operands - 1)
-      in
-      pp_results fmt;
-      F.fprintf fmt "affine.load %s[" (value_ref env memref);
-      pp_applied_map env fmt map idx_operands;
-      F.fprintf fmt "] : %a" Typ.pp memref.v_typ
+      add_results env results;
+      add_string env "affine.load ";
+      add_value env memref;
+      add_char env '[';
+      add_applied_map env map
+        (Array.sub op.o_operands 1 (Array.length op.o_operands - 1));
+      add_string env "] : ";
+      add_typ env memref.v_typ
   | "affine.store" ->
       let map = Attr.get_map (Core.attr op "map") in
       let value = op.o_operands.(0) in
       let memref = op.o_operands.(1) in
-      let idx_operands =
-        Array.sub op.o_operands 2 (Array.length op.o_operands - 2)
-      in
-      F.fprintf fmt "affine.store %s, %s[" (value_ref env value)
-        (value_ref env memref);
-      pp_applied_map env fmt map idx_operands;
-      F.fprintf fmt "] : %a" Typ.pp memref.v_typ
+      (* Name the memref before the value: for a use before its
+         definition the numbering depends on this order, and the pinned
+         digests were recorded with it. *)
+      let memref_name = assign_name env memref in
+      add_string env "affine.store ";
+      add_value env value;
+      add_string env ", ";
+      add_name env memref_name;
+      add_char env '[';
+      add_applied_map env map
+        (Array.sub op.o_operands 2 (Array.length op.o_operands - 2));
+      add_string env "] : ";
+      add_typ env memref.v_typ
   | "affine.apply" ->
-      let map = Attr.get_map (Core.attr op "map") in
-      pp_results fmt;
-      F.fprintf fmt "affine.apply ";
-      pp_applied_map env fmt map op.o_operands
-  | "affine.matmul" ->
-      F.fprintf fmt "affine.matmul %a : %a" (pp_values env) operands
-        (pp_comma_list (fun fmt (v : Core.value) -> Typ.pp fmt v.v_typ))
-        operands
+      add_results env results;
+      add_string env "affine.apply ";
+      add_applied_map env (Attr.get_map (Core.attr op "map")) op.o_operands
+  | "affine.matmul" | "blas.sgemm" | "blas.sgemv" | "blas.stranspose"
+  | "blas.sreshape_copy" | "blas.sconv2d" ->
+      add_string env op.o_name;
+      add_char env ' ';
+      add_values env operands;
+      add_string env " : ";
+      add_types env operands;
+      if op.o_name <> "affine.matmul" then
+        List.iter
+          (fun (k, a) ->
+            add_char env ' ';
+            add_string env k;
+            add_string env " = ";
+            add_attr env a)
+          (sorted_attrs op)
   | "scf.for" ->
       let iv = (Core.single_block op 0).b_args.(0) in
-      F.fprintf fmt "scf.for %s = %s to %s step %s {\n"
-        ("%" ^ assign_name env iv)
-        (value_ref env op.o_operands.(0))
-        (value_ref env op.o_operands.(1))
-        (value_ref env op.o_operands.(2));
-      pp_block_contents env (indent + 2) fmt (Core.single_block op 0);
-      F.fprintf fmt "%s}" pad
-  | "scf.yield" ->
-      F.fprintf fmt "scf.yield";
-      if operands <> [] then F.fprintf fmt " %a" (pp_values env) operands
+      (* Named step, ub, lb, then the induction variable (see
+         affine.store). *)
+      let step = assign_name env op.o_operands.(2) in
+      let ub = assign_name env op.o_operands.(1) in
+      let lb = assign_name env op.o_operands.(0) in
+      add_string env "scf.for ";
+      add_value env iv;
+      add_string env " = ";
+      add_name env lb;
+      add_string env " to ";
+      add_name env ub;
+      add_string env " step ";
+      add_name env step;
+      add_string env " {\n";
+      add_block_contents env (indent + 2) (Core.single_block op 0);
+      add_close env indent
   | "arith.constant" ->
-      pp_results fmt;
-      let v = op.o_results.(0) in
-      F.fprintf fmt "arith.constant ";
+      add_results env results;
+      add_string env "arith.constant ";
       (match Core.attr op "value" with
-      | Attr.Float f -> F.fprintf fmt "%g" f
-      | Attr.Int i -> F.fprintf fmt "%d" i
-      | a -> Attr.pp fmt a);
-      F.fprintf fmt " : %a" Typ.pp v.v_typ
-  | ( "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf"
-    | "arith.addi" | "arith.subi" | "arith.muli" ) as name ->
-      pp_results fmt;
-      F.fprintf fmt "%s %a : %a" name (pp_values env) operands Typ.pp
-        op.o_results.(0).v_typ
+      | Attr.Float f -> add_string env (Printf.sprintf "%g" f)
+      | Attr.Int i -> add_int env i
+      | a -> add_attr env a);
+      add_string env " : ";
+      add_typ env op.o_results.(0).v_typ
+  | "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf" | "arith.addi"
+  | "arith.subi" | "arith.muli" ->
+      add_results env results;
+      add_string env op.o_name;
+      add_char env ' ';
+      add_values env operands;
+      add_string env " : ";
+      add_typ env op.o_results.(0).v_typ
   | "memref.alloc" ->
-      pp_results fmt;
-      F.fprintf fmt "memref.alloc() : %a" Typ.pp op.o_results.(0).v_typ
+      add_results env results;
+      add_string env "memref.alloc() : ";
+      add_typ env op.o_results.(0).v_typ
   | "memref.dealloc" ->
-      F.fprintf fmt "memref.dealloc %s : %a"
-        (value_ref env op.o_operands.(0))
-        Typ.pp op.o_operands.(0).v_typ
+      add_string env "memref.dealloc ";
+      add_value env op.o_operands.(0);
+      add_string env " : ";
+      add_typ env op.o_operands.(0).v_typ
   | "linalg.matmul" | "linalg.matvec" | "linalg.conv2d_nchw" ->
       let n_in = Array.length op.o_operands - 1 in
-      let ins = Array.to_list (Array.sub op.o_operands 0 n_in) in
-      let outs = [ op.o_operands.(n_in) ] in
-      F.fprintf fmt "%s " op.o_name;
-      pp_ins_outs env fmt ~ins ~outs
-  | "linalg.transpose" ->
-      F.fprintf fmt "linalg.transpose ";
-      pp_ins_outs env fmt
-        ~ins:[ op.o_operands.(0) ]
-        ~outs:[ op.o_operands.(1) ];
-      F.fprintf fmt "permutation = %a" Attr.pp (Core.attr op "permutation")
-  | "linalg.reshape" ->
-      F.fprintf fmt "linalg.reshape ";
-      pp_ins_outs env fmt
-        ~ins:[ op.o_operands.(0) ]
-        ~outs:[ op.o_operands.(1) ];
-      F.fprintf fmt "grouping = %a" Attr.pp (Core.attr op "grouping")
+      add_string env op.o_name;
+      add_char env ' ';
+      add_ins_outs env
+        ~ins:(Array.to_list (Array.sub op.o_operands 0 n_in))
+        ~outs:[ op.o_operands.(n_in) ]
+  | ("linalg.transpose" | "linalg.reshape") as name ->
+      add_string env name;
+      add_char env ' ';
+      add_ins_outs env ~ins:[ op.o_operands.(0) ] ~outs:[ op.o_operands.(1) ];
+      let key =
+        if name = "linalg.transpose" then "permutation" else "grouping"
+      in
+      add_string env key;
+      add_string env " = ";
+      add_attr env (Core.attr op key)
   | "linalg.fill" ->
-      F.fprintf fmt "linalg.fill value = %a " Attr.pp (Core.attr op "value");
-      pp_ins_outs env fmt ~ins:[] ~outs:[ op.o_operands.(0) ]
+      add_string env "linalg.fill value = ";
+      add_attr env (Core.attr op "value");
+      add_char env ' ';
+      add_ins_outs env ~ins:[] ~outs:[ op.o_operands.(0) ]
   | "linalg.contract" ->
       let n_in = Array.length op.o_operands - 1 in
-      let ins = Array.to_list (Array.sub op.o_operands 0 n_in) in
-      let outs = [ op.o_operands.(n_in) ] in
-      F.fprintf fmt "linalg.contract indexing_maps = %a " Attr.pp
-        (Core.attr op "indexing_maps");
-      pp_ins_outs env fmt ~ins ~outs
-  | "blas.sgemm" | "blas.sgemv" | "blas.stranspose" | "blas.sreshape_copy"
-  | "blas.sconv2d" ->
-      F.fprintf fmt "%s %a : %a" op.o_name (pp_values env) operands
-        (pp_comma_list (fun fmt (v : Core.value) -> Typ.pp fmt v.v_typ))
-        operands;
-      List.iter
-        (fun (k, a) -> F.fprintf fmt " %s = %a" k Attr.pp a)
-        (List.sort compare op.o_attrs)
+      add_string env "linalg.contract indexing_maps = ";
+      add_attr env (Core.attr op "indexing_maps");
+      add_char env ' ';
+      add_ins_outs env
+        ~ins:(Array.to_list (Array.sub op.o_operands 0 n_in))
+        ~outs:[ op.o_operands.(n_in) ]
   | name ->
       (* Generic form. *)
-      pp_results fmt;
-      F.fprintf fmt "\"%s\"(%a)" name (pp_values env) operands;
-      if op.o_attrs <> [] then (
-        F.fprintf fmt " {";
-        List.iteri
-          (fun i (k, a) ->
-            if i > 0 then F.fprintf fmt ", ";
-            F.fprintf fmt "%s = %a" k Attr.pp a)
-          (List.sort compare op.o_attrs);
-        F.fprintf fmt "}");
+      add_results env results;
+      add_char env '"';
+      add_string env name;
+      add_string env "\"(";
+      add_values env operands;
+      add_char env ')';
+      if op.o_attrs <> [] then begin
+        add_string env " {";
+        add_comma_list env
+          (fun (k, a) ->
+            add_string env k;
+            add_string env " = ";
+            add_attr env a)
+          (sorted_attrs op);
+        add_char env '}'
+      end;
       Array.iter
         (fun (r : Core.region) ->
-          F.fprintf fmt " ({\n";
-          List.iter (fun b -> pp_block_contents env (indent + 2) fmt b) r.r_blocks;
-          F.fprintf fmt "%s})" pad)
+          add_string env " ({\n";
+          List.iter (add_block_contents env (indent + 2)) r.r_blocks;
+          add_pad env indent;
+          add_string env "})")
         op.o_regions;
-      F.fprintf fmt " : (%a) -> (%a)"
-        (pp_comma_list (fun fmt (v : Core.value) -> Typ.pp fmt v.v_typ))
-        operands
-        (pp_comma_list (fun fmt (v : Core.value) -> Typ.pp fmt v.v_typ))
-        results
+      add_string env " : (";
+      add_types env operands;
+      add_string env ") -> (";
+      add_types env results;
+      add_char env ')'
 
-and pp_block_contents env indent fmt (b : Core.block) =
+and add_block_contents env indent (b : Core.block) =
   List.iter
     (fun op ->
-      pp_op_in env indent fmt op;
-      F.fprintf fmt "\n")
+      add_op env indent op;
+      add_char env '\n')
     (Core.ops_of_block b)
 
-let pp_op ?debug_locs fmt op =
-  let env = create_env ?debug_locs () in
-  pp_op_in env 0 fmt op
+let op_to_string ?debug_locs op =
+  let env = create_env ?debug_locs (Buffer.create 1024) in
+  add_op env 0 op;
+  Buffer.contents env.b
 
-let op_to_string ?debug_locs op = F.asprintf "%a" (pp_op ?debug_locs) op
+let pp_op ?debug_locs fmt op =
+  Format.pp_print_string fmt (op_to_string ?debug_locs op)
 
 let debug_value v =
   match v.Core.v_hint with

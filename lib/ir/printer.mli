@@ -7,8 +7,14 @@
     form. {!Parser} accepts exactly what this module prints, giving a
     round-trip property that the tests enforce. *)
 
-(** [pp_op fmt op] prints a whole operation tree (typically a module or a
-    function) followed by a newline for nested ops.
+(** [op_to_string op] prints a whole operation tree (typically a module
+    or a function); nested ops end in a newline.
+
+    The emitter writes straight into one [Buffer.t]
+    ([Buffer.add_string]/[add_char]; types, attributes and affine maps
+    append themselves through their [add_to_buffer]), with no [Format]
+    engine in between. Its bytes are the ones the earlier
+    [Format]-based printer produced.
 
     [debug_locs] (default false) appends a [loc(...)] trailer to every
     op that has a known source location or a provenance chain:
@@ -17,9 +23,11 @@
     rewrite ([mlt-opt --print-debug-locs]). Trailers are not part of the
     parseable syntax, so the round-trip property holds only for the
     default form. *)
-val pp_op : ?debug_locs:bool -> Format.formatter -> Core.op -> unit
-
 val op_to_string : ?debug_locs:bool -> Core.op -> string
+
+(** [pp_op fmt op] — a thin wrapper that writes {!op_to_string}[ op] to
+    [fmt]. *)
+val pp_op : ?debug_locs:bool -> Format.formatter -> Core.op -> unit
 
 (** [debug_value v] renders a value for diagnostics (hint + internal id);
     names are not the printer's stable SSA names. *)

@@ -107,29 +107,41 @@ let rec intern t =
 
 let interner_stats = Interner.stats
 
-let rec pp fmt = function
-  | F32 -> Format.fprintf fmt "f32"
-  | F64 -> Format.fprintf fmt "f64"
-  | I1 -> Format.fprintf fmt "i1"
-  | I32 -> Format.fprintf fmt "i32"
-  | I64 -> Format.fprintf fmt "i64"
-  | Index -> Format.fprintf fmt "index"
+let rec add_to_buffer b = function
+  | F32 -> Buffer.add_string b "f32"
+  | F64 -> Buffer.add_string b "f64"
+  | I1 -> Buffer.add_string b "i1"
+  | I32 -> Buffer.add_string b "i32"
+  | I64 -> Buffer.add_string b "i64"
+  | Index -> Buffer.add_string b "index"
   | Mem_ref (shape, elem) ->
-      Format.fprintf fmt "memref<";
+      Buffer.add_string b "memref<";
       List.iter
         (fun d ->
           (match d with
-          | Static n -> Format.fprintf fmt "%d" n
-          | Dynamic -> Format.fprintf fmt "?");
-          Format.fprintf fmt "x")
+          | Static n -> Buffer.add_string b (string_of_int n)
+          | Dynamic -> Buffer.add_char b '?');
+          Buffer.add_char b 'x')
         shape;
-      Format.fprintf fmt "%a>" pp elem
+      add_to_buffer b elem;
+      Buffer.add_char b '>'
   | Fun (args, results) ->
-      let pp_list fmt ts =
-        Format.pp_print_list
-          ~pp_sep:(fun fmt () -> Format.fprintf fmt ", ")
-          pp fmt ts
-      in
-      Format.fprintf fmt "(%a) -> (%a)" pp_list args pp_list results
+      Buffer.add_char b '(';
+      add_list b args;
+      Buffer.add_string b ") -> (";
+      add_list b results;
+      Buffer.add_char b ')'
 
-let to_string t = Format.asprintf "%a" pp t
+and add_list b ts =
+  List.iteri
+    (fun i t ->
+      if i > 0 then Buffer.add_string b ", ";
+      add_to_buffer b t)
+    ts
+
+let to_string t =
+  let b = Buffer.create 32 in
+  add_to_buffer b t;
+  Buffer.contents b
+
+let pp fmt t = Format.pp_print_string fmt (to_string t)

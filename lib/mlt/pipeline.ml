@@ -28,10 +28,10 @@ let config_of_name name =
 let all_figure9_configs =
   [ Clang_O3; Pluto_default; Pluto_best; Mlt_linalg; Mlt_blas ]
 
-(* The raising steps only this library can implement: the tactic sets
-   compile TDL and freeze pattern sets at script-compilation time, once
-   per script rather than once per payload. Registered through the
-   same write-once-before-parallelism discipline as dialects. *)
+(* The raising steps only this library can implement. The tactic sets
+   are built once per process (Tactics' build-once cells), so compiling
+   a script only looks them up. Registered through the same
+   write-once-before-parallelism discipline as dialects. *)
 let steps_registered = Atomic.make false
 
 let register_transform_steps () =
@@ -40,15 +40,10 @@ let register_transform_steps () =
       Transform.Interp.register_step "transform.raise" (fun t_op ->
           match Attr.get_str (Core.attr t_op "set") with
           | "linalg" ->
-              let frozen = Rewriter.freeze (Tactics.all ()) in
+              let frozen = Tactics.linalg_set () in
               fun payload -> Rewriter.apply_greedily payload frozen
           | "affine-matmul" ->
-              let frozen =
-                Rewriter.freeze
-                  (Tdl.Backend.compile_tdl
-                     ~target:Tdl.Backend.To_affine_matmul
-                     Tdl.Frontend.gemm_tdl)
-              in
+              let frozen = Tactics.affine_matmul_set () in
               fun payload -> Rewriter.apply_greedily payload frozen
           | "affine" -> T.Raise_scf.run
           | other ->

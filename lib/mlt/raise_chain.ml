@@ -201,6 +201,6 @@ let pattern () =
             | Some chain -> rewrite_chain func chain
             | None -> false))
 
-let frozen = lazy (Rewriter.freeze [ pattern () ])
+let frozen = Support.Once.make (fun () -> Rewriter.freeze [ pattern () ])
 
-let reorder func = Rewriter.apply_greedily func (Lazy.force frozen)
+let reorder func = Rewriter.apply_greedily func (Support.Once.get frozen)

@@ -105,11 +105,20 @@ let fill_pattern () =
 
 let all () = (fill_pattern () :: standard ()) @ paper_contractions ()
 
-let raise_to_linalg root = Rewriter.apply_greedily root (Rewriter.freeze (all ()))
+(* Frozen sets are immutable and shareable across domains
+   (docs/CONCURRENCY.md), so each built-in set is compiled from TDL and
+   frozen once per process, not once per raising step. *)
+let linalg_cell = Support.Once.make (fun () -> Rewriter.freeze (all ()))
+
+let affine_matmul_cell =
+  Support.Once.make (fun () ->
+      Rewriter.freeze
+        (Tdl.Backend.compile_tdl ~target:Tdl.Backend.To_affine_matmul
+           Tdl.Frontend.gemm_tdl))
+
+let linalg_set () = Support.Once.get linalg_cell
+let affine_matmul_set () = Support.Once.get affine_matmul_cell
+let raise_to_linalg root = Rewriter.apply_greedily root (linalg_set ())
 
 let raise_to_affine_matmul root =
-  let pats =
-    Tdl.Backend.compile_tdl ~target:Tdl.Backend.To_affine_matmul
-      Tdl.Frontend.gemm_tdl
-  in
-  Rewriter.apply_greedily root (Rewriter.freeze pats)
+  Rewriter.apply_greedily root (affine_matmul_set ())

@@ -30,10 +30,20 @@ val fill_pattern : unit -> Rewriter.pattern
 (** Everything: standard + paper contractions + fill. *)
 val all : unit -> Rewriter.pattern list
 
-(** [raise_to_linalg root] applies {!all} greedily; returns the number of
-    raised sites. *)
+(** {!all}, frozen: the [transform.raise] step's [linalg] set. Built on
+    the first call process-wide (a {!Support.Once} cell); every call
+    returns the same immutable set, shareable across domains. *)
+val linalg_set : unit -> Rewriter.Frozen.t
+
+(** The frozen GEMM tactic targeting [affine.matmul]: the
+    [affine-matmul] set, built once like {!linalg_set}. *)
+val affine_matmul_set : unit -> Rewriter.Frozen.t
+
+(** [raise_to_linalg root] applies {!linalg_set} greedily; returns the
+    number of raised sites. *)
 val raise_to_linalg : Core.op -> int
 
 (** [raise_to_affine_matmul root] — the §5.1 path: GEMM loop nests become
-    [affine.matmul] (flag [-raise-affine-to-affine]). *)
+    [affine.matmul] (flag [-raise-affine-to-affine]) by applying
+    {!affine_matmul_set}. *)
 val raise_to_affine_matmul : Core.op -> int

@@ -133,9 +133,9 @@ let sole_func m =
   | fs -> D.errorf "tune: expected one kernel, found %d" (List.length fs)
 
 let m_eval_seconds =
-  lazy
-    (Metrics.histogram ~help:"tuner candidate-evaluation wall-clock"
-       "mlt_tune_eval_seconds")
+  Support.Once.make (fun () ->
+      Metrics.histogram ~help:"tuner candidate-evaluation wall-clock"
+        "mlt_tune_eval_seconds")
 
 let search ?(domains = 1) ?(seed = 0) ?limit ~machine ~translate candidates =
   let candidates =
@@ -157,7 +157,7 @@ let search ?(domains = 1) ?(seed = 0) ?limit ~machine ~translate candidates =
      latency, distinct from the modelled seconds it scores. Each slot is
      written by exactly one worker; the pool's joins publish them. *)
   let walls = Array.make n 0. in
-  let eval_seconds = Lazy.force m_eval_seconds in
+  let eval_seconds = Support.Once.get m_eval_seconds in
   let eval ~worker:_ i =
     let t0 = Unix.gettimeofday () in
     (match

@@ -3,6 +3,13 @@
 set -eu
 cd "$(dirname "$0")/.."
 dune build
+# Build-once values live in Support.Once cells, never in a Stdlib lazy:
+# two domains forcing the same unforced lazy at once make one of them
+# raise CamlinternalLazy.Undefined (docs/CONCURRENCY.md).
+if grep -rnw lazy lib --include='*.ml'; then
+  echo "check.sh: lib/ uses lazy; build once with Support.Once instead" >&2
+  exit 1
+fi
 dune runtest
 # Smoke-run the micro benchmarks so rewrite-driver regressions (which the
 # unit tests may not exercise at scale) still fail the gate.

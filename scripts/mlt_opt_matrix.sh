@@ -118,3 +118,12 @@ do
   # shellcheck disable=SC2086
   run "$tmp/lowered.mlir" $flags | sed "s|$tmp/||"
 done
+
+# Printer paths the flag matrix above does not reach: provenance trailers
+# on raised ops (--print-debug-locs) and the per-pass IR snapshots of
+# --print-ir-after-all (both on stdout).
+for kernel in gemm chain contraction; do
+  run "$k/$kernel.c" --raise-affine-to-linalg --print-debug-locs
+done
+run "$k/gemm.c" --canonicalize --raise-affine-to-linalg --reorder-chains \
+  --convert-linalg-to-blas --print-ir-after-all

@@ -306,6 +306,47 @@ let test_different_tilings_never_alias () =
     (List.hd cold2.Batch.Driver.rp_results).Batch.Driver.r_ir
     (List.hd warm2.Batch.Driver.rp_results).Batch.Driver.r_ir
 
+(* The cache identity of a schedule is the printed transform script, so
+   it is only as stable as the printer's bytes. Each built-in config and
+   one custom script with per-dimension tile sizes and BLIS parameters
+   keep the digest they had when these pins were recorded: a printer
+   change that shifts a byte would orphan every cached artifact. *)
+let test_cache_identity_digests_pinned () =
+  let module P = Mlt.Pipeline in
+  let module S = Transform.Script in
+  let pin schedule expected =
+    Alcotest.(check string)
+      ("cache identity of " ^ P.schedule_name schedule)
+      expected
+      (Support.Digest.string (P.schedule_cache_identity schedule))
+  in
+  List.iter
+    (fun (c, expected) -> pin (P.Config c) expected)
+    [
+      (P.Clang_O3, "82e6ba8a4fdf5c92bdee401a205423fa");
+      (P.Pluto_default, "385d9675cfe7cae518db2fdfc19a640d");
+      (P.Pluto_best, "385d9675cfe7cae518db2fdfc19a640d");
+      (P.Mlt_linalg, "1e06e53ccbd9a92252d721b4e18f8cca");
+      (P.Mlt_blas, "618b8e1103e8e6c81aab1b037214d03d");
+      (P.Mlt_affine_blis, "82212a1278e88fd9b84a17e62fa73a7c");
+    ];
+  pin
+    (P.schedule_of_steps ~name:"custom"
+       [
+         S.Fuse Transforms.Loop_fuse.Smart_fuse;
+         S.Tile [ 32; 16; 8 ];
+         S.Interchange;
+         S.Unroll 4;
+         S.Canonicalize true;
+         S.Raise "linalg";
+         S.Lower_linalg (Some 24);
+         S.Blis_schedule
+           { Transforms.Blis_schedule.mc = 96; nc = 2048; kc = 256 };
+         S.Lower_affine;
+         S.Dce;
+       ])
+    "5ece6d2123ae3f89ee3ca0a793ccf597"
+
 let suite =
   [
     Alcotest.test_case "commits persist across reopen" `Quick
@@ -346,4 +387,6 @@ let suite =
       test_killed_run_resumes_from_checkpoints;
     Alcotest.test_case "different tilings never alias in the cache" `Quick
       test_different_tilings_never_alias;
+    Alcotest.test_case "schedule cache identities keep their digests" `Quick
+      test_cache_identity_digests_pinned;
   ]

@@ -213,6 +213,57 @@ let test_mkdir_p () =
   | () -> Alcotest.fail "expected mkdir_p of a file to fail"
   | exception Support.Diag.Error _ -> ()
 
+(* A first [Once.get] raced from several fresh domains: the slow
+   initializer (~10 ms of spinning) keeps the race window wide open, so
+   every domain arrives while the winner is still computing. All must
+   get the physically same value, and the initializer must run once.
+   (A Stdlib [lazy] raises [CamlinternalLazy.Undefined] here.) *)
+let test_once_contended () =
+  let n = 4 in
+  let runs = Atomic.make 0 in
+  let cell =
+    Support.Once.make (fun () ->
+        Atomic.incr runs;
+        let t0 = Unix.gettimeofday () in
+        while Unix.gettimeofday () -. t0 < 0.010 do
+          Domain.cpu_relax ()
+        done;
+        ref 42)
+  in
+  let arrived = Atomic.make 0 in
+  let force () =
+    Atomic.incr arrived;
+    while Atomic.get arrived < n do
+      Domain.cpu_relax ()
+    done;
+    Support.Once.get cell
+  in
+  let domains = List.init n (fun _ -> Domain.spawn force) in
+  let values = List.map Domain.join domains in
+  let first = List.hd values in
+  Alcotest.(check bool) "every domain got the same value" true
+    (List.for_all (fun v -> v == first) values);
+  Alcotest.(check bool) "and the main domain too" true
+    (Support.Once.get cell == first);
+  Alcotest.(check int) "the initializer ran exactly once" 1 (Atomic.get runs);
+  Alcotest.(check int) "with the value it built" 42 !first
+
+(* An initializer that raises publishes nothing: the exception reaches
+   the caller and the next [get] runs the initializer again. *)
+let test_once_retries_after_failure () =
+  let attempts = ref 0 in
+  let cell =
+    Support.Once.make (fun () ->
+        incr attempts;
+        if !attempts = 1 then failwith "first attempt" else !attempts)
+  in
+  (match Support.Once.get cell with
+  | _ -> Alcotest.fail "expected the first initializer to raise"
+  | exception Failure _ -> ());
+  Alcotest.(check int) "second get runs it again" 2 (Support.Once.get cell);
+  Alcotest.(check int) "then the value sticks" 2 (Support.Once.get cell);
+  Alcotest.(check int) "two initializer runs in all" 2 !attempts
+
 let suite =
   [
     Alcotest.test_case "locations" `Quick test_loc;
@@ -228,4 +279,8 @@ let suite =
     Alcotest.test_case "atomic writes never tear" `Quick test_atomic_write;
     Alcotest.test_case "mkdir_p rejects files on the path" `Quick
       test_mkdir_p;
+    Alcotest.test_case "once cell forced from racing domains" `Quick
+      test_once_contended;
+    Alcotest.test_case "once cell retries a failed initializer" `Quick
+      test_once_retries_after_failure;
   ]

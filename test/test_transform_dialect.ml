@@ -220,6 +220,48 @@ let test_schedule_names () =
   Alcotest.(check string) "explicit name wins" "mine"
     (P.schedule_name (P.schedule_of_steps ~name:"mine" [ Script.Dce ]))
 
+(* ---- the compile path allocates little -------------------------------- *)
+
+(* Minor words allocated by one call of [f] (a deterministic proxy for
+   its cost: the same code allocates the same words on every host). *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
+(* The built-in tactic sets are compiled from TDL and frozen once per
+   process, so compiling a raising script after the first time only
+   builds its step closures (a few hundred words; compiling and
+   freezing the linalg set alone takes about 27,000). *)
+let test_compile_steps_reuse_tactic_sets () =
+  List.iter
+    (fun config ->
+      let steps = P.steps_of_config config in
+      ignore (Transform.Interp.compile_steps steps);
+      let words =
+        minor_words (fun () -> Transform.Interp.compile_steps steps)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "compile_steps %s allocates %.0f < 2000 words"
+           (P.config_name config) words)
+        true (words < 2000.))
+    [ P.Mlt_linalg; P.Mlt_blas ];
+  Alcotest.(check bool) "one frozen linalg set" true
+    (Mlt.Tactics.linalg_set () == Mlt.Tactics.linalg_set ());
+  Alcotest.(check bool) "one frozen affine-matmul set" true
+    (Mlt.Tactics.affine_matmul_set () == Mlt.Tactics.affine_matmul_set ())
+
+(* The printer emits straight into one buffer: about 1,900 words for
+   this 865-byte module, where going through [Format] took 8,898. *)
+let test_printer_allocation () =
+  let m = P.prepare_schedule (P.Config P.Clang_O3) (W.gemm ()) in
+  ignore (Printer.op_to_string m);
+  let words = minor_words (fun () -> Printer.op_to_string m) in
+  Alcotest.(check bool)
+    (Printf.sprintf "printing the clang-O3 gemm allocates %.0f < 4500 words"
+       words)
+    true (words < 4500.)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_roundtrip;
@@ -236,4 +278,8 @@ let suite =
     Alcotest.test_case "verifier rejects malformed scripts" `Quick
       test_verifier_rejections;
     Alcotest.test_case "custom schedule naming" `Quick test_schedule_names;
+    Alcotest.test_case "compile_steps reuses the frozen tactic sets" `Quick
+      test_compile_steps_reuse_tactic_sets;
+    Alcotest.test_case "printer allocation on the clang-O3 gemm" `Quick
+      test_printer_allocation;
   ]
