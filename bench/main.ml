@@ -185,12 +185,30 @@ let overhead () =
   (* Per-pass attribution of the with-MLT pipeline: one instrumented run
      over all kernels, aggregated by pass. *)
   let pm = Pass.create_manager () in
+  let attempts0, rewrites0 = Rewriter.counter_totals () in
   ignore (P.compile_time ~pm `With_mlt sources);
+  let attempts1, rewrites1 = Rewriter.counter_totals () in
   Printf.printf
     "\nper-pass breakdown (with-mlt, 1 run over %d kernels):\n"
     (List.length sources);
   print_string (Pass.summary_table pm);
-  Printf.printf "pass-stats: %s\n" (Pass.summary_json pm)
+  Printf.printf "pass-stats: %s\n" (Pass.summary_json pm);
+  (* Every driver run happens inside some pass, so the per-pass rows must
+     account for exactly the work the domain's totals saw. *)
+  let attempts, rewrites =
+    List.fold_left
+      (fun (a, r) s -> (a + s.Pass.s_match_attempts, r + s.Pass.s_rewrites))
+      (0, 0) (Pass.summarize pm)
+  in
+  if attempts <> attempts1 - attempts0 || rewrites <> rewrites1 - rewrites0
+  then
+    Support.Diag.errorf
+      "bench overhead: per-pass rows count %d attempts / %d rewrites, the \
+       domain totals %d / %d"
+      attempts rewrites (attempts1 - attempts0) (rewrites1 - rewrites0);
+  Printf.printf
+    "per-pass counts match the domain totals: %d attempts, %d rewrites\n"
+    attempts rewrites
 
 (* ---------------- Micro benchmarks (bechamel) ---------------------------- *)
 

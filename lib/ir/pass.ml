@@ -56,38 +56,6 @@ type timing = {
   pattern_stats : Rewriter.pattern_stat list;
 }
 
-(* Per-pattern deltas between two [Rewriter.pattern_totals] snapshots,
-   keeping only the patterns that participated in this pass (activated,
-   attempted, or applied). Counters are monotonic, so every [before] row
-   is present in [after]. Rows are ordered by name: the registry's
-   registration order reflects the domain's whole compile history, so it
-   differs between a fresh domain and one that has compiled other
-   pipelines first — sorting keeps recorded stats independent of that. *)
-let pattern_delta before after =
-  let prior = Hashtbl.create 32 in
-  List.iter
-    (fun (s : Rewriter.pattern_stat) -> Hashtbl.replace prior s.ps_name s)
-    before;
-  List.filter_map
-    (fun (s : Rewriter.pattern_stat) ->
-      let d =
-        match Hashtbl.find_opt prior s.ps_name with
-        | None -> s
-        | Some p ->
-            {
-              s with
-              ps_attempts = s.ps_attempts - p.ps_attempts;
-              ps_hits = s.ps_hits - p.ps_hits;
-              ps_activations = s.ps_activations - p.ps_activations;
-            }
-      in
-      if d.ps_attempts > 0 || d.ps_hits > 0 || d.ps_activations > 0 then
-        Some d
-      else None)
-    after
-  |> List.sort (fun (a : Rewriter.pattern_stat) b ->
-         String.compare a.ps_name b.ps_name)
-
 type snapshot_policy = No_snapshots | After_all | After_named of string list
 
 type manager = {
@@ -137,8 +105,7 @@ let metric_pass_major_collections =
 
 let timed m ~name root body =
   let ops_before = count_ops root in
-  let attempts0, rewrites0 = Rewriter.counter_totals () in
-  let patterns0 = Rewriter.pattern_totals () in
+  let tally = Rewriter.tally () in
   let gc0 = Gc.quick_stat () in
   let mw0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
@@ -153,17 +120,19 @@ let timed m ~name root body =
         { (gc_delta gc0 (Gc.quick_stat ())) with
           minor_words = Gc.minor_words () -. mw0 }
       in
-      let attempts1, rewrites1 = Rewriter.counter_totals () in
+      let match_attempts, rewrites, pattern_stats =
+        Rewriter.tally_counts tally
+      in
       let entry =
         {
           pass_name = name;
           seconds;
           ops_before;
           ops_after = count_ops root;
-          match_attempts = attempts1 - attempts0;
-          rewrites = rewrites1 - rewrites0;
+          match_attempts;
+          rewrites;
           gc;
-          pattern_stats = pattern_delta patterns0 (Rewriter.pattern_totals ());
+          pattern_stats;
         }
       in
       m.recorded <- entry :: m.recorded;
@@ -186,7 +155,7 @@ let timed m ~name root body =
               ("minor_words", Trace.A_int (int_of_float gc.minor_words));
             ]
           name)
-    body
+    (fun () -> Rewriter.with_tally tally body)
 
 let run_pass m root p =
   (* Re-report mid-pass diagnostics with the failing pass's name; the

@@ -1,8 +1,8 @@
 (** Passes and an instrumented pass manager.
 
     The manager records, per executed pass: wall-clock seconds, op counts
-    before/after, and the pattern-driver match/rewrite counters
-    ({!Rewriter.counter_totals}) attributed to that pass. The §5.2
+    before/after, and the pattern-driver match/rewrite counts of the
+    driver runs inside that pass (a {!Rewriter.tally} open around it). The §5.2
     compile-time overhead experiment reads the timings; the per-pass
     statistics back the observability flags of [mlt-opt]/[mlt-sim]
     ([--timing], [--pass-stats], [--print-ir-after-all]) described in
@@ -41,11 +41,10 @@ type timing = {
   rewrites : int;  (** Successful pattern applications during this pass. *)
   gc : gc_delta;  (** Allocation/collection activity during this pass. *)
   pattern_stats : Rewriter.pattern_stat list;
-      (** Per-pattern attempt/hit/activation deltas for this pass,
-          restricted to the patterns that participated (a pattern counts
-          as participating — [activations] — whenever a driver ran with it
-          in the frozen set, even if op-indexed dispatch never attempted
-          it, so every registered tactic of a raising pass is listed). *)
+      (** Per-pattern attempt/hit/activation counts for this pass, sorted
+          by name: one row for every pattern in the set of a driver run
+          of this pass, even if op-indexed dispatch never attempted it,
+          so every tactic of a raising pass is listed. *)
 }
 
 (** Which passes trigger an IR snapshot to the manager's sink after they
@@ -101,7 +100,7 @@ type summary = {
   s_ops_delta : int;  (** Sum of [ops_after - ops_before] over runs. *)
   s_gc : gc_delta;  (** GC deltas summed over runs. *)
   s_patterns : Rewriter.pattern_stat list;
-      (** Per-pattern deltas summed over runs, first-appearance order. *)
+      (** Per-pattern rows summed over runs, first-appearance order. *)
 }
 
 val summarize : manager -> summary list

@@ -30,12 +30,6 @@ let prefix ?operands ?regions ?nest_depth ?(nest_ignore = []) () =
   in
   { pre_operands = operands; pre_regions = regions; pre_nest }
 
-type stats = {
-  mutable st_attempts : int;
-  mutable st_hits : int;
-  mutable st_activations : int;
-}
-
 type pattern = {
   p_name : string;
   p_benefit : int;
@@ -45,68 +39,8 @@ type pattern = {
   p_apply : ctx -> Core.op -> bool;
 }
 
-(* Counter state is domain-local (Domain.DLS): each domain accumulates
-   its own registry, so concurrent compilations never race on the
-   counters, and a frozen pattern set built on one domain can run on
-   another — its descriptors carry no mutable state; the running domain's
-   registry picks up the counts. Per-domain registries are merged at
-   aggregation time (Pass.merge_summaries / the batch driver). *)
-type registry = {
-  by_name : (string, stats) Hashtbl.t;
-  mutable order_rev : string list;  (** reverse registration order *)
-  mutable match_attempts : int;
-  mutable rewrites : int;
-}
-
-let registry_key : registry Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        by_name = Hashtbl.create 64;
-        order_rev = [];
-        match_attempts = 0;
-        rewrites = 0;
-      })
-
-let registry () = Domain.DLS.get registry_key
-
-(* Counters are keyed by pattern name so re-compiling a set (tactics are
-   compiled fresh per pass construction) keeps accumulating into the same
-   row; registration order is preserved for the reports. *)
-let stats_for name =
-  let reg = registry () in
-  match Hashtbl.find_opt reg.by_name name with
-  | Some s -> s
-  | None ->
-      let s = { st_attempts = 0; st_hits = 0; st_activations = 0 } in
-      Hashtbl.replace reg.by_name name s;
-      reg.order_rev <- name :: reg.order_rev;
-      s
-
-type pattern_stat = {
-  ps_name : string;
-  ps_attempts : int;
-  ps_hits : int;
-  ps_activations : int;
-}
-
-let pattern_totals () =
-  let reg = registry () in
-  List.rev_map
-    (fun name ->
-      let s = Hashtbl.find reg.by_name name in
-      {
-        ps_name = name;
-        ps_attempts = s.st_attempts;
-        ps_hits = s.st_hits;
-        ps_activations = s.st_activations;
-      })
-    reg.order_rev
-
 let pattern ~name ?(benefit = 1) ?(roots = Any) ?prefix ?(generated_ops = [])
     apply =
-  (* Register the name now so report rows appear in registration order on
-     the constructing domain, even for patterns dispatch never attempts. *)
-  ignore (stats_for name : stats);
   {
     p_name = name;
     p_benefit = benefit;
@@ -118,24 +52,89 @@ let pattern ~name ?(benefit = 1) ?(roots = Any) ?prefix ?(generated_ops = [])
 
 let max_iterations = 10_000
 
-(* Domain-local driver counters. The pass manager snapshots them around
-   each pass run to attribute match/rewrite work to individual passes. *)
+(* ---- counters ------------------------------------------------------------ *)
+
+(* Counts belong to one driver run: slot [i] of [run_attempts]/[run_hits]
+   counts pattern [i] of the frozen set. A run publishes its counts once,
+   when it ends (also when it raises), to the running domain's totals and
+   to the tallies open on that domain, so the per-attempt path bumps two
+   array slots and nothing else. *)
+type run = {
+  run_patterns : pattern array;
+  run_attempts : int array;
+  run_hits : int array;
+}
+
+type totals = { mutable tot_attempts : int; mutable tot_rewrites : int }
+
+let totals_key : totals Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { tot_attempts = 0; tot_rewrites = 0 })
+
 let counter_totals () =
-  let reg = registry () in
-  (reg.match_attempts, reg.rewrites)
+  let t = Domain.DLS.get totals_key in
+  (t.tot_attempts, t.tot_rewrites)
+
+type pattern_stat = {
+  ps_name : string;
+  ps_attempts : int;
+  ps_hits : int;
+  ps_activations : int;
+}
+
+module String_map = Map.Make (String)
+
+type tally = {
+  mutable ta_attempts : int;
+  mutable ta_rewrites : int;
+  mutable ta_rows : pattern_stat String_map.t;
+}
+
+let tally () = { ta_attempts = 0; ta_rewrites = 0; ta_rows = String_map.empty }
+
+(* Rows merge by pattern name: a pass may run several drivers, and a set
+   may hold two patterns of one name. *)
+let add_run t r =
+  Array.iteri
+    (fun i p ->
+      let a = r.run_attempts.(i) and h = r.run_hits.(i) in
+      t.ta_attempts <- t.ta_attempts + a;
+      t.ta_rewrites <- t.ta_rewrites + h;
+      t.ta_rows <-
+        String_map.update p.p_name
+          (fun row ->
+            let s =
+              Option.value row
+                ~default:
+                  { ps_name = p.p_name; ps_attempts = 0; ps_hits = 0;
+                    ps_activations = 0 }
+            in
+            Some
+              { s with
+                ps_attempts = s.ps_attempts + a;
+                ps_hits = s.ps_hits + h;
+                ps_activations = s.ps_activations + 1 })
+          t.ta_rows)
+    r.run_patterns
+
+let tallies : run Support.Sink_stack.t = Support.Sink_stack.create ()
+let with_tally t f = Support.Sink_stack.with_sink tallies (add_run t) f
+
+let tally_counts t =
+  (t.ta_attempts, t.ta_rewrites, List.map snd (String_map.bindings t.ta_rows))
+
+let publish r =
+  let t = Domain.DLS.get totals_key in
+  Array.iter (fun a -> t.tot_attempts <- t.tot_attempts + a) r.run_attempts;
+  Array.iter (fun h -> t.tot_rewrites <- t.tot_rewrites + h) r.run_hits;
+  ignore (Support.Sink_stack.dispatch tallies r : bool)
 
 (* Provenance: cap how many distinct source locations a derivation
    records — a consumed loop nest contributes a handful, and unbounded
    chains would bloat ops rewritten many times. *)
 let max_src_locs = 8
 
-(* [reg] and [pstats] are resolved once per driver run (see [resolve]
-   below), not per attempt: with millions of attempts per compile, a
-   DLS fetch plus a per-name Hashtbl lookup here would be a measurable
-   per-attempt tax on the hottest path in the rewriter. *)
-let try_apply reg pstats p ctx op =
-  reg.match_attempts <- reg.match_attempts + 1;
-  pstats.st_attempts <- pstats.st_attempts + 1;
+let try_apply run i p ctx op =
+  run.run_attempts.(i) <- run.run_attempts.(i) + 1;
   (* Observe the attempt through the listener stack: ops the rewrite
      inserts get stamped with a derivation on success, and ops it erases
      contribute their known source locations (walking the subtree at
@@ -191,8 +190,7 @@ let try_apply reg pstats p ctx op =
         raise (Support.Diag.Error (op.Core.o_loc, msg))
   in
   if applied then begin
-    reg.rewrites <- reg.rewrites + 1;
-    pstats.st_hits <- pstats.st_hits + 1;
+    run.run_hits.(i) <- run.run_hits.(i) + 1;
     let srcs = List.rev !src_locs_rev in
     let dv = { Core.dv_pattern = p.p_name; dv_locs = srcs } in
     List.iter
@@ -256,7 +254,7 @@ type 'a dtree =
 
 let ignore_equal = List.equal String.equal
 
-let prefix_constraint p f =
+let prefix_constraint (_, p) f =
   match p.p_prefix with
   | None -> None
   | Some pre -> (
@@ -273,7 +271,7 @@ let prefix_constraint p f =
 let features_of ps =
   let nest_keys =
     List.fold_left
-      (fun acc p ->
+      (fun acc (_, p) ->
         match p.p_prefix with
         | Some { pre_nest = Some (_, ig); _ }
           when not (List.exists (ignore_equal ig) acc) ->
@@ -369,24 +367,17 @@ let rec walk_tree (op : Core.op) = function
       in
       pick t_branches
 
-let rec map_tree f = function
-  | Leaf ps -> Leaf (List.map f ps)
-  | Test t ->
-      Test
-        {
-          t with
-          t_branches = List.map (fun (v, s) -> (v, map_tree f s)) t.t_branches;
-          t_default = map_tree f t.t_default;
-        }
-
+(* Patterns are numbered in benefit order at freeze time; a pattern's
+   number is its counter slot in every driver run over the set, so the
+   leaves carry [(number, pattern)] and the drivers need no lookup. *)
 module Frozen = struct
   type bucket = {
-    bk_all : pattern list;  (** benefit-sorted, prefix-unfiltered *)
-    bk_tree : pattern dtree;
+    bk_all : (int * pattern) list;  (** benefit-sorted, prefix-unfiltered *)
+    bk_tree : (int * pattern) dtree;
   }
 
   type t = {
-    f_patterns : pattern list;  (** benefit-sorted *)
+    f_patterns : pattern array;  (** benefit-sorted *)
     f_index : (string, bucket) Hashtbl.t;
         (** root name -> benefit-sorted candidates (Any merged in) *)
     f_any : bucket;  (** fallback for names with no declared root *)
@@ -396,8 +387,9 @@ module Frozen = struct
 
   let of_patterns ps =
     let sorted = sort_by_benefit ps in
-    let is_any p = match p.p_roots with Any -> true | Roots _ -> false in
-    let any = List.filter is_any sorted in
+    let numbered = List.mapi (fun i p -> (i, p)) sorted in
+    let is_any (_, p) = match p.p_roots with Any -> true | Roots _ -> false in
+    let any = List.filter is_any numbered in
     let root_names =
       List.concat_map
         (fun p -> match p.p_roots with Any -> [] | Roots names -> names)
@@ -411,108 +403,63 @@ module Frozen = struct
            registration-order tie-breaking inside each candidate list. *)
         let candidates =
           List.filter
-            (fun p ->
+            (fun (_, p) ->
               match p.p_roots with
               | Any -> true
               | Roots names -> List.exists (String.equal name) names)
-            sorted
+            numbered
         in
         Hashtbl.replace index name (bucket candidates))
       root_names;
-    { f_patterns = sorted; f_index = index; f_any = bucket any }
+    { f_patterns = Array.of_list sorted; f_index = index; f_any = bucket any }
 
-  let patterns t = t.f_patterns
+  let bucket_of t name =
+    match Hashtbl.find_opt t.f_index name with Some b -> b | None -> t.f_any
 
-  let candidates t op_name =
-    match Hashtbl.find_opt t.f_index op_name with
-    | Some b -> b.bk_all
-    | None -> t.f_any.bk_all
+  let candidates t op_name = List.map snd (bucket_of t op_name).bk_all
 
-  let candidates_for t (op : Core.op) =
-    match Hashtbl.find_opt t.f_index op.Core.o_name with
-    | Some b -> walk_tree op b.bk_tree
-    | None -> walk_tree op t.f_any.bk_tree
+  (* One tree walk per op visit: every structural feature the bucket's
+     prefixes test is evaluated at most once here, shared by all candidate
+     patterns; only the surviving leaf reaches [try_apply]. *)
+  let dispatch t (op : Core.op) =
+    walk_tree op (bucket_of t op.Core.o_name).bk_tree
 
-  let relax t =
-    of_patterns
-      (List.map
-         (fun p -> { p with p_roots = Any; p_prefix = None })
-         t.f_patterns)
+  let candidates_for t op = List.map snd (dispatch t op)
 
-  let strip_prefixes t =
-    of_patterns (List.map (fun p -> { p with p_prefix = None }) t.f_patterns)
-
-  let size t = List.length t.f_patterns
-
-  let indexed_roots t =
-    Hashtbl.fold (fun k _ acc -> k :: acc) t.f_index []
-    |> List.sort String.compare
+  let map_patterns f t = of_patterns (List.map f (Array.to_list t.f_patterns))
+  let relax = map_patterns (fun p -> { p with p_roots = Any; p_prefix = None })
+  let strip_prefixes = map_patterns (fun p -> { p with p_prefix = None })
 end
 
 let freeze = Frozen.of_patterns
 
-(* A frozen set viewed through the running domain's registry: each
-   candidate pattern is paired with its stats row, resolved once per
-   driver run. Frozen sets stay immutable and shareable across domains;
-   this per-run view is what keeps the per-attempt path free of DLS
-   fetches and per-name lookups. *)
-type resolved = {
-  rs_reg : registry;
-  rs_index : (string, (pattern * stats) dtree) Hashtbl.t;
-  rs_any : (pattern * stats) dtree;
-}
-
-let resolve (fz : Frozen.t) =
-  let reg = registry () in
-  let attach = map_tree (fun p -> (p, stats_for p.p_name)) in
-  let index = Hashtbl.create (Hashtbl.length fz.Frozen.f_index * 2) in
-  Hashtbl.iter
-    (fun name (b : Frozen.bucket) ->
-      Hashtbl.replace index name (attach b.bk_tree))
-    fz.Frozen.f_index;
-  { rs_reg = reg; rs_index = index;
-    rs_any = attach fz.Frozen.f_any.Frozen.bk_tree }
-
-(* One tree walk per op visit: every structural feature the bucket's
-   prefixes test is evaluated at most once here, shared by all candidate
-   patterns; only the surviving leaf reaches [try_apply]. *)
-let resolved_candidates rs (op : Core.op) =
-  match Hashtbl.find_opt rs.rs_index op.Core.o_name with
-  | Some tree -> walk_tree op tree
-  | None -> walk_tree op rs.rs_any
-
-(* Every pattern of the set participates in the driver run, whether or not
-   dispatch ever attempts it — the per-pass reports list them all. *)
-let activate (fz : Frozen.t) =
-  List.iter
-    (fun p ->
-      let s = stats_for p.p_name in
-      s.st_activations <- s.st_activations + 1)
-    (Frozen.patterns fz)
-
-(* Bracket a driver run in a trace span whose End event carries the
-   application count. *)
-let with_driver_span name fz f =
-  if not (Trace.enabled ()) then f ()
-  else begin
-    Trace.begin_ ~cat:"driver"
-      ~args:[ ("patterns", Trace.A_int (Frozen.size fz)) ]
-      name;
-    match f () with
-    | n ->
+(* One driver run over [fz]: it counts into fresh per-run arrays, sits in
+   a trace span whose End event carries the application count, and
+   publishes its counts when it ends, also when it raises. *)
+let driver_run name (fz : Frozen.t) body =
+  let n = Array.length fz.f_patterns in
+  let run =
+    { run_patterns = fz.f_patterns; run_attempts = Array.make n 0;
+      run_hits = Array.make n 0 }
+  in
+  let traced = Trace.enabled () in
+  if traced then
+    Trace.begin_ ~cat:"driver" ~args:[ ("patterns", Trace.A_int n) ] name;
+  match body run with
+  | applications ->
+      publish run;
+      if traced then
         Trace.end_ ~cat:"driver"
-          ~args:[ ("applications", Trace.A_int n) ]
+          ~args:[ ("applications", Trace.A_int applications) ]
           name;
-        n
-    | exception e ->
-        Trace.end_ ~cat:"driver" name;
-        raise e
-  end
+      applications
+  | exception e ->
+      publish run;
+      if traced then Trace.end_ ~cat:"driver" name;
+      raise e
 
 let apply_greedily root frozen =
-  with_driver_span "greedy-worklist" frozen @@ fun () ->
-  activate frozen;
-  let rs = resolve frozen in
+  driver_run "greedy-worklist" frozen @@ fun run ->
   (* LIFO worklist. Seeded post-order and popped from the top, the
      outermost ops come off first: a nest-consuming raising pattern fires
      on the outer loop before the driver wastes matcher work on the
@@ -566,11 +513,11 @@ let apply_greedily root frozen =
         if op != root && Core.is_under ~root op then begin
           let rec try_patterns = function
             | [] -> ()
-            | (p, pstats) :: rest ->
+            | (i, p) :: rest ->
                 if op.Core.o_parent == None then ()
                 else
                   let ctx = { root; builder = Builder.before op } in
-                  if try_apply rs.rs_reg pstats p ctx op then begin
+                  if try_apply run i p ctx op then begin
                     incr applications;
                     if !applications > max_iterations then
                       Support.Diag.errorf
@@ -583,7 +530,7 @@ let apply_greedily root frozen =
                   end
                   else try_patterns rest
           in
-          try_patterns (resolved_candidates rs op)
+          try_patterns (Frozen.dispatch frozen op)
         end
       done);
   !applications
@@ -592,9 +539,7 @@ let apply_greedily root frozen =
    application. Kept as the differential-testing oracle for the worklist
    driver (see test/test_random.ml). *)
 let apply_greedily_fullsweep root frozen =
-  with_driver_span "greedy-fullsweep" frozen @@ fun () ->
-  activate frozen;
-  let rs = resolve frozen in
+  driver_run "greedy-fullsweep" frozen @@ fun run ->
   let applications = ref 0 in
   let progress = ref true in
   let iterations = ref 0 in
@@ -612,21 +557,19 @@ let apply_greedily_fullsweep root frozen =
        Core.walk_safe root (fun op ->
            if op != root && op.Core.o_parent != None then
              List.iter
-               (fun (p, pstats) ->
+               (fun (i, p) ->
                  if op.Core.o_parent != None then
                    let ctx = { root; builder = Builder.before op } in
-                   if try_apply rs.rs_reg pstats p ctx op then (
+                   if try_apply run i p ctx op then (
                      incr applications;
                      raise Applied))
-               (resolved_candidates rs op))
+               (Frozen.dispatch frozen op))
      with Applied -> progress := true)
   done;
   !applications
 
 let apply_sweeps root frozen =
-  with_driver_span "sweeps" frozen @@ fun () ->
-  activate frozen;
-  let rs = resolve frozen in
+  driver_run "sweeps" frozen @@ fun run ->
   let applications = ref 0 in
   let progress = ref true in
   let sweeps = ref 0 in
@@ -639,14 +582,14 @@ let apply_sweeps root frozen =
     Core.walk_safe root (fun op ->
         if op != root && op.Core.o_parent != None then
           List.iter
-            (fun (p, pstats) ->
+            (fun (i, p) ->
               if op.Core.o_parent != None then
                 let ctx = { root; builder = Builder.before op } in
-                if try_apply rs.rs_reg pstats p ctx op then begin
+                if try_apply run i p ctx op then begin
                   incr applications;
                   progress := true
                 end)
-            (resolved_candidates rs op))
+            (Frozen.dispatch frozen op))
   done;
   !applications
 

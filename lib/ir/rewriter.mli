@@ -57,17 +57,6 @@ val prefix :
   unit ->
   prefix
 
-(** Per-pattern-name counters, shared by every pattern instance
-    constructed under the same name ({e domain-local}, monotonic:
-    each domain accumulates its own registry — see
-    {!section-stats}). *)
-type stats = {
-  mutable st_attempts : int;  (** [p_apply] invocations *)
-  mutable st_hits : int;  (** invocations that rewrote the IR *)
-  mutable st_activations : int;
-      (** driver runs that had the pattern in their frozen set *)
-}
-
 type pattern = {
   p_name : string;
   p_benefit : int;  (** higher applies first *)
@@ -82,11 +71,10 @@ type pattern = {
 
 (** [pattern ~name ?benefit ?roots ?prefix ?generated_ops apply] —
     [benefit] defaults to 1, [roots] to [Any], [prefix] to none,
-    [generated_ops] to []. Counters are looked up (or created) by [name]
-    in the running domain's registry, so re-compiling a pattern set keeps
-    accumulating into the same per-name statistics; pattern descriptors
-    themselves carry no mutable state, so a frozen set may be shared
-    across domains. *)
+    [generated_ops] to []. A pure constructor: descriptors carry no
+    mutable state, so a frozen set may be shared across domains, and a
+    pattern is counted under [name] by the driver runs that use it
+    (see {!section-stats}). *)
 val pattern :
   name:string ->
   ?benefit:int ->
@@ -103,17 +91,16 @@ module Frozen : sig
       set (ideally at pass construction), reused across driver runs. *)
   type t
 
-  (** Stable-sorts by descending benefit (ties keep registration order)
-      and indexes the benefit-sorted candidate list per declared root
-      name, with [Any]-rooted patterns merged into every list. Each
+  (** Stable-sorts by descending benefit (ties keep list order), numbers
+      the sorted patterns (a pattern's number is its counter slot in
+      every driver run over the set), and indexes the benefit-sorted
+      candidate list per declared root name, with [Any]-rooted patterns
+      merged into every list. Each
       bucket's declared {!type-prefix}es are additionally compiled into a
       shared decision tree (operand arity -> region arity -> nest-spine
       probes), so the drivers evaluate every structural feature at most
       once per op visit regardless of how many candidates test it. *)
   val of_patterns : pattern list -> t
-
-  (** All patterns, benefit-sorted. *)
-  val patterns : t -> pattern list
 
   (** [candidates t op_name] — the benefit-sorted patterns that can match
       an op named [op_name]: the indexed list for a declared root, or
@@ -139,12 +126,6 @@ module Frozen : sig
       attribute attempt reductions to the prefix trees separately from
       root indexing. *)
   val strip_prefixes : t -> t
-
-  (** Number of patterns in the set. *)
-  val size : t -> int
-
-  (** Root names with a precomputed candidate list (sorted). *)
-  val indexed_roots : t -> string list
 end
 
 (** [freeze ps] is {!Frozen.of_patterns}[ ps]. *)
@@ -171,7 +152,7 @@ val freeze : pattern list -> Frozen.t
     newly inserted ops, ops whose operands changed, the defining ops of
     an erased op's operands, and the enclosing-op chain of each (so
     nest-level raising patterns see interior changes). Each visit tries
-    only [Frozen.candidates frozen op_name]. Raises after a safety bound
+    only [Frozen.candidates_for frozen op]. Raises after a safety bound
     of applications (diverging pattern set). Returns the number of
     successful pattern applications. *)
 val apply_greedily : Core.op -> Frozen.t -> int
@@ -192,33 +173,46 @@ val apply_sweeps : Core.op -> Frozen.t -> int
 
 (** {2:stats Driver statistics}
 
-    Domain-local monotonic counters over all drivers, both in aggregate
-    and per pattern name: every driver run charges the counters of the
-    domain it executes on, so concurrent compilations never race and
-    each domain's totals describe exactly its own work. Single-domain
-    programs observe the historical process-wide behaviour unchanged.
-    {!Pass.run} snapshots the counters around each pass to attribute the
-    work to individual passes; multi-domain drivers merge per-domain
-    results with {!Pass.merge_summaries}. *)
+    Each driver run counts, per pattern of its frozen set, the
+    [p_apply] invocations ("attempts") and the ones that rewrote the IR
+    ("hits"). When the run ends — also when it raises — it publishes
+    those counts to the calling domain's totals ({!counter_totals}) and
+    to every {!tally} open on that domain. Nothing is shared between
+    domains, so concurrent compilations never race, and each domain's
+    counts describe exactly its own work. {!Pass.run} opens a tally
+    around each pass; multi-domain drivers merge per-domain results with
+    {!Pass.merge_summaries}. *)
 
 (** [counter_totals ()] is [(match_attempts, rewrites)] accumulated by
-    the calling domain since it first ran a driver. *)
+    the calling domain's driver runs since the domain started. *)
 val counter_totals : unit -> int * int
 
-(** One per-name row of {!pattern_totals}. *)
+(** One pattern-name row of a {!tally}. *)
 type pattern_stat = {
   ps_name : string;
   ps_attempts : int;
   ps_hits : int;
   ps_activations : int;
+      (** driver runs that had the pattern in their set, whether or not
+          dispatch ever attempted it — so 0-attempt tactics still show
+          up in the per-pass reports *)
 }
 
-(** The calling domain's per-pattern-name totals, in first-registration
-    order (registration happens at {!pattern} construction, or at first
-    use for sets built on another domain). A pattern participates in a
-    driver run ("activation") even if op-indexed dispatch never attempted
-    it — so 0-attempt tactics still show up in the per-pass reports. *)
-val pattern_totals : unit -> pattern_stat list
+(** The counts of the driver runs that ended on the calling domain while
+    the tally was open. *)
+type tally
+
+(** A fresh, empty tally. *)
+val tally : unit -> tally
+
+(** [with_tally t f] runs [f ()] with [t] open on the calling domain
+    (exception-safely closing it afterwards). Tallies nest: every open
+    tally receives every run. *)
+val with_tally : tally -> (unit -> 'a) -> 'a
+
+(** [tally_counts t] is [(match_attempts, rewrites, rows)], [rows]
+    merged by pattern name and sorted by it. *)
+val tally_counts : tally -> int * int * pattern_stat list
 
 (** {2 Rewrite helpers} *)
 

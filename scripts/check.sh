@@ -14,6 +14,10 @@ dune runtest
 # Smoke-run the micro benchmarks so rewrite-driver regressions (which the
 # unit tests may not exercise at scale) still fail the gate.
 dune exec bench/main.exe -- micro --quick
+# Smoke-run the compile-time overhead section: fails if the per-pass
+# match/rewrite counts of its instrumented run over the 16 Figure-9
+# kernels ever disagree with the domain's driver totals.
+dune exec bench/main.exe -- overhead --quick
 # Smoke-run the interpreter-engine comparison: fails if the staged engine
 # and the tree-walking oracle ever disagree on a benchmark kernel.
 dune exec bench/main.exe -- interp --quick

@@ -33,4 +33,5 @@ let () =
       ("pool", Test_pool.suite);
       ("batch", Test_batch.suite);
       ("cache", Test_cache.suite);
+      ("counters", Test_counters.suite);
     ]
