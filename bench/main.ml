@@ -843,9 +843,10 @@ let tune_section () =
   let default_report = time P.Pluto_default machine src in
   let default_seconds = default_report.Machine.Perf.seconds in
   Printf.printf
-    "gemm %dx%dx%d on %s: %d candidates (%d evaluated) on %d domains in \
-     %.3fs\n"
-    n n n machine.MM.name st.Tune.t_candidates st.Tune.t_evaluated cores wall;
+    "gemm %dx%dx%d on %s: %d candidates (%d evaluated, %d simulated) on %d \
+     domains in %.3fs\n"
+    n n n machine.MM.name st.Tune.t_candidates st.Tune.t_evaluated
+    st.Tune.t_simulated cores wall;
   Printf.printf "pluto-default:   %.6f s (%6.2f GFLOPS)\n" default_seconds
     (flops /. default_seconds /. 1e9);
   Printf.printf "best (%s): %.6f s (%6.2f GFLOPS)\n"
@@ -885,6 +886,7 @@ let tune_section () =
             ("wall_seconds", J.Num wall);
             ("candidates", J.num_int st.Tune.t_candidates);
             ("evaluated", J.num_int st.Tune.t_evaluated);
+            ("simulated", J.num_int st.Tune.t_simulated);
             ("pluto_default_seconds", J.Num default_seconds);
             ("best_name", J.Str outcome.Tune.o_best.Tune.c_name);
             ("best_seconds", J.Num st.Tune.t_best_seconds);

@@ -76,6 +76,7 @@ let pass_stats_json ?tune pm =
                   [
                     ("candidates", Support.Json.num_int st.Tune.t_candidates);
                     ("evaluated", Support.Json.num_int st.Tune.t_evaluated);
+                    ("simulated", Support.Json.num_int st.Tune.t_simulated);
                     ("best_seconds", Support.Json.Num st.Tune.t_best_seconds);
                     ( "eval_seconds",
                       Ir.Metrics.histogram_snapshot_json st.Tune.t_eval_latency

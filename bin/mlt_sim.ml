@@ -37,8 +37,8 @@ let run_tune ~machine ~quick ~pass_stats src =
   in
   let st = outcome.Tune.o_stats in
   Printf.printf "machine:          %s\n" machine.Machine.Machine_model.name;
-  Printf.printf "candidates:       %d (%d evaluated)\n" st.Tune.t_candidates
-    st.Tune.t_evaluated;
+  Printf.printf "candidates:       %d (%d evaluated, %d simulated)\n"
+    st.Tune.t_candidates st.Tune.t_evaluated st.Tune.t_simulated;
   Printf.printf "best schedule:    %s\n" outcome.Tune.o_best.Tune.c_name;
   Printf.printf "simulated time:   %.6f s\n" st.Tune.t_best_seconds;
   List.iter

@@ -16,6 +16,7 @@ type evaluation = {
 type stats = {
   t_candidates : int;
   t_evaluated : int;
+  t_simulated : int;
   t_best_seconds : float;
   t_eval_latency : Metrics.histogram_snapshot;
 }
@@ -137,6 +138,17 @@ let m_eval_seconds =
       Metrics.histogram ~help:"tuner candidate-evaluation wall-clock"
         "mlt_tune_eval_seconds")
 
+(* Two candidates share a key exactly when the simulator cannot tell
+   them apart: the printed function, plus its attributes, which the
+   printer omits but [Machine.Perf.time_func] reads ([fast_math], set by
+   [transform.interchange]). *)
+let schedule_key f =
+  let attrs =
+    List.sort compare
+      (List.map (fun (k, a) -> k ^ "=" ^ Attr.to_string a) f.Core.o_attrs)
+  in
+  Support.Digest.strings (Printer.op_to_string f :: attrs)
+
 let search ?(domains = 1) ?(seed = 0) ?limit ~machine ~translate candidates =
   let candidates =
     match limit with
@@ -153,30 +165,77 @@ let search ?(domains = 1) ?(seed = 0) ?limit ~machine ~translate candidates =
   let results : (Machine.Perf.report option * string option) array =
     Array.make n (None, None)
   in
+  let error_of = function
+    | D.Error (loc, msg) -> D.to_string loc msg
+    | exn -> Printexc.to_string exn
+  in
   (* Wall-clock cost of evaluating each candidate — the tuner's own
      latency, distinct from the modelled seconds it scores. Each slot is
-     written by exactly one worker; the pool's joins publish them. *)
+     written by exactly one worker per phase; the pool's joins publish
+     them. *)
   let walls = Array.make n 0. in
-  let eval_seconds = Support.Once.get m_eval_seconds in
-  let eval ~worker:_ i =
+  let timed i f =
     let t0 = Unix.gettimeofday () in
-    (match
-       let m = translate () in
-       let f = sole_func m in
-       List.iter (fun c -> ignore (Interp.apply_step c f)) compiled.(i);
-       Verifier.verify m;
-       Machine.Perf.time_func machine f
-     with
-    | report -> results.(i) <- (Some report, None)
-    | exception D.Error (loc, msg) ->
-        results.(i) <- (None, Some (D.to_string loc msg))
-    | exception exn -> results.(i) <- (None, Some (Printexc.to_string exn)));
-    let w = Unix.gettimeofday () -. t0 in
-    walls.(i) <- w;
-    Metrics.observe eval_seconds w
+    f ();
+    walls.(i) <- walls.(i) +. (Unix.gettimeofday () -. t0)
   in
-  Trace.span ~cat:"driver" "tune-search" (fun () ->
-      Support.Pool.run ~domains n eval);
+  (* Phase 1: translate, apply and verify every candidate, keeping the
+     transformed function and its key. *)
+  let payloads : (Core.op * Support.Digest.t) option array =
+    Array.make n None
+  in
+  let prepare ~worker:_ i =
+    timed i (fun () ->
+        match
+          let m = translate () in
+          let f = sole_func m in
+          List.iter (fun c -> ignore (Interp.apply_step c f)) compiled.(i);
+          Verifier.verify m;
+          (f, schedule_key f)
+        with
+        | slot -> payloads.(i) <- Some slot
+        | exception exn -> results.(i) <- (None, Some (error_of exn)))
+  in
+  (* Phase 2: simulate the first candidate of each key group only. *)
+  let simulate reps ~worker:_ j =
+    let i = reps.(j) in
+    timed i (fun () ->
+        let f = fst (Option.get payloads.(i)) in
+        match Machine.Perf.time_func machine f with
+        | report -> results.(i) <- (Some report, None)
+        | exception exn -> results.(i) <- (None, Some (error_of exn)))
+  in
+  let rep_of = Array.make n (-1) in
+  let simulated =
+    Trace.span ~cat:"driver" "tune-search" (fun () ->
+        Support.Pool.run ~domains n prepare;
+        (* Group in candidate order on the calling domain, so each
+           group's representative is its lowest index whatever the
+           domain count. *)
+        let first = Hashtbl.create n in
+        Array.iteri
+          (fun i slot ->
+            Option.iter
+              (fun (_, key) ->
+                rep_of.(i) <-
+                  Option.value (Hashtbl.find_opt first key) ~default:i;
+                if rep_of.(i) = i then Hashtbl.add first key i)
+              slot)
+          payloads;
+        let reps =
+          Array.of_list
+            (List.filter (fun i -> rep_of.(i) = i) (List.init n Fun.id))
+        in
+        Support.Pool.run ~domains (Array.length reps) (simulate reps);
+        Array.length reps)
+  in
+  (* The simulator is deterministic, so equal keys give equal reports:
+     every member takes its representative's outcome. *)
+  Array.iteri
+    (fun i r -> if r >= 0 && r <> i then results.(i) <- results.(r))
+    rep_of;
+  let eval_seconds = Support.Once.get m_eval_seconds in
+  Array.iter (Metrics.observe eval_seconds) walls;
   (* First strict minimum in candidate order — the exact argmin the
      legacy sequential Pluto sweep computed. *)
   let best = ref None in
@@ -240,6 +299,7 @@ let search ?(domains = 1) ?(seed = 0) ?limit ~machine ~translate candidates =
           {
             t_candidates = n;
             t_evaluated = evaluated;
+            t_simulated = simulated;
             t_best_seconds = report.Machine.Perf.seconds;
             t_eval_latency = eval_latency;
           };

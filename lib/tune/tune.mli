@@ -10,7 +10,18 @@
     Candidates fan out over {!Support.Pool} like the batch driver's
     entries (docs/CONCURRENCY.md): populate the dialect and transform-step
     registries on the calling domain first
-    ([Mlt.Pipeline.register_dialects]). *)
+    ([Mlt.Pipeline.register_dialects]).
+
+    Dedupe: each distinct transformed payload is simulated once. After
+    apply and verify, a candidate is keyed on its printed function plus
+    the function's attributes (the printer omits them, but the model
+    reads [fast_math]); only the first candidate of each key — its
+    lowest index — is simulated, and every other member takes a copy of
+    that report. The simulator is deterministic, so every candidate's
+    seconds equal a direct {!Machine.Perf.time_func} of its own payload,
+    bit for bit, and the first strict minimum picks the same winner as
+    simulating them all. A candidate that fails to apply or verify is
+    neither keyed nor simulated. *)
 
 type candidate = {
   c_name : string;
@@ -24,16 +35,22 @@ type evaluation = {
   ev_candidate : candidate;
   ev_seconds : float option;
   ev_wall_seconds : float;
-      (** Wall-clock cost of evaluating this candidate (apply + verify +
-          model) — the tuner's own latency, recorded whether or not the
-          candidate survived. Never part of the scoring. *)
+      (** Wall-clock cost of evaluating this candidate (apply + verify,
+          plus the model for a group's representative) — the tuner's own
+          latency, recorded whether or not the candidate survived. Never
+          part of the scoring. *)
   ev_error : string option;
 }
 
 (** The [--pass-stats] summary of a search (docs/OBSERVABILITY.md). *)
 type stats = {
   t_candidates : int;  (** size of the (subsampled) space *)
-  t_evaluated : int;  (** candidates that compiled, verified and timed *)
+  t_evaluated : int;
+      (** candidates that compiled, verified and timed (a copied report
+          counts) *)
+  t_simulated : int;
+      (** simulator runs: distinct keys among the candidates that
+          compiled and verified *)
   t_best_seconds : float;
   t_eval_latency : Ir.Metrics.histogram_snapshot;
       (** Distribution of [ev_wall_seconds] over all candidates

@@ -122,27 +122,151 @@ let test_gemm_space_beats_default () =
 let test_failing_candidates_lose_not_abort () =
   (* A candidate that stops at the Linalg level cannot be timed (the
      machine model only times affine loops and library calls): it must
-     lose with its error recorded, not crash the search. *)
+     lose with its error recorded, not crash the search. It applies and
+     verifies, so it is simulated. [Unroll 2] leaves a step-2 loop that
+     [Tile [4]] rejects, so the two "unroll-tile" candidates fail to
+     apply: they are neither keyed nor simulated, so they never group
+     with each other or represent a group. "baseline-again" prints like
+     "baseline" and takes its report without a simulation. *)
+  let unroll_tile = [ Script.Unroll 2; Script.Tile [ 4 ] ] in
   let space =
     [
+      { Tune.c_name = "unroll-tile"; c_steps = unroll_tile };
       { Tune.c_name = "baseline"; c_steps = [] };
       {
         Tune.c_name = "broken";
         c_steps = [ Script.Canonicalize false; Script.Raise "linalg" ];
       };
+      { Tune.c_name = "unroll-tile-again"; c_steps = unroll_tile };
+      { Tune.c_name = "baseline-again"; c_steps = [ Script.Dce ] };
     ]
   in
-  let outcome = Tune.search ~domains:1 ~machine ~translate space in
-  Alcotest.(check int) "both candidates recorded" 2
-    outcome.Tune.o_stats.Tune.t_candidates;
-  let broken =
-    List.find
-      (fun (ev : Tune.evaluation) ->
-        ev.Tune.ev_candidate.Tune.c_name = "broken")
+  let outcome = Tune.search ~domains:2 ~machine ~translate space in
+  let st = outcome.Tune.o_stats in
+  Alcotest.(check int) "every candidate recorded" 5 st.Tune.t_candidates;
+  Alcotest.(check int) "evaluated (the copy counts)" 2 st.Tune.t_evaluated;
+  Alcotest.(check int) "simulated: baseline and broken only" 2
+    st.Tune.t_simulated;
+  Alcotest.(check int) "the baseline wins, not its copy" 1
+    outcome.Tune.o_best_index;
+  let error name =
+    (List.find
+       (fun (ev : Tune.evaluation) -> ev.Tune.ev_candidate.Tune.c_name = name)
+       outcome.Tune.o_evaluations)
+      .Tune.ev_error
+  in
+  let fails_with name part =
+    match error name with
+    | Some e ->
+        Alcotest.(check bool) (name ^ " fails with " ^ part) true
+          (Astring_contains.contains e part)
+    | None -> Alcotest.failf "%s should carry its error" name
+  in
+  fails_with "unroll-tile" "tile:";
+  fails_with "unroll-tile-again" "tile:";
+  fails_with "broken" "perf:";
+  Alcotest.(check bool) "the copy carries no error" true
+    (error "baseline-again" = None)
+
+(* ---- dedupe -------------------------------------------------------------- *)
+
+let pluto_search ?(domains = 1) src =
+  let translate () = Met.Emit_affine.translate src in
+  let max_trip = Tune.max_trip_count (sole_func (translate ())) in
+  let space = Tune.pluto_space ~max_trip in
+  (space, translate, Tune.search ~domains ~machine ~translate space)
+
+(* One candidate's transformed function, built outside the tuner. *)
+let transformed translate (c : Tune.candidate) =
+  let m = translate () in
+  let f = sole_func m in
+  List.iter
+    (fun s -> ignore (Transform.Interp.apply_step s f))
+    (Transform.Interp.compile_steps c.Tune.c_steps);
+  Verifier.verify m;
+  f
+
+let fast_math f =
+  match Core.find_attr f "fast_math" with
+  | Some (Attr.Bool b) -> b
+  | _ -> false
+
+let distinct xs = List.length (List.sort_uniq compare xs)
+
+let test_dedupe_is_exact () =
+  let src = W.atax ~m:64 ~n:64 () in
+  let space, translate, outcome = pluto_search src in
+  let funcs = List.map (transformed translate) space in
+  let printed = List.map Printer.op_to_string funcs in
+  Alcotest.(check int) "candidates" 25 (List.length space);
+  Alcotest.(check int) "groups by printed IR alone" 6 (distinct printed);
+  Alcotest.(check int) "groups with the function's attributes" 12
+    (distinct (List.map2 (fun p f -> (p, f.Core.o_attrs)) printed funcs));
+  Alcotest.(check int) "one simulation per group" 12
+    outcome.Tune.o_stats.Tune.t_simulated;
+  let seconds =
+    List.map
+      (fun (ev : Tune.evaluation) -> Option.get ev.Tune.ev_seconds)
       outcome.Tune.o_evaluations
   in
-  Alcotest.(check bool) "broken candidate carries its error" true
-    (broken.Tune.ev_error <> None)
+  List.iter2
+    (fun f s ->
+      Alcotest.(check int64) "bit-equal to a direct simulation"
+        (Int64.bits_of_float (M.Perf.time_func machine f).M.Perf.seconds)
+        (Int64.bits_of_float s))
+    funcs seconds;
+  (* The trap a key on printed IR alone falls into: equal text, a
+     different fast_math mark, a different modelled time. *)
+  let rows = List.combine (List.combine printed funcs) seconds in
+  let trap =
+    List.exists
+      (fun ((p, f), s) ->
+        List.exists
+          (fun ((p', f'), s') ->
+            String.equal p p' && fast_math f <> fast_math f' && s <> s')
+          rows)
+      rows
+  in
+  Alcotest.(check bool) "a printed-equal pair differs in fast_math and time"
+    true trap;
+  let _, _, two = pluto_search ~domains:2 src in
+  Alcotest.(check string) "same winner on 2 domains"
+    outcome.Tune.o_best.Tune.c_name two.Tune.o_best.Tune.c_name;
+  Alcotest.(check int) "same winner index on 2 domains"
+    outcome.Tune.o_best_index two.Tune.o_best_index;
+  Alcotest.(check bool) "same winning report on 2 domains" true
+    (outcome.Tune.o_best_report = two.Tune.o_best_report)
+
+let test_simulated_counts () =
+  List.iter
+    (fun (name, src, simulated) ->
+      let _, _, o = pluto_search src in
+      let st = o.Tune.o_stats in
+      Alcotest.(check (pair int int))
+        (name ^ " candidates / evaluated")
+        (25, 25)
+        (st.Tune.t_candidates, st.Tune.t_evaluated);
+      Alcotest.(check int) (name ^ " simulated") simulated st.Tune.t_simulated)
+    [
+      ("atax", W.atax ~m:64 ~n:64 (), 12);
+      ("gesummv", W.gesummv ~n:64 (), 10);
+      ("mvt", W.mvt ~n:64 (), 17);
+      ("gemver", W.gemver ~n:64 (), 9);
+    ];
+  (* The Figure-9 cell, through the pipeline's pluto-best path. *)
+  let _, src, _ =
+    List.find (fun (k, _, _) -> k = "gesummv") (W.figure9_suite ())
+  in
+  match
+    Mlt.Pipeline.time_schedule_ext (Mlt.Pipeline.Config Mlt.Pipeline.Pluto_best)
+      machine src
+  with
+  | _, Some st ->
+      Alcotest.(check (list int)) "Figure-9 gesummv: candidates, evaluated, \
+                                    simulated"
+        [ 37; 37; 14 ]
+        [ st.Tune.t_candidates; st.Tune.t_evaluated; st.Tune.t_simulated ]
+  | _, None -> Alcotest.fail "Pluto_best should return tuner stats"
 
 let test_pluto_best_pipeline_uses_tuner () =
   (* Config Pluto_best must report the same winner the tuner finds, and
@@ -178,4 +302,8 @@ let suite =
       test_failing_candidates_lose_not_abort;
     Alcotest.test_case "Pluto_best routes through the tuner" `Quick
       test_pluto_best_pipeline_uses_tuner;
+    Alcotest.test_case "dedupe is exact, fast-math included" `Quick
+      test_dedupe_is_exact;
+    Alcotest.test_case "simulation counts per kernel" `Quick
+      test_simulated_counts;
   ]
