@@ -25,9 +25,9 @@ let sole_func m =
 (* Search the gemm schedule space (Pluto tilings/fusions/interchange +
    BLIS blockings) on the machine model and report the winner — and its
    schedule as a reusable transform script. *)
-let run_tune ~machine ~quick ~pass_stats src =
+let run_tune ~machine ~quick ~pass_stats ~file src =
   Mlt.Pipeline.register_dialects ();
-  let translate () = Met.Emit_affine.translate src in
+  let translate () = Met.Emit_affine.translate ~file src in
   let trips = Tune.max_trip_count (sole_func (translate ())) in
   let outcome =
     Tune.search
@@ -64,7 +64,7 @@ let run input config script tune quick machine flops execute verify
     Cli_common.with_observability ?metrics ~trace ~remarks @@ fun () ->
     let src = Cli_common.read_file input in
     if tune then begin
-      run_tune ~machine ~quick ~pass_stats src;
+      run_tune ~machine ~quick ~pass_stats ~file:input src;
       Ok ()
     end
     else begin
@@ -78,13 +78,13 @@ let run input config script tune quick machine flops execute verify
         if timing || pass_stats then Some (Ir.Pass.create_manager ()) else None
       in
       if verify then
-        if Mlt.Pipeline.check_schedule_semantics schedule src then
+        if Mlt.Pipeline.check_schedule_semantics ~file:input schedule src then
           Printf.printf "verify:           %s preserves semantics\n" name
         else
           Support.Diag.errorf "mlt-sim: %s pipeline changed kernel semantics"
             name;
       if execute then begin
-        let m = Mlt.Pipeline.prepare_schedule schedule src in
+        let m = Mlt.Pipeline.prepare_schedule ~file:input schedule src in
         let fname = Ir.Core.func_name (sole_func m) in
         let t0 = Unix.gettimeofday () in
         ignore (Interp.Eval.run_on_random m fname ~seed:0);
@@ -92,7 +92,7 @@ let run input config script tune quick machine flops execute verify
         Printf.printf "executed:         %s in %.6f s\n" fname (t1 -. t0)
       end;
       let report, tune_stats =
-        Mlt.Pipeline.time_schedule_ext ?pm schedule machine src
+        Mlt.Pipeline.time_schedule_ext ?pm ~file:input schedule machine src
       in
       Printf.printf "machine:          %s\n"
         machine.Machine.Machine_model.name;

@@ -9,7 +9,6 @@ type t = {
   tags : int array;  (** sets * ways, [invalid] = empty way *)
   stamps : int array;  (** last-use clock per way, 0 = never used *)
   mru : int array;  (** per set: the way (absolute index) used last *)
-  mutable last_line : int;  (** line of the previous access *)
   mutable clock : int;
   mutable n_accesses : int;
   mutable n_misses : int;
@@ -38,57 +37,46 @@ let create ~size ~line ~ways =
     tags = Array.make (sets * ways) invalid;
     stamps = Array.make (sets * ways) 0;
     mru = Array.init sets (fun s -> s * ways);
-    last_line = invalid;
     clock = 0;
     n_accesses = 0;
     n_misses = 0;
   }
 
-(* Exact LRU with two shortcuts that leave every hit/miss outcome as the
-   plain scan would have it:
-   - last line: the previous access of this cache left its line resident
-     with the largest stamp of all, so a repeat is a hit, and not ticking
-     the clock keeps every stamp comparison unchanged;
-   - MRU way: a line is stored at most once per set, so finding it in the
-     set's last-used way is the hit the scan would find. *)
+(* Exact LRU. A hit in the set's MRU way (the way used last) changes no
+   state at all: that way already holds the set's largest stamp, stamps
+   are only ever compared within a set, so neither ticking the clock nor
+   rewriting the stamp could change a later victim. A line is stored at
+   most once per set, so the MRU-way hit is the hit the scan would find.
+   [scan] is everything else: one pass over the set that stops at the
+   line, else remembers the first way with the strictly smallest stamp. *)
+let scan t line_id set =
+  t.clock <- t.clock + 1;
+  let base = set * t.ways in
+  let stop = base + t.ways in
+  let w = ref base and victim = ref base and oldest = ref max_int in
+  while !w < stop && t.tags.(!w) <> line_id do
+    let s = t.stamps.(!w) in
+    if s < !oldest then begin
+      oldest := s;
+      victim := !w
+    end;
+    incr w
+  done;
+  let hit = !w < stop in
+  let way = if hit then !w else !victim in
+  if not hit then begin
+    t.n_misses <- t.n_misses + 1;
+    t.tags.(way) <- line_id
+  end;
+  t.stamps.(way) <- t.clock;
+  t.mru.(set) <- way;
+  hit
+
 let access t addr =
   t.n_accesses <- t.n_accesses + 1;
   let line_id = addr asr t.line_shift in
-  if line_id = t.last_line then true
-  else begin
-    t.last_line <- line_id;
-    t.clock <- t.clock + 1;
-    let set = line_id land t.set_mask in
-    let m = t.mru.(set) in
-    if t.tags.(m) = line_id then begin
-      t.stamps.(m) <- t.clock;
-      true
-    end
-    else begin
-      (* One pass: stop at the line, else remember the first way with the
-         strictly smallest stamp. *)
-      let base = set * t.ways in
-      let stop = base + t.ways in
-      let w = ref base and victim = ref base and oldest = ref max_int in
-      while !w < stop && t.tags.(!w) <> line_id do
-        let s = t.stamps.(!w) in
-        if s < !oldest then begin
-          oldest := s;
-          victim := !w
-        end;
-        incr w
-      done;
-      let hit = !w < stop in
-      let way = if hit then !w else !victim in
-      if not hit then begin
-        t.n_misses <- t.n_misses + 1;
-        t.tags.(way) <- line_id
-      end;
-      t.stamps.(way) <- t.clock;
-      t.mru.(set) <- way;
-      hit
-    end
-  end
+  let set = line_id land t.set_mask in
+  t.tags.(t.mru.(set)) = line_id || scan t line_id set
 
 let accesses t = t.n_accesses
 let misses t = t.n_misses
@@ -97,7 +85,6 @@ let reset t =
   Array.fill t.tags 0 (Array.length t.tags) invalid;
   Array.fill t.stamps 0 (Array.length t.stamps) 0;
   Array.iteri (fun s _ -> t.mru.(s) <- s * t.ways) t.mru;
-  t.last_line <- invalid;
   t.clock <- 0;
   t.n_accesses <- 0;
   t.n_misses <- 0
@@ -111,3 +98,29 @@ let access_hierarchy h addr =
   else if access h.l2 addr then 2
   else if access h.l3 addr then 3
   else 4
+
+(* The L1 MRU test is inlined; everything past it is [scan] and the
+   outer levels' [access], exactly as [access_hierarchy] would run them,
+   so each probe has the outcome and the state change it would have had
+   in program order. *)
+let run_strided h ~n ~addrs ~deltas ~costs mem_cycles =
+  let l1 = h.l1 in
+  let shift = l1.line_shift and mask = l1.set_mask in
+  let tags = l1.tags and mru = l1.mru in
+  let sites = Array.length addrs in
+  let mem = ref mem_cycles in
+  for _ = 1 to n do
+    for s = 0 to sites - 1 do
+      let a = addrs.(s) in
+      addrs.(s) <- a + deltas.(s);
+      let line_id = a asr shift in
+      let set = line_id land mask in
+      if tags.(mru.(set)) <> line_id && not (scan l1 line_id set) then
+        let level =
+          if access h.l2 a then 2 else if access h.l3 a then 3 else 4
+        in
+        mem := !mem +. costs.((3 * s) + level - 2)
+    done
+  done;
+  l1.n_accesses <- l1.n_accesses + (n * sites);
+  !mem

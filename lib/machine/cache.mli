@@ -13,7 +13,8 @@ val create : size:int -> line:int -> ways:int -> t
 
 (** [access t addr] returns [true] on hit and updates LRU state. The
     replacement is exact LRU: a miss evicts the least recently used way
-    of the set (the first such way before any has been used). *)
+    of the set (the first such way before any has been used). A hit on
+    the set's most recently used line leaves the state as it was. *)
 val access : t -> int -> bool
 
 val accesses : t -> int
@@ -30,3 +31,19 @@ val create_hierarchy :
 (** [access_hierarchy h addr] probes L1, then L2, then L3 on misses;
     returns the innermost level that hit (1-4, 4 = memory). *)
 val access_hierarchy : hierarchy -> int -> int
+
+(** [run_strided h ~n ~addrs ~deltas ~costs mem_cycles] probes [h] with
+    [n] iterations of [Array.length addrs] access sites, in order: site
+    [s] of iteration [i] (from 0) probes [addrs.(s) + i * deltas.(s)], as
+    {!access_hierarchy} would. A probe served by level [l > 1] adds
+    [costs.(3 * s + l - 2)] to the running [mem_cycles], in probe order;
+    the final sum is returned. [addrs] is advanced past the last
+    iteration. *)
+val run_strided :
+  hierarchy ->
+  n:int ->
+  addrs:int array ->
+  deltas:int array ->
+  costs:float array ->
+  float ->
+  float

@@ -85,6 +85,7 @@ type ctx = {
   slots : (int, int) Hashtbl.t;
   mutable next_slot : int;
   fast_math : bool;
+  mutable n_accesses : int;  (** added to [stats.accesses] at the end *)
 }
 
 let slot_of ctx (v : Core.value) =
@@ -190,12 +191,18 @@ let is_streamed (op : Core.op) =
       | Some s -> abs s <= 2
       | None -> false)
 
-(* The buffer base, the row-major strides and the 4-byte element size fold
-   into the staged address; the miss costs, indexed by the level that hit,
-   are fixed per site. An L1 hit adds nothing: its cost would be [+0.], and
-   [mem_cycles] only grows from [+0.], so skipping the add leaves every
-   bit as it was. *)
-let compile_access ctx (op : Core.op) =
+(* An access site: its staged byte address, the address's linear form
+   over env slots ([None] for floordiv/mod subscripts) and its miss costs
+   indexed by [level - 2] for the level (2-4) that served an L1 miss.
+   The buffer base, the row-major strides and the 4-byte element size
+   fold into the address. *)
+type site = {
+  addr : unit -> int;
+  slot_coeffs : (int * int) list option;
+  costs : float array;
+}
+
+let access_site ctx (op : Core.op) =
   let memref = A.access_memref op in
   let base =
     match Hashtbl.find_opt ctx.addrs memref.Core.v_id with
@@ -207,22 +214,31 @@ let compile_access ctx (op : Core.op) =
   if List.length exprs <> Array.length strides then
     D.errorf "trace: %s map arity does not match memref rank" op.Core.o_name;
   let slots = Array.of_list (List.map (slot_of ctx) (A.access_indices op)) in
-  let addr =
-    stage ctx op.Core.o_name slots
-      Affine_expr.(
-        add (const base)
-          (mul (const 4) (row_major_offset strides exprs)))
+  let e =
+    Affine_expr.(
+      add (const base) (mul (const 4) (row_major_offset strides exprs)))
   in
   let streamed = is_streamed op in
-  let costs =
-    Array.init 5 (fun level ->
-        if level < 2 then 0. else miss_cost ctx ~streamed level)
-  in
+  {
+    addr = stage ctx op.Core.o_name slots e;
+    slot_coeffs =
+      Option.map
+        (fun l ->
+          List.map (fun (d, k) -> (slots.(d), k)) l.Affine_expr.dim_coeffs)
+        (Affine_expr.linearize e);
+    costs = Array.init 3 (fun i -> miss_cost ctx ~streamed (i + 2));
+  }
+
+(* An L1 hit adds nothing: its cost would be [+0.], and [mem_cycles] only
+   grows from [+0.], so skipping the add leaves every bit as it was. *)
+let compile_access ctx op =
+  let { addr; costs; _ } = access_site ctx op in
   let hier = ctx.hier and stats = ctx.stats in
   fun () ->
     let level = Cache.access_hierarchy hier (addr ()) in
-    stats.accesses <- stats.accesses +. 1.;
-    if level > 1 then stats.mem_cycles <- stats.mem_cycles +. costs.(level)
+    ctx.n_accesses <- ctx.n_accesses + 1;
+    if level > 1 then
+      stats.mem_cycles <- stats.mem_cycles +. costs.(level - 2)
 
 let eval_bound ctx ~minimize ((map, args) : A.bound) =
   let slots = Array.of_list (List.map (slot_of ctx) args) in
@@ -239,10 +255,77 @@ let eval_bound ctx ~minimize ((map, args) : A.bound) =
         done;
         !acc
 
+let is_flop (op : Core.op) =
+  match op.o_name with
+  | "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf" -> true
+  | _ -> false
+
+(* Float ops directly in [ops], not in nested loops. *)
+let direct_flops ops = List.length (List.filter is_flop ops)
+
+(* A straight-line body holds only accesses with linear addresses, float
+   arithmetic and non-index constants: nothing in it writes an index
+   value, so over one loop entry every address moves by a constant delta
+   per iteration. Returns its access sites in body order, or [None]. *)
+let straight_line_sites ctx ~step body_ops =
+  let straight (op : Core.op) =
+    match op.o_name with
+    | "affine.load" | "affine.store" -> true
+    | "arith.constant" -> (
+        match Core.attr op "value" with Attr.Int _ -> false | _ -> true)
+    | _ -> is_flop op
+  in
+  if step < 1 || not (List.for_all straight body_ops) then None
+  else
+    let sites =
+      List.filter_map
+        (fun op ->
+          if A.is_load op || A.is_store op then Some (access_site ctx op)
+          else None)
+        body_ops
+    in
+    if List.for_all (fun s -> s.slot_coeffs <> None) sites then Some sites
+    else None
+
+(* One loop entry runs as [n] iterations of [Cache.run_strided] over the
+   sites, each starting at its address for the first iteration and
+   moving by its iv coefficient times [step]. The flop, iteration and
+   access counts are added once per entry: [fl *. n] and
+   [iter_weight *. n] equal the per-iteration sums bit for bit, since
+   every partial sum is an integer or a multiple of 1/8 far below 2^53. *)
+let compile_strided ctx ~iv_slot ~lb ~ub ~step ~iter_weight ~vectorized ~fl
+    sites =
+  let iv_coeff s =
+    List.fold_left
+      (fun acc (slot, k) -> if slot = iv_slot then acc + k else acc)
+      0 (Option.get s.slot_coeffs)
+  in
+  let firsts = Array.of_list (List.map (fun s -> s.addr) sites) in
+  let deltas = Array.of_list (List.map (fun s -> step * iv_coeff s) sites) in
+  let costs = Array.concat (List.map (fun s -> s.costs) sites) in
+  let n_sites = List.length sites in
+  let addrs = Array.make n_sites 0 in
+  let env = ctx.env and hier = ctx.hier and stats = ctx.stats in
+  fun () ->
+    let lo = lb () and hi = ub () in
+    if lo < hi then begin
+      let n = ((hi - lo - 1) / step) + 1 in
+      env.(iv_slot) <- lo;
+      for s = 0 to n_sites - 1 do
+        addrs.(s) <- firsts.(s) ()
+      done;
+      stats.mem_cycles <-
+        Cache.run_strided hier ~n ~addrs ~deltas ~costs stats.mem_cycles;
+      ctx.n_accesses <- ctx.n_accesses + (n * n_sites);
+      let n = float_of_int n in
+      if vectorized then
+        stats.flops_vector <- stats.flops_vector +. (fl *. n)
+      else stats.flops_scalar <- stats.flops_scalar +. (fl *. n);
+      stats.iterations <- stats.iterations +. (iter_weight *. n)
+    end
+
 let rec compile_block ctx (ops : Core.op list) =
-  (* Returns (closures, direct float-op count). *)
   let closures = ref [] in
-  let flops = ref 0 in
   List.iter
     (fun (op : Core.op) ->
       match op.o_name with
@@ -256,8 +339,7 @@ let rec compile_block ctx (ops : Core.op list) =
               let s = slot_of ctx (Core.result op 0) in
               closures := (fun () -> ctx.env.(s) <- i) :: !closures
           | _ -> ())
-      | "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf" ->
-          incr flops
+      | _ when is_flop op -> ()
       | "arith.addi" | "arith.subi" | "arith.muli" | "arith.floordivsi"
       | "arith.remsi" ->
           let f =
@@ -287,7 +369,7 @@ let rec compile_block ctx (ops : Core.op list) =
       | "memref.alloc" | "memref.dealloc" -> ()
       | name -> D.errorf "trace: cannot simulate operation '%s'" name)
     ops;
-  (Array.of_list (List.rev !closures), !flops)
+  Array.of_list (List.rev !closures)
 
 and compile_for ctx (op : Core.op) =
   let iv_slot = slot_of ctx (A.for_iv op) in
@@ -295,25 +377,31 @@ and compile_for ctx (op : Core.op) =
   let ub = eval_bound ctx ~minimize:true (A.for_ub op) in
   let step = A.for_step op in
   let vectorized = is_vectorizable ~fast_math:ctx.fast_math op in
-  let body, direct_flops = compile_block ctx (Affine.Loops.body_ops op) in
-  let fl = float_of_int direct_flops in
+  let body_ops = Affine.Loops.body_ops op in
+  let fl = float_of_int (direct_flops body_ops) in
   (* SIMD execution retires several logical iterations per hardware loop
      iteration: amortize the per-iteration branch/IV overhead. *)
   let iter_weight = if vectorized then 0.125 else 1.0 in
-  let stats = ctx.stats in
-  fun () ->
-    let lo = lb () and hi = ub () in
-    let i = ref lo in
-    while !i < hi do
-      ctx.env.(iv_slot) <- !i;
-      for c = 0 to Array.length body - 1 do
-        body.(c) ()
-      done;
-      if vectorized then stats.flops_vector <- stats.flops_vector +. fl
-      else stats.flops_scalar <- stats.flops_scalar +. fl;
-      stats.iterations <- stats.iterations +. iter_weight;
-      i := !i + step
-    done
+  match straight_line_sites ctx ~step body_ops with
+  | Some sites ->
+      compile_strided ctx ~iv_slot ~lb ~ub ~step ~iter_weight ~vectorized ~fl
+        sites
+  | None ->
+      let body = compile_block ctx body_ops in
+      let stats = ctx.stats in
+      fun () ->
+        let lo = lb () and hi = ub () in
+        let i = ref lo in
+        while !i < hi do
+          ctx.env.(iv_slot) <- !i;
+          for c = 0 to Array.length body - 1 do
+            body.(c) ()
+          done;
+          if vectorized then stats.flops_vector <- stats.flops_vector +. fl
+          else stats.flops_scalar <- stats.flops_scalar +. fl;
+          stats.iterations <- stats.iterations +. iter_weight;
+          i := !i + step
+        done
 
 let simulate ?(fast_math = false) model hier addrs stats ops =
   let ctx =
@@ -326,8 +414,10 @@ let simulate ?(fast_math = false) model hier addrs stats ops =
       slots = Hashtbl.create 64;
       next_slot = 0;
       fast_math;
+      n_accesses = 0;
     }
   in
-  let closures, top_flops = compile_block ctx ops in
-  stats.flops_scalar <- stats.flops_scalar +. float_of_int top_flops;
-  Array.iter (fun c -> c ()) closures
+  let closures = compile_block ctx ops in
+  stats.flops_scalar <- stats.flops_scalar +. float_of_int (direct_flops ops);
+  Array.iter (fun c -> c ()) closures;
+  stats.accesses <- stats.accesses +. float_of_int ctx.n_accesses

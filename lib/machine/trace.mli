@@ -5,7 +5,11 @@
     Addresses, bounds and [affine.apply] results are staged: a linear map
     folds its strides, element size and buffer base into one
     [b + sum k_i * iv_i] form; floordiv/mod maps run through
-    {!Ir.Affine_expr.compile}.
+    {!Ir.Affine_expr.compile}. A straight-line innermost loop (only
+    accesses with linear addresses, float arithmetic and float constants
+    in its body) runs each entry as one {!Cache.run_strided} walk over its
+    access sites; every other body runs op by op. Both give the same
+    report bit for bit.
 
     Vectorizability follows the Clang-style check the paper's baselines
     rely on: an innermost loop whose accesses all have address stride 0 or

@@ -2,14 +2,20 @@ open C_ast
 module L = C_lexer
 module D = Support.Diag
 
-type state = { mutable toks : L.t list }
+(* [L.tokenize] ends every stream with [Eof], which [next] never steps
+   past: input truncated anywhere reads [Eof] from then on, so the rule
+   that needed more fails with a located "found end of input" error. *)
+type state = { mutable tok : L.t; mutable rest : L.t list }
 
-let peek st =
-  match st.toks with [] -> assert false | t :: _ -> t
+let peek st = st.tok
 
 let next st =
-  let t = peek st in
-  (match st.toks with [] -> () | _ :: rest -> st.toks <- rest);
+  let t = st.tok in
+  (match st.rest with
+  | t' :: rest ->
+      st.tok <- t';
+      st.rest <- rest
+  | [] -> ());
   t
 
 let expect st tok =
@@ -265,7 +271,11 @@ let parse_kernel_at st =
   { k_name = name; k_params = params; k_locals = locals; k_body = body }
 
 let parse_program ?(file = "<string>") src =
-  let st = { toks = L.tokenize ~file src } in
+  let st =
+    match L.tokenize ~file src with
+    | tok :: rest -> { tok; rest }
+    | [] -> invalid_arg "C_lexer.tokenize: no Eof token"
+  in
   let rec kernels acc =
     match (peek st).L.tok with
     | L.Eof -> List.rev acc

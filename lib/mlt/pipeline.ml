@@ -74,7 +74,7 @@ let sole_func m =
       Support.Diag.errorf "pipeline: expected one kernel, found %d"
         (List.length fs)
 
-let translate src = Met.Emit_affine.translate src
+let translate ?file src = Met.Emit_affine.translate ?file src
 
 (* The Linalg default path primarily performs tiling (§5.2, footnote 2). *)
 let linalg_tile_size = 32
@@ -168,8 +168,8 @@ let prepare_schedule_module ?pm schedule m =
   Verifier.verify m;
   m
 
-let prepare_schedule ?pm schedule src =
-  prepare_schedule_module ?pm schedule (translate src)
+let prepare_schedule ?pm ?file schedule src =
+  prepare_schedule_module ?pm schedule (translate ?file src)
 
 (* ---- simulated timing ----------------------------------------------------- *)
 
@@ -179,15 +179,15 @@ let prepare_schedule ?pm schedule src =
    fanned out over Support.Pool. The winner (first strict minimum in
    sweep order) and its IR are byte-identical to the legacy sequential
    sweep's (asserted in test_tune). *)
-let tuned ?pm machine src =
+let tuned ?pm ?file machine src =
   register_dialects ();
-  let trips = Tune.max_trip_count (sole_func (translate src)) in
+  let trips = Tune.max_trip_count (sole_func (translate ?file src)) in
   let space = Tune.pluto_space ~max_trip:trips in
   let outcome =
     Tune.search
       ~domains:(Domain.recommended_domain_count ())
       ~machine
-      ~translate:(fun () -> translate src)
+      ~translate:(fun () -> translate ?file src)
       space
   in
   (* The sweep runs outside any manager; replay the winning script
@@ -195,24 +195,24 @@ let tuned ?pm machine src =
      schedule [time_schedule_ext] effectively selected. *)
   (match pm with
   | Some mgr ->
-      let m = translate src in
+      let m = translate ?file src in
       Pass.add_all mgr (Transform.Interp.passes_of_steps outcome.Tune.o_best.Tune.c_steps);
       Pass.run mgr (sole_func m)
   | None -> ());
   (outcome.Tune.o_best_report, Some outcome.Tune.o_stats)
 
-let time_schedule_ext ?pm schedule machine src =
+let time_schedule_ext ?pm ?file schedule machine src =
   match schedule with
-  | Config Pluto_best -> tuned ?pm machine src
+  | Config Pluto_best -> tuned ?pm ?file machine src
   | _ ->
-      let m = prepare_schedule ?pm schedule src in
+      let m = prepare_schedule ?pm ?file schedule src in
       (M.Perf.time_func machine (sole_func m), None)
 
 (* ---- differential execution ----------------------------------------------- *)
 
-let check_schedule_semantics ?(seed = 0) ?eps ?engine schedule src =
-  let reference = translate src in
-  let transformed = prepare_schedule schedule src in
+let check_schedule_semantics ?(seed = 0) ?eps ?engine ?file schedule src =
+  let reference = translate ?file src in
+  let transformed = prepare_schedule ?file schedule src in
   let name = Core.func_name (sole_func reference) in
   Interp.Eval.equivalent ?eps ?engine reference transformed name ~seed
 

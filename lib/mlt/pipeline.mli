@@ -102,8 +102,11 @@ val schedule_cache_identity : schedule -> string
     schedule's script; returns the module (one function). The result
     always verifies. With [pm] the passes register into (and record
     statistics in) the caller's manager — pass a fresh manager per
-    invocation, since registration accumulates. *)
-val prepare_schedule : ?pm:Pass.manager -> schedule -> string -> Core.op
+    invocation, since registration accumulates. [file] names [src] in
+    error locations (default ["<string>"]), here and in the other
+    entry points that translate mini-C. *)
+val prepare_schedule :
+  ?pm:Pass.manager -> ?file:string -> schedule -> string -> Core.op
 
 (** {!prepare_schedule} starting from an already translated module. *)
 val prepare_schedule_module :
@@ -122,6 +125,7 @@ val prepare_schedule_module :
     {!Machine.Perf.gflops} on the report. *)
 val time_schedule_ext :
   ?pm:Pass.manager ->
+  ?file:string ->
   schedule ->
   Machine.Machine_model.t ->
   string ->
@@ -139,6 +143,7 @@ val check_schedule_semantics :
   ?seed:int ->
   ?eps:float ->
   ?engine:Interp.Eval.engine ->
+  ?file:string ->
   schedule ->
   string ->
   bool

@@ -86,6 +86,23 @@ dune exec tools/json_check/json_check.exe -- "$obs_tmp/sim_best_stats.json" \
   passes
 dune exec bin/mlt_sim.exe -- examples/kernels/gemm.c --tune --quick \
   > /dev/null
+# Truncated mini-C must fail as a located Diag.Error (exit 124) whose
+# location names the input file: exit 125 (an uncaught exception) or an
+# anonymous "<string>" location fails the gate, in mlt-opt and mlt-sim.
+# The cut ends the file inside a statement, right after "C[i]".
+head -c 270 examples/kernels/gemm.c > "$obs_tmp/cut.c"
+for tool in mlt_opt mlt_sim; do
+  status=0
+  "_build/default/bin/$tool.exe" "$obs_tmp/cut.c" > /dev/null \
+    2> "$obs_tmp/cut.err" || status=$?
+  if [ "$status" -ne 124 ] \
+    || ! grep -q "^mlt-[a-z]*: $obs_tmp/cut.c:[0-9]*:[0-9]*: " "$obs_tmp/cut.err" \
+    || grep -qF "<string>" "$obs_tmp/cut.err"; then
+    cat "$obs_tmp/cut.err" >&2
+    echo "check.sh: $tool on truncated input exited $status without a located error naming the file" >&2
+    exit 1
+  fi
+done
 # Smoke the multi-domain batch driver: the example manifest must compile
 # cleanly on a 2-domain pool (domains time-share cores on small machines,
 # so this checks safety, not speed) and produce a well-formed report with

@@ -77,8 +77,9 @@ let test_cache_power_of_two () =
    A naive reference: one most-recent-first list of line ids per set; a
    hit moves the line to the front, a miss pushes it there and drops the
    tail once the set holds [ways] lines. [Machine.Cache] must agree with
-   it on every access, which is what licenses its last-line and MRU-way
-   shortcuts. *)
+   it on every access, which is what licenses its MRU-way probe and the
+   rule that an MRU-way hit changes no state (no clock tick, no stamp
+   write). *)
 
 module Ref_lru = struct
   type t = {
@@ -119,7 +120,7 @@ type lru_op = Fresh of int * int * int | Repeat of int | Reset
 
 (* Streams over at most three sets and [ways + 3] lines per set: heavy
    same-set conflicts; [Repeat] re-touches the previous line at a new
-   offset, the case the last-line shortcut serves. *)
+   offset, always an MRU-way hit, the case that changes no state. *)
 let gen_lru_ops ~line ~sets ~ways =
   let open QCheck.Gen in
   let fresh =
@@ -195,8 +196,7 @@ let prop_lru_matches_reference (line, sets, ways) =
 
 let test_lru_across_reset () =
   (* The same stream before and after a reset: the reset cache must be
-     indistinguishable from a fresh one, the last-line and MRU state
-     included. *)
+     indistinguishable from a fresh one, the MRU state included. *)
   let stream =
     QCheck.Gen.generate1 ~rand:(Random.State.make [| 7 |])
       (gen_lru_ops ~line:64 ~sets:4 ~ways:8)
@@ -463,7 +463,7 @@ let pinned_expected : (string * string * float array) list =
       |] );
   ]
 
-let test_pinned_reports () =
+let check_pinned kernels expected =
   List.iter
     (fun (kname, f) ->
       List.iter
@@ -472,7 +472,7 @@ let test_pinned_reports () =
           match
             List.find_opt
               (fun (k, mn, _) -> k = kname && mn = m.MM.name)
-              pinned_expected
+              expected
           with
           | None -> Alcotest.failf "%s/%s: no pinned report" kname m.MM.name
           | Some (_, _, want) ->
@@ -483,7 +483,337 @@ let test_pinned_reports () =
                       m.MM.name report_field_names.(i) got.(i) w)
                 want)
         MM.platforms)
-    (pinned_kernels ())
+    kernels
+
+let test_pinned_reports () = check_pinned (pinned_kernels ()) pinned_expected
+
+(* Loop-range edge cases of the strided innermost runs: a step-3 loop
+   whose trip count is not a multiple of its step, inner loops with empty
+   ranges (lb > ub, lb = ub, a constant empty range), and a tile-32 nest
+   with [min] remainder bounds and a load and a store to the same cell.
+   The hex floats were recorded from the simulator as it was before
+   straight-line innermost loops ran strided, when every access went
+   through its own closure. *)
+
+let pinned_step3 =
+  {|builtin.module {
+  func.func @step3(%A: memref<50x48xf32>, %B: memref<48x50xf32>, %C: memref<50x48xf32>) {
+    affine.for %i = 0 to 50 {
+      affine.for %j = 1 to 47 step 3 {
+        %0 = affine.load %A[%i, %j] : memref<50x48xf32>
+        %1 = affine.load %B[%j, %i] : memref<48x50xf32>
+        %2 = arith.mulf %0, %1 : f32
+        affine.store %2, %C[%i, %j] : memref<50x48xf32>
+        affine.yield
+      }
+      affine.yield
+    }
+    func.return
+  }
+}|}
+
+let pinned_empty =
+  {|builtin.module {
+  func.func @empty(%A: memref<40x24xf32>, %x: memref<24xf32>) {
+    affine.for %i = 0 to 40 {
+      affine.for %j = %i to 24 {
+        %0 = affine.load %A[%i, %j] : memref<40x24xf32>
+        %1 = affine.load %x[%j] : memref<24xf32>
+        %2 = arith.addf %0, %1 : f32
+        affine.store %2, %x[%j] : memref<24xf32>
+        affine.yield
+      }
+      affine.for %k = 7 to 7 {
+        %3 = affine.load %A[%i, %k] : memref<40x24xf32>
+        affine.store %3, %x[%k] : memref<24xf32>
+        affine.yield
+      }
+      affine.yield
+    }
+    func.return
+  }
+}|}
+
+let pinned_remainder =
+  {|builtin.module {
+  func.func @rem(%A: memref<70x45xf32>, %B: memref<45x70xf32>) {
+    affine.for %ii = 0 to 70 step 32 {
+      affine.for %jj = 0 to 45 step 32 {
+        affine.for %i = %ii to min(%ii + 32, 70) {
+          affine.for %j = %jj to min(%jj + 32, 45) {
+            %0 = affine.load %A[%i, %j] : memref<70x45xf32>
+            %1 = affine.load %B[%j, %i] : memref<45x70xf32>
+            %2 = arith.addf %0, %1 : f32
+            affine.store %2, %B[%j, %i] : memref<45x70xf32>
+            affine.yield
+          }
+          affine.yield
+        }
+        affine.yield
+      }
+      affine.yield
+    }
+    func.return
+  }
+}|}
+
+let edge_kernels () =
+  let of_ir src name =
+    Option.get (Core.find_func (Parser.parse_module src) name)
+  in
+  [
+    ("step3-ragged", of_ir pinned_step3 "step3");
+    ("empty-inner", of_ir pinned_empty "empty");
+    ("tile32-remainder", of_ir pinned_remainder "rem");
+  ]
+
+let edge_expected : (string * string * float array) list =
+  [
+    ( "step3-ragged",
+      "intel-i9-9900k",
+      [|
+        0x1.a9628e0f36fd2p-20; 0x1.a9628e0f36fd2p-20; 0x0p+0; 0x1.9p+9;
+        0x0p+0; 0x1.2f6db6db6db5fp+12; 0x1.a9p+9; 0x1.2cp+11;
+      |] );
+    ( "step3-ragged",
+      "amd-2920x",
+      [|
+        0x1.c8e017c188d91p-20; 0x1.c8e017c188d91p-20; 0x0p+0; 0x1.9p+9;
+        0x0p+0; 0x1.9449249249242p+12; 0x1.a9p+9; 0x1.2cp+11;
+      |] );
+    ( "empty-inner",
+      "intel-i9-9900k",
+      [|
+        0x1.677c4028686a1p-24; 0x1.677c4028686a1p-24; 0x0p+0; 0x0p+0;
+        0x1.2cp+8; 0x1.bfa2608c6f2dp+7; 0x1.36p+6; 0x1.c2p+9;
+      |] );
+    ( "empty-inner",
+      "amd-2920x",
+      [|
+        0x1.9b308a45a1916p-24; 0x1.9b308a45a1916p-24; 0x0p+0; 0x0p+0;
+        0x1.2cp+8; 0x1.4e2be2be2be29p+8; 0x1.36p+6; 0x1.c2p+9;
+      |] );
+    ( "tile32-remainder",
+      "intel-i9-9900k",
+      [|
+        0x1.f5db19007d79p-19; 0x1.f5db19007d79p-19; 0x0p+0; 0x1.89cp+11;
+        0x0p+0; 0x1.3d8e9536202f8p+13; 0x1.9c6p+11; 0x1.275p+13;
+      |] );
+    ( "tile32-remainder",
+      "amd-2920x",
+      [|
+        0x1.f59b5c3badfb9p-19; 0x1.f59b5c3badfb9p-19; 0x0p+0; 0x1.89cp+11;
+        0x0p+0; 0x1.8f19d41d41d69p+13; 0x1.9c6p+11; 0x1.275p+13;
+      |] );
+  ]
+
+let test_pinned_edge_reports () = check_pinned (edge_kernels ()) edge_expected
+
+(* ---- strided innermost runs = the closure path -------------------------
+
+   A straight-line innermost loop (accesses with linear addresses, float
+   arithmetic, float constants) runs as one strided probe loop over its
+   access sites; any other body runs op by op through staged closures. A
+   dead [affine.apply] in the innermost body forces the closure path, so
+   each random nest is simulated both ways and the reports must agree bit
+   for bit on both machines. *)
+
+type site = {
+  store : bool;
+  buf : int;
+  subs : (int * int list) list;  (** per dim: constant, coefficient per iv *)
+}
+
+type inner_bounds =
+  | Const of int * int  (** may be empty: lb >= ub *)
+  | Remainder of int  (** [%o to min(%o + tile, n)] under [0 to n step tile] *)
+  | Shifted  (** [max(%o - 1, 1) to %o + 3] *)
+
+type nest = {
+  shapes : int list array;
+  outer : (int * int * int) list;  (** lb, ub, step *)
+  inner : inner_bounds;
+  step : int;
+  sites : site list;
+}
+
+let gen_nest =
+  let open QCheck.Gen in
+  let* shapes =
+    array_size (int_range 1 3)
+      (oneof
+         [
+           map (fun n -> [ n ]) (int_range 8 200);
+           map2 (fun a b -> [ a; b ]) (int_range 4 24) (int_range 4 24);
+           map3 (fun a b c -> [ a; b; c ]) (int_range 3 12) (int_range 3 12)
+             (int_range 3 12);
+         ])
+  in
+  let* outer =
+    list_size (int_range 0 2)
+      (map3
+         (fun lb len step -> (lb, lb + len, step))
+         (int_bound 2) (int_bound 8) (int_range 1 3))
+  in
+  let* inner =
+    frequency
+      ((3, map2 (fun lb ub -> Const (lb, ub)) (int_bound 6) (int_bound 14))
+      ::
+      (if outer = [] then []
+       else
+         [
+           (2, map (fun t -> Remainder t) (int_range 2 5));
+           (1, return Shifted);
+         ]))
+  in
+  (* The remainder tile is the last outer loop's step. *)
+  let outer =
+    match (inner, List.rev outer) with
+    | Remainder t, (_, ub, _) :: rest -> List.rev ((0, ub + 3, t) :: rest)
+    | _ -> outer
+  in
+  let n_ivs = List.length outer + 1 in
+  let* step = int_range 1 4 in
+  let gen_site =
+    let* store = map (fun k -> k < 2) (int_bound 4) in
+    let* buf = int_bound (Array.length shapes - 1) in
+    let+ subs =
+      flatten_l
+        (List.map
+           (fun _ ->
+             pair (int_bound 4) (list_repeat n_ivs (int_range (-2) 2)))
+           shapes.(buf))
+    in
+    { store; buf; subs }
+  in
+  let* sites = list_size (int_range 1 4) gen_site in
+  (* Sometimes store to the cell the first load read. *)
+  let+ same_cell = bool in
+  let sites =
+    match List.find_opt (fun s -> not s.store) sites with
+    | Some l when same_cell -> sites @ [ { l with store = true } ]
+    | _ -> sites
+  in
+  { shapes; outer; inner; step; sites }
+
+let render_nest ~dead n =
+  let b = Buffer.create 1024 in
+  let pr fmt = Printf.bprintf b fmt in
+  let ty i =
+    Printf.sprintf "memref<%sxf32>"
+      (String.concat "x" (List.map string_of_int n.shapes.(i)))
+  in
+  let n_outer = List.length n.outer in
+  let iv k = if k = n_outer then "%i" else Printf.sprintf "%%o%d" k in
+  let args =
+    Array.to_list (Array.mapi (fun i _ -> Printf.sprintf "%%B%d: %s" i (ty i)) n.shapes)
+  in
+  pr "builtin.module {\n  func.func @k(%s) {\n" (String.concat ", " args);
+  List.iteri
+    (fun k (lb, ub, step) ->
+      pr "affine.for %s = %d to %d step %d {\n" (iv k) lb ub step)
+    n.outer;
+  let o = iv (n_outer - 1) in
+  (match n.inner with
+  | Const (lb, ub) -> pr "affine.for %%i = %d to %d" lb ub
+  | Remainder t ->
+      let _, ub, _ = List.nth n.outer (n_outer - 1) in
+      pr "affine.for %%i = %s to min(%s + %d, %d)" o o t ub
+  | Shifted -> pr "affine.for %%i = max(%s - 1, 1) to %s + 3" o o);
+  pr " step %d {\n" n.step;
+  if dead then pr "%%dead = affine.apply %%i + 1\n";
+  pr "%%acc0 = arith.constant 1.5 : f32\n";
+  let sub (c, ks) =
+    let term k x = if x = 0 then [] else [ Printf.sprintf "%s * %d" (iv k) x ] in
+    String.concat " + " (string_of_int c :: List.concat (List.mapi term ks))
+  in
+  let acc = ref 0 in
+  List.iteri
+    (fun j s ->
+      let subs = String.concat ", " (List.map sub s.subs) in
+      if s.store then
+        pr "affine.store %%acc%d, %%B%d[%s] : %s\n" !acc s.buf subs (ty s.buf)
+      else begin
+        pr "%%v%d = affine.load %%B%d[%s] : %s\n" j s.buf subs (ty s.buf);
+        pr "%%acc%d = arith.%s %%acc%d, %%v%d : f32\n" (!acc + 1)
+          (if j mod 2 = 0 then "addf" else "mulf") !acc j;
+        incr acc
+      end)
+    n.sites;
+  pr "affine.yield\n}\n";
+  List.iter (fun _ -> pr "affine.yield\n}\n") n.outer;
+  pr "func.return\n}\n}\n";
+  Buffer.contents b
+
+let prop_strided_matches_closures =
+  QCheck.Test.make ~name:"strided innermost runs = closure path (both machines)"
+    ~count:300
+    (QCheck.make ~print:(render_nest ~dead:false) gen_nest)
+    (fun n ->
+      let report m ~dead =
+        let src = render_nest ~dead n in
+        let f = Option.get (Core.find_func (Parser.parse_module src) "k") in
+        report_fields (Machine.Perf.time_func m f)
+      in
+      let hex r = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") r)) in
+      List.for_all
+        (fun (m : MM.t) ->
+          let strided = report m ~dead:false and closures = report m ~dead:true in
+          Array.for_all2
+            (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
+            strided closures
+          || QCheck.Test.fail_reportf "%s: strided %s, closures %s" m.MM.name
+               (hex strided) (hex closures))
+        MM.platforms)
+
+(* [Cache.run_strided] against the same probes through
+   [Cache.access_hierarchy], on a tiny three-level hierarchy that evicts
+   constantly: equal running cost sums and equal per-level counts. *)
+let prop_run_strided_matches_probes =
+  let open QCheck.Gen in
+  let gen =
+    triple (int_bound 40)
+      (list_size (int_range 1 4) (pair (int_bound 4096) (int_range (-300) 300)))
+      (float_range 0. 10.)
+  in
+  QCheck.Test.make ~name:"run_strided = access_hierarchy in probe order"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (n, sites, m0) ->
+         Printf.sprintf "n=%d mem=%h %s" n m0
+           (String.concat " "
+              (List.map (fun (a, d) -> Printf.sprintf "%d%+d" a d) sites)))
+       gen)
+    (fun (n, sites, m0) ->
+      let levels () =
+        let l1 = C.create ~size:256 ~line:32 ~ways:2
+        and l2 = C.create ~size:512 ~line:32 ~ways:4
+        and l3 = C.create ~size:1024 ~line:64 ~ways:2 in
+        ([ l1; l2; l3 ], C.create_hierarchy ~l1 ~l2 ~l3)
+      in
+      let sites = Array.of_list sites in
+      let costs =
+        Array.init (3 * Array.length sites) (fun i -> 0.1 +. float_of_int i)
+      in
+      let ls, h = levels () in
+      let got =
+        C.run_strided h ~n ~addrs:(Array.map fst sites)
+          ~deltas:(Array.map snd sites) ~costs m0
+      in
+      let ls', h' = levels () in
+      let want = ref m0 in
+      for i = 0 to n - 1 do
+        Array.iteri
+          (fun s (a, d) ->
+            let level = C.access_hierarchy h' (a + (i * d)) in
+            if level > 1 then want := !want +. costs.((3 * s) + level - 2))
+          sites
+      done;
+      Int64.bits_of_float got = Int64.bits_of_float !want
+      && List.for_all2
+           (fun c c' ->
+             C.accesses c = C.accesses c' && C.misses c = C.misses c')
+           ls ls')
 
 (* Maps the simulator cannot stage fail before the walk with a located
    error, never an [Invalid_argument] from the walk itself. *)
@@ -533,6 +863,8 @@ let suite =
       test_level2_overhead_story;
     Alcotest.test_case "pinned reports (tile, triangular, linearized, \
        non-linear)" `Quick test_pinned_reports;
+    Alcotest.test_case "pinned reports (step-3 ragged, empty inner, \
+       tile-32 remainder)" `Quick test_pinned_edge_reports;
     Alcotest.test_case "unstageable maps are located errors" `Quick
       test_unstageable_maps_are_diag_errors;
     Alcotest.test_case "cache geometry must be a power of two" `Quick
@@ -543,3 +875,5 @@ let suite =
   @ List.map
       (fun g -> QCheck_alcotest.to_alcotest (prop_lru_matches_reference g))
       lru_geometries
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_strided_matches_closures; prop_run_strided_matches_probes ]

@@ -44,6 +44,26 @@ let test_parse_errors () =
   expect_fail "void f(float A[4]) { A[0] = ; }";
   expect_fail "void f(float A[4]) { A[0] 1.0; }"
 
+(* Input cut off anywhere fails with a located error at end of input,
+   never an escaping exception: the parser's lookahead once asserted on
+   running past the last token. *)
+let test_truncated_input_is_located () =
+  (match C_parser.parse_kernel ~file:"cut.c" "void f(float A[4]) { A" with
+  | _ -> Alcotest.fail "parsed a truncated kernel"
+  | exception Support.Diag.Error (loc, msg) ->
+      Alcotest.(check string) "location"
+        "cut.c:1:23: expected expression, found end of input"
+        (Support.Diag.to_string loc msg));
+  let src = W.gemm ~ni:4 ~nj:4 ~nk:4 () in
+  let complete = String.rindex src '}' + 1 in
+  for n = 1 to complete - 1 do
+    match C_parser.parse_kernel ~file:"cut.c" (String.sub src 0 n) with
+    | _ -> Alcotest.failf "parsed a %d-byte prefix of gemm" n
+    | exception Support.Diag.Error (loc, _) ->
+        if loc.Support.Loc.file <> "cut.c" then
+          Alcotest.failf "%d-byte prefix: error not located in the input" n
+  done
+
 let test_lexer_comments () =
   let k =
     parse
@@ -176,6 +196,8 @@ let suite =
     Alcotest.test_case "parse linearized subscripts" `Quick
       test_parse_linearized;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "truncated input is a located error" `Quick
+      test_truncated_input_is_located;
     Alcotest.test_case "lexer comments" `Quick test_lexer_comments;
     Alcotest.test_case "distribute gemm" `Quick test_distribute_gemm;
     Alcotest.test_case "distribution preserves dependences" `Quick

@@ -238,6 +238,37 @@ let test_compile_time_runs () =
   Alcotest.(check bool) "baseline positive" true (t_base > 0.);
   Alcotest.(check bool) "mlt not absurdly slower" true (t_mlt < t_base *. 50.)
 
+(* The entry points mlt-sim calls locate MET errors in the file they
+   were given, not in an anonymous "<string>". *)
+let test_pipeline_errors_name_the_file () =
+  let src = "void f(float A[4]) { A" in
+  let machine = Machine.Machine_model.intel_i9 in
+  let expect what run =
+    match run () with
+    | _ -> Alcotest.failf "%s: translated a truncated kernel" what
+    | exception Support.Diag.Error (loc, msg) ->
+        Alcotest.(check string) what
+          "kernels/cut.c:1:23: expected expression, found end of input"
+          (Support.Diag.to_string loc msg)
+  in
+  let file = "kernels/cut.c" in
+  let config c = Mlt.Pipeline.Config c in
+  expect "prepare_schedule" (fun () ->
+      ignore
+        (Mlt.Pipeline.prepare_schedule ~file (config Mlt.Pipeline.Mlt_blas) src));
+  expect "time_schedule_ext" (fun () ->
+      ignore
+        (Mlt.Pipeline.time_schedule_ext ~file (config Mlt.Pipeline.Clang_O3)
+           machine src));
+  expect "time_schedule_ext pluto-best" (fun () ->
+      ignore
+        (Mlt.Pipeline.time_schedule_ext ~file (config Mlt.Pipeline.Pluto_best)
+           machine src));
+  expect "check_schedule_semantics" (fun () ->
+      ignore
+        (Mlt.Pipeline.check_schedule_semantics ~file
+           (config Mlt.Pipeline.Mlt_linalg) src))
+
 let suite =
   [
     Alcotest.test_case "chain: CLRS example" `Quick test_chain_cormen_example;
@@ -269,4 +300,6 @@ let suite =
       test_fig8_callsite_counts;
     Alcotest.test_case "compile-time measurement runs" `Quick
       test_compile_time_runs;
+    Alcotest.test_case "pipeline errors name the input file" `Quick
+      test_pipeline_errors_name_the_file;
   ]
