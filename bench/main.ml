@@ -108,12 +108,7 @@ let fig9_machine machine =
     geo;
   Printf.printf "\n"
 
-let fig9 () =
-  List.iter fig9_machine MM.platforms;
-  Printf.printf
-    "\npaper shape: clang lowest everywhere; pluto-best wins the level-2 \
-     kernels (atax..mvt);\nMLT-BLAS wins every level-3 kernel and \
-     contraction; MLT-Linalg sits between clang and pluto.\n"
+let fig9 () = List.iter fig9_machine MM.platforms
 
 (* ---------------- Table II ---------------------------------------------- *)
 
@@ -825,19 +820,17 @@ let scale () =
    every candidate). *)
 let tune_section () =
   sep "Schedule autotuner: transform-script search on the machine model";
-  P.register_dialects ();
   let machine = MM.amd_2920x in
   let n = if !quick then 64 else 128 in
   let src = W.mm ~ni:n ~nj:n ~nk:n () in
   let flops = 2. *. float_of_int (n * n * n) in
-  let translate () = Met.Emit_affine.translate src in
-  let trips =
-    Tune.max_trip_count (Option.get (Core.find_func (translate ()) "mm"))
-  in
-  let space = Tune.gemm_space ~quick:!quick ~max_trip:trips () in
   let cores = Domain.recommended_domain_count () in
   let t0 = Unix.gettimeofday () in
-  let outcome = Tune.search ~domains:cores ~machine ~translate space in
+  let outcome =
+    P.search
+      ~space:(fun ~max_trip -> Tune.gemm_space ~quick:!quick ~max_trip ())
+      machine src
+  in
   let wall = Unix.gettimeofday () -. t0 in
   let st = outcome.Tune.o_stats in
   let default_report = time P.Pluto_default machine src in

@@ -35,11 +35,11 @@ let transform_script_arg =
            mlt-opt or written by hand (grammar in docs/TRANSFORM.md); \
            '-' for stdin.")
 
-(* [resolve_schedule ~config ~script] — [None] when neither flag was
+(* [schedule_of_flags ~config ~script] — [None] when neither flag was
    given, so each driver picks its own default. Raises
    [Support.Diag.Error] on conflicts, unknown names and script errors;
    call it inside the driver's top-level handler. *)
-let resolve_schedule ~config ~script =
+let schedule_of_flags ~config ~script =
   match (config, script) with
   | None, None -> None
   | Some _, Some _ ->
@@ -137,9 +137,8 @@ let metrics =
           "Enable the Ir.Metrics registry for this run and write the \
            merged snapshot to $(docv) on exit: pass timings and GC \
            deltas, cache hit/miss and latencies, interpreter \
-           compile/exec timings, intern-table sizes. JSON by default; \
-           Prometheus/OpenMetrics text when $(docv) ends in .prom or \
-           .txt (schema in docs/OBSERVABILITY.md).")
+           compile/exec timings, intern-table sizes, as JSON (schema \
+           in docs/OBSERVABILITY.md).")
 
 let print_debug_locs =
   Arg.(

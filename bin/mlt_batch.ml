@@ -21,7 +21,7 @@ let run manifest_path domains pipeline script capture_remarks output
     @@ fun () ->
     let manifest = Batch.Manifest.load manifest_path in
     let manifest =
-      match Cli_common.resolve_schedule ~config:pipeline ~script with
+      match Cli_common.schedule_of_flags ~config:pipeline ~script with
       | None -> manifest
       | Some schedule ->
           Batch.Manifest.of_entries

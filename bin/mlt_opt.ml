@@ -109,7 +109,7 @@ let run input list_ops_flag force_c config script tactics_file dump_tds
     (* A named config or transform script runs first, in script order;
        the flag steps append to it. *)
     let schedule_steps =
-      match Cli_common.resolve_schedule ~config ~script with
+      match Cli_common.schedule_of_flags ~config ~script with
       | Some schedule -> Mlt.Pipeline.schedule_steps schedule
       | None -> []
     in

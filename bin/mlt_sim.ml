@@ -26,14 +26,10 @@ let sole_func m =
    BLIS blockings) on the machine model and report the winner — and its
    schedule as a reusable transform script. *)
 let run_tune ~machine ~quick ~pass_stats ~file src =
-  Mlt.Pipeline.register_dialects ();
-  let translate () = Met.Emit_affine.translate ~file src in
-  let trips = Tune.max_trip_count (sole_func (translate ())) in
   let outcome =
-    Tune.search
-      ~domains:(Domain.recommended_domain_count ())
-      ~machine ~translate
-      (Tune.gemm_space ~quick ~max_trip:trips ())
+    Mlt.Pipeline.search ~file
+      ~space:(fun ~max_trip -> Tune.gemm_space ~quick ~max_trip ())
+      machine src
   in
   let st = outcome.Tune.o_stats in
   Printf.printf "machine:          %s\n" machine.Machine.Machine_model.name;
@@ -69,9 +65,14 @@ let run input config script tune quick machine flops execute verify
     end
     else begin
       let schedule =
-        match Cli_common.resolve_schedule ~config ~script with
+        match Cli_common.schedule_of_flags ~config ~script with
         | Some s -> s
         | None -> Mlt.Pipeline.Config Mlt.Pipeline.Clang_O3
+      in
+      (* Pluto-best resolves to its winning script once, here: the
+         checks, the execution and the timing below all see it. *)
+      let schedule, outcome =
+        Mlt.Pipeline.resolve_schedule ~file:input machine src schedule
       in
       let name = Mlt.Pipeline.schedule_name schedule in
       let pm =
@@ -91,9 +92,10 @@ let run input config script tune quick machine flops execute verify
         let t1 = Unix.gettimeofday () in
         Printf.printf "executed:         %s in %.6f s\n" fname (t1 -. t0)
       end;
-      let report, tune_stats =
+      let report, _ =
         Mlt.Pipeline.time_schedule_ext ?pm ~file:input schedule machine src
       in
+      let tune_stats = Option.map (fun o -> o.Tune.o_stats) outcome in
       Printf.printf "machine:          %s\n"
         machine.Machine.Machine_model.name;
       Printf.printf "config:           %s\n" name;

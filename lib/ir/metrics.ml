@@ -210,41 +210,6 @@ let snapshot () =
          { s_metric = d.d_name; s_help = d.d_help; s_value = v })
   |> List.sort (fun a b -> String.compare a.s_metric b.s_metric)
 
-let merge_values name a b =
-  match (a, b) with
-  | V_counter x, V_counter y -> V_counter (x + y)
-  | V_gauge x, V_gauge y -> V_gauge (Float.max x y)
-  | V_histogram x, V_histogram y ->
-      V_histogram
-        {
-          h_count = x.h_count + y.h_count;
-          h_sum = x.h_sum +. y.h_sum;
-          h_buckets = Array.map2 ( + ) x.h_buckets y.h_buckets;
-        }
-  | _ -> Support.Diag.errorf "metric %s: cannot merge samples of different kinds" name
-
-let merge_samples a b =
-  let tbl = Hashtbl.create 64 in
-  let names = ref [] in
-  let feed s =
-    match Hashtbl.find_opt tbl s.s_metric with
-    | None ->
-        Hashtbl.add tbl s.s_metric s;
-        names := s.s_metric :: !names
-    | Some prev ->
-        Hashtbl.replace tbl s.s_metric
-          {
-            prev with
-            s_value = merge_values s.s_metric prev.s_value s.s_value;
-            s_help = (if prev.s_help = "" then s.s_help else prev.s_help);
-          }
-  in
-  List.iter feed a;
-  List.iter feed b;
-  !names
-  |> List.sort String.compare
-  |> List.map (Hashtbl.find tbl)
-
 (* ---------------------------------------------------------------------- *)
 (* JSON exposition *)
 
@@ -294,66 +259,9 @@ let to_json_value ?run_meta samples =
 
 let to_json ?run_meta samples = J.to_string (to_json_value ?run_meta samples)
 
-(* ---------------------------------------------------------------------- *)
-(* Prometheus/OpenMetrics text exposition *)
-
-let mangle name =
-  String.mapi
-    (fun i c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '_' -> c
-      | '0' .. '9' when i > 0 -> c
-      | _ -> '_')
-    name
-
-let prom_float v =
-  if v = Float.infinity then "+Inf"
-  else if v = Float.neg_infinity then "-Inf"
-  else if Float.is_nan v then "NaN"
-  else if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.9g" v
-
-let to_prometheus samples =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun s ->
-      let name = mangle s.s_metric in
-      if s.s_help <> "" then
-        Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name s.s_help);
-      Buffer.add_string buf
-        (Printf.sprintf "# TYPE %s %s\n" name
-           (kind_name (kind_of_value s.s_value)));
-      (match s.s_value with
-      | V_counter n -> Buffer.add_string buf (Printf.sprintf "%s %d\n" name n)
-      | V_gauge v ->
-          Buffer.add_string buf (Printf.sprintf "%s %s\n" name (prom_float v))
-      | V_histogram h ->
-          let cum = ref 0 in
-          Array.iteri
-            (fun i n ->
-              cum := !cum + n;
-              (* Cumulative rows only where the histogram has mass (plus
-                 the mandatory +Inf row) keeps 64-bucket output short. *)
-              if n > 0 || i = bucket_count - 1 then
-                Buffer.add_string buf
-                  (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" name
-                     (prom_float (bucket_upper_seconds i))
-                     !cum))
-            h.h_buckets;
-          Buffer.add_string buf
-            (Printf.sprintf "%s_sum %s\n" name (prom_float h.h_sum));
-          Buffer.add_string buf (Printf.sprintf "%s_count %d\n" name h.h_count)))
-    samples;
-  Buffer.contents buf
-
 let write ~path samples =
-  let text =
-    if Filename.check_suffix path ".prom" || Filename.check_suffix path ".txt"
-    then to_prometheus samples
-    else to_json ~run_meta:(Support.Run_meta.json ()) samples ^ "\n"
-  in
-  Support.Atomic_io.write_file ~path text
+  Support.Atomic_io.write_file ~path
+    (to_json ~run_meta:(Support.Run_meta.json ()) samples ^ "\n")
 
 (* ---------------------------------------------------------------------- *)
 (* Reader (trace_stats, tests) *)

@@ -17,9 +17,8 @@
     [Atomic.get] and return, the same hot-path budget as the disabled
     {!Trace} sink stack (<50ns/call, asserted by [bench -- patterns]).
     The [--metrics=FILE] flag on mlt-opt/mlt-sim/mlt-batch/bench enables
-    collection for the run and exports the snapshot on exit — as strict
-    {!Support.Json}, or as Prometheus/OpenMetrics text when [FILE] ends
-    in [.prom] or [.txt] (schema in docs/OBSERVABILITY.md). *)
+    collection for the run and exports the snapshot on exit as strict
+    {!Support.Json} (schema in docs/OBSERVABILITY.md). *)
 
 type kind = Counter | Gauge | Histogram
 
@@ -29,9 +28,7 @@ type t
 
 (** [counter name] registers (or finds) the counter [name].
     Raises {!Support.Diag.Error} if [name] is already registered with a
-    different kind. Names should be Prometheus-compatible
-    ([[a-zA-Z_][a-zA-Z0-9_]*]); the text exposition mangles anything
-    else. *)
+    different kind. Names should match [[a-zA-Z_][a-zA-Z0-9_]*]. *)
 val counter : ?help:string -> string -> t
 
 val gauge : ?help:string -> string -> t
@@ -99,11 +96,6 @@ val bucket_upper_seconds : int -> float
     values. *)
 val snapshot : unit -> sample list
 
-(** Associative offline merge of two snapshots (same rules as the
-    cross-domain merge); used by [trace_stats] to combine per-run
-    metrics files. Samples with the same name must agree on kind. *)
-val merge_samples : sample list -> sample list -> sample list
-
 (** {2 Exposition} *)
 
 (** [{"run_meta":{...},"metrics":[...]}]; each sample carries [name],
@@ -120,14 +112,8 @@ val histogram_snapshot_json : histogram_snapshot -> Support.Json.t
 
 val to_json : ?run_meta:Support.Json.t -> sample list -> string
 
-(** Prometheus/OpenMetrics text exposition: [# HELP]/[# TYPE] comments,
-    cumulative [_bucket{le="..."}] rows plus [_sum]/[_count] for
-    histograms. *)
-val to_prometheus : sample list -> string
-
-(** [write ~path samples] — atomic write ({!Support.Atomic_io});
-    Prometheus text when [path] ends in [.prom]/[.txt], JSON (with a
-    {!Support.Run_meta} block) otherwise. *)
+(** [write ~path samples] — atomic write ({!Support.Atomic_io}) of
+    {!to_json} with a {!Support.Run_meta} block. *)
 val write : path:string -> sample list -> unit
 
 (** [parse_json j] — read back a metrics JSON document written by

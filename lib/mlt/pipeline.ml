@@ -86,8 +86,8 @@ let linalg_tile_size = 32
 let steps_of_config = function
   | Clang_O3 -> []
   | Pluto_default | Pluto_best ->
-      (* Pluto_best is resolved at timing (needs the machine model);
-         structural prepare keeps the default. *)
+      (* Without a machine model Pluto_best keeps the default;
+         [resolve_schedule] replaces it with the sweep's winner. *)
       Script.of_pluto T.Pluto.default_config
   | Mlt_linalg ->
       [
@@ -171,41 +171,41 @@ let prepare_schedule_module ?pm schedule m =
 let prepare_schedule ?pm ?file schedule src =
   prepare_schedule_module ?pm schedule (translate ?file src)
 
+(* ---- search and pluto-best ----------------------------------------------- *)
+
+(* The one search from mini-C: size the space by the kernel's largest
+   trip count, then score every candidate on the machine model, fanned
+   out over Support.Pool. *)
+let search ?file ~space machine src =
+  register_dialects ();
+  let translate () = translate ?file src in
+  let max_trip = Tune.max_trip_count (sole_func (translate ())) in
+  Tune.search
+    ~domains:(Domain.recommended_domain_count ())
+    ~machine ~translate (space ~max_trip)
+
+(* Pluto-best is the first strict minimum of the Pluto sweep on the
+   model — the stand-in for the paper's multi-day autotuning. Its winner
+   and IR are byte-identical to the legacy sequential sweep's (asserted
+   in test_tune). *)
+let resolve_schedule ?file machine src = function
+  | Config Pluto_best ->
+      let o = search ?file ~space:Tune.pluto_space machine src in
+      let steps = o.Tune.o_best.Tune.c_steps in
+      (Custom { name = config_name Pluto_best; steps }, Some o)
+  | s -> (s, None)
+
 (* ---- simulated timing ----------------------------------------------------- *)
 
-(* Score every Pluto sweep configuration on the machine model and keep
-   the fastest — the model-driven stand-in for the paper's multi-day
-   autotuning, now running through the general tuner with the sweep
-   fanned out over Support.Pool. The winner (first strict minimum in
-   sweep order) and its IR are byte-identical to the legacy sequential
-   sweep's (asserted in test_tune). *)
-let tuned ?pm ?file machine src =
-  register_dialects ();
-  let trips = Tune.max_trip_count (sole_func (translate ?file src)) in
-  let space = Tune.pluto_space ~max_trip:trips in
-  let outcome =
-    Tune.search
-      ~domains:(Domain.recommended_domain_count ())
-      ~machine
-      ~translate:(fun () -> translate ?file src)
-      space
-  in
-  (* The sweep runs outside any manager; replay the winning script
-     through the caller's manager so the recorded stats describe the
-     schedule [time_schedule_ext] effectively selected. *)
-  (match pm with
-  | Some mgr ->
-      let m = translate ?file src in
-      Pass.add_all mgr (Transform.Interp.passes_of_steps outcome.Tune.o_best.Tune.c_steps);
-      Pass.run mgr (sole_func m)
-  | None -> ());
-  (outcome.Tune.o_best_report, Some outcome.Tune.o_stats)
-
 let time_schedule_ext ?pm ?file schedule machine src =
-  match schedule with
-  | Config Pluto_best -> tuned ?pm ?file machine src
-  | _ ->
-      let m = prepare_schedule ?pm ?file schedule src in
+  match resolve_schedule ?file machine src schedule with
+  | winner, Some o ->
+      (* The search already timed the winner; only a caller's manager
+         needs it prepared again, to record the winner's passes. *)
+      Option.iter (fun pm -> ignore (prepare_schedule ~pm ?file winner src)) pm;
+      (o.Tune.o_best_report, Some o.Tune.o_stats)
+  | s, None ->
+      let m = prepare_schedule ?pm ?file s src in
       (M.Perf.time_func machine (sole_func m), None)
 
 (* ---- differential execution ----------------------------------------------- *)

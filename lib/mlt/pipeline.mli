@@ -8,7 +8,8 @@
 
     - [Clang_O3]      — the loops as written (general-purpose compiler).
     - [Pluto_default] — fusion [smartfuse] + tiling 32.
-    - [Pluto_best]    — best of the tiling/fusion sweep on the model.
+    - [Pluto_best]    — best of the tiling/fusion sweep on the model
+                        ({!resolve_schedule}).
     - [Mlt_linalg]    — raise to Linalg, lower back through the default
                         (tiling) Linalg path.
     - [Mlt_blas]      — raise to Linalg, convert to vendor-library calls.
@@ -58,7 +59,7 @@ val register_dialects : unit -> unit
 
 (** The configuration's elaboration to transform-script steps (empty for
     [Clang_O3]; [Pluto_best] elaborates like [Pluto_default] — the sweep
-    is resolved at timing, when a machine model is in hand). *)
+    needs a machine model, see {!resolve_schedule}). *)
 val steps_of_config : config -> Transform.Script.step list
 
 (** {2 Schedules}
@@ -112,17 +113,51 @@ val prepare_schedule :
 val prepare_schedule_module :
   ?pm:Pass.manager -> schedule -> Core.op -> Core.op
 
+(** {2 Search and pluto-best} *)
+
+(** [search ~space machine src] — the one search from mini-C: translate
+    [src], size the candidate space by {!Tune.max_trip_count} of its
+    kernel ([space ~max_trip]), then {!Tune.search} on
+    [Domain.recommended_domain_count ()] domains, each candidate on a
+    fresh translation. Pluto-best, [mlt-sim --tune] and [bench -- tune]
+    all search through here. *)
+val search :
+  ?file:string ->
+  space:(max_trip:int -> Tune.candidate list) ->
+  Machine.Machine_model.t ->
+  string ->
+  Tune.outcome
+
+(** [resolve_schedule machine src s] — with a machine in hand,
+    [Config Pluto_best] becomes [Custom] schedule named ["pluto-best"]
+    whose steps are the winner of {!search} over {!Tune.pluto_space},
+    returned with the search's outcome. Every other schedule comes back
+    unchanged with [None].
+
+    What pluto-best means therefore depends on the tool. mlt-sim
+    resolves once per run, so [--verify-exec], [--execute], the
+    simulated time and [--pass-stats] all describe the winning script.
+    mlt-opt and mlt-batch have no machine model: there, and wherever
+    [Config Pluto_best] is prepared directly ({!prepare_schedule},
+    {!check_schedule_semantics}, {!schedule_cache_identity}), it
+    elaborates like [Pluto_default]. *)
+val resolve_schedule :
+  ?file:string ->
+  Machine.Machine_model.t ->
+  string ->
+  schedule ->
+  schedule * Tune.outcome option
+
 (** {2 Simulated timing} *)
 
 (** [time_schedule_ext schedule machine src] — simulated report for the
     single kernel in [src], plus tuner statistics when the schedule
-    triggered a search. [Config Pluto_best] routes through {!Tune}:
-    the Pluto sweep as transform scripts, fanned out over {!Support.Pool},
-    winner byte-identical to the legacy sequential sweep. With [pm], the
-    preparation pipeline records per-pass statistics into the caller's
-    (fresh) manager; for [Pluto_best] the sweep runs uninstrumented and
-    the winning script is replayed through [pm]. GFLOPS come from
-    {!Machine.Perf.gflops} on the report. *)
+    triggered a search. The schedule is first {!resolve_schedule}d; for
+    [Config Pluto_best] the report is the search's own report of the
+    winner, and only with [pm] is the winning script prepared again, so
+    the caller's (fresh) manager records its passes. Otherwise [pm]
+    records the preparation pipeline's per-pass statistics. GFLOPS come
+    from {!Machine.Perf.gflops} on the report. *)
 val time_schedule_ext :
   ?pm:Pass.manager ->
   ?file:string ->

@@ -316,16 +316,3 @@ let compile ?(target = To_linalg) (t : Tds.tactic) =
 
 let compile_tdl ?target src =
   List.map (compile ?target) (Frontend.lower_source src)
-
-let materialize b (t : Tds.tactic) bindings =
-  let env = Hashtbl.create 8 in
-  let shapes = Hashtbl.create 8 in
-  List.iter
-    (fun (name, (v : Core.value)) ->
-      Hashtbl.replace env name v;
-      match Typ.static_shape v.v_typ with
-      | Some s -> Hashtbl.replace shapes name s
-      | None -> D.errorf "materialize: %s has no static shape" name)
-    bindings;
-  infer_shapes t.builders shapes;
-  emit_steps ~target:To_linalg b t.builders env shapes

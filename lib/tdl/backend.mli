@@ -29,12 +29,3 @@ val compile : ?target:target -> Tds.tactic -> Ir.Rewriter.pattern
 
 (** Convenience: TDL source → compiled rewrite patterns. *)
 val compile_tdl : ?target:target -> string -> Ir.Rewriter.pattern list
-
-(** [materialize b tds bindings] runs a tactic's builder steps directly —
-    no matching — with the pattern tensors bound to the given memref
-    values; intermediates are allocated. Used by the TC frontend
-    (Teckyl-style high-level entry) to emit Linalg from an Einstein
-    statement. Raises {!Support.Diag.Error} when shapes cannot be
-    inferred or do not fit the builders. *)
-val materialize :
-  Ir.Builder.t -> Tds.tactic -> (string * Ir.Core.value) list -> unit

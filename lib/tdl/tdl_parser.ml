@@ -302,9 +302,3 @@ let parse_one ?file src =
   match parse ?file src with
   | [ t ] -> t
   | ts -> D.errorf "TDL: expected one tactic, found %d" (List.length ts)
-
-let parse_stmt ?(file = "<tdl>") src =
-  let st = { toks = tokenize ~file src } in
-  let s = parse_stmt_at st in
-  expect st Eof;
-  s

@@ -24,10 +24,6 @@ val parse : ?file:string -> string -> Tdl_ast.tactic list
 
 val parse_one : ?file:string -> string -> Tdl_ast.tactic
 
-(** Parse a bare statement (used by tests and the contraction-spec
-    tactic generator). *)
-val parse_stmt : ?file:string -> string -> Tdl_ast.stmt
-
 (** {2 Internals shared with the TDS parser} *)
 
 type token =

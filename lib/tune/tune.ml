@@ -98,34 +98,6 @@ let gemm_space ?(quick = false) ~max_trip () =
   in
   pluto @ blis_space ~quick ()
 
-(* ---- deterministic subsampling ------------------------------------------- *)
-
-(* Partial Fisher-Yates over indices 1..n-1 driven by a fixed LCG; slot 0
-   (the baseline schedule) always survives, and the chosen indices are
-   re-sorted so candidate order — and with it the first-strict-minimum
-   tie-break — is preserved. *)
-let subsample ~seed ~limit candidates =
-  let arr = Array.of_list candidates in
-  let n = Array.length arr in
-  if limit >= n || limit < 1 then candidates
-  else begin
-    let state = ref ((seed * 2654435761 + 12345) land 0x3FFFFFFF) in
-    let next m =
-      state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-      !state mod m
-    in
-    let idx = Array.init n (fun i -> i) in
-    for i = 1 to min (limit - 1) (n - 2) do
-      let j = i + next (n - i) in
-      let t = idx.(i) in
-      idx.(i) <- idx.(j);
-      idx.(j) <- t
-    done;
-    let chosen = Array.sub idx 0 limit in
-    Array.sort compare chosen;
-    Array.to_list (Array.map (fun i -> arr.(i)) chosen)
-  end
-
 (* ---- the search ----------------------------------------------------------- *)
 
 let sole_func m =
@@ -149,12 +121,7 @@ let schedule_key f =
   in
   Support.Digest.strings (Printer.op_to_string f :: attrs)
 
-let search ?(domains = 1) ?(seed = 0) ?limit ~machine ~translate candidates =
-  let candidates =
-    match limit with
-    | Some l -> subsample ~seed ~limit:l candidates
-    | None -> candidates
-  in
+let search ?(domains = 1) ~machine ~translate candidates =
   let cands = Array.of_list candidates in
   let n = Array.length cands in
   if n = 0 then D.errorf "tune: empty candidate space";

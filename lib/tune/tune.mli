@@ -5,8 +5,7 @@
 
     Determinism: candidates are evaluated into a slot array indexed by
     candidate position and the winner is the {e first strict minimum} in
-    candidate order, so the result is independent of the domain count;
-    with a fixed [seed] the optional subsampling is deterministic too.
+    candidate order, so the result is independent of the domain count.
     Candidates fan out over {!Support.Pool} like the batch driver's
     entries (docs/CONCURRENCY.md): populate the dialect and transform-step
     registries on the calling domain first
@@ -44,7 +43,7 @@ type evaluation = {
 
 (** The [--pass-stats] summary of a search (docs/OBSERVABILITY.md). *)
 type stats = {
-  t_candidates : int;  (** size of the (subsampled) space *)
+  t_candidates : int;  (** size of the space *)
   t_evaluated : int;
       (** candidates that compiled, verified and timed (a copied report
           counts) *)
@@ -87,15 +86,11 @@ val blis_space : ?quick:bool -> unit -> candidate list
 val gemm_space : ?quick:bool -> max_trip:int -> unit -> candidate list
 
 (** [search ~machine ~translate candidates] evaluates every candidate on
-    a fresh [translate ()] payload and returns the winner. [domains] sizes the {!Support.Pool} (default 1);
-    [limit] (with [seed], default 0) deterministically subsamples the
-    space, always keeping the first candidate — by convention the
-    baseline schedule. Raises {!Support.Diag.Error} when the space is
-    empty or no candidate survives. *)
+    a fresh [translate ()] payload and returns the winner. [domains]
+    sizes the {!Support.Pool} (default 1). Raises {!Support.Diag.Error}
+    when the space is empty or no candidate survives. *)
 val search :
   ?domains:int ->
-  ?seed:int ->
-  ?limit:int ->
   machine:Machine.Machine_model.t ->
   translate:(unit -> Ir.Core.op) ->
   candidate list ->

@@ -74,13 +74,14 @@ diff scripts/mlt_opt_digests.txt "$obs_tmp/mlt_opt_digests.txt" || {
 # differential check (--verify-exec exits non-zero on a mismatch) and end
 # in a well-formed --pass-stats JSON line, the full pluto-best sweep
 # through the tuner (each distinct schedule simulated once, so ~10 s on
-# this kernel) with its pass-stats line, then a trimmed schedule search.
+# this kernel) whose winning script must pass the same check, with its
+# pass-stats line, then a trimmed schedule search.
 dune exec bin/mlt_sim.exe -- examples/kernels/gemm.c --config mlt-blas \
   --verify-exec --pass-stats > "$obs_tmp/sim.out"
 tail -n 1 "$obs_tmp/sim.out" > "$obs_tmp/sim_stats.json"
 dune exec tools/json_check/json_check.exe -- "$obs_tmp/sim_stats.json" passes
 dune exec bin/mlt_sim.exe -- examples/kernels/gemm.c --config pluto-best \
-  --pass-stats > "$obs_tmp/sim_best.out"
+  --verify-exec --pass-stats > "$obs_tmp/sim_best.out"
 tail -n 1 "$obs_tmp/sim_best.out" > "$obs_tmp/sim_best_stats.json"
 dune exec tools/json_check/json_check.exe -- "$obs_tmp/sim_best_stats.json" \
   passes

@@ -11,7 +11,6 @@ let () =
       ("interp-compile", Test_interp_compile.suite);
       ("matchers", Test_matchers.suite);
       ("tdl", Test_tdl.suite);
-      ("tc-frontend", Test_tc_frontend.suite);
       ("transforms", Test_transforms.suite);
       ("interchange", Test_interchange.suite);
       ("machine", Test_machine.suite);

@@ -1,8 +1,8 @@
 (* Tests for the domain-safe metrics registry (Ir.Metrics): the
    log-bucket boundary arithmetic, write-once descriptor registration,
-   cross-domain merge determinism, the JSON round-trip, and the
-   Prometheus text exposition. Metric names are unique per test — the
-   registry is process-global and descriptors are never unregistered. *)
+   cross-domain merge determinism and the JSON round-trip. Metric names
+   are unique per test — the registry is process-global and descriptors
+   are never unregistered. *)
 
 open Ir
 module J = Support.Json
@@ -155,7 +155,7 @@ let test_four_domain_merge_deterministic () =
   Alcotest.(check (list string)) "snapshot sorted by name"
     (List.sort compare names) names
 
-(* ---- JSON round-trip and merge -------------------------------------- *)
+(* ---- JSON round-trip ------------------------------------------------ *)
 
 let test_json_roundtrip () =
   with_metrics @@ fun () ->
@@ -198,41 +198,7 @@ let test_json_roundtrip () =
               Alcotest.(check (array int)) "hist buckets" x.Metrics.h_buckets
                 y.Metrics.h_buckets
           | _ -> Alcotest.failf "kind mismatch for %S" a.Metrics.s_metric)
-        samples parsed;
-      (* merge_samples doubles counters and histogram buckets —
-         the same associative rules as the cross-domain merge. *)
-      let merged = Metrics.merge_samples parsed parsed in
-      let find n l = List.find (fun s -> s.Metrics.s_metric = n) l in
-      (match (find "tm_rt_counter" merged).Metrics.s_value with
-      | Metrics.V_counter n -> Alcotest.(check int) "merged counter" 84 n
-      | _ -> Alcotest.fail "merged counter lost its kind");
-      match (find "tm_rt_hist" merged).Metrics.s_value with
-      | Metrics.V_histogram m ->
-          Alcotest.(check int) "merged hist count" 10 m.Metrics.h_count
-      | _ -> Alcotest.fail "merged histogram lost its kind"
-
-let test_prometheus_exposition () =
-  with_metrics @@ fun () ->
-  Metrics.reset ();
-  let c = Metrics.counter ~help:"helpful" "tm_prom_counter" in
-  let h = Metrics.histogram "tm_prom_hist" in
-  Metrics.add c 7;
-  Metrics.observe h 1e-6;
-  let text = Metrics.to_prometheus (Metrics.snapshot ()) in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) (Printf.sprintf "contains %S" needle) true
-        (contains text needle))
-    [
-      "# TYPE tm_prom_counter counter";
-      "# HELP tm_prom_counter helpful";
-      "tm_prom_counter 7";
-      "# TYPE tm_prom_hist histogram";
-      (* The cumulative series always ends with the mandatory +Inf
-         bucket and the _sum/_count pair. *)
-      "tm_prom_hist_bucket{le=\"+Inf\"} 1";
-      "tm_prom_hist_count 1";
-    ]
+        samples parsed
 
 let suite =
   [
@@ -244,8 +210,5 @@ let suite =
       test_disabled_updates_are_dropped;
     Alcotest.test_case "4-domain merge is deterministic" `Quick
       test_four_domain_merge_deterministic;
-    Alcotest.test_case "JSON round-trip and offline merge" `Quick
-      test_json_roundtrip;
-    Alcotest.test_case "prometheus text exposition" `Quick
-      test_prometheus_exposition;
+    Alcotest.test_case "JSON round-trip" `Quick test_json_roundtrip;
   ]

@@ -175,7 +175,9 @@ let test_to_blas_preserves_semantics () =
 
 let test_pipelines_preserve_semantics () =
   (* Every Figure-9 configuration must compute the same function as the
-     plain translation, for every kernel of the tiny suite. *)
+     plain translation, for every kernel of the tiny suite. Pluto-best is
+     checked as the winning script of its search on one machine. *)
+  let machine = Machine.Machine_model.amd_2920x in
   List.iter
     (fun (kname, src) ->
       let reference = Met.Emit_affine.translate src in
@@ -184,15 +186,14 @@ let test_pipelines_preserve_semantics () =
       in
       List.iter
         (fun config ->
-          match config with
-          | Mlt.Pipeline.Pluto_best -> () (* timing-level only *)
-          | _ ->
-              let m =
-                Mlt.Pipeline.prepare_schedule (Mlt.Pipeline.Config config) src
-              in
-              if not (Interp.Eval.equivalent reference m fname ~seed:13) then
-                Alcotest.failf "%s under %s: semantics changed" kname
-                  (Mlt.Pipeline.config_name config))
+          let schedule, _ =
+            Mlt.Pipeline.resolve_schedule machine src
+              (Mlt.Pipeline.Config config)
+          in
+          let m = Mlt.Pipeline.prepare_schedule schedule src in
+          if not (Interp.Eval.equivalent reference m fname ~seed:13) then
+            Alcotest.failf "%s under %s: semantics changed" kname
+              (Mlt.Pipeline.config_name config))
         Mlt.Pipeline.all_figure9_configs)
     (W.tiny_suite ())
 

@@ -1,6 +1,6 @@
 (* The schedule autotuner: winner identical (down to IR bytes) to the
-   legacy sequential Pluto sweep, deterministic across domain counts and
-   seeds, and never worse than the pluto-default baseline on the gemm
+   legacy sequential Pluto sweep, deterministic across domain counts,
+   and never worse than the pluto-default baseline on the gemm
    search space. *)
 
 open Ir
@@ -83,27 +83,6 @@ let test_deterministic_across_domains () =
             o.Tune.o_stats.Tune.t_best_seconds)
         rest
   | [] -> assert false
-
-let test_subsample_deterministic () =
-  let space = Tune.gemm_space ~max_trip () in
-  let names o =
-    List.map
-      (fun (ev : Tune.evaluation) -> ev.Tune.ev_candidate.Tune.c_name)
-      o.Tune.o_evaluations
-  in
-  let a = Tune.search ~domains:1 ~seed:7 ~limit:6 ~machine ~translate space in
-  let b = Tune.search ~domains:3 ~seed:7 ~limit:6 ~machine ~translate space in
-  Alcotest.(check (list string)) "same subsampled candidates" (names a)
-    (names b);
-  Alcotest.(check int) "limit respected" 6 a.Tune.o_stats.Tune.t_candidates;
-  Alcotest.(check string) "baseline candidate always kept"
-    (List.hd (List.map (fun c -> c.Tune.c_name) space))
-    (List.hd (names a));
-  Alcotest.(check string) "same winner" a.Tune.o_best.Tune.c_name
-    b.Tune.o_best.Tune.c_name;
-  let c = Tune.search ~domains:1 ~seed:8 ~limit:6 ~machine ~translate space in
-  Alcotest.(check bool) "a different seed may pick differently" true
-    (List.length (names c) = 6)
 
 let test_gemm_space_beats_default () =
   let outcome =
@@ -288,20 +267,65 @@ let test_pluto_best_pipeline_uses_tuner () =
         report.M.Perf.seconds st.Tune.t_best_seconds
   | None -> Alcotest.fail "Pluto_best should return tuner stats"
 
+let test_pluto_best_resolves_to_winner () =
+  (* mlt-sim resolves pluto-best once, then checks, executes and times
+     the result: that must be the search's winning script, not the
+     pluto-default elaboration [Config Pluto_best] prepares without a
+     machine. On mm 16 the winner (tile=1,nofuse,vec) is not the
+     default, so the two schedules are different programs. *)
+  let module P = Mlt.Pipeline in
+  let _, _, o = pluto_search src in
+  let schedule, outcome =
+    P.resolve_schedule machine src (P.Config P.Pluto_best)
+  in
+  let print steps = Script.print (Script.of_steps steps) in
+  Alcotest.(check string) "named pluto-best" "pluto-best"
+    (P.schedule_name schedule);
+  Alcotest.(check string) "the winner's steps"
+    (print o.Tune.o_best.Tune.c_steps)
+    (print (P.schedule_steps schedule));
+  Alcotest.(check bool) "the winner is not pluto-default" false
+    (print (P.schedule_steps schedule)
+    = print (P.steps_of_config P.Pluto_default));
+  (match outcome with
+  | Some r ->
+      Alcotest.(check string) "the outcome is the search's"
+        o.Tune.o_best.Tune.c_name r.Tune.o_best.Tune.c_name
+  | None -> Alcotest.fail "Pluto_best should return its search outcome");
+  let prepared s = Printer.op_to_string (sole_func (P.prepare_schedule s src)) in
+  let winner_ir = prepared schedule in
+  Alcotest.(check string) "prepares the winner's IR"
+    (Printer.op_to_string (transformed translate o.Tune.o_best))
+    winner_ir;
+  Alcotest.(check bool) "not pluto-default's IR" false
+    (String.equal winner_ir (prepared (P.Config P.Pluto_best)));
+  Alcotest.(check bool) "--verify-exec's check passes on the winner" true
+    (P.check_schedule_semantics schedule src);
+  (* Every other schedule resolves to itself, with no search. *)
+  (match P.resolve_schedule machine src (P.Config P.Pluto_default) with
+  | P.Config P.Pluto_default, None -> ()
+  | _ -> Alcotest.fail "pluto-default must resolve to itself");
+  (* With a manager, time_schedule_ext records the winner's passes. *)
+  let pm = Pass.create_manager () in
+  ignore (P.time_schedule_ext ~pm (P.Config P.Pluto_best) machine src);
+  Alcotest.(check (list string)) "pass stats describe the winner"
+    (List.map Script.step_name o.Tune.o_best.Tune.c_steps)
+    (List.map (fun (t : Pass.timing) -> t.Pass.pass_name) (Pass.timings pm))
+
 let suite =
   [
     Alcotest.test_case "winner byte-identical to the legacy Pluto sweep"
       `Quick test_winner_matches_legacy_sweep;
     Alcotest.test_case "winner independent of the domain count" `Quick
       test_deterministic_across_domains;
-    Alcotest.test_case "seeded subsampling is deterministic" `Quick
-      test_subsample_deterministic;
     Alcotest.test_case "gemm space never loses to pluto-default" `Quick
       test_gemm_space_beats_default;
     Alcotest.test_case "failing candidates lose instead of aborting" `Quick
       test_failing_candidates_lose_not_abort;
     Alcotest.test_case "Pluto_best routes through the tuner" `Quick
       test_pluto_best_pipeline_uses_tuner;
+    Alcotest.test_case "Pluto_best resolves to the winning script" `Quick
+      test_pluto_best_resolves_to_winner;
     Alcotest.test_case "dedupe is exact, fast-math included" `Quick
       test_dedupe_is_exact;
     Alcotest.test_case "simulation counts per kernel" `Quick
