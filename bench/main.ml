@@ -14,6 +14,7 @@ open Ir
 module W = Workloads.Polybench
 module MM = Machine.Machine_model
 module P = Mlt.Pipeline
+module Script = Transform.Script
 
 let quick = ref false
 
@@ -26,8 +27,15 @@ let metrics_file = ref None
 
 let sep title = Printf.printf "\n== %s ==\n%!" title
 
-let time config machine src =
-  fst (P.time_schedule_ext (P.Config config) machine src)
+let time_schedule schedule machine src =
+  fst (P.time_schedule_ext schedule machine src)
+
+let time config = time_schedule (P.Config config)
+
+(* The modelled GFLOPS of a custom schedule. *)
+let steps_gflops steps machine src ~flops =
+  Machine.Perf.gflops ~flops
+    (time_schedule (P.schedule_of_steps steps) machine src)
 
 let gflops config machine src ~flops =
   Machine.Perf.gflops ~flops (time config machine src)
@@ -128,21 +136,19 @@ let table2 () =
   List.iter
     (fun (dims, paper_op, paper_speedup) ->
       let src = W.matrix_chain dims in
-      let time ~reorder =
-        let m = Met.Emit_affine.translate src in
-        let f = Option.get (Core.find_func m "chain") in
-        ignore (Transforms.Canonicalize.run f);
-        ignore (Mlt.Tactics.raise_to_linalg f);
-        if reorder then ignore (Mlt.Raise_chain.reorder f);
-        ignore (Mlt.To_blas.run f);
-        Transforms.Lower_linalg.run f;
-        Verifier.verify m;
-        (Machine.Perf.time_func machine f).Machine.Perf.seconds
+      let seconds schedule =
+        (time_schedule schedule machine src).Machine.Perf.seconds
       in
-      let t_ip = time ~reorder:false in
-      let t_op = time ~reorder:true in
-      let tree, _ = Mlt.Matrix_chain.optimal (Array.of_list dims) in
-      let found = Mlt.Matrix_chain.to_string tree in
+      (* The initial parenthesization: MLT-Blas without its reordering. *)
+      let ip_steps =
+        List.filter
+          (fun s -> not (Script.equal_step s Script.Reorder_chains))
+          (P.schedule_steps (P.Config P.Mlt_blas))
+      in
+      let t_ip = seconds (P.schedule_of_steps ip_steps) in
+      let t_op = seconds (P.Config P.Mlt_blas) in
+      let tree, _ = Transforms.Matrix_chain.optimal (Array.of_list dims) in
+      let found = Transforms.Matrix_chain.to_string tree in
       Printf.printf "%-4d %-30s %10.4fs %10.4fs %8.2fx %8.2fx%s\n"
         (List.length dims - 1)
         found t_ip t_op (t_ip /. t_op) paper_speedup
@@ -243,7 +249,8 @@ let micro () =
   in
   let chain_dp () =
     ignore
-      (Mlt.Matrix_chain.optimal [| 30; 35; 15; 5; 10; 20; 25; 40; 12; 33; 7 |])
+      (Transforms.Matrix_chain.optimal
+         [| 30; 35; 15; 5; 10; 20; 25; 40; 12; 33; 7 |])
   in
   let cache = MM.fresh_hierarchy MM.intel_i9 in
   let cache_1k () =
@@ -403,7 +410,7 @@ let patterns_section () =
     Transforms.Raise_scf.patterns ()
     @ [ Transforms.Dce.pattern () ]
     @ Transforms.Canonicalize.patterns ()
-    @ Mlt.Tactics.all ()
+    @ Transforms.Tactics.all ()
   in
   let to_scf src =
     let m = Met.Emit_affine.translate src in
@@ -626,7 +633,7 @@ let scale () =
     Transforms.Raise_scf.patterns ()
     @ [ Transforms.Dce.pattern () ]
     @ Transforms.Canonicalize.patterns ()
-    @ Mlt.Tactics.all ()
+    @ Transforms.Tactics.all ()
   in
   (* Seed functions: every battery kernel translated once; the
      synthesized module clones these. Most seeds stay at the affine
@@ -864,8 +871,8 @@ let tune_section () =
       outcome.Tune.o_evaluations
   in
   let best_script =
-    Transform.Script.print
-      (Transform.Script.of_steps outcome.Tune.o_best.Tune.c_steps)
+    Script.print
+      (Script.of_steps outcome.Tune.o_best.Tune.c_steps)
   in
   Support.Atomic_io.write_file ~path:"BENCH_tune.json"
     (J.to_string
@@ -950,13 +957,11 @@ let ablation () =
   (* Compare in the vectorized regime (as Pluto-best would run), where
      compute no longer masks locality. *)
   let timed size =
-    let m = Met.Emit_affine.translate src in
-    let f = Option.get (Core.find_func m "mm") in
-    Transforms.Pluto.apply
-      { Transforms.Pluto.tile = size; fusion = Transforms.Loop_fuse.No_fuse;
-        vectorize = true }
-      f;
-    flops /. (Machine.Perf.time_func machine f).Machine.Perf.seconds /. 1e9
+    steps_gflops
+      (Script.of_pluto
+         { Transforms.Pluto.tile = size; fusion = Transforms.Loop_fuse.No_fuse;
+           vectorize = true })
+      machine src ~flops
   in
   Printf.printf "tile 32 with min bounds:   %6.2f GFLOPS\n" (timed 32);
   Printf.printf "tile 40 (divisible):       %6.2f GFLOPS\n" (timed 40);
@@ -973,13 +978,7 @@ let ablation () =
   in
   let cflops = Workloads.Contraction_spec.flops spec ~sizes in
   let direct =
-    let m = Met.Emit_affine.translate csrc in
-    Transforms.Loop_tile.tile_all m ~size:32;
-    cflops
-    /. (Machine.Perf.time_func machine
-          (Option.get (Core.find_func m "contraction")))
-         .Machine.Perf.seconds
-    /. 1e9
+    steps_gflops [ Script.Tile [ 32 ] ] machine csrc ~flops:cflops
   in
   let ttgt = gflops P.Mlt_linalg machine csrc ~flops:cflops in
   Printf.printf "%s: tile the 5-d loops directly: %6.2f GFLOPS\n" name direct;
@@ -990,14 +989,12 @@ let ablation () =
   let gflops_count = 4. *. (256. ** 2.) in
   List.iter
     (fun fusion ->
-      let m = Met.Emit_affine.translate gsrc in
-      let f = Option.get (Core.find_func m "gesummv") in
-      Transforms.Pluto.apply { Transforms.Pluto.tile = 32; fusion; vectorize = false } f;
       Printf.printf "%-10s %6.2f GFLOPS\n"
         (Transforms.Loop_fuse.heuristic_to_string fusion)
-        (gflops_count
-        /. (Machine.Perf.time_func machine f).Machine.Perf.seconds
-        /. 1e9))
+        (steps_gflops
+           (Script.of_pluto
+              { Transforms.Pluto.tile = 32; fusion; vectorize = false })
+           machine gsrc ~flops:gflops_count))
     [ Transforms.Loop_fuse.No_fuse; Transforms.Loop_fuse.Smart_fuse;
       Transforms.Loop_fuse.Max_fuse ];
 
@@ -1010,22 +1007,18 @@ let ablation () =
   let n5 = 128 in
   let src5 = W.mm ~ni:n5 ~nj:n5 ~nk:n5 () in
   let flops5 = 2. *. float_of_int (n5 * n5 * n5) in
-  let gf f =
-    flops5 /. (Machine.Perf.time_func machine f).Machine.Perf.seconds /. 1e9
-  in
-  let naive =
-    Option.get (Core.find_func (Met.Emit_affine.translate src5) "mm")
-  in
+  let naive = gflops P.Clang_O3 machine src5 ~flops:flops5 in
   let blis_traced =
-    let m = Met.Emit_affine.translate src5 in
-    ignore (Mlt.Tactics.raise_to_affine_matmul m);
-    Transforms.Blis_schedule.run
-      ~blocking:{ Transforms.Blis_schedule.mc = 32; nc = 64; kc = 32 }
-      m;
-    Option.get (Core.find_func m "mm")
+    steps_gflops
+      [
+        Script.Raise "affine-matmul";
+        Script.Blis_schedule
+          { Transforms.Blis_schedule.mc = 32; nc = 64; kc = 32 };
+      ]
+      machine src5 ~flops:flops5
   in
-  Printf.printf "naive loops (traced):        %6.2f GFLOPS\n" (gf naive);
-  Printf.printf "BLIS schedule (traced):      %6.2f GFLOPS\n" (gf blis_traced);
+  Printf.printf "naive loops (traced):        %6.2f GFLOPS\n" naive;
+  Printf.printf "BLIS schedule (traced):      %6.2f GFLOPS\n" blis_traced;
   Printf.printf "BLIS schedule (analytical):  %6.2f GFLOPS\n"
     (flops5
     /. Machine.Blas_model.blis_codegen_gemm_seconds machine ~m:n5 ~n:n5 ~k:n5

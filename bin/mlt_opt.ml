@@ -98,7 +98,9 @@ let run input list_ops_flag force_c config script tactics_file dump_tds
             List.iter
               (fun tds -> print_string (Tdl.Tds.to_string tds))
               (Tdl.Frontend.lower_source ~file:path tdl_src);
-          Some (Mlt.Tactics.fill_pattern () :: Tdl.Backend.compile_tdl tdl_src)
+          Some
+            (Transforms.Tactics.fill_pattern ()
+            :: Tdl.Backend.compile_tdl tdl_src)
     in
     let snapshot =
       if print_ir_after_all then Ir.Pass.After_all
@@ -118,6 +120,16 @@ let run input list_ops_flag force_c config script tactics_file dump_tds
         ~raise_linalg ~reorder_chains ~to_blas ~lower_linalg
         ~lower_linalg_tiled ~fuse ~tile ~lower_affine ~dce
     in
+    (* Pass names are step names: a --print-ir-after name that names no
+       step of this pipeline would silently print nothing. *)
+    let pass_names = List.map S.step_name (schedule_steps @ flag_steps) in
+    List.iter
+      (fun name ->
+        if not (List.mem name pass_names) then
+          Support.Diag.errorf "--print-ir-after: no pass named %S (passes: %s)"
+            name
+            (if pass_names = [] then "none" else String.concat ", " pass_names))
+      print_ir_after;
     let passes_of_steps = Transform.Interp.passes_of_steps in
     (* --tactics replaces the tactic set of the flag's raise-linalg step
        (a config's own raising keeps the built-in set). *)

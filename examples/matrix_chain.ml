@@ -19,29 +19,29 @@ let () =
 
   let m = Met.Emit_affine.translate src in
   let f = Option.get (Core.find_func m "chain") in
-  let raised = Mlt.Tactics.raise_to_linalg f in
+  let raised = Transforms.Tactics.raise_to_linalg f in
   Printf.printf "\n--- 2. Raised to Linalg (%d sites: fills + matmuls) ---\n"
     raised;
   print_endline (Printer.op_to_string m);
 
   (* Listing 9: detect the chain by walking m_Op<MatmulOp> through the
      buffer producer relation. *)
-  (match Mlt.Raise_chain.detect f with
+  (match Transforms.Raise_chain.detect f with
   | [ chain ] ->
       Printf.printf "--- 3. Detected a chain of %d matrices ---\n"
-        (List.length chain.Mlt.Raise_chain.inputs)
+        (List.length chain.Transforms.Raise_chain.inputs)
   | chains -> Printf.printf "--- 3. Detected %d chains ---\n" (List.length chains));
 
   let darr = Array.of_list dims in
-  let t_left, c_left = Mlt.Matrix_chain.left_assoc darr in
-  let t_opt, c_opt = Mlt.Matrix_chain.optimal darr in
+  let t_left, c_left = Transforms.Matrix_chain.left_assoc darr in
+  let t_opt, c_opt = Transforms.Matrix_chain.optimal darr in
   Printf.printf "initial parenthesization %s: %.3e scalar multiplications\n"
-    (Mlt.Matrix_chain.to_string t_left) c_left;
+    (Transforms.Matrix_chain.to_string t_left) c_left;
   Printf.printf "optimal parenthesization %s: %.3e scalar multiplications\n"
-    (Mlt.Matrix_chain.to_string t_opt) c_opt;
+    (Transforms.Matrix_chain.to_string t_opt) c_opt;
 
   let reference = Met.Emit_affine.translate src in
-  let rewritten = Mlt.Raise_chain.reorder f in
+  let rewritten = Transforms.Raise_chain.reorder f in
   Printf.printf "\n--- 4. After reordering (%d chain rewritten) ---\n" rewritten;
   print_endline (Printer.op_to_string m);
 
@@ -54,14 +54,14 @@ let () =
   let time g =
     let m = Met.Emit_affine.translate src in
     let f = Option.get (Core.find_func m "chain") in
-    ignore (Mlt.Tactics.raise_to_linalg f);
+    ignore (Transforms.Tactics.raise_to_linalg f);
     g f;
-    ignore (Mlt.To_blas.run f);
+    ignore (Transforms.To_blas.run f);
     Transforms.Lower_linalg.run f;
     (Machine.Perf.time_func machine f).Machine.Perf.seconds
   in
   let t_ip = time (fun _ -> ()) in
-  let t_op = time (fun f -> ignore (Mlt.Raise_chain.reorder f)) in
+  let t_op = time (fun f -> ignore (Transforms.Raise_chain.reorder f)) in
   Printf.printf "\n--- 6. Simulated time (%s) ---\n"
     machine.Machine.Machine_model.name;
   Printf.printf "  initial order: %.6f s\n" t_ip;

@@ -40,10 +40,10 @@ let () =
   in
   Printf.printf "--- 3. Delinearize (%d buffers retyped to 2-d) ---\n" delin;
 
-  let raised = Mlt.Tactics.raise_to_linalg m in
+  let raised = Transforms.Tactics.raise_to_linalg m in
   Printf.printf "--- 4. Raise Affine -> Linalg (%d sites) ---\n" raised;
 
-  let converted = Mlt.To_blas.run m in
+  let converted = Transforms.To_blas.run m in
   Printf.printf "--- 5. Convert Linalg -> BLAS (%d calls) ---\n\n" converted;
   print_endline (Printer.op_to_string m);
 

@@ -35,7 +35,7 @@ let () =
      standard tactic set is declared in TDL (Listing 8 style). *)
   print_endline "--- 3. The GEMM tactic (TDL) ---";
   print_string Tdl.Frontend.gemm_tdl;
-  let raised = Mlt.Tactics.raise_to_linalg m in
+  let raised = Transforms.Tactics.raise_to_linalg m in
   Printf.printf "\n--- 4. After -raise-affine-to-linalg (%d sites raised) ---\n"
     raised;
   print_endline (Ir.Printer.op_to_string m);

@@ -53,10 +53,8 @@ let verify_matmul (op : Core.op) =
     D.errorf "affine.matmul: expects operands A, B, C";
   Array.iter (fun v -> memref_2d_f32 v "affine.matmul") op.o_operands
 
-let registered = Atomic.make false
-
-let register () =
-  Dialect.register_once registered @@ fun () ->
+let registered =
+  Support.Once.make @@ fun () ->
     Std_dialect.Arith.register ();
     Std_dialect.Memref_ops.register ();
     Dialect.register_all
@@ -76,6 +74,8 @@ let register () =
           ~summary:"high-level matmul at the affine level (Bondhugula 2020)"
           "affine.matmul";
       ]
+
+let register () = Support.Once.get registered
 
 let for_ b ?(hint = "i") ~lb:(lb_map, lb_args) ~ub:(ub_map, ub_args)
     ?(step = 1) body =

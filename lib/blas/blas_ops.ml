@@ -11,14 +11,14 @@ let names =
 
 let is_blas (op : Core.op) = List.mem op.o_name names
 
-let registered = Atomic.make false
-
-let register () =
-  Dialect.register_once registered @@ fun () ->
+let registered =
+  Support.Once.make @@ fun () ->
     Dialect.register_all
       (List.map
          (fun n -> Dialect.def ~summary:"vendor library call" n)
          names)
+
+let register () = Support.Once.get registered
 
 let call3 name b x y z =
   register ();

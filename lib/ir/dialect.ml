@@ -21,48 +21,19 @@ let def ?(verify = no_verify) ?(terminator = false) ?(commutative = false)
 (* The registry is a plain Hashtbl, so it is write-once-before-parallelism:
    all registration must complete before a second domain reads it
    (lookups are unsynchronized on the verifier hot path on purpose).
-   [register_once] makes the "before" part safe even if two domains do
-   race a first registration — writers serialize on one mutex, and a
-   dialect's [registered] flag is published (Atomic.set) only after its
-   whole body ran, so no domain can ever observe a half-registered
-   dialect. Multi-domain drivers ([Batch.Driver.run]) additionally
-   register everything eagerly on the calling domain before spawning, so
-   in practice worker domains never write here at all. *)
+   Each dialect's [register ()] forces a Support.Once cell, so its body
+   runs once and is published only after it returned: no domain ever
+   observes a half-registered dialect. Two cells may initialize on two
+   domains at once, so writes serialize on [write_mutex]. Multi-domain
+   drivers ([Batch.Driver.run]) additionally register everything eagerly
+   on the calling domain before spawning, so in practice worker domains
+   never write here at all. *)
 let registry : (string, op_def) Hashtbl.t = Hashtbl.create 64
+let write_mutex = Mutex.create ()
 
-let registration_mutex = Mutex.create ()
+let register d =
+  Mutex.protect write_mutex (fun () -> Hashtbl.replace registry d.od_name d)
 
-(* Reentrancy: dialect registration nests (linalg registers memref, affine
-   registers arith + memref), and Stdlib.Mutex is not reentrant. *)
-let holding_registration_mutex : bool Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> false)
-
-let register_once flag body =
-  if not (Atomic.get flag) then
-    if Domain.DLS.get holding_registration_mutex then begin
-      (* Nested call from an enclosing register_once on this domain. *)
-      if not (Atomic.get flag) then begin
-        body ();
-        Atomic.set flag true
-      end
-    end
-    else begin
-      Mutex.lock registration_mutex;
-      Domain.DLS.set holding_registration_mutex true;
-      Fun.protect
-        ~finally:(fun () ->
-          Domain.DLS.set holding_registration_mutex false;
-          Mutex.unlock registration_mutex)
-        (fun () ->
-          (* Double-checked: a racing domain may have registered while we
-             waited for the lock. *)
-          if not (Atomic.get flag) then begin
-            body ();
-            Atomic.set flag true
-          end)
-    end
-
-let register d = Hashtbl.replace registry d.od_name d
 let register_all ds = List.iter register ds
 let lookup name = Hashtbl.find_opt registry name
 let is_registered name = Hashtbl.mem registry name

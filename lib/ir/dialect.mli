@@ -7,9 +7,10 @@
     The registry is {e write-once-before-parallelism}: lookups are
     unsynchronized (they sit on the verifier hot path), so all
     registration must happen before IR flows through a second domain.
-    Dialect [register ()] entry points go through {!register_once}, which
-    serializes racing first registrations and never publishes a
-    half-registered dialect; multi-domain drivers additionally register
+    Each dialect's [register ()] forces a {!Support.Once} cell, which
+    runs the registration once and never publishes a half-registered
+    dialect; {!register} serializes writes from cells initializing on
+    two domains at once. Multi-domain drivers additionally register
     every dialect eagerly on the calling domain before spawning workers
     (see [docs/CONCURRENCY.md]). *)
 
@@ -32,20 +33,12 @@ val def :
   string ->
   op_def
 
-(** [register d] installs (or replaces) the definition. *)
+(** [register d] installs (or replaces) the definition, under a write
+    mutex. *)
 val register : op_def -> unit
 
 val register_all : op_def list -> unit
 
-(** [register_once flag body] runs [body] at most once across all
-    domains: the fast path is a lock-free [Atomic.get flag]; otherwise
-    callers serialize on a process-wide registration mutex and [flag] is
-    set only {e after} [body] returns, so a concurrent caller either runs
-    the registration itself or blocks until it is fully visible — never
-    proceeds past a half-registered dialect. Reentrant on the same
-    domain (dialect registrations nest). Every dialect's [register ()]
-    must be implemented with this. *)
-val register_once : bool Atomic.t -> (unit -> unit) -> unit
 val lookup : string -> op_def option
 val is_registered : string -> bool
 val is_terminator : Core.op -> bool

@@ -13,8 +13,8 @@ let bucket_count = 64
 
 (* ---------------------------------------------------------------------- *)
 (* Registry: process-global, write-once descriptors behind one mutex.
-   Mirrors [Dialect.register_once]: mutation is mutex-serialized, handles
-   are immutable once published. *)
+   Like [Dialect.register]: mutation is mutex-serialized, handles are
+   immutable once published. *)
 
 let registry_mutex = Mutex.create ()
 let by_name : (string, t) Hashtbl.t = Hashtbl.create 64

@@ -128,10 +128,8 @@ let verify_fill (op : Core.op) =
   if Core.num_operands op <> 1 then D.errorf "linalg.fill: expects output";
   ignore (Attr.get_float (Core.attr op "value"))
 
-let registered = Atomic.make false
-
-let register () =
-  Dialect.register_once registered @@ fun () ->
+let registered =
+  Support.Once.make @@ fun () ->
     Std_dialect.Memref_ops.register ();
     Dialect.register_all
       [
@@ -148,6 +146,8 @@ let register () =
         Dialect.def ~verify:verify_fill ~summary:"broadcast a scalar"
           "linalg.fill";
       ]
+
+let register () = Support.Once.get registered
 
 let build3 name b x y z =
   register ();

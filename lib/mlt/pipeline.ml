@@ -28,32 +28,6 @@ let config_of_name name =
 let all_figure9_configs =
   [ Clang_O3; Pluto_default; Pluto_best; Mlt_linalg; Mlt_blas ]
 
-(* The raising steps only this library can implement. The tactic sets
-   are built once per process (Tactics' build-once cells), so compiling
-   a script only looks them up. Registered through the same
-   write-once-before-parallelism discipline as dialects. *)
-let steps_registered = Atomic.make false
-
-let register_transform_steps () =
-  Dialect.register_once steps_registered (fun () ->
-      Transform.Ops.register ();
-      Transform.Interp.register_step "transform.raise" (fun t_op ->
-          match Attr.get_str (Core.attr t_op "set") with
-          | "linalg" ->
-              let frozen = Tactics.linalg_set () in
-              fun payload -> Rewriter.apply_greedily payload frozen
-          | "affine-matmul" ->
-              let frozen = Tactics.affine_matmul_set () in
-              fun payload -> Rewriter.apply_greedily payload frozen
-          | "affine" -> T.Raise_scf.run
-          | other ->
-              Support.Diag.errorf ~loc:t_op.Core.o_loc
-                "transform.raise: unknown set %S" other);
-      Transform.Interp.register_step "transform.reorder_chains"
-        (fun _t_op payload -> Raise_chain.reorder payload);
-      Transform.Interp.register_step "transform.to_blas" (fun _t_op payload ->
-          To_blas.run payload))
-
 (* The op-def registry is write-once-before-parallelism (see
    Ir.Dialect): multi-domain drivers call this on the spawning domain so
    worker domains only ever read it. *)
@@ -64,8 +38,7 @@ let register_dialects () =
   Affine.Affine_ops.register ();
   Linalg.Linalg_ops.register ();
   Blas.Blas_ops.register ();
-  Transform.Ops.register ();
-  register_transform_steps ()
+  Transform.Ops.register ()
 
 let sole_func m =
   match List.filter Core.is_func (Core.ops_of_block (Core.module_block m)) with
@@ -135,9 +108,7 @@ let schedule_steps = function
   | Config c -> steps_of_config c
   | Custom { steps; _ } -> steps
 
-let passes_of_schedule s =
-  register_transform_steps ();
-  Transform.Interp.passes_of_steps (schedule_steps s)
+let passes_of_schedule s = Transform.Interp.passes_of_steps (schedule_steps s)
 
 (* Bump whenever pipeline or pattern-set *behavior* changes in a way the
    printed script below cannot express (a tactic's rewrite changes, the
@@ -231,7 +202,6 @@ let overhead_steps = function
 
 let compile_time ?pm mode sources =
   let mgr = match pm with Some pm -> pm | None -> Pass.create_manager () in
-  register_transform_steps ();
   Pass.add_all mgr (Transform.Interp.passes_of_steps (overhead_steps mode));
   let t0 = Unix.gettimeofday () in
   List.iter

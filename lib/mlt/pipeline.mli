@@ -44,15 +44,12 @@ val config_of_name : string -> config option
 val all_figure9_configs : config list
 
 (** [register_dialects ()] eagerly registers every dialect's op
-    definitions into the {!Ir.Dialect} registry — including the
-    transform dialect and this library's transform-step implementations
-    ([transform.raise] over the tactic sets [linalg], [affine-matmul]
-    and [affine], [transform.reorder_chains], [transform.to_blas]). The
-    registry is
-    write-once-before-parallelism, so anything that spawns domains which
-    compile IR must call this first, on the spawning domain
-    ([Batch.Driver.run] does). Idempotent and cheap after the first
-    call. *)
+    definitions, the transform dialect's included, into the
+    {!Ir.Dialect} registry; it registers op definitions only. The
+    registry is write-once-before-parallelism, so anything that spawns
+    domains which compile IR must call this first, on the spawning
+    domain ([Batch.Driver.run] does). Idempotent and cheap after the
+    first call. *)
 val register_dialects : unit -> unit
 
 (** {2 Configs as transform scripts} *)

@@ -26,10 +26,8 @@ let verify_constant (op : Core.op) =
   | Some (Attr.Int _), t when Typ.is_int t -> ()
   | _ -> D.errorf "arith.constant: value attribute does not match type"
 
-let registered = Atomic.make false
-
-let register () =
-  Dialect.register_once registered @@ fun () ->
+let registered =
+  Support.Once.make @@ fun () ->
     Dialect.register
       (Dialect.def ~verify:verify_constant ~summary:"scalar constant"
          "arith.constant");
@@ -47,6 +45,8 @@ let register () =
           (Dialect.def ~verify:(verify_binop ~want_float:false) ~commutative
              ~summary:"integer binary op" name))
       int_binops
+
+let register () = Support.Once.get registered
 
 let constant_float b ?(typ = Typ.F32) f =
   register ();

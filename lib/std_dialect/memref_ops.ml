@@ -24,10 +24,8 @@ let verify_access ~is_store (op : Core.op) =
       D.errorf "%s: expected a memref operand, got %s" op.o_name
         (Typ.to_string t)
 
-let registered = Atomic.make false
-
-let register () =
-  Dialect.register_once registered @@ fun () ->
+let registered =
+  Support.Once.make @@ fun () ->
     Dialect.register
       (Dialect.def ~verify:verify_alloc ~summary:"allocate a buffer"
          "memref.alloc");
@@ -42,6 +40,8 @@ let register () =
       (Dialect.def
          ~verify:(verify_access ~is_store:true)
          ~summary:"indexed store" "memref.store")
+
+let register () = Support.Once.get registered
 
 let alloc b ?hint typ =
   register ();

@@ -15,14 +15,14 @@ let verify_for (op : Core.op) =
   | last :: _ when String.equal last.o_name "scf.yield" -> ()
   | _ -> D.errorf "scf.for: body must end with scf.yield"
 
-let registered = Atomic.make false
-
-let register () =
-  Dialect.register_once registered @@ fun () ->
+let registered =
+  Support.Once.make @@ fun () ->
     Dialect.register
       (Dialect.def ~verify:verify_for ~summary:"counted loop" "scf.for");
     Dialect.register
       (Dialect.def ~terminator:true ~summary:"loop terminator" "scf.yield")
+
+let register () = Support.Once.get registered
 
 let for_ b ?(hint = "i") ~lb ~ub ~step body =
   register ();

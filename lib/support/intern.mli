@@ -18,7 +18,7 @@
     the new slot and fall through to the locked re-probe — it can never
     observe a torn or half-initialized one — so concurrent interns of the
     same key on different domains race benignly and agree on whichever
-    canonical node won the lock. This mirrors the [Dialect.register_once]
+    canonical node won the lock. This mirrors the dialect registry's
     discipline: mutation is mutex-serialized and readers only ever
     observe fully constructed slots. *)
 

@@ -1,7 +1,7 @@
-(* The same double-checked publication as [Ir.Dialect.register_once]:
-   the value becomes visible through the atomic slot only after [init]
-   returned, and initializers serialize on the cell's own mutex, so
-   nested cells (one initializer forcing another) cannot deadlock. *)
+(* Double-checked publication: the value becomes visible through the
+   atomic slot only after [init] returned, and initializers serialize on
+   the cell's own mutex, so nested cells (one initializer forcing
+   another) cannot deadlock. *)
 type 'a t = { slot : 'a option Atomic.t; init : unit -> 'a; mutex : Mutex.t }
 
 let make init = { slot = Atomic.make None; init; mutex = Mutex.create () }

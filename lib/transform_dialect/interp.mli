@@ -1,13 +1,11 @@
 (** The transform-script interpreter: applies a script's ops, in order,
     to a payload module (sequence semantics).
 
-    Each step resolves through a registry keyed by op name, so higher
-    layers can contribute implementations the core library cannot see
-    (the [mlt] library registers [transform.raise]'s tactic sets,
-    [transform.reorder_chains] and [transform.to_blas] from
-    [Mlt.Pipeline.register_dialects]). The registry is
-    write-once-before-parallelism like {!Ir.Dialect}: populate it on the
-    spawning domain before worker domains interpret scripts.
+    Compilation decodes each op into its {!Script.step} and turns the
+    step into its applier with one static match over the step type:
+    there is no registry and no init order to respect. Tiling, fusion,
+    raising (all three sets), chain reordering and library-call
+    conversion all live in {!Transforms}.
 
     Observability: every step runs inside an {!Ir.Trace} span (category
     ["transform"]) and emits an [Analysis] remark when it applied to
@@ -16,29 +14,20 @@
 
 open Ir
 
-(** [register_step name impl] installs (or replaces) the implementation
-    of op [name]. [impl t_op] runs once per script compilation and may
-    precompute from [t_op]'s attributes (e.g. freeze a pattern set); the
-    returned closure applies the step to a payload root and returns how
-    many times it applied (0 = inapplicable). *)
-val register_step : string -> (Core.op -> Core.op -> int) -> unit
-
-(** Registered step names, sorted (built-ins register on first use). *)
-val registered_steps : unit -> string list
-
 (** A resolved step: label, source location (for remarks), and the
-    applier. *)
+    applier, which returns how many times the step applied (0 =
+    inapplicable). *)
 type compiled = {
   c_name : string;
   c_loc : Support.Loc.t;
   c_apply : Core.op -> int;
 }
 
-(** [compile script] resolves every op of a script module; raises
-    {!Support.Diag.Error} on a malformed script or an op with no
-    registered implementation. Compilation is the moment to do it on a
-    spawning domain: the returned closures are safe to share read-only
-    with workers (frozen pattern sets included). *)
+(** [compile script] decodes and resolves every op of a script module;
+    raises {!Support.Diag.Error} on a malformed script. Compilation is
+    the moment to do it on a spawning domain: raising steps look up
+    their frozen pattern sets here, and the returned closures are safe
+    to share read-only with workers. *)
 val compile : Core.op -> compiled list
 
 (** [compile_steps steps] — {!compile} on a script module built from
@@ -52,8 +41,3 @@ val apply_step : compiled -> Core.op -> int
 (** One {!Ir.Pass} per step (named {!Script.step_name}), for running a
     script under an instrumented pass manager. *)
 val passes_of_steps : Script.step list -> Pass.t list
-
-(** [run script payload] — compile and apply every step to [payload]
-    (typically a function). The caller verifies the payload afterwards,
-    as pipelines do. *)
-val run : Core.op -> Core.op -> unit

@@ -151,7 +151,5 @@ let defs =
       ~summary:"replace Linalg ops with vendor-library calls";
   ]
 
-let registered = Atomic.make false
-
-let register () =
-  Dialect.register_once registered (fun () -> Dialect.register_all defs)
+let registered = Support.Once.make (fun () -> Dialect.register_all defs)
+let register () = Support.Once.get registered

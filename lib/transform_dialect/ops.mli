@@ -15,6 +15,7 @@
     verifiers below enforce shape and ranges, so a malformed script is
     rejected at parse/verify time, before interpretation. *)
 
-(** Registers the op definitions ({!Ir.Dialect.register_once});
-    idempotent, write-once-before-parallelism like every dialect. *)
+(** Registers the op definitions once per process (a {!Support.Once}
+    cell); idempotent, write-once-before-parallelism like every
+    dialect. *)
 val register : unit -> unit

@@ -77,16 +77,28 @@ let tile_nest loops ~sizes =
   build_tiles b [] (List.combine ubs (List.combine sizes tiled));
   Core.erase_op outermost
 
-let tile_all root ~size =
+(* One size tiles every dimension; a list pairs with the nest's loops
+   outermost-first, truncated to its depth or padded with 1 (untiled). *)
+let fit_sizes sizes depth =
+  match sizes with
+  | [ size ] -> List.init depth (fun _ -> size)
+  | sizes ->
+      List.init depth (fun i ->
+          Option.value (List.nth_opt sizes i) ~default:1)
+
+let tile_nests root ~sizes =
   (* Tile each maximal perfect nest of depth > 1; recurse into depth-1
      loops to find deeper nests in imperfectly nested code. *)
+  let tiled = ref 0 in
   let rec process (op : Core.op) =
     if A.is_for op then begin
       let loops = Affine.Loops.perfect_nest op in
-      if List.length loops > 1 && Affine.Loops.nest_trip_counts loops <> None
-      then tile_nest loops ~sizes:(List.map (fun _ -> size) loops)
-      else if List.length loops = 1 then
-        List.iter process (Affine.Loops.body_ops op)
+      let depth = List.length loops in
+      if depth > 1 && Affine.Loops.nest_trip_counts loops <> None then begin
+        tile_nest loops ~sizes:(fit_sizes sizes depth);
+        incr tiled
+      end
+      else if depth = 1 then List.iter process (Affine.Loops.body_ops op)
     end
     else
       Array.iter
@@ -96,4 +108,7 @@ let tile_all root ~size =
             r.r_blocks)
         op.Core.o_regions
   in
-  process root
+  process root;
+  !tiled
+
+let tile_all root ~size = ignore (tile_nests root ~sizes:[ size ])

@@ -13,7 +13,13 @@ open Ir
     Raises {!Support.Diag.Error} on non-constant bounds. *)
 val tile_nest : Core.op list -> sizes:int list -> unit
 
-(** [tile_all root ~size] tiles every maximal perfect nest under [root]
-    uniformly with [size] in each tileable dimension. Nests of depth 1
-    are left untouched. *)
+(** [tile_nests root ~sizes] tiles every maximal perfect nest of depth
+    > 1 with constant trip counts under [root] and returns how many it
+    tiled. One size tiles every dimension; otherwise [sizes] pairs with
+    each nest's loops outermost-first, truncated to its depth or padded
+    with 1 (untiled). Depth-1 loops are searched for deeper nests. *)
+val tile_nests : Core.op -> sizes:int list -> int
+
+(** [tile_all root ~size] = [tile_nests root ~sizes:[size]], count
+    dropped. *)
 val tile_all : Core.op -> size:int -> unit

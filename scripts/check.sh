@@ -40,11 +40,19 @@ dune exec tools/json_check/json_check.exe -- BENCH_scale.json
 # per-candidate results recorded in BENCH_tune.json (docs/TRANSFORM.md).
 dune exec bench/main.exe -- tune --quick
 dune exec tools/json_check/json_check.exe -- BENCH_tune.json results
+obs_tmp="$(mktemp -d)"
+trap 'rm -rf "$obs_tmp"' EXIT
+# Table II and the ablations are deterministic (machine model, no wall
+# clock): their --quick output must match the committed file byte for
+# byte.
+dune exec bench/main.exe -- table2 ablation --quick > "$obs_tmp/table2.txt"
+diff scripts/table2_ablation_quick.txt "$obs_tmp/table2.txt" || {
+  echo "check.sh: bench table2/ablation output differs from scripts/table2_ablation_quick.txt" >&2
+  exit 1
+}
 # Smoke the observability surface: --trace must produce a loadable Chrome
 # trace (non-empty traceEvents) and --pass-stats a well-formed JSON report
 # (schemas in docs/OBSERVABILITY.md).
-obs_tmp="$(mktemp -d)"
-trap 'rm -rf "$obs_tmp"' EXIT
 dune exec bin/mlt_opt.exe -- examples/kernels/gemm.c \
   --raise-affine-to-linalg --trace "$obs_tmp/trace.json" --pass-stats \
   -o "$obs_tmp/out.mlir" > "$obs_tmp/stats.json"
@@ -104,6 +112,18 @@ for tool in mlt_opt mlt_sim; do
     exit 1
   fi
 done
+# --print-ir-after must reject a name that matches no pass of the
+# pipeline (exit 124) and list the pass names it would accept.
+status=0
+_build/default/bin/mlt_opt.exe examples/kernels/gemm.c \
+  --raise-affine-to-linalg --print-ir-after=transform.raise > /dev/null \
+  2> "$obs_tmp/after.err" || status=$?
+if [ "$status" -ne 124 ] \
+  || ! grep -qF "transform.raise[linalg]" "$obs_tmp/after.err"; then
+  cat "$obs_tmp/after.err" >&2
+  echo "check.sh: --print-ir-after with an unknown pass exited $status without listing the pass names" >&2
+  exit 1
+fi
 # Smoke the multi-domain batch driver: the example manifest must compile
 # cleanly on a 2-domain pool (domains time-share cores on small machines,
 # so this checks safety, not speed) and produce a well-formed report with

@@ -392,16 +392,15 @@ let test_skewed_manifest_matches_oracle () =
 
 (* ---- write-once dialect registration ------------------------------- *)
 
-let test_register_once_parallel () =
-  (* Four domains race a first registration through
-     [Dialect.register_once]: the body must run exactly once, and no
-     domain may return from [register_once] while the dialect is only
-     half-registered (the old non-atomic flag allowed both). *)
+let test_once_registration_parallel () =
+  (* Four domains race a first registration through a fresh
+     [Support.Once] cell, the way every dialect's [register ()] works:
+     the body must run exactly once, and no domain may return from
+     [register] while the dialect is only half-registered. *)
   let names = List.init 32 (fun i -> Printf.sprintf "test.regonce%d" i) in
-  let flag = Atomic.make false in
   let body_runs = Atomic.make 0 in
-  let register () =
-    Dialect.register_once flag @@ fun () ->
+  let cell =
+    Support.Once.make @@ fun () ->
       Atomic.incr body_runs;
       List.iter
         (fun n ->
@@ -410,9 +409,10 @@ let test_register_once_parallel () =
           Dialect.register (Dialect.def ~summary:"race probe" n))
         names
   in
+  let register () = Support.Once.get cell in
   let probe () =
     register ();
-    (* The property under test: once register_once returns, every def of
+    (* The property under test: once register returns, every def of
        the dialect is visible — not just a prefix. *)
     List.for_all Dialect.is_registered names
   in
@@ -424,7 +424,7 @@ let test_register_once_parallel () =
   Alcotest.(check int) "registration body ran exactly once" 1
     (Atomic.get body_runs);
   (* Nested registrations (linalg registers memref, affine registers
-     arith + memref) must not deadlock on the registration mutex. *)
+     arith + memref) must not deadlock: each cell has its own mutex. *)
   Linalg.Linalg_ops.register ();
   Affine.Affine_ops.register ();
   Alcotest.(check bool) "nested registration completed" true
@@ -464,7 +464,7 @@ let suite =
     Alcotest.test_case "parallel Id_gen.next bursts never collide" `Quick
       test_id_gen_parallel_unique;
     Alcotest.test_case "parallel first dialect registration is write-once"
-      `Quick test_register_once_parallel;
+      `Quick test_once_registration_parallel;
     Alcotest.test_case "sanitized-name collisions keep distinct outputs"
       `Quick test_write_outputs_distinct_files;
     Alcotest.test_case "parallel create_op bursts never collide" `Quick

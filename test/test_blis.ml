@@ -11,7 +11,7 @@ let count_ops m name =
 
 let raise_then_blis ?blocking src =
   let m = Met.Emit_affine.translate src in
-  ignore (Mlt.Tactics.raise_to_affine_matmul m);
+  ignore (Transforms.Tactics.raise_to_affine_matmul m);
   T.Blis_schedule.run ?blocking m;
   Verifier.verify m;
   m

@@ -150,7 +150,7 @@ let minor_words f =
    publish when it ends; a pass's is one tally. Resolving a counter row
    per pattern name on every run cost about 600 and 850 words. *)
 let test_bookkeeping_allocation () =
-  let set = Mlt.Tactics.linalg_set () in
+  let set = Transforms.Tactics.linalg_set () in
   let f = Core.create_func ~name:"empty" ~arg_types:[] () in
   let driver = minor_words (fun () -> Rewriter.apply_greedily f set) in
   let pm = Pass.create_manager () in

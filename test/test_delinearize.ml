@@ -43,7 +43,7 @@ let test_delinearization_preserves_semantics () =
   let m1, _ = darknet_func n in
   let m2, f2 = darknet_func n in
   ignore (T.Delinearize.run f2);
-  ignore (Mlt.Tactics.raise_to_linalg f2);
+  ignore (Transforms.Tactics.raise_to_linalg f2);
   (* Same row-major data, different ranks: compare flattened buffers. *)
   let mk1 seed = let b = Interp.Buffer.create [ n * n ] in Interp.Buffer.randomize ~seed b; b in
   let mk2 seed = let b = Interp.Buffer.create [ n; n ] in Interp.Buffer.randomize ~seed b; b in

@@ -325,7 +325,7 @@ let test_prefix_nest_depth_pruning () =
     (names (Rewriter.Frozen.candidates_for fz inner))
 
 let raising_set () =
-  Mlt.Tactics.all ()
+  Transforms.Tactics.all ()
   @ Transforms.Canonicalize.patterns ()
   @ [ Transforms.Dce.pattern () ]
 

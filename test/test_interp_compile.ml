@@ -48,7 +48,7 @@ let test_engines_agree_linalg_level () =
     (fun (name, src) ->
       let m = Met.Emit_affine.translate src in
       ignore (Transforms.Canonicalize.run m);
-      ignore (Mlt.Tactics.raise_to_linalg m);
+      ignore (Transforms.Tactics.raise_to_linalg m);
       Verifier.verify m;
       check_engines_agree (name ^ "/linalg") m (func_name_of m))
     (W.tiny_suite ())

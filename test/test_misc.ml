@@ -14,7 +14,7 @@ let test_sweeps_equals_greedy_on_lowering () =
   let src = Workloads.Polybench.gemm ~ni:8 ~nj:8 ~nk:8 () in
   let prep () =
     let m = Met.Emit_affine.translate src in
-    ignore (Mlt.Tactics.raise_to_linalg m);
+    ignore (Transforms.Tactics.raise_to_linalg m);
     m
   in
   let m1 = prep () and m2 = prep () in

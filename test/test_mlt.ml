@@ -4,7 +4,10 @@
 
 open Ir
 module W = Workloads.Polybench
-module MC = Mlt.Matrix_chain
+module MC = Transforms.Matrix_chain
+module Tactics = Transforms.Tactics
+module Raise_chain = Transforms.Raise_chain
+module To_blas = Transforms.To_blas
 
 let count_ops m name =
   let c = ref 0 in
@@ -72,7 +75,7 @@ let test_fill_raising () =
      < 8; ++j) C[i][j] = 0.0; }"
   in
   let m = Met.Emit_affine.translate src in
-  let n = Rewriter.apply_greedily m (Rewriter.freeze [ Mlt.Tactics.fill_pattern () ]) in
+  let n = Rewriter.apply_greedily m (Rewriter.freeze [ Tactics.fill_pattern () ]) in
   Alcotest.(check int) "raised" 1 n;
   Alcotest.(check int) "fill op" 1 (count_ops m "linalg.fill");
   (* Partial initialization must not raise. *)
@@ -82,24 +85,24 @@ let test_fill_raising () =
   in
   let m2 = Met.Emit_affine.translate src2 in
   Alcotest.(check int) "partial not raised" 0
-    (Rewriter.apply_greedily m2 (Rewriter.freeze [ Mlt.Tactics.fill_pattern () ]))
+    (Rewriter.apply_greedily m2 (Rewriter.freeze [ Tactics.fill_pattern () ]))
 
 (* --- chain detection and reordering ------------------------------------ *)
 
 let chain_module dims =
   let m = Met.Emit_affine.translate (W.matrix_chain dims) in
   let f = Option.get (Core.find_func m "chain") in
-  ignore (Mlt.Tactics.raise_to_linalg f);
+  ignore (Tactics.raise_to_linalg f);
   (m, f)
 
 let test_chain_detection () =
   let _, f = chain_module [ 8; 9; 10; 11 ] in
-  match Mlt.Raise_chain.detect f with
+  match Raise_chain.detect f with
   | [ chain ] ->
       Alcotest.(check int) "two matmuls" 2
-        (List.length chain.Mlt.Raise_chain.matmuls);
+        (List.length chain.Raise_chain.matmuls);
       Alcotest.(check int) "three inputs" 3
-        (List.length chain.Mlt.Raise_chain.inputs)
+        (List.length chain.Raise_chain.inputs)
   | chains -> Alcotest.failf "expected 1 chain, got %d" (List.length chains)
 
 let test_chain_m_op_listing9 () =
@@ -109,7 +112,7 @@ let test_chain_m_op_listing9 () =
   Core.walk f (fun op ->
       if Linalg.Linalg_ops.is_matmul op then matmuls := op :: !matmuls);
   let last = List.hd !matmuls in
-  let def v = Mlt.Raise_chain.last_writer ~anchor:last v in
+  let def v = Raise_chain.last_writer ~anchor:last v in
   (* Match from the last matmul's first operand: produced by a matmul whose
      own first operand is produced by yet another matmul. *)
   let open Matchers.Op_match in
@@ -124,7 +127,7 @@ let test_chain_reorder_semantics () =
   let dims = [ 16; 22; 18; 24; 2 ] in
   let reference = Met.Emit_affine.translate (W.matrix_chain dims) in
   let m, f = chain_module dims in
-  let n = Mlt.Raise_chain.reorder f in
+  let n = Raise_chain.reorder f in
   Alcotest.(check int) "one chain rewritten" 1 n;
   Verifier.verify m;
   Alcotest.(check bool) "equivalent" true
@@ -133,7 +136,7 @@ let test_chain_reorder_semantics () =
 let test_chain_reorder_structure () =
   let dims = [ 16; 22; 18; 24; 2 ] in
   let _, f = chain_module dims in
-  ignore (Mlt.Raise_chain.reorder f);
+  ignore (Raise_chain.reorder f);
   (* Optimal for (16,22,18,24,2) per DP. *)
   let t, _ = MC.optimal (Array.of_list dims |> Array.map Fun.id) in
   (* The rewritten function has 3 matmuls still. *)
@@ -147,15 +150,15 @@ let test_chain_already_optimal_untouched () =
   (* Square chain: left-assoc is already optimal; nothing to rewrite. *)
   let dims = [ 8; 8; 8; 8 ] in
   let _, f = chain_module dims in
-  Alcotest.(check int) "no rewrite" 0 (Mlt.Raise_chain.reorder f)
+  Alcotest.(check int) "no rewrite" 0 (Raise_chain.reorder f)
 
 (* --- linalg -> blas ------------------------------------------------------ *)
 
 let test_to_blas_conversion () =
   let m = Met.Emit_affine.translate (W.gemm ~ni:8 ~nj:8 ~nk:8 ()) in
   let f = Option.get (Core.find_func m "gemm") in
-  ignore (Mlt.Tactics.raise_to_linalg f);
-  ignore (Mlt.To_blas.run f);
+  ignore (Tactics.raise_to_linalg f);
+  ignore (To_blas.run f);
   Alcotest.(check int) "sgemm call" 1 (count_ops m "blas.sgemm");
   Alcotest.(check int) "no linalg.matmul" 0 (count_ops m "linalg.matmul")
 
@@ -164,8 +167,8 @@ let test_to_blas_preserves_semantics () =
   let reference = Met.Emit_affine.translate src in
   let m = Met.Emit_affine.translate src in
   let f = Option.get (Core.find_func m "gemm") in
-  ignore (Mlt.Tactics.raise_to_linalg f);
-  ignore (Mlt.To_blas.run f);
+  ignore (Tactics.raise_to_linalg f);
+  ignore (To_blas.run f);
   Transforms.Lower_linalg.run f;
   Verifier.verify m;
   Alcotest.(check bool) "equivalent" true

@@ -14,7 +14,7 @@ let count_ops m name =
 
 let raise_all src =
   let m = Met.Emit_affine.translate src in
-  let n = Mlt.Tactics.raise_to_linalg m in
+  let n = Transforms.Tactics.raise_to_linalg m in
   Verifier.verify m;
   (m, n)
 

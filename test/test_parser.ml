@@ -44,7 +44,8 @@ let test_roundtrip_raised_linalg () =
     Workloads.Contraction_spec.c_source spec ~sizes ~init:true ~name:"kern" ()
   in
   let m = Met.Emit_affine.translate src in
-  ignore (Mlt.Tactics.raise_to_linalg (Option.get (Core.find_func m "kern")));
+  ignore
+    (Transforms.Tactics.raise_to_linalg (Option.get (Core.find_func m "kern")));
   ignore (roundtrip_once "ttgt" m)
 
 let test_roundtrip_blas_and_affine_matmul () =

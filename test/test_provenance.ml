@@ -23,7 +23,7 @@ let raised_gemm () =
   let m =
     Met.Emit_affine.translate ~file:"gemm.c" (W.mm ~ni:8 ~nj:8 ~nk:8 ())
   in
-  ignore (Mlt.Tactics.raise_to_linalg m);
+  ignore (Transforms.Tactics.raise_to_linalg m);
   m
 
 let test_frontend_locs () =
@@ -146,7 +146,7 @@ let test_fill_provenance () =
   let m =
     Met.Emit_affine.translate ~file:"gemm.c" (W.gemm ~ni:8 ~nj:8 ~nk:8 ())
   in
-  ignore (Mlt.Tactics.raise_to_linalg m);
+  ignore (Transforms.Tactics.raise_to_linalg m);
   let fill = find_op m "linalg.fill" in
   match Core.provenance fill with
   | [ d ] ->

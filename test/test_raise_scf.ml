@@ -40,9 +40,9 @@ let test_full_ladder_scf_to_blas () =
   let m = Met.Emit_affine.translate src in
   T.Lower_affine.run m;
   ignore (T.Raise_scf.run m);
-  let raised = Mlt.Tactics.raise_to_linalg m in
+  let raised = Transforms.Tactics.raise_to_linalg m in
   Alcotest.(check int) "gemm found after scf raising" 1 raised;
-  ignore (Mlt.To_blas.run m);
+  ignore (Transforms.To_blas.run m);
   Alcotest.(check int) "sgemm call" 1 (count_ops m "blas.sgemm");
   Verifier.verify m;
   Alcotest.(check bool) "equivalent" true

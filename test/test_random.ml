@@ -44,7 +44,7 @@ let prop_random_contraction_ttgt =
       in
       let reference = Met.Emit_affine.translate src in
       let m = Met.Emit_affine.translate src in
-      let pat = Mlt.Tactics.contraction spec in
+      let pat = Transforms.Tactics.contraction spec in
       let n = Rewriter.apply_greedily m (Rewriter.freeze [ pat ]) in
       Verifier.verify m;
       n = 1 && Interp.Eval.equivalent reference m "kern" ~seed:61)
@@ -65,7 +65,10 @@ let prop_random_contraction_full_pipeline =
       ignore
         (Rewriter.apply_greedily m
            (Rewriter.freeze
-              [ Mlt.Tactics.fill_pattern (); Mlt.Tactics.contraction spec ]));
+              [
+                Transforms.Tactics.fill_pattern ();
+                Transforms.Tactics.contraction spec;
+              ]));
       Transforms.Lower_linalg.run m;
       Transforms.Lower_affine.run m;
       ignore (Transforms.Raise_scf.run m);
@@ -84,8 +87,8 @@ let prop_random_chain_reorder =
       let reference = Met.Emit_affine.translate src in
       let m = Met.Emit_affine.translate src in
       let f = Option.get (Core.find_func m "chain") in
-      ignore (Mlt.Tactics.raise_to_linalg f);
-      ignore (Mlt.Raise_chain.reorder f);
+      ignore (Transforms.Tactics.raise_to_linalg f);
+      ignore (Transforms.Raise_chain.reorder f);
       Verifier.verify m;
       Interp.Eval.equivalent reference m "chain" ~seed:71)
 
@@ -229,7 +232,7 @@ let build_patterns bits =
            "def MV { pattern y(i) += A(i,j) * x(j) }\n\
             def MVT { pattern y(j) += A(i,j) * x(i) }"
        else []);
-      (if bits land 8 <> 0 then [ Mlt.Tactics.fill_pattern () ] else []);
+      (if bits land 8 <> 0 then [ Transforms.Tactics.fill_pattern () ] else []);
     ]
 
 (* Randomize root declarations: bit i of [mask] relaxes pattern i to Any.

@@ -24,7 +24,7 @@ let gemm_variant stmt =
 
 let raise_src src =
   let m = Met.Emit_affine.translate ~file:"k.c" src in
-  ignore (Mlt.Tactics.raise_to_linalg m)
+  ignore (Transforms.Tactics.raise_to_linalg m)
 
 let gemm_misses remarks =
   List.filter

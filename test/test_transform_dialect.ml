@@ -133,13 +133,15 @@ let test_vectorized_pluto_matches_apply () =
 
 (* ---- interpretation details -------------------------------------------- *)
 
-let test_run_applies_in_sequence () =
+let test_compile_applies_in_sequence () =
   let m = Met.Emit_affine.translate (W.mm ~ni:8 ~nj:8 ~nk:8 ()) in
   let script =
     Script.of_steps
       [ Script.Canonicalize false; Script.Raise "linalg"; Script.Dce ]
   in
-  Transform.Interp.run script (sole_func m);
+  List.iter
+    (fun c -> ignore (Transform.Interp.apply_step c (sole_func m)))
+    (Transform.Interp.compile script);
   Verifier.verify m;
   let raised = ref 0 in
   Core.walk m (fun op ->
@@ -247,9 +249,9 @@ let test_compile_steps_reuse_tactic_sets () =
         true (words < 2000.))
     [ P.Mlt_linalg; P.Mlt_blas ];
   Alcotest.(check bool) "one frozen linalg set" true
-    (Mlt.Tactics.linalg_set () == Mlt.Tactics.linalg_set ());
+    (T.Tactics.linalg_set () == T.Tactics.linalg_set ());
   Alcotest.(check bool) "one frozen affine-matmul set" true
-    (Mlt.Tactics.affine_matmul_set () == Mlt.Tactics.affine_matmul_set ())
+    (T.Tactics.affine_matmul_set () == T.Tactics.affine_matmul_set ())
 
 (* The printer emits straight into one buffer: about 1,900 words for
    this 865-byte module, where going through [Format] took 8,898. *)
@@ -269,8 +271,8 @@ let suite =
       `Quick test_configs_match_pinned_digests;
     Alcotest.test_case "vectorized pluto elaborations match Pluto.apply"
       `Quick test_vectorized_pluto_matches_apply;
-    Alcotest.test_case "Interp.run applies steps in sequence" `Quick
-      test_run_applies_in_sequence;
+    Alcotest.test_case "compiled steps run in sequence" `Quick
+      test_compile_applies_in_sequence;
     Alcotest.test_case "inapplicable step emits an analysis remark" `Quick
       test_inapplicable_step_remarks;
     Alcotest.test_case "applicable step reports its application count"

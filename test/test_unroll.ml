@@ -42,7 +42,7 @@ let test_unroll_then_raise_fails_gracefully () =
   let m = Met.Emit_affine.translate (W.mm ~ni:8 ~nj:8 ~nk:8 ()) in
   ignore (T.Loop_unroll.unroll_innermost m ~factor:2);
   Alcotest.(check int) "no raise on unrolled body" 0
-    (Mlt.Tactics.raise_to_linalg m)
+    (Transforms.Tactics.raise_to_linalg m)
 
 let test_no_op_cases () =
   let m = Met.Emit_affine.translate (W.mm ~ni:4 ~nj:4 ~nk:2 ()) in
