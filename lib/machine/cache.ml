@@ -12,6 +12,7 @@ type t = {
   mutable clock : int;
   mutable n_accesses : int;
   mutable n_misses : int;
+  mutable n_skipped : int;  (** hits counted in [n_accesses], not probed *)
 }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
@@ -40,6 +41,7 @@ let create ~size ~line ~ways =
     clock = 0;
     n_accesses = 0;
     n_misses = 0;
+    n_skipped = 0;
   }
 
 (* Exact LRU. A hit in the set's MRU way (the way used last) changes no
@@ -80,18 +82,35 @@ let access t addr =
 
 let accesses t = t.n_accesses
 let misses t = t.n_misses
+let probes t = t.n_accesses - t.n_skipped
+let line t = 1 lsl t.line_shift
 
+let skip_hits t k =
+  t.n_accesses <- t.n_accesses + k;
+  t.n_skipped <- t.n_skipped + k
+
+(* Only [scan] writes tags, stamps and MRU ways, and every scan ticks the
+   clock: a cache whose clock is still 0 holds [create]'s arrays. *)
 let reset t =
-  Array.fill t.tags 0 (Array.length t.tags) invalid;
-  Array.fill t.stamps 0 (Array.length t.stamps) 0;
-  Array.iteri (fun s _ -> t.mru.(s) <- s * t.ways) t.mru;
-  t.clock <- 0;
+  if t.clock > 0 then begin
+    Array.fill t.tags 0 (Array.length t.tags) invalid;
+    Array.fill t.stamps 0 (Array.length t.stamps) 0;
+    Array.iteri (fun s _ -> t.mru.(s) <- s * t.ways) t.mru;
+    t.clock <- 0
+  end;
   t.n_accesses <- 0;
-  t.n_misses <- 0
+  t.n_misses <- 0;
+  t.n_skipped <- 0
 
 type hierarchy = { l1 : t; l2 : t; l3 : t }
 
 let create_hierarchy ~l1 ~l2 ~l3 = { l1; l2; l3 }
+let l1 h = h.l1
+
+let reset_hierarchy h =
+  reset h.l1;
+  reset h.l2;
+  reset h.l3
 
 let access_hierarchy h addr =
   if access h.l1 addr then 1
@@ -99,28 +118,63 @@ let access_hierarchy h addr =
   else if access h.l3 addr then 3
   else 4
 
+(* The level (2-4) that serves an L1 miss. *)
+let outer_level h addr =
+  if access h.l2 addr then 2 else if access h.l3 addr then 3 else 4
+
 (* The L1 MRU test is inlined; everything past it is [scan] and the
    outer levels' [access], exactly as [access_hierarchy] would run them,
    so each probe has the outcome and the state change it would have had
-   in program order. *)
+   in program order.
+
+   The walk goes by chunks: it probes the chunk's first iteration, then
+   jumps past every further iteration in which each site stays in the
+   line it just probed. Those probes are all L1 hits that leave the
+   cache as it was (see the interface). A site at line offset [off]
+   moving [d > 0] bytes stays [(line - 1 - off) / d] more iterations,
+   one moving [d < 0] stays [off / -d] more. When a site moves a whole
+   line per iteration, or there are more sites than L1 ways, every
+   chunk is one iteration long. *)
 let run_strided h ~n ~addrs ~deltas ~costs mem_cycles =
   let l1 = h.l1 in
   let shift = l1.line_shift and mask = l1.set_mask in
   let tags = l1.tags and mru = l1.mru in
   let sites = Array.length addrs in
+  let line = 1 lsl shift in
+  let chunked = ref (sites <= l1.ways) in
+  for s = 0 to sites - 1 do
+    if abs deltas.(s) >= line then chunked := false
+  done;
+  let chunked = !chunked in
   let mem = ref mem_cycles in
-  for _ = 1 to n do
+  let i = ref 0 in
+  while !i < n do
+    (* [k]: the chunk's length, at most the iterations left. *)
+    let k = ref (if chunked then n - !i else 1) in
     for s = 0 to sites - 1 do
       let a = addrs.(s) in
-      addrs.(s) <- a + deltas.(s);
+      let d = deltas.(s) in
+      addrs.(s) <- a + d;
       let line_id = a asr shift in
       let set = line_id land mask in
       if tags.(mru.(set)) <> line_id && not (scan l1 line_id set) then
-        let level =
-          if access h.l2 a then 2 else if access h.l3 a then 3 else 4
+        mem := !mem +. costs.((3 * s) + outer_level h a - 2);
+      if chunked then begin
+        let stay =
+          if d > 0 then (line - 1 - (a land (line - 1))) / d
+          else if d < 0 then (a land (line - 1)) / -d
+          else max_int
         in
-        mem := !mem +. costs.((3 * s) + level - 2)
-    done
+        if stay < !k - 1 then k := stay + 1
+      end
+    done;
+    if !k > 1 then begin
+      for s = 0 to sites - 1 do
+        addrs.(s) <- addrs.(s) + ((!k - 1) * deltas.(s))
+      done;
+      l1.n_skipped <- l1.n_skipped + ((!k - 1) * sites)
+    end;
+    i := !i + !k
   done;
   l1.n_accesses <- l1.n_accesses + (n * sites);
   !mem

@@ -17,8 +17,27 @@ val create : size:int -> line:int -> ways:int -> t
     the set's most recently used line leaves the state as it was. *)
 val access : t -> int -> bool
 
+(** [accesses t] counts every access, probed or skipped. *)
 val accesses : t -> int
+
 val misses : t -> int
+
+(** [probes t] counts the accesses actually probed: {!accesses} minus
+    the hits {!run_strided} or {!skip_hits} counted without a probe. A
+    deterministic proxy for the simulator's work. *)
+val probes : t -> int
+
+(** [line t] is the line size in bytes. *)
+val line : t -> int
+
+(** [skip_hits t k] counts [k] accesses that hit, without probing them.
+    Exact only for hits that leave the state as it was; see
+    {!run_strided} for when they do. *)
+val skip_hits : t -> int -> unit
+
+(** [reset t] returns [t] to [create]'s state: empty ways, clock and
+    counters at 0. It writes no array when [t] was not probed since it
+    was created or last reset. *)
 val reset : t -> unit
 
 (** {2 Hierarchy} *)
@@ -28,17 +47,41 @@ type hierarchy
 val create_hierarchy :
   l1:t -> l2:t -> l3:t -> hierarchy
 
+val l1 : hierarchy -> t
+
+(** [reset_hierarchy h] resets all three levels. *)
+val reset_hierarchy : hierarchy -> unit
+
 (** [access_hierarchy h addr] probes L1, then L2, then L3 on misses;
     returns the innermost level that hit (1-4, 4 = memory). *)
 val access_hierarchy : hierarchy -> int -> int
 
-(** [run_strided h ~n ~addrs ~deltas ~costs mem_cycles] probes [h] with
-    [n] iterations of [Array.length addrs] access sites, in order: site
-    [s] of iteration [i] (from 0) probes [addrs.(s) + i * deltas.(s)], as
-    {!access_hierarchy} would. A probe served by level [l > 1] adds
-    [costs.(3 * s + l - 2)] to the running [mem_cycles], in probe order;
-    the final sum is returned. [addrs] is advanced past the last
-    iteration. *)
+(** [run_strided h ~n ~addrs ~deltas ~costs mem_cycles] has the same
+    outcomes, counts and cost sum as {!access_hierarchy} run in probe
+    order over [n] iterations of [Array.length addrs] access sites: site
+    [s] of iteration [i] (from 0) accesses [addrs.(s) + i * deltas.(s)].
+    An access served by level [l > 1] adds [costs.(3 * s + l - 2)] to the
+    running [mem_cycles], in probe order; the final sum is returned. Every
+    level's {!accesses} and {!misses} end as the probes would leave them,
+    and every later access has the outcome it would have had. [addrs] is
+    advanced past the last iteration.
+
+    Not every access is probed. When no site moves a whole line per
+    iteration and there are at most as many sites as L1 ways, each chunk
+    of iterations in which every site stays in one line probes only its
+    first iteration; the others count as hits ({!probes} excludes them).
+    Otherwise every chunk is one iteration and every access is probed.
+    This is exact. After the first iteration, the lines it touched are
+    the most recently used of their sets, at most [ways] per set, so all
+    are resident. A later iteration touching the same lines in the same
+    order hits every time, writes no tag, sends nothing to L2 or L3 and
+    costs nothing. It leaves each set holding the same lines in the same
+    recency order with the same MRU way: only the clock and the raw stamp
+    values would differ, and nothing reads those except to compare stamps
+    within one set. So no later outcome can change. The same argument
+    licenses skipping a whole run that touches the same line sequence as
+    the run before it, when that run hit throughout and nothing probed L1
+    since: {!skip_hits} counts such a run. *)
 val run_strided :
   hierarchy ->
   n:int ->

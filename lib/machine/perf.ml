@@ -13,12 +13,13 @@ type report = {
   stats : Sim_trace.stats;
 }
 
-let shape2 (v : Core.value) =
-  match Typ.static_shape v.Core.v_typ with
-  | Some [ a; b ] -> (a, b)
-  | _ -> D.errorf "perf: expected a rank-2 static memref"
-
 let library_time model (op : Core.op) =
+  let loc = Sim_trace.loc_of op in
+  let shape2 (v : Core.value) =
+    match Typ.static_shape v.Core.v_typ with
+    | Some [ a; b ] -> (a, b)
+    | _ -> D.errorf ~loc "perf: expected a rank-2 static memref"
+  in
   let operand i = Core.operand op i in
   match op.o_name with
   | "blas.sgemm" ->
@@ -31,11 +32,11 @@ let library_time model (op : Core.op) =
   | "blas.stranspose" -> (
       match Typ.num_elements (operand 0).Core.v_typ with
       | Some e -> Blas_model.transpose_seconds model ~elems:e
-      | None -> D.errorf "perf: dynamic transpose")
+      | None -> D.errorf ~loc "perf: dynamic transpose")
   | "blas.sreshape_copy" -> (
       match Typ.num_elements (operand 0).Core.v_typ with
       | Some e -> Blas_model.copy_seconds model ~elems:e
-      | None -> D.errorf "perf: dynamic reshape")
+      | None -> D.errorf ~loc "perf: dynamic reshape")
   | "blas.sconv2d" -> (
       match
         ( Typ.static_shape (operand 0).Core.v_typ,
@@ -44,26 +45,48 @@ let library_time model (op : Core.op) =
       with
       | Some [ n; c; _; _ ], Some [ f; _; kh; kw ], Some [ _; _; oh; ow ] ->
           Blas_model.conv2d_seconds model ~n ~c ~f ~oh ~ow ~kh ~kw
-      | _ -> D.errorf "perf: bad conv shapes")
+      | _ -> D.errorf ~loc "perf: bad conv shapes")
   | "affine.matmul" ->
       let m, k = shape2 (operand 0) in
       let _, n = shape2 (operand 1) in
       Blas_model.blis_codegen_gemm_seconds model ~m ~n ~k
-  | _ -> D.errorf "perf: '%s' is not a library call" op.o_name
+  | _ -> D.errorf ~loc "perf: '%s' is not a library call" op.o_name
 
 let is_library (op : Core.op) =
   Blas.Blas_ops.is_blas op || Affine.Affine_ops.is_matmul op
+
+(* Each domain keeps the hierarchies it built, one per cache geometry,
+   and resets one instead of allocating it again: the Intel model's
+   16 MB L3 alone is 4 MB of tags and stamps. A reset hierarchy is in
+   [create]'s state, so reuse changes no report. *)
+let hierarchies = Domain.DLS.new_key (fun () -> ref [])
+
+let hierarchy (m : M.t) =
+  let geometry =
+    ( (m.M.line, m.M.l1_size, m.M.l1_ways),
+      (m.M.l2_size, m.M.l2_ways),
+      (m.M.l3_size, m.M.l3_ways) )
+  in
+  let cell = Domain.DLS.get hierarchies in
+  match List.assoc_opt geometry !cell with
+  | Some h ->
+      Cache.reset_hierarchy h;
+      h
+  | None ->
+      let h = M.fresh_hierarchy m in
+      cell := (geometry, h) :: !cell;
+      h
 
 let time_func model func =
   if not (Core.is_func func) then invalid_arg "Perf.time_func";
   Core.walk func (fun op ->
       if Linalg.Linalg_ops.is_linalg op then
-        D.errorf
+        D.errorf ~loc:(Sim_trace.loc_of op)
           "perf: found %s — lower Linalg ops to loops or convert them to \
            library calls before timing"
           op.Core.o_name);
   let addrs = Sim_trace.assign_addresses func in
-  let hier = M.fresh_hierarchy model in
+  let hier = hierarchy model in
   let stats = Sim_trace.empty_stats () in
   let fast_math =
     match Core.find_attr func "fast_math" with

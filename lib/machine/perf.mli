@@ -16,8 +16,11 @@ type report = {
   stats : Trace.stats;
 }
 
-(** [time_func model func] — raises {!Support.Diag.Error} if the function
-    still contains Linalg ops (lower or convert them first). *)
+(** [time_func model func] — raises {!Support.Diag.Error}, located at the
+    offending op, if the function still contains Linalg ops (lower or
+    convert them first) or anything else it cannot simulate. Each domain
+    reuses one cache hierarchy per geometry, reset before every call, so
+    the report is the one a fresh hierarchy gives. *)
 val time_func : Machine_model.t -> Ir.Core.op -> report
 
 (** [gflops ~flops report] *)

@@ -21,7 +21,23 @@ let empty_stats () =
 
 type address_map = (int, int) Hashtbl.t
 
-let elem_strides typ =
+let loc_of (op : Core.op) =
+  let rec up (o : Core.op) =
+    if Support.Loc.is_known o.o_loc then o.o_loc
+    else match Core.parent_op o with Some p -> up p | None -> o.o_loc
+  in
+  up op
+
+(* A value's location: its defining op's, or its block's owner's. *)
+let value_loc (v : Core.value) =
+  match v.Core.v_def with
+  | Core.Def_op (op, _) -> loc_of op
+  | Core.Def_block_arg (b, _) -> (
+      match Core.block_parent_op b with
+      | Some op -> loc_of op
+      | None -> Support.Loc.unknown)
+
+let elem_strides ~loc typ =
   match Typ.static_shape typ with
   | Some shape ->
       let n = List.length shape in
@@ -31,7 +47,7 @@ let elem_strides typ =
         strides.(i) <- strides.(i + 1) * arr.(i + 1)
       done;
       strides
-  | None -> D.errorf "trace: dynamic memref shapes unsupported"
+  | None -> D.errorf ~loc "trace: dynamic memref shapes unsupported"
 
 let assign_addresses func =
   let addrs = Hashtbl.create 16 in
@@ -94,7 +110,7 @@ let slot_of ctx (v : Core.value) =
   | None ->
       let s = ctx.next_slot in
       if s >= Array.length ctx.env then
-        D.errorf "trace: too many index values";
+        D.errorf ~loc:(value_loc v) "trace: too many index values";
       ctx.next_slot <- s + 1;
       Hashtbl.replace ctx.slots v.Core.v_id s;
       s
@@ -104,12 +120,13 @@ let slot_of ctx (v : Core.value) =
 (* What the staged evaluators cannot run is rejected here, before the
    walk: symbols, dimensions with no operand, and floordiv/mod by anything
    but a non-zero constant. *)
-let check_expr what n_dims e =
+let check_expr ~loc what n_dims e =
   let rec go = function
     | Affine_expr.Dim i ->
         if i < 0 || i >= n_dims then
-          D.errorf "trace: %s reads d%d but has %d operands" what i n_dims
-    | Affine_expr.Sym _ -> D.errorf "trace: %s uses affine symbols" what
+          D.errorf ~loc "trace: %s reads d%d but has %d operands" what i
+            n_dims
+    | Affine_expr.Sym _ -> D.errorf ~loc "trace: %s uses affine symbols" what
     | Affine_expr.Const _ -> ()
     | Affine_expr.Add (a, b) | Affine_expr.Mul (a, b) ->
         go a;
@@ -118,16 +135,17 @@ let check_expr what n_dims e =
         go a;
         match Affine_expr.is_constant b with
         | Some k when k <> 0 -> ()
-        | _ -> D.errorf "trace: %s divides by a non-constant or zero" what)
+        | _ ->
+            D.errorf ~loc "trace: %s divides by a non-constant or zero" what)
   in
   go e
 
-(* [stage ctx what slots e] evaluates [e] with dimension [d] read from
+(* [stage ctx ~loc what slots e] evaluates [e] with dimension [d] read from
    [ctx.env.(slots.(d))]. A linear [e] becomes [b + sum k_i * env.(s_i)],
    with dedicated closures for up to three terms; floordiv/mod go through
    [Affine_expr.compile] over a gathered dimension vector. *)
-let stage ctx what slots e =
-  check_expr what (Array.length slots) e;
+let stage ctx ~loc what slots e =
+  check_expr ~loc what (Array.length slots) e;
   let env = ctx.env in
   match Affine_expr.linearize e with
   | Some { Affine_expr.dim_coeffs; constant = b; _ } -> (
@@ -203,16 +221,18 @@ type site = {
 }
 
 let access_site ctx (op : Core.op) =
+  let loc = loc_of op in
   let memref = A.access_memref op in
   let base =
     match Hashtbl.find_opt ctx.addrs memref.Core.v_id with
     | Some b -> b
-    | None -> D.errorf "trace: access to a buffer with no address"
+    | None -> D.errorf ~loc "trace: access to a buffer with no address"
   in
-  let strides = elem_strides memref.Core.v_typ in
+  let strides = elem_strides ~loc memref.Core.v_typ in
   let exprs = (A.access_map op).Affine_map.exprs in
   if List.length exprs <> Array.length strides then
-    D.errorf "trace: %s map arity does not match memref rank" op.Core.o_name;
+    D.errorf ~loc "trace: %s map arity does not match memref rank"
+      op.Core.o_name;
   let slots = Array.of_list (List.map (slot_of ctx) (A.access_indices op)) in
   let e =
     Affine_expr.(
@@ -220,7 +240,7 @@ let access_site ctx (op : Core.op) =
   in
   let streamed = is_streamed op in
   {
-    addr = stage ctx op.Core.o_name slots e;
+    addr = stage ctx ~loc op.Core.o_name slots e;
     slot_coeffs =
       Option.map
         (fun l ->
@@ -240,10 +260,10 @@ let compile_access ctx op =
     if level > 1 then
       stats.mem_cycles <- stats.mem_cycles +. costs.(level - 2)
 
-let eval_bound ctx ~minimize ((map, args) : A.bound) =
+let eval_bound ctx ~loc ~minimize ((map, args) : A.bound) =
   let slots = Array.of_list (List.map (slot_of ctx) args) in
-  match List.map (stage ctx "loop bound" slots) map.Affine_map.exprs with
-  | [] -> D.errorf "trace: empty bound map"
+  match List.map (stage ctx ~loc "loop bound" slots) map.Affine_map.exprs with
+  | [] -> D.errorf ~loc "trace: empty bound map"
   | [ f ] -> f
   | f :: rest ->
       let rest = Array.of_list rest in
@@ -292,7 +312,15 @@ let straight_line_sites ctx ~step body_ops =
    moving by its iv coefficient times [step]. The flop, iteration and
    access counts are added once per entry: [fl *. n] and
    [iter_weight *. n] equal the per-iteration sums bit for bit, since
-   every partial sum is an integer or a multiple of 1/8 far below 2^53. *)
+   every partial sum is an integer or a multiple of 1/8 far below 2^53.
+
+   An entry is replayed, not probed, when the loop's previous entry
+   missed L1 nowhere, nothing probed L1 since it ended, the trip count
+   is the same and every site touches the same line sequence: its first
+   address is unchanged, or its first line is and its delta is a whole
+   number of lines. Every access of the replay hits and leaves the
+   cache as it was (Cache.run_strided's interface), so the entry only
+   counts [n * sites] L1 hits. *)
 let compile_strided ctx ~iv_slot ~lb ~ub ~step ~iter_weight ~vectorized ~fl
     sites =
   let iv_coeff s =
@@ -306,6 +334,23 @@ let compile_strided ctx ~iv_slot ~lb ~ub ~step ~iter_weight ~vectorized ~fl
   let n_sites = List.length sites in
   let addrs = Array.make n_sites 0 in
   let env = ctx.env and hier = ctx.hier and stats = ctx.stats in
+  let l1 = Cache.l1 hier in
+  let line = Cache.line l1 in
+  let line_mask = lnot (line - 1) in
+  let whole_lines = Array.map (fun d -> d land (line - 1) = 0) deltas in
+  (* The previous entry: its first addresses, its trip count when it
+     missed L1 nowhere (else -1), and L1's probe count when it ended. *)
+  let prev_addrs = Array.make n_sites 0 in
+  let prev_n = ref (-1) and prev_probes = ref 0 in
+  let same_lines () =
+    let same = ref true and s = ref 0 in
+    while !same && !s < n_sites do
+      let a = addrs.(!s) and p = prev_addrs.(!s) in
+      same := a = p || (whole_lines.(!s) && a land line_mask = p land line_mask);
+      incr s
+    done;
+    !same
+  in
   fun () ->
     let lo = lb () and hi = ub () in
     if lo < hi then begin
@@ -314,8 +359,18 @@ let compile_strided ctx ~iv_slot ~lb ~ub ~step ~iter_weight ~vectorized ~fl
       for s = 0 to n_sites - 1 do
         addrs.(s) <- firsts.(s) ()
       done;
-      stats.mem_cycles <-
-        Cache.run_strided hier ~n ~addrs ~deltas ~costs stats.mem_cycles;
+      let replay =
+        n = !prev_n && Cache.probes l1 = !prev_probes && same_lines ()
+      in
+      Array.blit addrs 0 prev_addrs 0 n_sites;
+      if replay then Cache.skip_hits l1 (n * n_sites)
+      else begin
+        let misses = Cache.misses l1 in
+        stats.mem_cycles <-
+          Cache.run_strided hier ~n ~addrs ~deltas ~costs stats.mem_cycles;
+        prev_n := if Cache.misses l1 = misses then n else -1;
+        prev_probes := Cache.probes l1
+      end;
       ctx.n_accesses <- ctx.n_accesses + (n * n_sites);
       let n = float_of_int n in
       if vectorized then
@@ -356,25 +411,29 @@ let rec compile_block ctx (ops : Core.op list) =
           closures :=
             (fun () -> ctx.env.(r) <- f ctx.env.(a) ctx.env.(b)) :: !closures
       | "affine.apply" ->
+          let loc = loc_of op in
           let map = Attr.get_map (Core.attr op "map") in
           let slots = Array.map (slot_of ctx) op.o_operands in
           let e =
             match map.Affine_map.exprs with
             | e :: _ -> e
-            | [] -> D.errorf "trace: affine.apply with an empty map"
+            | [] -> D.errorf ~loc "trace: affine.apply with an empty map"
           in
-          let f = stage ctx "affine.apply" slots e in
+          let f = stage ctx ~loc "affine.apply" slots e in
           let env = ctx.env and r = slot_of ctx (Core.result op 0) in
           closures := (fun () -> env.(r) <- f ()) :: !closures
       | "memref.alloc" | "memref.dealloc" -> ()
-      | name -> D.errorf "trace: cannot simulate operation '%s'" name)
+      | name ->
+          D.errorf ~loc:(loc_of op) "trace: cannot simulate operation '%s'"
+            name)
     ops;
   Array.of_list (List.rev !closures)
 
 and compile_for ctx (op : Core.op) =
   let iv_slot = slot_of ctx (A.for_iv op) in
-  let lb = eval_bound ctx ~minimize:false (A.for_lb op) in
-  let ub = eval_bound ctx ~minimize:true (A.for_ub op) in
+  let loc = loc_of op in
+  let lb = eval_bound ctx ~loc ~minimize:false (A.for_lb op) in
+  let ub = eval_bound ctx ~loc ~minimize:true (A.for_ub op) in
   let step = A.for_step op in
   let vectorized = is_vectorizable ~fast_math:ctx.fast_math op in
   let body_ops = Affine.Loops.body_ops op in

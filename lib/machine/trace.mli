@@ -8,7 +8,8 @@
     {!Ir.Affine_expr.compile}. A straight-line innermost loop (only
     accesses with linear addresses, float arithmetic and float constants
     in its body) runs each entry as one {!Cache.run_strided} walk over its
-    access sites; every other body runs op by op. Both give the same
+    access sites, and skips an entry that provably replays the previous
+    one's L1 hits; every other body runs op by op. Both give the same
     report bit for bit.
 
     Vectorizability follows the Clang-style check the paper's baselines
@@ -28,6 +29,10 @@ type stats = {
 
 val empty_stats : unit -> stats
 
+(** [loc_of op] is [op]'s source location, else its nearest located
+    ancestor's; every simulator error carries it. *)
+val loc_of : Core.op -> Support.Loc.t
+
 (** Base byte addresses per buffer value id. *)
 type address_map = (int, int) Hashtbl.t
 
@@ -39,7 +44,8 @@ val assign_addresses : Core.op -> address_map
     accumulating into [stats]. Raises {!Support.Diag.Error}, before it
     simulates any of [ops], on non-affine ops and on maps it cannot stage:
     symbols, empty maps, dimensions with no operand, and floordiv/mod by
-    anything but a non-zero constant. *)
+    anything but a non-zero constant. Every error is located by
+    {!loc_of} the offending op. *)
 val simulate :
   ?fast_math:bool ->
   Machine_model.t ->

@@ -50,6 +50,15 @@ diff scripts/table2_ablation_quick.txt "$obs_tmp/table2.txt" || {
   echo "check.sh: bench table2/ablation output differs from scripts/table2_ablation_quick.txt" >&2
   exit 1
 }
+# Figures 8 and 9 and section 5.1 come from the machine model and the
+# tactic counts alone: their --quick output (fig9's 160 cells at two
+# decimals, pluto-best's searched winners included) must match the
+# committed file byte for byte.
+dune exec bench/main.exe -- fig8 sec51 fig9 --quick > "$obs_tmp/figs.txt"
+diff scripts/fig8_sec51_fig9_quick.txt "$obs_tmp/figs.txt" || {
+  echo "check.sh: bench fig8/sec51/fig9 output differs from scripts/fig8_sec51_fig9_quick.txt" >&2
+  exit 1
+}
 # Smoke the observability surface: --trace must produce a loadable Chrome
 # trace (non-empty traceEvents) and --pass-stats a well-formed JSON report
 # (schemas in docs/OBSERVABILITY.md).
@@ -112,6 +121,21 @@ for tool in mlt_opt mlt_sim; do
     exit 1
   fi
 done
+# A schedule the simulator cannot time must fail as a Diag.Error located
+# in the input file (exit 124): lower_affine leaves scf.for loops, which
+# the simulator rejects at the loop's source position.
+printf 'builtin.module {\n  "transform.lower_affine"() : () -> ()\n}\n' \
+  > "$obs_tmp/lower_affine.mlir"
+status=0
+_build/default/bin/mlt_sim.exe examples/kernels/gemm.c \
+  --transform-script "$obs_tmp/lower_affine.mlir" > /dev/null \
+  2> "$obs_tmp/scf.err" || status=$?
+if [ "$status" -ne 124 ] \
+  || ! grep -q "^mlt-sim: examples/kernels/gemm.c:[0-9]*:[0-9]*: " "$obs_tmp/scf.err"; then
+  cat "$obs_tmp/scf.err" >&2
+  echo "check.sh: mlt-sim on an scf.for schedule exited $status without an error located in the input file" >&2
+  exit 1
+fi
 # --print-ir-after must reject a name that matches no pass of the
 # pipeline (exit 124) and list the pass names it would accept.
 status=0

@@ -628,6 +628,7 @@ type inner_bounds =
   | Const of int * int  (** may be empty: lb >= ub *)
   | Remainder of int  (** [%o to min(%o + tile, n)] under [0 to n step tile] *)
   | Shifted  (** [max(%o - 1, 1) to %o + 3] *)
+  | Growing of int  (** [0 to min(%o + 1, cap)]: the trip count grows *)
 
 type nest = {
   shapes : int list array;
@@ -635,6 +636,9 @@ type nest = {
   inner : inner_bounds;
   step : int;
   sites : site list;
+  sibling : site list;
+      (** when non-empty, a second inner loop [0 to 12] after the first,
+          reading these sites *)
 }
 
 let gen_nest =
@@ -694,7 +698,7 @@ let gen_nest =
     | Some l when same_cell -> sites @ [ { l with store = true } ]
     | _ -> sites
   in
-  { shapes; outer; inner; step; sites }
+  { shapes; outer; inner; step; sites; sibling = [] }
 
 let render_nest ~dead n =
   let b = Buffer.create 1024 in
@@ -714,41 +718,126 @@ let render_nest ~dead n =
       pr "affine.for %s = %d to %d step %d {\n" (iv k) lb ub step)
     n.outer;
   let o = iv (n_outer - 1) in
+  let body ~inner_iv sites =
+    let iv k = if k = n_outer then inner_iv else iv k in
+    if dead then pr "%%dead = affine.apply %s + 1\n" inner_iv;
+    pr "%%acc0 = arith.constant 1.5 : f32\n";
+    let sub (c, ks) =
+      let term k x = if x = 0 then [] else [ Printf.sprintf "%s * %d" (iv k) x ] in
+      String.concat " + " (string_of_int c :: List.concat (List.mapi term ks))
+    in
+    let acc = ref 0 in
+    List.iteri
+      (fun j s ->
+        let subs = String.concat ", " (List.map sub s.subs) in
+        if s.store then
+          pr "affine.store %%acc%d, %%B%d[%s] : %s\n" !acc s.buf subs (ty s.buf)
+        else begin
+          pr "%%v%d = affine.load %%B%d[%s] : %s\n" j s.buf subs (ty s.buf);
+          pr "%%acc%d = arith.%s %%acc%d, %%v%d : f32\n" (!acc + 1)
+            (if j mod 2 = 0 then "addf" else "mulf") !acc j;
+          incr acc
+        end)
+      sites;
+    pr "affine.yield\n}\n"
+  in
   (match n.inner with
   | Const (lb, ub) -> pr "affine.for %%i = %d to %d" lb ub
   | Remainder t ->
       let _, ub, _ = List.nth n.outer (n_outer - 1) in
       pr "affine.for %%i = %s to min(%s + %d, %d)" o o t ub
-  | Shifted -> pr "affine.for %%i = max(%s - 1, 1) to %s + 3" o o);
+  | Shifted -> pr "affine.for %%i = max(%s - 1, 1) to %s + 3" o o
+  | Growing cap -> pr "affine.for %%i = 0 to min(%s + 1, %d)" o cap);
   pr " step %d {\n" n.step;
-  if dead then pr "%%dead = affine.apply %%i + 1\n";
-  pr "%%acc0 = arith.constant 1.5 : f32\n";
-  let sub (c, ks) =
-    let term k x = if x = 0 then [] else [ Printf.sprintf "%s * %d" (iv k) x ] in
-    String.concat " + " (string_of_int c :: List.concat (List.mapi term ks))
-  in
-  let acc = ref 0 in
-  List.iteri
-    (fun j s ->
-      let subs = String.concat ", " (List.map sub s.subs) in
-      if s.store then
-        pr "affine.store %%acc%d, %%B%d[%s] : %s\n" !acc s.buf subs (ty s.buf)
-      else begin
-        pr "%%v%d = affine.load %%B%d[%s] : %s\n" j s.buf subs (ty s.buf);
-        pr "%%acc%d = arith.%s %%acc%d, %%v%d : f32\n" (!acc + 1)
-          (if j mod 2 = 0 then "addf" else "mulf") !acc j;
-        incr acc
-      end)
-    n.sites;
-  pr "affine.yield\n}\n";
+  body ~inner_iv:"%i" n.sites;
+  if n.sibling <> [] then begin
+    pr "affine.for %%t = 0 to 12 {\n";
+    body ~inner_iv:"%t" n.sibling
+  end;
   List.iter (fun _ -> pr "affine.yield\n}\n") n.outer;
   pr "func.return\n}\n}\n";
   Buffer.contents b
 
-let prop_strided_matches_closures =
-  QCheck.Test.make ~name:"strided innermost runs = closure path (both machines)"
-    ~count:300
-    (QCheck.make ~print:(render_nest ~dead:false) gen_nest)
+(* Nests whose inner-loop entries replay. Each site either ignores the
+   outer ivs or moves by one element per outer iteration, less than a
+   line, with an inner delta of whole lines, so consecutive entries often
+   touch the same line sequence. The buffers fit in L1, so an entry after
+   the first usually misses nowhere, except where an inner delta of 4 KB
+   (the L1 set stride) thrashes one set on every entry. Inner bounds are
+   constant, or grow up to a cap so that the trip count changes. *)
+let gen_replay_nest =
+  let open QCheck.Gen in
+  let* shapes =
+    array_size (int_range 1 3)
+      (oneof
+         [
+           map (fun n -> [ n ]) (int_range 64 400);
+           map2 (fun a b -> [ a; b ]) (int_range 2 6) (int_range 16 64);
+         ])
+  in
+  let* outer =
+    list_size (int_range 1 2)
+      (map3
+         (fun lb len step -> (lb, lb + len, step))
+         (int_bound 2) (int_range 1 20) (int_range 1 2))
+  in
+  let n_outer = List.length outer in
+  let* inner =
+    frequency
+      [
+        (3, map2 (fun lb len -> Const (lb, lb + len)) (int_bound 4) (int_range 1 12));
+        (1, map (fun cap -> Growing cap) (int_range 2 12));
+      ]
+  in
+  let* step = int_range 1 4 in
+  let gen_site =
+    let* store = map (fun k -> k < 2) (int_bound 4) in
+    let* buf = int_bound (Array.length shapes - 1) in
+    let rank = List.length shapes.(buf) in
+    let* moves = bool in
+    let* outer_ks =
+      list_repeat n_outer (if moves then int_bound 1 else return 0)
+    in
+    let* inner_k =
+      if moves then oneofl [ 0; 16; -16; 32; 1024 ] else int_range (-2) 2
+    in
+    let+ consts = list_repeat rank (int_bound 4) in
+    let subs =
+      List.mapi
+        (fun d c ->
+          if d = rank - 1 then (c, outer_ks @ [ inner_k ])
+          else (c, List.init (n_outer + 1) (fun _ -> 0)))
+        consts
+    in
+    { store; buf; subs }
+  in
+  let* sites = list_size (int_range 1 4) gen_site in
+  (* Sometimes a sibling loop walks the set of a site's first line, 4 KB
+     (the L1 set stride) per iteration, and evicts that line. *)
+  let+ sibling =
+    let* k = int_bound (List.length sites - 1) in
+    let s = List.nth sites k in
+    let last = List.length s.subs - 1 in
+    let walk =
+      {
+        s with
+        store = false;
+        subs =
+          List.mapi
+            (fun d (c, ks) ->
+              if d = last then
+                (c, List.filteri (fun i _ -> i < n_outer) ks @ [ 1024 ])
+              else (c, ks))
+            s.subs;
+      }
+    in
+    oneofl [ []; [ walk ] ]
+  in
+  { shapes; outer; inner; step; sites; sibling }
+
+let prop_strided_matches_closures (name, count, gen) =
+  QCheck.Test.make ~name ~count
+    (QCheck.make ~print:(render_nest ~dead:false) gen)
     (fun n ->
       let report m ~dead =
         let src = render_nest ~dead n in
@@ -767,16 +856,21 @@ let prop_strided_matches_closures =
         MM.platforms)
 
 (* [Cache.run_strided] against the same probes through
-   [Cache.access_hierarchy], on a tiny three-level hierarchy that evicts
-   constantly: equal running cost sums and equal per-level counts. *)
-let prop_run_strided_matches_probes =
+   [Cache.access_hierarchy], on tiny three-level hierarchies that evict
+   constantly: equal running cost sums and equal per-level counts. The
+   2-way L1 with deltas up to ~10 lines probes every access; the 8-way
+   one, with up to 8 sites and sub-line deltas, skips the provable hits
+   of each chunk of iterations that stays in its lines. *)
+let prop_run_strided_matches_probes (name, l1_ways, max_sites, max_delta) =
   let open QCheck.Gen in
   let gen =
     triple (int_bound 40)
-      (list_size (int_range 1 4) (pair (int_bound 4096) (int_range (-300) 300)))
+      (list_size (int_range 1 max_sites)
+         (pair (int_bound 4096) (int_range (-max_delta) max_delta)))
       (float_range 0. 10.)
   in
-  QCheck.Test.make ~name:"run_strided = access_hierarchy in probe order"
+  QCheck.Test.make
+    ~name:(Printf.sprintf "run_strided = access_hierarchy in probe order (%s)" name)
     ~count:300
     (QCheck.make
        ~print:(fun (n, sites, m0) ->
@@ -786,7 +880,7 @@ let prop_run_strided_matches_probes =
        gen)
     (fun (n, sites, m0) ->
       let levels () =
-        let l1 = C.create ~size:256 ~line:32 ~ways:2
+        let l1 = C.create ~size:(128 * l1_ways) ~line:32 ~ways:l1_ways
         and l2 = C.create ~size:512 ~line:32 ~ways:4
         and l3 = C.create ~size:1024 ~line:64 ~ways:2 in
         ([ l1; l2; l3 ], C.create_hierarchy ~l1 ~l2 ~l3)
@@ -809,27 +903,65 @@ let prop_run_strided_matches_probes =
             if level > 1 then want := !want +. costs.((3 * s) + level - 2))
           sites
       done;
+      (* The caches must also agree on what comes next. *)
+      let after = Array.init 64 (fun i -> (i * 88) - 200) in
+      Array.iter
+        (fun a ->
+          if C.access_hierarchy h a <> C.access_hierarchy h' a then
+            QCheck.Test.fail_reportf "address %d: outcomes differ afterwards" a)
+        after;
       Int64.bits_of_float got = Int64.bits_of_float !want
       && List.for_all2
            (fun c c' ->
              C.accesses c = C.accesses c' && C.misses c = C.misses c')
            ls ls')
 
-(* Maps the simulator cannot stage fail before the walk with a located
-   error, never an [Invalid_argument] from the walk itself. *)
+let run_strided_geometries =
+  [
+    ("2-way L1", 2, 4, 300);
+    ("2-way L1, sub-line deltas", 2, 4, 31);
+    ("8-way L1, sub-line deltas", 8, 8, 31);
+  ]
+
+(* A chunk that stays in one line probes its first iteration only: one
+   unit-stride site over 32-byte lines probes every eighth access. *)
+let test_chunks_skip_hits () =
+  let l1 = C.create ~size:1024 ~line:32 ~ways:8 in
+  let h =
+    C.create_hierarchy ~l1 ~l2:(C.create ~size:2048 ~line:32 ~ways:8)
+      ~l3:(C.create ~size:4096 ~line:32 ~ways:8)
+  in
+  ignore (C.run_strided h ~n:64 ~addrs:[| 4096 |] ~deltas:[| 4 |]
+            ~costs:[| 1.; 2.; 3. |] 0.);
+  Alcotest.(check int) "accesses" 64 (C.accesses l1);
+  Alcotest.(check int) "misses" 8 (C.misses l1);
+  Alcotest.(check int) "probes" 8 (C.probes l1)
+
+(* Maps the simulator cannot stage fail before the walk with an error
+   located at the edited op, never an [Invalid_argument] from the walk
+   itself. *)
 let test_unstageable_maps_are_diag_errors () =
   let expect what edit =
     let f =
       Option.get
-        (Core.find_func (Parser.parse_module pinned_nonlinear) "nonlin")
+        (Core.find_func
+           (Parser.parse_module ~file:"nonlin.mlir" pinned_nonlinear)
+           "nonlin")
     in
     let target = ref None in
     Core.walk f (fun op ->
         if !target = None && op.Core.o_name = what then target := Some op);
-    edit (Option.get !target);
+    let op = Option.get !target in
+    edit op;
     match Machine.Perf.time_func MM.intel_i9 f with
     | _ -> Alcotest.failf "%s: simulated an unstageable map" what
-    | exception Support.Diag.Error _ -> ()
+    | exception Support.Diag.Error (loc, _) ->
+        Alcotest.(check bool)
+          (what ^ " is located") true (Support.Loc.is_known op.Core.o_loc);
+        Alcotest.(check string)
+          (what ^ " error location")
+          (Support.Loc.to_string op.Core.o_loc)
+          (Support.Loc.to_string loc)
   in
   let set_map m op = Core.set_attr op "map" (Attr.Map m) in
   expect "affine.load"
@@ -842,6 +974,95 @@ let test_unstageable_maps_are_diag_errors () =
     (set_map
        (Affine_map.make ~n_dims:2
           [ Affine_expr.Mod (Affine_expr.dim 0, Affine_expr.dim 1) ]))
+
+(* [Perf.time_func] reuses its domain's hierarchy: A, then B, then A
+   again on one domain must equal each kernel timed on a new domain,
+   whose first call builds its hierarchies afresh. B runs on each
+   platform after A on each, so a hierarchy reused across geometries
+   would show: A sweeps a 384 KB buffer twice at a stride too wide to
+   stream, and its second sweep hits the AMD L2 but not the Intel one. *)
+let test_reused_hierarchy_is_fresh () =
+  let a =
+    func_of
+      "void sweep(float a[98304]) { for (int r = 0; r < 2; ++r) for (int i \
+       = 0; i < 24576; ++i) a[4 * i] = a[4 * i] + 1.0; }"
+      "sweep"
+  and b = List.assoc "mm-tile32" (pinned_kernels ()) in
+  let fresh m f =
+    report_fields
+      (Domain.join (Domain.spawn (fun () -> Machine.Perf.time_func m f)))
+  in
+  let fresh_a = List.map (fun m -> (m, fresh m a)) MM.platforms
+  and fresh_b = List.map (fun m -> (m, fresh m b)) MM.platforms in
+  let same what want got =
+    Array.iteri
+      (fun i w ->
+        if Int64.bits_of_float w <> Int64.bits_of_float got.(i) then
+          Alcotest.failf "%s: %s is %h, fresh %h" what report_field_names.(i)
+            got.(i) w)
+      want
+  in
+  let time m f = report_fields (Machine.Perf.time_func m f) in
+  List.iter
+    (fun (m : MM.t) ->
+      List.iter
+        (fun (m' : MM.t) ->
+          let what k (m : MM.t) =
+            Printf.sprintf "%s on %s (B on %s)" k m.MM.name m'.MM.name
+          in
+          let a1 = time m a in
+          let b1 = time m' b in
+          let a2 = time m a in
+          same (what "A" m) (List.assq m fresh_a) a1;
+          same (what "B" m') (List.assq m' fresh_b) b1;
+          same (what "A again" m) (List.assq m fresh_a) a2)
+        MM.platforms)
+    MM.platforms
+
+(* The simulator's work, pinned: the logical accesses of Figure 9's gemm
+   (as in perfbench/expected_simulate.tsv) and the L1 probes that
+   actually ran, [Cache.probes] of a hierarchy the cell ran on. *)
+let pinned_probes =
+  [
+    (Mlt.Pipeline.Clang_O3, "intel-i9-9900k", 8404992, 8389632);
+    (Mlt.Pipeline.Clang_O3, "amd-2920x", 8404992, 8389632);
+    (Mlt.Pipeline.Pluto_default, "intel-i9-9900k", 8404992, 779776);
+    (Mlt.Pipeline.Pluto_default, "amd-2920x", 8404992, 779776);
+  ]
+
+let test_pinned_probes () =
+  let src =
+    List.find_map
+      (fun (k, src, _) -> if k = "gemm" then Some src else None)
+      (W.figure9_suite ())
+    |> Option.get
+  in
+  List.iter
+    (fun (c, mname, accesses, probes) ->
+      let m = List.find (fun (m : MM.t) -> m.MM.name = mname) MM.platforms in
+      let f =
+        Option.get
+          (Core.find_func
+             (Mlt.Pipeline.prepare_schedule (Mlt.Pipeline.Config c) src)
+             "gemm")
+      in
+      let what = Mlt.Pipeline.config_name c ^ "/" ^ mname in
+      let h = MM.fresh_hierarchy m in
+      let stats = Machine.Trace.empty_stats () in
+      let ops =
+        List.filter
+          (fun (op : Core.op) -> op.o_name <> "func.return")
+          (Core.ops_of_block (Core.func_entry f))
+      in
+      Machine.Trace.simulate m h (Machine.Trace.assign_addresses f) stats ops;
+      let report = Machine.Perf.time_func m f in
+      Alcotest.(check (float 0.)) (what ^ " accesses = time_func's")
+        report.Machine.Perf.stats.Machine.Trace.accesses
+        stats.Machine.Trace.accesses;
+      Alcotest.(check int) (what ^ " accesses") accesses
+        (int_of_float stats.Machine.Trace.accesses);
+      Alcotest.(check int) (what ^ " probes") probes (C.probes (C.l1 h)))
+    pinned_probes
 
 let suite =
   [
@@ -871,9 +1092,22 @@ let suite =
       test_cache_power_of_two;
     Alcotest.test_case "cache = reference LRU across a reset" `Quick
       test_lru_across_reset;
+    Alcotest.test_case "strided chunks skip provable L1 hits" `Quick
+      test_chunks_skip_hits;
+    Alcotest.test_case "reused hierarchy = fresh hierarchy (A, B, A)" `Quick
+      test_reused_hierarchy_is_fresh;
+    Alcotest.test_case "pinned accesses and probes (gemm)" `Quick
+      test_pinned_probes;
   ]
   @ List.map
       (fun g -> QCheck_alcotest.to_alcotest (prop_lru_matches_reference g))
       lru_geometries
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_strided_matches_closures; prop_run_strided_matches_probes ]
+      (List.map prop_strided_matches_closures
+         [
+           ("strided innermost runs = closure path (both machines)", 300, gen_nest);
+           ( "replayed strided entries = closure path (both machines)",
+             400,
+             gen_replay_nest );
+         ]
+      @ List.map prop_run_strided_matches_probes run_strided_geometries)
