@@ -17,8 +17,8 @@
      most subscripts in bounds at compile time, in which case the access
      is a single unchecked [data.(offset)] read/write; anything it cannot
      prove (data-dependent or potentially out-of-range indices) falls
-     back to the per-dimension checked path ([Buffer.get]/[Buffer.set],
-     identical failure behavior to the walker).
+     back to the per-dimension checked path, which fails an index out of
+     its dimension with a [Diag.Error] located at the access op.
 
    The tree-walker in [Eval] remains the semantic oracle; differential
    tests assert bit-identical buffers between the two engines. *)
@@ -292,7 +292,7 @@ let compile_bound ctx ~minimize ((map, args) : A.bound) =
    closures and a precomputed linear-offset closure, emit either the
    unchecked path (proven in bounds: a single stride-weighted indexed
    read/write) or the checked per-dimension fallback. *)
-let access_code ctx ~bslot ~(comp : (frame -> int) array)
+let access_code ctx (op : Core.op) ~bslot ~(comp : (frame -> int) array)
     ~(off : frame -> int) ~in_bounds
     (kind : [ `Load of int | `Store of frame -> float ]) : code =
   if in_bounds then begin
@@ -304,24 +304,32 @@ let access_code ctx ~bslot ~(comp : (frame -> int) array)
   else begin
     ctx.checked_accesses <- ctx.checked_accesses + 1;
     let n = Array.length comp in
-    (* Reused scratch index vector: accesses execute atomically, so a
-       per-op buffer is safe. [Buffer.get]/[set] perform the walker's
-       exact bounds checks (identical out-of-bounds failure). *)
-    let idx = Array.make n 0 in
-    let fill fr =
+    let loc = Core.nearest_loc op in
+    (* [Buffer.linear_index]'s checks, but an index out of its dimension
+       is a located error, not an [Invalid_argument]. *)
+    let offset fr (b : Buffer.t) =
+      if n <> Array.length b.shape then
+        invalid_arg "Buffer: index rank mismatch";
+      let o = ref 0 in
       for i = 0 to n - 1 do
-        idx.(i) <- comp.(i) fr
-      done
+        let x = comp.(i) fr in
+        if x < 0 || x >= b.shape.(i) then
+          Support.Diag.errorf ~loc
+            "interp: %s index %d out of bounds [0, %d) at dim %d"
+            op.Core.o_name x b.shape.(i) i;
+        o := !o + (x * b.strides.(i))
+      done;
+      !o
     in
     match kind with
     | `Load d ->
         fun fr ->
-          fill fr;
-          fr.floats.(d) <- Buffer.get fr.bufs.(bslot) idx
+          let b = fr.bufs.(bslot) in
+          fr.floats.(d) <- b.data.(offset fr b)
     | `Store gv ->
         fun fr ->
-          fill fr;
-          Buffer.set fr.bufs.(bslot) idx (gv fr)
+          let b = fr.bufs.(bslot) in
+          b.data.(offset fr b) <- gv fr
   end
 
 let proves_in_bounds shape ranges =
@@ -362,7 +370,7 @@ let compile_affine_access ctx op ~is_store =
     if is_store then `Store (float_rd ctx (A.stored_value op))
     else `Load (def_float ctx (Core.result op 0))
   in
-  access_code ctx ~bslot ~comp ~off ~in_bounds kind
+  access_code ctx op ~bslot ~comp ~off ~in_bounds kind
 
 let compile_memref_access ctx op ~is_store =
   let base = if is_store then 1 else 0 in
@@ -413,7 +421,7 @@ let compile_memref_access ctx op ~is_store =
     if is_store then `Store (float_rd ctx (Core.operand op 0))
     else `Load (def_float ctx (Core.result op 0))
   in
-  access_code ctx ~bslot ~comp ~off ~in_bounds kind
+  access_code ctx op ~bslot ~comp ~off ~in_bounds kind
 
 (* ---------------- operations -------------------------------------------- *)
 

@@ -221,6 +221,10 @@ let block_parent_op block =
 let parent_op op =
   match op.o_parent with None -> None | Some b -> block_parent_op b
 
+let rec nearest_loc op =
+  if Support.Loc.is_known op.o_loc then op.o_loc
+  else match parent_op op with Some p -> nearest_loc p | None -> op.o_loc
+
 let rec is_under ~root op =
   op == root
   || match parent_op op with Some p -> is_under ~root p | None -> false

@@ -126,6 +126,10 @@ val single_block : op -> int -> block
 (** The parent operation owning the block this op lives in, if attached. *)
 val parent_op : op -> op option
 
+(** The op's location if it is known, else its nearest located
+    ancestor's ([o_loc] itself when none is). *)
+val nearest_loc : op -> Support.Loc.t
+
 (** The op owning the block's region ([None] for a block outside any
     region). A plain pointer read: it answers the same on every domain. *)
 val block_parent_op : block -> op option

@@ -6,10 +6,9 @@ type t = {
   line_shift : int;  (** log2 line *)
   set_mask : int;  (** sets - 1 *)
   ways : int;
-  tags : int array;  (** sets * ways, [invalid] = empty way *)
-  stamps : int array;  (** last-use clock per way, 0 = never used *)
-  mru : int array;  (** per set: the way (absolute index) used last *)
-  mutable clock : int;
+  tags : int array;
+      (** sets * ways; each set in recency order, the most recently used
+          line first and empty ways ([invalid]) last *)
   mutable n_accesses : int;
   mutable n_misses : int;
   mutable n_skipped : int;  (** hits counted in [n_accesses], not probed *)
@@ -36,49 +35,35 @@ let create ~size ~line ~ways =
     set_mask = sets - 1;
     ways;
     tags = Array.make (sets * ways) invalid;
-    stamps = Array.make (sets * ways) 0;
-    mru = Array.init sets (fun s -> s * ways);
-    clock = 0;
     n_accesses = 0;
     n_misses = 0;
     n_skipped = 0;
   }
 
-(* Exact LRU. A hit in the set's MRU way (the way used last) changes no
-   state at all: that way already holds the set's largest stamp, stamps
-   are only ever compared within a set, so neither ticking the clock nor
-   rewriting the stamp could change a later victim. A line is stored at
-   most once per set, so the MRU-way hit is the hit the scan would find.
-   [scan] is everything else: one pass over the set that stops at the
-   line, else remembers the first way with the strictly smallest stamp. *)
+(* Exact LRU. A hit in the set's first way (its most recently used line)
+   leaves the set in order and writes nothing. [scan] is everything
+   else: one pass that writes the line into the first way and moves each
+   following tag back one way, until it reaches the line's old way (a
+   hit) or pushes the last way's tag out (a miss: the least recently
+   used line, or an empty way, is evicted). [carry] is the tag that
+   belongs in way [w]. *)
+let rec shift (tags : int array) (line_id : int) stop w carry =
+  w < stop
+  &&
+  let old = tags.(w) in
+  tags.(w) <- carry;
+  old = line_id || shift tags line_id stop (w + 1) old
+
 let scan t line_id set =
-  t.clock <- t.clock + 1;
-  let base = set * t.ways in
-  let stop = base + t.ways in
-  let w = ref base and victim = ref base and oldest = ref max_int in
-  while !w < stop && t.tags.(!w) <> line_id do
-    let s = t.stamps.(!w) in
-    if s < !oldest then begin
-      oldest := s;
-      victim := !w
-    end;
-    incr w
-  done;
-  let hit = !w < stop in
-  let way = if hit then !w else !victim in
-  if not hit then begin
-    t.n_misses <- t.n_misses + 1;
-    t.tags.(way) <- line_id
-  end;
-  t.stamps.(way) <- t.clock;
-  t.mru.(set) <- way;
+  let hit = shift t.tags line_id ((set + 1) * t.ways) (set * t.ways) line_id in
+  if not hit then t.n_misses <- t.n_misses + 1;
   hit
 
 let access t addr =
   t.n_accesses <- t.n_accesses + 1;
   let line_id = addr asr t.line_shift in
   let set = line_id land t.set_mask in
-  t.tags.(t.mru.(set)) = line_id || scan t line_id set
+  t.tags.(set * t.ways) = line_id || scan t line_id set
 
 let accesses t = t.n_accesses
 let misses t = t.n_misses
@@ -89,15 +74,10 @@ let skip_hits t k =
   t.n_accesses <- t.n_accesses + k;
   t.n_skipped <- t.n_skipped + k
 
-(* Only [scan] writes tags, stamps and MRU ways, and every scan ticks the
-   clock: a cache whose clock is still 0 holds [create]'s arrays. *)
+(* A hit only reorders a set's tags, so a cache that never missed since
+   [create] or the last reset still holds only empty ways. *)
 let reset t =
-  if t.clock > 0 then begin
-    Array.fill t.tags 0 (Array.length t.tags) invalid;
-    Array.fill t.stamps 0 (Array.length t.stamps) 0;
-    Array.iteri (fun s _ -> t.mru.(s) <- s * t.ways) t.mru;
-    t.clock <- 0
-  end;
+  if t.n_misses > 0 then Array.fill t.tags 0 (Array.length t.tags) invalid;
   t.n_accesses <- 0;
   t.n_misses <- 0;
   t.n_skipped <- 0
@@ -122,7 +102,7 @@ let access_hierarchy h addr =
 let outer_level h addr =
   if access h.l2 addr then 2 else if access h.l3 addr then 3 else 4
 
-(* The L1 MRU test is inlined; everything past it is [scan] and the
+(* The L1 first-way test is inlined; everything past it is [scan] and the
    outer levels' [access], exactly as [access_hierarchy] would run them,
    so each probe has the outcome and the state change it would have had
    in program order.
@@ -138,10 +118,10 @@ let outer_level h addr =
 let run_strided h ~n ~addrs ~deltas ~costs mem_cycles =
   let l1 = h.l1 in
   let shift = l1.line_shift and mask = l1.set_mask in
-  let tags = l1.tags and mru = l1.mru in
+  let tags = l1.tags and ways = l1.ways in
   let sites = Array.length addrs in
   let line = 1 lsl shift in
-  let chunked = ref (sites <= l1.ways) in
+  let chunked = ref (sites <= ways) in
   for s = 0 to sites - 1 do
     if abs deltas.(s) >= line then chunked := false
   done;
@@ -157,7 +137,7 @@ let run_strided h ~n ~addrs ~deltas ~costs mem_cycles =
       addrs.(s) <- a + d;
       let line_id = a asr shift in
       let set = line_id land mask in
-      if tags.(mru.(set)) <> line_id && not (scan l1 line_id set) then
+      if tags.(set * ways) <> line_id && not (scan l1 line_id set) then
         mem := !mem +. costs.((3 * s) + outer_level h a - 2);
       if chunked then begin
         let stay =

@@ -12,9 +12,10 @@ type t
 val create : size:int -> line:int -> ways:int -> t
 
 (** [access t addr] returns [true] on hit and updates LRU state. The
-    replacement is exact LRU: a miss evicts the least recently used way
-    of the set (the first such way before any has been used). A hit on
-    the set's most recently used line leaves the state as it was. *)
+    replacement is exact LRU: each set keeps its lines in recency order,
+    and a miss evicts the least recently used line, or an empty way while
+    the set is not full. A hit on the set's most recently used line
+    writes nothing and leaves the state as it was. *)
 val access : t -> int -> bool
 
 (** [accesses t] counts every access, probed or skipped. *)
@@ -31,13 +32,13 @@ val probes : t -> int
 val line : t -> int
 
 (** [skip_hits t k] counts [k] accesses that hit, without probing them.
-    Exact only for hits that leave the state as it was; see
-    {!run_strided} for when they do. *)
+    Exact only for a run of hits that leaves every set in the recency
+    order it found it in; see {!run_strided} for when one does. *)
 val skip_hits : t -> int -> unit
 
-(** [reset t] returns [t] to [create]'s state: empty ways, clock and
-    counters at 0. It writes no array when [t] was not probed since it
-    was created or last reset. *)
+(** [reset t] returns [t] to [create]'s state: empty ways and counters
+    at 0. It writes no array when [t] did not miss since it was created
+    or last reset: only a miss brings a line in, a hit only reorders. *)
 val reset : t -> unit
 
 (** {2 Hierarchy} *)
@@ -74,11 +75,12 @@ val access_hierarchy : hierarchy -> int -> int
     This is exact. After the first iteration, the lines it touched are
     the most recently used of their sets, at most [ways] per set, so all
     are resident. A later iteration touching the same lines in the same
-    order hits every time, writes no tag, sends nothing to L2 or L3 and
-    costs nothing. It leaves each set holding the same lines in the same
-    recency order with the same MRU way: only the clock and the raw stamp
-    values would differ, and nothing reads those except to compare stamps
-    within one set. So no later outcome can change. The same argument
+    order hits every time, evicts nothing, sends nothing to L2 or L3 and
+    costs nothing. Its last touches come in the same order as the first
+    iteration's, so it leaves every set in the recency order it found it
+    in: the touched lines first, by last touch, the other lines behind
+    them as before. The cache state is that order alone, so no later
+    outcome can change. The same argument
     licenses skipping a whole run that touches the same line sequence as
     the run before it, when that run hit throughout and nothing probed L1
     since: {!skip_hits} counts such a run. *)

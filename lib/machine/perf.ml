@@ -14,7 +14,7 @@ type report = {
 }
 
 let library_time model (op : Core.op) =
-  let loc = Sim_trace.loc_of op in
+  let loc = Core.nearest_loc op in
   let shape2 (v : Core.value) =
     match Typ.static_shape v.Core.v_typ with
     | Some [ a; b ] -> (a, b)
@@ -57,7 +57,7 @@ let is_library (op : Core.op) =
 
 (* Each domain keeps the hierarchies it built, one per cache geometry,
    and resets one instead of allocating it again: the Intel model's
-   16 MB L3 alone is 4 MB of tags and stamps. A reset hierarchy is in
+   16 MB L3 alone is 2 MB of tags. A reset hierarchy is in
    [create]'s state, so reuse changes no report. *)
 let hierarchies = Domain.DLS.new_key (fun () -> ref [])
 
@@ -81,7 +81,7 @@ let time_func model func =
   if not (Core.is_func func) then invalid_arg "Perf.time_func";
   Core.walk func (fun op ->
       if Linalg.Linalg_ops.is_linalg op then
-        D.errorf ~loc:(Sim_trace.loc_of op)
+        D.errorf ~loc:(Core.nearest_loc op)
           "perf: found %s — lower Linalg ops to loops or convert them to \
            library calls before timing"
           op.Core.o_name);

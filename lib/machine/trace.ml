@@ -21,33 +21,27 @@ let empty_stats () =
 
 type address_map = (int, int) Hashtbl.t
 
-let loc_of (op : Core.op) =
-  let rec up (o : Core.op) =
-    if Support.Loc.is_known o.o_loc then o.o_loc
-    else match Core.parent_op o with Some p -> up p | None -> o.o_loc
-  in
-  up op
-
 (* A value's location: its defining op's, or its block's owner's. *)
 let value_loc (v : Core.value) =
   match v.Core.v_def with
-  | Core.Def_op (op, _) -> loc_of op
+  | Core.Def_op (op, _) -> Core.nearest_loc op
   | Core.Def_block_arg (b, _) -> (
       match Core.block_parent_op b with
-      | Some op -> loc_of op
+      | Some op -> Core.nearest_loc op
       | None -> Support.Loc.unknown)
 
-let elem_strides ~loc typ =
+let static_shape ~loc typ =
   match Typ.static_shape typ with
-  | Some shape ->
-      let n = List.length shape in
-      let arr = Array.of_list shape in
-      let strides = Array.make n 1 in
-      for i = n - 2 downto 0 do
-        strides.(i) <- strides.(i + 1) * arr.(i + 1)
-      done;
-      strides
+  | Some shape -> Array.of_list shape
   | None -> D.errorf ~loc "trace: dynamic memref shapes unsupported"
+
+let elem_strides shape =
+  let n = Array.length shape in
+  let strides = Array.make n 1 in
+  for i = n - 2 downto 0 do
+    strides.(i) <- strides.(i + 1) * shape.(i + 1)
+  done;
+  strides
 
 let assign_addresses func =
   let addrs = Hashtbl.create 16 in
@@ -220,17 +214,82 @@ type site = {
   costs : float array;
 }
 
+(* The values [lo, hi] each enclosing loop's iv takes, by iv id, when
+   every op enclosing [op] inside its function is an [affine.for] with
+   constant bounds and at least one iteration; [None] otherwise. Then
+   [op] runs once for every point of the box of those ranges. *)
+let iv_box (op : Core.op) =
+  let rec up acc (o : Core.op) =
+    match Core.parent_op o with
+    | Some p when Core.is_func p -> Some acc
+    | Some p when A.is_for p -> (
+        let step = A.for_step p in
+        match A.for_const_bounds p with
+        | Some (lb, ub) when lb < ub && step > 0 ->
+            let last = lb + ((ub - lb - 1) / step * step) in
+            up (((A.for_iv p).Core.v_id, (lb, last)) :: acc) p
+        | _ -> None)
+    | _ -> None
+  in
+  up [] op
+
+(* Rejects [op] when one of its subscripts provably leaves its
+   dimension: [op] runs at every point of [iv_box]'s box and the
+   subscript is linear in the box's ivs, so its minimum and maximum over
+   the box are reached at corners, which run. Anything else ([min]/[max]
+   bounds, empty loops, floordiv/mod subscripts, other index values) is
+   left unchecked. Runs once, when the access is staged. *)
+let check_subscripts ~loc (op : Core.op) shape exprs =
+  match iv_box op with
+  | None -> ()
+  | Some box ->
+      let ivs = Array.of_list (A.access_indices op) in
+      (* Map dims bound to one value become one dim: the corners are the
+         value's, not each dim's. *)
+      let first d =
+        let rec go i = if ivs.(i) == ivs.(d) then i else go (i + 1) in
+        go 0
+      in
+      let extremes e =
+        match
+          Affine_expr.(linearize (substitute_dims (fun d -> dim (first d)) e))
+        with
+        | Some { Affine_expr.dim_coeffs; sym_coeffs = []; constant } ->
+            List.fold_left
+              (fun acc (d, k) ->
+                match (acc, List.assoc_opt ivs.(d).Core.v_id box) with
+                | Some (lo, hi), Some (a, b) ->
+                    Some (lo + min (k * a) (k * b), hi + max (k * a) (k * b))
+                | _ -> None)
+              (Some (constant, constant))
+              dim_coeffs
+        | _ -> None
+      in
+      List.iteri
+        (fun dim e ->
+          let extent = shape.(dim) in
+          match extremes e with
+          | Some (lo, hi) when lo < 0 || hi >= extent ->
+              D.errorf ~loc
+                "trace: %s index reaches %d, out of bounds [0, %d) at dim %d"
+                op.Core.o_name
+                (if lo < 0 then lo else hi)
+                extent dim
+          | _ -> ())
+        exprs
+
 let access_site ctx (op : Core.op) =
-  let loc = loc_of op in
+  let loc = Core.nearest_loc op in
   let memref = A.access_memref op in
   let base =
     match Hashtbl.find_opt ctx.addrs memref.Core.v_id with
     | Some b -> b
     | None -> D.errorf ~loc "trace: access to a buffer with no address"
   in
-  let strides = elem_strides ~loc memref.Core.v_typ in
+  let shape = static_shape ~loc memref.Core.v_typ in
+  let strides = elem_strides shape in
   let exprs = (A.access_map op).Affine_map.exprs in
-  if List.length exprs <> Array.length strides then
+  if List.length exprs <> Array.length shape then
     D.errorf ~loc "trace: %s map arity does not match memref rank"
       op.Core.o_name;
   let slots = Array.of_list (List.map (slot_of ctx) (A.access_indices op)) in
@@ -238,9 +297,11 @@ let access_site ctx (op : Core.op) =
     Affine_expr.(
       add (const base) (mul (const 4) (row_major_offset strides exprs)))
   in
+  let addr = stage ctx ~loc op.Core.o_name slots e in
+  check_subscripts ~loc op shape exprs;
   let streamed = is_streamed op in
   {
-    addr = stage ctx ~loc op.Core.o_name slots e;
+    addr;
     slot_coeffs =
       Option.map
         (fun l ->
@@ -411,7 +472,7 @@ let rec compile_block ctx (ops : Core.op list) =
           closures :=
             (fun () -> ctx.env.(r) <- f ctx.env.(a) ctx.env.(b)) :: !closures
       | "affine.apply" ->
-          let loc = loc_of op in
+          let loc = Core.nearest_loc op in
           let map = Attr.get_map (Core.attr op "map") in
           let slots = Array.map (slot_of ctx) op.o_operands in
           let e =
@@ -424,14 +485,14 @@ let rec compile_block ctx (ops : Core.op list) =
           closures := (fun () -> env.(r) <- f ()) :: !closures
       | "memref.alloc" | "memref.dealloc" -> ()
       | name ->
-          D.errorf ~loc:(loc_of op) "trace: cannot simulate operation '%s'"
-            name)
+          D.errorf ~loc:(Core.nearest_loc op)
+            "trace: cannot simulate operation '%s'" name)
     ops;
   Array.of_list (List.rev !closures)
 
 and compile_for ctx (op : Core.op) =
   let iv_slot = slot_of ctx (A.for_iv op) in
-  let loc = loc_of op in
+  let loc = Core.nearest_loc op in
   let lb = eval_bound ctx ~loc ~minimize:false (A.for_lb op) in
   let ub = eval_bound ctx ~loc ~minimize:true (A.for_ub op) in
   let step = A.for_step op in

@@ -29,10 +29,6 @@ type stats = {
 
 val empty_stats : unit -> stats
 
-(** [loc_of op] is [op]'s source location, else its nearest located
-    ancestor's; every simulator error carries it. *)
-val loc_of : Core.op -> Support.Loc.t
-
 (** Base byte addresses per buffer value id. *)
 type address_map = (int, int) Hashtbl.t
 
@@ -42,10 +38,14 @@ val assign_addresses : Core.op -> address_map
 (** [simulate m hierarchy addresses stats ops] executes the given
     top-level affine ops (loops and straight-line affine/arith code),
     accumulating into [stats]. Raises {!Support.Diag.Error}, before it
-    simulates any of [ops], on non-affine ops and on maps it cannot stage:
-    symbols, empty maps, dimensions with no operand, and floordiv/mod by
-    anything but a non-zero constant. Every error is located by
-    {!loc_of} the offending op. *)
+    simulates any of [ops], on non-affine ops, on maps it cannot stage
+    (symbols, empty maps, dimensions with no operand, and floordiv/mod by
+    anything but a non-zero constant) and on an access whose subscript
+    provably leaves its dimension: every loop around it has constant
+    bounds and runs, and the subscript is linear in their ivs, so its
+    extremes over their values are reached. Every error is located at
+    the offending op, or at its nearest located ancestor
+    ({!Ir.Core.nearest_loc}). *)
 val simulate :
   ?fast_math:bool ->
   Machine_model.t ->

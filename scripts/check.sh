@@ -136,6 +136,25 @@ if [ "$status" -ne 124 ] \
   echo "check.sh: mlt-sim on an scf.for schedule exited $status without an error located in the input file" >&2
   exit 1
 fi
+# An access past the end of its array must fail as a Diag.Error located
+# in the input file (exit 124), within seconds: in the interpreter
+# (--verify-exec, --execute) and in the simulator, which rejects the
+# access before simulating it. gemm.c's i loop runs to 25600 over
+# 256-row arrays. Under SIGKILL a hang exits 137, never 124.
+sed 's/i < 256;/i < 25600;/' examples/kernels/gemm.c > "$obs_tmp/gemm_oob.c"
+grep -q 'i < 25600;' "$obs_tmp/gemm_oob.c"
+for run in "mlt_opt --verify-exec" "mlt_sim --execute" "mlt_sim --config clang-O3"; do
+  set -- $run
+  status=0
+  timeout -s KILL 60 "_build/default/bin/$1.exe" "$obs_tmp/gemm_oob.c" "$2" \
+    ${3:+"$3"} > /dev/null 2> "$obs_tmp/oob.err" || status=$?
+  if [ "$status" -ne 124 ] \
+    || ! grep -q "^mlt-[a-z]*: $obs_tmp/gemm_oob.c:[0-9]*:[0-9]*: " "$obs_tmp/oob.err"; then
+    cat "$obs_tmp/oob.err" >&2
+    echo "check.sh: $run on an out-of-bounds gemm exited $status without an error located in the input file" >&2
+    exit 1
+  fi
+done
 # --print-ir-after must reject a name that matches no pass of the
 # pipeline (exit 124) and list the pass names it would accept.
 status=0

@@ -183,21 +183,35 @@ let test_unprovable_access_uses_checked_fallback () =
 
 let test_out_of_bounds_still_detected () =
   (* Shrinking the declared shape under the loop extent makes the access
-     genuinely out of bounds: the compiled engine must refuse via the
-     checked path exactly like the walker (not read out of the buffer). *)
-  let m = Met.Emit_affine.translate (W.mm ~ni:4 ~nj:4 ~nk:4 ()) in
+     genuinely out of bounds: both engines must refuse it (not read out of
+     the buffer). The walker raises [Invalid_argument]; the compiled
+     engine's checked path raises a [Diag.Error] located at the access,
+     naming the dimension, the index and the extent. *)
+  let m = Met.Emit_affine.translate ~file:"mm.c" (W.mm ~ni:4 ~nj:4 ~nk:4 ()) in
   let f = Option.get (Core.find_func m "mm") in
   List.iter
     (fun (p : Core.value) -> p.Core.v_typ <- Typ.memref [ 3; 3 ] Typ.F32)
     (Core.func_args f);
-  let expect_oob engine =
-    let args = List.init 3 (fun _ -> B.create [ 3; 3 ]) in
-    match Interp.Eval.run_func ~engine f args with
-    | () -> Alcotest.failf "%s: expected out-of-bounds" (Interp.Rt.engine_name engine)
-    | exception Invalid_argument _ -> ()
+  let run engine =
+    Interp.Eval.run_func ~engine f (List.init 3 (fun _ -> B.create [ 3; 3 ]))
   in
-  expect_oob Interp.Eval.Walk;
-  expect_oob Interp.Eval.Compiled
+  (match run Interp.Eval.Walk with
+  | () -> Alcotest.fail "walk: expected out-of-bounds"
+  | exception Invalid_argument _ -> ());
+  match run Interp.Eval.Compiled with
+  | () -> Alcotest.fail "compiled: expected out-of-bounds"
+  | exception Support.Diag.Error (loc, msg) ->
+      let accesses = ref [] in
+      Core.walk f (fun op ->
+          if op.Core.o_name = "affine.load" || op.Core.o_name = "affine.store"
+          then accesses := Support.Loc.to_string op.Core.o_loc :: !accesses);
+      Alcotest.(check bool)
+        ("located at an access: " ^ Support.Loc.to_string loc)
+        true
+        (Support.Loc.is_known loc
+        && List.mem (Support.Loc.to_string loc) !accesses);
+      Alcotest.(check bool) ("names index and extent: " ^ msg) true
+        (Astring_contains.contains msg "index 3 out of bounds [0, 3) at dim")
 
 (* ---- pipeline-level differential check --------------------------------- *)
 

@@ -77,9 +77,10 @@ let test_cache_power_of_two () =
    A naive reference: one most-recent-first list of line ids per set; a
    hit moves the line to the front, a miss pushes it there and drops the
    tail once the set holds [ways] lines. [Machine.Cache] must agree with
-   it on every access, which is what licenses its MRU-way probe and the
-   rule that an MRU-way hit changes no state (no clock tick, no stamp
-   write). *)
+   it on every access, which is what licenses its in-place recency order:
+   the first-way test that writes nothing on a hit, the one-pass rotate
+   that stops at the line's old way or pushes out the last way, and the
+   reset that fills the tags only after a miss. *)
 
 module Ref_lru = struct
   type t = {
@@ -116,11 +117,18 @@ module Ref_lru = struct
     t.misses <- 0
 end
 
-type lru_op = Fresh of int * int * int | Repeat of int | Reset
+type lru_op =
+  | Fresh of int * int * int
+  | Repeat of int
+  | Rank of int * int
+      (** [Rank (set, p)]: the line at recency position [p] of the
+          reference's [set], most recent at 0; a line the set does not
+          hold (a miss) when it holds at most [p] lines *)
+  | Reset
 
 (* Streams over at most three sets and [ways + 3] lines per set: heavy
    same-set conflicts; [Repeat] re-touches the previous line at a new
-   offset, always an MRU-way hit, the case that changes no state. *)
+   offset, always a first-way hit, the case that writes nothing. *)
 let gen_lru_ops ~line ~sets ~ways =
   let open QCheck.Gen in
   let fresh =
@@ -138,9 +146,37 @@ let gen_lru_ops ~line ~sets ~ways =
          (1, return Reset);
        ])
 
+(* Rounds that fill one set to [k] lines (each a miss into a partly
+   filled set), then touch its lines by recency position, so a hit
+   rotates the set from every way, mixed with misses that evict from a
+   full or a partly filled set. A round starts from a reset a third of
+   the time. *)
+let gen_rank_ops ~line:_ ~sets ~ways =
+  let open QCheck.Gen in
+  let touch set =
+    frequency
+      [
+        (4, map (fun p -> Rank (set, p)) (int_bound (ways - 1)));
+        (1, return (Rank (set, ways)));
+      ]
+  in
+  let round =
+    int_bound (min sets 2 - 1) >>= fun set ->
+    map3
+      (fun reset k touches ->
+        (if reset then [ Reset ] else [])
+        @ List.init k (fun _ -> Rank (set, ways))
+        @ touches)
+      (frequency [ (1, return true); (2, return false) ])
+      (int_bound ways)
+      (list_size (int_range 1 (3 * ways)) (touch set))
+  in
+  map List.concat (list_size (int_range 1 8) round)
+
 let print_lru_op = function
   | Fresh (set, tag, off) -> Printf.sprintf "set%d/tag%d+%d" set tag off
   | Repeat off -> Printf.sprintf "again+%d" off
+  | Rank (set, p) -> Printf.sprintf "set%d@%d" set p
   | Reset -> "reset"
 
 (* Replays [ops] on both models; returns the first disagreement. *)
@@ -159,6 +195,20 @@ let lru_disagreement ~line ~sets ~ways ops =
           match op with
           | Fresh (set, tag, off) -> (((tag * sets) + set) * line) + off
           | Repeat off -> (!prev / line * line) + off
+          | Rank (set, p) ->
+              let held = r.Ref_lru.lists.(set) in
+              let line_id =
+                match List.nth_opt held p with
+                | Some id -> id
+                | None ->
+                    (* The first line of the set it does not hold. *)
+                    let rec fresh tag =
+                      let id = (tag * sets) + set in
+                      if List.mem id held then fresh (tag + 1) else id
+                    in
+                    fresh 0
+              in
+              line_id * line
           | Reset -> assert false
         in
         prev := addr;
@@ -180,15 +230,16 @@ let lru_disagreement ~line ~sets ~ways ops =
 (* (line, sets, ways) *)
 let lru_geometries = [ (16, 4, 1); (32, 8, 2); (64, 4, 8); (64, 2, 16) ]
 
-let prop_lru_matches_reference (line, sets, ways) =
+(* [what] names the stream [gen] draws, empty for the plain one. *)
+let prop_lru_matches_reference (what, gen) (line, sets, ways) =
   QCheck.Test.make
     ~name:
-      (Printf.sprintf "%d-way cache = reference LRU (%dB lines, %d sets)" ways
-         line sets)
+      (Printf.sprintf "%d-way cache = reference LRU%s (%dB lines, %d sets)"
+         ways what line sets)
     ~count:300
     (QCheck.make
        ~print:(fun ops -> String.concat " " (List.map print_lru_op ops))
-       (gen_lru_ops ~line ~sets ~ways))
+       (gen ~line ~sets ~ways))
     (fun ops ->
       match lru_disagreement ~line ~sets ~ways ops with
       | None -> true
@@ -196,7 +247,7 @@ let prop_lru_matches_reference (line, sets, ways) =
 
 let test_lru_across_reset () =
   (* The same stream before and after a reset: the reset cache must be
-     indistinguishable from a fresh one, the MRU state included. *)
+     indistinguishable from a fresh one, every set's order included. *)
   let stream =
     QCheck.Gen.generate1 ~rand:(Random.State.make [| 7 |])
       (gen_lru_ops ~line:64 ~sets:4 ~ways:8)
@@ -641,6 +692,57 @@ type nest = {
           reading these sites *)
 }
 
+(* Moves every subscript of [n] into its dimension: per buffer and dimension,
+   shifts the subscripts' constants up by the most negative value they
+   can take and widens the extent past the largest. Each iv's interval
+   holds every value it takes. Coefficients, trip counts and which sites
+   share a cell stay as drawn. *)
+let fit_nest n =
+  let outer = List.map (fun (lb, ub, _) -> (lb, max lb (ub - 1))) n.outer in
+  let o_hi = List.fold_left (fun _ (_, hi) -> hi) 0 outer in
+  let inner =
+    match n.inner with
+    | Const (lb, ub) -> (lb, max lb (ub - 1))
+    | Remainder t -> (0, o_hi + t)
+    | Shifted -> (0, o_hi + 3)
+    | Growing cap -> (0, cap)
+  in
+  let placed =
+    List.map (fun s -> (s, outer @ [ inner ])) n.sites
+    @ List.map (fun s -> (s, outer @ [ (0, 11) ])) n.sibling
+  in
+  let span (c, ks) ivs =
+    List.fold_left2
+      (fun (lo, hi) k (a, b) ->
+        (lo + min (k * a) (k * b), hi + max (k * a) (k * b)))
+      (c, c) ks ivs
+  in
+  let fit buf dim extent =
+    List.fold_left
+      (fun (lo, hi) (s, ivs) ->
+        if s.buf <> buf then (lo, hi)
+        else
+          let l, h = span (List.nth s.subs dim) ivs in
+          (min lo l, max hi h))
+      (0, extent - 1) placed
+  in
+  let fits = Array.mapi (fun b shape -> List.mapi (fit b) shape) n.shapes in
+  let shift s =
+    {
+      s with
+      subs =
+        List.mapi
+          (fun d (c, ks) -> (c - fst (List.nth fits.(s.buf) d), ks))
+          s.subs;
+    }
+  in
+  {
+    n with
+    shapes = Array.map (List.map (fun (lo, hi) -> hi - lo + 1)) fits;
+    sites = List.map shift n.sites;
+    sibling = List.map shift n.sibling;
+  }
+
 let gen_nest =
   let open QCheck.Gen in
   let* shapes =
@@ -835,25 +937,72 @@ let gen_replay_nest =
   in
   { shapes; outer; inner; step; sites; sibling }
 
+(* A draw the simulator rejects (it provably runs out of bounds) is
+   compared fitted into its arrays by [fit_nest]; every other draw,
+   including one that leaves its arrays under [min]/[max] bounds, as
+   drawn. *)
 let prop_strided_matches_closures (name, count, gen) =
   QCheck.Test.make ~name ~count
     (QCheck.make ~print:(render_nest ~dead:false) gen)
-    (fun n ->
-      let report m ~dead =
+    (fun raw ->
+      let report m ~dead n =
         let src = render_nest ~dead n in
         let f = Option.get (Core.find_func (Parser.parse_module src) "k") in
         report_fields (Machine.Perf.time_func m f)
       in
+      let n =
+        match report MM.intel_i9 ~dead:false raw with
+        | _ -> raw
+        | exception Support.Diag.Error _ -> fit_nest raw
+      in
       let hex r = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") r)) in
       List.for_all
         (fun (m : MM.t) ->
-          let strided = report m ~dead:false and closures = report m ~dead:true in
+          let strided = report m ~dead:false n
+          and closures = report m ~dead:true n in
           Array.for_all2
             (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
             strided closures
-          || QCheck.Test.fail_reportf "%s: strided %s, closures %s" m.MM.name
-               (hex strided) (hex closures))
+          || QCheck.Test.fail_reportf "%s%s: strided %s, closures %s"
+               (if n == raw then "" else "fitted:\n" ^ render_nest ~dead:false n)
+               m.MM.name (hex strided) (hex closures))
         MM.platforms)
+
+(* The simulator rejects a nest at stage time only when it runs an access
+   out of bounds, which the walking interpreter then fails on too. When
+   every loop has constant bounds and runs, the converse holds: each
+   access runs at every corner of its box, where its subscripts reach
+   their extremes, so any access the interpreter finds out of bounds is
+   rejected. *)
+let prop_rejects_exactly_out_of_bounds =
+  QCheck.Test.make ~name:"simulator rejects only out-of-bounds nests"
+    ~count:300
+    (QCheck.make ~print:(render_nest ~dead:false) gen_nest)
+    (fun n ->
+      let f =
+        Option.get
+          (Core.find_func (Parser.parse_module (render_nest ~dead:false n)) "k")
+      in
+      let rejected =
+        match Machine.Perf.time_func MM.intel_i9 f with
+        | _ -> false
+        | exception Support.Diag.Error _ -> true
+      in
+      let out_of_bounds =
+        let bufs = Array.to_list (Array.map Interp.Buffer.create n.shapes) in
+        match Interp.Eval.run_func ~engine:Interp.Eval.Walk f bufs with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      let boxed =
+        List.for_all (fun (lb, ub, _) -> lb < ub) n.outer
+        && match n.inner with Const (lb, ub) -> lb < ub | _ -> false
+      in
+      (if rejected && not out_of_bounds then
+         QCheck.Test.fail_report "rejected an in-bounds nest");
+      if boxed && out_of_bounds && not rejected then
+        QCheck.Test.fail_report "simulated an out-of-bounds nest";
+      true)
 
 (* [Cache.run_strided] against the same probes through
    [Cache.access_hierarchy], on tiny three-level hierarchies that evict
@@ -936,6 +1085,67 @@ let test_chunks_skip_hits () =
   Alcotest.(check int) "accesses" 64 (C.accesses l1);
   Alcotest.(check int) "misses" 8 (C.misses l1);
   Alcotest.(check int) "probes" 8 (C.probes l1)
+
+(* The stage-time bounds check at its edges: the last value a stepped
+   loop takes, one past either end, an empty loop, and one value bound to
+   two map dims, whose corners are the value's own. *)
+let test_subscript_bounds_edges () =
+  let kernel ?(edit = fun _ -> ()) ~extent ~loops sub =
+    let src =
+      Printf.sprintf
+        {|builtin.module {
+  func.func @k(%%A: memref<%dxf32>) {
+%s    %%0 = affine.load %%A[%s] : memref<%dxf32>
+%s    func.return
+  }
+}|}
+        extent
+        (String.concat ""
+           (List.map (fun (iv, lb, ub, step) ->
+                Printf.sprintf "affine.for %%%s = %d to %d step %d {\n" iv lb ub
+                  step)
+              loops))
+        sub extent
+        (String.concat "" (List.map (fun _ -> "affine.yield\n}\n") loops))
+    in
+    let f =
+      Option.get (Core.find_func (Parser.parse_module ~file:"k.mlir" src) "k")
+    in
+    Core.walk f (fun op -> if op.Core.o_name = "affine.load" then edit op);
+    match Machine.Perf.time_func MM.intel_i9 f with
+    | _ -> None
+    | exception Support.Diag.Error (loc, msg) ->
+        Some (Support.Diag.to_string loc msg)
+  in
+  let accepted what r = Alcotest.(check (option string)) what None r in
+  let rejected what want r =
+    Alcotest.(check (option string)) what (Some want) r
+  in
+  accepted "0 to 10 step 4 stops at 8"
+    (kernel ~extent:9 ~loops:[ ("i", 0, 10, 4) ] "%i");
+  rejected "0 to 10 step 4 reaches 8"
+    "k.mlir:4:5: trace: affine.load index reaches 8, out of bounds [0, 8) \
+     at dim 0"
+    (kernel ~extent:8 ~loops:[ ("i", 0, 10, 4) ] "%i");
+  rejected "one below the start"
+    "k.mlir:4:5: trace: affine.load index reaches -1, out of bounds [0, 8) \
+     at dim 0"
+    (kernel ~extent:8 ~loops:[ ("i", 0, 8, 1) ] "%i - 1");
+  accepted "an empty loop runs nothing"
+    (kernel ~extent:8 ~loops:[ ("i", 5, 5, 1) ] "%i + 100");
+  let i_twice op =
+    (* [%i + %j] becomes [d0 - d1 + 3] over [%i, %i]: always 3. *)
+    let i = Core.operand op 1 in
+    Core.set_operand op 2 i;
+    Core.set_attr op "map"
+      (Attr.Map
+         (Affine_map.make ~n_dims:2
+            [ Affine_expr.(add (sub (dim 0) (dim 1)) (const 3)) ]))
+  in
+  accepted "one value bound to two dims"
+    (kernel ~edit:i_twice ~extent:4
+       ~loops:[ ("i", 0, 9, 1); ("j", 0, 9, 1) ]
+       "%i + %j")
 
 (* Maps the simulator cannot stage fail before the walk with an error
    located at the edited op, never an [Invalid_argument] from the walk
@@ -1088,6 +1298,8 @@ let suite =
        tile-32 remainder)" `Quick test_pinned_edge_reports;
     Alcotest.test_case "unstageable maps are located errors" `Quick
       test_unstageable_maps_are_diag_errors;
+    Alcotest.test_case "stage-time bounds check edges" `Quick
+      test_subscript_bounds_edges;
     Alcotest.test_case "cache geometry must be a power of two" `Quick
       test_cache_power_of_two;
     Alcotest.test_case "cache = reference LRU across a reset" `Quick
@@ -1099,9 +1311,13 @@ let suite =
     Alcotest.test_case "pinned accesses and probes (gemm)" `Quick
       test_pinned_probes;
   ]
-  @ List.map
-      (fun g -> QCheck_alcotest.to_alcotest (prop_lru_matches_reference g))
-      lru_geometries
+  @ List.concat_map
+      (fun stream ->
+        List.map
+          (fun g ->
+            QCheck_alcotest.to_alcotest (prop_lru_matches_reference stream g))
+          lru_geometries)
+      [ ("", gen_lru_ops); (" at every recency position", gen_rank_ops) ]
   @ List.map QCheck_alcotest.to_alcotest
       (List.map prop_strided_matches_closures
          [
@@ -1110,4 +1326,5 @@ let suite =
              400,
              gen_replay_nest );
          ]
-      @ List.map prop_run_strided_matches_probes run_strided_geometries)
+      @ prop_rejects_exactly_out_of_bounds
+        :: List.map prop_run_strided_matches_probes run_strided_geometries)

@@ -273,6 +273,45 @@ let test_pipeline_errors_name_the_file () =
         (Mlt.Pipeline.check_schedule_semantics ~file
            (config Mlt.Pipeline.Mlt_linalg) src))
 
+(* examples/kernels/gemm.c with its i loop run to 25600 over 256-row
+   arrays: the interpreter (--verify-exec, --execute) and the simulator
+   (clang-O3 keeps the constant loop bounds) both fail at the first
+   statement's store, C[i][j] = 0.0, in the input file. The simulator
+   rejects it before the walk, never simulating past the arrays. *)
+let test_out_of_bounds_kernel_is_located () =
+  let src =
+    In_channel.with_open_bin
+      (Filename.concat
+         (Filename.dirname Sys.executable_name)
+         "../examples/kernels/gemm.c")
+      In_channel.input_all
+  in
+  let bound = "i < 256;" in
+  let n = String.length bound in
+  let rec at i = if String.sub src i n = bound then i else at (i + 1) in
+  let at = at 0 in
+  let src =
+    String.sub src 0 at ^ "i < 25600;"
+    ^ String.sub src (at + n) (String.length src - at - n)
+  in
+  let file = "kernels/gemm.c" in
+  let expect what want run =
+    match run () with
+    | _ -> Alcotest.failf "%s: ran past the arrays" what
+    | exception Support.Diag.Error (loc, msg) ->
+        Alcotest.(check string) what want (Support.Diag.to_string loc msg)
+  in
+  let config = Mlt.Pipeline.Config Mlt.Pipeline.Clang_O3 in
+  expect "check_schedule_semantics"
+    "kernels/gemm.c:6:7: interp: affine.store index 256 out of bounds [0, \
+     256) at dim 0" (fun () ->
+      Mlt.Pipeline.check_schedule_semantics ~file config src);
+  expect "time_schedule_ext"
+    "kernels/gemm.c:6:7: trace: affine.store index reaches 25599, out of \
+     bounds [0, 256) at dim 0" (fun () ->
+      Mlt.Pipeline.time_schedule_ext ~file config
+        Machine.Machine_model.intel_i9 src)
+
 let suite =
   [
     Alcotest.test_case "chain: CLRS example" `Quick test_chain_cormen_example;
@@ -306,4 +345,6 @@ let suite =
       test_compile_time_runs;
     Alcotest.test_case "pipeline errors name the input file" `Quick
       test_pipeline_errors_name_the_file;
+    Alcotest.test_case "out-of-bounds kernel fails at its access" `Quick
+      test_out_of_bounds_kernel_is_located;
   ]
