@@ -12,10 +12,8 @@
    - affine bound maps and access maps are pre-compiled to closures;
      loop bounds are evaluated once per loop entry;
    - memref accesses lower to precomputed row-major-stride linear
-     offsets. A small interval analysis over the integer slots (constant
-     propagation through loop bounds, affine maps and arith ops) proves
-     most subscripts in bounds at compile time, in which case the access
-     is a single unchecked [data.(offset)] read/write; anything it cannot
+     offsets. An access that [Affine.Bounds] proves in bounds is a
+     single unchecked [data.(offset)] read/write; anything it cannot
      prove (data-dependent or potentially out-of-range indices) falls
      back to the per-dimension checked path, which fails an index out of
      its dimension with a [Diag.Error] located at the access op.
@@ -36,63 +34,13 @@ type frame = {
 
 type code = frame -> unit
 
-(* ---------------- compile-time integer intervals ------------------------ *)
-
-type range = { lo : int; hi : int }
-
-(* Magnitude cap: anything whose bounds could leave this window is treated
-   as unknown, which keeps the interval arithmetic below safely inside
-   native-int range (products of two in-window values cannot overflow). *)
-let cap = 1 lsl 30
-
-let mk_range lo hi =
-  if lo > hi || lo < -cap || hi > cap then None else Some { lo; hi }
-
-let r_const c = mk_range c c
-
-let r_add a b =
-  match (a, b) with
-  | Some a, Some b -> mk_range (a.lo + b.lo) (a.hi + b.hi)
-  | _ -> None
-
-let r_sub a b =
-  match (a, b) with
-  | Some a, Some b -> mk_range (a.lo - b.hi) (a.hi - b.lo)
-  | _ -> None
-
-let r_mul a b =
-  match (a, b) with
-  | Some a, Some b ->
-      let p1 = a.lo * b.lo
-      and p2 = a.lo * b.hi
-      and p3 = a.hi * b.lo
-      and p4 = a.hi * b.hi in
-      mk_range (min (min p1 p2) (min p3 p4)) (max (max p1 p2) (max p3 p4))
-  | _ -> None
-
-(* Division/modulo intervals only for a constant divisor; [floordiv] is
-   monotone in the dividend, and a floor-mod result always carries the
-   divisor's sign. *)
-let r_floordiv a b =
-  match (a, b) with
-  | Some a, Some { lo = y; hi = y' } when y = y' && y <> 0 ->
-      let q1 = E.floordiv a.lo y and q2 = E.floordiv a.hi y in
-      mk_range (min q1 q2) (max q1 q2)
-  | _ -> None
-
-let r_mod _ b =
-  match b with
-  | Some { lo = y; hi = y' } when y = y' && y <> 0 ->
-      if y > 0 then mk_range 0 (y - 1) else mk_range (y + 1) 0
-  | _ -> None
-
 (* ---------------- compilation context ----------------------------------- *)
 
 type ctx = {
   int_slot : (int, int) Hashtbl.t; (* value id -> frame.ints index *)
   float_slot : (int, int) Hashtbl.t;
   buf_slot : (int, int) Hashtbl.t;
-  ranges : (int, range) Hashtbl.t; (* value id -> proven interval *)
+  bounds : Affine.Bounds.t;
   mutable n_ints : int;
   mutable n_floats : int;
   mutable n_bufs : int;
@@ -100,12 +48,12 @@ type ctx = {
   mutable unchecked_accesses : int;
 }
 
-let create_ctx () =
+let create_ctx bounds =
   {
     int_slot = Hashtbl.create 64;
     float_slot = Hashtbl.create 64;
     buf_slot = Hashtbl.create 16;
-    ranges = Hashtbl.create 64;
+    bounds;
     n_ints = 0;
     n_floats = 0;
     n_bufs = 0;
@@ -162,12 +110,6 @@ let float_slot2 ctx (a : Core.value) (b : Core.value) =
   | Some sa, Some sb -> Some (sa, sb)
   | _ -> None
 
-let range_of ctx (v : Core.value) = Hashtbl.find_opt ctx.ranges v.v_id
-
-let set_range ctx (v : Core.value) = function
-  | Some r -> Hashtbl.replace ctx.ranges v.v_id r
-  | None -> ()
-
 let static_shape_of (v : Core.value) =
   match Typ.static_shape v.Core.v_typ with
   | Some shape -> Array.of_list shape
@@ -220,21 +162,11 @@ let compile_expr (slots : int array) (e : E.t) : frame -> int =
       fun fr -> (k0 * fr.ints.(s0)) + (k1 * fr.ints.(s1)) + constant
   | _ -> go e
 
-let rec expr_range (dim_ranges : range option array) = function
-  | E.Dim i -> dim_ranges.(i)
-  | E.Sym _ -> None
-  | E.Const c -> r_const c
-  | E.Add (a, b) -> r_add (expr_range dim_ranges a) (expr_range dim_ranges b)
-  | E.Mul (a, b) -> r_mul (expr_range dim_ranges a) (expr_range dim_ranges b)
-  | E.Floor_div (a, b) ->
-      r_floordiv (expr_range dim_ranges a) (expr_range dim_ranges b)
-  | E.Mod (a, b) -> r_mod (expr_range dim_ranges a) (expr_range dim_ranges b)
-
 (* ---------------- bound maps -------------------------------------------- *)
 
-(* Compile a loop bound to (closure, proven interval of the runtime bound
-   value). Multi-result maps fold with min (upper bounds) / max (lower
-   bounds); all-constant maps collapse to a constant closure. *)
+(* Compile a loop bound to a closure. Multi-result maps fold with min
+   (upper bounds) / max (lower bounds); all-constant maps collapse to a
+   constant closure. *)
 let compile_bound ctx ~minimize ((map, args) : A.bound) =
   if map.Affine_map.n_syms <> 0 then
     fail "interp: affine loop bounds with symbols unsupported";
@@ -243,66 +175,62 @@ let compile_bound ctx ~minimize ((map, args) : A.bound) =
   if List.length args <> map.Affine_map.n_dims then
     fail "interp: affine loop bound operands do not match map";
   let slots = Array.of_list (List.map (int_slot ctx) args) in
-  let dim_ranges = Array.of_list (List.map (range_of ctx) args) in
   let sel = if minimize then min else max in
-  let code =
-    match List.map (fun e -> (e, E.is_constant e)) map.Affine_map.exprs with
-    | consts when List.for_all (fun (_, c) -> c <> None) consts ->
-        let v =
-          List.fold_left
-            (fun acc (_, c) ->
-              match (acc, c) with
-              | None, Some c -> Some c
-              | Some acc, Some c -> Some (sel acc c)
-              | _, None -> assert false)
-            None consts
-        in
-        let v = Option.get v in
-        fun _ -> v
-    | _ -> (
-        match List.map (compile_expr slots) map.Affine_map.exprs with
-        | [ c ] -> c
-        | c0 :: rest ->
-            let rest = Array.of_list rest in
-            fun fr ->
-              let acc = ref (c0 fr) in
-              for i = 0 to Array.length rest - 1 do
-                acc := sel !acc (rest.(i) fr)
-              done;
-              !acc
-        | [] -> assert false)
-  in
-  let range =
-    List.fold_left
-      (fun acc e ->
-        let r = expr_range dim_ranges e in
-        match (acc, r) with
-        | `First, r -> `Seen r
-        | `Seen (Some a), Some b ->
-            `Seen (mk_range (sel a.lo b.lo) (sel a.hi b.hi))
-        | `Seen _, _ -> `Seen None)
-      `First map.Affine_map.exprs
-  in
-  let range = match range with `First -> None | `Seen r -> r in
-  (code, range)
+  match List.map E.is_constant map.Affine_map.exprs with
+  | Some c :: cs when List.for_all Option.is_some cs ->
+      let v = List.fold_left (fun acc c -> sel acc (Option.get c)) c cs in
+      fun _ -> v
+  | _ -> (
+      match List.map (compile_expr slots) map.Affine_map.exprs with
+      | [ c ] -> c
+      | c0 :: rest ->
+          let rest = Array.of_list rest in
+          fun fr ->
+            let acc = ref (c0 fr) in
+            for i = 0 to Array.length rest - 1 do
+              acc := sel !acc (rest.(i) fr)
+            done;
+            !acc
+      | [] -> assert false)
 
 (* ---------------- memory accesses --------------------------------------- *)
 
-(* Shared tail of affine and memref accesses: given per-dimension index
-   closures and a precomputed linear-offset closure, emit either the
-   unchecked path (proven in bounds: a single stride-weighted indexed
-   read/write) or the checked per-dimension fallback. *)
-let access_code ctx (op : Core.op) ~bslot ~(comp : (frame -> int) array)
-    ~(off : frame -> int) ~in_bounds
-    (kind : [ `Load of int | `Store of frame -> float ]) : code =
-  if in_bounds then begin
+(* Affine and memref accesses alike: one that [Affine.Bounds] proves in
+   bounds is a single stride-weighted indexed read/write; any other takes
+   the checked per-dimension fallback. *)
+let compile_access ctx (op : Core.op) : code =
+  let memref, exprs, idx = Option.get (Affine.Bounds.access op) in
+  let bslot = buf_slot ctx memref in
+  let shape = static_shape_of memref in
+  if A.is_load op || A.is_store op then begin
+    let map = A.access_map op in
+    if map.Affine_map.n_syms <> 0 then
+      fail "interp: affine access maps with symbols unsupported";
+    if List.length exprs <> Array.length shape then
+      fail "interp: %s access map arity does not match memref rank"
+        op.Core.o_name;
+    if Array.length idx <> map.Affine_map.n_dims then
+      fail "interp: %s index operand count does not match access map"
+        op.Core.o_name
+  end;
+  let slots = Array.map (int_slot ctx) idx in
+  let kind =
+    if String.ends_with ~suffix:".store" op.o_name then
+      `Store (float_rd ctx (Core.operand op 0))
+    else `Load (def_float ctx (Core.result op 0))
+  in
+  if Affine.Bounds.proven_in ctx.bounds op then begin
     ctx.unchecked_accesses <- ctx.unchecked_accesses + 1;
+    let off =
+      compile_expr slots (E.row_major_offset (Buffer.strides_of shape) exprs)
+    in
     match kind with
     | `Load d -> fun fr -> fr.floats.(d) <- fr.bufs.(bslot).Buffer.data.(off fr)
     | `Store gv -> fun fr -> fr.bufs.(bslot).Buffer.data.(off fr) <- gv fr
   end
   else begin
     ctx.checked_accesses <- ctx.checked_accesses + 1;
+    let comp = Array.of_list (List.map (compile_expr slots) exprs) in
     let n = Array.length comp in
     let loc = Core.nearest_loc op in
     (* [Buffer.linear_index]'s checks, but an index out of its dimension
@@ -331,97 +259,6 @@ let access_code ctx (op : Core.op) ~bslot ~(comp : (frame -> int) array)
           let b = fr.bufs.(bslot) in
           b.data.(offset fr b) <- gv fr
   end
-
-let proves_in_bounds shape ranges =
-  let ok = ref true in
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Some { lo; hi } when lo >= 0 && hi < shape.(i) -> ()
-      | _ -> ok := false)
-    ranges;
-  !ok
-
-let compile_affine_access ctx op ~is_store =
-  let memref = A.access_memref op in
-  let bslot = buf_slot ctx memref in
-  let shape = static_shape_of memref in
-  let strides = Buffer.strides_of shape in
-  let map = A.access_map op in
-  if map.Affine_map.n_syms <> 0 then
-    fail "interp: affine access maps with symbols unsupported";
-  let exprs = map.Affine_map.exprs in
-  if List.length exprs <> Array.length shape then
-    fail "interp: %s access map arity does not match memref rank"
-      op.Core.o_name;
-  let idx_operands = Array.of_list (A.access_indices op) in
-  if Array.length idx_operands <> map.Affine_map.n_dims then
-    fail "interp: %s index operand count does not match access map"
-      op.Core.o_name;
-  let slots = Array.map (int_slot ctx) idx_operands in
-  let dim_ranges = Array.map (range_of ctx) idx_operands in
-  let result_ranges =
-    Array.of_list (List.map (expr_range dim_ranges) exprs)
-  in
-  let in_bounds = proves_in_bounds shape result_ranges in
-  let comp = Array.of_list (List.map (compile_expr slots) exprs) in
-  let off = compile_expr slots (E.row_major_offset strides exprs) in
-  let kind =
-    if is_store then `Store (float_rd ctx (A.stored_value op))
-    else `Load (def_float ctx (Core.result op 0))
-  in
-  access_code ctx op ~bslot ~comp ~off ~in_bounds kind
-
-let compile_memref_access ctx op ~is_store =
-  let base = if is_store then 1 else 0 in
-  let memref = Core.operand op base in
-  let bslot = buf_slot ctx memref in
-  let shape = static_shape_of memref in
-  let strides = Buffer.strides_of shape in
-  let n_idx = Core.num_operands op - base - 1 in
-  let idx_operands =
-    Array.init n_idx (fun i -> Core.operand op (base + 1 + i))
-  in
-  let slots = Array.map (int_slot ctx) idx_operands in
-  let dim_ranges = Array.map (range_of ctx) idx_operands in
-  let in_bounds =
-    n_idx = Array.length shape && proves_in_bounds shape dim_ranges
-  in
-  let comp =
-    Array.map (fun s -> fun fr -> fr.ints.(s)) slots
-  in
-  let off =
-    (* Plain slot reads: specialize the common low ranks. Only built when
-       the access is proven in bounds (which implies n_idx = rank, so the
-       stride lookups are well-defined). *)
-    if not in_bounds then fun _ -> 0
-    else
-      match Array.length slots with
-      | 0 -> fun _ -> 0
-      | 1 ->
-          let s0 = slots.(0) and k0 = strides.(0) in
-          if k0 = 1 then fun fr -> fr.ints.(s0)
-          else fun fr -> k0 * fr.ints.(s0)
-      | 2 ->
-          let s0 = slots.(0)
-          and k0 = strides.(0)
-          and s1 = slots.(1)
-          and k1 = strides.(1) in
-          if k1 = 1 then fun fr -> (k0 * fr.ints.(s0)) + fr.ints.(s1)
-          else fun fr -> (k0 * fr.ints.(s0)) + (k1 * fr.ints.(s1))
-      | n ->
-          fun fr ->
-            let acc = ref 0 in
-            for i = 0 to n - 1 do
-              acc := !acc + (strides.(i) * fr.ints.(slots.(i)))
-            done;
-            !acc
-  in
-  let kind =
-    if is_store then `Store (float_rd ctx (Core.operand op 0))
-    else `Load (def_float ctx (Core.result op 0))
-  in
-  access_code ctx op ~bslot ~comp ~off ~in_bounds kind
 
 (* ---------------- operations -------------------------------------------- *)
 
@@ -461,9 +298,7 @@ and compile_op ctx (op : Core.op) : code option =
           let d = def_float ctx (Core.result op 0) in
           Some (fun fr -> fr.floats.(d) <- f)
       | Attr.Int i ->
-          let r = Core.result op 0 in
-          let d = def_int ctx r in
-          set_range ctx r (r_const i);
+          let d = def_int ctx (Core.result op 0) in
           Some (fun fr -> fr.ints.(d) <- i)
       | a -> fail "interp: bad constant %s" (Attr.to_string a))
   | "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf" -> (
@@ -494,16 +329,7 @@ and compile_op ctx (op : Core.op) : code option =
   | "arith.remsi" ->
       let x = Core.operand op 0 and y = Core.operand op 1 in
       let a = int_slot ctx x and b = int_slot ctx y in
-      let ra = range_of ctx x and rb = range_of ctx y in
-      let r = Core.result op 0 in
-      let d = def_int ctx r in
-      set_range ctx r
-        (match op.o_name with
-        | "arith.addi" -> r_add ra rb
-        | "arith.subi" -> r_sub ra rb
-        | "arith.muli" -> r_mul ra rb
-        | "arith.floordivsi" -> r_floordiv ra rb
-        | _ -> r_mod ra rb);
+      let d = def_int ctx (Core.result op 0) in
       Some
         (match op.o_name with
         | "arith.addi" -> fun fr -> fr.ints.(d) <- fr.ints.(a) + fr.ints.(b)
@@ -523,15 +349,9 @@ and compile_op ctx (op : Core.op) : code option =
       let body = check_loop_shape op in
       let step = A.for_step op in
       if step <= 0 then fail "interp: affine.for with non-positive step";
-      let lb_code, lb_range =
-        compile_bound ctx ~minimize:false (A.for_lb op)
-      in
-      let ub_code, ub_range = compile_bound ctx ~minimize:true (A.for_ub op) in
-      let iv = body.b_args.(0) in
-      let iv_slot = def_int ctx iv in
-      (match (lb_range, ub_range) with
-      | Some l, Some u -> set_range ctx iv (mk_range l.lo (max l.lo (u.hi - 1)))
-      | _ -> ());
+      let lb_code = compile_bound ctx ~minimize:false (A.for_lb op) in
+      let ub_code = compile_bound ctx ~minimize:true (A.for_ub op) in
+      let iv_slot = def_int ctx body.b_args.(0) in
       let body_code = compile_block ctx body in
       Some
         (fun fr ->
@@ -547,12 +367,7 @@ and compile_op ctx (op : Core.op) : code option =
       let s_lb = int_slot ctx (Core.operand op 0)
       and s_ub = int_slot ctx (Core.operand op 1)
       and s_step = int_slot ctx (Core.operand op 2) in
-      let iv = body.b_args.(0) in
-      let iv_slot = def_int ctx iv in
-      (match (range_of ctx (Core.operand op 0), range_of ctx (Core.operand op 1))
-      with
-      | Some l, Some u -> set_range ctx iv (mk_range l.lo (max l.lo (u.hi - 1)))
-      | _ -> ());
+      let iv_slot = def_int ctx body.b_args.(0) in
       let body_code = compile_block ctx body in
       Some
         (fun fr ->
@@ -566,10 +381,8 @@ and compile_op ctx (op : Core.op) : code option =
             body_code fr;
             i := !i + step
           done)
-  | "affine.load" -> Some (compile_affine_access ctx op ~is_store:false)
-  | "affine.store" -> Some (compile_affine_access ctx op ~is_store:true)
-  | "memref.load" -> Some (compile_memref_access ctx op ~is_store:false)
-  | "memref.store" -> Some (compile_memref_access ctx op ~is_store:true)
+  | "affine.load" | "affine.store" | "memref.load" | "memref.store" ->
+      Some (compile_access ctx op)
   | "affine.apply" -> (
       let map = Attr.get_map (Core.attr op "map") in
       if map.Affine_map.n_syms <> 0 then
@@ -581,11 +394,8 @@ and compile_op ctx (op : Core.op) : code option =
           if Array.length operands <> map.Affine_map.n_dims then
             fail "interp: affine.apply operand count does not match map";
           let slots = Array.map (int_slot ctx) operands in
-          let dim_ranges = Array.map (range_of ctx) operands in
           let c = compile_expr slots e in
-          let r = Core.result op 0 in
-          let d = def_int ctx r in
-          set_range ctx r (expr_range dim_ranges e);
+          let d = def_int ctx (Core.result op 0) in
           Some (fun fr -> fr.ints.(d) <- c fr))
   | "affine.matmul" | "linalg.matmul" | "blas.sgemm" ->
       let a = buf_slot ctx (Core.operand op 0)
@@ -664,7 +474,7 @@ let compile_func f =
     ~args:[ ("func", Trace.A_str (Core.func_name f)) ]
     "compile"
   @@ fun () ->
-  let ctx = create_ctx () in
+  let ctx = create_ctx (Affine.Bounds.analyze [ f ]) in
   let arg_slots =
     Array.of_list (List.map (def_buf ctx) (Core.func_args f))
   in

@@ -5,10 +5,9 @@
     float / buffer arrays — no hash tables in the hot path), op dispatch is
     resolved at compile time (no per-iteration string matching), affine
     bound and access maps are pre-compiled, and memref accesses become
-    precomputed-stride linear offsets. A compile-time interval analysis
-    over the integer values proves most subscripts in bounds statically;
-    accesses it cannot prove fall back to the walker's per-dimension
-    checked path with identical failure behavior.
+    precomputed-stride linear offsets. Accesses that {!Affine.Bounds}
+    proves in bounds are unchecked; the rest fall back to the walker's
+    per-dimension checked path with identical failure behavior.
 
     The tree-walker in {!Eval} is the reference oracle; differential tests
     assert bit-identical buffers between the two engines. Compilation

@@ -96,6 +96,7 @@ type ctx = {
   mutable next_slot : int;
   fast_math : bool;
   mutable n_accesses : int;  (** added to [stats.accesses] at the end *)
+  bounds : Affine.Bounds.t;
 }
 
 let slot_of ctx (v : Core.value) =
@@ -214,73 +215,9 @@ type site = {
   costs : float array;
 }
 
-(* The values [lo, hi] each enclosing loop's iv takes, by iv id, when
-   every op enclosing [op] inside its function is an [affine.for] with
-   constant bounds and at least one iteration; [None] otherwise. Then
-   [op] runs once for every point of the box of those ranges. *)
-let iv_box (op : Core.op) =
-  let rec up acc (o : Core.op) =
-    match Core.parent_op o with
-    | Some p when Core.is_func p -> Some acc
-    | Some p when A.is_for p -> (
-        let step = A.for_step p in
-        match A.for_const_bounds p with
-        | Some (lb, ub) when lb < ub && step > 0 ->
-            let last = lb + ((ub - lb - 1) / step * step) in
-            up (((A.for_iv p).Core.v_id, (lb, last)) :: acc) p
-        | _ -> None)
-    | _ -> None
-  in
-  up [] op
-
-(* Rejects [op] when one of its subscripts provably leaves its
-   dimension: [op] runs at every point of [iv_box]'s box and the
-   subscript is linear in the box's ivs, so its minimum and maximum over
-   the box are reached at corners, which run. Anything else ([min]/[max]
-   bounds, empty loops, floordiv/mod subscripts, other index values) is
-   left unchecked. Runs once, when the access is staged. *)
-let check_subscripts ~loc (op : Core.op) shape exprs =
-  match iv_box op with
-  | None -> ()
-  | Some box ->
-      let ivs = Array.of_list (A.access_indices op) in
-      (* Map dims bound to one value become one dim: the corners are the
-         value's, not each dim's. *)
-      let first d =
-        let rec go i = if ivs.(i) == ivs.(d) then i else go (i + 1) in
-        go 0
-      in
-      let extremes e =
-        match
-          Affine_expr.(linearize (substitute_dims (fun d -> dim (first d)) e))
-        with
-        | Some { Affine_expr.dim_coeffs; sym_coeffs = []; constant } ->
-            List.fold_left
-              (fun acc (d, k) ->
-                match (acc, List.assoc_opt ivs.(d).Core.v_id box) with
-                | Some (lo, hi), Some (a, b) ->
-                    Some (lo + min (k * a) (k * b), hi + max (k * a) (k * b))
-                | _ -> None)
-              (Some (constant, constant))
-              dim_coeffs
-        | _ -> None
-      in
-      List.iteri
-        (fun dim e ->
-          let extent = shape.(dim) in
-          match extremes e with
-          | Some (lo, hi) when lo < 0 || hi >= extent ->
-              D.errorf ~loc
-                "trace: %s index reaches %d, out of bounds [0, %d) at dim %d"
-                op.Core.o_name
-                (if lo < 0 then lo else hi)
-                extent dim
-          | _ -> ())
-        exprs
-
 let access_site ctx (op : Core.op) =
   let loc = Core.nearest_loc op in
-  let memref = A.access_memref op in
+  let memref, exprs, idx = Option.get (Affine.Bounds.access op) in
   let base =
     match Hashtbl.find_opt ctx.addrs memref.Core.v_id with
     | Some b -> b
@@ -288,17 +225,16 @@ let access_site ctx (op : Core.op) =
   in
   let shape = static_shape ~loc memref.Core.v_typ in
   let strides = elem_strides shape in
-  let exprs = (A.access_map op).Affine_map.exprs in
   if List.length exprs <> Array.length shape then
     D.errorf ~loc "trace: %s map arity does not match memref rank"
       op.Core.o_name;
-  let slots = Array.of_list (List.map (slot_of ctx) (A.access_indices op)) in
+  let slots = Array.map (slot_of ctx) idx in
   let e =
     Affine_expr.(
       add (const base) (mul (const 4) (row_major_offset strides exprs)))
   in
   let addr = stage ctx ~loc op.Core.o_name slots e in
-  check_subscripts ~loc op shape exprs;
+  Affine.Bounds.check_access ~who:"trace" ctx.bounds op;
   let streamed = is_streamed op in
   {
     addr;
@@ -463,8 +399,15 @@ let rec compile_block ctx (ops : Core.op list) =
             | "arith.addi" -> ( + )
             | "arith.subi" -> ( - )
             | "arith.muli" -> ( * )
-            | "arith.floordivsi" -> ( / )
-            | _ -> ( mod )
+            | name ->
+                let loc = Core.nearest_loc op in
+                let g =
+                  if name = "arith.floordivsi" then Affine_expr.floordiv
+                  else Affine_expr.floormod
+                in
+                fun x y ->
+                  if y = 0 then D.errorf ~loc "trace: %s by zero" name
+                  else g x y
           in
           let a = slot_of ctx (Core.operand op 0) in
           let b = slot_of ctx (Core.operand op 1) in
@@ -535,6 +478,7 @@ let simulate ?(fast_math = false) model hier addrs stats ops =
       next_slot = 0;
       fast_math;
       n_accesses = 0;
+      bounds = Affine.Bounds.analyze ops;
     }
   in
   let closures = compile_block ctx ops in

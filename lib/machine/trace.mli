@@ -40,12 +40,11 @@ val assign_addresses : Core.op -> address_map
     accumulating into [stats]. Raises {!Support.Diag.Error}, before it
     simulates any of [ops], on non-affine ops, on maps it cannot stage
     (symbols, empty maps, dimensions with no operand, and floordiv/mod by
-    anything but a non-zero constant) and on an access whose subscript
-    provably leaves its dimension: every loop around it has constant
-    bounds and runs, and the subscript is linear in their ivs, so its
-    extremes over their values are reached. Every error is located at
-    the offending op, or at its nearest located ancestor
-    ({!Ir.Core.nearest_loc}). *)
+    anything but a non-zero constant) and on an access that
+    {!Affine.Bounds} proves out of its memref. It raises one during the
+    walk on an [arith.floordivsi]/[arith.remsi] by zero; both floor,
+    like the interpreter. Every error is located at the offending op, or
+    at its nearest located ancestor ({!Ir.Core.nearest_loc}). *)
 val simulate :
   ?fast_math:bool ->
   Machine_model.t ->

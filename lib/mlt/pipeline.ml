@@ -49,6 +49,13 @@ let sole_func m =
 
 let translate ?file src = Met.Emit_affine.translate ?file src
 
+(* A schedule keeps the set of accesses a program makes, so an access
+   proven out of bounds in the input is rejected once, before any. *)
+let translate_checked ?file src =
+  let m = translate ?file src in
+  Affine.Bounds.check_func (sole_func m);
+  m
+
 (* The Linalg default path primarily performs tiling (§5.2, footnote 2). *)
 let linalg_tile_size = 32
 
@@ -140,7 +147,7 @@ let prepare_schedule_module ?pm schedule m =
   m
 
 let prepare_schedule ?pm ?file schedule src =
-  prepare_schedule_module ?pm schedule (translate ?file src)
+  prepare_schedule_module ?pm schedule (translate_checked ?file src)
 
 (* ---- search and pluto-best ----------------------------------------------- *)
 
@@ -149,8 +156,8 @@ let prepare_schedule ?pm ?file schedule src =
    out over Support.Pool. *)
 let search ?file ~space machine src =
   register_dialects ();
+  let max_trip = Tune.max_trip_count (sole_func (translate_checked ?file src)) in
   let translate () = translate ?file src in
-  let max_trip = Tune.max_trip_count (sole_func (translate ())) in
   Tune.search
     ~domains:(Domain.recommended_domain_count ())
     ~machine ~translate (space ~max_trip)
@@ -182,8 +189,8 @@ let time_schedule_ext ?pm ?file schedule machine src =
 (* ---- differential execution ----------------------------------------------- *)
 
 let check_schedule_semantics ?(seed = 0) ?eps ?engine ?file schedule src =
-  let reference = translate ?file src in
-  let transformed = prepare_schedule ?file schedule src in
+  let reference = translate_checked ?file src in
+  let transformed = prepare_schedule_module schedule (translate ?file src) in
   let name = Core.func_name (sole_func reference) in
   Interp.Eval.equivalent ?eps ?engine reference transformed name ~seed
 

@@ -102,7 +102,12 @@ val schedule_cache_identity : schedule -> string
     statistics in) the caller's manager — pass a fresh manager per
     invocation, since registration accumulates. [file] names [src] in
     error locations (default ["<string>"]), here and in the other
-    entry points that translate mini-C. *)
+    entry points that translate mini-C. Before any pass runs, an access
+    of the translated kernel that {!Affine.Bounds} proves out of its
+    memref raises a located ["bounds: ..."] {!Support.Diag.Error}; a
+    schedule keeps the set of accesses, so no schedule could fix it.
+    {!search} and {!check_schedule_semantics} check the same, once per
+    call. *)
 val prepare_schedule :
   ?pm:Pass.manager -> ?file:string -> schedule -> string -> Core.op
 

@@ -138,12 +138,15 @@ if [ "$status" -ne 124 ] \
 fi
 # An access past the end of its array must fail as a Diag.Error located
 # in the input file (exit 124), within seconds: in the interpreter
-# (--verify-exec, --execute) and in the simulator, which rejects the
-# access before simulating it. gemm.c's i loop runs to 25600 over
-# 256-row arrays. Under SIGKILL a hang exits 137, never 124.
+# (--verify-exec, --execute) and in the simulator, whose pipeline
+# rejects the input before any schedule runs, so the tiled schedules
+# (pluto-default, pluto-best) fail as fast as clang-O3. gemm.c's i loop
+# runs to 25600 over 256-row arrays. Under SIGKILL a hang exits 137,
+# never 124.
 sed 's/i < 256;/i < 25600;/' examples/kernels/gemm.c > "$obs_tmp/gemm_oob.c"
 grep -q 'i < 25600;' "$obs_tmp/gemm_oob.c"
-for run in "mlt_opt --verify-exec" "mlt_sim --execute" "mlt_sim --config clang-O3"; do
+for run in "mlt_opt --verify-exec" "mlt_sim --execute" "mlt_sim --config clang-O3" \
+  "mlt_sim --config pluto-default" "mlt_sim --config pluto-best"; do
   set -- $run
   status=0
   timeout -s KILL 60 "_build/default/bin/$1.exe" "$obs_tmp/gemm_oob.c" "$2" \

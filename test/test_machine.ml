@@ -973,7 +973,8 @@ let prop_strided_matches_closures (name, count, gen) =
    every loop has constant bounds and runs, the converse holds: each
    access runs at every corner of its box, where its subscripts reach
    their extremes, so any access the interpreter finds out of bounds is
-   rejected. *)
+   rejected. The interpreter reads the same analysis: a nest it compiles
+   with no checked access never runs out of bounds in the walker. *)
 let prop_rejects_exactly_out_of_bounds =
   QCheck.Test.make ~name:"simulator rejects only out-of-bounds nests"
     ~count:300
@@ -998,8 +999,13 @@ let prop_rejects_exactly_out_of_bounds =
         List.for_all (fun (lb, ub, _) -> lb < ub) n.outer
         && match n.inner with Const (lb, ub) -> lb < ub | _ -> false
       in
+      let proven_in =
+        (Interp.Compile.compile_func f).Interp.Compile.c_checked_accesses = 0
+      in
       (if rejected && not out_of_bounds then
          QCheck.Test.fail_report "rejected an in-bounds nest");
+      (if proven_in && out_of_bounds then
+         QCheck.Test.fail_report "proved an out-of-bounds nest in bounds");
       if boxed && out_of_bounds && not rejected then
         QCheck.Test.fail_report "simulated an out-of-bounds nest";
       true)
@@ -1088,7 +1094,9 @@ let test_chunks_skip_hits () =
 
 (* The stage-time bounds check at its edges: the last value a stepped
    loop takes, one past either end, an empty loop, and one value bound to
-   two map dims, whose corners are the value's own. *)
+   two map dims, whose corners are the value's own. Both consumers read
+   Affine.Bounds: each case is also compiled by the interpreter, which
+   takes the unchecked path exactly when the access is proven in. *)
 let test_subscript_bounds_edges () =
   let kernel ?(edit = fun _ -> ()) ~extent ~loops sub =
     let src =
@@ -1112,15 +1120,24 @@ let test_subscript_bounds_edges () =
       Option.get (Core.find_func (Parser.parse_module ~file:"k.mlir" src) "k")
     in
     Core.walk f (fun op -> if op.Core.o_name = "affine.load" then edit op);
+    let checked =
+      (Interp.Compile.compile_func f).Interp.Compile.c_checked_accesses
+    in
     match Machine.Perf.time_func MM.intel_i9 f with
-    | _ -> None
+    | _ -> (None, checked)
     | exception Support.Diag.Error (loc, msg) ->
-        Some (Support.Diag.to_string loc msg)
+        (Some (Support.Diag.to_string loc msg), checked)
   in
-  let accepted what r = Alcotest.(check (option string)) what None r in
-  let rejected what want r =
-    Alcotest.(check (option string)) what (Some want) r
+  let accepted ?(checked = 0) what (r, c) =
+    Alcotest.(check (option string)) what None r;
+    Alcotest.(check int) (what ^ ": checked accesses") checked c
   in
+  let rejected what want (r, c) =
+    Alcotest.(check (option string)) what (Some want) r;
+    Alcotest.(check int) (what ^ ": checked accesses") 1 c
+  in
+  (* The interval ends at 8, the last value the iv takes, not at
+     [ub - 1 = 9]: the interpreter needs no check. *)
   accepted "0 to 10 step 4 stops at 8"
     (kernel ~extent:9 ~loops:[ ("i", 0, 10, 4) ] "%i");
   rejected "0 to 10 step 4 reaches 8"
@@ -1131,7 +1148,7 @@ let test_subscript_bounds_edges () =
     "k.mlir:4:5: trace: affine.load index reaches -1, out of bounds [0, 8) \
      at dim 0"
     (kernel ~extent:8 ~loops:[ ("i", 0, 8, 1) ] "%i - 1");
-  accepted "an empty loop runs nothing"
+  accepted ~checked:1 "an empty loop runs nothing"
     (kernel ~extent:8 ~loops:[ ("i", 5, 5, 1) ] "%i + 100");
   let i_twice op =
     (* [%i + %j] becomes [d0 - d1 + 3] over [%i, %i]: always 3. *)
@@ -1146,6 +1163,70 @@ let test_subscript_bounds_edges () =
     (kernel ~edit:i_twice ~extent:4
        ~loops:[ ("i", 0, 9, 1); ("j", 0, 9, 1) ]
        "%i + %j")
+
+(* A kernel over [%t = i - 7], i in [0, 14), with [body] in its loop. *)
+let division_kernel body =
+  let src =
+    Printf.sprintf
+      {|builtin.module {
+  func.func @k(%%A: memref<1024xf32>) {
+    affine.for %%i = 0 to 14 {
+      %%c7 = arith.constant 7 : index
+      %%c2 = arith.constant 2 : index
+      %%t = arith.subi %%i, %%c7 : index
+%s
+      affine.yield
+    }
+    func.return
+  }
+}|}
+      body
+  in
+  Option.get (Core.find_func (Parser.parse_module ~file:"d.mlir" src) "k")
+
+(* [arith.floordivsi] and [arith.remsi] floor, like the interpreter and
+   [Affine_expr]: a subscript through [(i - 7) floordiv 2] touches the
+   lines an [affine.apply] of the [floordiv] map touches, where
+   truncation would move each odd negative quotient up one, 256 bytes. *)
+let test_integer_division_floors () =
+  let time f = report_fields (Machine.Perf.time_func MM.intel_i9 f) in
+  let through_arith =
+    time
+      (division_kernel
+         {|      %q = arith.floordivsi %t, %c2 : index
+      %0 = affine.load %A[%q * 64 + 512] : memref<1024xf32>|})
+  and through_map =
+    time
+      (division_kernel
+         {|      %q = affine.apply (%i - 7) floordiv 2
+      %0 = affine.load %A[%q * 64 + 512] : memref<1024xf32>|})
+  in
+  Array.iteri
+    (fun i want ->
+      Alcotest.(check int64) report_field_names.(i) (Int64.bits_of_float want)
+        (Int64.bits_of_float through_arith.(i)))
+    through_map
+
+(* A zero divisor is an error located at the division, not a
+   [Division_by_zero] escaping the simulator. *)
+let test_zero_divisor_is_located () =
+  List.iter
+    (fun name ->
+      let f =
+        division_kernel
+          (Printf.sprintf
+             {|      %%c0 = arith.constant 0 : index
+      %%q = %s %%t, %%c0 : index
+      %%0 = affine.load %%A[%%q + 7] : memref<1024xf32>|}
+             name)
+      in
+      match Machine.Perf.time_func MM.intel_i9 f with
+      | _ -> Alcotest.failf "%s by zero: simulated" name
+      | exception Support.Diag.Error (loc, msg) ->
+          Alcotest.(check string) (name ^ " by zero")
+            ("d.mlir:8:7: trace: " ^ name ^ " by zero")
+            (Support.Diag.to_string loc msg))
+    [ "arith.floordivsi"; "arith.remsi" ]
 
 (* Maps the simulator cannot stage fail before the walk with an error
    located at the edited op, never an [Invalid_argument] from the walk
@@ -1300,6 +1381,10 @@ let suite =
       test_unstageable_maps_are_diag_errors;
     Alcotest.test_case "stage-time bounds check edges" `Quick
       test_subscript_bounds_edges;
+    Alcotest.test_case "integer division floors like the interpreter" `Quick
+      test_integer_division_floors;
+    Alcotest.test_case "a zero divisor is a located error" `Quick
+      test_zero_divisor_is_located;
     Alcotest.test_case "cache geometry must be a power of two" `Quick
       test_cache_power_of_two;
     Alcotest.test_case "cache = reference LRU across a reset" `Quick

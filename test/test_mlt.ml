@@ -274,10 +274,11 @@ let test_pipeline_errors_name_the_file () =
            (config Mlt.Pipeline.Mlt_linalg) src))
 
 (* examples/kernels/gemm.c with its i loop run to 25600 over 256-row
-   arrays: the interpreter (--verify-exec, --execute) and the simulator
-   (clang-O3 keeps the constant loop bounds) both fail at the first
-   statement's store, C[i][j] = 0.0, in the input file. The simulator
-   rejects it before the walk, never simulating past the arrays. *)
+   arrays: every entry point fails at the first statement's store,
+   C[i][j] = 0.0, in the input file, with the one Affine.Bounds message.
+   The input is rejected before any schedule runs, so the tiled
+   schedules (pluto-default, pluto-best) fail as fast as clang-O3 and
+   nothing is simulated or executed past the arrays. *)
 let test_out_of_bounds_kernel_is_located () =
   let src =
     In_channel.with_open_bin
@@ -301,16 +302,20 @@ let test_out_of_bounds_kernel_is_located () =
     | exception Support.Diag.Error (loc, msg) ->
         Alcotest.(check string) what want (Support.Diag.to_string loc msg)
   in
-  let config = Mlt.Pipeline.Config Mlt.Pipeline.Clang_O3 in
-  expect "check_schedule_semantics"
-    "kernels/gemm.c:6:7: interp: affine.store index 256 out of bounds [0, \
-     256) at dim 0" (fun () ->
-      Mlt.Pipeline.check_schedule_semantics ~file config src);
-  expect "time_schedule_ext"
-    "kernels/gemm.c:6:7: trace: affine.store index reaches 25599, out of \
-     bounds [0, 256) at dim 0" (fun () ->
-      Mlt.Pipeline.time_schedule_ext ~file config
-        Machine.Machine_model.intel_i9 src)
+  let want =
+    "kernels/gemm.c:6:7: bounds: affine.store index reaches 25599, out of \
+     bounds [0, 256) at dim 0"
+  in
+  List.iter
+    (fun c ->
+      let config = Mlt.Pipeline.Config c in
+      let name = Mlt.Pipeline.config_name c in
+      expect (name ^ " check_schedule_semantics") want (fun () ->
+          Mlt.Pipeline.check_schedule_semantics ~file config src);
+      expect (name ^ " time_schedule_ext") want (fun () ->
+          Mlt.Pipeline.time_schedule_ext ~file config
+            Machine.Machine_model.intel_i9 src))
+    Mlt.Pipeline.[ Clang_O3; Pluto_default; Pluto_best ]
 
 let suite =
   [
