@@ -87,7 +87,15 @@ let approx_equal ?(eps = 1e-4) a b =
   for i = 0 to Array.length a.data - 1 do
     let x = a.data.(i) and y = b.data.(i) in
     let scale = Float.max 1.0 (Float.max (Float.abs x) (Float.abs y)) in
-    if Float.abs (x -. y) > eps *. scale then ok := false
+    (* Equality covers equal infinities; a NaN or an infinity agrees with
+       nothing else. *)
+    let agree =
+      (Float.is_nan x && Float.is_nan y)
+      || x = y
+      || (Float.is_finite x && Float.is_finite y
+         && Float.abs (x -. y) <= eps *. scale)
+    in
+    if not agree then ok := false
   done;
   !ok
 

@@ -37,8 +37,9 @@ val randomize : seed:int -> t -> unit
 val copy : t -> t
 val fill : t -> float -> unit
 
-(** [approx_equal ?eps a b] — same shape and element-wise within [eps]
-    relative tolerance. *)
+(** [approx_equal ?eps a b] — same shape, and every pair of elements
+    agrees: both NaN, equal (equal infinities included), or both finite
+    and within [eps] relative tolerance. *)
 val approx_equal : ?eps:float -> t -> t -> bool
 
 (** Largest absolute element-wise difference (shapes must match). *)

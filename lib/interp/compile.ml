@@ -16,7 +16,17 @@
      single unchecked [data.(offset)] read/write; anything it cannot
      prove (data-dependent or potentially out-of-range indices) falls
      back to the per-dimension checked path, which fails an index out of
-     its dimension with a [Diag.Error] located at the access op.
+     its dimension with a [Diag.Error] located at the access op;
+   - an innermost [affine.for] whose body is one multiply-accumulate
+     statement [S = C + A * B] (three [affine.load]s, [arith.mulf],
+     [arith.addf], the [affine.store] last; either operand order) whose
+     four accesses are proven in bounds with linear offsets runs as one
+     native loop over strided offsets ([compile_mac]), not as six op
+     closures per iteration. It reads the three loads before the store in
+     every iteration and applies the walker's [*.] and [+.] in IR operand
+     order, so buffers stay bit-identical (NaN payloads included) even
+     when the store aliases a load. Any other body keeps the closure path;
+     [c_fused_loops] counts the fused loops.
 
    The tree-walker in [Eval] remains the semantic oracle; differential
    tests assert bit-identical buffers between the two engines. *)
@@ -46,6 +56,7 @@ type ctx = {
   mutable n_bufs : int;
   mutable checked_accesses : int;
   mutable unchecked_accesses : int;
+  mutable fused_loops : int;
 }
 
 let create_ctx bounds =
@@ -59,6 +70,7 @@ let create_ctx bounds =
     n_bufs = 0;
     checked_accesses = 0;
     unchecked_accesses = 0;
+    fused_loops = 0;
   }
 
 (* Definition sites assign a slot (and with it the value's runtime class,
@@ -195,10 +207,9 @@ let compile_bound ctx ~minimize ((map, args) : A.bound) =
 
 (* ---------------- memory accesses --------------------------------------- *)
 
-(* Affine and memref accesses alike: one that [Affine.Bounds] proves in
-   bounds is a single stride-weighted indexed read/write; any other takes
-   the checked per-dimension fallback. *)
-let compile_access ctx (op : Core.op) : code =
+(* The validated parts of an access that both of its stagings read: its
+   buffer slot, shape, subscripts, index operands and their frame slots. *)
+let access_parts ctx (op : Core.op) =
   let memref, exprs, idx = Option.get (Affine.Bounds.access op) in
   let bslot = buf_slot ctx memref in
   let shape = static_shape_of memref in
@@ -213,7 +224,13 @@ let compile_access ctx (op : Core.op) : code =
       fail "interp: %s index operand count does not match access map"
         op.Core.o_name
   end;
-  let slots = Array.map (int_slot ctx) idx in
+  (bslot, shape, exprs, idx, Array.map (int_slot ctx) idx)
+
+(* Affine and memref accesses alike: one that [Affine.Bounds] proves in
+   bounds is a single stride-weighted indexed read/write; any other takes
+   the checked per-dimension fallback. *)
+let compile_access ctx (op : Core.op) : code =
+  let bslot, shape, exprs, _, slots = access_parts ctx op in
   let kind =
     if String.ends_with ~suffix:".store" op.o_name then
       `Store (float_rd ctx (Core.operand op 0))
@@ -259,6 +276,125 @@ let compile_access ctx (op : Core.op) : code =
           let b = fr.bufs.(bslot) in
           b.data.(offset fr b) <- gv fr
   end
+
+(* ---------------- fused multiply-accumulate loops ----------------------- *)
+
+(* An access of a fused loop: its offset is [base fr + coeff * iv], where
+   [base] reads only values defined outside the loop. *)
+type strided = { s_buf : int; s_base : frame -> int; s_coeff : int }
+
+(* [Some] when [op] is proven in bounds and its row-major offset is
+   linear; the iv's coefficient sums over every map dim bound to it. *)
+let strided_access ctx (iv : Core.value) (op : Core.op) =
+  if not (Affine.Bounds.proven_in ctx.bounds op) then None
+  else
+    let bslot, shape, exprs, idx, slots = access_parts ctx op in
+    match E.linearize (E.row_major_offset (Buffer.strides_of shape) exprs) with
+    | Some ({ E.dim_coeffs; sym_coeffs = []; _ } as l) ->
+        let on_iv, rest =
+          List.partition (fun (d, _) -> Core.value_equal idx.(d) iv) dim_coeffs
+        in
+        let base = E.of_linear { l with dim_coeffs = rest } in
+        Some
+          {
+            s_buf = bslot;
+            s_base = compile_expr slots base;
+            s_coeff = List.fold_left (fun acc (_, k) -> acc + k) 0 on_iv;
+          }
+    | _ -> None
+
+let ( let* ) = Option.bind
+
+(* [Some (a, b, c, s, product_first)] when [body], ignoring its
+   terminator, is exactly [s = addf(mulf(a, b), c)] ([product_first]) or
+   [s = addf(c, mulf(a, b))] over three distinct [affine.load]s, with the
+   [affine.store] [s] last. *)
+let match_mac (body : Core.block) =
+  let ops =
+    List.filter
+      (fun (op : Core.op) -> op.o_name <> "affine.yield")
+      (Core.ops_of_block body)
+  in
+  let def name (v : Core.value) =
+    match v.v_def with
+    | Core.Def_op (op, 0) when op.o_name = name && List.memq op ops -> Some op
+    | _ -> None
+  in
+  match List.rev ops with
+  | s :: _ when List.length ops = 6 && A.is_store s ->
+      let* add = def "arith.addf" (A.stored_value s) in
+      let* mul, c, product_first =
+        match
+          (def "arith.mulf" (Core.operand add 0),
+           def "affine.load" (Core.operand add 1))
+        with
+        | Some mul, Some c -> Some (mul, c, true)
+        | _ -> (
+            match
+              (def "affine.load" (Core.operand add 0),
+               def "arith.mulf" (Core.operand add 1))
+            with
+            | Some c, Some mul -> Some (mul, c, false)
+            | _ -> None)
+      in
+      let* a = def "affine.load" (Core.operand mul 0) in
+      let* b = def "affine.load" (Core.operand mul 1) in
+      if a != b && a != c && b != c then Some (a, b, c, s, product_first)
+      else None
+  | _ -> None
+
+(* An innermost multiply-accumulate loop as one native loop: bounds once
+   per entry, the four offsets once at the lower bound, then per
+   iteration three reads, the walker's [*.] and [+.] in IR operand order
+   and the store, each offset advancing by its coefficient times the
+   step. Reading before writing in every iteration keeps buffers
+   bit-identical to the walker even when the store aliases a load. [None]
+   (the closure path) unless all four accesses are [strided_access]es. *)
+let compile_mac ctx ~step ~lb_code ~ub_code (body : Core.block) : code option =
+  let* a, b, c, s, product_first = match_mac body in
+  let strided = strided_access ctx body.b_args.(0) in
+  let* a = strided a in
+  let* b = strided b in
+  let* c = strided c in
+  let* s = strided s in
+  ctx.unchecked_accesses <- ctx.unchecked_accesses + 4;
+  ctx.fused_loops <- ctx.fused_loops + 1;
+  Some
+    (fun fr ->
+      let lb = lb_code fr and ub = ub_code fr in
+      if lb < ub then begin
+        let da = fr.bufs.(a.s_buf).Buffer.data
+        and db = fr.bufs.(b.s_buf).Buffer.data
+        and dc = fr.bufs.(c.s_buf).Buffer.data
+        and ds = fr.bufs.(s.s_buf).Buffer.data in
+        let oa = ref (a.s_base fr + (a.s_coeff * lb))
+        and ob = ref (b.s_base fr + (b.s_coeff * lb))
+        and oc = ref (c.s_base fr + (c.s_coeff * lb))
+        and os = ref (s.s_base fr + (s.s_coeff * lb)) in
+        let sa = a.s_coeff * step
+        and sb = b.s_coeff * step
+        and sc = c.s_coeff * step
+        and ss = s.s_coeff * step in
+        let i = ref lb in
+        if product_first then
+          while !i < ub do
+            ds.(!os) <- (da.(!oa) *. db.(!ob)) +. dc.(!oc);
+            oa := !oa + sa;
+            ob := !ob + sb;
+            oc := !oc + sc;
+            os := !os + ss;
+            i := !i + step
+          done
+        else
+          while !i < ub do
+            ds.(!os) <- dc.(!oc) +. (da.(!oa) *. db.(!ob));
+            oa := !oa + sa;
+            ob := !ob + sb;
+            oc := !oc + sc;
+            os := !os + ss;
+            i := !i + step
+          done
+      end)
 
 (* ---------------- operations -------------------------------------------- *)
 
@@ -345,23 +481,26 @@ and compile_op ctx (op : Core.op) : code option =
       (* Allocation stays inside the closure: an alloc nested in a loop
          yields a fresh zeroed buffer per iteration, like the walker. *)
       Some (fun fr -> fr.bufs.(d) <- Buffer.create shape)
-  | "affine.for" ->
+  | "affine.for" -> (
       let body = check_loop_shape op in
       let step = A.for_step op in
       if step <= 0 then fail "interp: affine.for with non-positive step";
       let lb_code = compile_bound ctx ~minimize:false (A.for_lb op) in
       let ub_code = compile_bound ctx ~minimize:true (A.for_ub op) in
       let iv_slot = def_int ctx body.b_args.(0) in
-      let body_code = compile_block ctx body in
-      Some
-        (fun fr ->
-          let ub = ub_code fr in
-          let i = ref (lb_code fr) in
-          while !i < ub do
-            fr.ints.(iv_slot) <- !i;
-            body_code fr;
-            i := !i + step
-          done)
+      match compile_mac ctx ~step ~lb_code ~ub_code body with
+      | Some _ as fused -> fused
+      | None ->
+          let body_code = compile_block ctx body in
+          Some
+            (fun fr ->
+              let ub = ub_code fr in
+              let i = ref (lb_code fr) in
+              while !i < ub do
+                fr.ints.(iv_slot) <- !i;
+                body_code fr;
+                i := !i + step
+              done))
   | "scf.for" ->
       let body = check_loop_shape op in
       let s_lb = int_slot ctx (Core.operand op 0)
@@ -457,6 +596,7 @@ type compiled = {
   c_n_bufs : int;
   c_checked_accesses : int;
   c_unchecked_accesses : int;
+  c_fused_loops : int;
   c_body : code;
 }
 
@@ -487,6 +627,7 @@ let compile_func f =
     c_n_bufs = ctx.n_bufs;
     c_checked_accesses = ctx.checked_accesses;
     c_unchecked_accesses = ctx.unchecked_accesses;
+    c_fused_loops = ctx.fused_loops;
     c_body = body;
   }
 

@@ -7,7 +7,9 @@
     bound and access maps are pre-compiled, and memref accesses become
     precomputed-stride linear offsets. Accesses that {!Affine.Bounds}
     proves in bounds are unchecked; the rest fall back to the walker's
-    per-dimension checked path with identical failure behavior.
+    per-dimension checked path with identical failure behavior. An
+    innermost [affine.for] whose body is one multiply-accumulate statement
+    over proven, linear accesses runs as a single native strided loop.
 
     The tree-walker in {!Eval} is the reference oracle; differential tests
     assert bit-identical buffers between the two engines. Compilation
@@ -37,7 +39,11 @@ type compiled = {
           the checked fallback (introspection for tests and the bench) *)
   c_unchecked_accesses : int;
       (** accesses statically proven in bounds: a single unchecked
-          linear-offset read/write *)
+          linear-offset read/write (fused loops' four included) *)
+  c_fused_loops : int;
+      (** innermost [affine.for] loops staged as one native
+          multiply-accumulate loop ([s = c + a * b], all four accesses
+          proven in bounds and linear) *)
   c_body : code;
 }
 

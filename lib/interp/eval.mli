@@ -44,8 +44,8 @@ val run_on_random :
   ?engine:engine -> Ir.Core.op -> string -> seed:int -> Buffer.t list
 
 (** [equivalent m1 m2 name ~seed] — run the same-named function of two
-    modules on identical random inputs and compare all buffers. Returns
-    the maximum element-wise difference. *)
+    modules on identical random inputs; [true] when both return as many
+    buffers and each pair is {!Buffer.approx_equal} [?eps]. *)
 val equivalent :
   ?eps:float ->
   ?engine:engine ->

@@ -19,8 +19,10 @@ dune exec bench/main.exe -- micro --quick
 # kernels ever disagree with the domain's driver totals.
 dune exec bench/main.exe -- overhead --quick
 # Smoke-run the interpreter-engine comparison: fails if the staged engine
-# and the tree-walking oracle ever disagree on a benchmark kernel.
+# and the tree-walking oracle ever disagree on a benchmark kernel, and
+# validates the per-kernel results recorded in BENCH_interp.json.
 dune exec bench/main.exe -- interp --quick
+dune exec tools/json_check/json_check.exe -- BENCH_interp.json results
 # Smoke-run the frozen-pattern-set comparison: fails if op-indexed dispatch
 # ever changes rewriting results, or if its match-attempt reduction on the
 # polybench raising pipeline drops below 5x. (No --trace here: a sink being

@@ -68,6 +68,31 @@ let prop_transpose_involution =
       K.transpose ~perm:[| 2; 0; 1 |] mid back;
       B.approx_equal ~eps:0. src back)
 
+(* A NaN or an infinity agrees only with a NaN or the same infinity, so a
+   schedule that turns a finite result into one fails the differential
+   check. *)
+let test_approx_equal_non_finite () =
+  let agree x y =
+    B.approx_equal (B.init [ 1 ] (fun _ -> x)) (B.init [ 1 ] (fun _ -> y))
+  in
+  List.iter
+    (fun (x, y, expected) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "approx_equal [%g] [%g]" x y)
+        expected (agree x y))
+    [
+      (Float.nan, 1.0, false);
+      (1.0, Float.nan, false);
+      (Float.infinity, 1.0, false);
+      (Float.neg_infinity, 1.0, false);
+      (Float.infinity, Float.neg_infinity, false);
+      (1.0, 2.0, false);
+      (1.0, 1.00001, true);
+      (Float.nan, Float.nan, true);
+      (Float.infinity, Float.infinity, true);
+      (-0.0, 0.0, true);
+    ]
+
 let test_reshape_kernel () =
   let src = B.init [ 2; 6 ] (fun i -> float_of_int ((i.(0) * 6) + i.(1))) in
   let dst = B.create [ 2; 2; 3 ] in
@@ -315,6 +340,8 @@ let suite =
       test_matvec_kernel;
     Alcotest.test_case "transpose kernel" `Quick test_transpose_kernel;
     QCheck_alcotest.to_alcotest prop_transpose_involution;
+    Alcotest.test_case "approx_equal: NaN and infinities" `Quick
+      test_approx_equal_non_finite;
     Alcotest.test_case "reshape kernel" `Quick test_reshape_kernel;
     Alcotest.test_case "contract generalizes matmul" `Quick
       test_contract_kernel_is_matmul;

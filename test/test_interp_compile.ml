@@ -3,7 +3,9 @@
    produce buffers bit-identical to the tree-walking oracle. *)
 
 open Ir
+module A = Affine.Affine_ops
 module B = Interp.Buffer
+module E = Affine_expr
 module W = Workloads.Polybench
 
 (* Run [fname] of module [m] through both engines on identical random
@@ -113,6 +115,213 @@ let prop_random_programs_engines_agree =
       engines_agree m "f"
       && engines_agree (Met.Emit_affine.translate src) "f" ~seed:43)
 
+(* ---- fused multiply-accumulate loops ------------------------------------ *)
+
+(* One generated nest [for i { for k { S[..] = C[..] + A[..] * B[..] } }]
+   over 2-d arrays of extent [mac_u + 1], in every operand and load
+   order, with aliasing stores, reversed and shifted subscripts, steps 1-3,
+   zero-trip loops and tiled variants. *)
+let mac_u = 6
+
+type mac_sub =
+  | Iv of int * [ `Plain | `Rev | `Shift ]  (** iv 0 (i) or 1 (k) *)
+  | Cst of int
+
+type mac_draw = {
+  loops : (int * int * int) array;  (** lb, ub, step of i and k *)
+  subs : (mac_sub * mac_sub) array;  (** A, B, C loads, then the store *)
+  store_arr : int;  (** 0-2: A, B, C (aliasing a load); 3: a fresh D *)
+  load_order : int list;  (** emission order of the A, B, C loads *)
+  mul_swap : bool;  (** [mulf(b, a)] *)
+  product_first : bool;  (** [addf(a * b, c)] *)
+  mul_last : bool;  (** [mulf] after all three loads *)
+  tile : int option;
+  oob : bool;  (** A's row subscript runs past its extent *)
+  fill_seed : int;
+}
+
+let mac_sub_expr = function
+  | Iv (v, `Plain) -> E.dim v
+  | Iv (v, `Rev) -> E.sub (E.const (mac_u - 1)) (E.dim v)
+  | Iv (v, `Shift) -> E.add (E.dim v) (E.const 1)
+  | Cst c -> E.const c
+
+let mac_print d =
+  let sub = function
+    | Iv (v, f) ->
+        let x = if v = 0 then "i" else "k" in
+        (match f with
+        | `Plain -> x
+        | `Rev -> Printf.sprintf "%d-%s" (mac_u - 1) x
+        | `Shift -> x ^ "+1")
+    | Cst c -> string_of_int c
+  in
+  let acc n (s0, s1) = Printf.sprintf "%s[%s][%s]" n (sub s0) (sub s1) in
+  let loop (lb, ub, st) = Printf.sprintf "[%d,%d) step %d" lb ub st in
+  Printf.sprintf
+    "i %s, k %s: %s = %s; loads %s, mul_swap %b, product_first %b, \
+     mul_last %b, tile %s, oob %b, fill %d"
+    (loop d.loops.(0)) (loop d.loops.(1))
+    (acc (String.make 1 "ABCD".[d.store_arr]) d.subs.(3))
+    (Printf.sprintf "%s + %s * %s" (acc "C" d.subs.(2)) (acc "A" d.subs.(0))
+       (acc "B" d.subs.(1)))
+    (String.concat ""
+       (List.map (fun l -> String.make 1 "ABC".[l]) d.load_order))
+    d.mul_swap d.product_first d.mul_last
+    (match d.tile with Some t -> string_of_int t | None -> "-")
+    d.oob d.fill_seed
+
+let gen_mac =
+  let open QCheck.Gen in
+  let* tile = opt ~ratio:0.25 (int_range 2 3) in
+  let loop =
+    match tile with
+    (* Tiling takes zero-based unit-step loops. *)
+    | Some _ -> map (fun ub -> (0, ub, 1)) (int_range 1 mac_u)
+    | None ->
+        let* lb = int_range 0 3 in
+        let* ub = int_range 0 mac_u in
+        let* step = int_range 1 3 in
+        return (lb, ub, step)
+  in
+  let* li = loop in
+  let* lk = loop in
+  let sub =
+    frequency
+      [
+        (6, map2 (fun v f -> Iv (v, f)) (int_range 0 1)
+              (oneofl [ `Plain; `Rev; `Shift ]));
+        (1, map (fun c -> Cst c) (int_range 0 mac_u));
+      ]
+  in
+  let* loads = list_repeat 3 (pair sub sub) in
+  let* store_arr = int_range 0 3 in
+  let* same = bool in
+  let* own = pair sub sub in
+  let store =
+    if store_arr < 3 && same then List.nth loads store_arr else own
+  in
+  let* load_order = shuffle_l [ 0; 1; 2 ] in
+  let* mul_swap = bool in
+  let* product_first = bool in
+  let* mul_last = bool in
+  let* oob = map (fun r -> r = 0) (int_range 0 9) in
+  let* fill_seed = int_bound 1_000_000 in
+  return
+    {
+      loops = [| li; lk |];
+      subs = Array.of_list (loads @ [ store ]);
+      store_arr;
+      load_order;
+      mul_swap;
+      product_first;
+      mul_last;
+      tile;
+      oob;
+      fill_seed;
+    }
+
+let oob_loc = Support.Loc.make ~file:"mac.c" ~line:3 ~col:7
+
+let mac_func d =
+  let typ = Typ.memref [ mac_u + 1; mac_u + 1 ] Typ.F32 in
+  let f =
+    Core.create_func ~name:"mac" ~arg_types:[ typ; typ; typ; typ ]
+      ~arg_hints:[ "A"; "B"; "C"; "D" ] ()
+  in
+  let arrs = Array.of_list (Core.func_args f) in
+  let b = Builder.at_end (Core.func_entry f) in
+  let loop b (lb, ub, step) body =
+    ignore (A.for_const b ~lb ~ub ~step body)
+  in
+  loop b d.loops.(0) (fun b i ->
+      loop b d.loops.(1) (fun b k ->
+          let map (s0, s1) =
+            (Affine_map.make ~n_dims:2 [ mac_sub_expr s0; mac_sub_expr s1 ],
+             [ i; k ])
+          in
+          let vals = Array.make 3 arrs.(0) and prod = ref arrs.(0) in
+          (* The mulf follows the later of A's and B's loads, or all three. *)
+          let pos l = Option.get (List.find_index (( = ) l) d.load_order) in
+          let mul_at = if d.mul_last then 2 else max (pos 0) (pos 1) in
+          List.iteri
+            (fun n l ->
+              let access =
+                if l = 0 && d.oob then
+                  (* Row [k + u + 1] is past the extent on every trip. *)
+                  ( Affine_map.make ~n_dims:2
+                      [ E.add (E.dim 1) (E.const (mac_u + 1));
+                        mac_sub_expr (snd d.subs.(0)) ],
+                    [ i; k ] )
+                else map d.subs.(l)
+              in
+              vals.(l) <- A.load b arrs.(l) access;
+              (if l = 0 && d.oob then
+                 match vals.(0).Core.v_def with
+                 | Core.Def_op (op, _) -> op.Core.o_loc <- oob_loc
+                 | Core.Def_block_arg _ -> ());
+              if n = mul_at then
+                prod :=
+                  if d.mul_swap then Std_dialect.Arith.mulf b vals.(1) vals.(0)
+                  else Std_dialect.Arith.mulf b vals.(0) vals.(1))
+            d.load_order;
+          let p = !prod in
+          let sum =
+            if d.product_first then Std_dialect.Arith.addf b p vals.(2)
+            else Std_dialect.Arith.addf b vals.(2) p
+          in
+          ignore (A.store b sum arrs.(d.store_arr) (map d.subs.(3)))));
+  Option.iter (fun size -> Transforms.Loop_tile.tile_all f ~size) d.tile;
+  f
+
+(* Finite values, NaNs with distinct payloads (either sign), -0.0 and
+   infinities. *)
+let mac_inputs seed =
+  let st = Random.State.make [| seed |] in
+  List.init 4 (fun _ ->
+      B.init [ mac_u + 1; mac_u + 1 ] (fun _ ->
+          match Random.State.int st 12 with
+          | 0 | 1 ->
+              let payload = Int64.of_int (1 + Random.State.int st 0xFFFF) in
+              let nan = Int64.logor 0x7FF8_0000_0000_0000L payload in
+              Int64.float_of_bits
+                (if Random.State.bool st then Int64.logor Int64.min_int nan
+                 else nan)
+          | 2 -> -0.0
+          | 3 -> Float.infinity
+          | 4 -> Float.neg_infinity
+          | _ -> Random.State.float st 4.0 -. 2.0))
+
+let bitwise_equal xs ys =
+  List.for_all2
+    (fun (x : B.t) (y : B.t) ->
+      Array.for_all2
+        (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+        x.data y.data)
+    xs ys
+
+let prop_fused_mac_is_walker =
+  QCheck.Test.make
+    ~name:"fused multiply-accumulate loops = walker (bitwise, NaN payloads)"
+    ~count:300
+    (QCheck.make ~print:mac_print gen_mac)
+    (fun d ->
+      let f = mac_func d in
+      let c = Interp.Compile.compile_func f in
+      let run exec =
+        let args = mac_inputs d.fill_seed in
+        match exec args with () -> Ok args | exception e -> Error e
+      in
+      let walk = run (Interp.Eval.run_func ~engine:Interp.Eval.Walk f) in
+      let fused = run (Interp.Compile.execute c) in
+      c.Interp.Compile.c_fused_loops = (if d.oob then 0 else 1)
+      &&
+      match (walk, fused) with
+      | Ok w, Ok x -> bitwise_equal w x
+      | Error (Invalid_argument _), Error (Support.Diag.Error (loc, _)) ->
+          d.oob && Support.Loc.equal loc oob_loc
+      | _ -> false)
+
 (* ---- introspection: static bounds proof -------------------------------- *)
 
 let compile_mm () =
@@ -124,7 +333,9 @@ let test_mm_compiles_fully_unchecked () =
   Alcotest.(check int) "no checked accesses" 0
     c.Interp.Compile.c_checked_accesses;
   Alcotest.(check int) "all four accesses unchecked" 4
-    c.Interp.Compile.c_unchecked_accesses
+    c.Interp.Compile.c_unchecked_accesses;
+  Alcotest.(check int) "the k loop runs fused" 1
+    c.Interp.Compile.c_fused_loops
 
 let test_frame_is_dense_and_reusable () =
   let c = compile_mm () in
@@ -213,6 +424,86 @@ let test_out_of_bounds_still_detected () =
       Alcotest.(check bool) ("names index and extent: " ^ msg) true
         (Astring_contains.contains msg "index 3 out of bounds [0, 3) at dim")
 
+(* ---- fused-loop counts at the verify benchmark's sizes ------------------ *)
+
+(* The 16 Figure-9 kernels with every iteration space cut to about 1/27,
+   as perfbench's [verify] workload runs them. *)
+let verify_kernels () =
+  let lvl2 = 48 and mmn = 32 and gsz = 40 in
+  [
+    ("atax", W.atax ~m:lvl2 ~n:lvl2 ());
+    ("bicg", W.bicg ~m:lvl2 ~n:lvl2 ());
+    ("gemver", W.gemver ~n:lvl2 ());
+    ("gesummv", W.gesummv ~n:lvl2 ());
+    ("mvt", W.mvt ~n:lvl2 ());
+    ("2mm", W.two_mm ~ni:mmn ~nj:mmn ~nk:mmn ~nl:mmn ());
+    ("3mm", W.three_mm ~ni:mmn ~nj:mmn ~nk:mmn ~nl:mmn ~nm:mmn ());
+    ("gemm", W.gemm ~ni:gsz ~nj:gsz ~nk:gsz ());
+    ("conv2d-nchw", W.conv2d_nchw ~c:4 ~h:16 ~w:16 ~f:4 ~kh:5 ~kw:5 ());
+  ]
+  @ List.map
+      (fun (name, spec, sizes) ->
+        let scale = 27. ** (-1. /. float_of_int (List.length sizes)) in
+        let shrink (c, n) =
+          let half = Float.round (float_of_int n *. scale /. 2.) in
+          (c, max 2 (2 * int_of_float half))
+        in
+        ( name,
+          Workloads.Contraction_spec.c_source spec
+            ~sizes:(List.map shrink sizes) ~name:"contraction" () ))
+      (Workloads.Contraction_spec.paper_benchmarks ())
+
+(* [c_fused_loops] of the reference kernel, then under clang-O3,
+   pluto-default, mlt-linalg, mlt-blas and mlt-affine-blis. *)
+let fused_loops_table () =
+  let module P = Mlt.Pipeline in
+  let fused m =
+    let f = Option.get (Core.find_func m (func_name_of m)) in
+    (Interp.Compile.compile_func f).Interp.Compile.c_fused_loops
+  in
+  List.map
+    (fun (name, src) ->
+      let counts =
+        fused (Met.Emit_affine.translate src)
+        :: List.map
+             (fun c ->
+               fused
+                 (P.prepare_schedule_module (P.Config c)
+                    (Met.Emit_affine.translate src)))
+             P.
+               [
+                 Clang_O3; Pluto_default; Mlt_linalg; Mlt_blas; Mlt_affine_blis;
+               ]
+      in
+      Printf.sprintf "%s %s" name
+        (String.concat " " (List.map string_of_int counts)))
+    (verify_kernels ())
+
+let test_fused_loops_table () =
+  (* mlt-blas leaves no loop nest; pluto-default fuses bicg's, gesummv's
+     and mvt's two statements into one body, which stays on the closure
+     path. *)
+  Alcotest.(check (list string)) "fused loops: reference + 5 schedules"
+    [
+      "atax 2 2 2 2 0 2";
+      "bicg 2 2 0 2 0 2";
+      "gemver 2 2 2 2 0 2";
+      "gesummv 2 2 0 2 0 2";
+      "mvt 2 2 0 2 0 2";
+      "2mm 2 2 2 2 0 0";
+      "3mm 3 3 3 3 0 0";
+      "gemm 1 1 1 1 0 0";
+      "conv2d-nchw 1 1 1 1 0 1";
+      "ab-acd-dbc 1 1 1 1 0 1";
+      "abc-acd-db 1 1 1 1 0 1";
+      "abc-ad-bdc 1 1 1 1 0 1";
+      "ab-cad-dcb 1 1 1 1 0 1";
+      "abc-bda-dc 1 1 1 1 0 1";
+      "abcd-aebf-dfce 1 1 1 1 0 1";
+      "abcd-aebf-fdec 1 1 1 1 0 1";
+    ]
+    (fused_loops_table ())
+
 (* ---- pipeline-level differential check --------------------------------- *)
 
 let test_pipeline_check_semantics () =
@@ -241,6 +532,7 @@ let suite =
     Alcotest.test_case "engines agree: tiled (min-bound maps)" `Quick
       test_engines_agree_tiled;
     QCheck_alcotest.to_alcotest prop_random_programs_engines_agree;
+    QCheck_alcotest.to_alcotest prop_fused_mac_is_walker;
     Alcotest.test_case "mm: every access statically proven in bounds" `Quick
       test_mm_compiles_fully_unchecked;
     Alcotest.test_case "compile once, execute many (dense frames)" `Quick
@@ -251,4 +543,6 @@ let suite =
       test_out_of_bounds_still_detected;
     Alcotest.test_case "pipeline differential check (both engines)" `Quick
       test_pipeline_check_semantics;
+    Alcotest.test_case "fused-loop counts at the verify benchmark's sizes"
+      `Quick test_fused_loops_table;
   ]
