@@ -21,8 +21,12 @@
 
    [open_] runs the recovery scan, then compacts the journal (atomic
    rename) when it dropped anything. One process owns a cache directory
-   at a time; within the process, all operations serialize on a mutex so
-   any number of domains may share the handle. *)
+   at a time; within the process any number of domains may share the
+   handle. A mutex guards the committed set, the hit/miss counters,
+   invalidation and the whole of [store]; [find] reads and decodes a
+   blob outside it. That is safe because a committed blob is immutable:
+   it appears by atomic rename, and only invalidation removes it, so an
+   unlocked read sees a whole blob or fails with [Sys_error] (a miss). *)
 
 exception Injected_crash of string
 
@@ -42,7 +46,10 @@ type recovery = {
 
 type t = {
   c_dir : string;
-  c_committed : (string, unit) Hashtbl.t;  (** keys with journal lines *)
+  c_committed : (string, int) Hashtbl.t;
+      (** keys with journal lines, each with the sequence number of the
+          [store] that committed it (0: replayed by [open_]) *)
+  mutable c_commits : int;
   c_mutex : Mutex.t;
   c_recovery : recovery;
   mutable c_hits : int;
@@ -94,11 +101,13 @@ let open_ ~dir =
   Support.Atomic_io.mkdir_p (objects_dir dir);
   let journaled, torn = read_journal dir in
   let committed = Hashtbl.create 256 in
-  List.iter (fun k -> Hashtbl.replace committed k ()) journaled;
+  List.iter (fun k -> Hashtbl.replace committed k 0) journaled;
   (* Sweep the object tree: temp files are debris from a kill mid-write;
      a well-named blob with no journal line is a commit whose journal
-     append never landed — both are partial entries, both are dropped. *)
+     append never landed — both are partial entries, both are dropped.
+     The sweep also records which committed keys have their blob. *)
   let swept_tmp = ref 0 and unjournaled = ref 0 in
+  let present = Hashtbl.create (Hashtbl.length committed) in
   let odir = objects_dir dir in
   Array.iter
     (fun sub ->
@@ -119,28 +128,30 @@ let open_ ~dir =
                     (try Sys.remove path with Sys_error _ -> ());
                     incr unjournaled
                   end
+                  else if String.equal (String.sub k 0 2) sub then
+                    (* only in its own subdirectory, where [find] looks *)
+                    Hashtbl.replace present k ()
               | _ -> ())
           (Sys.readdir subdir))
     (Sys.readdir odir);
   (* Journal lines whose blob vanished (e.g. a corrupt blob unlinked by a
      previous [find]) are dropped from the committed set. *)
   let missing = ref 0 in
-  Hashtbl.iter
-    (fun k () -> if not (Sys.file_exists (blob_path dir k)) then incr missing)
-    (Hashtbl.copy committed);
-  if !missing > 0 then
-    Hashtbl.iter
-      (fun k () ->
-        if not (Sys.file_exists (blob_path dir k)) then
-          Hashtbl.remove committed k)
-      (Hashtbl.copy committed);
+  Hashtbl.filter_map_inplace
+    (fun k seq ->
+      if Hashtbl.mem present k then Some seq
+      else begin
+        incr missing;
+        None
+      end)
+    committed;
   (* Compact: if recovery dropped anything, rewrite the journal to list
      exactly the surviving entries (atomic rename, like any artifact). *)
   if torn || !missing > 0 || Hashtbl.length committed < List.length journaled
   then begin
     let buf = Buffer.create 1024 in
     Hashtbl.iter
-      (fun k () -> Buffer.add_string buf ("commit " ^ k ^ "\n"))
+      (fun k _ -> Buffer.add_string buf ("commit " ^ k ^ "\n"))
       committed;
     Support.Atomic_io.write_file ~path:(journal_path dir)
       (Buffer.contents buf)
@@ -148,6 +159,7 @@ let open_ ~dir =
   {
     c_dir = dir;
     c_committed = committed;
+    c_commits = 0;
     c_mutex = Mutex.create ();
     c_recovery =
       {
@@ -170,9 +182,8 @@ let with_lock t f =
 
 (* Registry-exported cache activity (docs/OBSERVABILITY.md): the
    hit/miss counters mirror the per-handle pair below so a --metrics file
-   agrees with report.json; the latency histograms include lock wait,
-   which is the part worth watching once many domains share one
-   handle. *)
+   agrees with report.json; the latency histograms include lock wait and,
+   for [find], the blob read and decode. *)
 let m_hits =
   Support.Once.make (fun () ->
       Ir.Metrics.counter ~help:"cache lookups served a payload"
@@ -205,32 +216,42 @@ let count_miss t =
   t.c_misses <- t.c_misses + 1;
   Ir.Metrics.incr (Support.Once.get m_misses)
 
-let find t k =
+let find t k ~decode =
   Ir.Metrics.time (Support.Once.get m_find_seconds) @@ fun () ->
-  with_lock t (fun () ->
-      if not (Hashtbl.mem t.c_committed k) then begin
-        count_miss t;
-        None
-      end
-      else begin
-        let path = blob_path t.c_dir k in
-        let invalidate () =
-          (* Unreadable or unparsable committed blob: drop it — a miss
-             and a recompile, never a crash or a stale artifact. *)
-          Hashtbl.remove t.c_committed k;
-          (try Sys.remove path with Sys_error _ -> ());
-          count_miss t;
-          None
-        in
+  let seq =
+    with_lock t (fun () ->
+        let seq = Hashtbl.find_opt t.c_committed k in
+        if seq = None then count_miss t;
+        seq)
+  in
+  match seq with
+  | None -> None
+  | Some seq ->
+      (* Unlocked: the blob is immutable while committed (module header).
+         A blob that cannot be read, parsed or decoded is dropped — a miss
+         and a recompile, never a crash or a stale artifact. The drop
+         happens only if the commit we looked up is still the current
+         one: a read that raced another domain's invalidation (and perhaps
+         its re-store) must not unlink the newer blob. *)
+      let path = blob_path t.c_dir k in
+      let decoded =
         match In_channel.with_open_bin path In_channel.input_all with
-        | exception Sys_error _ -> invalidate ()
+        | exception Sys_error _ -> None
         | src -> (
             match Support.Json.parse src with
-            | Error _ -> invalidate ()
-            | Ok json ->
-                count_hit t;
-                Some json)
-      end)
+            | Error _ -> None
+            | Ok json -> ( try Some (decode json) with _ -> None))
+      in
+      with_lock t (fun () ->
+          match decoded with
+          | Some _ -> count_hit t
+          | None ->
+              if Hashtbl.find_opt t.c_committed k = Some seq then begin
+                Hashtbl.remove t.c_committed k;
+                try Sys.remove path with Sys_error _ -> ()
+              end;
+              count_miss t);
+      decoded
 
 let mem t k = with_lock t (fun () -> Hashtbl.mem t.c_committed k)
 
@@ -264,5 +285,6 @@ let store t ~key:k json =
         Support.Atomic_io.append_line ~path:(journal_path t.c_dir)
           ("commit " ^ k);
         crash_point "store:after-journal";
-        Hashtbl.replace t.c_committed k ()
+        t.c_commits <- t.c_commits + 1;
+        Hashtbl.replace t.c_committed k t.c_commits
       end)

@@ -12,8 +12,10 @@
     unjournaled blobs, and compacts the journal.
 
     One process owns a cache directory at a time. Within the process a
-    handle is domain-safe: operations serialize on an internal mutex, so
-    the batch driver's worker domains share one handle. *)
+    handle is domain-safe, so the batch driver's worker domains share
+    one: an internal mutex guards the committed set, the counters and
+    every {!store}, while {!find} reads and decodes the (immutable) blob
+    outside it. *)
 
 type t
 
@@ -28,10 +30,12 @@ val dir : t -> string
     that determine it (injective encoding: {!Support.Digest.strings}). *)
 val key : string list -> string
 
-(** [find t k] — the committed payload for [k], or [None]. A committed
-    blob that fails to read or parse is discarded (miss + recompile, not
-    an error). Counts into {!hit_miss}. *)
-val find : t -> string -> Support.Json.t option
+(** [find t k ~decode] — [decode] applied to the committed payload for
+    [k], or [None]. A committed blob that fails to read, parse or decode
+    ([decode] raises) is discarded: a miss and a recompile, not an
+    error. Counts into {!hit_miss}, so its counts agree with what the
+    caller served. *)
+val find : t -> string -> decode:(Support.Json.t -> 'a) -> 'a option
 
 (** [store t ~key json] commits [json] under [key]; no-op if already
     committed. Raises on I/O failure — callers treat a failed store as a

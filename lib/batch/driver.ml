@@ -140,20 +140,20 @@ let compile_entry ~capture_remarks ~worker ?cache (e : Manifest.entry) =
   in
   (* Serve from the cache if we can. Lookup failures of any kind (bad
      payload, I/O error) fall through to a fresh compile — the cache can
-     cost a recompilation, never a wrong answer or a crashed entry. *)
+     cost a recompilation, never a wrong answer or a crashed entry. A
+     payload that fails to decode is invalidated by [Cache.find], so the
+     compile below commits a fresh one. *)
   let cached =
     match cache with
     | None -> None
     | Some c -> (
         let lookup () =
           let src = Manifest.source_text e in
-          match Cache.find c (entry_key ~capture_remarks e src) with
-          | None -> None
-          | Some payload ->
-              Some
-                (result_of_payload ~entry:e ~worker
-                   ~seconds:(Unix.gettimeofday () -. t0)
-                   payload)
+          Cache.find c (entry_key ~capture_remarks e src)
+            ~decode:(fun payload ->
+              result_of_payload ~entry:e ~worker
+                ~seconds:(Unix.gettimeofday () -. t0)
+                payload)
         in
         match lookup () with v -> v | exception _ -> None)
   in
@@ -289,8 +289,8 @@ let run ?(domains = 1) ?(capture_remarks = false) ?(progress = false) ?cache
   (* Each result slot is written by exactly one worker — whichever
      claimed the index — so the plain array needs no synchronization;
      the pool's joins publish the writes. The cache handle, when
-     present, is shared — its operations serialize on an internal
-     mutex. *)
+     present, is shared: it is domain-safe, and hits read their blobs
+     in parallel (docs/CACHE.md). *)
   let results : entry_result option array = Array.make n None in
   let t0 = Unix.gettimeofday () in
   let pg =

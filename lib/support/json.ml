@@ -8,157 +8,197 @@ type t =
 
 exception Malformed of string
 
-type st = { src : string; mutable pos : int }
+(* The reader is a recursive descent over byte offsets into [src]. It
+   copies each run of plain string bytes whole and converts short
+   integers without [float_of_string]. Every error carries the offset the
+   reader had reached when it gave up; test/test_support.ml pins them. *)
+type st = { src : string; len : int; mutable pos : int }
 
 let fail st msg = raise (Malformed (Printf.sprintf "at byte %d: %s" st.pos msg))
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
-
-let advance st = st.pos <- st.pos + 1
-
 let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-      advance st;
-      skip_ws st
-  | _ -> ()
+  if st.pos < st.len then
+    match String.unsafe_get st.src st.pos with
+    | ' ' | '\t' | '\n' | '\r' ->
+        st.pos <- st.pos + 1;
+        skip_ws st
+    | _ -> ()
 
 let expect st c =
-  match peek st with
-  | Some c' when c' = c -> advance st
-  | Some c' -> fail st (Printf.sprintf "expected %C, found %C" c c')
-  | None -> fail st (Printf.sprintf "expected %C, found end of input" c)
+  if st.pos >= st.len then
+    fail st (Printf.sprintf "expected %C, found end of input" c);
+  let c' = String.unsafe_get st.src st.pos in
+  if c' = c then st.pos <- st.pos + 1
+  else fail st (Printf.sprintf "expected %C, found %C" c c')
 
 let literal st word value =
   let n = String.length word in
   if
-    st.pos + n <= String.length st.src
-    && String.equal (String.sub st.src st.pos n) word
+    st.pos + n <= st.len && String.equal (String.sub st.src st.pos n) word
   then begin
     st.pos <- st.pos + n;
     value
   end
   else fail st (Printf.sprintf "expected %s" word)
 
+let hex_digit = function
+  | '0' .. '9' as c -> Char.code c - Char.code '0'
+  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
+
+(* Four hex digits at [pos], which is where a bad digit is reported. *)
+let read_hex4 st =
+  if st.pos + 4 > st.len then fail st "truncated \\u escape";
+  let value = ref 0 in
+  for k = st.pos to st.pos + 3 do
+    let d = hex_digit (String.unsafe_get st.src k) in
+    if d < 0 then fail st "invalid \\u escape";
+    value := (!value lsl 4) lor d
+  done;
+  st.pos <- st.pos + 4;
+  !value
+
+(* The code point of a \u escape whose hex digits start at [pos]. *)
+let read_u_escape st =
+  let code = read_hex4 st in
+  if code >= 0xD800 && code <= 0xDBFF then begin
+    (* High surrogate: must be followed by \uDC00-\uDFFF; the pair
+       encodes one supplementary code point. *)
+    if
+      st.pos + 2 > st.len
+      || st.src.[st.pos] <> '\\'
+      || st.src.[st.pos + 1] <> 'u'
+    then fail st "unpaired high surrogate in \\u escape";
+    st.pos <- st.pos + 2;
+    let low = read_hex4 st in
+    if low < 0xDC00 || low > 0xDFFF then
+      fail st "unpaired high surrogate in \\u escape";
+    0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
+  end
+  else if code >= 0xDC00 && code <= 0xDFFF then
+    fail st "unpaired low surrogate in \\u escape"
+  else code
+
+(* The end of the run of plain bytes (not '"', '\\' or a control
+   character) starting at [i]. *)
+let rec plain_run src len i =
+  if i >= len then i
+  else
+    match String.unsafe_get src i with
+    | '"' | '\\' | '\000' .. '\031' -> i
+    | _ -> plain_run src len (i + 1)
+
 let parse_string st =
   expect st '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> fail st "unterminated string"
-    | Some '"' -> advance st
-    | Some '\\' -> (
-        advance st;
-        match peek st with
-        | None -> fail st "unterminated escape"
-        | Some c ->
-            advance st;
-            (match c with
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | '/' -> Buffer.add_char buf '/'
-            | 'b' -> Buffer.add_char buf '\b'
-            | 'f' -> Buffer.add_char buf '\012'
-            | 'n' -> Buffer.add_char buf '\n'
-            | 'r' -> Buffer.add_char buf '\r'
-            | 't' -> Buffer.add_char buf '\t'
-            | 'u' ->
-                let read_hex4 () =
-                  if st.pos + 4 > String.length st.src then
-                    fail st "truncated \\u escape";
-                  let value = ref 0 in
-                  for k = st.pos to st.pos + 3 do
-                    let d =
-                      match st.src.[k] with
-                      | '0' .. '9' as c -> Char.code c - Char.code '0'
-                      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
-                      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
-                      | _ -> fail st "invalid \\u escape"
-                    in
-                    value := (!value lsl 4) lor d
-                  done;
-                  st.pos <- st.pos + 4;
-                  !value
-                in
-                let code = read_hex4 () in
-                let code =
-                  if code >= 0xD800 && code <= 0xDBFF then begin
-                    (* High surrogate: must be followed by \uDC00-\uDFFF;
-                       the pair encodes one supplementary code point. *)
-                    if
-                      st.pos + 2 > String.length st.src
-                      || st.src.[st.pos] <> '\\'
-                      || st.src.[st.pos + 1] <> 'u'
-                    then fail st "unpaired high surrogate in \\u escape";
-                    st.pos <- st.pos + 2;
-                    let low = read_hex4 () in
-                    if low < 0xDC00 || low > 0xDFFF then
-                      fail st "unpaired high surrogate in \\u escape";
-                    0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
-                  end
-                  else if code >= 0xDC00 && code <= 0xDFFF then
-                    fail st "unpaired low surrogate in \\u escape"
-                  else code
-                in
-                Buffer.add_utf_8_uchar buf (Uchar.of_int code)
-            | c -> fail st (Printf.sprintf "invalid escape \\%C" c));
-            go ())
-    | Some c when Char.code c < 0x20 -> fail st "control character in string"
-    | Some c ->
-        advance st;
-        Buffer.add_char buf c;
-        go ()
-  in
-  go ();
-  Buffer.contents buf
+  let src = st.src and len = st.len in
+  let start = st.pos in
+  let stop = plain_run src len start in
+  if stop < len && String.unsafe_get src stop = '"' then begin
+    (* No escapes: the common case is one substring. *)
+    st.pos <- stop + 1;
+    String.sub src start (stop - start)
+  end
+  else begin
+    let buf = Buffer.create (stop - start + 16) in
+    (* Each step copies one plain run, then handles the byte after it. *)
+    let rec go i =
+      let stop = plain_run src len i in
+      Buffer.add_substring buf src i (stop - i);
+      st.pos <- stop;
+      if stop >= len then fail st "unterminated string";
+      match String.unsafe_get src stop with
+      | '"' -> st.pos <- stop + 1
+      | '\\' ->
+          st.pos <- stop + 1;
+          if st.pos >= len then fail st "unterminated escape";
+          let c = String.unsafe_get src st.pos in
+          st.pos <- st.pos + 1;
+          (match c with
+          | '"' -> Buffer.add_char buf '"'
+          | '\\' -> Buffer.add_char buf '\\'
+          | '/' -> Buffer.add_char buf '/'
+          | 'b' -> Buffer.add_char buf '\b'
+          | 'f' -> Buffer.add_char buf '\012'
+          | 'n' -> Buffer.add_char buf '\n'
+          | 'r' -> Buffer.add_char buf '\r'
+          | 't' -> Buffer.add_char buf '\t'
+          | 'u' -> Buffer.add_utf_8_uchar buf (Uchar.of_int (read_u_escape st))
+          | c -> fail st (Printf.sprintf "invalid escape \\%C" c));
+          go st.pos
+      | _ -> fail st "control character in string"
+    in
+    go start;
+    Buffer.contents buf
+  end
 
+let rec skip_digits st =
+  if st.pos < st.len then
+    match String.unsafe_get st.src st.pos with
+    | '0' .. '9' ->
+        st.pos <- st.pos + 1;
+        skip_digits st
+    | _ -> ()
+
+let next_is st c = st.pos < st.len && String.unsafe_get st.src st.pos = c
+
+(* The number is the longest run at [pos] of an optional '-', digits, an
+   optional '.' and digits, and an optional 'e'/'E', sign and digits. A
+   bare integer of at most 15 digits is below 2^53, so its [int] value
+   converts to a float exactly; anything else is left to
+   [float_of_string], which also decides what is malformed. *)
 let parse_number st =
   let start = st.pos in
-  let consume_while p =
-    let rec go () =
-      match peek st with
-      | Some c when p c ->
-          advance st;
-          go ()
-      | _ -> ()
-    in
-    go ()
+  let neg = next_is st '-' in
+  if neg then st.pos <- st.pos + 1;
+  let digits = st.pos in
+  skip_digits st;
+  let n_digits = st.pos - digits in
+  let fraction_or_exponent =
+    next_is st '.' || next_is st 'e' || next_is st 'E'
   in
-  if peek st = Some '-' then advance st;
-  consume_while (fun c -> c >= '0' && c <= '9');
-  if peek st = Some '.' then begin
-    advance st;
-    consume_while (fun c -> c >= '0' && c <= '9')
-  end;
-  (match peek st with
-  | Some ('e' | 'E') ->
-      advance st;
-      (match peek st with Some ('+' | '-') -> advance st | _ -> ());
-      consume_while (fun c -> c >= '0' && c <= '9')
-  | _ -> ());
-  let text = String.sub st.src start (st.pos - start) in
-  match float_of_string_opt text with
-  | Some f -> f
-  | None -> fail st (Printf.sprintf "invalid number %S" text)
+  if n_digits > 0 && n_digits <= 15 && not fraction_or_exponent then begin
+    let n = ref 0 in
+    for k = digits to st.pos - 1 do
+      n := (!n * 10) + (Char.code (String.unsafe_get st.src k) - Char.code '0')
+    done;
+    let f = float_of_int !n in
+    if neg then -.f else f
+  end
+  else begin
+    if next_is st '.' then begin
+      st.pos <- st.pos + 1;
+      skip_digits st
+    end;
+    if next_is st 'e' || next_is st 'E' then begin
+      st.pos <- st.pos + 1;
+      if next_is st '+' || next_is st '-' then st.pos <- st.pos + 1;
+      skip_digits st
+    end;
+    let text = String.sub st.src start (st.pos - start) in
+    match float_of_string_opt text with
+    | Some f -> f
+    | None -> fail st (Printf.sprintf "invalid number %S" text)
+  end
 
 let rec parse_value st =
   skip_ws st;
-  match peek st with
-  | None -> fail st "unexpected end of input"
-  | Some '{' -> parse_object st
-  | Some '[' -> parse_array st
-  | Some '"' -> Str (parse_string st)
-  | Some 't' -> literal st "true" (Bool true)
-  | Some 'f' -> literal st "false" (Bool false)
-  | Some 'n' -> literal st "null" Null
-  | Some ('-' | '0' .. '9') -> Num (parse_number st)
-  | Some c -> fail st (Printf.sprintf "unexpected character %C" c)
+  if st.pos >= st.len then fail st "unexpected end of input";
+  match String.unsafe_get st.src st.pos with
+  | '{' -> parse_object st
+  | '[' -> parse_array st
+  | '"' -> Str (parse_string st)
+  | 't' -> literal st "true" (Bool true)
+  | 'f' -> literal st "false" (Bool false)
+  | 'n' -> literal st "null" Null
+  | '-' | '0' .. '9' -> Num (parse_number st)
+  | c -> fail st (Printf.sprintf "unexpected character %C" c)
 
 and parse_object st =
-  expect st '{';
+  st.pos <- st.pos + 1;
   skip_ws st;
-  if peek st = Some '}' then begin
-    advance st;
+  if next_is st '}' then begin
+    st.pos <- st.pos + 1;
     Obj []
   end
   else begin
@@ -169,48 +209,49 @@ and parse_object st =
       expect st ':';
       let v = parse_value st in
       skip_ws st;
-      match peek st with
-      | Some ',' ->
-          advance st;
-          members ((key, v) :: acc)
-      | Some '}' ->
-          advance st;
-          List.rev ((key, v) :: acc)
-      | _ -> fail st "expected ',' or '}' in object"
+      if next_is st ',' then begin
+        st.pos <- st.pos + 1;
+        members ((key, v) :: acc)
+      end
+      else if next_is st '}' then begin
+        st.pos <- st.pos + 1;
+        List.rev ((key, v) :: acc)
+      end
+      else fail st "expected ',' or '}' in object"
     in
     Obj (members [])
   end
 
 and parse_array st =
-  expect st '[';
+  st.pos <- st.pos + 1;
   skip_ws st;
-  if peek st = Some ']' then begin
-    advance st;
+  if next_is st ']' then begin
+    st.pos <- st.pos + 1;
     List []
   end
   else begin
     let rec elements acc =
       let v = parse_value st in
       skip_ws st;
-      match peek st with
-      | Some ',' ->
-          advance st;
-          elements (v :: acc)
-      | Some ']' ->
-          advance st;
-          List.rev (v :: acc)
-      | _ -> fail st "expected ',' or ']' in array"
+      if next_is st ',' then begin
+        st.pos <- st.pos + 1;
+        elements (v :: acc)
+      end
+      else if next_is st ']' then begin
+        st.pos <- st.pos + 1;
+        List.rev (v :: acc)
+      end
+      else fail st "expected ',' or ']' in array"
     in
     List (elements [])
   end
 
 let parse src =
-  let st = { src; pos = 0 } in
+  let st = { src; len = String.length src; pos = 0 } in
   try
     let v = parse_value st in
     skip_ws st;
-    if st.pos <> String.length src then
-      fail st "trailing characters after JSON value";
+    if st.pos <> st.len then fail st "trailing characters after JSON value";
     Ok v
   with Malformed msg -> Error msg
 

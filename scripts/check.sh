@@ -221,6 +221,19 @@ diff -r -x report.json "$obs_tmp/batch-cold" "$obs_tmp/batch-warm" || {
   echo "check.sh: cache-served IR differs from freshly compiled IR" >&2
   exit 1
 }
+# Warm hits read and decode blobs outside the cache lock: four domains
+# sharing the handle must still serve every entry and write the same files.
+dune exec bin/mlt_batch.exe -- examples/kernels/batch_manifest.json \
+  --domains 4 --quiet --cache-dir "$obs_tmp/cache" \
+  --output "$obs_tmp/batch-warm4"
+grep -q '"cache_misses":0' "$obs_tmp/batch-warm4/report.json" || {
+  echo "check.sh: 4-domain warm cache run was not served from the cache" >&2
+  exit 1
+}
+diff -r -x report.json "$obs_tmp/batch-warm" "$obs_tmp/batch-warm4" || {
+  echo "check.sh: 4-domain and 2-domain warm cache outputs differ" >&2
+  exit 1
+}
 # The simulator must reproduce all 170 Figure-9 simulate cells bit for
 # bit: regenerate the expectations into the temp dir and compare every
 # column but the last (column 15, cost_us, is a wall-clock hint). The

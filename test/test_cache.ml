@@ -13,7 +13,13 @@
    cache directory, must serve every checkpointed entry and still
    produce a report signature identical to an uncached run. *)
 
-module C = Batch.Cache
+(* The cases below read raw payloads: [find] with the identity decoder. *)
+module C = struct
+  include Batch.Cache
+
+  let find t k = find t k ~decode:Fun.id
+end
+
 module J = Support.Json
 module W = Workloads.Polybench
 
@@ -174,6 +180,104 @@ let test_corrupt_blob_is_a_miss () =
   let t3 = C.open_ ~dir in
   Alcotest.(check int) "no corpse left behind" 0 (C.entry_count t3)
 
+(* One handle shared by six domains: four look up committed keys over
+   and over (unlocked blob reads) while two commit new keys. Of the
+   committed blobs, one is not JSON and one is JSON that the decoder
+   rejects; both must be dropped on first sight and read as misses
+   after that, while every good lookup hits with its own payload. *)
+let test_shared_handle_under_contention () =
+  with_tmp_dir @@ fun dir ->
+  let t = C.open_ ~dir in
+  let good = List.init 8 (fun i -> Printf.sprintf "good%d" i) in
+  List.iter (store t) good;
+  store t "unparsable";
+  store t "undecodable";
+  Out_channel.with_open_bin (blob_path dir (k "unparsable")) (fun oc ->
+      Out_channel.output_string oc "{\"name\":");
+  Out_channel.with_open_bin (blob_path dir (k "undecodable")) (fun oc ->
+      Out_channel.output_string oc (J.to_string (payload "someone else")));
+  let looked_up = good @ [ "unparsable"; "undecodable" ] in
+  let rounds = 40 in
+  let finder () =
+    let wrong = ref 0 in
+    for _ = 1 to rounds do
+      List.iter
+        (fun name ->
+          let decode v = if v = payload name then name else failwith "wrong" in
+          match Batch.Cache.find t (k name) ~decode with
+          | Some n when n = name && List.mem name good -> ()
+          | None when not (List.mem name good) -> ()
+          | _ -> incr wrong)
+        looked_up
+    done;
+    !wrong
+  in
+  let storer d () =
+    for i = 1 to 20 do
+      store t (Printf.sprintf "new%d-%d" d i)
+    done;
+    0
+  in
+  let domains =
+    List.init 4 (fun _ -> Domain.spawn finder)
+    @ List.init 2 (fun d -> Domain.spawn (storer d))
+  in
+  let wrong = List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
+  Alcotest.(check int) "every good lookup hit, every corrupt one missed" 0
+    wrong;
+  let lookups = 4 * rounds * List.length looked_up in
+  let good_lookups = 4 * rounds * List.length good in
+  let hits, misses = C.hit_miss t in
+  Alcotest.(check int) "hits = good lookups" good_lookups hits;
+  Alcotest.(check int) "hits + misses = lookups" lookups (hits + misses);
+  Alcotest.(check bool) "unparsable blob invalidated" false
+    (C.mem t (k "unparsable"));
+  Alcotest.(check bool) "undecodable blob invalidated" false
+    (C.mem t (k "undecodable"));
+  Alcotest.(check int) "good and new entries committed" (8 + 40)
+    (C.entry_count t);
+  let t2 = C.open_ ~dir in
+  let r = C.recovery t2 in
+  Alcotest.(check int) "reopen: the two dropped entries' lines" 2
+    r.C.rec_missing_blob;
+  Alcotest.(check int) "reopen: no unjournaled blob" 0 r.C.rec_unjournaled;
+  Alcotest.(check int) "reopen: no temp debris" 0 r.C.rec_swept_tmp;
+  Alcotest.(check bool) "reopen: journal whole" false r.C.rec_torn_journal;
+  Alcotest.(check int) "reopen keeps every good and new entry" (8 + 40)
+    (C.entry_count t2);
+  List.iter
+    (fun name ->
+      Alcotest.(check (option json)) ("reopen serves " ^ name)
+        (Some (payload name))
+        (C.find t2 (k name)))
+    (good @ [ "new0-1"; "new1-20" ]);
+  let r3 = C.recovery (C.open_ ~dir) in
+  Alcotest.(check int) "second reopen: nothing missing" 0 r3.C.rec_missing_blob
+
+(* [find] runs the decoder outside the lock, so the decoder can stand in
+   for another domain acting between this reader's lookup and its
+   verdict: it drops the entry, commits a fresh blob under the same key,
+   then rejects the payload it was given. The stale reader's verdict
+   must not drop the newer commit. *)
+let test_stale_invalidation_keeps_newer_commit () =
+  with_tmp_dir @@ fun dir ->
+  let t = C.open_ ~dir in
+  store t "a";
+  let reject _ = failwith "undecodable" in
+  let raced_reader _ =
+    Alcotest.(check (option unit)) "the other reader drops the entry" None
+      (Batch.Cache.find t (k "a") ~decode:reject);
+    C.store t ~key:(k "a") (payload "a2");
+    reject ()
+  in
+  Alcotest.(check (option unit)) "the stale reader misses" None
+    (Batch.Cache.find t (k "a") ~decode:raced_reader);
+  Alcotest.(check (option json)) "the newer commit survives"
+    (Some (payload "a2"))
+    (C.find t (k "a"));
+  Alcotest.(check (pair int int)) "two misses, then the hit" (1, 2)
+    (C.hit_miss t)
+
 (* ---- driver-level checkpoint / resume ----------------------------- *)
 
 let mini_manifest n =
@@ -261,6 +365,52 @@ let test_killed_run_resumes_from_checkpoints () =
     (resumed.Batch.Driver.rp_cache_hits,
      resumed.Batch.Driver.rp_cache_misses);
   check_reports_match ~msg:"resumed vs uncached" oracle resumed
+
+(* A committed blob that parses but does not decode (here its
+   [ir_digest] no longer matches its IR) must heal: the run that meets it
+   drops it, recompiles and commits a fresh blob, and the next run is all
+   hits. The handle's counters agree with the report on both runs. *)
+let test_undecodable_blob_heals () =
+  with_tmp_dir @@ fun dir ->
+  let manifest = mini_manifest 2 in
+  let oracle = Batch.Driver.run ~domains:1 manifest in
+  ignore (Batch.Driver.run ~domains:1 ~cache:(C.open_ ~dir) manifest);
+  let objects = Filename.concat dir "objects" in
+  let blob =
+    Sys.readdir objects |> Array.to_list |> List.sort compare
+    |> List.concat_map (fun sub ->
+           Sys.readdir (Filename.concat objects sub)
+           |> Array.to_list |> List.sort compare
+           |> List.map (fun f -> Filename.concat (Filename.concat objects sub) f))
+    |> List.hd
+  in
+  let corrupt =
+    match J.parse (In_channel.with_open_bin blob In_channel.input_all) with
+    | Ok (J.Obj fields) ->
+        J.Obj
+          (List.map
+             (fun (f, v) ->
+               if f = "ir_digest" then (f, J.Str (String.make 32 '0'))
+               else (f, v))
+             fields)
+    | _ -> Alcotest.fail "committed blob is not a JSON object"
+  in
+  Out_channel.with_open_bin blob (fun oc ->
+      Out_channel.output_string oc (J.to_string corrupt));
+  let run () =
+    let t = C.open_ ~dir in
+    let rp = Batch.Driver.run ~domains:1 ~cache:t manifest in
+    let counts =
+      (rp.Batch.Driver.rp_cache_hits, rp.Batch.Driver.rp_cache_misses)
+    in
+    Alcotest.(check (pair int int)) "hit_miss agrees with the report" counts
+      (C.hit_miss t);
+    check_reports_match ~msg:"served vs uncached" oracle rp;
+    counts
+  in
+  Alcotest.(check (pair int int)) "first run recompiles the bad entry" (1, 1)
+    (run ());
+  Alcotest.(check (pair int int)) "second run is all hits" (2, 0) (run ())
 
 (* Cache identity is derived from the schedule's *printed script*, not
    its name or pass list: two schedules that differ only in a tile size
@@ -381,10 +531,16 @@ let suite =
       test_missing_blob_dropped;
     Alcotest.test_case "corrupt blob degrades to a miss" `Quick
       test_corrupt_blob_is_a_miss;
+    Alcotest.test_case "shared handle under contention" `Quick
+      test_shared_handle_under_contention;
+    Alcotest.test_case "stale invalidation keeps the newer commit" `Quick
+      test_stale_invalidation_keeps_newer_commit;
     Alcotest.test_case "warm run served entirely from cache" `Quick
       test_warm_run_served_entirely_from_cache;
     Alcotest.test_case "killed run resumes from checkpoints" `Quick
       test_killed_run_resumes_from_checkpoints;
+    Alcotest.test_case "undecodable blob is replaced" `Quick
+      test_undecodable_blob_heals;
     Alcotest.test_case "different tilings never alias in the cache" `Quick
       test_different_tilings_never_alias;
     Alcotest.test_case "schedule cache identities keep their digests" `Quick

@@ -151,6 +151,259 @@ let test_json_writer_roundtrip () =
   Alcotest.(check (option int)) "to_int on fraction" None
     (J.to_int (J.Num 0.5))
 
+(* ---- JSON reader: pinned corpus and round-trip property ----------- *)
+
+(* Every outcome below was recorded from the per-byte reader the
+   index-based one replaced: accept or reject, the exact error text with
+   its byte offset, and each number's bits (n<Int64.bits_of_float>). *)
+let rec describe = function
+  | J.Null -> "null"
+  | J.Bool b -> string_of_bool b
+  | J.Num f -> Printf.sprintf "n%Lx" (Int64.bits_of_float f)
+  | J.Str s -> Printf.sprintf "%S" s
+  | J.List l -> "[" ^ String.concat "," (List.map describe l) ^ "]"
+  | J.Obj kv ->
+      "{"
+      ^ String.concat ","
+          (List.map (fun (k, v) -> Printf.sprintf "%S:%s" k (describe v)) kv)
+      ^ "}"
+
+let json_corpus =
+  [
+    ("-0", "ok n8000000000000000");
+    ("0", "ok n0");
+    ("-0.0", "ok n8000000000000000");
+    ("0.0", "ok n0");
+    ("0e0", "ok n0");
+    ("007", "ok n401c000000000000");
+    ("-007", "ok nc01c000000000000");
+    ("01", "ok n3ff0000000000000");
+    ("1.", "ok n3ff0000000000000");
+    ("-", "error at byte 1: invalid number \"-\"");
+    ("-a", "error at byte 1: invalid number \"-\"");
+    (".5", "error at byte 0: unexpected character '.'");
+    ("-.5", "ok nbfe0000000000000");
+    ("+1", "error at byte 0: unexpected character '+'");
+    ("--1", "error at byte 1: invalid number \"-\"");
+    ("1e", "error at byte 2: invalid number \"1e\"");
+    ("1e+", "error at byte 3: invalid number \"1e+\"");
+    ("1E+2", "ok n4059000000000000");
+    ("1e-2", "ok n3f847ae147ae147b");
+    ("1.e5", "ok n40f86a0000000000");
+    ("1.5e-3", "ok n3f589374bc6a7efa");
+    ("123.456e+7", "ok n41d2657900000000");
+    ("1e400", "ok n7ff0000000000000");
+    ("-1e400", "ok nfff0000000000000");
+    ("1e-400", "ok n0");
+    ("5e-324", "ok n1");
+    ("1.7976931348623157e308", "ok n7fefffffffffffff");
+    ("0.1", "ok n3fb999999999999a");
+    ("1.2.3", "error at byte 3: trailing characters after JSON value");
+    ("1e5.5", "error at byte 3: trailing characters after JSON value");
+    ("1ee", "error at byte 2: invalid number \"1e\"");
+    ("1_000", "error at byte 1: trailing characters after JSON value");
+    ("0x10", "error at byte 1: trailing characters after JSON value");
+    ("1x", "error at byte 1: trailing characters after JSON value");
+    ("123456789012345", "ok n42dc12218377de40");
+    ("-123456789012345", "ok nc2dc12218377de40");
+    ("999999999999999", "ok n430c6bf52633fff8");
+    ("-999999999999999", "ok nc30c6bf52633fff8");
+    ("000000000000001", "ok n3ff0000000000000");
+    ("1000000000000000", "ok n430c6bf526340000");
+    ("9007199254740992", "ok n4340000000000000");
+    ("9007199254740993", "ok n4340000000000000");
+    ("-9007199254740993", "ok nc340000000000000");
+    ("12345678901234567", "ok n4345ee2a2eb5a5c4");
+    ("99999999999999999", "ok n4376345785d8a000");
+    ("4611686018427387903", "ok n43d0000000000000");
+    ("4611686018427387904", "ok n43d0000000000000");
+    ("18446744073709551616", "ok n43f0000000000000");
+    ("true", "ok true");
+    ("false", "ok false");
+    ("null", "ok null");
+    ("tru", "error at byte 0: expected true");
+    ("nul", "error at byte 0: expected null");
+    ("falsey", "error at byte 5: trailing characters after JSON value");
+    ("nan", "error at byte 0: expected null");
+    ("Infinity", "error at byte 0: unexpected character 'I'");
+    ("True", "error at byte 0: unexpected character 'T'");
+    ("\"\"", "ok \"\"");
+    ("\"abc\"", "ok \"abc\"");
+    ("\"\\\"\"", "ok \"\\\"\"");
+    ("\"\\\\\"", "ok \"\\\\\"");
+    ("\"\\/\"", "ok \"/\"");
+    ("\"\\b\"", "ok \"\\b\"");
+    ("\"\\f\"", "ok \"\\012\"");
+    ("\"\\n\"", "ok \"\\n\"");
+    ("\"\\r\"", "ok \"\\r\"");
+    ("\"\\t\"", "ok \"\\t\"");
+    ("\"a\\\"b\\\\c\\/d\\be\\ff\\ng\\rh\\ti\"", "ok \"a\\\"b\\\\c/d\\be\\012f\\ng\\rh\\ti\"");
+    ("\"\\u0000\"", "ok \"\\000\"");
+    ("\"\\u001f\"", "ok \"\\031\"");
+    ("\"\\u0041\"", "ok \"A\"");
+    ("\"\\u00e9\"", "ok \"\\195\\169\"");
+    ("\"\\u20AC\"", "ok \"\\226\\130\\172\"");
+    ("\"\\uffff\"", "ok \"\\239\\191\\191\"");
+    ("\"\\x\"", "error at byte 3: invalid escape \\'x'");
+    ("\"\\a\"", "error at byte 3: invalid escape \\'a'");
+    ("\"\\U0041\"", "error at byte 3: invalid escape \\'U'");
+    ("\"\\uD800\"", "error at byte 7: unpaired high surrogate in \\u escape");
+    ("\"\\uDBFF\"", "error at byte 7: unpaired high surrogate in \\u escape");
+    ("\"\\uDC00\"", "error at byte 7: unpaired low surrogate in \\u escape");
+    ("\"\\uDFFF\"", "error at byte 7: unpaired low surrogate in \\u escape");
+    ("\"\\ud83d\\ude00\"", "ok \"\\240\\159\\152\\128\"");
+    ("\"\\uDBFF\\uDFFF\"", "ok \"\\244\\143\\191\\191\"");
+    ("\"\\uD800\\uDC00\"", "ok \"\\240\\144\\128\\128\"");
+    ("\"\\ud83dx\"", "error at byte 7: unpaired high surrogate in \\u escape");
+    ("\"\\ud83d\\u0041\"", "error at byte 13: unpaired high surrogate in \\u escape");
+    ("\"\\ud83d\\ud83d\"", "error at byte 13: unpaired high surrogate in \\u escape");
+    ("\"\\ud83d\\\"", "error at byte 7: unpaired high surrogate in \\u escape");
+    ("\"\\ud83d\\u\"", "error at byte 9: truncated \\u escape");
+    ("\"\\ud83d\\ude\"", "error at byte 9: truncated \\u escape");
+    ("\"\\ud83d\\udez0\"", "error at byte 9: invalid \\u escape");
+    ("\"\\ud83d\\n\"", "error at byte 7: unpaired high surrogate in \\u escape");
+    ("\"\\u12\"", "error at byte 3: truncated \\u escape");
+    ("\"\\u\"", "error at byte 3: truncated \\u escape");
+    ("\"\\u12g4\"", "error at byte 3: invalid \\u escape");
+    ("\"\\u1_23\"", "error at byte 3: invalid \\u escape");
+    ("\"\\u 123\"", "error at byte 3: invalid \\u escape");
+    ("\"\195\169\"", "ok \"\\195\\169\"");
+    ("\"\226\130\172\240\159\152\128\"", "ok \"\\226\\130\\172\\240\\159\\152\\128\"");
+    ("\"\255\254\128\"", "ok \"\\255\\254\\128\"");
+    ("\"\127\"", "ok \"\\127\"");
+    ("\"a\001b\"", "error at byte 2: control character in string");
+    ("\"\031\"", "error at byte 1: control character in string");
+    ("\"\n\"", "error at byte 1: control character in string");
+    ("\"\t\"", "error at byte 1: control character in string");
+    ("\"\000\"", "error at byte 1: control character in string");
+    ("\"abc", "error at byte 4: unterminated string");
+    ("\"ab\\", "error at byte 4: unterminated escape");
+    ("\"", "error at byte 1: unterminated string");
+    ("\"\\u00", "error at byte 3: truncated \\u escape");
+    ("\"\\u00e9", "error at byte 7: unterminated string");
+    ("", "error at byte 0: unexpected end of input");
+    (" ", "error at byte 1: unexpected end of input");
+    (" \t\r\n ", "error at byte 5: unexpected end of input");
+    ("1 2", "error at byte 2: trailing characters after JSON value");
+    ("\"a\" \"b\"", "error at byte 4: trailing characters after JSON value");
+    ("{}x", "error at byte 2: trailing characters after JSON value");
+    ("[] ]", "error at byte 3: trailing characters after JSON value");
+    ("null,", "error at byte 4: trailing characters after JSON value");
+    (" 42 ", "ok n4045000000000000");
+    ("\t42\n", "ok n4045000000000000");
+    ("{}", "ok {}");
+    ("[]", "ok []");
+    ("{ }", "ok {}");
+    ("[ \t\r\n]", "ok []");
+    ("[[[[]]]]", "ok [[[[]]]]");
+    ("{\"a\":{\"b\":{}}}", "ok {\"a\":{\"b\":{}}}");
+    (" { \"a\" : [ { } , [ ] , null ] ,\n\t\"b\"\r:\ttrue } ", "ok {\"a\":[{},[],null],\"b\":true}");
+    ("[1,2,3]", "ok [n3ff0000000000000,n4000000000000000,n4008000000000000]");
+    ("[ 1 , -0 , 1e2 , \"x\" ]", "ok [n3ff0000000000000,n8000000000000000,n4059000000000000,\"x\"]");
+    ("[1,]", "error at byte 3: unexpected character ']'");
+    ("[,1]", "error at byte 1: unexpected character ','");
+    ("[1 2]", "error at byte 3: expected ',' or ']' in array");
+    ("[1", "error at byte 2: expected ',' or ']' in array");
+    ("[", "error at byte 1: unexpected end of input");
+    ("{\"a\":1,}", "error at byte 7: expected '\"', found '}'");
+    ("{1:2}", "error at byte 1: expected '\"', found '1'");
+    ("{\"a\" 1}", "error at byte 5: expected ':', found '1'");
+    ("{\"a\":1 \"b\":2}", "error at byte 7: expected ',' or '}' in object");
+    ("{\"a\"", "error at byte 4: expected ':', found end of input");
+    ("{\"a\":", "error at byte 5: unexpected end of input");
+    ("{", "error at byte 1: expected '\"', found end of input");
+    ("{\"a\":1", "error at byte 6: expected ',' or '}' in object");
+    ("{\"a\":1,\"a\":2}", "ok {\"a\":n3ff0000000000000,\"a\":n4000000000000000}");
+    ("{\"\":[]}", "ok {\"\":[]}");
+    ("[{},{\"k\":[null,false]}]", "ok [{},{\"k\":[null,false]}]");
+    ("}", "error at byte 0: unexpected character '}'");
+    ("]", "error at byte 0: unexpected character ']'");
+    (":", "error at byte 0: unexpected character ':'");
+    (",", "error at byte 0: unexpected character ','");
+  ]
+
+let test_json_corpus () =
+  List.iter
+    (fun (src, expected) ->
+      let got =
+        match J.parse src with
+        | Ok v -> "ok " ^ describe v
+        | Error e -> "error " ^ e
+      in
+      Alcotest.(check string) (Printf.sprintf "parse %S" src) expected got)
+    json_corpus
+
+(* Values whose strings draw from all 256 byte values (one in eight is
+   exactly the 256 bytes in order) and whose numbers mix signed zeros,
+   integers on both sides of the 15-digit boundary, and arbitrary finite
+   bit patterns. *)
+let gen_json =
+  let open QCheck.Gen in
+  let all_bytes = String.init 256 Char.chr in
+  let str =
+    frequency
+      [ (7, string_size ~gen:char (int_bound 24)); (1, return all_bytes) ]
+  in
+  let finite =
+    map
+      (fun bits ->
+        let f = Int64.float_of_bits bits in
+        if Float.is_finite f then f else 0.5)
+      ui64
+  in
+  let num =
+    frequency
+      [
+        (1, oneofl [ 0.; -0.; 1e15; -1e15; 999999999999999.; 9007199254740993. ]);
+        (3, map float_of_int (int_range (-1_000_000_000_000_000) 1_000_000_000_000_000));
+        (1, map float_of_int small_signed_int);
+        (3, finite);
+      ]
+  in
+  sized
+    (fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return J.Null;
+               map (fun b -> J.Bool b) bool;
+               map (fun f -> J.Num f) num;
+               map (fun s -> J.Str s) str;
+             ]
+         in
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> J.List l) (list_size (int_bound 4) (self (n / 4))));
+               ( 1,
+                 map
+                   (fun l -> J.Obj l)
+                   (list_size (int_bound 4) (pair str (self (n / 4)))) );
+             ]))
+
+let rec json_bits_equal a b =
+  match (a, b) with
+  | J.Num x, J.Num y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | J.List xs, J.List ys ->
+      List.length xs = List.length ys && List.for_all2 json_bits_equal xs ys
+  | J.Obj xs, J.Obj ys ->
+      List.length xs = List.length ys
+      && List.for_all2
+           (fun (k, x) (k', y) -> String.equal k k' && json_bits_equal x y)
+           xs ys
+  | _ -> a = b
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"json parse (to_string v) = Ok v, bit for bit"
+    ~count:500
+    (QCheck.make ~print:describe gen_json)
+    (fun v ->
+      match J.parse (J.to_string v) with
+      | Ok v' -> json_bits_equal v v'
+      | Error e -> QCheck.Test.fail_reportf "rejected: %s" e)
+
 (* ---- Atomic_io: no code path leaves a torn file ------------------- *)
 
 let rec rm_rf path =
@@ -276,6 +529,8 @@ let suite =
       test_json_unicode_escapes;
     Alcotest.test_case "json writer round-trips" `Quick
       test_json_writer_roundtrip;
+    Alcotest.test_case "json reader corpus pinned" `Quick test_json_corpus;
+    QCheck_alcotest.to_alcotest prop_json_roundtrip;
     Alcotest.test_case "atomic writes never tear" `Quick test_atomic_write;
     Alcotest.test_case "mkdir_p rejects files on the path" `Quick
       test_mkdir_p;
