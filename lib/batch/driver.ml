@@ -111,7 +111,8 @@ let entry_key ~capture_remarks (e : Manifest.entry) src =
    function, and any exception it raises is converted into a [Failed]
    result. One crashing input therefore fails exactly its own manifest
    entry; the worker moves on to the next entry. *)
-let compile_entry ~capture_remarks ~worker ?cache (e : Manifest.entry) =
+let compile_entry ~capture_remarks ~worker ?cache ~misses
+    (e : Manifest.entry) =
   let t0 = Unix.gettimeofday () in
   let remarks_rev = ref [] in
   let attempts0, rewrites0 = Ir.Rewriter.counter_totals () in
@@ -142,20 +143,27 @@ let compile_entry ~capture_remarks ~worker ?cache (e : Manifest.entry) =
      payload, I/O error) fall through to a fresh compile — the cache can
      cost a recompilation, never a wrong answer or a crashed entry. A
      payload that fails to decode is invalidated by [Cache.find], so the
-     compile below commits a fresh one. *)
+     compile below commits a fresh one. A source that cannot be read
+     never reaches the cache: only a lookup that ran counts in [misses],
+     as it does in [Cache.hit_miss]. *)
   let cached =
     match cache with
     | None -> None
     | Some c -> (
-        let lookup () =
-          let src = Manifest.source_text e in
-          Cache.find c (entry_key ~capture_remarks e src)
-            ~decode:(fun payload ->
-              result_of_payload ~entry:e ~worker
-                ~seconds:(Unix.gettimeofday () -. t0)
-                payload)
-        in
-        match lookup () with v -> v | exception _ -> None)
+        match Manifest.source_text e with
+        | exception _ -> None
+        | src ->
+            let hit =
+              try
+                Cache.find c (entry_key ~capture_remarks e src)
+                  ~decode:(fun payload ->
+                    result_of_payload ~entry:e ~worker
+                      ~seconds:(Unix.gettimeofday () -. t0)
+                      payload)
+              with _ -> None
+            in
+            if Option.is_none hit then Atomic.incr misses;
+            hit)
   in
   match cached with
   | Some r -> r
@@ -307,11 +315,14 @@ let run ?(domains = 1) ?(capture_remarks = false) ?(progress = false) ?cache
     else None
   in
   let hists = Array.init domains worker_hist in
+  let misses = Atomic.make 0 in
   (* Worker 0 runs on the calling domain — its listener/sink/counter
      state is domain-local, so this does not disturb the caller beyond
      advancing its own rewriter counters. *)
   let compile ~worker i =
-    let r = compile_entry ~capture_remarks ~worker ?cache entries.(i) in
+    let r =
+      compile_entry ~capture_remarks ~worker ?cache ~misses entries.(i)
+    in
     results.(i) <- Some r;
     Ir.Metrics.observe hists.(worker) r.r_seconds;
     match pg with
@@ -355,7 +366,7 @@ let run ?(domains = 1) ?(capture_remarks = false) ?(progress = false) ?cache
       rp_wall_seconds = wall;
       rp_cache_enabled = cache <> None;
       rp_cache_hits = hits;
-      rp_cache_misses = (if cache = None then 0 else n - hits);
+      rp_cache_misses = Atomic.get misses;
       rp_results = results;
       rp_summary = merged;
     }

@@ -1,6 +1,31 @@
 module D = Support.Diag
 module E = Affine_expr
 
+(* The textual IR grammar, read from one token stream ([x,*] is a
+   possibly empty, [x,+] a non-empty comma-separated list; [comma_list]
+   and [list_to] read every such list):
+
+   module  := 'builtin.module' '{' op* '}'
+   op      := (%v,+ '=')? (custom-form | generic)
+   generic := STRING '(' %v,* ')' ('{' (IDENT '=' attr),* '}')?
+              ':' '(' type,* ')' '->' '(' type,* ')'
+   attr    := 'unit' | 'true' | 'false' | STRING | type | map
+            | '-'? (INT | FLOAT | 'nan' | 'infinity')
+            | '[' attr,* ']'                   (Ints when every item is INT)
+            | '{' (int | '{' int,* '}'),* '}'  (a grouping; int := '-'? INT)
+   map     := 'affine_map' '<' '(' IDENT,* ')' ('[' IDENT,* ']')?
+              '->' '(' expr,+ ')' '>'
+   expr    := term (('+' | '-') term)*
+   term    := factor (('*' | 'floordiv' | 'mod') factor)*
+   factor  := INT | '-' INT | var | '(' expr ')'
+
+   A [var] is a dimension or symbol name of the map's header, or, in
+   inline subscripts and loop bounds, a %value: each distinct value
+   becomes the next dimension of the op's map. The custom forms mirror
+   {!Printer}, the [attr] cases {!Attr.add_to_buffer}. Types are the
+   scalar names or a [memref<...>] token. Every error is a
+   {!Support.Diag.Error} at the offending token. *)
+
 (* ---- lexer ------------------------------------------------------------ *)
 
 type token =
@@ -9,13 +34,15 @@ type token =
   | T_ident of string
   | T_int of int
   | T_float of float
-  | T_string of string
+  | T_string of string  (** the text between the quotes, escapes kept *)
   | T_lparen
   | T_rparen
   | T_lbrace
   | T_rbrace
   | T_lbracket
   | T_rbracket
+  | T_langle
+  | T_rangle
   | T_comma
   | T_colon
   | T_equal
@@ -23,8 +50,7 @@ type token =
   | T_minus
   | T_star
   | T_arrow
-  | T_type of Typ.t
-  | T_map of Affine_map.t
+  | T_type of Typ.t  (** memref<...> *)
   | T_eof
 
 let token_to_string = function
@@ -33,13 +59,15 @@ let token_to_string = function
   | T_ident s -> Printf.sprintf "identifier %S" s
   | T_int i -> string_of_int i
   | T_float f -> string_of_float f
-  | T_string s -> Printf.sprintf "%S" s
+  | T_string s -> "\"" ^ s ^ "\""
   | T_lparen -> "'('"
   | T_rparen -> "')'"
   | T_lbrace -> "'{'"
   | T_rbrace -> "'}'"
   | T_lbracket -> "'['"
   | T_rbracket -> "']'"
+  | T_langle -> "'<'"
+  | T_rangle -> "'>'"
   | T_comma -> "','"
   | T_colon -> "':'"
   | T_equal -> "'='"
@@ -48,7 +76,6 @@ let token_to_string = function
   | T_star -> "'*'"
   | T_arrow -> "'->'"
   | T_type t -> "type " ^ Typ.to_string t
-  | T_map m -> "affine_map<" ^ Affine_map.to_string m ^ ">"
   | T_eof -> "end of input"
 
 type ltok = { tok : token; loc : Support.Loc.t }
@@ -61,185 +88,42 @@ let is_ident_char c =
 
 let is_digit c = c >= '0' && c <= '9'
 
-(* Parse a type string like "memref<8x8xf32>" or "f32". *)
+let scalar_type = function
+  | "f32" -> Some Typ.F32
+  | "f64" -> Some Typ.F64
+  | "i1" -> Some Typ.I1
+  | "i32" -> Some Typ.I32
+  | "i64" -> Some Typ.I64
+  | "index" -> Some Typ.Index
+  | _ -> None
+
+(* A type string: a scalar name or memref<DxDx...xELEM>, each D an
+   integer or '?'. *)
 let rec type_of_string ~loc s =
   let s = String.trim s in
-  match s with
-  | "f32" -> Typ.F32
-  | "f64" -> Typ.F64
-  | "i1" -> Typ.I1
-  | "i32" -> Typ.I32
-  | "i64" -> Typ.I64
-  | "index" -> Typ.Index
-  | _ ->
-      if String.length s > 8 && String.sub s 0 7 = "memref<"
-         && s.[String.length s - 1] = '>'
-      then begin
-        let inner = String.sub s 7 (String.length s - 8) in
-        let parts = String.split_on_char 'x' inner in
-        match List.rev parts with
-        | elem :: rev_dims ->
-            let dims =
-              List.rev_map
-                (fun d ->
-                  if d = "?" then Typ.Dynamic
-                  else
-                    try Typ.Static (int_of_string d)
-                    with _ -> D.errorf ~loc "bad memref dimension %S" d)
-                rev_dims
-            in
-            Typ.Mem_ref (dims, type_of_string ~loc elem)
-        | [] -> D.errorf ~loc "empty memref type"
-      end
-      else D.errorf ~loc "unknown type %S" s
-
-(* A tiny hand parser for textual maps (used by affine_map<...> tokens).
-   Shape: (d0, d1, ...)[s0, ...] -> (e0, e1, ...) *)
-let parse_map_text ~loc s =
   let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let skip_ws () =
-    while !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\n') do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () = Some c then incr pos
-    else D.errorf ~loc "affine map %S: expected %C" s c
-  in
-  let ident () =
-    skip_ws ();
-    let start = !pos in
-    while !pos < n && (is_ident_char s.[!pos]) do
-      incr pos
-    done;
-    String.sub s start (!pos - start)
-  in
-  let int_lit () =
-    skip_ws ();
-    let start = !pos in
-    if peek () = Some '-' then incr pos;
-    while !pos < n && is_digit s.[!pos] do
-      incr pos
-    done;
-    int_of_string (String.sub s start (!pos - start))
-  in
-  let var_list close =
-    let vars = ref [] in
-    skip_ws ();
-    if peek () = Some close then incr pos
-    else begin
-      let rec go () =
-        vars := ident () :: !vars;
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-            incr pos;
-            go ()
-        | Some c when c = close -> incr pos
-        | _ -> D.errorf ~loc "affine map %S: expected ',' or %C" s close
+  match scalar_type s with
+  | Some t -> t
+  | None when n > 8 && String.sub s 0 7 = "memref<" && s.[n - 1] = '>' ->
+      let rec shape s =
+        let dim d =
+          if d = "?" then Some Typ.Dynamic
+          else Option.map (fun i -> Typ.Static i) (int_of_string_opt d)
+        in
+        match String.index_opt s 'x' with
+        | Some i -> (
+            match dim (String.sub s 0 i) with
+            | Some d ->
+                let dims, elem =
+                  shape (String.sub s (i + 1) (String.length s - i - 1))
+                in
+                (d :: dims, elem)
+            | None -> ([], s))
+        | None -> ([], s)
       in
-      go ()
-    end;
-    List.rev !vars
-  in
-  expect '(';
-  let dims = var_list ')' in
-  skip_ws ();
-  let syms =
-    if peek () = Some '[' then begin
-      incr pos;
-      var_list ']'
-    end
-    else []
-  in
-  skip_ws ();
-  expect '-';
-  expect '>';
-  expect '(';
-  let dim_index v =
-    match List.mapi (fun i x -> (x, i)) dims |> List.assoc_opt v with
-    | Some i -> `Dim i
-    | None -> (
-        match List.mapi (fun i x -> (x, i)) syms |> List.assoc_opt v with
-        | Some i -> `Sym i
-        | None -> D.errorf ~loc "affine map %S: unknown variable %S" s v)
-  in
-  (* expr := term (('+'|'-') term)*; term := factor (('*'|floordiv|mod) factor)* *)
-  let rec parse_expr () =
-    let lhs = ref (parse_term ()) in
-    let rec loop () =
-      skip_ws ();
-      match peek () with
-      | Some '+' ->
-          incr pos;
-          lhs := E.Add (!lhs, parse_term ());
-          loop ()
-      | Some '-' ->
-          incr pos;
-          lhs := E.Add (!lhs, E.Mul (E.Const (-1), parse_term ()));
-          loop ()
-      | _ -> !lhs
-    in
-    loop ()
-  and parse_term () =
-    let lhs = ref (parse_factor ()) in
-    let rec loop () =
-      skip_ws ();
-      match peek () with
-      | Some '*' ->
-          incr pos;
-          lhs := E.Mul (!lhs, parse_factor ());
-          loop ()
-      | Some c when is_ident_start c ->
-          let save = !pos in
-          let id = ident () in
-          if id = "floordiv" then begin
-            lhs := E.Floor_div (!lhs, parse_factor ());
-            loop ()
-          end
-          else if id = "mod" then begin
-            lhs := E.Mod (!lhs, parse_factor ());
-            loop ()
-          end
-          else begin
-            pos := save;
-            !lhs
-          end
-      | _ -> !lhs
-    in
-    loop ()
-  and parse_factor () =
-    skip_ws ();
-    match peek () with
-    | Some '(' ->
-        incr pos;
-        let e = parse_expr () in
-        expect ')';
-        e
-    | Some c when is_digit c || c = '-' -> E.Const (int_lit ())
-    | Some c when is_ident_start c -> (
-        match dim_index (ident ()) with
-        | `Dim i -> E.Dim i
-        | `Sym i -> E.Sym i)
-    | _ -> D.errorf ~loc "affine map %S: expected expression" s
-  in
-  let exprs = ref [ parse_expr () ] in
-  let rec more () =
-    skip_ws ();
-    match peek () with
-    | Some ',' ->
-        incr pos;
-        exprs := parse_expr () :: !exprs;
-        more ()
-    | Some ')' -> incr pos
-    | _ -> D.errorf ~loc "affine map %S: expected ',' or ')'" s
-  in
-  more ();
-  Affine_map.make ~n_dims:(List.length dims) ~n_syms:(List.length syms)
-    (List.rev !exprs)
+      let dims, elem = shape (String.sub s 7 (n - 8)) in
+      Typ.Mem_ref (dims, type_of_string ~loc elem)
+  | None -> D.errorf ~loc "unknown type %S" s
 
 let tokenize ~file src =
   let n = String.length src in
@@ -256,30 +140,6 @@ let tokenize ~file src =
   in
   let peek i = if !pos + i < n then Some src.[!pos + i] else None in
   let emit l tok = toks := { tok; loc = l } :: !toks in
-  (* Read balanced <...> content after a known prefix. *)
-  let angle_content l =
-    if peek 0 <> Some '<' then D.errorf ~loc:l "expected '<'";
-    advance ();
-    let start = !pos in
-    let depth = ref 1 in
-    let prev = ref ' ' in
-    while !depth > 0 do
-      (match peek 0 with
-      | Some '<' -> incr depth
-      (* '->' arrows inside affine maps do not close the bracket. *)
-      | Some '>' when !prev <> '-' -> decr depth
-      | None -> D.errorf ~loc:l "unterminated '<...>'"
-      | Some _ -> ());
-      if !depth > 0 then begin
-        prev := (match peek 0 with Some c -> c | None -> ' ');
-        advance ()
-      end
-    done;
-    let content = String.sub src start (!pos - start) in
-    advance ();
-    (* skip '>' *)
-    content
-  in
   let rec go () =
     match peek 0 with
     | None -> emit (loc ()) T_eof
@@ -320,6 +180,7 @@ let tokenize ~file src =
         advance ();
         let start = !pos in
         while peek 0 <> Some '"' && peek 0 <> None do
+          if peek 0 = Some '\\' && peek 1 <> None then advance ();
           advance ()
         done;
         if peek 0 = None then D.errorf ~loc:l "unterminated string";
@@ -379,20 +240,25 @@ let tokenize ~file src =
           advance ()
         done;
         let text = String.sub src start (!pos - start) in
-        (match text with
-        | "memref" when peek 0 = Some '<' ->
-            let content = angle_content l in
-            emit l (T_type (type_of_string ~loc:l ("memref<" ^ content ^ ">")))
-        | "affine_map" when peek 0 = Some '<' ->
-            let content = angle_content l in
-            emit l (T_map (parse_map_text ~loc:l content))
-        | "f32" -> emit l (T_type Typ.F32)
-        | "f64" -> emit l (T_type Typ.F64)
-        | "i1" -> emit l (T_type Typ.I1)
-        | "i32" -> emit l (T_type Typ.I32)
-        | "i64" -> emit l (T_type Typ.I64)
-        | "index" -> emit l (T_type Typ.Index)
-        | _ -> emit l (T_ident text));
+        if text = "memref" && peek 0 = Some '<' then begin
+          (* The balanced <...> goes to [type_of_string] whole. *)
+          let depth = ref 0 in
+          while
+            (match peek 0 with
+            | Some '<' -> incr depth
+            | Some '>' -> decr depth
+            | None -> D.errorf ~loc:l "unterminated '<...>'"
+            | Some _ -> ());
+            advance ();
+            !depth > 0
+          do
+            ()
+          done;
+          emit l
+            (T_type
+               (type_of_string ~loc:l (String.sub src start (!pos - start))))
+        end
+        else emit l (T_ident text);
         go ()
     | Some c ->
         let l = loc () in
@@ -411,6 +277,8 @@ let tokenize ~file src =
         | '}', _ -> one T_rbrace
         | '[', _ -> one T_lbracket
         | ']', _ -> one T_rbracket
+        | '<', _ -> one T_langle
+        | '>', _ -> one T_rangle
         | ',', _ -> one T_comma
         | ':', _ -> one T_colon
         | '=', _ -> one T_equal
@@ -426,156 +294,281 @@ let tokenize ~file src =
 (* ---- parser state ------------------------------------------------------ *)
 
 type state = {
-  mutable toks : ltok list;
+  mutable toks : ltok list;  (** never empty: [next] keeps the final T_eof *)
   values : (string, Core.value) Hashtbl.t;
 }
 
-let peek st = match st.toks with [] -> assert false | t :: _ -> t
+let peek st = List.hd st.toks
 
 let peek2 st =
   match st.toks with _ :: t :: _ -> Some t.tok | _ -> None
 
 let next st =
-  let t = peek st in
-  (match st.toks with [] -> () | _ :: r -> st.toks <- r);
-  t
+  match st.toks with
+  | t :: (_ :: _ as rest) ->
+      st.toks <- rest;
+      t
+  | _ -> peek st
+
+let fail (t : ltok) fmt = D.errorf ~loc:t.loc fmt
+
+let unexpected t what =
+  fail t "expected %s, found %s" what (token_to_string t.tok)
 
 let expect st tok =
   let t = next st in
-  if t.tok <> tok then
-    D.errorf ~loc:t.loc "expected %s, found %s" (token_to_string tok)
-      (token_to_string t.tok)
+  if t.tok <> tok then unexpected t (token_to_string tok)
 
-let expect_value st =
+let accept st tok =
+  (peek st).tok = tok
+  && begin
+       ignore (next st);
+       true
+     end
+
+(* [item (',' item)*] *)
+let comma_list st item =
+  let rec go acc =
+    let x = item st in
+    if accept st T_comma then go (x :: acc) else List.rev (x :: acc)
+  in
+  go []
+
+(* [item,* close], the opening token already read. *)
+let list_to st close item =
+  if accept st close then []
+  else begin
+    let xs = comma_list st item in
+    expect st close;
+    xs
+  end
+
+let int_token st =
   let t = next st in
-  match t.tok with
-  | T_value v -> (v, t.loc)
-  | other ->
-      D.errorf ~loc:t.loc "expected %%value, found %s" (token_to_string other)
+  match t.tok with T_int i -> i | _ -> unexpected t "an integer"
 
-let expect_int st =
+let int_literal st = if accept st T_minus then -int_token st else int_token st
+
+let ident st =
   let t = next st in
-  match t.tok with
-  | T_int i -> i
-  | other ->
-      D.errorf ~loc:t.loc "expected integer, found %s" (token_to_string other)
+  match t.tok with T_ident s -> s | _ -> unexpected t "an identifier"
 
-let expect_type st =
+let type_of_token t =
+  match t.tok with T_type ty -> Some ty | T_ident s -> scalar_type s | _ -> None
+
+let typ st =
   let t = next st in
-  match t.tok with
-  | T_type ty -> ty
-  | other ->
-      D.errorf ~loc:t.loc "expected a type, found %s" (token_to_string other)
+  match type_of_token t with Some ty -> ty | None -> unexpected t "a type"
 
-let lookup_value st name loc =
+let value_name st =
+  let t = next st in
+  match t.tok with T_value v -> v | _ -> unexpected t "%value"
+
+let lookup st (t : ltok) name =
   match Hashtbl.find_opt st.values name with
   | Some v -> v
-  | None -> D.errorf ~loc "use of undefined value %%%s" name
+  | None -> fail t "use of undefined value %%%s" name
+
+let value st =
+  let t = next st in
+  match t.tok with T_value v -> lookup st t v | _ -> unexpected t "%value"
 
 let define_value st name (v : Core.value) =
   v.Core.v_hint <- Some name;
   Hashtbl.replace st.values name v
 
-(* ---- inline affine expressions over %values ----------------------------- *)
+(* ---- affine expressions, maps and attributes ----------------------------- *)
 
-(* Returns (map expr over collected dims, operand list shared via ref). *)
-let parse_inline_exprs st =
-  let operands = ref [] in
-  let dim_of name loc =
-    let v = lookup_value st name loc in
-    let rec find i = function
-      | [] ->
-          operands := !operands @ [ v ];
-          i
-      | v' :: _ when Core.value_equal v v' -> i
-      | _ :: rest -> find (i + 1) rest
-    in
-    find 0 !operands
-  in
-  let rec parse_expr () =
-    let lhs = ref (parse_term ()) in
-    let rec loop () =
+(* [var] resolves a token that is not an integer, '-' or '('. *)
+let affine_expr st ~var =
+  let rec expr () =
+    let rec loop lhs =
       match (peek st).tok with
       | T_plus ->
           ignore (next st);
-          lhs := E.Add (!lhs, parse_term ());
-          loop ()
+          loop (E.Add (lhs, term ()))
       | T_minus ->
           ignore (next st);
-          lhs := E.Add (!lhs, E.Mul (E.Const (-1), parse_term ()));
-          loop ()
-      | _ -> !lhs
+          loop (E.Add (lhs, E.Mul (E.Const (-1), term ())))
+      | _ -> lhs
     in
-    loop ()
-  and parse_term () =
-    let lhs = ref (parse_factor ()) in
-    let rec loop () =
+    loop (term ())
+  and term () =
+    let rec loop lhs =
       match (peek st).tok with
       | T_star ->
           ignore (next st);
-          lhs := E.Mul (!lhs, parse_factor ());
-          loop ()
+          loop (E.Mul (lhs, factor ()))
       | T_ident "floordiv" ->
           ignore (next st);
-          lhs := E.Floor_div (!lhs, parse_factor ());
-          loop ()
+          loop (E.Floor_div (lhs, factor ()))
       | T_ident "mod" ->
           ignore (next st);
-          lhs := E.Mod (!lhs, parse_factor ());
-          loop ()
-      | _ -> !lhs
+          loop (E.Mod (lhs, factor ()))
+      | _ -> lhs
     in
-    loop ()
-  and parse_factor () =
+    loop (factor ())
+  and factor () =
     let t = next st in
     match t.tok with
     | T_int i -> E.Const i
-    | T_minus -> (
-        match (next st).tok with
-        | T_int i -> E.Const (-i)
-        | other ->
-            D.errorf ~loc:t.loc "expected integer after '-', found %s"
-              (token_to_string other))
-    | T_value v -> E.Dim (dim_of v t.loc)
+    | T_minus -> E.Const (-int_token st)
     | T_lparen ->
-        let e = parse_expr () in
+        let e = expr () in
         expect st T_rparen;
         e
-    | other ->
-        D.errorf ~loc:t.loc "expected index expression, found %s"
-          (token_to_string other)
+    | _ -> var t
   in
-  let exprs = ref [ parse_expr () ] in
-  let rec more () =
-    match (peek st).tok with
-    | T_comma ->
-        ignore (next st);
-        exprs := parse_expr () :: !exprs;
-        more ()
-    | _ -> ()
-  in
-  more ();
-  (List.rev !exprs, !operands)
+  expr ()
 
-let exprs_to_bound st exprs operands =
-  ignore st;
-  (Affine_map.make ~n_dims:(List.length operands) exprs, operands)
+let not_an_expr t = unexpected t "an index expression"
+
+(* An op's map over inline expressions: [read item] reads the expression
+   list, and each distinct %value becomes the next dimension. *)
+let applied_map st read =
+  let operands = ref [] in
+  let var t =
+    match t.tok with
+    | T_value name ->
+        let v = lookup st t name in
+        let rec find i = function
+          | [] ->
+              operands := !operands @ [ v ];
+              i
+          | v' :: _ when Core.value_equal v v' -> i
+          | _ :: rest -> find (i + 1) rest
+        in
+        E.Dim (find 0 !operands)
+    | _ -> not_an_expr t
+  in
+  let exprs = read (fun st -> affine_expr st ~var) in
+  (Affine_map.make ~n_dims:(List.length !operands) exprs, !operands)
+
+(* After the 'affine_map' identifier. *)
+let affine_map st =
+  expect st T_langle;
+  expect st T_lparen;
+  let dims = list_to st T_rparen ident in
+  let syms = if accept st T_lbracket then list_to st T_rbracket ident else [] in
+  expect st T_arrow;
+  expect st T_lparen;
+  let rec index v i = function
+    | [] -> None
+    | x :: _ when String.equal x v -> Some i
+    | _ :: rest -> index v (i + 1) rest
+  in
+  let var t =
+    match t.tok with
+    | T_ident v -> (
+        match (index v 0 dims, index v 0 syms) with
+        | Some i, _ -> E.Dim i
+        | None, Some i -> E.Sym i
+        | None, None -> fail t "unknown affine map variable %S" v)
+    | _ -> not_an_expr t
+  in
+  let exprs = comma_list st (fun st -> affine_expr st ~var) in
+  expect st T_rparen;
+  expect st T_rangle;
+  Affine_map.make ~n_dims:(List.length dims) ~n_syms:(List.length syms) exprs
+
+let unescape t s =
+  try Scanf.unescaped s
+  with Scanf.Scan_failure _ -> fail t "bad escape in string \"%s\"" s
+
+let rec attr_value st =
+  let t = next st in
+  match t.tok with
+  | T_ident "unit" -> Attr.Unit
+  | T_ident "true" -> Attr.Bool true
+  | T_ident "false" -> Attr.Bool false
+  | T_ident "affine_map" -> Attr.Map (affine_map st)
+  | T_string s -> Attr.Str (unescape t s)
+  | T_lbracket ->
+      let items = list_to st T_rbracket attr_value in
+      if List.for_all (function Attr.Int _ -> true | _ -> false) items then
+        Attr.Ints (List.map Attr.get_int items)
+      else Attr.List items
+  | T_lbrace ->
+      let group st =
+        if accept st T_lbrace then list_to st T_rbrace int_literal
+        else [ int_literal st ]
+      in
+      Attr.Grouping (list_to st T_rbrace group)
+  | T_minus -> number ~neg:true (next st)
+  | _ -> (
+      match type_of_token t with
+      | Some ty -> Attr.Type ty
+      | None -> number ~neg:false t)
+
+and number ~neg t =
+  let sign f = if neg then -.f else f in
+  match t.tok with
+  | T_int i -> Attr.Int (if neg then -i else i)
+  | T_float f -> Attr.Float (sign f)
+  | T_ident "nan" -> Attr.Float (sign Float.nan)
+  | T_ident "infinity" -> Attr.Float (sign Float.infinity)
+  | _ -> unexpected t "an attribute value"
+
+let named_attr st =
+  let name = ident st in
+  expect st T_equal;
+  (name, attr_value st)
 
 (* ---- operations --------------------------------------------------------- *)
 
 let attach b op = ignore (Builder.insert b op)
 
-let rec parse_block_ops st b ~terminator =
-  let rec go () =
-    match (peek st).tok with
-    | T_rbrace -> ()
-    | T_eof -> D.errorf ~loc:(peek st).loc "unexpected end of input"
-    | _ ->
-        parse_op st b;
-        go ()
-  in
-  go ();
-  ignore terminator
+let bind_results st (t : ltok) names (op : Core.op) =
+  if List.length names <> Core.num_results op then
+    fail t "operation %s produces %d results, %d named" op.Core.o_name
+      (Core.num_results op) (List.length names);
+  List.iteri (fun i name -> define_value st name (Core.result op i)) names
+
+(* The operands of a custom form, then ':' and their types. *)
+let typed_values st =
+  let vs = comma_list st value in
+  expect st T_colon;
+  ignore (comma_list st typ);
+  vs
+
+(* ins(%a, %b : t, t) / outs(...) *)
+let ins_outs st kw =
+  expect st (T_ident kw);
+  expect st T_lparen;
+  let vs = typed_values st in
+  expect st T_rparen;
+  vs
+
+(* [key = attr] after a custom form's operands. *)
+let keyword_attr st key =
+  expect st (T_ident key);
+  expect st T_equal;
+  attr_value st
+
+(* A subscript list [e,*] after a memref: the map and its operands. *)
+let subscripts st =
+  expect st T_lbracket;
+  applied_map st (fun e -> list_to st T_rbracket e)
+
+(* expr | max(e,+) for a lower bound, expr | min(e,+) for an upper one. *)
+let bound st kw =
+  applied_map st (fun e ->
+      match ((peek st).tok, peek2 st) with
+      | T_ident k, Some T_lparen when k = kw ->
+          ignore (next st);
+          ignore (next st);
+          let es = comma_list st e in
+          expect st T_rparen;
+          es
+      | _ -> [ e st ])
+
+let rec parse_block_ops st b =
+  match (peek st).tok with
+  | T_rbrace -> ()
+  | T_eof -> fail (peek st) "unexpected end of input"
+  | _ ->
+      parse_op st b;
+      parse_block_ops st b
 
 and parse_op st b =
   let t = peek st in
@@ -584,537 +577,223 @@ and parse_op st b =
      [parse_op] location instead. *)
   Core.with_loc t.loc @@ fun () ->
   match t.tok with
-  | T_value _ -> parse_assignment st b
+  | T_value _ ->
+      let results = comma_list st value_name in
+      expect st T_equal;
+      parse_assignment st b results
   | T_ident "builtin.module" -> ignore (parse_module_at st b)
-  | T_ident "func.func" -> ignore (parse_func_at st b)
-  | T_ident "func.return" ->
+  | T_ident "func.func" -> parse_func_at st b
+  | T_ident (("func.return" | "affine.yield" | "scf.yield") as name) ->
       ignore (next st);
-      (* Operands (if any) would follow; our funcs return nothing. *)
-      ignore (Builder.build b "func.return")
+      (* Operands (if any) would follow; our terminators carry none. *)
+      ignore (Builder.build b name)
   | T_ident "affine.for" -> parse_affine_for st b
-  | T_ident "affine.yield" ->
-      ignore (next st);
-      ignore (Builder.build b "affine.yield")
-  | T_ident "scf.yield" ->
-      ignore (next st);
-      ignore (Builder.build b "scf.yield")
   | T_ident "scf.for" -> parse_scf_for st b
-  | T_ident "affine.store" -> parse_affine_store st b
+  | T_ident "affine.store" ->
+      ignore (next st);
+      let v = value st in
+      expect st T_comma;
+      let memref = value st in
+      let map, operands = subscripts st in
+      expect st T_colon;
+      ignore (typ st);
+      ignore
+        (Builder.build b
+           ~operands:(v :: memref :: operands)
+           ~attrs:[ ("map", Attr.Map map) ]
+           "affine.store")
   | T_ident "affine.matmul" ->
       ignore (next st);
-      let ops = parse_value_list st in
-      expect st T_colon;
-      ignore (parse_type_list st);
-      ignore
-        (Builder.build b ~operands:ops "affine.matmul")
+      ignore (Builder.build b ~operands:(typed_values st) "affine.matmul")
   | T_ident "memref.dealloc" ->
       ignore (next st);
-      let v, loc = expect_value st in
-      expect st T_colon;
-      ignore (expect_type st);
-      ignore
-        (Builder.build b ~operands:[ lookup_value st v loc ] "memref.dealloc")
+      ignore (Builder.build b ~operands:(typed_values st) "memref.dealloc")
   | T_ident
       (("linalg.matmul" | "linalg.matvec" | "linalg.conv2d_nchw") as name) ->
       ignore (next st);
-      let ins = parse_ins_outs st "ins" in
-      let outs = parse_ins_outs st "outs" in
+      let ins = ins_outs st "ins" in
+      let outs = ins_outs st "outs" in
       ignore (Builder.build b ~operands:(ins @ outs) name)
-  | T_ident "linalg.transpose" ->
+  | T_ident (("linalg.transpose" | "linalg.reshape") as name) ->
       ignore (next st);
-      let ins = parse_ins_outs st "ins" in
-      let outs = parse_ins_outs st "outs" in
-      expect st (T_ident "permutation");
-      expect st T_equal;
-      let perm = parse_int_list st in
-      ignore
-        (Builder.build b
-           ~operands:(ins @ outs)
-           ~attrs:[ ("permutation", Attr.Ints perm) ]
-           "linalg.transpose")
-  | T_ident "linalg.reshape" ->
-      ignore (next st);
-      let ins = parse_ins_outs st "ins" in
-      let outs = parse_ins_outs st "outs" in
-      expect st (T_ident "grouping");
-      expect st T_equal;
-      let grouping = parse_grouping st in
-      ignore
-        (Builder.build b
-           ~operands:(ins @ outs)
-           ~attrs:[ ("grouping", Attr.Grouping grouping) ]
-           "linalg.reshape")
+      let ins = ins_outs st "ins" in
+      let outs = ins_outs st "outs" in
+      let key =
+        if name = "linalg.transpose" then "permutation" else "grouping"
+      in
+      let a = keyword_attr st key in
+      ignore (Builder.build b ~operands:(ins @ outs) ~attrs:[ (key, a) ] name)
   | T_ident "linalg.fill" ->
       ignore (next st);
-      expect st (T_ident "value");
-      expect st T_equal;
       let v =
-        match (next st).tok with
-        | T_float f -> f
-        | T_int i -> float_of_int i
-        | other ->
-            D.errorf ~loc:t.loc "expected fill value, found %s"
-              (token_to_string other)
+        match keyword_attr st "value" with
+        | Attr.Int i -> Attr.Float (float_of_int i)
+        | a -> a
       in
-      let outs = parse_ins_outs st "outs" in
+      let outs = ins_outs st "outs" in
       ignore
-        (Builder.build b ~operands:outs
-           ~attrs:[ ("value", Attr.Float v) ]
-           "linalg.fill")
+        (Builder.build b ~operands:outs ~attrs:[ ("value", v) ] "linalg.fill")
   | T_ident "linalg.contract" ->
       ignore (next st);
-      expect st (T_ident "indexing_maps");
-      expect st T_equal;
-      let maps = parse_map_list st in
-      let ins = parse_ins_outs st "ins" in
-      let outs = parse_ins_outs st "outs" in
+      let maps = keyword_attr st "indexing_maps" in
+      let ins = ins_outs st "ins" in
+      let outs = ins_outs st "outs" in
       ignore
         (Builder.build b
            ~operands:(ins @ outs)
-           ~attrs:
-             [ ("indexing_maps", Attr.List (List.map (fun m -> Attr.Map m) maps)) ]
+           ~attrs:[ ("indexing_maps", maps) ]
            "linalg.contract")
   | T_ident
       (("blas.sgemm" | "blas.sgemv" | "blas.stranspose"
        | "blas.sreshape_copy" | "blas.sconv2d") as name) ->
       ignore (next st);
-      let ops = parse_value_list st in
-      expect st T_colon;
-      ignore (parse_type_list st);
-      let attrs = parse_trailing_attrs st in
-      ignore (Builder.build b ~operands:ops ~attrs name)
-  | T_string _ -> parse_generic st b ~results:[]
-  | other ->
-      D.errorf ~loc:t.loc "expected an operation, found %s"
-        (token_to_string other)
+      let operands = typed_values st in
+      let rec attrs () =
+        match ((peek st).tok, peek2 st) with
+        | T_ident _, Some T_equal ->
+            let a = named_attr st in
+            a :: attrs ()
+        | _ -> []
+      in
+      ignore (Builder.build b ~operands ~attrs:(attrs ()) name)
+  | T_string _ -> parse_generic st b []
+  | _ -> unexpected t "an operation"
 
-and parse_value_list st =
-  let rec go acc =
-    let v, loc = expect_value st in
-    let value = lookup_value st v loc in
-    match (peek st).tok with
-    | T_comma ->
-        ignore (next st);
-        go (value :: acc)
-    | _ -> List.rev (value :: acc)
+and parse_assignment st b results =
+  let t = next st in
+  let build ?operands ?attrs ty name =
+    bind_results st t results
+      (Builder.build b ?operands ~result_types:[ ty ] ?attrs name)
   in
-  go []
-
-and parse_type_list st =
-  let rec go acc =
-    let ty = expect_type st in
-    match (peek st).tok with
-    | T_comma ->
-        ignore (next st);
-        go (ty :: acc)
-    | _ -> List.rev (ty :: acc)
-  in
-  go []
-
-and parse_int_list st =
-  expect st T_lbracket;
-  let rec go acc =
-    match (next st).tok with
-    | T_int i -> (
-        match (next st).tok with
-        | T_comma -> go (i :: acc)
-        | T_rbracket -> List.rev (i :: acc)
-        | other ->
-            D.errorf "expected ',' or ']', found %s" (token_to_string other))
-    | T_rbracket -> List.rev acc
-    | other -> D.errorf "expected integer, found %s" (token_to_string other)
-  in
-  go []
-
-and parse_grouping st =
-  (* {g, g, ...} where g := int | {int, int, ...} *)
-  expect st T_lbrace;
-  let parse_group () =
-    match (peek st).tok with
-    | T_lbrace ->
-        ignore (next st);
-        let rec ints acc =
-          let i = expect_int st in
-          match (next st).tok with
-          | T_comma -> ints (i :: acc)
-          | T_rbrace -> List.rev (i :: acc)
-          | other ->
-              D.errorf "expected ',' or '}', found %s" (token_to_string other)
-        in
-        ints []
-    | _ -> [ expect_int st ]
-  in
-  let rec go acc =
-    let g = parse_group () in
-    match (next st).tok with
-    | T_comma -> go (g :: acc)
-    | T_rbrace -> List.rev (g :: acc)
-    | other -> D.errorf "expected ',' or '}', found %s" (token_to_string other)
-  in
-  go []
-
-and parse_map_list st =
-  expect st T_lbracket;
-  let rec go acc =
-    let m =
-      match (next st).tok with
-      | T_map m -> m
-      | other ->
-          D.errorf "expected affine_map<...>, found %s" (token_to_string other)
-    in
-    match (next st).tok with
-    | T_comma -> go (m :: acc)
-    | T_rbracket -> List.rev (m :: acc)
-    | other -> D.errorf "expected ',' or ']', found %s" (token_to_string other)
-  in
-  go []
-
-and parse_ins_outs st kw =
-  expect st (T_ident kw);
-  expect st T_lparen;
-  let vs = parse_value_list st in
-  expect st T_colon;
-  ignore (parse_type_list st);
-  expect st T_rparen;
-  vs
-
-and parse_trailing_attrs st =
-  let rec go acc =
-    match ((peek st).tok, peek2 st) with
-    | T_ident name, Some T_equal ->
-        ignore (next st);
-        ignore (next st);
-        let value =
-          match (peek st).tok with
-          | T_lbracket -> Attr.Ints (parse_int_list st)
-          | T_lbrace -> Attr.Grouping (parse_grouping st)
-          | T_int i ->
-              ignore (next st);
-              Attr.Int i
-          | T_float f ->
-              ignore (next st);
-              Attr.Float f
-          | T_ident "true" ->
-              ignore (next st);
-              Attr.Bool true
-          | T_ident "false" ->
-              ignore (next st);
-              Attr.Bool false
-          | other ->
-              D.errorf "unsupported attribute value %s" (token_to_string other)
-        in
-        go ((name, value) :: acc)
-    | _ -> List.rev acc
-  in
-  go []
-
-and parse_assignment st b =
-  (* %r[, %r2 ...] = <op> *)
-  let rec results acc =
-    let v, _ = expect_value st in
-    match (next st).tok with
-    | T_comma -> results (v :: acc)
-    | T_equal -> List.rev (v :: acc)
-    | other ->
-        D.errorf "expected ',' or '=', found %s" (token_to_string other)
-  in
-  let results = results [] in
-  let t = peek st in
   match t.tok with
   | T_ident "affine.load" ->
-      ignore (next st);
-      let memref_name, mloc = expect_value st in
-      let memref = lookup_value st memref_name mloc in
-      expect st T_lbracket;
-      let exprs, operands =
-        if (peek st).tok = T_rbracket then ([], [])
-        else parse_inline_exprs st
+      let mt = peek st in
+      let memref = value st in
+      let elem =
+        match memref.Core.v_typ with
+        | Typ.Mem_ref (_, elem) -> elem
+        | ty ->
+            fail mt "affine.load: expected a memref, found %s"
+              (Typ.to_string ty)
       in
-      expect st T_rbracket;
+      let map, operands = subscripts st in
       expect st T_colon;
-      ignore (expect_type st);
-      let map, operands = exprs_to_bound st exprs operands in
-      let op =
-        Builder.build b
-          ~operands:(memref :: operands)
-          ~result_types:[ Typ.memref_elem memref.Core.v_typ ]
-          ~attrs:[ ("map", Attr.Map map) ]
-          "affine.load"
-      in
-      bind_results st results op
+      ignore (typ st);
+      build ~operands:(memref :: operands)
+        ~attrs:[ ("map", Attr.Map map) ]
+        elem "affine.load"
   | T_ident "affine.apply" ->
-      ignore (next st);
-      let exprs, operands = parse_inline_exprs st in
-      let map, operands = exprs_to_bound st exprs operands in
-      let op =
-        Builder.build b ~operands ~result_types:[ Typ.Index ]
-          ~attrs:[ ("map", Attr.Map map) ]
-          "affine.apply"
-      in
-      bind_results st results op
+      let map, operands = applied_map st (fun e -> comma_list st e) in
+      build ~operands ~attrs:[ ("map", Attr.Map map) ] Typ.Index "affine.apply"
   | T_ident "arith.constant" ->
-      ignore (next st);
-      let value =
-        match (next st).tok with
-        | T_int i -> `I i
-        | T_float f -> `F f
-        | T_minus -> (
-            match (next st).tok with
-            | T_int i -> `I (-i)
-            | T_float f -> `F (-.f)
-            | other ->
-                D.errorf "expected number after '-', found %s"
-                  (token_to_string other))
-        | other ->
-            D.errorf "expected constant value, found %s"
-              (token_to_string other)
-      in
+      let neg = accept st T_minus in
+      let value = number ~neg (next st) in
       expect st T_colon;
-      let ty = expect_type st in
-      let attr =
-        match (value, ty) with
-        | `I i, t when Typ.is_float t -> Attr.Float (float_of_int i)
-        | `I i, _ -> Attr.Int i
-        | `F f, _ -> Attr.Float f
+      let ty = typ st in
+      let value =
+        match value with
+        | Attr.Int i when Typ.is_float ty -> Attr.Float (float_of_int i)
+        | v -> v
       in
-      let op =
-        Builder.build b ~result_types:[ ty ]
-          ~attrs:[ ("value", attr) ]
-          "arith.constant"
-      in
-      bind_results st results op
+      build ~attrs:[ ("value", value) ] ty "arith.constant"
   | T_ident
       (("arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf"
        | "arith.addi" | "arith.subi" | "arith.muli" | "arith.floordivsi"
        | "arith.remsi") as name) ->
-      ignore (next st);
-      let ops = parse_value_list st in
+      let operands = comma_list st value in
       expect st T_colon;
-      let ty = expect_type st in
-      let op = Builder.build b ~operands:ops ~result_types:[ ty ] name in
-      bind_results st results op
+      build ~operands (typ st) name
   | T_ident "memref.alloc" ->
-      ignore (next st);
       expect st T_lparen;
       expect st T_rparen;
       expect st T_colon;
-      let ty = expect_type st in
-      let op = Builder.build b ~result_types:[ ty ] "memref.alloc" in
-      bind_results st results op
-  | T_string _ -> parse_generic st b ~results
-  | other ->
-      D.errorf ~loc:t.loc "expected an operation after '=', found %s"
-        (token_to_string other)
+      build (typ st) "memref.alloc"
+  | T_string name -> parse_generic_at st b results t name
+  | _ -> unexpected t "an operation after '='"
 
-and bind_results st names (op : Core.op) =
-  if List.length names <> Core.num_results op then
-    D.errorf "operation %s produces %d results, %d named" op.Core.o_name
-      (Core.num_results op) (List.length names);
-  List.iteri (fun i name -> define_value st name (Core.result op i)) names
+and parse_generic st b results =
+  let t = next st in
+  match t.tok with
+  | T_string name -> parse_generic_at st b results t name
+  | _ -> unexpected t "an op name"
 
-and parse_generic st b ~results =
-  let name =
-    match (next st).tok with
-    | T_string s -> s
-    | other -> D.errorf "expected op name, found %s" (token_to_string other)
-  in
+and parse_generic_at st b results t name =
   expect st T_lparen;
-  let operands =
-    if (peek st).tok = T_rparen then []
-    else parse_value_list st
-  in
-  expect st T_rparen;
+  let operands = list_to st T_rparen value in
   let attrs =
-    if (peek st).tok = T_lbrace then begin
-      ignore (next st);
-      let rec go acc =
-        match (peek st).tok with
-        | T_rbrace ->
-            ignore (next st);
-            List.rev acc
-        | _ -> (
-            let aname =
-              match (next st).tok with
-              | T_ident s -> s
-              | other ->
-                  D.errorf "expected attribute name, found %s"
-                    (token_to_string other)
-            in
-            expect st T_equal;
-            let value =
-              match (peek st).tok with
-              | T_lbracket -> Attr.Ints (parse_int_list st)
-              | T_int i ->
-                  ignore (next st);
-                  Attr.Int i
-              | T_float f ->
-                  ignore (next st);
-                  Attr.Float f
-              | T_map m ->
-                  ignore (next st);
-                  Attr.Map m
-              | T_string s ->
-                  ignore (next st);
-                  Attr.Str s
-              | other ->
-                  D.errorf "unsupported attribute value %s"
-                    (token_to_string other)
-            in
-            match (peek st).tok with
-            | T_comma ->
-                ignore (next st);
-                go ((aname, value) :: acc)
-            | _ -> go ((aname, value) :: acc))
-      in
-      go []
-    end
-    else []
+    if accept st T_lbrace then list_to st T_rbrace named_attr else []
   in
   expect st T_colon;
   expect st T_lparen;
-  let _operand_types =
-    if (peek st).tok = T_rparen then [] else parse_type_list st
-  in
-  expect st T_rparen;
+  ignore (list_to st T_rparen typ);
   expect st T_arrow;
   expect st T_lparen;
-  let result_types =
-    if (peek st).tok = T_rparen then [] else parse_type_list st
-  in
-  expect st T_rparen;
-  let op = Builder.build b ~operands ~attrs ~result_types name in
-  bind_results st results op
+  let result_types = list_to st T_rparen typ in
+  bind_results st t results
+    (Builder.build b ~operands ~attrs ~result_types name)
 
-and parse_affine_store st b =
-  ignore (next st);
-  let v, vloc = expect_value st in
-  expect st T_comma;
-  let memref_name, mloc = expect_value st in
-  let memref = lookup_value st memref_name mloc in
-  expect st T_lbracket;
-  let exprs, operands =
-    if (peek st).tok = T_rbracket then ([], []) else parse_inline_exprs st
-  in
-  expect st T_rbracket;
-  expect st T_colon;
-  ignore (expect_type st);
-  let map, operands = exprs_to_bound st exprs operands in
-  ignore
-    (Builder.build b
-       ~operands:((lookup_value st v vloc :: memref :: operands))
-       ~attrs:[ ("map", Attr.Map map) ]
-       "affine.store")
-
-and parse_bound st ~minimize =
-  (* expr | max(...) | min(...) *)
-  let kw = if minimize then "min" else "max" in
-  match ((peek st).tok, peek2 st) with
-  | T_ident k, Some T_lparen when k = kw ->
-      ignore (next st);
-      ignore (next st);
-      let exprs, operands = parse_inline_exprs st in
-      expect st T_rparen;
-      exprs_to_bound st exprs operands
-  | _ ->
-      let exprs, operands = parse_inline_exprs st in
-      (match exprs with
-      | [ _ ] -> ()
-      | _ -> D.errorf "loop bound must be a single expression or %s(...)" kw);
-      exprs_to_bound st exprs operands
+(* The body of a loop whose op is already attached: a block of ops ending
+   in [terminator], which is added when the text leaves it out. *)
+and parse_loop_body st block terminator =
+  expect st T_lbrace;
+  let body_builder = Builder.at_end block in
+  parse_block_ops st body_builder;
+  expect st T_rbrace;
+  match List.rev (Core.ops_of_block block) with
+  | last :: _ when String.equal last.Core.o_name terminator -> ()
+  | _ -> ignore (Builder.build body_builder terminator)
 
 and parse_affine_for st b =
   ignore (next st);
-  let iv_name, _ = expect_value st in
+  let iv_name = value_name st in
   expect st T_equal;
-  let lb_map, lb_ops = parse_bound st ~minimize:false in
+  let lb_map, lb_ops = bound st "max" in
   expect st (T_ident "to");
-  let ub_map, ub_ops = parse_bound st ~minimize:true in
-  let step =
-    match (peek st).tok with
-    | T_ident "step" ->
-        ignore (next st);
-        expect_int st
-    | _ -> 1
-  in
-  expect st T_lbrace;
+  let ub_map, ub_ops = bound st "min" in
+  let step = if accept st (T_ident "step") then int_literal st else 1 in
   let block = Core.create_block ~hints:[ iv_name ] [ Typ.Index ] in
   define_value st iv_name block.Core.b_args.(0);
-  let region = Core.create_region [ block ] in
-  let op =
-    Core.create_op
-      ~operands:(lb_ops @ ub_ops)
-      ~attrs:
-        [
-          ("lower_bound", Attr.Map lb_map);
-          ("upper_bound", Attr.Map ub_map);
-          ("step", Attr.Int step);
-        ]
-      ~regions:[ region ] "affine.for"
-  in
-  attach b op;
-  let body_builder = Builder.at_end block in
-  parse_block_ops st body_builder ~terminator:"affine.yield";
-  expect st T_rbrace;
-  (* Ensure the terminator exists (printer prints it, but be lenient). *)
-  (match List.rev (Core.ops_of_block block) with
-  | last :: _ when String.equal last.Core.o_name "affine.yield" -> ()
-  | _ -> ignore (Builder.build body_builder "affine.yield"))
+  attach b
+    (Core.create_op
+       ~operands:(lb_ops @ ub_ops)
+       ~attrs:
+         [
+           ("lower_bound", Attr.Map lb_map);
+           ("upper_bound", Attr.Map ub_map);
+           ("step", Attr.Int step);
+         ]
+       ~regions:[ Core.create_region [ block ] ]
+       "affine.for");
+  parse_loop_body st block "affine.yield"
 
 and parse_scf_for st b =
   ignore (next st);
-  let iv_name, _ = expect_value st in
+  let iv_name = value_name st in
   expect st T_equal;
-  let lb, lloc = expect_value st in
+  let lb = value st in
   expect st (T_ident "to");
-  let ub, uloc = expect_value st in
+  let ub = value st in
   expect st (T_ident "step");
-  let sv, sloc = expect_value st in
-  expect st T_lbrace;
+  let step = value st in
   let block = Core.create_block ~hints:[ iv_name ] [ Typ.Index ] in
   define_value st iv_name block.Core.b_args.(0);
-  let region = Core.create_region [ block ] in
-  let op =
-    Core.create_op
-      ~operands:
-        [
-          lookup_value st lb lloc;
-          lookup_value st ub uloc;
-          lookup_value st sv sloc;
-        ]
-      ~regions:[ region ] "scf.for"
-  in
-  attach b op;
-  let body_builder = Builder.at_end block in
-  parse_block_ops st body_builder ~terminator:"scf.yield";
-  expect st T_rbrace;
-  match List.rev (Core.ops_of_block block) with
-  | last :: _ when String.equal last.Core.o_name "scf.yield" -> ()
-  | _ -> ignore (Builder.build body_builder "scf.yield")
+  attach b
+    (Core.create_op ~operands:[ lb; ub; step ]
+       ~regions:[ Core.create_region [ block ] ]
+       "scf.for");
+  parse_loop_body st block "scf.yield"
 
 and parse_func_at st b =
-  expect st (T_ident "func.func");
-  let name =
-    match (next st).tok with
-    | T_symbol s -> s
-    | other -> D.errorf "expected @name, found %s" (token_to_string other)
-  in
+  ignore (next st);
+  let t = next st in
+  let name = match t.tok with T_symbol s -> s | _ -> unexpected t "@name" in
   expect st T_lparen;
-  let rec params acc =
-    match (peek st).tok with
-    | T_rparen ->
-        ignore (next st);
-        List.rev acc
-    | T_comma ->
-        ignore (next st);
-        params acc
-    | _ ->
-        let v, _ = expect_value st in
+  let params =
+    list_to st T_rparen (fun st ->
+        let v = value_name st in
         expect st T_colon;
-        let ty = expect_type st in
-        params ((v, ty) :: acc)
+        (v, typ st))
   in
-  let params = params [] in
-  expect st T_lbrace;
   let f =
     Core.create_func ~name
       ~arg_types:(List.map snd params)
@@ -1126,38 +805,28 @@ and parse_func_at st b =
       define_value st pname (Core.func_entry f).Core.b_args.(i))
     params;
   attach b f;
-  let body_builder = Builder.at_end (Core.func_entry f) in
-  parse_block_ops st body_builder ~terminator:"func.return";
-  expect st T_rbrace;
-  f
+  expect st T_lbrace;
+  parse_block_ops st (Builder.at_end (Core.func_entry f));
+  expect st T_rbrace
 
 and parse_module_at st b =
   expect st (T_ident "builtin.module");
   expect st T_lbrace;
   let m = Core.create_module () in
   attach b m;
-  let inner = Builder.at_end (Core.module_block m) in
-  parse_block_ops st inner ~terminator:"";
+  parse_block_ops st (Builder.at_end (Core.module_block m));
   expect st T_rbrace;
   m
 
 (* ---- entry points -------------------------------------------------------- *)
 
-let with_state ~file src k =
-  let st = { toks = tokenize ~file src; values = Hashtbl.create 64 } in
-  let result = k st in
-  (match (peek st).tok with
-  | T_eof -> ()
-  | other ->
-      D.errorf ~loc:(peek st).loc "trailing input: %s" (token_to_string other));
-  result
-
 let parse_module ?(file = "<ir>") src =
-  with_state ~file src (fun st ->
-      (* Parse into a scratch holder block, then extract. *)
-      let holder = Core.create_block [] in
-      let b = Builder.at_end holder in
-      let m = parse_module_at st b in
-      Core.detach_op m;
-      Verifier.verify m;
-      m)
+  let st = { toks = tokenize ~file src; values = Hashtbl.create 64 } in
+  (* Parse into a scratch holder block, then extract. *)
+  let holder = Core.create_block [] in
+  let m = parse_module_at st (Builder.at_end holder) in
+  let t = peek st in
+  if t.tok <> T_eof then fail t "trailing input: %s" (token_to_string t.tok);
+  Core.detach_op m;
+  Verifier.verify m;
+  m

@@ -1,8 +1,13 @@
 module D = Support.Diag
 
+(* Errors sit at the op's source position, or its nearest located
+   ancestor's: ops built in memory have none, and their messages carry
+   no position. *)
 let fail op fmt =
   Format.kasprintf
-    (fun msg -> D.errorf "verifier: '%s' (id %d): %s" op.Core.o_name op.Core.o_id msg)
+    (fun msg ->
+      D.errorf ~loc:(Core.nearest_loc op) "verifier: '%s' (id %d): %s"
+        op.Core.o_name op.Core.o_id msg)
     fmt
 
 (* Scope = set of value ids visible at the current program point. Regions
@@ -14,8 +19,15 @@ let rec verify_op scope (op : Core.op) =
         fail op "operand %s used before definition or out of scope"
           (Printer.debug_value v))
     op.o_operands;
+  (* A dialect hook that raises without a position is located here; one
+     that trips over a missing or mistyped attribute ([Core.attr],
+     [Attr.get_*] raise [Invalid_argument]) rejects the op. *)
   (match Dialect.lookup op.o_name with
-  | Some d -> d.od_verify op
+  | Some d -> (
+      try d.od_verify op with
+      | D.Error (loc, msg) when not (Support.Loc.is_known loc) ->
+          D.error ~loc:(Core.nearest_loc op) msg
+      | Invalid_argument msg -> fail op "%s" msg)
   | None -> ());
   Array.iter
     (fun (r : Core.region) ->

@@ -7,7 +7,11 @@
       (per the {!Dialect} registry);
     - registered per-op verifiers pass.
 
-    Raises {!Support.Diag.Error} with a message naming the offending op. *)
+    Raises {!Support.Diag.Error} with a message naming the offending op,
+    located at the op's {!Core.nearest_loc} (an unlocated error from a
+    per-op verifier, or an [Invalid_argument] from a missing or mistyped
+    attribute, is raised there too). Ops built in memory carry no
+    location, so their messages have no position. *)
 
 val verify : Core.op -> unit
 

@@ -142,11 +142,17 @@ let rec skip_digits st =
 
 let next_is st c = st.pos < st.len && String.unsafe_get st.src st.pos = c
 
+let digit_run st =
+  let start = st.pos in
+  skip_digits st;
+  st.pos > start
+
 (* The number is the longest run at [pos] of an optional '-', digits, an
-   optional '.' and digits, and an optional 'e'/'E', sign and digits. A
-   bare integer of at most 15 digits is below 2^53, so its [int] value
-   converts to a float exactly; anything else is left to
-   [float_of_string], which also decides what is malformed. *)
+   optional '.' and digits, and an optional 'e'/'E', sign and digits. It
+   must match RFC 8259's grammar: an integer part without leading zeros,
+   and at least one digit after '.' and in the exponent. A bare integer
+   of at most 15 digits is below 2^53, so its [int] value converts to a
+   float exactly; anything else is left to [float_of_string]. *)
 let parse_number st =
   let start = st.pos in
   let neg = next_is st '-' in
@@ -154,10 +160,13 @@ let parse_number st =
   let digits = st.pos in
   skip_digits st;
   let n_digits = st.pos - digits in
+  let int_ok =
+    n_digits = 1 || (n_digits > 1 && String.unsafe_get st.src digits <> '0')
+  in
   let fraction_or_exponent =
     next_is st '.' || next_is st 'e' || next_is st 'E'
   in
-  if n_digits > 0 && n_digits <= 15 && not fraction_or_exponent then begin
+  if int_ok && n_digits <= 15 && not fraction_or_exponent then begin
     let n = ref 0 in
     for k = digits to st.pos - 1 do
       n := (!n * 10) + (Char.code (String.unsafe_get st.src k) - Char.code '0')
@@ -166,19 +175,25 @@ let parse_number st =
     if neg then -.f else f
   end
   else begin
-    if next_is st '.' then begin
-      st.pos <- st.pos + 1;
-      skip_digits st
-    end;
-    if next_is st 'e' || next_is st 'E' then begin
-      st.pos <- st.pos + 1;
-      if next_is st '+' || next_is st '-' then st.pos <- st.pos + 1;
-      skip_digits st
-    end;
+    let fraction_ok =
+      (not (next_is st '.'))
+      || begin
+           st.pos <- st.pos + 1;
+           digit_run st
+         end
+    in
+    let exponent_ok =
+      (not (next_is st 'e' || next_is st 'E'))
+      || begin
+           st.pos <- st.pos + 1;
+           if next_is st '+' || next_is st '-' then st.pos <- st.pos + 1;
+           digit_run st
+         end
+    in
     let text = String.sub st.src start (st.pos - start) in
     match float_of_string_opt text with
-    | Some f -> f
-    | None -> fail st (Printf.sprintf "invalid number %S" text)
+    | Some f when int_ok && fraction_ok && exponent_ok -> f
+    | _ -> fail st (Printf.sprintf "invalid number %S" text)
   end
 
 let rec parse_value st =

@@ -123,6 +123,26 @@ for tool in mlt_opt mlt_sim; do
     exit 1
   fi
 done
+# IR text is held to the same rule: a '-' before an affine map variable
+# (it once escaped the parser as Failure "int_of_string", exit 125) must
+# make mlt-opt fail as a Diag.Error located in the .mlir file (exit 124).
+cat > "$obs_tmp/neg_dim.mlir" <<'EOF'
+builtin.module {
+  func.func @c(%A: memref<4x6xf32>, %B: memref<6x3xf32>, %C: memref<4x3xf32>) {
+    linalg.contract indexing_maps = [affine_map<(d0, d1, d2) -> (-d0, d2)>, affine_map<(d0, d1, d2) -> (d2, d1)>, affine_map<(d0, d1, d2) -> (d0, d1)>] ins(%A, %B : memref<4x6xf32>, memref<6x3xf32>) outs(%C : memref<4x3xf32>)
+    func.return
+  }
+}
+EOF
+status=0
+_build/default/bin/mlt_opt.exe "$obs_tmp/neg_dim.mlir" > /dev/null \
+  2> "$obs_tmp/neg_dim.err" || status=$?
+if [ "$status" -ne 124 ] \
+  || ! grep -q "^mlt-opt: $obs_tmp/neg_dim.mlir:[0-9]*:[0-9]*: " "$obs_tmp/neg_dim.err"; then
+  cat "$obs_tmp/neg_dim.err" >&2
+  echo "check.sh: mlt-opt on a '-d0' affine map exited $status without a located error naming the file" >&2
+  exit 1
+fi
 # A schedule the simulator cannot time must fail as a Diag.Error located
 # in the input file (exit 124): lower_affine leaves scf.for loops, which
 # the simulator rejects at the loop's source position.

@@ -412,6 +412,42 @@ let test_undecodable_blob_heals () =
     (run ());
   Alcotest.(check (pair int int)) "second run is all hits" (2, 0) (run ())
 
+(* An entry whose source cannot be read fails before any lookup, so it is
+   no cache miss: report.json's cache_misses counts what Cache.hit_miss
+   counts. *)
+let test_unreadable_source_is_no_miss () =
+  with_tmp_dir @@ fun dir ->
+  let path name = Filename.concat dir name in
+  let _, src = List.hd (W.tiny_suite ()) in
+  Out_channel.with_open_bin (path "kernel.c") (fun oc ->
+      Out_channel.output_string oc src);
+  let entry name file =
+    {
+      Batch.Manifest.e_name = name;
+      e_source = Batch.Manifest.File (path file);
+      e_schedule = Mlt.Pipeline.Config Mlt.Pipeline.Mlt_linalg;
+    }
+  in
+  let manifest =
+    Batch.Manifest.of_entries
+      [ entry "kernel" "kernel.c"; entry "gone" "missing.c" ]
+  in
+  let t = C.open_ ~dir:(path "cache") in
+  let rp = Batch.Driver.run ~domains:1 ~cache:t manifest in
+  Alcotest.(check int) "the missing file fails" 1
+    (Batch.Driver.failed_count rp);
+  let cache_counts =
+    match J.parse (Batch.Driver.report_json rp) with
+    | Ok (J.Obj fields) ->
+        let count k = Option.get (J.to_int (List.assoc k fields)) in
+        (count "cache_hits", count "cache_misses")
+    | _ -> Alcotest.fail "report.json is not an object"
+  in
+  Alcotest.(check (pair int int)) "report.json: one lookup, one miss" (0, 1)
+    cache_counts;
+  Alcotest.(check (pair int int)) "hit_miss agrees with report.json"
+    cache_counts (C.hit_miss t)
+
 (* Cache identity is derived from the schedule's *printed script*, not
    its name or pass list: two schedules that differ only in a tile size
    must never alias each other's entries (the v1 identity, built from
@@ -541,6 +577,8 @@ let suite =
       test_killed_run_resumes_from_checkpoints;
     Alcotest.test_case "undecodable blob is replaced" `Quick
       test_undecodable_blob_heals;
+    Alcotest.test_case "unreadable source is no cache miss" `Quick
+      test_unreadable_source_is_no_miss;
     Alcotest.test_case "different tilings never alias in the cache" `Quick
       test_different_tilings_never_alias;
     Alcotest.test_case "schedule cache identities keep their digests" `Quick

@@ -155,7 +155,9 @@ let test_json_writer_roundtrip () =
 
 (* Every outcome below was recorded from the per-byte reader the
    index-based one replaced: accept or reject, the exact error text with
-   its byte offset, and each number's bits (n<Int64.bits_of_float>). *)
+   its byte offset, and each number's bits (n<Int64.bits_of_float>).
+   Numbers outside RFC 8259's grammar (a leading zero, a '.' or exponent
+   without digits) that reader accepted are pinned as rejected. *)
 let rec describe = function
   | J.Null -> "null"
   | J.Bool b -> string_of_bool b
@@ -175,21 +177,21 @@ let json_corpus =
     ("-0.0", "ok n8000000000000000");
     ("0.0", "ok n0");
     ("0e0", "ok n0");
-    ("007", "ok n401c000000000000");
-    ("-007", "ok nc01c000000000000");
-    ("01", "ok n3ff0000000000000");
-    ("1.", "ok n3ff0000000000000");
+    ("007", "error at byte 3: invalid number \"007\"");
+    ("-007", "error at byte 4: invalid number \"-007\"");
+    ("01", "error at byte 2: invalid number \"01\"");
+    ("1.", "error at byte 2: invalid number \"1.\"");
     ("-", "error at byte 1: invalid number \"-\"");
     ("-a", "error at byte 1: invalid number \"-\"");
     (".5", "error at byte 0: unexpected character '.'");
-    ("-.5", "ok nbfe0000000000000");
+    ("-.5", "error at byte 3: invalid number \"-.5\"");
     ("+1", "error at byte 0: unexpected character '+'");
     ("--1", "error at byte 1: invalid number \"-\"");
     ("1e", "error at byte 2: invalid number \"1e\"");
     ("1e+", "error at byte 3: invalid number \"1e+\"");
     ("1E+2", "ok n4059000000000000");
     ("1e-2", "ok n3f847ae147ae147b");
-    ("1.e5", "ok n40f86a0000000000");
+    ("1.e5", "error at byte 4: invalid number \"1.e5\"");
     ("1.5e-3", "ok n3f589374bc6a7efa");
     ("123.456e+7", "ok n41d2657900000000");
     ("1e400", "ok n7ff0000000000000");
@@ -208,7 +210,7 @@ let json_corpus =
     ("-123456789012345", "ok nc2dc12218377de40");
     ("999999999999999", "ok n430c6bf52633fff8");
     ("-999999999999999", "ok nc30c6bf52633fff8");
-    ("000000000000001", "ok n3ff0000000000000");
+    ("000000000000001", "error at byte 15: invalid number \"000000000000001\"");
     ("1000000000000000", "ok n430c6bf526340000");
     ("9007199254740992", "ok n4340000000000000");
     ("9007199254740993", "ok n4340000000000000");
