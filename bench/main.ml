@@ -337,8 +337,8 @@ let interp () =
   in
   let best reps run = List.fold_left min infinity (List.init reps (fun _ -> time_once run)) in
   let reps = if !quick then 1 else 3 in
-  Printf.printf "%-16s %12s %12s %9s %12s %9s %6s\n" "kernel" "walk (s)"
-    "compiled (s)" "speedup" "stage (s)" "checked" "fused";
+  Printf.printf "%-16s %12s %12s %9s %12s %9s %6s %6s\n" "kernel" "walk (s)"
+    "compiled (s)" "speedup" "stage (s)" "checked" "fused" "levels";
   let rows =
     List.map
       (fun (name, m) ->
@@ -362,20 +362,22 @@ let interp () =
         let compiled_t =
           best reps (fun () -> Interp.Compile.execute compiled cargs)
         in
-        Printf.printf "%-16s %12.6f %12.6f %8.1fx %12.6f %6d/%-3d %6d\n" name
-          walk_t compiled_t (walk_t /. compiled_t) stage_t
+        Printf.printf "%-16s %12.6f %12.6f %8.1fx %12.6f %6d/%-3d %6d %6d\n"
+          name walk_t compiled_t (walk_t /. compiled_t) stage_t
           compiled.Interp.Compile.c_checked_accesses
           (compiled.Interp.Compile.c_checked_accesses
           + compiled.Interp.Compile.c_unchecked_accesses)
-          compiled.Interp.Compile.c_fused_loops;
+          compiled.Interp.Compile.c_fused_loops
+          compiled.Interp.Compile.c_fused_levels;
         (name, walk_t, compiled_t, stage_t, compiled))
       cases
   in
   Printf.printf
     "(speedup = walker / compiled wall-clock; stage = one-time closure \
      compilation;\n checked = accesses the interval analysis could not prove \
-     in bounds;\n fused = innermost loops run as one native multiply-accumulate \
-     loop.)\n";
+     in bounds;\n fused = perfect loop nests run as one native \
+     multiply-accumulate walk;\n levels = the loop levels of those \
+     nests.)\n";
   Support.Atomic_io.with_file ~path:"BENCH_interp.json" (fun oc ->
   Printf.fprintf oc
     "{\n  \"run_meta\": %s,\n  \"quick\": %b,\n  \"n\": %d,\n  \"results\": [\n"
@@ -386,11 +388,13 @@ let interp () =
       Printf.fprintf oc
         "    {\"kernel\": %S, \"walk_s\": %.9f, \"compiled_s\": %.9f, \
          \"speedup\": %.2f, \"stage_s\": %.9f, \"checked_accesses\": %d, \
-         \"unchecked_accesses\": %d, \"fused_loops\": %d}%s\n"
+         \"unchecked_accesses\": %d, \"fused_loops\": %d, \
+         \"fused_levels\": %d}%s\n"
         name walk_t compiled_t (walk_t /. compiled_t) stage_t
         compiled.Interp.Compile.c_checked_accesses
         compiled.Interp.Compile.c_unchecked_accesses
         compiled.Interp.Compile.c_fused_loops
+        compiled.Interp.Compile.c_fused_levels
         (if i = List.length rows - 1 then "" else ","))
     rows;
   Printf.fprintf oc "  ]\n}\n");

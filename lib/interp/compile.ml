@@ -17,16 +17,24 @@
      prove (data-dependent or potentially out-of-range indices) falls
      back to the per-dimension checked path, which fails an index out of
      its dimension with a [Diag.Error] located at the access op;
-   - an innermost [affine.for] whose body is one multiply-accumulate
+   - a perfect [affine.for] nest (every level's body exactly the next
+     level plus its yield) whose innermost body is one multiply-accumulate
      statement [S = C + A * B] (three [affine.load]s, [arith.mulf],
      [arith.addf], the [affine.store] last; either operand order) whose
-     four accesses are proven in bounds with linear offsets runs as one
-     native loop over strided offsets ([compile_mac]), not as six op
-     closures per iteration. It reads the three loads before the store in
-     every iteration and applies the walker's [*.] and [+.] in IR operand
-     order, so buffers stay bit-identical (NaN payloads included) even
-     when the store aliases a load. Any other body keeps the closure path;
-     [c_fused_loops] counts the fused loops.
+     four accesses are proven in bounds with offsets linear in the
+     nest's ivs runs as one native strided walk ([compile_mac_nest]), not
+     as six op closures per iteration and a closure call per outer
+     iteration. Each access's base offset is staged once per nest entry;
+     each level advances the four offsets by its coefficient times its
+     step, and outer levels write their iv slot and evaluate the next
+     level's bounds per iteration, so tile [min]/[max] and iv-dependent
+     bounds hold. The innermost level reads the three loads before the
+     store in every iteration and applies the walker's [*.] and [+.] in IR
+     operand order, so buffers stay bit-identical (NaN payloads included)
+     even when the store aliases a load. A lone innermost loop is a nest
+     of depth 1. Any other body keeps the closure path, whose levels are
+     tried again as nests of their own; [c_fused_loops] counts the fused
+     nests and [c_fused_levels] their summed depth.
 
    The tree-walker in [Eval] remains the semantic oracle; differential
    tests assert bit-identical buffers between the two engines. *)
@@ -57,6 +65,7 @@ type ctx = {
   mutable checked_accesses : int;
   mutable unchecked_accesses : int;
   mutable fused_loops : int;
+  mutable fused_levels : int;
 }
 
 let create_ctx bounds =
@@ -71,6 +80,7 @@ let create_ctx bounds =
     checked_accesses = 0;
     unchecked_accesses = 0;
     fused_loops = 0;
+    fused_levels = 0;
   }
 
 (* Definition sites assign a slot (and with it the value's runtime class,
@@ -277,44 +287,15 @@ let compile_access ctx (op : Core.op) : code =
           b.data.(offset fr b) <- gv fr
   end
 
-(* ---------------- fused multiply-accumulate loops ----------------------- *)
-
-(* An access of a fused loop: its offset is [base fr + coeff * iv], where
-   [base] reads only values defined outside the loop. *)
-type strided = { s_buf : int; s_base : frame -> int; s_coeff : int }
-
-(* [Some] when [op] is proven in bounds and its row-major offset is
-   linear; the iv's coefficient sums over every map dim bound to it. *)
-let strided_access ctx (iv : Core.value) (op : Core.op) =
-  if not (Affine.Bounds.proven_in ctx.bounds op) then None
-  else
-    let bslot, shape, exprs, idx, slots = access_parts ctx op in
-    match E.linearize (E.row_major_offset (Buffer.strides_of shape) exprs) with
-    | Some ({ E.dim_coeffs; sym_coeffs = []; _ } as l) ->
-        let on_iv, rest =
-          List.partition (fun (d, _) -> Core.value_equal idx.(d) iv) dim_coeffs
-        in
-        let base = E.of_linear { l with dim_coeffs = rest } in
-        Some
-          {
-            s_buf = bslot;
-            s_base = compile_expr slots base;
-            s_coeff = List.fold_left (fun acc (_, k) -> acc + k) 0 on_iv;
-          }
-    | _ -> None
+(* ---------------- fused multiply-accumulate nests ----------------------- *)
 
 let ( let* ) = Option.bind
 
-(* [Some (a, b, c, s, product_first)] when [body], ignoring its
-   terminator, is exactly [s = addf(mulf(a, b), c)] ([product_first]) or
-   [s = addf(c, mulf(a, b))] over three distinct [affine.load]s, with the
-   [affine.store] [s] last. *)
-let match_mac (body : Core.block) =
-  let ops =
-    List.filter
-      (fun (op : Core.op) -> op.o_name <> "affine.yield")
-      (Core.ops_of_block body)
-  in
+(* [Some (a, b, c, s, product_first)] when a loop body's [ops], without
+   its terminator, are exactly [s = addf(mulf(a, b), c)] ([product_first])
+   or [s = addf(c, mulf(a, b))] over three distinct [affine.load]s, with
+   the [affine.store] [s] last. *)
+let match_mac (ops : Core.op list) =
   let def name (v : Core.value) =
     match v.v_def with
     | Core.Def_op (op, 0) when op.o_name = name && List.memq op ops -> Some op
@@ -343,58 +324,159 @@ let match_mac (body : Core.block) =
       else None
   | _ -> None
 
-(* An innermost multiply-accumulate loop as one native loop: bounds once
-   per entry, the four offsets once at the lower bound, then per
-   iteration three reads, the walker's [*.] and [+.] in IR operand order
-   and the store, each offset advancing by its coefficient times the
-   step. Reading before writing in every iteration keeps buffers
-   bit-identical to the walker even when the store aliases a load. [None]
-   (the closure path) unless all four accesses are [strided_access]es. *)
-let compile_mac ctx ~step ~lb_code ~ub_code (body : Core.block) : code option =
-  let* a, b, c, s, product_first = match_mac body in
-  let strided = strided_access ctx body.b_args.(0) in
-  let* a = strided a in
-  let* b = strided b in
-  let* c = strided c in
-  let* s = strided s in
+(* The row-major offset of an access proven in bounds, when it is linear. *)
+let linear_offset ctx (op : Core.op) =
+  if not (Affine.Bounds.proven_in ctx.bounds op) then None
+  else
+    let memref, exprs, _ = Option.get (Affine.Bounds.access op) in
+    match
+      E.linearize
+        (E.row_major_offset (Buffer.strides_of (static_shape_of memref)) exprs)
+    with
+    | Some ({ E.sym_coeffs = []; _ } as l) -> Some l
+    | _ -> None
+
+(* [Some (loops, (a, b, c, s, product_first))] when the perfect nest from
+   [op] ([Affine.Loops.perfect_nest]: every level's body is exactly the
+   next level) ends in a multiply-accumulate body whose four accesses are
+   proven in bounds with linear offsets. Stages nothing, so a [None]
+   leaves [ctx] as it was. *)
+let match_mac_nest ctx (op : Core.op) =
+  let loops, body = Affine.Loops.nest_with_body op in
+  let* (a, b, c, s, _) as mac = match_mac body in
+  if List.for_all (fun o -> linear_offset ctx o <> None) [ a; b; c; s ] then
+    Some (loops, mac)
+  else None
+
+(* An access of a fused nest: its offset is [base fr] plus, for every
+   level [l], [coeffs.(l)] times that level's iv; [base] reads only values
+   defined outside the nest. A coefficient sums over every map dim bound
+   to the level's iv. *)
+type strided = { s_buf : int; s_base : frame -> int; s_coeffs : int array }
+
+let strided_access ctx (ivs : Core.value array) (op : Core.op) =
+  let bslot, _, _, idx, slots = access_parts ctx op in
+  let l = Option.get (linear_offset ctx op) in
+  let coeffs = Array.make (Array.length ivs) 0 in
+  let rest =
+    List.filter
+      (fun (d, k) ->
+        match Array.find_index (Core.value_equal idx.(d)) ivs with
+        | Some lvl ->
+            coeffs.(lvl) <- coeffs.(lvl) + k;
+            false
+        | None -> true)
+      l.E.dim_coeffs
+  in
+  {
+    s_buf = bslot;
+    s_base = compile_expr slots (E.of_linear { l with dim_coeffs = rest });
+    s_coeffs = coeffs;
+  }
+
+(* A loop level: its step, bound closures and iv slot. *)
+type level = {
+  step : int;
+  lb_code : frame -> int;
+  ub_code : frame -> int;
+  iv_slot : int;
+}
+
+let compile_level ctx (op : Core.op) =
+  let body = check_loop_shape op in
+  let step = A.for_step op in
+  if step <= 0 then fail "interp: affine.for with non-positive step";
+  let lb_code = compile_bound ctx ~minimize:false (A.for_lb op) in
+  let ub_code = compile_bound ctx ~minimize:true (A.for_ub op) in
+  ({ step; lb_code; ub_code; iv_slot = def_int ctx body.b_args.(0) }, body)
+
+(* A perfect multiply-accumulate nest as one native walk. Per nest entry
+   the four buffers and the four base offsets are read once. Every outer
+   level evaluates its bounds on entry, writes its iv slot each iteration
+   (the next level's bounds may read it: tile [min]/[max]) and advances
+   the four offsets by its coefficients times its step. The innermost
+   level runs three reads, the walker's [*.] and [+.] in IR operand order
+   and the store per iteration. Reading before writing in every iteration
+   keeps buffers bit-identical to the walker even when the store aliases
+   a load, and the levels iterate in the walker's order. *)
+let compile_mac_nest ctx (loops, (a, b, c, s, product_first)) : code =
+  let levels =
+    Array.of_list (List.map (fun op -> fst (compile_level ctx op)) loops)
+  in
+  let ivs = Array.of_list (List.map A.for_iv loops) in
+  let a = strided_access ctx ivs a
+  and b = strided_access ctx ivs b
+  and c = strided_access ctx ivs c
+  and s = strided_access ctx ivs s in
   ctx.unchecked_accesses <- ctx.unchecked_accesses + 4;
   ctx.fused_loops <- ctx.fused_loops + 1;
-  Some
-    (fun fr ->
-      let lb = lb_code fr and ub = ub_code fr in
-      if lb < ub then begin
-        let da = fr.bufs.(a.s_buf).Buffer.data
-        and db = fr.bufs.(b.s_buf).Buffer.data
-        and dc = fr.bufs.(c.s_buf).Buffer.data
-        and ds = fr.bufs.(s.s_buf).Buffer.data in
-        let oa = ref (a.s_base fr + (a.s_coeff * lb))
-        and ob = ref (b.s_base fr + (b.s_coeff * lb))
-        and oc = ref (c.s_base fr + (c.s_coeff * lb))
-        and os = ref (s.s_base fr + (s.s_coeff * lb)) in
-        let sa = a.s_coeff * step
-        and sb = b.s_coeff * step
-        and sc = c.s_coeff * step
-        and ss = s.s_coeff * step in
+  ctx.fused_levels <- ctx.fused_levels + Array.length levels;
+  let last = Array.length levels - 1 in
+  (* Per level, each offset's coefficient and its advance per iteration. *)
+  let per_step (x : strided) =
+    Array.mapi (fun l k -> k * levels.(l).step) x.s_coeffs
+  in
+  let sa = per_step a and sb = per_step b and sc = per_step c
+  and ss = per_step s in
+  let inner = levels.(last) in
+  let step_in = inner.step in
+  let ka = a.s_coeffs.(last) and kb = b.s_coeffs.(last)
+  and kc = c.s_coeffs.(last) and ks = s.s_coeffs.(last) in
+  let sa_in = sa.(last) and sb_in = sb.(last) and sc_in = sc.(last)
+  and ss_in = ss.(last) in
+  fun fr ->
+    let da = fr.bufs.(a.s_buf).Buffer.data
+    and db = fr.bufs.(b.s_buf).Buffer.data
+    and dc = fr.bufs.(c.s_buf).Buffer.data
+    and ds = fr.bufs.(s.s_buf).Buffer.data in
+    let innermost oa ob oc os =
+      let lb = inner.lb_code fr and ub = inner.ub_code fr in
+      let oa = ref (oa + (ka * lb))
+      and ob = ref (ob + (kb * lb))
+      and oc = ref (oc + (kc * lb))
+      and os = ref (os + (ks * lb)) in
+      let i = ref lb in
+      if product_first then
+        while !i < ub do
+          ds.(!os) <- (da.(!oa) *. db.(!ob)) +. dc.(!oc);
+          oa := !oa + sa_in;
+          ob := !ob + sb_in;
+          oc := !oc + sc_in;
+          os := !os + ss_in;
+          i := !i + step_in
+        done
+      else
+        while !i < ub do
+          ds.(!os) <- dc.(!oc) +. (da.(!oa) *. db.(!ob));
+          oa := !oa + sa_in;
+          ob := !ob + sb_in;
+          oc := !oc + sc_in;
+          os := !os + ss_in;
+          i := !i + step_in
+        done
+    in
+    let rec level l oa ob oc os =
+      if l = last then innermost oa ob oc os
+      else begin
+        let lv = levels.(l) in
+        let lb = lv.lb_code fr and ub = lv.ub_code fr in
+        let oa = ref (oa + (a.s_coeffs.(l) * lb))
+        and ob = ref (ob + (b.s_coeffs.(l) * lb))
+        and oc = ref (oc + (c.s_coeffs.(l) * lb))
+        and os = ref (os + (s.s_coeffs.(l) * lb)) in
         let i = ref lb in
-        if product_first then
-          while !i < ub do
-            ds.(!os) <- (da.(!oa) *. db.(!ob)) +. dc.(!oc);
-            oa := !oa + sa;
-            ob := !ob + sb;
-            oc := !oc + sc;
-            os := !os + ss;
-            i := !i + step
-          done
-        else
-          while !i < ub do
-            ds.(!os) <- dc.(!oc) +. (da.(!oa) *. db.(!ob));
-            oa := !oa + sa;
-            ob := !ob + sb;
-            oc := !oc + sc;
-            os := !os + ss;
-            i := !i + step
-          done
-      end)
+        while !i < ub do
+          fr.ints.(lv.iv_slot) <- !i;
+          level (l + 1) !oa !ob !oc !os;
+          oa := !oa + sa.(l);
+          ob := !ob + sb.(l);
+          oc := !oc + sc.(l);
+          os := !os + ss.(l);
+          i := !i + lv.step
+        done
+      end
+    in
+    level 0 (a.s_base fr) (b.s_base fr) (c.s_base fr) (s.s_base fr)
 
 (* ---------------- operations -------------------------------------------- *)
 
@@ -482,15 +564,12 @@ and compile_op ctx (op : Core.op) : code option =
          yields a fresh zeroed buffer per iteration, like the walker. *)
       Some (fun fr -> fr.bufs.(d) <- Buffer.create shape)
   | "affine.for" -> (
-      let body = check_loop_shape op in
-      let step = A.for_step op in
-      if step <= 0 then fail "interp: affine.for with non-positive step";
-      let lb_code = compile_bound ctx ~minimize:false (A.for_lb op) in
-      let ub_code = compile_bound ctx ~minimize:true (A.for_ub op) in
-      let iv_slot = def_int ctx body.b_args.(0) in
-      match compile_mac ctx ~step ~lb_code ~ub_code body with
-      | Some _ as fused -> fused
+      match match_mac_nest ctx op with
+      | Some nest -> Some (compile_mac_nest ctx nest)
       | None ->
+          let { step; lb_code; ub_code; iv_slot }, body =
+            compile_level ctx op
+          in
           let body_code = compile_block ctx body in
           Some
             (fun fr ->
@@ -597,6 +676,7 @@ type compiled = {
   c_checked_accesses : int;
   c_unchecked_accesses : int;
   c_fused_loops : int;
+  c_fused_levels : int;
   c_body : code;
 }
 
@@ -628,6 +708,7 @@ let compile_func f =
     c_checked_accesses = ctx.checked_accesses;
     c_unchecked_accesses = ctx.unchecked_accesses;
     c_fused_loops = ctx.fused_loops;
+    c_fused_levels = ctx.fused_levels;
     c_body = body;
   }
 

@@ -7,9 +7,10 @@
     bound and access maps are pre-compiled, and memref accesses become
     precomputed-stride linear offsets. Accesses that {!Affine.Bounds}
     proves in bounds are unchecked; the rest fall back to the walker's
-    per-dimension checked path with identical failure behavior. An
-    innermost [affine.for] whose body is one multiply-accumulate statement
-    over proven, linear accesses runs as a single native strided loop.
+    per-dimension checked path with identical failure behavior. A perfect
+    [affine.for] nest whose innermost body is one multiply-accumulate
+    statement over proven, linear accesses runs as a single native
+    strided walk.
 
     The tree-walker in {!Eval} is the reference oracle; differential tests
     assert bit-identical buffers between the two engines. Compilation
@@ -41,9 +42,12 @@ type compiled = {
       (** accesses statically proven in bounds: a single unchecked
           linear-offset read/write (fused loops' four included) *)
   c_fused_loops : int;
-      (** innermost [affine.for] loops staged as one native
-          multiply-accumulate loop ([s = c + a * b], all four accesses
-          proven in bounds and linear) *)
+      (** perfect [affine.for] nests staged as one native
+          multiply-accumulate walk ([s = c + a * b] innermost, all four
+          accesses proven in bounds and linear); one per statement *)
+  c_fused_levels : int;
+      (** the loop levels of those nests, summed (a lone innermost loop
+          counts 1) *)
   c_body : code;
 }
 

@@ -97,6 +97,21 @@ let of_linear l =
   | Some a, 0 -> a
   | Some a, c -> Add (a, Const c)
 
+(* A sum or product rebuilt from simplified operands is linear again when
+   a floordiv or mod by 1 folded away inside it: collecting it then keeps
+   [simplify] idempotent, so a map prints the same after a text round
+   trip. A constant operand of such a product is always a [Const], so
+   [linear_shape] tells without allocating whether [linearize] succeeds
+   (most rebuilt sums keep a floordiv or mod). *)
+let rec linear_shape = function
+  | Dim _ | Sym _ | Const _ -> true
+  | Add (a, b) -> linear_shape a && linear_shape b
+  | Mul (Const _, e) | Mul (e, Const _) -> linear_shape e
+  | Mul _ | Floor_div _ | Mod _ -> false
+
+let relinearize e =
+  if linear_shape e then of_linear (Option.get (linearize e)) else e
+
 let rec simplify e =
   match linearize e with
   | Some l -> of_linear l
@@ -107,13 +122,13 @@ let rec simplify e =
           match (simplify a, simplify b) with
           | Const x, Const y -> Const (x + y)
           | Const 0, s | s, Const 0 -> s
-          | sa, sb -> Add (sa, sb))
+          | sa, sb -> relinearize (Add (sa, sb)))
       | Mul (a, b) -> (
           match (simplify a, simplify b) with
           | Const x, Const y -> Const (x * y)
           | Const 1, s | s, Const 1 -> s
           | (Const 0 as z), _ | _, (Const 0 as z) -> z
-          | sa, sb -> Mul (sa, sb))
+          | sa, sb -> relinearize (Mul (sa, sb)))
       | Floor_div (a, b) -> (
           match (simplify a, simplify b) with
           | Const x, Const y when y <> 0 -> Const (floordiv x y)

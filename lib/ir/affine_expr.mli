@@ -59,7 +59,9 @@ val of_linear : linear -> t
 
 (** [simplify e] canonicalizes: folds constants, flattens sums, and orders
     terms by variable index when [e] is purely linear; otherwise simplifies
-    sub-expressions recursively. *)
+    sub-expressions recursively and canonicalizes a sum or product that
+    became linear (a floordiv or mod by 1 folded away), so
+    [simplify (simplify e) = simplify e]. *)
 val simplify : t -> t
 
 (** {2 Queries} *)

@@ -223,7 +223,16 @@ let tokenize ~file src =
             done
         end;
         let text = String.sub src start (!pos - start) in
-        (match int_of_string_opt text with
+        (* Digits right after a '-' are the magnitude of a negative literal,
+           so 2^62, one past max_int, reads as min_int: the '-' then leaves
+           it unchanged ([-min_int = min_int]). *)
+        let int =
+          match int_of_string_opt text with
+          | None when start > 0 && src.[start - 1] = '-' ->
+              int_of_string_opt ("-" ^ text)
+          | i -> i
+        in
+        (match int with
         | Some i -> emit l (T_int i)
         | None -> (
             match float_of_string_opt text with

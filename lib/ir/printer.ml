@@ -3,7 +3,29 @@
    append themselves through their own [add_to_buffer]. The output must
    keep the bytes that scripts/mlt_opt_digests.txt and the cache-identity
    pins recorded, quirks included: the double space before a [loc(]
-   trailer after an [outs(...)] group, and [%g] for float constants. *)
+   trailer after an [outs(...)] group. Float constants print exactly
+   ([float_text]); 0.0 and 5.3, the only ones the recorded corpus holds,
+   print as the earlier [%g] printed them. *)
+
+(* A float constant as the shortest of [%.15g], [%.16g] and [%.17g] that
+   reads back to the same bits, so text round trips keep every constant.
+   [-0.0] keeps its sign, which [-0] would lose to the integer reading,
+   and infinities print as the parser's [infinity]/[-infinity]. *)
+let float_text f =
+  if f = 0. && Float.sign_bit f then "-0.0"
+  else if Float.is_finite f then
+    let exact p =
+      let s = Printf.sprintf "%.*g" p f in
+      if Int64.(equal (bits_of_float (float_of_string s)) (bits_of_float f))
+      then Some s
+      else None
+    in
+    match List.find_map exact [ 15; 16 ] with
+    | Some s -> s
+    | None -> Printf.sprintf "%.17g" f
+  else if Float.is_nan f then Printf.sprintf "%g" f
+  else if f > 0. then "infinity"
+  else "-infinity"
 
 type env = {
   names : (int, string) Hashtbl.t;  (** value id -> printed name *)
@@ -321,7 +343,7 @@ and add_op_body env indent (op : Core.op) =
       add_results env results;
       add_string env "arith.constant ";
       (match Core.attr op "value" with
-      | Attr.Float f -> add_string env (Printf.sprintf "%g" f)
+      | Attr.Float f -> add_string env (float_text f)
       | Attr.Int i -> add_int env i
       | a -> add_attr env a);
       add_string env " : ";

@@ -115,20 +115,32 @@ let prop_random_programs_engines_agree =
       engines_agree m "f"
       && engines_agree (Met.Emit_affine.translate src) "f" ~seed:43)
 
-(* ---- fused multiply-accumulate loops ------------------------------------ *)
+(* ---- fused multiply-accumulate nests ------------------------------------ *)
 
-(* One generated nest [for i { for k { S[..] = C[..] + A[..] * B[..] } }]
-   over 2-d arrays of extent [mac_u + 1], in every operand and load
-   order, with aliasing stores, reversed and shifted subscripts, steps 1-3,
-   zero-trip loops and tiled variants. *)
+(* One generated nest of 1-4 [affine.for] levels around
+   [S[..] = C[..] + A[..] * B[..]] over 2-d arrays of extent [mac_u + 1],
+   in every operand and load order, with aliasing stores, reversed
+   (negative-coefficient) and shifted subscripts over any level's iv,
+   constant, iv-dependent and [min]/[max] bounds, steps 1-3, zero-trip
+   levels, tiled variants and one optional non-perfect level. Every iv
+   stays in [0, mac_u). *)
 let mac_u = 6
 
 type mac_sub =
-  | Iv of int * [ `Plain | `Rev | `Shift ]  (** iv 0 (i) or 1 (k) *)
+  | Iv of int * [ `Plain | `Rev | `Shift ]  (** the iv of level [v] *)
   | Cst of int
 
+(* A lower bound [c], [v_p + d] or [max(c, v_p + d)]; an upper bound the
+   same with [min]. *)
+type mac_bound = Const of int | Outer of int * int | Clamp of int * int * int
+
+type mac_level = { lb : mac_bound; ub : mac_bound; step : int }
+
 type mac_draw = {
-  loops : (int * int * int) array;  (** lb, ub, step of i and k *)
+  levels : mac_level array;  (** outermost first; the last runs the MAC *)
+  split : int option;
+      (** a level whose body also holds a dead [affine.apply]: the nest
+          below it fuses, the levels down to it do not *)
   subs : (mac_sub * mac_sub) array;  (** A, B, C loads, then the store *)
   store_arr : int;  (** 0-2: A, B, C (aliasing a load); 3: a fresh D *)
   load_order : int list;  (** emission order of the A, B, C loads *)
@@ -147,21 +159,30 @@ let mac_sub_expr = function
   | Cst c -> E.const c
 
 let mac_print d =
+  let iv v = Printf.sprintf "v%d" v in
   let sub = function
-    | Iv (v, f) ->
-        let x = if v = 0 then "i" else "k" in
-        (match f with
-        | `Plain -> x
-        | `Rev -> Printf.sprintf "%d-%s" (mac_u - 1) x
-        | `Shift -> x ^ "+1")
+    | Iv (v, `Plain) -> iv v
+    | Iv (v, `Rev) -> Printf.sprintf "%d-%s" (mac_u - 1) (iv v)
+    | Iv (v, `Shift) -> iv v ^ "+1"
     | Cst c -> string_of_int c
   in
+  let bound sel = function
+    | Const c -> string_of_int c
+    | Outer (p, k) -> Printf.sprintf "%s%+d" (iv p) k
+    | Clamp (c, p, k) -> Printf.sprintf "%s(%d, %s%+d)" sel c (iv p) k
+  in
   let acc n (s0, s1) = Printf.sprintf "%s[%s][%s]" n (sub s0) (sub s1) in
-  let loop (lb, ub, st) = Printf.sprintf "[%d,%d) step %d" lb ub st in
   Printf.sprintf
-    "i %s, k %s: %s = %s; loads %s, mul_swap %b, product_first %b, \
+    "%s; split %s: %s = %s; loads %s, mul_swap %b, product_first %b, \
      mul_last %b, tile %s, oob %b, fill %d"
-    (loop d.loops.(0)) (loop d.loops.(1))
+    (String.concat ", "
+       (Array.to_list
+          (Array.mapi
+             (fun l lv ->
+               Printf.sprintf "%s [%s,%s) step %d" (iv l) (bound "max" lv.lb)
+                 (bound "min" lv.ub) lv.step)
+             d.levels)))
+    (match d.split with Some p -> iv p | None -> "-")
     (acc (String.make 1 "ABCD".[d.store_arr]) d.subs.(3))
     (Printf.sprintf "%s + %s * %s" (acc "C" d.subs.(2)) (acc "A" d.subs.(0))
        (acc "B" d.subs.(1)))
@@ -173,23 +194,51 @@ let mac_print d =
 
 let gen_mac =
   let open QCheck.Gen in
+  let* depth = int_range 1 4 in
   let* tile = opt ~ratio:0.25 (int_range 2 3) in
-  let loop =
+  let level l =
     match tile with
     (* Tiling takes zero-based unit-step loops. *)
-    | Some _ -> map (fun ub -> (0, ub, 1)) (int_range 1 mac_u)
+    | Some _ ->
+        map (fun ub -> { lb = Const 0; ub = Const ub; step = 1 })
+          (int_range 1 mac_u)
     | None ->
-        let* lb = int_range 0 3 in
-        let* ub = int_range 0 mac_u in
+        let outer = int_range 0 (max 0 (l - 1)) in
+        let choose const dependent =
+          if l = 0 then const else frequency [ (2, const); (3, dependent) ]
+        in
+        let* lb =
+          choose
+            (map (fun c -> Const c) (int_range 0 3))
+            (oneof
+               [
+                 map (fun p -> Outer (p, 0)) outer;
+                 map3 (fun c p k -> Clamp (c, p, k)) (int_range 0 2) outer
+                   (int_range (-2) 0);
+               ])
+        in
+        let* ub =
+          choose
+            (map (fun c -> Const c) (int_range 0 mac_u))
+            (oneof
+               [
+                 map (fun p -> Outer (p, 1)) outer;
+                 map3 (fun c p k -> Clamp (c, p, k)) (int_range 1 mac_u) outer
+                   (int_range 1 3);
+               ])
+        in
         let* step = int_range 1 3 in
-        return (lb, ub, step)
+        return { lb; ub; step }
   in
-  let* li = loop in
-  let* lk = loop in
+  let* levels = flatten_l (List.init depth level) in
+  let* split =
+    if tile <> None || depth = 1 then return None
+    else opt ~ratio:0.3 (int_range 0 (depth - 2))
+  in
   let sub =
     frequency
       [
-        (6, map2 (fun v f -> Iv (v, f)) (int_range 0 1)
+        (6, map2 (fun v f -> Iv (v, f)) (int_range 0 (depth - 1))
               (oneofl [ `Plain; `Rev; `Shift ]));
         (1, map (fun c -> Cst c) (int_range 0 mac_u));
       ]
@@ -209,7 +258,8 @@ let gen_mac =
   let* fill_seed = int_bound 1_000_000 in
   return
     {
-      loops = [| li; lk |];
+      levels = Array.of_list levels;
+      split;
       subs = Array.of_list (loads @ [ store ]);
       store_arr;
       load_order;
@@ -221,6 +271,23 @@ let gen_mac =
       fill_seed;
     }
 
+(* The depth of the fused nest: every level below the split, or the whole
+   nest, which tiling deepens by one tile loop per tiled level (a depth-1
+   nest is left untiled). *)
+let mac_fused_depth d =
+  let n = Array.length d.levels in
+  if d.oob then 0
+  else
+    match (d.split, d.tile) with
+    | Some p, _ -> n - 1 - p
+    | None, Some t when n > 1 ->
+        n
+        + Array.fold_left
+            (fun acc lv ->
+              match lv.ub with Const ub when t < ub -> acc + 1 | _ -> acc)
+            0 d.levels
+    | None, _ -> n
+
 let oob_loc = Support.Loc.make ~file:"mac.c" ~line:3 ~col:7
 
 let mac_func d =
@@ -230,47 +297,67 @@ let mac_func d =
       ~arg_hints:[ "A"; "B"; "C"; "D" ] ()
   in
   let arrs = Array.of_list (Core.func_args f) in
-  let b = Builder.at_end (Core.func_entry f) in
-  let loop b (lb, ub, step) body =
-    ignore (A.for_const b ~lb ~ub ~step body)
+  let depth = Array.length d.levels in
+  let body b ivs =
+    let map (s0, s1) =
+      (Affine_map.make ~n_dims:depth [ mac_sub_expr s0; mac_sub_expr s1 ], ivs)
+    in
+    let vals = Array.make 3 arrs.(0) and prod = ref arrs.(0) in
+    (* The mulf follows the later of A's and B's loads, or all three. *)
+    let pos l = Option.get (List.find_index (( = ) l) d.load_order) in
+    let mul_at = if d.mul_last then 2 else max (pos 0) (pos 1) in
+    List.iteri
+      (fun n l ->
+        let access =
+          if l = 0 && d.oob then
+            (* Row [v + u + 1] of the innermost iv is past the extent on
+               every trip. *)
+            ( Affine_map.make ~n_dims:depth
+                [ E.add (E.dim (depth - 1)) (E.const (mac_u + 1));
+                  mac_sub_expr (snd d.subs.(0)) ],
+              ivs )
+          else map d.subs.(l)
+        in
+        vals.(l) <- A.load b arrs.(l) access;
+        (if l = 0 && d.oob then
+           match vals.(0).Core.v_def with
+           | Core.Def_op (op, _) -> op.Core.o_loc <- oob_loc
+           | Core.Def_block_arg _ -> ());
+        if n = mul_at then
+          prod :=
+            if d.mul_swap then Std_dialect.Arith.mulf b vals.(1) vals.(0)
+            else Std_dialect.Arith.mulf b vals.(0) vals.(1))
+      d.load_order;
+    let p = !prod in
+    let sum =
+      if d.product_first then Std_dialect.Arith.addf b p vals.(2)
+      else Std_dialect.Arith.addf b vals.(2) p
+    in
+    ignore (A.store b sum arrs.(d.store_arr) (map d.subs.(3)))
   in
-  loop b d.loops.(0) (fun b i ->
-      loop b d.loops.(1) (fun b k ->
-          let map (s0, s1) =
-            (Affine_map.make ~n_dims:2 [ mac_sub_expr s0; mac_sub_expr s1 ],
-             [ i; k ])
-          in
-          let vals = Array.make 3 arrs.(0) and prod = ref arrs.(0) in
-          (* The mulf follows the later of A's and B's loads, or all three. *)
-          let pos l = Option.get (List.find_index (( = ) l) d.load_order) in
-          let mul_at = if d.mul_last then 2 else max (pos 0) (pos 1) in
-          List.iteri
-            (fun n l ->
-              let access =
-                if l = 0 && d.oob then
-                  (* Row [k + u + 1] is past the extent on every trip. *)
-                  ( Affine_map.make ~n_dims:2
-                      [ E.add (E.dim 1) (E.const (mac_u + 1));
-                        mac_sub_expr (snd d.subs.(0)) ],
-                    [ i; k ] )
-                else map d.subs.(l)
-              in
-              vals.(l) <- A.load b arrs.(l) access;
-              (if l = 0 && d.oob then
-                 match vals.(0).Core.v_def with
-                 | Core.Def_op (op, _) -> op.Core.o_loc <- oob_loc
-                 | Core.Def_block_arg _ -> ());
-              if n = mul_at then
-                prod :=
-                  if d.mul_swap then Std_dialect.Arith.mulf b vals.(1) vals.(0)
-                  else Std_dialect.Arith.mulf b vals.(0) vals.(1))
-            d.load_order;
-          let p = !prod in
-          let sum =
-            if d.product_first then Std_dialect.Arith.addf b p vals.(2)
-            else Std_dialect.Arith.addf b vals.(2) p
-          in
-          ignore (A.store b sum arrs.(d.store_arr) (map d.subs.(3)))));
+  let bound ivs = function
+    | Const c -> (Affine_map.constant_map [ c ], [])
+    | Outer (p, k) ->
+        (Affine_map.make ~n_dims:1 [ E.add (E.dim 0) (E.const k) ],
+         [ List.nth ivs p ])
+    | Clamp (c, p, k) ->
+        (Affine_map.make ~n_dims:1 [ E.const c; E.add (E.dim 0) (E.const k) ],
+         [ List.nth ivs p ])
+  in
+  let rec nest b l ivs =
+    if l = depth then body b ivs
+    else begin
+      let lv = d.levels.(l) in
+      if d.split = Some (l - 1) then
+        ignore
+          (A.apply b (Affine_map.make ~n_dims:1 [ E.dim 0 ])
+             [ List.nth ivs (l - 1) ]);
+      ignore
+        (A.for_ b ~lb:(bound ivs lv.lb) ~ub:(bound ivs lv.ub) ~step:lv.step
+           (fun b iv -> nest b (l + 1) (ivs @ [ iv ])))
+    end
+  in
+  nest (Builder.at_end (Core.func_entry f)) 0 [];
   Option.iter (fun size -> Transforms.Loop_tile.tile_all f ~size) d.tile;
   f
 
@@ -303,7 +390,7 @@ let bitwise_equal xs ys =
 let prop_fused_mac_is_walker =
   QCheck.Test.make
     ~name:"fused multiply-accumulate loops = walker (bitwise, NaN payloads)"
-    ~count:300
+    ~count:400
     (QCheck.make ~print:mac_print gen_mac)
     (fun d ->
       let f = mac_func d in
@@ -315,6 +402,7 @@ let prop_fused_mac_is_walker =
       let walk = run (Interp.Eval.run_func ~engine:Interp.Eval.Walk f) in
       let fused = run (Interp.Compile.execute c) in
       c.Interp.Compile.c_fused_loops = (if d.oob then 0 else 1)
+      && c.Interp.Compile.c_fused_levels = mac_fused_depth d
       &&
       match (walk, fused) with
       | Ok w, Ok x -> bitwise_equal w x
@@ -334,8 +422,10 @@ let test_mm_compiles_fully_unchecked () =
     c.Interp.Compile.c_checked_accesses;
   Alcotest.(check int) "all four accesses unchecked" 4
     c.Interp.Compile.c_unchecked_accesses;
-  Alcotest.(check int) "the k loop runs fused" 1
-    c.Interp.Compile.c_fused_loops
+  Alcotest.(check int) "the i, j, k nest runs fused" 1
+    c.Interp.Compile.c_fused_loops;
+  Alcotest.(check int) "as one walk of three levels" 3
+    c.Interp.Compile.c_fused_levels
 
 let test_frame_is_dense_and_reusable () =
   let c = compile_mm () in
@@ -453,36 +543,45 @@ let verify_kernels () =
             ~sizes:(List.map shrink sizes) ~name:"contraction" () ))
       (Workloads.Contraction_spec.paper_benchmarks ())
 
-(* [c_fused_loops] of the reference kernel, then under clang-O3,
-   pluto-default, mlt-linalg, mlt-blas and mlt-affine-blis. *)
+(* [c_fused_loops] and [c_fused_levels] of the reference kernel, then
+   under clang-O3, pluto-default, mlt-linalg, mlt-blas and mlt-affine-blis:
+   one row of each per kernel. *)
 let fused_loops_table () =
   let module P = Mlt.Pipeline in
   let fused m =
     let f = Option.get (Core.find_func m (func_name_of m)) in
-    (Interp.Compile.compile_func f).Interp.Compile.c_fused_loops
+    let c = Interp.Compile.compile_func f in
+    (c.Interp.Compile.c_fused_loops, c.Interp.Compile.c_fused_levels)
   in
-  List.map
-    (fun (name, src) ->
-      let counts =
-        fused (Met.Emit_affine.translate src)
-        :: List.map
-             (fun c ->
-               fused
-                 (P.prepare_schedule_module (P.Config c)
-                    (Met.Emit_affine.translate src)))
-             P.
-               [
-                 Clang_O3; Pluto_default; Mlt_linalg; Mlt_blas; Mlt_affine_blis;
-               ]
-      in
-      Printf.sprintf "%s %s" name
-        (String.concat " " (List.map string_of_int counts)))
-    (verify_kernels ())
+  let row name xs =
+    Printf.sprintf "%s %s" name (String.concat " " (List.map string_of_int xs))
+  in
+  List.split
+    (List.map
+       (fun (name, src) ->
+         let counts =
+           fused (Met.Emit_affine.translate src)
+           :: List.map
+                (fun c ->
+                  fused
+                    (P.prepare_schedule_module (P.Config c)
+                       (Met.Emit_affine.translate src)))
+                P.
+                  [
+                    Clang_O3; Pluto_default; Mlt_linalg; Mlt_blas;
+                    Mlt_affine_blis;
+                  ]
+         in
+         (row name (List.map fst counts), row name (List.map snd counts)))
+       (verify_kernels ()))
 
 let test_fused_loops_table () =
   (* mlt-blas leaves no loop nest; pluto-default fuses bicg's, gesummv's
      and mvt's two statements into one body, which stays on the closure
-     path. *)
+     path. Each fused nest holds one statement, so the loop counts are
+     those of the innermost-only fusion; the levels are the nests'
+     summed depths. *)
+  let loops, levels = fused_loops_table () in
   Alcotest.(check (list string)) "fused loops: reference + 5 schedules"
     [
       "atax 2 2 2 2 0 2";
@@ -502,7 +601,27 @@ let test_fused_loops_table () =
       "abcd-aebf-dfce 1 1 1 1 0 1";
       "abcd-aebf-fdec 1 1 1 1 0 1";
     ]
-    (fused_loops_table ())
+    loops;
+  Alcotest.(check (list string)) "fused levels: reference + 5 schedules"
+    [
+      "atax 4 4 2 8 0 4";
+      "bicg 4 4 0 8 0 4";
+      "gemver 4 4 8 8 0 4";
+      "gesummv 4 4 0 8 0 4";
+      "mvt 4 4 0 8 0 4";
+      "2mm 6 6 6 6 0 0";
+      "3mm 9 9 9 9 0 0";
+      "gemm 3 3 6 6 0 0";
+      "conv2d-nchw 7 7 7 7 0 7";
+      "ab-acd-dbc 4 4 4 4 0 4";
+      "abc-acd-db 4 4 4 4 0 4";
+      "abc-ad-bdc 4 4 4 4 0 4";
+      "ab-cad-dcb 4 4 4 4 0 4";
+      "abc-bda-dc 4 4 4 4 0 4";
+      "abcd-aebf-dfce 6 6 6 6 0 6";
+      "abcd-aebf-fdec 6 6 6 6 0 6";
+    ]
+    levels
 
 (* ---- pipeline-level differential check --------------------------------- *)
 

@@ -184,7 +184,7 @@ let test_generic_attr_forms () =
   let m =
     Parser.parse_module
       {|builtin.module {
-  "foo.bar"() {a = -3, b = true, c = false, d = unit, e = "q\"\\\n", f = nan, g = -infinity, h = f32, i = memref<2x?xf32>, j = [1, -2], k = [], l = {0, {1, 2}}, m = [affine_map<(d0)[s0] -> (d0 - s0)>, 3], n = -0x1.8p+1} : () -> ()
+  "foo.bar"() {a = -3, b = true, c = false, d = unit, e = "q\"\\\n", f = nan, g = -infinity, h = f32, i = memref<2x?xf32>, j = [1, -2], k = [], l = {0, {1, 2}}, m = [affine_map<(d0)[s0] -> (d0 - s0)>, 3], n = -0x1.8p+1, o = -4611686018427387904} : () -> ()
 }|}
   in
   let op = List.hd (Core.ops_of_block (Core.module_block m)) in
@@ -212,14 +212,14 @@ let test_generic_attr_forms () =
               [ Affine_expr.(Add (Dim 0, Mul (Const (-1), Sym 0))) ]);
          Attr.Int 3;
        ]);
-  check "n" (Attr.Float (-3.))
+  check "n" (Attr.Float (-3.));
+  check "o" (Attr.Int min_int)
 
 (* ---- generic attributes round-trip ------------------------------------- *)
 
-(* Sums of terms over the header's variables, divisors above 1. Deeper
-   nests and a floordiv or mod by 1 are left out: [Affine_expr.simplify]
-   then does not always reach the form its own printed text simplifies
-   to, so those maps do not print stably. *)
+(* Sums of terms over the header's variables, divisors from 1: a floordiv
+   or mod by 1 folds away inside the sum, which [Affine_expr.simplify]
+   must then collect for the map to print stably. *)
 let gen_map =
   let open QCheck.Gen in
   let* n_dims = int_range 1 3 in
@@ -238,8 +238,8 @@ let gen_map =
         map2 (fun v c -> E.Mul (v, E.Const c)) var (int_range (-4) 4);
         map3
           (fun a b c -> E.Floor_div (E.Add (a, b), E.Const c))
-          var var (int_range 2 5);
-        map2 (fun v c -> E.Mod (v, E.Const c)) var (int_range 2 5);
+          var var (int_range 1 5);
+        map2 (fun v c -> E.Mod (v, E.Const c)) var (int_range 1 5);
       ]
   in
   let expr =
@@ -249,15 +249,10 @@ let gen_map =
   in
   map (Affine_map.make ~n_dims ~n_syms) (list_size (int_range 1 3) expr)
 
-(* Every Attr.t kind. The text has no function types, and min_int has no
-   literal (its negation overflows). *)
+(* Every Attr.t kind. The text has no function types. *)
 let gen_attr =
   let open QCheck.Gen in
-  let int =
-    map
-      (fun i -> if i = min_int then max_int else i)
-      (oneof [ small_signed_int; int ])
-  in
+  let int = oneof [ small_signed_int; int; return min_int ] in
   let ints = list_size (int_bound 4) int in
   let scalar = oneofl Typ.[ F32; F64; I1; I32; I64; Index ] in
   let dim =
@@ -403,6 +398,48 @@ let test_parse_hand_written () =
   Interp.Eval.run_func f [ buf ];
   Alcotest.(check (float 0.)) "zeroed" 0. buf.Interp.Buffer.data.(4)
 
+let test_float_constants_roundtrip () =
+  (* Each constant prints as text that reads back to the same bits, and
+     the printed module is a fixed point. *)
+  let src =
+    {|builtin.module {
+  func.func @k() {
+    %a = arith.constant 0.123456789 : f32
+    %b = arith.constant 1e400 : f64
+    %c = arith.constant -1e400 : f64
+    %d = arith.constant -0.0 : f64
+    %e = arith.constant 1e-300 : f64
+    %f = arith.constant 0.1 : f64
+    %g = arith.constant 5.3 : f32
+    func.return
+  }
+}|}
+  in
+  let expected =
+    [ 0.123456789; Float.infinity; Float.neg_infinity; -0.0; 1e-300; 0.1; 5.3 ]
+  in
+  let constants m =
+    let f = Option.get (Core.find_func m "k") in
+    List.filter_map
+      (fun (op : Core.op) ->
+        match Core.find_attr op "value" with
+        | Some (Attr.Float x) -> Some (Int64.bits_of_float x)
+        | _ -> None)
+      (Core.ops_of_block (Core.func_entry f))
+  in
+  let m = Parser.parse_module src in
+  let printed = Printer.op_to_string m in
+  let m2 = Parser.parse_module printed in
+  Alcotest.(check (list int64)) "bits after one round trip"
+    (List.map Int64.bits_of_float expected) (constants m2);
+  Alcotest.(check string) "printed text is a fixed point" printed
+    (Printer.op_to_string m2);
+  List.iter
+    (fun text ->
+      Alcotest.(check bool) ("prints " ^ text) true
+        (Astring_contains.contains printed ("arith.constant " ^ text ^ " :")))
+    [ "0.123456789"; "infinity"; "-infinity"; "-0.0"; "1e-300"; "0.1"; "5.3" ]
+
 let suite =
   [
     Alcotest.test_case "roundtrip all workloads" `Quick
@@ -420,6 +457,8 @@ let suite =
       test_roundtrip_contract_generic;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "generic attribute forms" `Quick test_generic_attr_forms;
+    Alcotest.test_case "float constants round-trip as text" `Quick
+      test_float_constants_roundtrip;
     QCheck_alcotest.to_alcotest prop_generic_attrs_roundtrip;
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| 29 |])
