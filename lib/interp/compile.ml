@@ -9,10 +9,11 @@
    - op dispatch (the walker's per-iteration string match) is resolved
      once at compile time: each op becomes a closure specialized to its
      operand/result slots;
-   - affine bound maps and access maps are pre-compiled to closures;
-     loop bounds are evaluated once per loop entry;
-   - memref accesses lower to precomputed row-major-stride linear
-     offsets. An access that [Affine.Bounds] proves in bounds is a
+   - affine bounds, [affine.apply] maps and access offsets are staged
+     by [Affine.Stage], which also numbers the integer slots; loop bounds
+     are evaluated once per loop entry;
+   - memref accesses lower to row-major linear offsets. An access that
+     [Affine.Bounds] proves in bounds is a
      single unchecked [data.(offset)] read/write; anything it cannot
      prove (data-dependent or potentially out-of-range indices) falls
      back to the per-dimension checked path, which fails an index out of
@@ -24,7 +25,8 @@
      four accesses are proven in bounds with offsets linear in the
      nest's ivs runs as one native strided walk ([compile_mac_nest]), not
      as six op closures per iteration and a closure call per outer
-     iteration. Each access's base offset is staged once per nest entry;
+     iteration. Each access's offset is [Affine.Stage.strided]: a base
+     evaluated once per nest entry and a coefficient per level;
      each level advances the four offsets by its coefficient times its
      step, and outer levels write their iv slot and evaluate the next
      level's bounds per iteration, so tile [min]/[max] and iv-dependent
@@ -41,7 +43,6 @@
 
 open Ir
 module A = Affine.Affine_ops
-module E = Affine_expr
 open Rt
 
 type frame = {
@@ -55,11 +56,10 @@ type code = frame -> unit
 (* ---------------- compilation context ----------------------------------- *)
 
 type ctx = {
-  int_slot : (int, int) Hashtbl.t; (* value id -> frame.ints index *)
-  float_slot : (int, int) Hashtbl.t;
+  stage : Affine.Stage.t; (* integer values: frame.ints slots *)
+  float_slot : (int, int) Hashtbl.t; (* value id -> frame.floats index *)
   buf_slot : (int, int) Hashtbl.t;
   bounds : Affine.Bounds.t;
-  mutable n_ints : int;
   mutable n_floats : int;
   mutable n_bufs : int;
   mutable checked_accesses : int;
@@ -70,11 +70,10 @@ type ctx = {
 
 let create_ctx bounds =
   {
-    int_slot = Hashtbl.create 64;
+    stage = Affine.Stage.create ~who:"interp";
     float_slot = Hashtbl.create 64;
     buf_slot = Hashtbl.create 16;
     bounds;
-    n_ints = 0;
     n_floats = 0;
     n_bufs = 0;
     checked_accesses = 0;
@@ -85,11 +84,7 @@ let create_ctx bounds =
 
 (* Definition sites assign a slot (and with it the value's runtime class,
    mirroring the walker's dynamic R_int/R_float/R_buf tagging). *)
-let def_int ctx (v : Core.value) =
-  let s = ctx.n_ints in
-  ctx.n_ints <- s + 1;
-  Hashtbl.replace ctx.int_slot v.v_id s;
-  s
+let def_int ctx v = Affine.Stage.def ctx.stage v
 
 let def_float ctx (v : Core.value) =
   let s = ctx.n_floats in
@@ -103,26 +98,24 @@ let def_buf ctx (v : Core.value) =
   Hashtbl.replace ctx.buf_slot v.v_id s;
   s
 
-(* Use sites resolve slots; SSA dominance guarantees the definition was
-   compiled first, so a missing slot is a class mismatch. *)
-let int_slot ctx (v : Core.value) =
-  match Hashtbl.find_opt ctx.int_slot v.v_id with
-  | Some s -> s
-  | None -> fail "interp: expected an integer value"
+(* Use sites resolve the slots of [op]'s operands; SSA dominance
+   guarantees the definition was compiled first, so a missing slot is a
+   class mismatch. *)
+let int_slot ctx op v = Affine.Stage.use ctx.stage op v
 
-let buf_slot ctx (v : Core.value) =
+let buf_slot ctx op (v : Core.value) =
   match Hashtbl.find_opt ctx.buf_slot v.v_id with
   | Some s -> s
-  | None -> fail "interp: expected a buffer value"
+  | None -> error_at op "interp: expected a buffer value"
 
 (* Float reads coerce integer operands like the walker's [as_float]. *)
-let float_rd ctx (v : Core.value) : frame -> float =
+let float_rd ctx op (v : Core.value) : frame -> float =
   match Hashtbl.find_opt ctx.float_slot v.v_id with
   | Some s -> fun fr -> fr.floats.(s)
   | None -> (
-      match Hashtbl.find_opt ctx.int_slot v.v_id with
+      match Affine.Stage.find ctx.stage v with
       | Some s -> fun fr -> float_of_int fr.ints.(s)
-      | None -> fail "interp: expected a float value")
+      | None -> error_at op "interp: expected a float value")
 
 let float_slot2 ctx (a : Core.value) (b : Core.value) =
   match
@@ -132,132 +125,40 @@ let float_slot2 ctx (a : Core.value) (b : Core.value) =
   | Some sa, Some sb -> Some (sa, sb)
   | _ -> None
 
-let static_shape_of (v : Core.value) =
+let static_shape_of op (v : Core.value) =
   match Typ.static_shape v.Core.v_typ with
   | Some shape -> Array.of_list shape
   | None ->
-      fail "interp: dynamic memref shapes unsupported (%s)"
+      error_at op "interp: dynamic memref shapes unsupported (%s)"
         (Typ.to_string v.Core.v_typ)
-
-(* ---------------- staged affine expressions over frame slots ------------ *)
-
-(* Like [Affine_expr.compile], but dimension [i] reads the frame's integer
-   slot [slots.(i)] instead of an argument array, so access/bound closures
-   plug straight into the register frame. *)
-let compile_expr (slots : int array) (e : E.t) : frame -> int =
-  let rec go = function
-    | E.Dim i ->
-        let s = slots.(i) in
-        fun fr -> fr.ints.(s)
-    | E.Sym _ -> fail "interp: affine symbols unsupported"
-    | E.Const c -> fun _ -> c
-    | E.Add (a, E.Const c) ->
-        let ca = go a in
-        fun fr -> ca fr + c
-    | E.Add (a, b) ->
-        let ca = go a and cb = go b in
-        fun fr -> ca fr + cb fr
-    | E.Mul (E.Const k, E.Dim i) | E.Mul (E.Dim i, E.Const k) ->
-        let s = slots.(i) in
-        fun fr -> k * fr.ints.(s)
-    | E.Mul (a, b) ->
-        let ca = go a and cb = go b in
-        fun fr -> ca fr * cb fr
-    | E.Floor_div (a, b) ->
-        let ca = go a and cb = go b in
-        fun fr -> floordivsi (ca fr) (cb fr)
-    | E.Mod (a, b) ->
-        let ca = go a and cb = go b in
-        fun fr -> remsi (ca fr) (cb fr)
-  in
-  match E.linearize e with
-  | Some { E.dim_coeffs = []; sym_coeffs = []; constant } -> fun _ -> constant
-  | Some { E.dim_coeffs = [ (d, 1) ]; sym_coeffs = []; constant = 0 } ->
-      let s = slots.(d) in
-      fun fr -> fr.ints.(s)
-  | Some { E.dim_coeffs = [ (d, k) ]; sym_coeffs = []; constant } ->
-      let s = slots.(d) in
-      fun fr -> (k * fr.ints.(s)) + constant
-  | Some { E.dim_coeffs = [ (d0, k0); (d1, k1) ]; sym_coeffs = []; constant }
-    ->
-      let s0 = slots.(d0) and s1 = slots.(d1) in
-      fun fr -> (k0 * fr.ints.(s0)) + (k1 * fr.ints.(s1)) + constant
-  | _ -> go e
-
-(* ---------------- bound maps -------------------------------------------- *)
-
-(* Compile a loop bound to a closure. Multi-result maps fold with min
-   (upper bounds) / max (lower bounds); all-constant maps collapse to a
-   constant closure. *)
-let compile_bound ctx ~minimize ((map, args) : A.bound) =
-  if map.Affine_map.n_syms <> 0 then
-    fail "interp: affine loop bounds with symbols unsupported";
-  if map.Affine_map.exprs = [] then
-    fail "interp: affine loop bound map has no results";
-  if List.length args <> map.Affine_map.n_dims then
-    fail "interp: affine loop bound operands do not match map";
-  let slots = Array.of_list (List.map (int_slot ctx) args) in
-  let sel = if minimize then min else max in
-  match List.map E.is_constant map.Affine_map.exprs with
-  | Some c :: cs when List.for_all Option.is_some cs ->
-      let v = List.fold_left (fun acc c -> sel acc (Option.get c)) c cs in
-      fun _ -> v
-  | _ -> (
-      match List.map (compile_expr slots) map.Affine_map.exprs with
-      | [ c ] -> c
-      | c0 :: rest ->
-          let rest = Array.of_list rest in
-          fun fr ->
-            let acc = ref (c0 fr) in
-            for i = 0 to Array.length rest - 1 do
-              acc := sel !acc (rest.(i) fr)
-            done;
-            !acc
-      | [] -> assert false)
 
 (* ---------------- memory accesses --------------------------------------- *)
 
-(* The validated parts of an access that both of its stagings read: its
-   buffer slot, shape, subscripts, index operands and their frame slots. *)
-let access_parts ctx (op : Core.op) =
-  let memref, exprs, idx = Option.get (Affine.Bounds.access op) in
-  let bslot = buf_slot ctx memref in
-  let shape = static_shape_of memref in
-  if A.is_load op || A.is_store op then begin
-    let map = A.access_map op in
-    if map.Affine_map.n_syms <> 0 then
-      fail "interp: affine access maps with symbols unsupported";
-    if List.length exprs <> Array.length shape then
-      fail "interp: %s access map arity does not match memref rank"
-        op.Core.o_name;
-    if Array.length idx <> map.Affine_map.n_dims then
-      fail "interp: %s index operand count does not match access map"
-        op.Core.o_name
-  end;
-  (bslot, shape, exprs, idx, Array.map (int_slot ctx) idx)
+let access_buf ctx op =
+  let memref, _, _ = Option.get (Affine.Bounds.access op) in
+  buf_slot ctx op memref
 
 (* Affine and memref accesses alike: one that [Affine.Bounds] proves in
    bounds is a single stride-weighted indexed read/write; any other takes
    the checked per-dimension fallback. *)
 let compile_access ctx (op : Core.op) : code =
-  let bslot, shape, exprs, _, slots = access_parts ctx op in
+  let bslot = access_buf ctx op in
   let kind =
     if String.ends_with ~suffix:".store" op.o_name then
-      `Store (float_rd ctx (Core.operand op 0))
+      `Store (float_rd ctx op (Core.operand op 0))
     else `Load (def_float ctx (Core.result op 0))
   in
   if Affine.Bounds.proven_in ctx.bounds op then begin
     ctx.unchecked_accesses <- ctx.unchecked_accesses + 1;
-    let off =
-      compile_expr slots (E.row_major_offset (Buffer.strides_of shape) exprs)
-    in
+    let off = Affine.Stage.offset ctx.stage op in
     match kind with
-    | `Load d -> fun fr -> fr.floats.(d) <- fr.bufs.(bslot).Buffer.data.(off fr)
-    | `Store gv -> fun fr -> fr.bufs.(bslot).Buffer.data.(off fr) <- gv fr
+    | `Load d ->
+        fun fr -> fr.floats.(d) <- fr.bufs.(bslot).Buffer.data.(off fr.ints)
+    | `Store gv -> fun fr -> fr.bufs.(bslot).Buffer.data.(off fr.ints) <- gv fr
   end
   else begin
     ctx.checked_accesses <- ctx.checked_accesses + 1;
-    let comp = Array.of_list (List.map (compile_expr slots) exprs) in
+    let comp = Affine.Stage.subscripts ctx.stage op in
     let n = Array.length comp in
     let loc = Core.nearest_loc op in
     (* [Buffer.linear_index]'s checks, but an index out of its dimension
@@ -267,7 +168,7 @@ let compile_access ctx (op : Core.op) : code =
         invalid_arg "Buffer: index rank mismatch";
       let o = ref 0 in
       for i = 0 to n - 1 do
-        let x = comp.(i) fr in
+        let x = comp.(i) fr.ints in
         if x < 0 || x >= b.shape.(i) then
           Support.Diag.errorf ~loc
             "interp: %s index %d out of bounds [0, %d) at dim %d"
@@ -324,70 +225,44 @@ let match_mac (ops : Core.op list) =
       else None
   | _ -> None
 
-(* The row-major offset of an access proven in bounds, when it is linear. *)
-let linear_offset ctx (op : Core.op) =
-  if not (Affine.Bounds.proven_in ctx.bounds op) then None
-  else
-    let memref, exprs, _ = Option.get (Affine.Bounds.access op) in
-    match
-      E.linearize
-        (E.row_major_offset (Buffer.strides_of (static_shape_of memref)) exprs)
-    with
-    | Some ({ E.sym_coeffs = []; _ } as l) -> Some l
-    | _ -> None
-
 (* [Some (loops, (a, b, c, s, product_first))] when the perfect nest from
    [op] ([Affine.Loops.perfect_nest]: every level's body is exactly the
    next level) ends in a multiply-accumulate body whose four accesses are
-   proven in bounds with linear offsets. Stages nothing, so a [None]
+   proven in bounds with offsets linear in the nest's ivs: each is its
+   buffer slot and its {!Affine.Stage.strided} offset, whose base reads
+   only values defined outside the nest. Allocates no slot, so a [None]
    leaves [ctx] as it was. *)
 let match_mac_nest ctx (op : Core.op) =
   let loops, body = Affine.Loops.nest_with_body op in
-  let* (a, b, c, s, _) as mac = match_mac body in
-  if List.for_all (fun o -> linear_offset ctx o <> None) [ a; b; c; s ] then
-    Some (loops, mac)
-  else None
-
-(* An access of a fused nest: its offset is [base fr] plus, for every
-   level [l], [coeffs.(l)] times that level's iv; [base] reads only values
-   defined outside the nest. A coefficient sums over every map dim bound
-   to the level's iv. *)
-type strided = { s_buf : int; s_base : frame -> int; s_coeffs : int array }
-
-let strided_access ctx (ivs : Core.value array) (op : Core.op) =
-  let bslot, _, _, idx, slots = access_parts ctx op in
-  let l = Option.get (linear_offset ctx op) in
-  let coeffs = Array.make (Array.length ivs) 0 in
-  let rest =
-    List.filter
-      (fun (d, k) ->
-        match Array.find_index (Core.value_equal idx.(d)) ivs with
-        | Some lvl ->
-            coeffs.(lvl) <- coeffs.(lvl) + k;
-            false
-        | None -> true)
-      l.E.dim_coeffs
+  let* a, b, c, s, product_first = match_mac body in
+  let ivs = Array.of_list (List.map A.for_iv loops) in
+  let strided x =
+    if not (Affine.Bounds.proven_in ctx.bounds x) then None
+    else
+      Option.map
+        (fun o -> (access_buf ctx x, o))
+        (Affine.Stage.strided ctx.stage ivs x)
   in
-  {
-    s_buf = bslot;
-    s_base = compile_expr slots (E.of_linear { l with dim_coeffs = rest });
-    s_coeffs = coeffs;
-  }
+  let* a = strided a in
+  let* b = strided b in
+  let* c = strided c in
+  let* s = strided s in
+  Some (loops, (a, b, c, s, product_first))
 
 (* A loop level: its step, bound closures and iv slot. *)
 type level = {
   step : int;
-  lb_code : frame -> int;
-  ub_code : frame -> int;
+  lb_code : int array -> int;
+  ub_code : int array -> int;
   iv_slot : int;
 }
 
 let compile_level ctx (op : Core.op) =
   let body = check_loop_shape op in
   let step = A.for_step op in
-  if step <= 0 then fail "interp: affine.for with non-positive step";
-  let lb_code = compile_bound ctx ~minimize:false (A.for_lb op) in
-  let ub_code = compile_bound ctx ~minimize:true (A.for_ub op) in
+  if step <= 0 then error_at op "interp: affine.for with non-positive step";
+  let lb_code = Affine.Stage.lower_bound ctx.stage op in
+  let ub_code = Affine.Stage.upper_bound ctx.stage op in
   ({ step; lb_code; ub_code; iv_slot = def_int ctx body.b_args.(0) }, body)
 
 (* A perfect multiply-accumulate nest as one native walk. Per nest entry
@@ -399,38 +274,34 @@ let compile_level ctx (op : Core.op) =
    and the store per iteration. Reading before writing in every iteration
    keeps buffers bit-identical to the walker even when the store aliases
    a load, and the levels iterate in the walker's order. *)
-let compile_mac_nest ctx (loops, (a, b, c, s, product_first)) : code =
+let compile_mac_nest ctx
+    (loops, ((ba, a), (bb, b), (bc, c), (bs, s), product_first)) : code =
   let levels =
     Array.of_list (List.map (fun op -> fst (compile_level ctx op)) loops)
   in
-  let ivs = Array.of_list (List.map A.for_iv loops) in
-  let a = strided_access ctx ivs a
-  and b = strided_access ctx ivs b
-  and c = strided_access ctx ivs c
-  and s = strided_access ctx ivs s in
   ctx.unchecked_accesses <- ctx.unchecked_accesses + 4;
   ctx.fused_loops <- ctx.fused_loops + 1;
   ctx.fused_levels <- ctx.fused_levels + Array.length levels;
   let last = Array.length levels - 1 in
   (* Per level, each offset's coefficient and its advance per iteration. *)
-  let per_step (x : strided) =
-    Array.mapi (fun l k -> k * levels.(l).step) x.s_coeffs
+  let per_step (x : Affine.Stage.strided) =
+    Array.mapi (fun l k -> k * levels.(l).step) x.coeffs
   in
   let sa = per_step a and sb = per_step b and sc = per_step c
   and ss = per_step s in
   let inner = levels.(last) in
   let step_in = inner.step in
-  let ka = a.s_coeffs.(last) and kb = b.s_coeffs.(last)
-  and kc = c.s_coeffs.(last) and ks = s.s_coeffs.(last) in
+  let ka = a.coeffs.(last) and kb = b.coeffs.(last)
+  and kc = c.coeffs.(last) and ks = s.coeffs.(last) in
   let sa_in = sa.(last) and sb_in = sb.(last) and sc_in = sc.(last)
   and ss_in = ss.(last) in
   fun fr ->
-    let da = fr.bufs.(a.s_buf).Buffer.data
-    and db = fr.bufs.(b.s_buf).Buffer.data
-    and dc = fr.bufs.(c.s_buf).Buffer.data
-    and ds = fr.bufs.(s.s_buf).Buffer.data in
+    let da = fr.bufs.(ba).Buffer.data
+    and db = fr.bufs.(bb).Buffer.data
+    and dc = fr.bufs.(bc).Buffer.data
+    and ds = fr.bufs.(bs).Buffer.data in
     let innermost oa ob oc os =
-      let lb = inner.lb_code fr and ub = inner.ub_code fr in
+      let lb = inner.lb_code fr.ints and ub = inner.ub_code fr.ints in
       let oa = ref (oa + (ka * lb))
       and ob = ref (ob + (kb * lb))
       and oc = ref (oc + (kc * lb))
@@ -459,11 +330,11 @@ let compile_mac_nest ctx (loops, (a, b, c, s, product_first)) : code =
       if l = last then innermost oa ob oc os
       else begin
         let lv = levels.(l) in
-        let lb = lv.lb_code fr and ub = lv.ub_code fr in
-        let oa = ref (oa + (a.s_coeffs.(l) * lb))
-        and ob = ref (ob + (b.s_coeffs.(l) * lb))
-        and oc = ref (oc + (c.s_coeffs.(l) * lb))
-        and os = ref (os + (s.s_coeffs.(l) * lb)) in
+        let lb = lv.lb_code fr.ints and ub = lv.ub_code fr.ints in
+        let oa = ref (oa + (a.coeffs.(l) * lb))
+        and ob = ref (ob + (b.coeffs.(l) * lb))
+        and oc = ref (oc + (c.coeffs.(l) * lb))
+        and os = ref (os + (s.coeffs.(l) * lb)) in
         let i = ref lb in
         while !i < ub do
           fr.ints.(lv.iv_slot) <- !i;
@@ -476,7 +347,8 @@ let compile_mac_nest ctx (loops, (a, b, c, s, product_first)) : code =
         done
       end
     in
-    level 0 (a.s_base fr) (b.s_base fr) (c.s_base fr) (s.s_base fr)
+    let ints = fr.ints in
+    level 0 (a.base ints) (b.base ints) (c.base ints) (s.base ints)
 
 (* ---------------- operations -------------------------------------------- *)
 
@@ -518,7 +390,7 @@ and compile_op ctx (op : Core.op) : code option =
       | Attr.Int i ->
           let d = def_int ctx (Core.result op 0) in
           Some (fun fr -> fr.ints.(d) <- i)
-      | a -> fail "interp: bad constant %s" (Attr.to_string a))
+      | a -> error_at op "interp: bad constant %s" (Attr.to_string a))
   | "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf" -> (
       let x = Core.operand op 0 and y = Core.operand op 1 in
       let d = def_float ctx (Core.result op 0) in
@@ -536,7 +408,7 @@ and compile_op ctx (op : Core.op) : code option =
       | None ->
           (* Mixed int/float operands: coerce through getters like the
              walker's [as_float]. *)
-          let ga = float_rd ctx x and gb = float_rd ctx y in
+          let ga = float_rd ctx op x and gb = float_rd ctx op y in
           Some
             (match op.o_name with
             | "arith.addf" -> fun fr -> fr.floats.(d) <- ga fr +. gb fr
@@ -546,7 +418,7 @@ and compile_op ctx (op : Core.op) : code option =
   | "arith.addi" | "arith.subi" | "arith.muli" | "arith.floordivsi"
   | "arith.remsi" ->
       let x = Core.operand op 0 and y = Core.operand op 1 in
-      let a = int_slot ctx x and b = int_slot ctx y in
+      let a = int_slot ctx op x and b = int_slot ctx op y in
       let d = def_int ctx (Core.result op 0) in
       Some
         (match op.o_name with
@@ -554,11 +426,11 @@ and compile_op ctx (op : Core.op) : code option =
         | "arith.subi" -> fun fr -> fr.ints.(d) <- fr.ints.(a) - fr.ints.(b)
         | "arith.muli" -> fun fr -> fr.ints.(d) <- fr.ints.(a) * fr.ints.(b)
         | "arith.floordivsi" ->
-            fun fr -> fr.ints.(d) <- floordivsi fr.ints.(a) fr.ints.(b)
-        | _ -> fun fr -> fr.ints.(d) <- remsi fr.ints.(a) fr.ints.(b))
+            fun fr -> fr.ints.(d) <- floordivsi op fr.ints.(a) fr.ints.(b)
+        | _ -> fun fr -> fr.ints.(d) <- remsi op fr.ints.(a) fr.ints.(b))
   | "memref.alloc" ->
       let r = Core.result op 0 in
-      let shape = Array.to_list (static_shape_of r) in
+      let shape = Array.to_list (static_shape_of op r) in
       let d = def_buf ctx r in
       (* Allocation stays inside the closure: an alloc nested in a loop
          yields a fresh zeroed buffer per iteration, like the walker. *)
@@ -573,8 +445,8 @@ and compile_op ctx (op : Core.op) : code option =
           let body_code = compile_block ctx body in
           Some
             (fun fr ->
-              let ub = ub_code fr in
-              let i = ref (lb_code fr) in
+              let ub = ub_code fr.ints in
+              let i = ref (lb_code fr.ints) in
               while !i < ub do
                 fr.ints.(iv_slot) <- !i;
                 body_code fr;
@@ -582,9 +454,9 @@ and compile_op ctx (op : Core.op) : code option =
               done))
   | "scf.for" ->
       let body = check_loop_shape op in
-      let s_lb = int_slot ctx (Core.operand op 0)
-      and s_ub = int_slot ctx (Core.operand op 1)
-      and s_step = int_slot ctx (Core.operand op 2) in
+      let s_lb = int_slot ctx op (Core.operand op 0)
+      and s_ub = int_slot ctx op (Core.operand op 1)
+      and s_step = int_slot ctx op (Core.operand op 2) in
       let iv_slot = def_int ctx body.b_args.(0) in
       let body_code = compile_block ctx body in
       Some
@@ -592,7 +464,8 @@ and compile_op ctx (op : Core.op) : code option =
           let lb = fr.ints.(s_lb)
           and ub = fr.ints.(s_ub)
           and step = fr.ints.(s_step) in
-          if step <= 0 then fail "interp: scf.for with non-positive step";
+          if step <= 0 then
+            error_at op "interp: scf.for with non-positive step";
           let i = ref lb in
           while !i < ub do
             fr.ints.(iv_slot) <- !i;
@@ -601,24 +474,14 @@ and compile_op ctx (op : Core.op) : code option =
           done)
   | "affine.load" | "affine.store" | "memref.load" | "memref.store" ->
       Some (compile_access ctx op)
-  | "affine.apply" -> (
-      let map = Attr.get_map (Core.attr op "map") in
-      if map.Affine_map.n_syms <> 0 then
-        fail "interp: affine.apply with symbols unsupported";
-      match map.Affine_map.exprs with
-      | [] -> fail "interp: affine.apply map has no results"
-      | e :: _ ->
-          let operands = op.o_operands in
-          if Array.length operands <> map.Affine_map.n_dims then
-            fail "interp: affine.apply operand count does not match map";
-          let slots = Array.map (int_slot ctx) operands in
-          let c = compile_expr slots e in
-          let d = def_int ctx (Core.result op 0) in
-          Some (fun fr -> fr.ints.(d) <- c fr))
+  | "affine.apply" ->
+      let c = Affine.Stage.apply ctx.stage op in
+      let d = def_int ctx (Core.result op 0) in
+      Some (fun fr -> fr.ints.(d) <- c fr.ints)
   | "affine.matmul" | "linalg.matmul" | "blas.sgemm" ->
-      let a = buf_slot ctx (Core.operand op 0)
-      and b = buf_slot ctx (Core.operand op 1)
-      and c = buf_slot ctx (Core.operand op 2) in
+      let a = buf_slot ctx op (Core.operand op 0)
+      and b = buf_slot ctx op (Core.operand op 1)
+      and c = buf_slot ctx op (Core.operand op 2) in
       Some (fun fr -> Kernels.matmul fr.bufs.(a) fr.bufs.(b) fr.bufs.(c))
   | "linalg.matvec" | "blas.sgemv" ->
       let transpose =
@@ -626,44 +489,45 @@ and compile_op ctx (op : Core.op) : code option =
         | Some (Attr.Bool b) -> b
         | _ -> false
       in
-      let a = buf_slot ctx (Core.operand op 0)
-      and x = buf_slot ctx (Core.operand op 1)
-      and y = buf_slot ctx (Core.operand op 2) in
+      let a = buf_slot ctx op (Core.operand op 0)
+      and x = buf_slot ctx op (Core.operand op 1)
+      and y = buf_slot ctx op (Core.operand op 2) in
       Some
         (fun fr -> Kernels.matvec ~transpose fr.bufs.(a) fr.bufs.(x) fr.bufs.(y))
   | "linalg.transpose" | "blas.stranspose" ->
       let perm = Array.of_list (Attr.get_ints (Core.attr op "permutation")) in
-      let src = buf_slot ctx (Core.operand op 0)
-      and dst = buf_slot ctx (Core.operand op 1) in
+      let src = buf_slot ctx op (Core.operand op 0)
+      and dst = buf_slot ctx op (Core.operand op 1) in
       Some (fun fr -> Kernels.transpose ~perm fr.bufs.(src) fr.bufs.(dst))
   | "linalg.reshape" | "blas.sreshape_copy" ->
-      let src = buf_slot ctx (Core.operand op 0)
-      and dst = buf_slot ctx (Core.operand op 1) in
+      let src = buf_slot ctx op (Core.operand op 0)
+      and dst = buf_slot ctx op (Core.operand op 1) in
       Some (fun fr -> Kernels.reshape_copy fr.bufs.(src) fr.bufs.(dst))
   | "linalg.conv2d_nchw" | "blas.sconv2d" ->
-      let i = buf_slot ctx (Core.operand op 0)
-      and w = buf_slot ctx (Core.operand op 1)
-      and o = buf_slot ctx (Core.operand op 2) in
+      let i = buf_slot ctx op (Core.operand op 0)
+      and w = buf_slot ctx op (Core.operand op 1)
+      and o = buf_slot ctx op (Core.operand op 2) in
       Some (fun fr -> Kernels.conv2d_nchw fr.bufs.(i) fr.bufs.(w) fr.bufs.(o))
   | "linalg.contract" ->
       let maps = Linalg.Linalg_ops.contract_maps op in
       (* Operand shapes are static, so the iteration space is inferable at
          compile time; the runtime closure goes straight to the kernel. *)
       let shapes =
-        List.map static_shape_of (Array.to_list op.o_operands)
+        List.map (static_shape_of op) (Array.to_list op.o_operands)
       in
       let dims = Kernels.infer_contract_dims ~maps ~shapes in
-      let a = buf_slot ctx (Core.operand op 0)
-      and b = buf_slot ctx (Core.operand op 1)
-      and c = buf_slot ctx (Core.operand op 2) in
+      let loc = Core.nearest_loc op in
+      let a = buf_slot ctx op (Core.operand op 0)
+      and b = buf_slot ctx op (Core.operand op 1)
+      and c = buf_slot ctx op (Core.operand op 2) in
       Some
         (fun fr ->
-          Kernels.contract ~maps ~dims fr.bufs.(a) fr.bufs.(b) fr.bufs.(c))
+          Kernels.contract ~loc ~maps ~dims fr.bufs.(a) fr.bufs.(b) fr.bufs.(c))
   | "linalg.fill" ->
       let v = Attr.get_float (Core.attr op "value") in
-      let b = buf_slot ctx (Core.operand op 0) in
+      let b = buf_slot ctx op (Core.operand op 0) in
       Some (fun fr -> Kernels.fill v fr.bufs.(b))
-  | name -> fail "interp: unsupported operation '%s'" name
+  | name -> error_at op "interp: unsupported operation '%s'" name
 
 (* ---------------- whole functions --------------------------------------- *)
 
@@ -702,7 +566,7 @@ let compile_func f =
   {
     c_func = f;
     c_arg_slots = arg_slots;
-    c_n_ints = ctx.n_ints;
+    c_n_ints = Affine.Stage.n_slots ctx.stage;
     c_n_floats = ctx.n_floats;
     c_n_bufs = ctx.n_bufs;
     c_checked_accesses = ctx.checked_accesses;

@@ -3,9 +3,10 @@
     A verified [func.func] is compiled {e once} into nested OCaml closures:
     every SSA value gets a dense slot in a typed register frame (int /
     float / buffer arrays — no hash tables in the hot path), op dispatch is
-    resolved at compile time (no per-iteration string matching), affine
-    bound and access maps are pre-compiled, and memref accesses become
-    precomputed-stride linear offsets. Accesses that {!Affine.Bounds}
+    resolved at compile time (no per-iteration string matching), and
+    affine bounds, [affine.apply] maps and access offsets are staged by
+    {!Affine.Stage}, whose slot table owns the integer frame; the engine
+    keeps the buffer reads and writes. Accesses that {!Affine.Bounds}
     proves in bounds are unchecked; the rest fall back to the walker's
     per-dimension checked path with identical failure behavior. A perfect
     [affine.for] nest whose innermost body is one multiply-accumulate
@@ -14,8 +15,8 @@
 
     The tree-walker in {!Eval} is the reference oracle; differential tests
     assert bit-identical buffers between the two engines. Compilation
-    failures and runtime failures both raise {!Rt.Runtime_error} with the
-    same messages the walker produces. *)
+    and runtime failures both raise a {!Support.Diag.Error} located at
+    the offending op, prefixed ["interp: "] (see {!Rt}). *)
 
 (** The typed register frame a compiled function executes against. *)
 type frame = {
@@ -52,9 +53,9 @@ type compiled = {
 }
 
 (** [compile_func f] stages [f] ([func.func] with buffer arguments).
-    Raises {!Rt.Runtime_error} on unsupported constructs (iter_args loops,
-    unknown ops, symbolic maps, dynamic shapes) — eagerly, at compile
-    time. *)
+    Raises {!Support.Diag.Error} on unsupported constructs (iter_args
+    loops, unknown ops, maps {!Affine.Stage} rejects, dynamic shapes) —
+    eagerly, at compile time, located at the op. *)
 val compile_func : Ir.Core.op -> compiled
 
 (** [execute c args] validates [args] against the source function and runs

@@ -1,11 +1,7 @@
 open Ir
 module A = Affine.Affine_ops
 
-(* The runtime-failure exception lives in [Rt] (shared with the staged
-   engine); rebinding it here keeps [Interp.Eval.Runtime_error] working. *)
-exception Runtime_error = Rt.Runtime_error
-
-let fail = Rt.fail
+let error_at = Rt.error_at
 
 type engine = Rt.engine = Walk | Compiled
 
@@ -19,32 +15,36 @@ type env = { values : (int, rv) Hashtbl.t }
 
 let bind env (v : Core.value) rv = Hashtbl.replace env.values v.v_id rv
 
-let lookup env (v : Core.value) =
+(* Lookups read [v] for [op], where a failure is located. *)
+let lookup env op (v : Core.value) =
   match Hashtbl.find_opt env.values v.v_id with
   | Some rv -> rv
-  | None -> fail "interp: value %s has no runtime binding" (Printer.debug_value v)
+  | None ->
+      error_at op "interp: value %s has no runtime binding"
+        (Printer.debug_value v)
 
-let as_int env v =
-  match lookup env v with
+let as_int env op v =
+  match lookup env op v with
   | R_int i -> i
-  | _ -> fail "interp: expected an integer value"
+  | _ -> error_at op "interp: expected an integer value"
 
-let as_float env v =
-  match lookup env v with
+let as_float env op v =
+  match lookup env op v with
   | R_float f -> f
   | R_int i -> float_of_int i
-  | _ -> fail "interp: expected a float value"
+  | _ -> error_at op "interp: expected a float value"
 
-let as_buf env v =
-  match lookup env v with
+let as_buf env op v =
+  match lookup env op v with
   | R_buf b -> b
-  | _ -> fail "interp: expected a buffer value"
+  | _ -> error_at op "interp: expected a buffer value"
 
-let eval_bound env ~minimize ((map, args) : A.bound) =
-  let dims = Array.of_list (List.map (as_int env) args) in
+let walk_bound env op ~minimize ((map, args) : A.bound) =
+  let dims = Array.of_list (List.map (as_int env op) args) in
   let results = Affine_map.eval map ~dims () in
   if Array.length results = 0 then
-    fail "interp: affine loop bound map has no results";
+    error_at op "interp: affine.for %s bound map has no results"
+      (if minimize then "upper" else "lower");
   Array.fold_left
     (if minimize then min else max)
     results.(0)
@@ -52,7 +52,7 @@ let eval_bound env ~minimize ((map, args) : A.bound) =
 
 let access_indices env op =
   let map = A.access_map op in
-  let dims = Array.of_list (List.map (as_int env) (A.access_indices op)) in
+  let dims = Array.of_list (List.map (as_int env op) (A.access_indices op)) in
   Affine_map.eval map ~dims ()
 
 let float_binop name =
@@ -63,13 +63,13 @@ let float_binop name =
   | "arith.divf" -> ( /. )
   | _ -> assert false
 
-let int_binop name =
-  match name with
+let int_binop (op : Core.op) =
+  match op.o_name with
   | "arith.addi" -> ( + )
   | "arith.subi" -> ( - )
   | "arith.muli" -> ( * )
-  | "arith.floordivsi" -> Rt.floordivsi
-  | "arith.remsi" -> Rt.remsi
+  | "arith.floordivsi" -> Rt.floordivsi op
+  | "arith.remsi" -> Rt.remsi op
   | _ -> assert false
 
 let rec exec_block env (b : Core.block) =
@@ -82,27 +82,27 @@ and exec_op env (op : Core.op) =
       match Core.attr op "value" with
       | Attr.Float f -> bind env (Core.result op 0) (R_float f)
       | Attr.Int i -> bind env (Core.result op 0) (R_int i)
-      | a -> fail "interp: bad constant %s" (Attr.to_string a))
+      | a -> error_at op "interp: bad constant %s" (Attr.to_string a))
   | "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf" ->
       let f = float_binop op.o_name in
       bind env (Core.result op 0)
-        (R_float (f (as_float env (Core.operand op 0))
-                    (as_float env (Core.operand op 1))))
+        (R_float (f (as_float env op (Core.operand op 0))
+                    (as_float env op (Core.operand op 1))))
   | "arith.addi" | "arith.subi" | "arith.muli" | "arith.floordivsi"
   | "arith.remsi" ->
-      let f = int_binop op.o_name in
+      let f = int_binop op in
       bind env (Core.result op 0)
-        (R_int (f (as_int env (Core.operand op 0))
-                  (as_int env (Core.operand op 1))))
+        (R_int (f (as_int env op (Core.operand op 0))
+                  (as_int env op (Core.operand op 1))))
   | "memref.alloc" ->
       bind env (Core.result op 0)
         (R_buf (Buffer.of_type (Core.result op 0).v_typ))
   | "affine.for" ->
       let body = Rt.check_loop_shape op in
-      let lb = eval_bound env ~minimize:false (A.for_lb op) in
-      let ub = eval_bound env ~minimize:true (A.for_ub op) in
+      let lb = walk_bound env op ~minimize:false (A.for_lb op) in
+      let ub = walk_bound env op ~minimize:true (A.for_ub op) in
       let step = A.for_step op in
-      if step <= 0 then fail "interp: affine.for with non-positive step";
+      if step <= 0 then error_at op "interp: affine.for with non-positive step";
       let iv = body.b_args.(0) in
       let i = ref lb in
       while !i < ub do
@@ -112,10 +112,10 @@ and exec_op env (op : Core.op) =
       done
   | "scf.for" ->
       let body = Rt.check_loop_shape op in
-      let lb = as_int env (Core.operand op 0) in
-      let ub = as_int env (Core.operand op 1) in
-      let step = as_int env (Core.operand op 2) in
-      if step <= 0 then fail "interp: scf.for with non-positive step";
+      let lb = as_int env op (Core.operand op 0) in
+      let ub = as_int env op (Core.operand op 1) in
+      let step = as_int env op (Core.operand op 2) in
+      if step <= 0 then error_at op "interp: scf.for with non-positive step";
       let iv = body.b_args.(0) in
       let i = ref lb in
       while !i < ub do
@@ -124,40 +124,40 @@ and exec_op env (op : Core.op) =
         i := !i + step
       done
   | "memref.load" ->
-      let buf = as_buf env (Core.operand op 0) in
+      let buf = as_buf env op (Core.operand op 0) in
       let idx =
         Array.init
           (Array.length op.o_operands - 1)
-          (fun i -> as_int env (Core.operand op (i + 1)))
+          (fun i -> as_int env op (Core.operand op (i + 1)))
       in
       bind env (Core.result op 0) (R_float (Buffer.get buf idx))
   | "memref.store" ->
-      let buf = as_buf env (Core.operand op 1) in
+      let buf = as_buf env op (Core.operand op 1) in
       let idx =
         Array.init
           (Array.length op.o_operands - 2)
-          (fun i -> as_int env (Core.operand op (i + 2)))
+          (fun i -> as_int env op (Core.operand op (i + 2)))
       in
-      Buffer.set buf idx (as_float env (Core.operand op 0))
+      Buffer.set buf idx (as_float env op (Core.operand op 0))
   | "affine.load" ->
-      let buf = as_buf env (A.access_memref op) in
+      let buf = as_buf env op (A.access_memref op) in
       bind env (Core.result op 0) (R_float (Buffer.get buf (access_indices env op)))
   | "affine.store" ->
-      let buf = as_buf env (A.access_memref op) in
+      let buf = as_buf env op (A.access_memref op) in
       Buffer.set buf (access_indices env op)
-        (as_float env (A.stored_value op))
+        (as_float env op (A.stored_value op))
   | "affine.apply" ->
       let map = Attr.get_map (Core.attr op "map") in
       let dims =
         Array.of_list
-          (List.map (as_int env) (Array.to_list op.o_operands))
+          (List.map (as_int env op) (Array.to_list op.o_operands))
       in
       bind env (Core.result op 0) (R_int (Affine_map.eval map ~dims ()).(0))
   | "affine.matmul" | "linalg.matmul" | "blas.sgemm" ->
       Kernels.matmul
-        (as_buf env (Core.operand op 0))
-        (as_buf env (Core.operand op 1))
-        (as_buf env (Core.operand op 2))
+        (as_buf env op (Core.operand op 0))
+        (as_buf env op (Core.operand op 1))
+        (as_buf env op (Core.operand op 2))
   | "linalg.matvec" | "blas.sgemv" ->
       let transpose =
         match Core.find_attr op "transpose" with
@@ -165,42 +165,42 @@ and exec_op env (op : Core.op) =
         | _ -> false
       in
       Kernels.matvec ~transpose
-        (as_buf env (Core.operand op 0))
-        (as_buf env (Core.operand op 1))
-        (as_buf env (Core.operand op 2))
+        (as_buf env op (Core.operand op 0))
+        (as_buf env op (Core.operand op 1))
+        (as_buf env op (Core.operand op 2))
   | "linalg.transpose" | "blas.stranspose" ->
       let perm =
         Array.of_list (Attr.get_ints (Core.attr op "permutation"))
       in
       Kernels.transpose ~perm
-        (as_buf env (Core.operand op 0))
-        (as_buf env (Core.operand op 1))
+        (as_buf env op (Core.operand op 0))
+        (as_buf env op (Core.operand op 1))
   | "linalg.reshape" | "blas.sreshape_copy" ->
       Kernels.reshape_copy
-        (as_buf env (Core.operand op 0))
-        (as_buf env (Core.operand op 1))
+        (as_buf env op (Core.operand op 0))
+        (as_buf env op (Core.operand op 1))
   | "linalg.conv2d_nchw" | "blas.sconv2d" ->
       Kernels.conv2d_nchw
-        (as_buf env (Core.operand op 0))
-        (as_buf env (Core.operand op 1))
-        (as_buf env (Core.operand op 2))
+        (as_buf env op (Core.operand op 0))
+        (as_buf env op (Core.operand op 1))
+        (as_buf env op (Core.operand op 2))
   | "linalg.contract" ->
       let maps = Linalg.Linalg_ops.contract_maps op in
       let shapes =
         List.map
-          (fun v -> (as_buf env v).Buffer.shape)
+          (fun v -> (as_buf env op v).Buffer.shape)
           (Array.to_list op.o_operands)
       in
       let dims = Kernels.infer_contract_dims ~maps ~shapes in
-      Kernels.contract ~maps ~dims
-        (as_buf env (Core.operand op 0))
-        (as_buf env (Core.operand op 1))
-        (as_buf env (Core.operand op 2))
+      Kernels.contract ~loc:(Core.nearest_loc op) ~maps ~dims
+        (as_buf env op (Core.operand op 0))
+        (as_buf env op (Core.operand op 1))
+        (as_buf env op (Core.operand op 2))
   | "linalg.fill" ->
       Kernels.fill
         (Attr.get_float (Core.attr op "value"))
-        (as_buf env (Core.operand op 0))
-  | name -> fail "interp: unsupported operation '%s'" name
+        (as_buf env op (Core.operand op 0))
+  | name -> error_at op "interp: unsupported operation '%s'" name
 
 let walk_func f args =
   Rt.validate_args f args;
@@ -235,7 +235,7 @@ let run_func ?engine f args =
 let run ?engine m name args =
   match Core.find_func m name with
   | Some f -> run_func ?engine f args
-  | None -> fail "interp: no function named %S" name
+  | None -> error_at m "interp: no function named %S" name
 
 let alloc_args f =
   List.map (fun (p : Core.value) -> Buffer.of_type p.v_typ) (Core.func_args f)
@@ -247,7 +247,7 @@ let run_on_random ?engine m name ~seed =
       List.iteri (fun i b -> Buffer.randomize ~seed:(seed + i) b) args;
       run_func ?engine f args;
       args
-  | None -> fail "interp: no function named %S" name
+  | None -> error_at m "interp: no function named %S" name
 
 let equivalent ?eps ?engine m1 m2 name ~seed =
   let r1 = run_on_random ?engine m1 name ~seed in

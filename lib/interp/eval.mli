@@ -19,9 +19,8 @@
 
     Entry points take [?engine] (default {!default_engine}, initially
     [Compiled]); differential tests pin both engines explicitly and compare
-    buffers bit-for-bit. *)
-
-exception Runtime_error of string
+    buffers bit-for-bit. Both engines fail with a {!Support.Diag.Error}
+    located at the offending op (see {!Rt}). *)
 
 (** Re-export of {!Rt.engine} so callers can say [Interp.Eval.Walk]. *)
 type engine = Rt.engine = Walk | Compiled

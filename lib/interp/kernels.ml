@@ -97,24 +97,35 @@ let conv2d_nchw i w o =
       done
   | _ -> invalid_arg "Kernels.conv2d_nchw: shape mismatch"
 
-let contract ~maps ~dims a b c =
+let contract ~loc ~maps ~dims a b c =
   match maps with
   | [ ma; mb; mc ] ->
-      (* Stage the access maps once; each point of the iteration space then
-         costs three closure applications into reused index arrays instead
-         of three map evaluations allocating fresh result arrays. *)
-      let ca = Ir.Affine_map.compile ma
-      and cb = Ir.Affine_map.compile mb
-      and cc = Ir.Affine_map.compile mc in
-      let ia = Array.make (Ir.Affine_map.n_results ma) 0
-      and ib = Array.make (Ir.Affine_map.n_results mb) 0
-      and ic = Array.make (Ir.Affine_map.n_results mc) 0 in
+      (* Stage the subscripts once over the iteration point [idx]; each
+         point then costs one closure application per subscript into
+         reused index arrays instead of three map evaluations allocating
+         fresh result arrays. *)
       let idx = Array.make (Array.length dims) 0 in
+      let stage (m : Ir.Affine_map.t) =
+        Array.of_list
+          (List.map
+             (Affine.Stage.expr ~who:"interp" ~loc ~what:"linalg.contract"
+                (Array.init (Array.length dims) Fun.id))
+             m.exprs)
+      in
+      let ca = stage ma and cb = stage mb and cc = stage mc in
+      let ia = Array.make (Array.length ca) 0
+      and ib = Array.make (Array.length cb) 0
+      and ic = Array.make (Array.length cc) 0 in
+      let apply cs out =
+        for r = 0 to Array.length cs - 1 do
+          out.(r) <- cs.(r) idx
+        done
+      in
       let rec go d =
         if d = Array.length dims then begin
-          ca idx ia;
-          cb idx ib;
-          cc idx ic;
+          apply ca ia;
+          apply cb ib;
+          apply cc ic;
           Buffer.set c ic
             (Buffer.get c ic +. (Buffer.get a ia *. Buffer.get b ib))
         end

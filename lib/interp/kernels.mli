@@ -14,11 +14,13 @@ val reshape_copy : Buffer.t -> Buffer.t -> unit
 
 val conv2d_nchw : Buffer.t -> Buffer.t -> Buffer.t -> unit
 
-(** [contract ~maps ~dims a b c]: generic contraction over the iteration
-    space [dims]; [maps] take the space to each operand's subscripts. *)
+(** [contract ~loc ~maps ~dims a b c]: generic contraction over the
+    iteration space [dims]; [maps] take the space to each operand's
+    subscripts, staged by {!Affine.Stage} (a map it rejects fails at
+    [loc]). *)
 val contract :
-  maps:Ir.Affine_map.t list -> dims:int array -> Buffer.t -> Buffer.t ->
-  Buffer.t -> unit
+  loc:Support.Loc.t -> maps:Ir.Affine_map.t list -> dims:int array ->
+  Buffer.t -> Buffer.t -> Buffer.t -> unit
 
 val fill : float -> Buffer.t -> unit
 

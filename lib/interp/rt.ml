@@ -1,8 +1,6 @@
 open Ir
 
-exception Runtime_error of string
-
-let fail fmt = Format.kasprintf (fun m -> raise (Runtime_error m)) fmt
+let error_at op fmt = Support.Diag.errorf ~loc:(Core.nearest_loc op) fmt
 
 type engine = Walk | Compiled
 
@@ -10,16 +8,18 @@ let default_engine = ref Compiled
 
 let engine_name = function Walk -> "walk" | Compiled -> "compiled"
 
-let floordivsi x y =
-  if y = 0 then fail "interp: division by zero" else Affine_expr.floordiv x y
+let floordivsi op x y =
+  if y = 0 then error_at op "interp: division by zero"
+  else Affine_expr.floordiv x y
 
-let remsi x y =
-  if y = 0 then fail "interp: remainder by zero" else Affine_expr.floormod x y
+let remsi op x y =
+  if y = 0 then error_at op "interp: remainder by zero"
+  else Affine_expr.floormod x y
 
 let check_loop_shape (op : Core.op) =
   let body = Core.single_block op 0 in
   if Core.num_results op > 0 || Array.length body.Core.b_args <> 1 then
-    fail
+    error_at op
       "interp: %s with loop-carried iter_args (loop results or extra block \
        arguments) is unsupported; rewrite the loop to accumulate through \
        memory"
@@ -30,13 +30,14 @@ let validate_args (f : Core.op) (args : Buffer.t list) =
   if not (Core.is_func f) then invalid_arg "Interp.run_func: not a func.func";
   let params = Core.func_args f in
   if List.length params <> List.length args then
-    fail "interp: %s expects %d arguments, got %d" (Core.func_name f)
+    error_at f "interp: %s expects %d arguments, got %d" (Core.func_name f)
       (List.length params) (List.length args);
   List.iter2
     (fun (p : Core.value) (buf : Buffer.t) ->
       match Typ.static_shape p.v_typ with
       | Some shape when shape = Array.to_list buf.Buffer.shape -> ()
       | Some _ ->
-          fail "interp: argument shape mismatch for %s" (Printer.debug_value p)
-      | None -> fail "interp: dynamic argument shapes unsupported")
+          error_at f "interp: argument shape mismatch for %s"
+            (Printer.debug_value p)
+      | None -> error_at f "interp: dynamic argument shapes unsupported")
     params args

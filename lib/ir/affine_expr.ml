@@ -168,51 +168,6 @@ let rec eval ~dims ~syms = function
       if y = 0 then invalid_arg "Affine_expr.eval: modulo by zero"
       else floormod x y
 
-(* Staged evaluation: resolve the expression tree to nested closures once,
-   then apply them to many dimension vectors without re-walking the tree.
-   Linear expressions get dedicated flat closures (the common case for
-   access functions), so a [k*d0 + d1] subscript costs two array reads and
-   two integer ops per application. *)
-let compile e =
-  let rec go = function
-    | Dim i -> fun dims -> dims.(i)
-    | Sym _ -> invalid_arg "Affine_expr.compile: symbols unsupported"
-    | Const c -> fun _ -> c
-    | Add (a, Const c) ->
-        let ca = go a in
-        fun dims -> ca dims + c
-    | Add (a, b) ->
-        let ca = go a and cb = go b in
-        fun dims -> ca dims + cb dims
-    | Mul (Const k, Dim i) | Mul (Dim i, Const k) ->
-        fun dims -> k * dims.(i)
-    | Mul (a, b) ->
-        let ca = go a and cb = go b in
-        fun dims -> ca dims * cb dims
-    | Floor_div (a, b) ->
-        let ca = go a and cb = go b in
-        fun dims ->
-          let y = cb dims in
-          if y = 0 then invalid_arg "Affine_expr.eval: division by zero"
-          else floordiv (ca dims) y
-    | Mod (a, b) ->
-        let ca = go a and cb = go b in
-        fun dims ->
-          let y = cb dims in
-          if y = 0 then invalid_arg "Affine_expr.eval: modulo by zero"
-          else floormod (ca dims) y
-  in
-  let e = simplify e in
-  match linearize e with
-  | Some { dim_coeffs = []; sym_coeffs = []; constant } -> fun _ -> constant
-  | Some { dim_coeffs = [ (d, 1) ]; sym_coeffs = []; constant = 0 } ->
-      fun dims -> dims.(d)
-  | Some { dim_coeffs = [ (d, k) ]; sym_coeffs = []; constant } ->
-      fun dims -> (k * dims.(d)) + constant
-  | Some { dim_coeffs = [ (d0, k0); (d1, k1) ]; sym_coeffs = []; constant } ->
-      fun dims -> (k0 * dims.(d0)) + (k1 * dims.(d1)) + constant
-  | _ -> go e
-
 let is_constant e =
   match simplify e with Const c -> Some c | _ -> None
 

@@ -29,7 +29,8 @@ val mod_ : t -> t -> t
 (** {2 Integer floor semantics}
 
     The concrete arithmetic shared by every evaluator of affine expressions
-    (constant folding, {!eval}, the interpreter's two execution engines):
+    (constant folding, {!eval}, [Affine.Stage], the interpreter's
+    [arith] division):
     [floordiv] rounds toward negative infinity and [floormod] returns the
     matching remainder, so [x = y * floordiv x y + floormod x y] holds for
     every non-zero divisor and [floormod x y] carries the divisor's sign
@@ -69,12 +70,6 @@ val simplify : t -> t
 (** [eval ~dims ~syms e] evaluates with the given variable bindings.
     Raises [Invalid_argument] on out-of-range indices. *)
 val eval : dims:int array -> syms:int array -> t -> int
-
-(** [compile e] stages evaluation: the expression tree is resolved to
-    nested closures (with flat fast paths for linear shapes) once, and the
-    returned function evaluates it against a dimension vector with no tree
-    walk and no allocation. Symbols are rejected at compile time. *)
-val compile : t -> int array -> int
 
 (** [is_constant e] returns the constant value if [e] simplifies to one. *)
 val is_constant : t -> int option

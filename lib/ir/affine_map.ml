@@ -77,21 +77,6 @@ let eval t ~dims ?(syms = [||]) () =
     invalid_arg "Affine_map.eval: wrong number of syms";
   Array.of_list (List.map (E.eval ~dims ~syms) t.exprs)
 
-let compile t =
-  if t.n_syms <> 0 then
-    invalid_arg "Affine_map.compile: maps with symbols unsupported";
-  let n_dims = t.n_dims in
-  let cs = Array.of_list (List.map E.compile t.exprs) in
-  let n = Array.length cs in
-  fun dims out ->
-    if Array.length dims <> n_dims then
-      invalid_arg "Affine_map.compile: wrong number of dims";
-    if Array.length out <> n then
-      invalid_arg "Affine_map.compile: wrong result arity";
-    for i = 0 to n - 1 do
-      out.(i) <- cs.(i) dims
-    done
-
 let compose f g =
   if n_results g <> f.n_dims then
     invalid_arg "Affine_map.compose: rank mismatch";

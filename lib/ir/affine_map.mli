@@ -30,14 +30,6 @@ val n_results : t -> int
 (** [eval t ~dims ~syms] applies the map to concrete indices. *)
 val eval : t -> dims:int array -> ?syms:int array -> unit -> int array
 
-(** [compile t] stages the map: every result expression is resolved to a
-    closure once (see {!Affine_expr.compile}), and the returned function
-    [c] evaluates the whole map with [c dims out], writing the results
-    into the caller-supplied [out] array — no per-application tree walk or
-    allocation. Used by the interpreter's compiled engine and the staged
-    contraction kernel. Maps with symbols are rejected at compile time. *)
-val compile : t -> int array -> int array -> unit
-
 (** [compose f g] is the map [x -> f (g x)]; requires
     [n_results g = n_dims f] and [n_syms f = 0]. Symbols of [g] are kept. *)
 val compose : t -> t -> t

@@ -17,6 +17,7 @@ module E = Affine_expr
               '->' '(' expr,+ ')' '>'
    expr    := term (('+' | '-') term)*
    term    := factor (('*' | 'floordiv' | 'mod') factor)*
+              (a '*' has a constant side; a divisor is a non-zero constant)
    factor  := INT | '-' INT | var | '(' expr ')'
 
    A [var] is a dimension or symbol name of the map's header, or, in
@@ -402,18 +403,27 @@ let affine_expr st ~var =
       | _ -> lhs
     in
     loop (term ())
+  (* Products and divisions stay affine, as in MLIR: a product needs a
+     constant side and a divisor must be a non-zero constant, else the
+     operator's token is the error. *)
   and term () =
     let rec loop lhs =
-      match (peek st).tok with
+      let t = peek st in
+      match t.tok with
       | T_star ->
           ignore (next st);
-          loop (E.Mul (lhs, factor ()))
-      | T_ident "floordiv" ->
+          let rhs = factor () in
+          if E.is_constant lhs = None && E.is_constant rhs = None then
+            fail t "non-affine product: neither side of '*' is a constant";
+          loop (E.Mul (lhs, rhs))
+      | T_ident ("floordiv" | "mod" as op) ->
           ignore (next st);
-          loop (E.Floor_div (lhs, factor ()))
-      | T_ident "mod" ->
-          ignore (next st);
-          loop (E.Mod (lhs, factor ()))
+          let rhs = factor () in
+          (match E.is_constant rhs with
+          | Some 0 -> fail t "%s by zero" op
+          | Some _ -> ()
+          | None -> fail t "non-affine %s: the divisor is not a constant" op);
+          loop (if op = "mod" then E.Mod (lhs, rhs) else E.Floor_div (lhs, rhs))
       | _ -> lhs
     in
     loop (factor ())

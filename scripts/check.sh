@@ -143,6 +143,51 @@ if [ "$status" -ne 124 ] \
   echo "check.sh: mlt-opt on a '-d0' affine map exited $status without a located error naming the file" >&2
   exit 1
 fi
+# A subscript that divides by a loop iv is not affine, and an
+# arith.floordivsi by zero cannot run: under --verify-exec both once
+# escaped as an uncaught exception (exit 125). The parser must reject the
+# first and the interpreter the second, each as a Diag.Error located in
+# the .mlir file (exit 124).
+cat > "$obs_tmp/div_iv.mlir" <<'EOF'
+builtin.module {
+  func.func @k(%A: memref<16xf32>) {
+    affine.for %i = 0 to 4 {
+      affine.for %j = 0 to 4 {
+        %0 = affine.load %A[%i floordiv %j] : memref<16xf32>
+        affine.store %0, %A[%i] : memref<16xf32>
+        affine.yield
+      }
+      affine.yield
+    }
+    func.return
+  }
+}
+EOF
+cat > "$obs_tmp/div_zero.mlir" <<'EOF'
+builtin.module {
+  func.func @k(%A: memref<16xf32>) {
+    affine.for %i = 0 to 4 {
+      %z = arith.constant 0 : index
+      %r = arith.floordivsi %i, %z : index
+      %0 = affine.load %A[%r] : memref<16xf32>
+      affine.store %0, %A[%i] : memref<16xf32>
+      affine.yield
+    }
+    func.return
+  }
+}
+EOF
+for kernel in div_iv div_zero; do
+  status=0
+  _build/default/bin/mlt_opt.exe "$obs_tmp/$kernel.mlir" --verify-exec \
+    > /dev/null 2> "$obs_tmp/$kernel.err" || status=$?
+  if [ "$status" -ne 124 ] \
+    || ! grep -q "^mlt-opt: $obs_tmp/$kernel.mlir:[0-9]*:[0-9]*: " "$obs_tmp/$kernel.err"; then
+    cat "$obs_tmp/$kernel.err" >&2
+    echo "check.sh: mlt-opt --verify-exec on $kernel.mlir exited $status without a located error naming the file" >&2
+    exit 1
+  fi
+done
 # A schedule the simulator cannot time must fail as a Diag.Error located
 # in the input file (exit 124): lower_affine leaves scf.for loops, which
 # the simulator rejects at the loop's source position.

@@ -159,25 +159,140 @@ let prop_linearize_agrees =
           let dims = [| a; b; c |] in
           E.eval ~dims ~syms:[||] (E.of_linear l) = E.eval ~dims ~syms:[||] e)
 
-let prop_compile_agrees_with_eval =
-  QCheck.Test.make ~name:"staged compile agrees with eval" ~count:500
-    (QCheck.pair arb_expr
-       (QCheck.triple QCheck.small_nat QCheck.small_nat QCheck.small_nat))
-    (fun (e, (a, b, c)) ->
-      let dims = [| a; b; c |] in
-      E.compile e dims = E.eval ~dims ~syms:[||] e)
+(* ---- Affine.Stage ------------------------------------------------------ *)
 
-let prop_map_compile_agrees_with_eval =
-  QCheck.Test.make ~name:"staged map compile agrees with map eval" ~count:200
-    (QCheck.pair
-       (QCheck.list_of_size (QCheck.Gen.int_range 1 4) arb_expr)
-       (QCheck.triple QCheck.small_nat QCheck.small_nat QCheck.small_nat))
-    (fun (exprs, (a, b, c)) ->
-      let m = M.make ~n_dims:3 exprs in
-      let dims = [| a; b; c |] in
-      let out = Array.make (List.length exprs) 0 in
-      M.compile m dims out;
-      out = M.eval m ~dims ())
+(* Expressions [Affine.Stage] accepts, over dims 0-2, raw or simplified:
+   sums of 1-6 terms, products by a constant on either side, floordiv and
+   mod by non-zero constants of either sign, nested up to three deep. *)
+let gen_stageable =
+  let open QCheck.Gen in
+  let k = int_range (-9) 9 in
+  let divisor =
+    map2 (fun neg d -> if neg then -d else d) bool (int_range 1 9)
+  in
+  let leaf = oneof [ map E.dim (int_bound 2); map E.const k ] in
+  let rec expr depth =
+    if depth = 0 then leaf
+    else
+      let sub = expr (depth - 1) in
+      frequency
+        [
+          (1, leaf);
+          ( 3,
+            map
+              (function
+                | t :: ts -> List.fold_left (fun a t -> E.Add (a, t)) t ts
+                | [] -> assert false)
+              (list_size (int_range 1 6) sub) );
+          (1, map2 (fun e c -> E.Mul (e, E.Const c)) sub k);
+          (1, map2 (fun c e -> E.Mul (E.Const c, e)) k sub);
+          (1, map2 (fun e d -> E.Floor_div (e, E.Const d)) sub divisor);
+          (1, map2 (fun e d -> E.Mod (e, E.Const d)) sub divisor);
+        ]
+  in
+  map2 (fun e simple -> if simple then E.simplify e else e) (expr 3) bool
+
+(* A staged expression reads dim [d] from [frame.(slots.(d))], wherever
+   the slots are: scattered, repeated or in order. *)
+let prop_stage_agrees_with_eval =
+  let open QCheck in
+  let frame = Gen.array_repeat 8 (Gen.int_range (-60) 60) in
+  let slots = Gen.array_repeat 3 (Gen.int_bound 7) in
+  Test.make ~name:"Stage agrees with eval at any frame slots" ~count:1000
+    (make
+       ~print:(fun (e, slots, frame) ->
+         Printf.sprintf "%s over slots [%s] of [%s]" (E.to_string e)
+           (String.concat "; " (Array.to_list (Array.map string_of_int slots)))
+           (String.concat "; " (Array.to_list (Array.map string_of_int frame))))
+       (Gen.triple gen_stageable slots frame))
+    (fun (e, slots, frame) ->
+      let staged =
+        Affine.Stage.expr ~who:"test" ~loc:Support.Loc.unknown ~what:"e" slots
+          e
+      in
+      staged frame
+      = E.eval ~dims:(Array.map (fun s -> frame.(s)) slots) ~syms:[||] e)
+
+(* What [Affine.Stage] rejects, in in-memory IR: each edit of a small
+   kernel must fail [Interp.Compile.compile_func] and
+   [Machine.Perf.time_func] alike, located at the edited op and prefixed
+   by that engine's name. *)
+let stage_rejects =
+  let map ?(n_syms = 0) n_dims exprs =
+    Ir.Attr.Map (M.make ~n_dims ~n_syms exprs)
+  in
+  [
+    ( "a symbol",
+      "affine.load",
+      "map",
+      map ~n_syms:1 2 E.[ add (add (mul (dim 0) (const 8)) (dim 1)) (sym 0) ],
+      "uses affine symbols" );
+    ("a dim with no operand", "affine.load", "map", map 3 E.[ dim 2 ],
+     "reads d2 but has 2 operands");
+    ( "a non-constant divisor",
+      "affine.apply",
+      "map",
+      map 2 [ E.Mod (E.dim 0, E.dim 1) ],
+      "divides by a non-constant" );
+    ( "a zero divisor",
+      "affine.apply",
+      "map",
+      map 2 [ E.Floor_div (E.dim 0, E.Const 0) ],
+      "divides by zero" );
+    ("an empty bound map", "affine.for", "upper_bound", map 0 [],
+     "upper bound map has no results");
+  ]
+
+let stage_reject_kernel =
+  {|builtin.module {
+  func.func @k(%A: memref<64xf32>) {
+    affine.for %i = 0 to 8 {
+      affine.for %j = 0 to 8 {
+        %p = affine.apply %i + %j
+        %0 = affine.load %A[%i * 8 + %j] : memref<64xf32>
+        affine.store %0, %A[%p] : memref<64xf32>
+        affine.yield
+      }
+      affine.yield
+    }
+    func.return
+  }
+}|}
+
+let test_stage_rejects () =
+  List.iter
+    (fun (what, name, attr, value, want) ->
+      List.iter
+        (fun (engine, run) ->
+          let f =
+            Option.get
+              (Ir.Core.find_func
+                 (Ir.Parser.parse_module ~file:"k.mlir" stage_reject_kernel)
+                 "k")
+          in
+          let target = ref None in
+          Ir.Core.walk f (fun op ->
+              if op.Ir.Core.o_name = name then target := Some op);
+          let op = Option.get !target in
+          Ir.Core.set_attr op attr value;
+          match run f with
+          | () -> Alcotest.failf "%s: %s staged it" what engine
+          | exception Support.Diag.Error (loc, msg) ->
+              let what = Printf.sprintf "%s (%s)" what engine in
+              Alcotest.(check string) (what ^ ": location")
+                (Support.Loc.to_string op.Ir.Core.o_loc)
+                (Support.Loc.to_string loc);
+              Alcotest.(check bool) (what ^ ": " ^ msg) true
+                (String.starts_with ~prefix:(engine ^ ": ") msg
+                && Astring_contains.contains msg want))
+        [
+          ("interp", fun f -> ignore (Interp.Compile.compile_func f));
+          ( "trace",
+            fun f ->
+              ignore (Machine.Perf.time_func Machine.Machine_model.intel_i9 f)
+          );
+        ])
+    stage_rejects
 
 let suite =
   [
@@ -194,6 +309,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_simplify_idempotent;
     QCheck_alcotest.to_alcotest prop_simplify_preserves_eval;
     QCheck_alcotest.to_alcotest prop_linearize_agrees;
-    QCheck_alcotest.to_alcotest prop_compile_agrees_with_eval;
-    QCheck_alcotest.to_alcotest prop_map_compile_agrees_with_eval;
+    Alcotest.test_case "Stage rejects, located, in both engines" `Quick
+      test_stage_rejects;
+    QCheck_alcotest.to_alcotest prop_stage_agrees_with_eval;
   ]

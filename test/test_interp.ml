@@ -118,7 +118,7 @@ let test_contract_kernel_is_matmul () =
       ~shapes:[ a.B.shape; b.B.shape; c1.B.shape ]
   in
   Alcotest.(check (array int)) "inferred space" [| 4; 3; 5 |] dims;
-  K.contract ~maps ~dims a b c1;
+  K.contract ~loc:Support.Loc.unknown ~maps ~dims a b c1;
   K.matmul a b c2;
   Alcotest.(check bool) "same result" true (B.approx_equal c1 c2)
 
@@ -174,6 +174,18 @@ let test_interp_distribution_preserves_semantics () =
         Alcotest.failf "%s: distribution changed semantics" name)
     (W.tiny_suite ())
 
+(* Interpreter errors are [Diag.Error]s located at the failing op: [loc]
+   must be [op]'s own, known location. *)
+let check_located what (op : Ir.Core.op) loc =
+  Alcotest.(check bool) (what ^ ": op has a location") true
+    (Support.Loc.is_known op.Ir.Core.o_loc);
+  Alcotest.(check string) (what ^ ": error location")
+    (Support.Loc.to_string op.Ir.Core.o_loc)
+    (Support.Loc.to_string loc)
+
+(* A location for IR built in memory. *)
+let built_loc = Support.Loc.make ~file:"built.mlir" ~line:1 ~col:1
+
 let test_interp_affine_for_step_guard () =
   (* A non-positive step must raise instead of looping forever. *)
   let m = Met.Emit_affine.translate (W.mm ~ni:4 ~nj:4 ~nk:4 ()) in
@@ -183,9 +195,10 @@ let test_interp_affine_for_step_guard () =
   try
     ignore (Interp.Eval.run_on_random m "mm" ~seed:13);
     Alcotest.fail "expected a step error"
-  with Interp.Eval.Runtime_error msg ->
+  with Support.Diag.Error (loc, msg) ->
     Alcotest.(check bool) "mentions the step" true
-      (Astring_contains.contains msg "step")
+      (Astring_contains.contains msg "step");
+    check_located "step" loop loc
 
 let test_interp_affine_bound_no_results () =
   (* An affine bound map with zero results must fail cleanly (it used to
@@ -198,24 +211,27 @@ let test_interp_affine_bound_no_results () =
   try
     ignore (Interp.Eval.run_on_random m "mm" ~seed:13);
     Alcotest.fail "expected a bound-map error"
-  with Interp.Eval.Runtime_error msg ->
+  with Support.Diag.Error (loc, msg) ->
     Alcotest.(check bool) "mentions the bound map" true
-      (Astring_contains.contains msg "bound map")
+      (Astring_contains.contains msg "bound map");
+    check_located "bound map" loop loc
 
-let expect_iter_args_error engine f =
+let expect_iter_args_error engine f loop =
   try
     Interp.Eval.run_func ~engine f [];
     Alcotest.fail "expected an iter_args error"
-  with Interp.Eval.Runtime_error msg ->
+  with Support.Diag.Error (loc, msg) ->
     Alcotest.(check bool)
       (Interp.Rt.engine_name engine ^ " names iter_args")
       true
-      (Astring_contains.contains msg "iter_args")
+      (Astring_contains.contains msg "iter_args");
+    check_located (Interp.Rt.engine_name engine ^ " iter_args") loop loc
 
 let test_interp_affine_for_iter_args_diagnosed () =
   (* A loop with results (loop-carried iter_args) is unsupported; both
      engines must say so eagerly at the loop op instead of failing later
      with a misleading "no runtime binding". *)
+  Ir.Core.with_loc built_loc @@ fun () ->
   let f = Ir.Core.create_func ~name:"f" ~arg_types:[] () in
   let body = Ir.Core.create_block [ Ir.Typ.Index ] in
   Ir.Core.append_op body (Ir.Core.create_op "affine.yield");
@@ -230,11 +246,12 @@ let test_interp_affine_for_iter_args_diagnosed () =
       ~regions:[ Ir.Core.create_region [ body ] ]
   in
   Ir.Core.append_op (Ir.Core.func_entry f) loop;
-  expect_iter_args_error Interp.Eval.Walk f;
-  expect_iter_args_error Interp.Eval.Compiled f
+  expect_iter_args_error Interp.Eval.Walk f loop;
+  expect_iter_args_error Interp.Eval.Compiled f loop
 
 let test_interp_scf_for_iter_args_diagnosed () =
   (* Same diagnosis for scf.for carrying an extra block argument. *)
+  Ir.Core.with_loc built_loc @@ fun () ->
   let f = Ir.Core.create_func ~name:"f" ~arg_types:[] () in
   let b = Ir.Builder.at_end (Ir.Core.func_entry f) in
   let c0 = Std_dialect.Arith.constant_index b 0 in
@@ -247,8 +264,8 @@ let test_interp_scf_for_iter_args_diagnosed () =
       ~regions:[ Ir.Core.create_region [ body ] ]
   in
   Ir.Core.append_op (Ir.Core.func_entry f) loop;
-  expect_iter_args_error Interp.Eval.Walk f;
-  expect_iter_args_error Interp.Eval.Compiled f
+  expect_iter_args_error Interp.Eval.Walk f loop;
+  expect_iter_args_error Interp.Eval.Compiled f loop
 
 let test_interp_signed_div_rem () =
   (* Floor-division semantics on the full sign grid, on both engines:
@@ -294,6 +311,7 @@ let test_interp_signed_div_rem () =
 let test_interp_div_rem_by_zero () =
   List.iter
     (fun mk ->
+      Ir.Core.with_loc built_loc @@ fun () ->
       let f =
         Ir.Core.create_func ~name:"z"
           ~arg_types:[ Ir.Typ.memref [ 1 ] Ir.Typ.F32 ]
@@ -306,30 +324,35 @@ let test_interp_div_rem_by_zero () =
       let v = mk b vx vz in
       let c0 = Std_dialect.Arith.constant_index b 0 in
       ignore (Std_dialect.Memref_ops.store b v a [ c0 ]);
+      let div = Option.get (Ir.Core.defining_op v) in
       List.iter
         (fun engine ->
           try
             Interp.Eval.run_func ~engine f [ B.create [ 1 ] ];
             Alcotest.fail "expected a division-by-zero error"
-          with Interp.Eval.Runtime_error msg ->
+          with Support.Diag.Error (loc, msg) ->
             Alcotest.(check bool) "mentions zero" true
-              (Astring_contains.contains msg "zero"))
+              (Astring_contains.contains msg "zero");
+            check_located "division by zero" div loc)
         [ Interp.Eval.Walk; Interp.Eval.Compiled ])
     [ Std_dialect.Arith.floordivsi; Std_dialect.Arith.remsi ]
 
 let test_interp_errors () =
   let m = Met.Emit_affine.translate (W.mm ~ni:4 ~nj:4 ~nk:4 ()) in
+  (* Argument errors are located at the function. *)
+  let f = Option.get (Ir.Core.find_func m "mm") in
+  Ir.Core.set_loc f built_loc;
   (* Wrong arity *)
   (try
      Interp.Eval.run m "mm" [];
      Alcotest.fail "expected arity error"
-   with Interp.Eval.Runtime_error _ -> ());
+   with Support.Diag.Error (loc, _) -> check_located "arity" f loc);
   (* Wrong shape *)
   try
     Interp.Eval.run m "mm"
       [ B.create [ 2; 2 ]; B.create [ 4; 4 ]; B.create [ 4; 4 ] ];
     Alcotest.fail "expected shape error"
-  with Interp.Eval.Runtime_error _ -> ()
+  with Support.Diag.Error (loc, _) -> check_located "shape" f loc
 
 let suite =
   [

@@ -131,6 +131,37 @@ let in_func body =
     "builtin.module {\n  func.func @f(%%A: memref<4xf32>) {\n%s\n    func.return\n  }\n}"
     body
 
+(* Products and divisions stay affine: a '*' with no constant side and a
+   floordiv or mod whose divisor is not a non-zero constant fail at the
+   operator. They once parsed, verified and failed only when run. *)
+let test_non_affine_maps_rejected () =
+  let subscript sub =
+    in_func
+      (Printf.sprintf
+         "    affine.for %%i = 0 to 4 {\n      affine.for %%j = 0 to 4 {\n        \
+          %%x = affine.load %%A[%s] : memref<4xf32>\n      }\n    }"
+         sub)
+  in
+  List.iter
+    (fun (src, want) ->
+      Alcotest.(check string) want want (located_error src))
+    [
+      ( subscript "%i floordiv %j",
+        "t.mlir:5:32: non-affine floordiv: the divisor is not a constant" );
+      ( subscript "%i mod %j",
+        "t.mlir:5:32: non-affine mod: the divisor is not a constant" );
+      ( subscript "%i * %j",
+        "t.mlir:5:32: non-affine product: neither side of '*' is a constant" );
+      (subscript "%i floordiv (2 - 2)", "t.mlir:5:32: floordiv by zero");
+      ( contract_with "affine_map<(d0, d1, d2) -> (d0 * d1, d2)>",
+        "t.mlir:3:69: non-affine product: neither side of '*' is a constant" );
+      (contract_with "affine_map<(d0, d1, d2) -> (d0 mod 0, d2)>",
+       "t.mlir:3:69: mod by zero");
+    ];
+  List.iter
+    (fun sub -> ignore (Parser.parse_module (subscript sub)))
+    [ "%i floordiv 2"; "%i * 2 + %j mod -3"; "(%i + 1) * 2 - %j"; "%i * (4 - 2)" ]
+
 let test_parse_errors () =
   let expect_fail src = ignore (located_error src) in
   expect_fail "builtin.module {";
@@ -456,6 +487,8 @@ let suite =
     Alcotest.test_case "roundtrip linalg.contract maps" `Quick
       test_roundtrip_contract_generic;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "non-affine products and divisors are located errors"
+      `Quick test_non_affine_maps_rejected;
     Alcotest.test_case "generic attribute forms" `Quick test_generic_attr_forms;
     Alcotest.test_case "float constants round-trip as text" `Quick
       test_float_constants_roundtrip;
