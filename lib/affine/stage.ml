@@ -125,8 +125,21 @@ let bound t op ~minimize ((map, args) : Affine_ops.bound) =
         done;
         !acc
 
-let lower_bound t op = bound t op ~minimize:false (Affine_ops.for_lb op)
-let upper_bound t op = bound t op ~minimize:true (Affine_ops.for_ub op)
+type level = {
+  step : int;
+  lb : int array -> int;
+  ub : int array -> int;
+  iv_slot : int;
+}
+
+let level t op =
+  let step = Affine_ops.for_step op in
+  if step <= 0 then
+    D.errorf ~loc:(Core.nearest_loc op) "%s: affine.for with non-positive step"
+      t.who;
+  let lb = bound t op ~minimize:false (Affine_ops.for_lb op) in
+  let ub = bound t op ~minimize:true (Affine_ops.for_ub op) in
+  { step; lb; ub; iv_slot = def t (Affine_ops.for_iv op) }
 
 (* ---- access offsets --------------------------------------------------- *)
 

@@ -160,7 +160,6 @@ let compile_access ctx (op : Core.op) : code =
     ctx.checked_accesses <- ctx.checked_accesses + 1;
     let comp = Affine.Stage.subscripts ctx.stage op in
     let n = Array.length comp in
-    let loc = Core.nearest_loc op in
     (* [Buffer.linear_index]'s checks, but an index out of its dimension
        is a located error, not an [Invalid_argument]. *)
     let offset fr (b : Buffer.t) =
@@ -169,10 +168,7 @@ let compile_access ctx (op : Core.op) : code =
       let o = ref 0 in
       for i = 0 to n - 1 do
         let x = comp.(i) fr.ints in
-        if x < 0 || x >= b.shape.(i) then
-          Support.Diag.errorf ~loc
-            "interp: %s index %d out of bounds [0, %d) at dim %d"
-            op.Core.o_name x b.shape.(i) i;
+        if x < 0 || x >= b.shape.(i) then index_error op b i x;
         o := !o + (x * b.strides.(i))
       done;
       !o
@@ -249,21 +245,10 @@ let match_mac_nest ctx (op : Core.op) =
   let* s = strided s in
   Some (loops, (a, b, c, s, product_first))
 
-(* A loop level: its step, bound closures and iv slot. *)
-type level = {
-  step : int;
-  lb_code : int array -> int;
-  ub_code : int array -> int;
-  iv_slot : int;
-}
-
+(* A loop level ({!Affine.Stage.level}) and its body. *)
 let compile_level ctx (op : Core.op) =
   let body = check_loop_shape op in
-  let step = A.for_step op in
-  if step <= 0 then error_at op "interp: affine.for with non-positive step";
-  let lb_code = Affine.Stage.lower_bound ctx.stage op in
-  let ub_code = Affine.Stage.upper_bound ctx.stage op in
-  ({ step; lb_code; ub_code; iv_slot = def_int ctx body.b_args.(0) }, body)
+  (Affine.Stage.level ctx.stage op, body)
 
 (* A perfect multiply-accumulate nest as one native walk. Per nest entry
    the four buffers and the four base offsets are read once. Every outer
@@ -276,7 +261,7 @@ let compile_level ctx (op : Core.op) =
    a load, and the levels iterate in the walker's order. *)
 let compile_mac_nest ctx
     (loops, ((ba, a), (bb, b), (bc, c), (bs, s), product_first)) : code =
-  let levels =
+  let levels : Affine.Stage.level array =
     Array.of_list (List.map (fun op -> fst (compile_level ctx op)) loops)
   in
   ctx.unchecked_accesses <- ctx.unchecked_accesses + 4;
@@ -301,7 +286,7 @@ let compile_mac_nest ctx
     and dc = fr.bufs.(bc).Buffer.data
     and ds = fr.bufs.(bs).Buffer.data in
     let innermost oa ob oc os =
-      let lb = inner.lb_code fr.ints and ub = inner.ub_code fr.ints in
+      let lb = inner.lb fr.ints and ub = inner.ub fr.ints in
       let oa = ref (oa + (ka * lb))
       and ob = ref (ob + (kb * lb))
       and oc = ref (oc + (kc * lb))
@@ -330,7 +315,7 @@ let compile_mac_nest ctx
       if l = last then innermost oa ob oc os
       else begin
         let lv = levels.(l) in
-        let lb = lv.lb_code fr.ints and ub = lv.ub_code fr.ints in
+        let lb = lv.lb fr.ints and ub = lv.ub fr.ints in
         let oa = ref (oa + (a.coeffs.(l) * lb))
         and ob = ref (ob + (b.coeffs.(l) * lb))
         and oc = ref (oc + (c.coeffs.(l) * lb))
@@ -439,14 +424,14 @@ and compile_op ctx (op : Core.op) : code option =
       match match_mac_nest ctx op with
       | Some nest -> Some (compile_mac_nest ctx nest)
       | None ->
-          let { step; lb_code; ub_code; iv_slot }, body =
+          let { Affine.Stage.step; lb; ub; iv_slot }, body =
             compile_level ctx op
           in
           let body_code = compile_block ctx body in
           Some
             (fun fr ->
-              let ub = ub_code fr.ints in
-              let i = ref (lb_code fr.ints) in
+              let ub = ub fr.ints in
+              let i = ref (lb fr.ints) in
               while !i < ub do
                 fr.ints.(iv_slot) <- !i;
                 body_code fr;

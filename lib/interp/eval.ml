@@ -50,6 +50,22 @@ let walk_bound env op ~minimize ((map, args) : A.bound) =
     results.(0)
     results
 
+(* [Buffer.linear_index]'s checks, but an index out of its dimension is
+   the compiled engine's located error, not an [Invalid_argument]. *)
+let linear_index op (b : Buffer.t) idx =
+  if Array.length idx <> Array.length b.shape then
+    invalid_arg "Buffer: index rank mismatch";
+  let o = ref 0 in
+  for d = 0 to Array.length idx - 1 do
+    let x = idx.(d) in
+    if x < 0 || x >= b.shape.(d) then Rt.index_error op b d x;
+    o := !o + (x * b.strides.(d))
+  done;
+  !o
+
+let get op b idx = b.Buffer.data.(linear_index op b idx)
+let set op b idx v = b.Buffer.data.(linear_index op b idx) <- v
+
 let access_indices env op =
   let map = A.access_map op in
   let dims = Array.of_list (List.map (as_int env op) (A.access_indices op)) in
@@ -130,7 +146,7 @@ and exec_op env (op : Core.op) =
           (Array.length op.o_operands - 1)
           (fun i -> as_int env op (Core.operand op (i + 1)))
       in
-      bind env (Core.result op 0) (R_float (Buffer.get buf idx))
+      bind env (Core.result op 0) (R_float (get op buf idx))
   | "memref.store" ->
       let buf = as_buf env op (Core.operand op 1) in
       let idx =
@@ -138,14 +154,14 @@ and exec_op env (op : Core.op) =
           (Array.length op.o_operands - 2)
           (fun i -> as_int env op (Core.operand op (i + 2)))
       in
-      Buffer.set buf idx (as_float env op (Core.operand op 0))
+      set op buf idx (as_float env op (Core.operand op 0))
   | "affine.load" ->
       let buf = as_buf env op (A.access_memref op) in
-      bind env (Core.result op 0) (R_float (Buffer.get buf (access_indices env op)))
+      bind env (Core.result op 0)
+        (R_float (get op buf (access_indices env op)))
   | "affine.store" ->
       let buf = as_buf env op (A.access_memref op) in
-      Buffer.set buf (access_indices env op)
-        (as_float env op (A.stored_value op))
+      set op buf (access_indices env op) (as_float env op (A.stored_value op))
   | "affine.apply" ->
       let map = Attr.get_map (Core.attr op "map") in
       let dims =

@@ -41,3 +41,7 @@ let validate_args (f : Core.op) (args : Buffer.t list) =
             (Printer.debug_value p)
       | None -> error_at f "interp: dynamic argument shapes unsupported")
     params args
+
+let index_error op (b : Buffer.t) dim x =
+  error_at op "interp: %s index %d out of bounds [0, %d) at dim %d"
+    op.Core.o_name x b.shape.(dim) dim

@@ -37,3 +37,9 @@ val check_loop_shape : Ir.Core.op -> Ir.Core.block
 (** [validate_args f args] checks arity and static argument shapes of a
     [func.func] against the supplied buffers; errors are located at [f]. *)
 val validate_args : Ir.Core.op -> Buffer.t list -> unit
+
+(** [index_error op b dim x] fails the access [op], whose index [x] is
+    out of [b]'s dimension [dim], with an error located at [op] naming
+    the index, the extent and the dimension: both engines' verdict on
+    such an access. *)
+val index_error : Ir.Core.op -> Buffer.t -> int -> int -> 'a

@@ -11,7 +11,8 @@ type t = {
           line first and empty ways ([invalid]) last *)
   mutable n_accesses : int;
   mutable n_misses : int;
-  mutable n_skipped : int;  (** hits counted in [n_accesses], not probed *)
+  mutable n_skipped : int;  (** accesses counted in [n_accesses], not probed *)
+  mutable n_replayed : int;  (** of [n_skipped], counted by [replay] *)
 }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
@@ -38,6 +39,7 @@ let create ~size ~line ~ways =
     n_accesses = 0;
     n_misses = 0;
     n_skipped = 0;
+    n_replayed = 0;
   }
 
 (* Exact LRU. A hit in the set's first way (its most recently used line)
@@ -68,11 +70,8 @@ let access t addr =
 let accesses t = t.n_accesses
 let misses t = t.n_misses
 let probes t = t.n_accesses - t.n_skipped
+let replayed t = t.n_replayed
 let line t = 1 lsl t.line_shift
-
-let skip_hits t k =
-  t.n_accesses <- t.n_accesses + k;
-  t.n_skipped <- t.n_skipped + k
 
 (* A hit only reorders a set's tags, so a cache that never missed since
    [create] or the last reset still holds only empty ways. *)
@@ -80,11 +79,15 @@ let reset t =
   if t.n_misses > 0 then Array.fill t.tags 0 (Array.length t.tags) invalid;
   t.n_accesses <- 0;
   t.n_misses <- 0;
-  t.n_skipped <- 0
+  t.n_skipped <- 0;
+  t.n_replayed <- 0
 
 type hierarchy = { l1 : t; l2 : t; l3 : t }
 
-let create_hierarchy ~l1 ~l2 ~l3 = { l1; l2; l3 }
+let create_hierarchy ~l1 ~l2 ~l3 =
+  if l2.line_shift < l1.line_shift || l3.line_shift < l1.line_shift then
+    invalid_arg "Cache.create_hierarchy: an outer line is smaller than L1's";
+  { l1; l2; l3 }
 let l1 h = h.l1
 
 let reset_hierarchy h =
@@ -102,6 +105,46 @@ let access_hierarchy h addr =
 let outer_level h addr =
   if access h.l2 addr then 2 else if access h.l3 addr then 3 else 4
 
+(* An entry's L1 misses in probe order, two ints each: the access's
+   position in the entry ([iteration * sites + site]), then its cost
+   index ([3 * site + level - 2]) shifted left by 2 over [level - 2],
+   for the level (2-4) that served it. *)
+type outcome = { mutable log : int array; mutable len : int }
+
+let outcome () = { log = Array.make 64 0; len = 0 }
+let clear o = o.len <- 0
+let outcome_misses o = o.len / 2
+
+let same_outcome a b =
+  a.len = b.len
+  &&
+  let same = ref true and i = ref 0 in
+  while !same && !i < a.len do
+    same := a.log.(!i) = b.log.(!i);
+    incr i
+  done;
+  !same
+
+let push o pos served =
+  if o.len + 2 > Array.length o.log then begin
+    let log = Array.make (2 * Array.length o.log) 0 in
+    Array.blit o.log 0 log 0 o.len;
+    o.log <- log
+  end;
+  o.log.(o.len) <- pos;
+  o.log.(o.len + 1) <- served;
+  o.len <- o.len + 2
+
+(* Serves an L1 miss of site [s] at [addr] from the outer levels, logs it
+   at position [pos] when recording, and returns its cost index. *)
+let miss h record s addr pos =
+  let level = outer_level h addr in
+  let ci = (3 * s) + level - 2 in
+  (match record with
+  | None -> ()
+  | Some o -> push o pos ((ci lsl 2) lor (level - 2)));
+  ci
+
 (* The L1 first-way test is inlined; everything past it is [scan] and the
    outer levels' [access], exactly as [access_hierarchy] would run them,
    so each probe has the outcome and the state change it would have had
@@ -115,7 +158,7 @@ let outer_level h addr =
    one moving [d < 0] stays [off / -d] more. When a site moves a whole
    line per iteration, or there are more sites than L1 ways, every
    chunk is one iteration long. *)
-let run_strided h ~n ~addrs ~deltas ~costs mem_cycles =
+let run_strided ?record h ~n ~addrs ~deltas ~costs mem_cycles =
   let l1 = h.l1 in
   let shift = l1.line_shift and mask = l1.set_mask in
   let tags = l1.tags and ways = l1.ways in
@@ -138,7 +181,7 @@ let run_strided h ~n ~addrs ~deltas ~costs mem_cycles =
       let line_id = a asr shift in
       let set = line_id land mask in
       if tags.(set * ways) <> line_id && not (scan l1 line_id set) then
-        mem := !mem +. costs.((3 * s) + outer_level h a - 2);
+        mem := !mem +. costs.(miss h record s a ((!i * sites) + s));
       if chunked then begin
         let stay =
           if d > 0 then (line - 1 - (a land (line - 1))) / d
@@ -157,4 +200,31 @@ let run_strided h ~n ~addrs ~deltas ~costs mem_cycles =
     i := !i + !k
   done;
   l1.n_accesses <- l1.n_accesses + (n * sites);
+  !mem
+
+(* Counts [k] accesses, [misses] of them missing, at [t] without a probe. *)
+let count_replayed t k misses =
+  t.n_accesses <- t.n_accesses + k;
+  t.n_skipped <- t.n_skipped + k;
+  t.n_replayed <- t.n_replayed + k;
+  t.n_misses <- t.n_misses + misses
+
+let replay h ~accesses o ~costs mem_cycles =
+  let mem = ref mem_cycles and to_l3 = ref 0 and to_mem = ref 0 in
+  let i = ref 1 in
+  while !i < o.len do
+    let served = o.log.(!i) in
+    mem := !mem +. costs.(served lsr 2);
+    (match served land 3 with
+    | 1 -> incr to_l3
+    | 2 ->
+        incr to_l3;
+        incr to_mem
+    | _ -> ());
+    i := !i + 2
+  done;
+  let l1_misses = outcome_misses o in
+  count_replayed h.l1 accesses l1_misses;
+  count_replayed h.l2 l1_misses !to_l3;
+  count_replayed h.l3 !to_l3 !to_mem;
   !mem

@@ -77,6 +77,22 @@ let hierarchy (m : M.t) =
       cell := (geometry, h) :: !cell;
       h
 
+let m_accesses =
+  Support.Once.make (fun () ->
+      Metrics.counter ~help:"logical accesses simulated by Perf.time_func"
+        "mlt_sim_accesses")
+
+let m_l1_probes =
+  Support.Once.make (fun () ->
+      Metrics.counter ~help:"L1 probes that actually ran (Cache.probes)"
+        "mlt_sim_l1_probes")
+
+let m_replayed =
+  Support.Once.make (fun () ->
+      Metrics.counter
+        ~help:"accesses of loop entries replayed without a probe (Cache.replay)"
+        "mlt_sim_replayed_accesses")
+
 let time_func model func =
   if not (Core.is_func func) then invalid_arg "Perf.time_func";
   Core.walk func (fun op ->
@@ -115,6 +131,13 @@ let time_func model func =
         | _ -> pending := op :: !pending)
     (Core.ops_of_block (Core.func_entry func));
   flush ();
+  if Metrics.enabled () then begin
+    let l1 = Cache.l1 hier in
+    Metrics.add (Support.Once.get m_accesses)
+      (int_of_float stats.Sim_trace.accesses);
+    Metrics.add (Support.Once.get m_l1_probes) (Cache.probes l1);
+    Metrics.add (Support.Once.get m_replayed) (Cache.replayed l1)
+  end;
   let compute_cycles =
     (stats.Sim_trace.flops_scalar /. model.M.scalar_flops_per_cycle)
     +. (stats.Sim_trace.flops_vector /. model.M.vector_flops_per_cycle)

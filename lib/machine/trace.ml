@@ -148,14 +148,15 @@ let is_flop (op : Core.op) =
 let direct_flops ops = List.length (List.filter is_flop ops)
 
 (* A site of a straight-line body: its buffer's base address, its
-   element offset split over the loop's iv, and its miss costs. *)
+   element offset split over the nest's ivs, and its miss costs. *)
 type site = { base : int; offset : Affine.Stage.strided; costs : float array }
 
 (* A straight-line body holds only accesses with linear addresses, float
    arithmetic and non-index constants: nothing in it writes an index
-   value, so over one loop entry every address moves by a constant delta
-   per iteration. Returns its access sites in body order, or [None]. *)
-let straight_line_sites ctx ~iv ~step body_ops =
+   value, so over one entry of its loop every address moves by a
+   constant delta per iteration. Returns its access sites in body order,
+   each offset split over [ivs], or [None]. *)
+let straight_line_sites ctx ~ivs body_ops =
   let straight (op : Core.op) =
     match op.o_name with
     | "affine.load" | "affine.store" -> true
@@ -163,14 +164,14 @@ let straight_line_sites ctx ~iv ~step body_ops =
         match Core.attr op "value" with Attr.Int _ -> false | _ -> true)
     | _ -> is_flop op
   in
-  if step < 1 || not (List.for_all straight body_ops) then None
+  if not (List.for_all straight body_ops) then None
   else
     let sites =
       List.filter_map
         (fun op ->
           if A.is_load op || A.is_store op then
             let base = buffer_base ctx op in
-            let offset = Affine.Stage.strided ctx.stage [| iv |] op in
+            let offset = Affine.Stage.strided ctx.stage ivs op in
             let costs = miss_costs ctx op in
             Some (Option.map (fun offset -> { base; offset; costs }) offset)
           else None)
@@ -180,73 +181,143 @@ let straight_line_sites ctx ~iv ~step body_ops =
       Some (List.map Option.get sites)
     else None
 
-(* One loop entry runs as [n] iterations of [Cache.run_strided] over the
-   sites, each starting at its address for the first iteration and
-   moving by its iv coefficient times [step]. The flop, iteration and
-   access counts are added once per entry: [fl *. n] and
+(* A perfect nest whose innermost body is straight-line runs as one walk.
+   Per nest entry each site's base address is evaluated once; every
+   level evaluates its bounds on entry, moves each site's address by its
+   iv coefficient times the iv, and outer levels write their iv slot in
+   every iteration, so a nested level's [min]/[max] bounds read it. An
+   outer iteration counts one loop iteration, as the closure path does
+   (an outer loop never vectorizes and has no flop of its own).
+
+   Each innermost entry runs as [n] iterations of [Cache.run_strided]
+   over the sites, each starting at its address for the first iteration
+   and moving by its iv coefficient times the step. The flop, iteration
+   and access counts are added once per entry: [fl *. n] and
    [iter_weight *. n] equal the per-iteration sums bit for bit, since
    every partial sum is an integer or a multiple of 1/8 far below 2^53.
 
-   An entry is replayed, not probed, when the loop's previous entry
-   missed L1 nowhere, nothing probed L1 since it ended, the trip count
-   is the same and every site touches the same line sequence: its first
-   address is unchanged, or its first line is and its delta is a whole
-   number of lines. Every access of the replay hits and leaves the
-   cache as it was (Cache.run_strided's interface), so the entry only
-   counts [n * sites] L1 hits. *)
-let compile_strided ctx ~lb ~ub ~step ~iter_weight ~vectorized ~fl sites =
-  (* Byte addresses: 4 bytes per element. *)
-  let bases = Array.of_list (List.map (fun s -> s.base) sites) in
-  let offsets = Array.of_list (List.map (fun s -> s.offset.base) sites) in
-  let ks = Array.of_list (List.map (fun s -> 4 * s.offset.coeffs.(0)) sites) in
-  let deltas = Array.map (fun k -> step * k) ks in
-  let costs = Array.concat (List.map (fun s -> s.costs) sites) in
-  let n_sites = List.length sites in
+   An entry repeats the one before it when the trip count is the same,
+   nothing probed L1 since that entry ended, and every site touches the
+   same line sequence: its first address is unchanged, or its first
+   line is and its delta is a whole number of lines. A repeating entry
+   is replayed, not probed ([Cache.replay]), when the entry before it
+   left every level as the repeat will find it: it missed L1 nowhere, or
+   it repeated its own predecessor with the same outcome (the same L1
+   misses, served by the same levels). Only a repeating entry records
+   its outcome. *)
+let compile_nest ctx loops ~iter_weight ~vectorized ~fl sites =
+  let levels = Array.of_list (List.map (Affine.Stage.level ctx.stage) loops) in
+  let last = Array.length levels - 1 in
+  let sites = Array.of_list sites in
+  let n_sites = Array.length sites in
+  (* Byte addresses: 4 bytes per element. [ks.(l)]: each site's move per
+     unit of level [l]'s iv; [moves.(l)]: per iteration of level [l]. *)
+  let bases = Array.map (fun s -> s.base) sites in
+  let offsets = Array.map (fun s -> s.offset.base) sites in
+  let ks =
+    Array.init (last + 1) (fun l ->
+        Array.map (fun s -> 4 * s.offset.coeffs.(l)) sites)
+  in
+  let moves =
+    Array.mapi (fun l k -> Array.map (fun k -> k * levels.(l).step) k) ks
+  in
+  let costs = Array.concat (Array.to_list (Array.map (fun s -> s.costs) sites)) in
+  (* [at.(l)]: each site's address with the ivs of levels [0 .. l-1]
+     applied; [addrs]: the innermost entry's walk. *)
+  let at = Array.init (last + 1) (fun _ -> Array.make n_sites 0) in
   let addrs = Array.make n_sites 0 in
   let hier = ctx.hier and stats = ctx.stats in
   let l1 = Cache.l1 hier in
   let line = Cache.line l1 in
   let line_mask = lnot (line - 1) in
+  let inner = levels.(last) in
+  let k_in = ks.(last) and deltas = moves.(last) in
   let whole_lines = Array.map (fun d -> d land (line - 1) = 0) deltas in
-  (* The previous entry: its first addresses, its trip count when it
-     missed L1 nowhere (else -1), and L1's probe count when it ended. *)
+  (* The previous entry: its first addresses, trip count, L1's probe
+     count when it ended, whether a repeat of it replays, and its
+     outcome when known ([last_known]); [scratch] records the next. *)
   let prev_addrs = Array.make n_sites 0 in
   let prev_n = ref (-1) and prev_probes = ref 0 in
-  let same_lines () =
-    let same = ref true and s = ref 0 in
-    while !same && !s < n_sites do
-      let a = addrs.(!s) and p = prev_addrs.(!s) in
-      same := a = p || (whole_lines.(!s) && a land line_mask = p land line_mask);
-      incr s
-    done;
-    !same
-  in
-  fun env ->
-    let lo = lb env and hi = ub env in
+  let fixed = ref false and last_known = ref false in
+  let last_outcome = ref (Cache.outcome ()) and scratch = ref (Cache.outcome ()) in
+  let entry env =
+    let lo = inner.lb env and hi = inner.ub env in
     if lo < hi then begin
-      let n = ((hi - lo - 1) / step) + 1 in
+      let n = ((hi - lo - 1) / inner.step) + 1 in
+      let cur = at.(last) in
+      let same = ref (n = !prev_n && Cache.probes l1 = !prev_probes) in
       for s = 0 to n_sites - 1 do
-        addrs.(s) <- bases.(s) + (4 * offsets.(s) env) + (ks.(s) * lo)
+        let a = cur.(s) + (k_in.(s) * lo) and p = prev_addrs.(s) in
+        addrs.(s) <- a;
+        if !same && a <> p then
+          same := whole_lines.(s) && a land line_mask = p land line_mask;
+        prev_addrs.(s) <- a
       done;
-      let replay =
-        n = !prev_n && Cache.probes l1 = !prev_probes && same_lines ()
-      in
-      Array.blit addrs 0 prev_addrs 0 n_sites;
-      if replay then Cache.skip_hits l1 (n * n_sites)
-      else begin
-        let misses = Cache.misses l1 in
+      let accesses = n * n_sites in
+      if !same && !fixed then
         stats.mem_cycles <-
-          Cache.run_strided hier ~n ~addrs ~deltas ~costs stats.mem_cycles;
-        prev_n := if Cache.misses l1 = misses then n else -1;
+          Cache.replay hier ~accesses !last_outcome ~costs stats.mem_cycles
+      else begin
+        if !same then begin
+          let o = !scratch in
+          Cache.clear o;
+          stats.mem_cycles <-
+            Cache.run_strided ~record:o hier ~n ~addrs ~deltas ~costs
+              stats.mem_cycles;
+          fixed :=
+            Cache.outcome_misses o = 0
+            || (!last_known && Cache.same_outcome o !last_outcome);
+          scratch := !last_outcome;
+          last_outcome := o;
+          last_known := true
+        end
+        else begin
+          let misses = Cache.misses l1 in
+          stats.mem_cycles <-
+            Cache.run_strided hier ~n ~addrs ~deltas ~costs stats.mem_cycles;
+          fixed := Cache.misses l1 = misses;
+          Cache.clear !last_outcome;
+          last_known := !fixed
+        end;
+        prev_n := n;
         prev_probes := Cache.probes l1
       end;
-      ctx.n_accesses <- ctx.n_accesses + (n * n_sites);
+      ctx.n_accesses <- ctx.n_accesses + accesses;
       let n = float_of_int n in
       if vectorized then
         stats.flops_vector <- stats.flops_vector +. (fl *. n)
       else stats.flops_scalar <- stats.flops_scalar +. (fl *. n);
       stats.iterations <- stats.iterations +. (iter_weight *. n)
     end
+  in
+  let rec walk l env =
+    if l = last then entry env
+    else begin
+      let lv = levels.(l) in
+      let lo = lv.lb env and hi = lv.ub env in
+      let cur = at.(l) and next = at.(l + 1) in
+      let k = ks.(l) and move = moves.(l) in
+      for s = 0 to n_sites - 1 do
+        next.(s) <- cur.(s) + (k.(s) * lo)
+      done;
+      let i = ref lo in
+      while !i < hi do
+        env.(lv.iv_slot) <- !i;
+        walk (l + 1) env;
+        for s = 0 to n_sites - 1 do
+          next.(s) <- next.(s) + move.(s)
+        done;
+        stats.iterations <- stats.iterations +. 1.;
+        i := !i + lv.step
+      done
+    end
+  in
+  fun env ->
+    let first = at.(0) in
+    for s = 0 to n_sites - 1 do
+      first.(s) <- bases.(s) + (4 * offsets.(s) env)
+    done;
+    walk 0 env
 
 let rec compile_block ctx (ops : Core.op list) =
   let closures = ref [] in
@@ -297,28 +368,31 @@ let rec compile_block ctx (ops : Core.op list) =
     ops;
   Array.of_list (List.rev !closures)
 
+(* SIMD execution retires several logical iterations per hardware loop
+   iteration: a vectorized loop's per-iteration branch/IV overhead is
+   amortized. Called once the loop's accesses are staged, so their maps
+   are valid. *)
+and vectorization ctx loop =
+  let vectorized = is_vectorizable ~fast_math:ctx.fast_math loop in
+  (vectorized, if vectorized then 0.125 else 1.0)
+
 and compile_for ctx (op : Core.op) =
-  let iv = A.for_iv op in
-  let iv_slot = Affine.Stage.def ctx.stage iv in
-  let lb = Affine.Stage.lower_bound ctx.stage op in
-  let ub = Affine.Stage.upper_bound ctx.stage op in
-  let step = A.for_step op in
-  let body_ops = Affine.Loops.body_ops op in
-  let fl = float_of_int (direct_flops body_ops) in
-  (* Called once the body's accesses are staged, so their maps are valid.
-     SIMD execution retires several logical iterations per hardware loop
-     iteration: amortize the per-iteration branch/IV overhead. *)
-  let vectorization () =
-    let vectorized = is_vectorizable ~fast_math:ctx.fast_math op in
-    (vectorized, if vectorized then 0.125 else 1.0)
-  in
-  match straight_line_sites ctx ~iv ~step body_ops with
+  let loops, body_ops = Affine.Loops.nest_with_body op in
+  let ivs = Array.of_list (List.map A.for_iv loops) in
+  match straight_line_sites ctx ~ivs body_ops with
   | Some sites ->
-      let vectorized, iter_weight = vectorization () in
-      compile_strided ctx ~lb ~ub ~step ~iter_weight ~vectorized ~fl sites
+      let innermost = List.nth loops (List.length loops - 1) in
+      let vectorized, iter_weight = vectorization ctx innermost in
+      let fl = float_of_int (direct_flops body_ops) in
+      compile_nest ctx loops ~iter_weight ~vectorized ~fl sites
   | None ->
+      let { Affine.Stage.step; lb; ub; iv_slot } =
+        Affine.Stage.level ctx.stage op
+      in
+      let body_ops = Affine.Loops.body_ops op in
+      let fl = float_of_int (direct_flops body_ops) in
       let body = compile_block ctx body_ops in
-      let vectorized, iter_weight = vectorization () in
+      let vectorized, iter_weight = vectorization ctx op in
       let stats = ctx.stats in
       fun env ->
         let lo = lb env and hi = ub env in

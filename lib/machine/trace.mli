@@ -2,17 +2,24 @@
     closures once, then its full iteration space is walked; every
     [affine.load]/[affine.store] produces a byte address that probes the
     cache hierarchy, while arithmetic is counted statically per iteration.
-    Bounds, [affine.apply] results and access offsets are staged by
-    {!Affine.Stage} over one [int array] frame; a byte address is the
-    buffer's base plus 4 bytes per element of offset. A straight-line
-    innermost loop (only accesses with linear addresses, float arithmetic
-    and float constants in its body) runs each entry as one
-    {!Cache.run_strided} walk over its access sites, each starting at its
-    first address and moving by its {!Affine.Stage.strided} coefficient
-    times the step, and skips an entry that provably replays the previous
-    one's L1 hits; every other body runs op by op. Both give the same
-    report bit for bit. What is left here is the cache probes, the chunk
-    and replay skips, and the cost accounting.
+    Bounds, loop levels ({!Affine.Stage.level}, the staging the
+    interpreter's fused nests share), [affine.apply] results and access
+    offsets are staged by {!Affine.Stage} over one [int array] frame; a
+    byte address is the buffer's base plus 4 bytes per element of offset.
+
+    A perfect nest whose innermost body is straight-line (only accesses
+    with linear addresses, float arithmetic and float constants) runs as
+    one walk: each site's {!Affine.Stage.strided} base is evaluated once
+    per nest entry, every level moves each site's address by its
+    coefficient times the iv, and outer levels write their iv slot, so
+    [min]/[max] bounds hold. Each innermost entry is one
+    {!Cache.run_strided} walk over the sites, or, when it repeats the
+    entry before it (same trip count and line sequence, no L1 probe in
+    between) and that entry left the cache as the repeat will find it,
+    a {!Cache.replay} of that entry's L1 outcome. Every other body runs
+    op by op. Both give the same report bit for bit. What is left here
+    is the cache probes, the chunk and replay skips, and the cost
+    accounting.
 
     Vectorizability follows the Clang-style check the paper's baselines
     rely on: an innermost loop whose accesses all have address stride 0 or

@@ -83,15 +83,42 @@ let compile script =
 
 let compile_steps steps = compile (S.of_steps steps)
 
-let apply_step c payload =
+(* The payload's own location or its nearest located ancestor's, else
+   its first located op's: a function built in memory has none. *)
+let payload_loc payload =
+  let loc = ref (Core.nearest_loc payload) in
+  (if not (Support.Loc.is_known !loc) then
+     try
+       Core.walk payload (fun op ->
+           if Support.Loc.is_known op.Core.o_loc then begin
+             loc := op.Core.o_loc;
+             raise Exit
+           end)
+     with Exit -> ());
+  !loc
+
+(* A step error with no position is re-raised at the payload's
+   location, as [Verifier] locates a dialect hook's error; [named]
+   prefixes the step's name, which a pass manager adds itself. *)
+let run_step ~named c payload =
   Trace.span ~cat:"transform" c.c_name (fun () ->
-      let n = c.c_apply payload in
+      let n =
+        try c.c_apply payload
+        with Support.Diag.Error (loc, msg) when not (Support.Loc.is_known loc)
+          ->
+          let loc = payload_loc payload in
+          if named then Support.Diag.errorf ~loc "%s: %s" c.c_name msg
+          else Support.Diag.error ~loc msg
+      in
       if n = 0 && Remark.enabled () then
         Remark.remark ~loc:c.c_loc ~context:"transform" Remark.Analysis
           "%s did not apply: no matching construct in the payload" c.c_name;
       n)
 
+let apply_step c payload = run_step ~named:true c payload
+
 let pass_of_compiled c =
-  Pass.make ~name:c.c_name (fun payload -> ignore (apply_step c payload))
+  Pass.make ~name:c.c_name (fun payload ->
+      ignore (run_step ~named:false c payload))
 
 let passes_of_steps steps = List.map pass_of_compiled (compile_steps steps)

@@ -35,9 +35,14 @@ val compile : Core.op -> compiled list
 val compile_steps : Script.step list -> compiled list
 
 (** [apply_step c payload] — one step, with its trace span and
-    inapplicability remark; returns the application count. *)
+    inapplicability remark; returns the application count. A
+    {!Support.Diag.Error} the step raises with no position is re-raised
+    at the payload's nearest location ({!Ir.Core.nearest_loc}), or at
+    its first located op when it has none, its message prefixed by the
+    step name. *)
 val apply_step : compiled -> Core.op -> int
 
 (** One {!Ir.Pass} per step (named {!Script.step_name}), for running a
-    script under an instrumented pass manager. *)
+    script under an instrumented pass manager. Errors are located as in
+    {!apply_step}; the pass manager prefixes the pass name. *)
 val passes_of_steps : Script.step list -> Pass.t list

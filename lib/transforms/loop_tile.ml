@@ -6,7 +6,7 @@ let const_bounds loop =
   match A.for_const_bounds loop with
   | Some (0, ub) when A.for_step loop = 1 -> ub
   | _ ->
-      D.errorf
+      D.errorf ~loc:(Core.nearest_loc loop)
         "tile: loop bounds must be constant, zero-based, unit-step"
 
 let tile_nest loops ~sizes =

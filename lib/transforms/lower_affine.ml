@@ -20,17 +20,17 @@ let rec expand b (operands : Core.value array) (e : Affine_expr.t) =
   | Affine_expr.Mod (x, y) ->
       Arith.remsi b (expand b operands x) (expand b operands y)
 
-let single_bound_value b ((map, args) : A.bound) =
+let single_bound_value b (op : Core.op) ((map, args) : A.bound) =
   match map.Affine_map.exprs with
   | [ e ] -> expand b (Array.of_list args) e
   | _ ->
-      D.errorf
+      D.errorf ~loc:(Core.nearest_loc op)
         "lower-affine: min/max loop bounds not supported at the SCF level"
 
 let lower_for (ctx : Rewriter.ctx) (op : Core.op) =
   let b = ctx.builder in
-  let lb = single_bound_value b (A.for_lb op) in
-  let ub = single_bound_value b (A.for_ub op) in
+  let lb = single_bound_value b op (A.for_lb op) in
+  let ub = single_bound_value b op (A.for_ub op) in
   let step = Arith.constant_index b (A.for_step op) in
   let old_body = A.for_body op in
   let old_iv = A.for_iv op in

@@ -106,6 +106,24 @@ dune exec tools/json_check/json_check.exe -- "$obs_tmp/sim_best_stats.json" \
   passes
 dune exec bin/mlt_sim.exe -- examples/kernels/gemm.c --tune --quick \
   > /dev/null
+# The simulator's metrics account for gemm's accesses under clang-O3:
+# mlt_sim_accesses is the logical access count (4 * 256^3 + 256^2), and
+# the innermost entries that repeat their predecessor's lines and
+# outcome are replayed, so mlt_sim_replayed_accesses is not 0.
+dune exec bin/mlt_sim.exe -- examples/kernels/gemm.c --config clang-O3 \
+  --metrics "$obs_tmp/sim_metrics.json" > /dev/null
+dune exec tools/json_check/json_check.exe -- "$obs_tmp/sim_metrics.json" \
+  metrics
+grep -q '"name":"mlt_sim_accesses","type":"counter",[^}]*"value":67174400}' \
+  "$obs_tmp/sim_metrics.json" || {
+  echo "check.sh: mlt_sim_accesses is not gemm's 67174400 logical accesses" >&2
+  exit 1
+}
+grep -q '"name":"mlt_sim_replayed_accesses","type":"counter",[^}]*"value":[1-9]' \
+  "$obs_tmp/sim_metrics.json" || {
+  echo "check.sh: mlt-sim replayed no loop entry of the clang-O3 gemm" >&2
+  exit 1
+}
 # Truncated mini-C must fail as a located Diag.Error (exit 124) whose
 # location names the input file: exit 125 (an uncaught exception) or an
 # anonymous "<string>" location fails the gate, in mlt-opt and mlt-sim.
@@ -201,6 +219,20 @@ if [ "$status" -ne 124 ] \
   || ! grep -q "^mlt-sim: examples/kernels/gemm.c:[0-9]*:[0-9]*: " "$obs_tmp/scf.err"; then
   cat "$obs_tmp/scf.err" >&2
   echo "check.sh: mlt-sim on an scf.for schedule exited $status without an error located in the input file" >&2
+  exit 1
+fi
+# A transform step that cannot handle a loop must fail at that loop:
+# pluto-default tiles only zero-based loops, so a loop from 1 exits 124
+# with the loop's position in the input file.
+sed 's/i = 0;/i = 1;/' examples/kernels/gemm.c > "$obs_tmp/gemm_from1.c"
+grep -q 'i = 1;' "$obs_tmp/gemm_from1.c"
+status=0
+_build/default/bin/mlt_sim.exe "$obs_tmp/gemm_from1.c" --config pluto-default \
+  > /dev/null 2> "$obs_tmp/from1.err" || status=$?
+if [ "$status" -ne 124 ] \
+  || ! grep -q "^mlt-sim: $obs_tmp/gemm_from1.c:[0-9]*:[0-9]*: .*tile: " "$obs_tmp/from1.err"; then
+  cat "$obs_tmp/from1.err" >&2
+  echo "check.sh: pluto-default on a loop from 1 exited $status without an error located in the input file" >&2
   exit 1
 fi
 # An access past the end of its array must fail as a Diag.Error located

@@ -241,6 +241,8 @@ let stage_rejects =
       "divides by zero" );
     ("an empty bound map", "affine.for", "upper_bound", map 0 [],
      "upper bound map has no results");
+    ("a step below 1", "affine.for", "step", Ir.Attr.Int 0,
+     "affine.for with non-positive step");
   ]
 
 let stage_reject_kernel =

@@ -406,8 +406,10 @@ let prop_fused_mac_is_walker =
       &&
       match (walk, fused) with
       | Ok w, Ok x -> bitwise_equal w x
-      | Error (Invalid_argument _), Error (Support.Diag.Error (loc, _)) ->
-          d.oob && Support.Loc.equal loc oob_loc
+      | ( Error (Support.Diag.Error (wloc, wmsg)),
+          Error (Support.Diag.Error (loc, msg)) ) ->
+          d.oob && Support.Loc.equal loc oob_loc && Support.Loc.equal wloc loc
+          && wmsg = msg
       | _ -> false)
 
 (* ---- introspection: static bounds proof -------------------------------- *)
@@ -485,9 +487,8 @@ let test_unprovable_access_uses_checked_fallback () =
 let test_out_of_bounds_still_detected () =
   (* Shrinking the declared shape under the loop extent makes the access
      genuinely out of bounds: both engines must refuse it (not read out of
-     the buffer). The walker raises [Invalid_argument]; the compiled
-     engine's checked path raises a [Diag.Error] located at the access,
-     naming the dimension, the index and the extent. *)
+     the buffer). Both raise the same [Diag.Error], located at the
+     access, naming the dimension, the index and the extent. *)
   let m = Met.Emit_affine.translate ~file:"mm.c" (W.mm ~ni:4 ~nj:4 ~nk:4 ()) in
   let f = Option.get (Core.find_func m "mm") in
   List.iter
@@ -496,12 +497,16 @@ let test_out_of_bounds_still_detected () =
   let run engine =
     Interp.Eval.run_func ~engine f (List.init 3 (fun _ -> B.create [ 3; 3 ]))
   in
-  (match run Interp.Eval.Walk with
-  | () -> Alcotest.fail "walk: expected out-of-bounds"
-  | exception Invalid_argument _ -> ());
+  let walked =
+    match run Interp.Eval.Walk with
+    | () -> Alcotest.fail "walk: expected out-of-bounds"
+    | exception Support.Diag.Error (loc, msg) -> Support.Diag.to_string loc msg
+  in
   match run Interp.Eval.Compiled with
   | () -> Alcotest.fail "compiled: expected out-of-bounds"
   | exception Support.Diag.Error (loc, msg) ->
+      Alcotest.(check string) "the walker fails the same way"
+        (Support.Diag.to_string loc msg) walked;
       let accesses = ref [] in
       Core.walk f (fun op ->
           if op.Core.o_name = "affine.load" || op.Core.o_name = "affine.store"

@@ -183,6 +183,52 @@ let test_applicable_step_counts () =
   let count = Transform.Interp.apply_step (List.hd compiled) (sole_func m) in
   Alcotest.(check int) "one tiled nest" 1 count
 
+(* ---- located step errors ------------------------------------------------ *)
+
+(* A step that cannot transform the payload fails at the offending loop:
+   tiling a loop from 1 (pluto-default), lowering a tiled nest's [min]
+   bound. A step error with no position of its own is re-raised at the
+   payload's location, prefixed by the step name. *)
+let test_step_errors_are_located () =
+  let located what ~at ~has f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected an error" what
+    | exception Support.Diag.Error (loc, msg) ->
+        let got = Support.Diag.to_string loc msg in
+        if not (String.starts_with ~prefix:at got && Astring_contains.contains msg has)
+        then Alcotest.failf "%s: %s, expected %s... %s" what got at has
+  in
+  let from1 =
+    "void f(float A[65][65]) {\n  for (int i = 1; i < 64; ++i)\n    for (int \
+     j = 0; j < 64; ++j)\n      A[i][j] = A[i][j] + 1.0;\n}\n"
+  in
+  located "tile from 1 (pluto-default)" ~at:"from1.c:2:3: "
+    ~has:"tile: loop bounds must be constant" (fun () ->
+      P.prepare_schedule ~file:"from1.c" (P.Config P.Pluto_default) from1);
+  (* Tiling builds its loops in memory: the lowering error goes to the
+     function's first located op, named by the step. *)
+  let mm () =
+    sole_func (Met.Emit_affine.translate ~file:"mm.c" (W.mm ~ni:6 ~nj:6 ~nk:6 ()))
+  in
+  located "lower a tiled nest" ~at:"mm.c:"
+    ~has:"transform.lower_affine: lower-affine: min/max loop bounds" (fun () ->
+      let f = mm () in
+      List.iter
+        (fun c -> ignore (Transform.Interp.apply_step c f))
+        (Transform.Interp.compile_steps [ Script.Tile [ 4 ]; Script.Lower_affine ]));
+  let boom =
+    {
+      Transform.Interp.c_name = "transform.boom";
+      c_loc = Support.Loc.unknown;
+      c_apply = (fun _ -> Support.Diag.errorf "boom");
+    }
+  in
+  let f = mm () in
+  let first = List.hd (Affine.Loops.top_level_loops f) in
+  located "unlocated step error"
+    ~at:(Support.Loc.to_string first.Core.o_loc ^ ": ")
+    ~has:"transform.boom: boom" (fun () -> Transform.Interp.apply_step boom f)
+
 (* ---- rejection of malformed scripts ------------------------------------ *)
 
 let rejects name text =
@@ -277,6 +323,8 @@ let suite =
       test_inapplicable_step_remarks;
     Alcotest.test_case "applicable step reports its application count"
       `Quick test_applicable_step_counts;
+    Alcotest.test_case "step errors are located" `Quick
+      test_step_errors_are_located;
     Alcotest.test_case "verifier rejects malformed scripts" `Quick
       test_verifier_rejections;
     Alcotest.test_case "custom schedule naming" `Quick test_schedule_names;
