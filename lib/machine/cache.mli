@@ -74,30 +74,50 @@ val reset_hierarchy : hierarchy -> unit
     returns the innermost level that hit (1-4, 4 = memory). *)
 val access_hierarchy : hierarchy -> int -> int
 
-(** [run_strided h ~n ~addrs ~deltas ~costs mem_cycles] has the same
-    outcomes, counts and cost sum as {!access_hierarchy} run in probe
-    order over [n] iterations of [Array.length addrs] access sites: site
-    [s] of iteration [i] (from 0) accesses [addrs.(s) + i * deltas.(s)].
-    An access served by level [l > 1] adds [costs.(3 * s + l - 2)] to the
-    running [mem_cycles], in probe order; the final sum is returned. Every
-    level's {!accesses} and {!misses} end as the probes would leave them,
-    and every later access has the outcome it would have had. [addrs] is
-    advanced past the last iteration.
+(** A walk's sites split for {!run_strided}: a site that moves less
+    than one L1 line per iteration is a {e stayer}, up to L1's ways of
+    them in body order; every other site is a {e mover}. A plan also
+    holds the mover list, the stayer count, whether any stayer moves,
+    and one scratch mark per L1 set, so one walk at a time uses it. *)
+type plan
 
-    Not every access is probed. When no site moves a whole line per
-    iteration and there are at most as many sites as L1 ways, each chunk
-    of iterations in which every site stays in one line probes only its
-    first iteration; the others count as hits ({!probes} excludes them).
-    Otherwise every chunk is one iteration and every access is probed.
-    This is exact. After the first iteration, the lines it touched are
-    the most recently used of their sets, at most [ways] per set, so all
-    are resident. A later iteration touching the same lines in the same
-    order hits every time, evicts nothing, sends nothing to L2 or L3 and
-    costs nothing. Its last touches come in the same order as the first
-    iteration's, so it leaves every set in the recency order it found it
-    in: the touched lines first, by last touch, the other lines behind
-    them as before. The cache state is that order alone, so no later
-    outcome can change.
+(** [plan h ~deltas] splits a walk whose site [s] moves [deltas.(s)]
+    bytes per iteration, for {!run_strided} on [h] or on any hierarchy
+    with [h]'s L1 geometry. *)
+val plan : hierarchy -> deltas:int array -> plan
+
+(** [run_strided h p ~n ~addrs ~costs mem_cycles] has the same outcomes,
+    counts and cost sum as {!access_hierarchy} run in probe order over
+    [n] iterations of the sites of [p]: site [s] of iteration [i] (from
+    0) accesses [addrs.(s) + i * deltas.(s)], for the [deltas] [p] was
+    planned from. An access served by level [l > 1] adds
+    [costs.(3 * s + l - 2)] to the running [mem_cycles], in probe order;
+    the final sum is returned. Every level's {!accesses} and {!misses}
+    end as the probes would leave them, and every later access has the
+    outcome it would have had. [addrs] is advanced past the last
+    iteration.
+
+    Not every access is probed: the walk runs in windows. A window's
+    first iteration probes every site in body order; its later
+    iterations probe the movers only, in body order, and count every
+    stayer as a hit ({!probes} excludes them). A window ends before the
+    first iteration in which a stayer would leave its line, and before
+    the first in which a mover's line lands in a set that a stayer's
+    line uses. It is one iteration long when, in its first iteration, a
+    mover lands in a set after a stayer of that set. With no mover this
+    is a jump over every iteration in which all sites stay in their
+    lines.
+
+    This is exact. LRU sets are independent. After a window's first
+    iteration, a set that stayers use sees only the stayers' accesses,
+    the same lines in the same order in every iteration, at most [ways]
+    distinct lines; the first iteration ended with those accesses
+    (movers touched the set only before its first stayer did). Exact
+    LRU maps a repeated sequence back to the state it left, so they all
+    hit, send nothing to L2 or L3, cost nothing and change no state.
+    Every other set sees only movers, all probed in program order, so
+    L2 and L3 see the same miss stream and the costs are summed in the
+    same order.
 
     With [record], every L1 miss is appended to it in probe order: its
     access position ([iteration * sites + site]) and the level that
@@ -105,9 +125,9 @@ val access_hierarchy : hierarchy -> int -> int
 val run_strided :
   ?record:outcome ->
   hierarchy ->
+  plan ->
   n:int ->
   addrs:int array ->
-  deltas:int array ->
   costs:float array ->
   float ->
   float

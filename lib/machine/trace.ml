@@ -191,7 +191,8 @@ let straight_line_sites ctx ~ivs body_ops =
 
    Each innermost entry runs as [n] iterations of [Cache.run_strided]
    over the sites, each starting at its address for the first iteration
-   and moving by its iv coefficient times the step. The flop, iteration
+   and moving by its iv coefficient times the step; the walk's plan
+   (movers and stayers) is staged once per nest. The flop, iteration
    and access counts are added once per entry: [fl *. n] and
    [iter_weight *. n] equal the per-iteration sums bit for bit, since
    every partial sum is an integer or a multiple of 1/8 far below 2^53.
@@ -233,6 +234,7 @@ let compile_nest ctx loops ~iter_weight ~vectorized ~fl sites =
   let inner = levels.(last) in
   let k_in = ks.(last) and deltas = moves.(last) in
   let whole_lines = Array.map (fun d -> d land (line - 1) = 0) deltas in
+  let plan = Cache.plan hier ~deltas in
   (* The previous entry: its first addresses, trip count, L1's probe
      count when it ended, whether a repeat of it replays, and its
      outcome when known ([last_known]); [scratch] records the next. *)
@@ -262,7 +264,7 @@ let compile_nest ctx loops ~iter_weight ~vectorized ~fl sites =
           let o = !scratch in
           Cache.clear o;
           stats.mem_cycles <-
-            Cache.run_strided ~record:o hier ~n ~addrs ~deltas ~costs
+            Cache.run_strided ~record:o hier plan ~n ~addrs ~costs
               stats.mem_cycles;
           fixed :=
             Cache.outcome_misses o = 0
@@ -274,7 +276,7 @@ let compile_nest ctx loops ~iter_weight ~vectorized ~fl sites =
         else begin
           let misses = Cache.misses l1 in
           stats.mem_cycles <-
-            Cache.run_strided hier ~n ~addrs ~deltas ~costs stats.mem_cycles;
+            Cache.run_strided hier plan ~n ~addrs ~costs stats.mem_cycles;
           fixed := Cache.misses l1 = misses;
           Cache.clear !last_outcome;
           last_known := !fixed

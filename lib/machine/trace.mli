@@ -12,13 +12,14 @@
     one walk: each site's {!Affine.Stage.strided} base is evaluated once
     per nest entry, every level moves each site's address by its
     coefficient times the iv, and outer levels write their iv slot, so
-    [min]/[max] bounds hold. Each innermost entry is one
+    [min]/[max] bounds hold. The sites' split into movers and stayers
+    ({!Cache.plan}) is staged once per nest. Each innermost entry is one
     {!Cache.run_strided} walk over the sites, or, when it repeats the
     entry before it (same trip count and line sequence, no L1 probe in
     between) and that entry left the cache as the repeat will find it,
     a {!Cache.replay} of that entry's L1 outcome. Every other body runs
     op by op. Both give the same report bit for bit. What is left here
-    is the cache probes, the chunk and replay skips, and the cost
+    is the cache probes, the window and replay skips, and the cost
     accounting.
 
     Vectorizability follows the Clang-style check the paper's baselines

@@ -22,18 +22,22 @@ let tile_nest loops ~sizes =
     List.map2 (fun ub size -> size > 1 && size < ub) ubs sizes
   in
   let b = Builder.before outermost in
+  (* Each tile loop and point loop is built under the location of the
+     loop it replaces. *)
+  let at loop f = Core.with_loc (Core.op_loc loop) f in
   (* Phase 1: tile loops for the tiled dimensions. *)
   let rec build_tiles b acc = function
     | [] -> build_points b acc []
-    | (ub, (size, is_tiled)) :: rest ->
+    | (loop, (ub, (size, is_tiled))) :: rest ->
         if is_tiled then
-          ignore
-            (A.for_ b ~hint:"it"
-               ~lb:(Affine_map.constant_map [ 0 ], [])
-               ~ub:(Affine_map.constant_map [ ub ], [])
-               ~step:size
-               (fun b tile_iv ->
-                 build_tiles b (acc @ [ Some tile_iv ]) rest))
+          at loop (fun () ->
+              ignore
+                (A.for_ b ~hint:"it"
+                   ~lb:(Affine_map.constant_map [ 0 ], [])
+                   ~ub:(Affine_map.constant_map [ ub ], [])
+                   ~step:size
+                   (fun b tile_iv ->
+                     build_tiles b (acc @ [ Some tile_iv ]) rest)))
         else build_tiles b (acc @ [ None ]) rest
   (* Phase 2: point loops, one per original loop. *)
   and build_points b tile_ivs new_ivs =
@@ -54,6 +58,7 @@ let tile_nest loops ~sizes =
     | tv :: rest ->
         let idx = List.length new_ivs in
         let ub = List.nth ubs idx and size = List.nth sizes idx in
+        at (List.nth loops idx) @@ fun () ->
         (match tv with
         | Some tile_iv ->
             (* for %p = %t to min(%t + size, ub) *)
@@ -74,7 +79,8 @@ let tile_nest loops ~sizes =
               (A.for_const b ~hint:"i" ~lb:0 ~ub (fun b iv ->
                    build_points b rest (iv :: new_ivs))))
   in
-  build_tiles b [] (List.combine ubs (List.combine sizes tiled));
+  build_tiles b []
+    (List.combine loops (List.combine ubs (List.combine sizes tiled)));
   Core.erase_op outermost
 
 (* One size tiles every dimension; a list pairs with the nest's loops

@@ -124,6 +124,23 @@ grep -q '"name":"mlt_sim_replayed_accesses","type":"counter",[^}]*"value":[1-9]'
   echo "check.sh: mlt-sim replayed no loop entry of the clang-O3 gemm" >&2
   exit 1
 }
+# The tensor contraction's walk moves B's column a line or more per
+# iteration while A and C stay in their lines: the L1 probes that ran
+# must be below half of its 1720320 logical accesses, since the
+# iterations after a window's first probe only the lines that move.
+dune exec bin/mlt_sim.exe -- examples/kernels/contraction.c --config clang-O3 \
+  --metrics "$obs_tmp/contraction_metrics.json" > /dev/null
+grep -q '"name":"mlt_sim_accesses","type":"counter",[^}]*"value":1720320}' \
+  "$obs_tmp/contraction_metrics.json" || {
+  echo "check.sh: mlt_sim_accesses is not the contraction's 1720320 logical accesses" >&2
+  exit 1
+}
+probes="$(sed -n 's/.*"name":"mlt_sim_l1_probes","type":"counter",[^}]*"value":\([0-9]*\)}.*/\1/p' \
+  "$obs_tmp/contraction_metrics.json")"
+if [ -z "$probes" ] || [ "$probes" -ge 860160 ]; then
+  echo "check.sh: the contraction probed ${probes:-no} L1 lines, not below half of 1720320 accesses" >&2
+  exit 1
+fi
 # Truncated mini-C must fail as a located Diag.Error (exit 124) whose
 # location names the input file: exit 125 (an uncaught exception) or an
 # anonymous "<string>" location fails the gate, in mlt-opt and mlt-sim.

@@ -205,17 +205,23 @@ let test_step_errors_are_located () =
   located "tile from 1 (pluto-default)" ~at:"from1.c:2:3: "
     ~has:"tile: loop bounds must be constant" (fun () ->
       P.prepare_schedule ~file:"from1.c" (P.Config P.Pluto_default) from1);
-  (* Tiling builds its loops in memory: the lowering error goes to the
-     function's first located op, named by the step. *)
-  let mm () =
-    sole_func (Met.Emit_affine.translate ~file:"mm.c" (W.mm ~ni:6 ~nj:6 ~nk:6 ()))
+  (* Tiling builds each loop under the location of the loop it
+     replaces: the lowering error is at the tiled nest's own line, not
+     at the function's first loop. *)
+  let two_nests =
+    "void f(float A[6][6], float B[6]) {\n  for (int i = 0; i < 6; ++i)\n    \
+     B[i] = 0.0;\n  for (int i = 0; i < 6; ++i)\n    for (int j = 0; j < 6; \
+     ++j)\n      A[i][j] = A[i][j] + B[j];\n}\n"
   in
-  located "lower a tiled nest" ~at:"mm.c:"
-    ~has:"transform.lower_affine: lower-affine: min/max loop bounds" (fun () ->
-      let f = mm () in
+  located "lower a tiled nest" ~at:"two.c:4:3: "
+    ~has:"lower-affine: min/max loop bounds" (fun () ->
+      let f = sole_func (Met.Emit_affine.translate ~file:"two.c" two_nests) in
       List.iter
         (fun c -> ignore (Transform.Interp.apply_step c f))
         (Transform.Interp.compile_steps [ Script.Tile [ 4 ]; Script.Lower_affine ]));
+  let mm () =
+    sole_func (Met.Emit_affine.translate ~file:"mm.c" (W.mm ~ni:6 ~nj:6 ~nk:6 ()))
+  in
   let boom =
     {
       Transform.Interp.c_name = "transform.boom";
