@@ -90,7 +90,9 @@ let m_l1_probes =
 let m_replayed =
   Support.Once.make (fun () ->
       Metrics.counter
-        ~help:"accesses of loop entries replayed without a probe (Cache.replay)"
+        ~help:
+          "accesses replayed from a recorded outcome without a probe \
+           (Cache.replay, Cache.replay_movers)"
         "mlt_sim_replayed_accesses")
 
 let time_func model func =

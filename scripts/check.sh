@@ -141,6 +141,24 @@ if [ -z "$probes" ] || [ "$probes" -ge 860160 ]; then
   echo "check.sh: the contraction probed ${probes:-no} L1 lines, not below half of 1720320 accesses" >&2
   exit 1
 fi
+# Figure 9's ab-cad-dcb repeats its whole (c, d) sub-walk for 16
+# consecutive b under clang-O3, a level above the innermost loop: at
+# least half of its 4195328 logical accesses must be replayed from a
+# recorded outcome (3407872 are; replaying innermost entries alone
+# replays none).
+dune exec bin/mlt_sim.exe -- examples/kernels/ab_cad_dcb.c --config clang-O3 \
+  --metrics "$obs_tmp/ab_cad_dcb_metrics.json" > /dev/null
+grep -q '"name":"mlt_sim_accesses","type":"counter",[^}]*"value":4195328}' \
+  "$obs_tmp/ab_cad_dcb_metrics.json" || {
+  echo "check.sh: mlt_sim_accesses is not ab-cad-dcb's 4195328 logical accesses" >&2
+  exit 1
+}
+replayed="$(sed -n 's/.*"name":"mlt_sim_replayed_accesses","type":"counter",[^}]*"value":\([0-9]*\)}.*/\1/p' \
+  "$obs_tmp/ab_cad_dcb_metrics.json")"
+if [ -z "$replayed" ] || [ "$replayed" -lt 2097664 ]; then
+  echo "check.sh: ab-cad-dcb replayed ${replayed:-no} accesses, not at least half of 4195328" >&2
+  exit 1
+fi
 # Truncated mini-C must fail as a located Diag.Error (exit 124) whose
 # location names the input file: exit 125 (an uncaught exception) or an
 # anonymous "<string>" location fails the gate, in mlt-opt and mlt-sim.
