@@ -72,7 +72,6 @@ let misses t = t.n_misses
 let probes t = t.n_accesses - t.n_skipped
 let replayed t = t.n_replayed
 let line t = 1 lsl t.line_shift
-let sets t = t.set_mask + 1
 
 (* A hit only reorders a set's tags, so a cache that never missed since
    [create] or the last reset still holds only empty ways. *)
@@ -174,24 +173,18 @@ type plan = {
   stayer_sites : int array;  (** stayer sites in body order *)
   stayers : int;
   crossing : bool;  (** some stayer moves at all *)
+  one_set : bool;  (** see {!one_set_movers} *)
   marks : int array;  (** per L1 set: the last window a stayer used it in *)
   mutable window : int;
-  mutable mover_sets : int array array;
-      (** per mover (by rank), per L1 set: 1 when the mover's walk uses
-          the set that many sets after its first line's, in the last walk
-          marked with the mover's [mover_key] (0: none yet); made by the
-          first {!mark_movers} *)
-  mover_key : int array;
-      (** per mover: its walk's iteration count, and when its delta is
-          not a whole number of lines, its first line offset; see
-          {!mark_movers} *)
-  mover_count : int array;  (** per mover: the sets it marked *)
   stayer_log : outcome;  (** {!replay_movers}' stayer misses *)
 }
 
+(* A delta that is a multiple of L1's set span (line times sets, a power
+   of two) keeps its site's line in one set. *)
 let plan h ~deltas =
   let l1 = h.l1 in
   let line = 1 lsl l1.line_shift in
+  let span = line * (l1.set_mask + 1) in
   let stayers = ref 0 and movers = ref 0 and crossing = ref false in
   let rank =
     Array.map
@@ -218,15 +211,17 @@ let plan h ~deltas =
         (List.filter (fun s -> rank.(s) < 0) (List.init (Array.length rank) Fun.id));
     stayers = !stayers;
     crossing = !crossing;
+    one_set =
+      h.separable && !stayers > 0
+      && Array.length movers > 0
+      && Array.for_all (fun s -> deltas.(s) land (span - 1) = 0) movers;
     marks = Array.make (l1.set_mask + 1) 0;
     window = 0;
-    mover_sets = [||];
-    mover_key = Array.make (Array.length movers) 0;
-    mover_count = Array.make (Array.length movers) 0;
     stayer_log = outcome ();
   }
 
 let is_mover p s = p.rank.(s) >= 0
+let one_set_movers p = p.one_set
 
 (* The L1 first-way test is inlined; everything past it is [scan] and the
    outer levels' [access], exactly as [access_hierarchy] would run them,
@@ -370,63 +365,55 @@ let replay h ~accesses o ~costs mem_cycles =
   count_replayed h.l3 !to_l3 !to_mem;
   !mem
 
+(* ---- replay chains --------------------------------------------------- *)
+
+type chain = {
+  mutable fixed : bool;
+  mutable known : bool;
+  mutable last : outcome;
+  mutable spare : outcome;
+}
+
+let chain () =
+  { fixed = false; known = false; last = outcome (); spare = outcome () }
+
+let spare c =
+  clear c.spare;
+  c.spare
+
+let repeated c =
+  let o = c.spare in
+  c.fixed <- outcome_misses o = 0 || (c.known && same_outcome o c.last);
+  c.spare <- c.last;
+  c.last <- o;
+  c.known <- true
+
+(* A walk that missed nowhere has the empty outcome. *)
+let broken c ~clean =
+  c.fixed <- clean;
+  clear c.last;
+  c.known <- clean
+
 (* ---- movers-only replay ---------------------------------------------- *)
 
-(* A mover's sets, as offsets from its first line's set, depend only on
-   its iteration count, its delta and, unless the delta is a whole
-   number of lines, its first address's offset in its line. They are
-   marked once per such key (a positive int), so a walk of the same
-   shape from another line reuses them. *)
-let mark_movers h p ~n ~addrs =
-  let shift = h.l1.line_shift and mask = h.l1.set_mask in
-  let line = 1 lsl shift in
-  if Array.length p.mover_sets = 0 then
-    p.mover_sets <-
-      Array.init (Array.length p.movers) (fun _ -> Array.make (mask + 1) 0);
-  let total = ref 0 in
-  for c = 0 to Array.length p.movers - 1 do
-    let s = p.movers.(c) in
-    let a = addrs.(s) and d = p.deltas.(s) in
-    let off = if d land (line - 1) = 0 then 0 else a land (line - 1) in
-    let key = (n * line) + off + 1 in
-    if p.mover_key.(c) <> key then begin
-      let sets = p.mover_sets.(c) in
-      Array.fill sets 0 (mask + 1) 0;
-      let first = a asr shift and count = ref 0 in
-      for i = 0 to n - 1 do
-        let r = (((a + (i * d)) asr shift) - first) land mask in
-        if sets.(r) = 0 then begin
-          sets.(r) <- 1;
-          incr count
-        end
-      done;
-      p.mover_key.(c) <- key;
-      p.mover_count.(c) <- !count
-    end;
-    total := !total + p.mover_count.(c)
-  done;
-  !total
-
-(* A stayer walks the lines from its first to its last in order; past
-   L1's set count of them it uses every set. *)
+(* A stayer walks the lines from its first to its last in order, and
+   reaches a mover's one set when some line in that span does: the set's
+   distance past the span's lowest line, modulo the set count, is at
+   most the span (every set, once the span reaches the set count). *)
 let stayers_avoid_movers h p ~n ~addrs =
   let shift = h.l1.line_shift and mask = h.l1.set_mask in
   let stayers = p.stayer_sites and movers = p.movers in
-  let clear = ref true and c = ref 0 in
-  while !clear && !c < Array.length stayers do
-    let s = stayers.(!c) in
-    let a = addrs.(s) in
-    let first = a asr shift and last = (a + ((n - 1) * p.deltas.(s))) asr shift in
+  let clear = ref true in
+  for c = 0 to Array.length stayers - 1 do
+    let s = stayers.(c) in
+    let first = addrs.(s) asr shift
+    and last = (addrs.(s) + ((n - 1) * p.deltas.(s))) asr shift in
     let lo = if first < last then first else last in
     let span = abs (last - first) in
-    let span = if span < mask then span else mask in
-    for l = lo to lo + span do
-      for m = 0 to Array.length movers - 1 do
-        if p.mover_sets.(m).((l - (addrs.(movers.(m)) asr shift)) land mask) = 1
-        then clear := false
-      done
-    done;
-    incr c
+    for m = 0 to Array.length movers - 1 do
+      if ((addrs.(movers.(m)) asr shift) - lo) land mask <= span then
+        clear := false
+    done
   done;
   !clear
 

@@ -24,18 +24,17 @@ val accesses : t -> int
 val misses : t -> int
 
 (** [probes t] counts the accesses actually probed: {!accesses} minus
-    the hits {!run_strided} counted without a probe and the accesses
-    {!replay} counted. A deterministic proxy for the simulator's work. *)
+    the stayer hits {!run_strided} and {!replay_movers} counted without
+    a probe and the accesses they replayed. A deterministic proxy for
+    the simulator's work. *)
 val probes : t -> int
 
-(** [replayed t] counts the accesses {!replay} counted at [t]. *)
+(** [replayed t] counts the accesses counted at [t] from a recorded
+    outcome: a {!replay}'s, and the movers' of a {!replay_movers}. *)
 val replayed : t -> int
 
 (** [line t] is the line size in bytes. *)
 val line : t -> int
-
-(** [sets t] is the set count. *)
-val sets : t -> int
 
 (** [reset t] returns [t] to [create]'s state: empty ways and counters
     at 0. It writes no array when [t] did not miss since it was created
@@ -52,13 +51,6 @@ val outcome : unit -> outcome
 
 (** [clear o] empties [o]. *)
 val clear : outcome -> unit
-
-(** [outcome_misses o] counts the L1 misses logged in [o]. *)
-val outcome_misses : outcome -> int
-
-(** [same_outcome a b]: the same misses at the same positions, served
-    by the same levels. *)
-val same_outcome : outcome -> outcome -> bool
 
 type hierarchy
 
@@ -98,6 +90,13 @@ val plan : hierarchy -> deltas:int array -> plan
 
 (** [is_mover p s]: site [s] is a mover of [p]. *)
 val is_mover : plan -> int -> bool
+
+(** [one_set_movers p]: {!replay_movers} may run [p]'s walks. The
+    hierarchy [p] was planned on is {!separable}, [p] has a mover and a
+    stayer, and every mover moves a multiple of L1's set span ([line]
+    times the set count) per iteration, so each walk keeps each mover's
+    lines in one L1 set. *)
+val one_set_movers : plan -> bool
 
 (** [run_strided h p ~n ~addrs ~costs mem_cycles] has the same outcomes,
     counts and cost sum as {!access_hierarchy} run in probe order over
@@ -156,44 +155,67 @@ val append : outcome -> at:int -> outcome -> unit
     [mem_cycles] in [o]'s order and returns the sum, and advances every
     level's {!accesses} and {!misses} as the walk would (L2 sees the L1
     misses, L3 the L2 misses). It changes no cache state, and {!probes}
-    stays as it was.
-
-    Exact for a walk W that touches the line sequence, under the
-    [costs], of the walk W' logged in [o] when, as W starts, either
-    every level is in the state W' started from, or W' missed L1
-    nowhere and nothing probed L1 since: W then repeats W' miss for miss
-    and leaves every level as it found it. Exact LRU maps a repeated
-    access sequence back to the state it left (per set, running a
-    sequence twice ends where running it once does), so the first holds
-    when W' itself repeated its predecessor's line sequence with its
-    predecessor's outcome and nothing probed L1 in between: W' and W
-    then start L1 in one state, miss L1 at the same positions, start L2
-    in one state, and likewise for L2's misses and L3.
-
-    A walk here is any access sequence whose misses were logged in
-    order: one {!run_strided} walk, or a sub-walk of a loop nest made of
-    many, replayed ones included, each logged at its offset. *)
+    stays as it was. A walk here is any access sequence whose misses
+    were logged in order: one {!run_strided} walk, or a sub-walk of a
+    loop nest made of many, replayed ones included, each logged at its
+    offset. {!chain} says when a replay is exact. *)
 val replay :
   hierarchy -> accesses:int -> outcome -> costs:float array -> float -> float
+
+(** {2 Replay chains} *)
+
+(** The replay rule over a run of walks. A walk W2 {e repeats} the
+    walk W1 before it when it touches W1's line sequence under the same
+    costs and nothing probed L1 since W1 ended. A repeat is replayed
+    from W1's outcome when W1 missed L1 nowhere, or W1 itself repeated
+    its predecessor W0 with the same outcome (the same L1 misses at the
+    same positions, served by the same levels).
+
+    This is exact. A walk that hit L1 throughout changes nothing below
+    L1, and W2 revisits its lines in its order, so W2 hits too and
+    leaves every set in the recency order it found. Otherwise, exact
+    LRU maps a repeated access sequence back to the state it left (per
+    set, running a sequence twice ends where running it once does): W1
+    started L1 in the state W0 left and W2 in the state W1 left, the
+    same state, since W1 ran W0's line sequence from there. So W2
+    misses L1 where W1 did; W0 and W1 sent L2 one miss sequence, so L2
+    too starts W2 as it started W1, and likewise L3. W2 has W1's
+    outcome and leaves every level as it found it, so a repeat of W2
+    replays too.
+
+    A chain holds the last walk's outcome and whether a repeat of it
+    replays; a replayed walk leaves it as it was. Only {!repeated} and
+    {!broken} change it. *)
+type chain = private {
+  mutable fixed : bool;  (** a repeat of the last walk replays, from [last] *)
+  mutable known : bool;  (** [last] is the last walk's outcome *)
+  mutable last : outcome;
+  mutable spare : outcome;  (** see {!spare} *)
+}
+
+val chain : unit -> chain
+
+(** [spare c] is an empty log for the outcome of a walk that repeats
+    [c]'s last; {!repeated} takes it. *)
+val spare : chain -> outcome
+
+(** [repeated c]: the walk whose outcome [spare c] holds repeated [c]'s
+    last walk, and is now the last. *)
+val repeated : chain -> unit
+
+(** [broken c ~clean]: a walk that did not repeat [c]'s last ran, and is
+    now the last; [clean]: it missed L1 nowhere. *)
+val broken : chain -> clean:bool -> unit
 
 (** {2 Movers-only replay}
 
     A walk whose movers repeat the previous walk's lines while its
-    stayers do not can replay the movers alone, when the stayers keep
-    out of the movers' sets. *)
-
-(** [mark_movers h p ~n ~addrs] records the L1 sets the movers of [p]
-    use over [n] iterations from [addrs] (the walk of {!run_strided}),
-    relative to each mover's first line, for {!stayers_avoid_movers}
-    on walks of that shape, and returns the sum over the movers of the
-    sets each uses. *)
-val mark_movers : hierarchy -> plan -> n:int -> addrs:int array -> int
+    stayers do not can replay the movers alone, when its movers keep one
+    L1 set each ({!one_set_movers}) and its stayers keep out of them. *)
 
 (** [stayers_avoid_movers h p ~n ~addrs]: no stayer line of the walk of
-    [n] iterations from [addrs] lies in an L1 set a mover of that walk
-    uses. {!mark_movers} must have been called on a walk of the same
-    shape: the same [n], and the same first line offsets for movers
-    whose delta is not a whole number of lines. *)
+    [n] iterations from [addrs] lies in the L1 set of a mover's first
+    line, the one set a mover of a {!one_set_movers} plan uses. *)
 val stayers_avoid_movers :
   hierarchy -> plan -> n:int -> addrs:int array -> bool
 
@@ -214,22 +236,18 @@ val movers_outcome : plan -> outcome -> into:outcome -> unit
     stayer in body order, and its later iterations, in which every
     stayer stays in its line, probe none.
 
-    Exact for a walk W when [h] is {!separable}, W's movers touch the
-    line sequence of the walk W1 whose movers' misses are [movers],
-    nothing probed L1 since W1 ended, W's stayers avoid the L1 sets its
-    movers use, and so did W1's; and either W1's movers missed L1
-    nowhere, or W1 ran just after a walk W0 of the same movers' lines,
-    nothing probed in between, W0's stayers avoiding those sets too,
-    and W1's movers missed where W0's did, served by the same levels
-    (or W1 was itself such a replay). With equal lines and L1's set
-    count dividing each outer level's, a line's outer set fixes its L1
-    set, so the movers' sets at every level see only the movers from
-    W0 (or W1) on, and the {!replay} argument holds for those sets
-    alone: W's movers have W1's misses and leave those sets as they
-    found them. The stayers' sets see only stayers, probed in program
-    order; a window's later iterations repeat the stayers' own lines,
-    at most [ways] of them per set, as the first iteration left them,
-    so they all hit. *)
+    Exact for a walk W of a {!one_set_movers} plan when the {!chain}
+    rule, applied to the movers' accesses alone over a run of walks
+    whose stayers all avoid the movers' sets
+    ({!stayers_avoid_movers}), replays W's movers from [movers]. With
+    equal lines and L1's set count dividing each outer level's, a
+    line's outer set fixes its L1 set, so the movers' sets at every
+    level see only the movers over that run, and the chain argument
+    holds for those sets alone: W's movers have the recorded misses and
+    leave those sets as they found them. The stayers' sets see only
+    stayers, probed in program order; a window's later iterations
+    repeat the stayers' own lines, at most [ways] of them per set, as
+    the first iteration left them, so they all hit. *)
 val replay_movers :
   ?record:outcome ->
   hierarchy ->

@@ -189,58 +189,35 @@ let straight_line_sites ctx ~ivs body_ops =
    outer iteration counts one loop iteration, as the closure path does
    (an outer loop never vectorizes and has no flop of its own).
 
-   Each innermost entry runs as [n] iterations of [Cache.run_strided]
-   over the sites, each starting at its address for the first iteration
-   and moving by its iv coefficient times the step; the walk's plan
-   (movers and stayers) is staged once per nest. The flop, iteration
-   and access counts are added once per entry: [fl *. n] and
+   Each innermost entry is [n] iterations of one walk over the sites
+   ([Cache.run_strided]), each from its address for the first iteration,
+   moving by its iv coefficient times the step. The flop, iteration and
+   access counts are added once per entry: [fl *. n] and
    [iter_weight *. n] equal the per-iteration sums bit for bit, since
    every partial sum is an integer or a multiple of 1/8 far below 2^53.
 
-   Repeats. Consecutive iterations of a level can touch one line
-   sequence below it only if every site stays at that level, or moves
-   less than a line there while each of its deeper moves is a whole
-   number of lines: its addresses below then keep their offset in the
-   line, and the sequence repeats while its first address stays in its
-   line. Which levels can repeat is staged once per nest; a level that
-   cannot runs a plain loop.
-
-   An innermost entry repeats the one before it when the trip count is
-   the same, nothing probed L1 since that entry ended, and every site
-   touches the same line sequence: its first address is unchanged, or
-   its first line is and its delta is a whole number of lines. A
-   repeating entry is replayed, not probed ([Cache.replay]), when the
-   entry before it left every level as the repeat will find it: it
-   missed L1 nowhere, or it repeated its own predecessor with the same
-   outcome (the same L1 misses, served by the same levels). Only a
-   repeating entry records its outcome.
-
-   Movers only. On a separable hierarchy an entry whose movers repeat
-   the entry before it (same test, over the movers) replays their
-   misses and probes only its stayers ([Cache.replay_movers]) when its
-   stayers keep out of the movers' L1 sets and the movers' outcome is
-   fixed the same way: the entry before it missed nowhere at a mover,
-   or repeated its predecessor's movers with the same movers' outcome,
-   each entry's stayers keeping out of the movers' sets. This runs
-   where the whole entry cannot repeat (or the nest is one loop deep),
-   and only over movers that move at most a quarter line per iteration
-   of the level above: their runs of repeats are long enough to reach a
-   replay. The movers' sets are marked once per run of repeating
-   movers.
-
-   Each nest stages one of three entries: [plain] where no entry can
-   repeat, [whole] where only whole entries can, and [with_movers].
-
-   Sub-walks. An iteration of an outer level [l] above the entry's
-   level runs a sub-walk: every deeper level and entry. When [l] can
-   repeat and no deeper bound reads [l]'s iv, the sub-walks of one run
-   of [l] have one shape, and one repeats the one before it when every
-   site that moves at [l] keeps its first line. The entry rule then
-   applies to the whole sub-walk: its outcome is logged ([sink]; inner
-   entries and sub-walks log at their offset in it, replayed ones
-   too), and a replay adds the logged costs and the sub-walk's
-   iteration, flop and access counts. Each run of [l] starts with no
-   predecessor, and a replay leaves the entry with none ([prev_n]). *)
+   Staged once per nest: the walk's plan ([Cache.plan]), which levels can
+   repeat their line sequence below them ([repeats]), and from these one
+   of three entries:
+   - [plain], where no entry can repeat;
+   - [whole], where the level above can repeat (or the nest is one loop
+     deep): an entry repeats the one before it when the trip count is
+     the same, nothing probed L1 since, and every site touches the same
+     line sequence (its first address is unchanged, or its first line is
+     and its delta is a whole number of lines), and [chain]
+     ([Cache.chain]) decides whether it replays;
+   - [movers], where only the movers can repeat, and they keep one L1 set
+     each ([Cache.one_set_movers]): the same test over the movers, while
+     the stayers avoid the movers' sets, lets [chain] replay the movers
+     alone ([Cache.replay_movers]).
+   And the sub-walk levels: an iteration of an outer level [l] above the
+   entry's runs every deeper level. When [l] can repeat and no deeper
+   bound reads its iv, one sub-walk repeats the one before it in a run
+   of [l] when every site that moves at [l] keeps its first line. Its
+   misses are logged in [sink] (deeper walks log at their offset in it,
+   replayed ones too), and a replay adds the sub-walk's access,
+   iteration and flop counts. A replayed sub-walk leaves the entry with
+   no predecessor ([prev_n]). *)
 let compile_nest ctx loops ~iter_weight ~vectorized ~fl sites =
   let levels = Array.of_list (List.map (Affine.Stage.level ctx.stage) loops) in
   let last = Array.length levels - 1 in
@@ -271,7 +248,10 @@ let compile_nest ctx loops ~iter_weight ~vectorized ~fl sites =
   let whole_lines = Array.map (fun d -> d land (line - 1) = 0) deltas in
   let plan = Cache.plan hier ~deltas in
   let mover = Array.init n_sites (Cache.is_mover plan) in
-  (* Repeat potential: [repeats l s], site [s] at level [l]. *)
+  (* Repeat potential, site [s] at level [l]: it stays there, or moves
+     less than a line while each of its deeper moves is a whole number
+     of lines, so its line sequence below repeats while its first
+     address stays in its line. *)
   let repeats l s =
     let m = moves.(l).(s) in
     m = 0
@@ -297,44 +277,54 @@ let compile_nest ctx loops ~iter_weight ~vectorized ~fl sites =
      code, so only the dynamic test applies. *)
   let entry_repeats = last = 0 || all_sites (repeats (last - 1)) in
   let movers_repeat =
-    Cache.separable hier
-    && Array.exists Fun.id mover
-    && Array.exists not mover
-    && (last = 0
-       || (not entry_repeats)
-          && all_sites (fun s ->
-                 (not mover.(s))
-                 || (repeats (last - 1) s && 4 * abs moves.(last - 1).(s) <= line)))
+    Cache.one_set_movers plan
+    && (not entry_repeats)
+    && all_sites (fun s -> (not mover.(s)) || repeats (last - 1) s)
   in
   (* The log of the innermost sub-walk being recorded, and the position
      of its first access ([ctx.n_accesses] counts positions). *)
   let sink = ref None and sink_start = ref 0 in
   let log_at sink_log pos o = Cache.append sink_log ~at:(pos - !sink_start) o in
-  (* The previous entry: its first addresses, trip count, L1's probe
-     count when it ended, whether a repeat of it replays, and its
-     outcome when known ([last_known]); [scratch] records the next.
-     [m_*]: the same for its movers alone; [m_marked]: the movers' sets
-     are marked for the current run of repeating movers, and [m_sparse]:
-     they use at most half of L1's sets. *)
+  (* The previous entry: its first addresses, trip count, and L1's probe
+     count when it ended; [chain]: the entries' chain (their movers' in
+     [movers]). *)
   let prev_addrs = Array.make n_sites 0 in
   let prev_n = ref (-1) and prev_probes = ref 0 in
-  let fixed = ref false and last_known = ref false in
-  let last_outcome = ref (Cache.outcome ()) and scratch = ref (Cache.outcome ()) in
-  let m_fixed = ref false and m_known = ref false and m_marked = ref false in
-  let m_sparse = ref false and l1_sets = Cache.sets l1 in
-  let m_outcome = ref (Cache.outcome ()) and m_scratch = ref (Cache.outcome ()) in
-  (* An entry probed in full, its misses logged in [sink_log]. The hot
-     paths match on [!sink] themselves and call [run_strided] directly
-     when nothing records. *)
-  let logged = Cache.outcome () in
-  let probe_into sink_log ~n ~pos =
-    Cache.clear logged;
-    let mem =
-      Cache.run_strided ~record:logged hier plan ~n ~addrs ~costs
-        stats.mem_cycles
+  let chain = Cache.chain () and logged = Cache.outcome () in
+  (* The entry at [addrs]: probed, or with its movers replayed from
+     [chain] when [movers_only]. Its misses are recorded in [o] when
+     [record] or a sub-walk is being recorded, and logged in that
+     sub-walk's log. *)
+  let run ~movers_only ~record o ~n =
+    let record =
+      if record || Option.is_some !sink then begin
+        Cache.clear o;
+        Some o
+      end
+      else None
     in
-    log_at sink_log pos logged;
-    mem
+    let mem = stats.mem_cycles in
+    stats.mem_cycles <-
+      (if movers_only then
+         Cache.replay_movers ?record hier plan ~n ~addrs
+           ~movers:chain.Cache.last ~costs mem
+       else Cache.run_strided ?record hier plan ~n ~addrs ~costs mem);
+    match !sink with
+    | None -> ()
+    | Some sink_log -> log_at sink_log ctx.n_accesses o
+  in
+  let replay o ~accesses =
+    stats.mem_cycles <- Cache.replay hier ~accesses o ~costs stats.mem_cycles;
+    match !sink with
+    | None -> ()
+    | Some sink_log -> log_at sink_log ctx.n_accesses o
+  in
+  let count n =
+    ctx.n_accesses <- ctx.n_accesses + (n * n_sites);
+    let n = float_of_int n in
+    if vectorized then stats.flops_vector <- stats.flops_vector +. (fl *. n)
+    else stats.flops_scalar <- stats.flops_scalar +. (fl *. n);
+    stats.iterations <- stats.iterations +. (iter_weight *. n)
   in
   let plain env =
     let lo = inner.lb env and hi = inner.ub env in
@@ -344,17 +334,12 @@ let compile_nest ctx loops ~iter_weight ~vectorized ~fl sites =
       for s = 0 to n_sites - 1 do
         addrs.(s) <- cur.(s) + (k_in.(s) * lo)
       done;
-      stats.mem_cycles <-
-        (match !sink with
-        | None -> Cache.run_strided hier plan ~n ~addrs ~costs stats.mem_cycles
-        | Some sink_log -> probe_into sink_log ~n ~pos:ctx.n_accesses);
-      ctx.n_accesses <- ctx.n_accesses + (n * n_sites);
-      let n = float_of_int n in
-      if vectorized then stats.flops_vector <- stats.flops_vector +. (fl *. n)
-      else stats.flops_scalar <- stats.flops_scalar +. (fl *. n);
-      stats.iterations <- stats.iterations +. (iter_weight *. n)
+      run ~movers_only:false ~record:false logged ~n;
+      count n
     end
   in
+  (* The repeat test is written out in [whole] and [movers]: a shared
+     helper made gemm's tiled cells 4% slower. *)
   let whole env =
     let lo = inner.lb env and hi = inner.ub env in
     if lo < hi then begin
@@ -368,186 +353,73 @@ let compile_nest ctx loops ~iter_weight ~vectorized ~fl sites =
           same := whole_lines.(s) && a land line_mask = p land line_mask;
         prev_addrs.(s) <- a
       done;
-      if !same && !fixed then begin
-        stats.mem_cycles <-
-          Cache.replay hier ~accesses:(n * n_sites) !last_outcome ~costs
-            stats.mem_cycles;
-        match !sink with
-        | None -> ()
-        | Some sink_log -> log_at sink_log ctx.n_accesses !last_outcome
-      end
+      let same = !same in
+      if same && chain.Cache.fixed then
+        replay chain.Cache.last ~accesses:(n * n_sites)
       else begin
-        if !same then begin
-          let o = !scratch in
-          Cache.clear o;
-          stats.mem_cycles <-
-            Cache.run_strided ~record:o hier plan ~n ~addrs ~costs
-              stats.mem_cycles;
-          (match !sink with
-          | None -> ()
-          | Some sink_log -> log_at sink_log ctx.n_accesses o);
-          fixed :=
-            Cache.outcome_misses o = 0
-            || (!last_known && Cache.same_outcome o !last_outcome);
-          scratch := !last_outcome;
-          last_outcome := o;
-          last_known := true
+        let misses = Cache.misses l1 in
+        if same then begin
+          run ~movers_only:false ~record:true (Cache.spare chain) ~n;
+          Cache.repeated chain
         end
         else begin
-          let misses = Cache.misses l1 in
-          stats.mem_cycles <-
-            (match !sink with
-            | None -> Cache.run_strided hier plan ~n ~addrs ~costs stats.mem_cycles
-            | Some sink_log -> probe_into sink_log ~n ~pos:ctx.n_accesses);
-          fixed := Cache.misses l1 = misses;
-          Cache.clear !last_outcome;
-          last_known := !fixed
+          run ~movers_only:false ~record:false logged ~n;
+          Cache.broken chain ~clean:(Cache.misses l1 = misses)
         end;
         prev_n := n;
         prev_probes := Cache.probes l1
       end;
-      ctx.n_accesses <- ctx.n_accesses + (n * n_sites);
-      let n = float_of_int n in
-      if vectorized then stats.flops_vector <- stats.flops_vector +. (fl *. n)
-      else stats.flops_scalar <- stats.flops_scalar +. (fl *. n);
-      stats.iterations <- stats.iterations +. (iter_weight *. n)
+      count n
     end
   in
-  (* An entry that does not replay in full replays its movers, or is
-     probed; it records its outcome when it repeats in full or may fix
-     the movers' outcome. While the whole entry repeats, its own chain
-     replays it: a movers' chain starts only where the movers alone
-     repeat, and only over movers whose sets leave at least half of L1
-     to the stayers (abc-acd-db's B uses 42 of 64 sets, and its
-     stayers never avoid them). *)
-  let with_movers env =
+  (* A movers' chain runs over the entries whose stayers avoid the
+     movers' sets; any other entry breaks it. *)
+  let movers env =
     let lo = inner.lb env and hi = inner.ub env in
     if lo < hi then begin
       let n = ((hi - lo - 1) / inner.step) + 1 in
-      let cur = at.(last) and pos = ctx.n_accesses in
-      let guard = n = !prev_n && Cache.probes l1 = !prev_probes in
-      let same = ref (guard && entry_repeats) and same_movers = ref guard in
+      let cur = at.(last) in
+      let same = ref (n = !prev_n && Cache.probes l1 = !prev_probes) in
       for s = 0 to n_sites - 1 do
         let a = cur.(s) + (k_in.(s) * lo) and p = prev_addrs.(s) in
         addrs.(s) <- a;
-        if
-          a <> p && not (whole_lines.(s) && a land line_mask = p land line_mask)
-        then begin
-          same := false;
-          if mover.(s) then same_movers := false
-        end;
+        if !same && mover.(s) && a <> p then
+          same := whole_lines.(s) && a land line_mask = p land line_mask;
         prev_addrs.(s) <- a
       done;
-      if not !same_movers then m_marked := false;
-      if !same && !fixed then begin
-        stats.mem_cycles <-
-          Cache.replay hier ~accesses:(n * n_sites) !last_outcome ~costs
-            stats.mem_cycles;
-        match !sink with
-        | None -> ()
-        | Some sink_log -> log_at sink_log pos !last_outcome
+      let clean = !same && Cache.stayers_avoid_movers hier plan ~n ~addrs in
+      if clean && chain.Cache.fixed then
+        run ~movers_only:true ~record:false logged ~n
+      else if clean then begin
+        run ~movers_only:false ~record:true logged ~n;
+        Cache.movers_outcome plan logged ~into:(Cache.spare chain);
+        Cache.repeated chain
       end
       else begin
-        let chain =
-          !same_movers
-          && ((not !same) || !m_fixed)
-          && begin
-               if not !m_marked then begin
-                 m_sparse := 2 * Cache.mark_movers hier plan ~n ~addrs <= l1_sets;
-                 m_marked := true
-               end;
-               !m_sparse
-             end
-        in
-        let clean = chain && Cache.stayers_avoid_movers hier plan ~n ~addrs in
-        let movers_only = clean && !m_fixed in
-        let record = !same || (clean && not movers_only) in
-        let misses = Cache.misses l1 in
-        let o = !scratch in
-        if record then begin
-          Cache.clear o;
-          stats.mem_cycles <-
-            (if movers_only then
-               Cache.replay_movers ~record:o hier plan ~n ~addrs
-                 ~movers:!m_outcome ~costs stats.mem_cycles
-             else
-               Cache.run_strided ~record:o hier plan ~n ~addrs ~costs
-                 stats.mem_cycles);
-          match !sink with None -> () | Some sink_log -> log_at sink_log pos o
-        end
-        else
-          stats.mem_cycles <-
-            (match (!sink, movers_only) with
-            | None, false ->
-                Cache.run_strided hier plan ~n ~addrs ~costs stats.mem_cycles
-            | None, true ->
-                Cache.replay_movers hier plan ~n ~addrs ~movers:!m_outcome
-                  ~costs stats.mem_cycles
-            | Some sink_log, false -> probe_into sink_log ~n ~pos
-            | Some sink_log, true ->
-                Cache.clear logged;
-                let mem =
-                  Cache.replay_movers ~record:logged hier plan ~n ~addrs
-                    ~movers:!m_outcome ~costs stats.mem_cycles
-                in
-                log_at sink_log pos logged;
-                mem);
-        if not clean then begin
-          m_fixed := false;
-          m_known := false
-        end
-        else if not movers_only then begin
-          let m = !m_scratch in
-          Cache.movers_outcome plan o ~into:m;
-          m_fixed :=
-            Cache.outcome_misses m = 0
-            || (!m_known && Cache.same_outcome m !m_outcome);
-          m_scratch := !m_outcome;
-          m_outcome := m;
-          m_known := true
-        end;
-        if !same then begin
-          fixed :=
-            Cache.outcome_misses o = 0
-            || (!last_known && Cache.same_outcome o !last_outcome);
-          scratch := !last_outcome;
-          last_outcome := o;
-          last_known := true
-        end
-        else begin
-          fixed := Cache.misses l1 = misses;
-          Cache.clear !last_outcome;
-          last_known := !fixed
-        end;
-        prev_n := n;
-        prev_probes := Cache.probes l1
+        run ~movers_only:false ~record:false logged ~n;
+        Cache.broken chain ~clean:false
       end;
-      ctx.n_accesses <- pos + (n * n_sites);
-      let n = float_of_int n in
-      if vectorized then stats.flops_vector <- stats.flops_vector +. (fl *. n)
-      else stats.flops_scalar <- stats.flops_scalar +. (fl *. n);
-      stats.iterations <- stats.iterations +. (iter_weight *. n)
+      prev_n := n;
+      prev_probes := Cache.probes l1;
+      count n
     end
   in
   (* Direct calls: a closure picked here would be called indirectly. *)
   let entry env =
-    if movers_repeat then with_movers env
+    if movers_repeat then movers env
     else if entry_repeats then whole env
     else plain env
   in
   (* Per sub-walk level: the sites that move there, the previous
-     iteration's first addresses, whether a repeat replays, the last
-     outcome when known, a scratch log, and the last sub-walk's access,
-     iteration and flop counts. *)
+     iteration's first addresses, the chain, and the last sub-walk's
+     access, iteration and flop counts. *)
   let moving =
     Array.init last (fun l ->
         List.filter (fun s -> moves.(l).(s) <> 0) (List.init n_sites Fun.id)
         |> Array.of_list)
   in
   let sw_prev = Array.init last (fun _ -> Array.make n_sites 0) in
-  let sw_fixed = Array.make last false and sw_known = Array.make last false in
-  let sw_log = Array.init last (fun _ -> Cache.outcome ()) in
-  let sw_scratch = Array.init last (fun _ -> Cache.outcome ()) in
+  let sw_chain = Array.init last (fun _ -> Cache.chain ()) in
   let sw_accesses = Array.make last 0 in
   let sw_iterations = Array.make last 0. and sw_flops = Array.make last 0. in
   let flops () = if vectorized then stats.flops_vector else stats.flops_scalar in
@@ -574,6 +446,7 @@ let compile_nest ctx loops ~iter_weight ~vectorized ~fl sites =
         done
       else begin
         let prev = sw_prev.(l) and moving = moving.(l) in
+        let chain = sw_chain.(l) in
         let first = ref true in
         while !i < hi do
           env.(lv.iv_slot) <- !i;
@@ -586,12 +459,8 @@ let compile_nest ctx loops ~iter_weight ~vectorized ~fl sites =
             prev.(s) <- next.(s)
           done;
           let pos = ctx.n_accesses in
-          if !same && sw_fixed.(l) then begin
-            let o = sw_log.(l) in
-            stats.mem_cycles <-
-              Cache.replay hier ~accesses:sw_accesses.(l) o ~costs
-                stats.mem_cycles;
-            (match !sink with None -> () | Some sink_log -> log_at sink_log pos o);
+          if !same && chain.Cache.fixed then begin
+            replay chain.Cache.last ~accesses:sw_accesses.(l);
             ctx.n_accesses <- pos + sw_accesses.(l);
             stats.iterations <- stats.iterations +. sw_iterations.(l);
             if vectorized then
@@ -603,27 +472,19 @@ let compile_nest ctx loops ~iter_weight ~vectorized ~fl sites =
             let misses = Cache.misses l1 in
             let iterations = stats.iterations and fl = flops () in
             if !same then begin
-              let o = sw_scratch.(l) in
-              Cache.clear o;
+              let o = Cache.spare chain in
               let outer = !sink and outer_start = !sink_start in
               sink := Some o;
               sink_start := pos;
               walk (l + 1) env;
               sink := outer;
               sink_start := outer_start;
-              sw_fixed.(l) <-
-                Cache.outcome_misses o = 0
-                || (sw_known.(l) && Cache.same_outcome o sw_log.(l));
-              sw_scratch.(l) <- sw_log.(l);
-              sw_log.(l) <- o;
-              sw_known.(l) <- true;
+              Cache.repeated chain;
               match outer with None -> () | Some sink_log -> log_at sink_log pos o
             end
             else begin
               walk (l + 1) env;
-              sw_fixed.(l) <- Cache.misses l1 = misses;
-              Cache.clear sw_log.(l);
-              sw_known.(l) <- sw_fixed.(l)
+              Cache.broken chain ~clean:(Cache.misses l1 = misses)
             end;
             sw_accesses.(l) <- ctx.n_accesses - pos;
             sw_iterations.(l) <- stats.iterations -. iterations;

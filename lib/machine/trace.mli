@@ -17,14 +17,15 @@
     staged once per nest. Each innermost entry is one
     {!Cache.run_strided} walk over the sites, or, when it repeats the
     entry before it (same trip count and line sequence, no L1 probe in
-    between) and that entry left the cache as the repeat will find it,
-    a {!Cache.replay} of that entry's L1 outcome. On a
-    {!Cache.separable} hierarchy an entry whose movers alone repeat,
-    with its stayers out of the movers' L1 sets, replays the movers and
-    probes the stayers ({!Cache.replay_movers}). An iteration of an
-    outer level that can repeat replays its whole sub-walk (every deeper
-    level) the same way, from a log of the sub-walk's misses, with its
-    iteration, flop and access counts. Every other body runs op by op.
+    between) and {!Cache.chain}'s rule allows, a {!Cache.replay} of
+    that entry's L1 outcome. In a nest at least two deep whose movers
+    each keep one L1 set ({!Cache.one_set_movers}), an entry whose
+    movers alone repeat, with its stayers out of those sets, replays
+    the movers and probes the stayers ({!Cache.replay_movers}). An
+    iteration of an outer level that can repeat replays its whole
+    sub-walk (every deeper level) by the same rule, from a log of the
+    sub-walk's misses, with its iteration, flop and access counts.
+    Every other body runs op by op.
     All give the same report bit for bit. What is left here is the
     cache probes, the window and replay skips, and the cost
     accounting.

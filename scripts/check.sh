@@ -159,6 +159,24 @@ if [ -z "$replayed" ] || [ "$replayed" -lt 2097664 ]; then
   echo "check.sh: ab-cad-dcb replayed ${replayed:-no} accesses, not at least half of 4195328" >&2
   exit 1
 fi
+# Figure 9's ab-acd-dbc under clang-O3 walks B's column 4 KB a step,
+# in one L1 set, and that column repeats from entry to entry while A's
+# row moves on: B's misses are replayed and only A and C probed
+# (movers-only replays). At least 761280 of its 4195328 logical
+# accesses must be replayed; without movers-only replays none is.
+dune exec bin/mlt_sim.exe -- examples/kernels/ab_acd_dbc.c --config clang-O3 \
+  --metrics "$obs_tmp/ab_acd_dbc_metrics.json" > /dev/null
+grep -q '"name":"mlt_sim_accesses","type":"counter",[^}]*"value":4195328}' \
+  "$obs_tmp/ab_acd_dbc_metrics.json" || {
+  echo "check.sh: mlt_sim_accesses is not ab-acd-dbc's 4195328 logical accesses" >&2
+  exit 1
+}
+replayed="$(sed -n 's/.*"name":"mlt_sim_replayed_accesses","type":"counter",[^}]*"value":\([0-9]*\)}.*/\1/p' \
+  "$obs_tmp/ab_acd_dbc_metrics.json")"
+if [ -z "$replayed" ] || [ "$replayed" -lt 761280 ]; then
+  echo "check.sh: ab-acd-dbc replayed ${replayed:-no} accesses, not at least 761280" >&2
+  exit 1
+fi
 # Truncated mini-C must fail as a located Diag.Error (exit 124) whose
 # location names the input file: exit 125 (an uncaught exception) or an
 # anonymous "<string>" location fails the gate, in mlt-opt and mlt-sim.

@@ -1421,6 +1421,7 @@ let test_movers_replay_merges_costs () =
   let (href, cref), (htest, ctest) = (hierarchy (), hierarchy ()) in
   let pref = C.plan href ~deltas and ptest = C.plan htest ~deltas in
   Alcotest.(check bool) "separable" true (C.separable htest);
+  Alcotest.(check bool) "the mover keeps one set" true (C.one_set_movers ptest);
   let stayer = 64 * 1 and mover = 64 * 4 * 100 in
   let o = C.outcome () and movers = C.outcome () in
   let mref = ref 0. and mtest = ref 0. in
@@ -1433,7 +1434,6 @@ let test_movers_replay_merges_costs () =
     C.movers_outcome ptest o ~into:movers
   done;
   let moved = [| (64 * 4 * 7) + 64 + 48; mover |] in
-  ignore (C.mark_movers htest ptest ~n ~addrs:(Array.copy moved));
   Alcotest.(check bool) "the stayer avoids the mover's set" true
     (C.stayers_avoid_movers htest ptest ~n ~addrs:(Array.copy moved));
   let misses = C.misses (C.l1 href) in
@@ -1448,6 +1448,47 @@ let test_movers_replay_merges_costs () =
   Alcotest.(check (list (pair int int))) "accesses and misses per level"
     (counts cref) (counts ctest);
   Alcotest.(check int) "replayed" n (C.replayed (C.l1 htest))
+
+(* [Cache.stayers_avoid_movers] against a naive check of the walk: every
+   stayer line's L1 set against every mover line's. L1 has 8 sets of
+   32-byte lines, so a 256-byte set span; stayers move -31 to 31 bytes a
+   step, far enough in 40 steps to reach and pass the set count, and the
+   movers move whole set spans, so each keeps one set. *)
+let prop_stayers_avoid_movers =
+  let open QCheck.Gen in
+  let site delta = pair (int_range 2048 6143) delta in
+  let set_spans = map (fun k -> 256 * if k < 0 then k else k + 1) (int_range (-3) 2) in
+  let gen =
+    triple (int_range 1 40)
+      (list_size (int_range 1 4) (site (int_range (-31) 31)))
+      (list_size (int_range 1 3) (site set_spans))
+  in
+  let print (n, stayers, movers) =
+    let sites l =
+      String.concat " " (List.map (fun (a, d) -> Printf.sprintf "%d%+d" a d) l)
+    in
+    Printf.sprintf "n=%d stayers %s movers %s" n (sites stayers) (sites movers)
+  in
+  QCheck.Test.make
+    ~name:"stayers_avoid_movers = naive set check (one-set movers)"
+    ~count:1000 (QCheck.make ~print gen)
+    (fun (n, stayers, movers) ->
+      let l1 = C.create ~size:1024 ~line:32 ~ways:4 in
+      let h =
+        C.create_hierarchy ~l1 ~l2:(C.create ~size:4096 ~line:32 ~ways:4)
+          ~l3:(C.create ~size:8192 ~line:32 ~ways:4)
+      in
+      let sites = Array.of_list (stayers @ movers) in
+      let p = C.plan h ~deltas:(Array.map snd sites) in
+      let sets (a, d) = List.init n (fun i -> ((a + (i * d)) asr 5) land 7) in
+      let used = List.concat_map sets movers in
+      let naive =
+        List.for_all
+          (fun st -> List.for_all (fun set -> not (List.mem set used)) (sets st))
+          stayers
+      in
+      C.one_set_movers p
+      && C.stayers_avoid_movers h p ~n ~addrs:(Array.map fst sites) = naive)
 
 (* The stage-time bounds check at its edges: the last value a stepped
    loop takes, one past either end, an empty loop, and one value bound to
@@ -1671,7 +1712,9 @@ let test_reused_hierarchy_is_fresh () =
    (as in perfbench/expected_simulate.tsv), the L1 probes that actually
    ran ([Cache.probes] of a hierarchy the cell ran on) and the accesses
    replayed from a recorded outcome ([Cache.replayed]). ab-cad-dcb
-   replays whole (c, d) sub-walks, ab-acd-dbc its movers. *)
+   replays whole (c, d) sub-walks, ab-acd-dbc its movers (B moves 4 KB a
+   step, in one L1 set); abcd-aebf-dfce's mover moves 576 bytes a step,
+   across sets, so it replays nothing. *)
 let pinned_gemm_probes =
   [
     ("gemm", Mlt.Pipeline.Clang_O3, "intel-i9-9900k", 8404992, 502528, 6815744);
@@ -1686,6 +1729,8 @@ let pinned_contraction_probes =
     ("ab-cad-dcb", Mlt.Pipeline.Clang_O3, "amd-2920x", 4195328, 259456, 3407872);
     ("ab-acd-dbc", Mlt.Pipeline.Clang_O3, "intel-i9-9900k", 4195328, 574778, 761280);
     ("ab-acd-dbc", Mlt.Pipeline.Clang_O3, "amd-2920x", 4195328, 574778, 761280);
+    ("abcd-aebf-dfce", Mlt.Pipeline.Clang_O3, "intel-i9-9900k", 11964672, 4590024, 0);
+    ("abcd-aebf-dfce", Mlt.Pipeline.Clang_O3, "amd-2920x", 11964672, 4590024, 0);
   ]
 
 let check_pinned_probes pins =
@@ -1913,7 +1958,9 @@ let contraction spec extent =
      misses throughout: its movers must be probed there.
    - [closure_path]: the [%i] nest's mover walks one set 4 KB a step
      and repeats from one [%o0] iteration to the next, but the [%t] loop
-     between two entries walks that set too. *)
+     between two entries walks that set too, one line more per [%o0]
+     iteration up to four, so a replay that ignored its probes would
+     keep an outcome with too few misses. *)
 let test_repeats_match_reference () =
   let stayer_in_set =
     func_of
@@ -1936,7 +1983,7 @@ let test_repeats_match_reference () =
         %%v2 = affine.load %%B0[3, 12 + %%i * -2] : %s
         affine.yield
       }
-      affine.for %%t = 0 to 12 {
+      affine.for %%t = 7 to min(%%o0 + 5, 11) {
         %%v3 = affine.load %%B0[2, 11 + %%o0 + %%t * 1024] : %s
         affine.yield
       }
@@ -2120,5 +2167,5 @@ let suite =
              gen_replay_nest);
             ("simulator = reference trace (level nests)", 300, gen_level_nest);
           ]
-      @ prop_rejects_exactly_out_of_bounds
+      @ prop_rejects_exactly_out_of_bounds :: prop_stayers_avoid_movers
         :: List.map prop_run_strided_matches_probes run_strided_geometries)
