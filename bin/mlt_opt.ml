@@ -93,14 +93,12 @@ let run input list_ops_flag force_c config script tactics_file dump_tds
       match tactics_file with
       | None -> None
       | Some path ->
-          let tdl_src = read_file path in
+          let tds = Tdl.Frontend.lower_source ~file:path (read_file path) in
           if dump_tds then
-            List.iter
-              (fun tds -> print_string (Tdl.Tds.to_string tds))
-              (Tdl.Frontend.lower_source ~file:path tdl_src);
+            List.iter (fun t -> print_string (Tdl.Tds.to_string t)) tds;
           Some
             (Transforms.Tactics.fill_pattern ()
-            :: Tdl.Backend.compile_tdl tdl_src)
+            :: List.map Tdl.Backend.compile tds)
     in
     let snapshot =
       if print_ir_after_all then Ir.Pass.After_all

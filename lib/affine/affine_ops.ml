@@ -146,6 +146,10 @@ let for_const_bounds op =
   | Some lb, Some ub -> Some (lb, ub)
   | _ -> None
 
+let for_normalized op =
+  for_step op = 1
+  && match for_const_bounds op with Some (0, _) -> true | _ -> false
+
 let for_trip_count op =
   match for_const_bounds op with
   | Some (lb, ub) ->

@@ -50,6 +50,10 @@ val for_step : Core.op -> int
     constant expressions. *)
 val for_const_bounds : Core.op -> (int * int) option
 
+(** [for_normalized op]: constant bounds starting at 0 and a unit step —
+    the loops the raising tactics match. *)
+val for_normalized : Core.op -> bool
+
 (** [for_trip_count op] for constant bounds and step: number of iterations. *)
 val for_trip_count : Core.op -> int option
 

@@ -77,44 +77,6 @@ let eval t ~dims ?(syms = [||]) () =
     invalid_arg "Affine_map.eval: wrong number of syms";
   Array.of_list (List.map (E.eval ~dims ~syms) t.exprs)
 
-let compose f g =
-  if n_results g <> f.n_dims then
-    invalid_arg "Affine_map.compose: rank mismatch";
-  if f.n_syms <> 0 then
-    invalid_arg "Affine_map.compose: outer map must be symbol-free";
-  let g_results = Array.of_list g.exprs in
-  let exprs =
-    List.map (E.substitute_dims (fun i -> g_results.(i))) f.exprs
-  in
-  make ~n_dims:g.n_dims ~n_syms:g.n_syms exprs
-
-let is_identity t =
-  t.n_syms = 0
-  && n_results t = t.n_dims
-  && List.for_all2
-       (fun e i -> E.equal e (E.dim i))
-       t.exprs
-       (List.init t.n_dims Fun.id)
-
-let is_permutation t =
-  if t.n_syms <> 0 || n_results t <> t.n_dims then None
-  else
-    let p = Array.make t.n_dims (-1) in
-    let seen = Array.make t.n_dims false in
-    let ok =
-      List.for_all2
-        (fun e i ->
-          match e with
-          | E.Dim d when not seen.(d) ->
-              seen.(d) <- true;
-              p.(i) <- d;
-              true
-          | _ -> false)
-        t.exprs
-        (List.init t.n_dims Fun.id)
-    in
-    if ok then Some p else None
-
 let inverse_permutation p =
   let n = Array.length p in
   let q = Array.make n (-1) in

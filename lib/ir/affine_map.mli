@@ -30,16 +30,6 @@ val n_results : t -> int
 (** [eval t ~dims ~syms] applies the map to concrete indices. *)
 val eval : t -> dims:int array -> ?syms:int array -> unit -> int array
 
-(** [compose f g] is the map [x -> f (g x)]; requires
-    [n_results g = n_dims f] and [n_syms f = 0]. Symbols of [g] are kept. *)
-val compose : t -> t -> t
-
-val is_identity : t -> bool
-
-(** [is_permutation t] returns the permutation array if every result is a
-    distinct bare dimension covering [0..n_dims-1]. *)
-val is_permutation : t -> int array option
-
 (** [inverse_permutation p] with [q = inverse_permutation p] satisfies
     [q.(p.(i)) = i]. *)
 val inverse_permutation : int array -> int array

@@ -2,19 +2,16 @@ type op_def = {
   od_name : string;
   od_verify : Core.op -> unit;
   od_terminator : bool;
-  od_commutative : bool;
   od_summary : string;
 }
 
 let no_verify (_ : Core.op) = ()
 
-let def ?(verify = no_verify) ?(terminator = false) ?(commutative = false)
-    ?(summary = "") name =
+let def ?(verify = no_verify) ?(terminator = false) ?(summary = "") name =
   {
     od_name = name;
     od_verify = verify;
     od_terminator = terminator;
-    od_commutative = commutative;
     od_summary = summary;
   }
 
@@ -40,9 +37,6 @@ let is_registered name = Hashtbl.mem registry name
 
 let is_terminator (op : Core.op) =
   match lookup op.o_name with Some d -> d.od_terminator | None -> false
-
-let is_commutative (op : Core.op) =
-  match lookup op.o_name with Some d -> d.od_commutative | None -> false
 
 let registered_ops () =
   Hashtbl.fold (fun name _ acc -> name :: acc) registry []

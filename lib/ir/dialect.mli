@@ -18,7 +18,6 @@ type op_def = {
   od_name : string;  (** fully qualified, e.g. ["linalg.matmul"] *)
   od_verify : Core.op -> unit;  (** raise {!Support.Diag.Error} on failure *)
   od_terminator : bool;
-  od_commutative : bool;  (** operand order is semantically irrelevant *)
   od_summary : string;
 }
 
@@ -28,7 +27,6 @@ val no_verify : Core.op -> unit
 val def :
   ?verify:(Core.op -> unit) ->
   ?terminator:bool ->
-  ?commutative:bool ->
   ?summary:string ->
   string ->
   op_def
@@ -42,7 +40,6 @@ val register_all : op_def list -> unit
 val lookup : string -> op_def option
 val is_registered : string -> bool
 val is_terminator : Core.op -> bool
-val is_commutative : Core.op -> bool
 
 (** All registered op names, sorted — used by documentation and tests. *)
 val registered_ops : unit -> string list

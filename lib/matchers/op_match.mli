@@ -14,8 +14,7 @@ type t
 (** [op name operands] — value defined by [name] whose operands match. *)
 val op : string -> t list -> t
 
-(** Like {!op}, but if the operation is registered commutative also tries
-    operand permutations. *)
+(** Like {!op}, but also tries every permutation of the operands. *)
 val op_commutative : string -> t list -> t
 
 (** [capture cell inner]: on a successful overall match, the matched value

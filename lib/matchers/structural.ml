@@ -51,68 +51,8 @@ and matches_in_block t (b : Core.block) =
       List.length ops = List.length children
       && List.for_all2 matches children ops
 
-(* [explain] mirrors [matches] but names the first failing structural
-   constraint — the "control-flow shape" stage of near-miss remarks. *)
-let rec explain t (op : Core.op) =
-  match t with
-  | Any -> Ok ()
-  | For (filter, child) ->
-      if not (A.is_for op) then
-        Error (Printf.sprintf "expected affine.for, found %s" op.Core.o_name)
-      else if not (match filter with Some f -> f op | None -> true) then
-        Error "loop filter rejected the affine.for"
-      else explain_in_block child (block_of_op op)
-  | Stmts _ | Body _ ->
-      Error
-        (Printf.sprintf "matcher describes block contents, but %s is an op"
-           op.Core.o_name)
-
-and explain_in_block t (b : Core.block) =
-  match t with
-  | Any -> Ok ()
-  | Body f ->
-      if List.exists A.is_for (non_terminator_ops b) then
-        Error "body is not loop-free"
-      else if not (f b) then Error "body predicate rejected the block"
-      else Ok ()
-  | For _ -> (
-      match non_terminator_ops b with
-      | [ only ] -> explain t only
-      | ops ->
-          Error
-            (Printf.sprintf "expected a single nested loop, found %d \
-                             statements"
-               (List.length ops)))
-  | Stmts children -> (
-      let ops = non_terminator_ops b in
-      if List.length ops <> List.length children then
-        Error
-          (Printf.sprintf "expected %d statements, found %d"
-             (List.length children) (List.length ops))
-      else
-        match
-          List.find_opt
-            (fun (c, o) -> Result.is_error (explain c o))
-            (List.combine children ops)
-        with
-        | Some (c, o) -> explain c o
-        | None -> Ok ())
-
 let matched_nest ~depth op =
   if not (A.is_for op) then None
   else
     let nest = Affine.Loops.perfect_nest op in
     if List.length nest = depth then Some nest else None
-
-let explain_nest ~depth op =
-  if not (A.is_for op) then
-    Error (Printf.sprintf "expected affine.for, found %s" op.Core.o_name)
-  else
-    let nest = Affine.Loops.perfect_nest op in
-    let found = List.length nest in
-    if found = depth then Ok nest
-    else
-      Error
-        (Printf.sprintf "expected a perfect loop nest of depth %d, found \
-                         depth %d"
-           depth found)

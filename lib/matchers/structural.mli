@@ -34,16 +34,3 @@ val matches : t -> Core.op -> bool
     exactly [depth] rooted at [op] (innermost body may contain anything
     but loops), or [None]. *)
 val matched_nest : depth:int -> Core.op -> Core.op list option
-
-(** {2 Rejection explanation}
-
-    The explain variants mirror {!matches}/{!matched_nest} but name the
-    first failing structural constraint — the "control-flow shape" stage
-    of the near-miss remarks ([--remarks=missed]). *)
-
-(** [explain t op] is [Ok ()] exactly when [matches t op]; otherwise a
-    description of the first structural mismatch. *)
-val explain : t -> Core.op -> (unit, string) result
-
-(** [explain_nest ~depth op] is the explained {!matched_nest}. *)
-val explain_nest : depth:int -> Core.op -> (Core.op list, string) result

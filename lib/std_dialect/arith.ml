@@ -33,16 +33,14 @@ let registered =
          "arith.constant");
     List.iter
       (fun name ->
-        let commutative = name = "arith.addf" || name = "arith.mulf" in
         Dialect.register
-          (Dialect.def ~verify:(verify_binop ~want_float:true) ~commutative
+          (Dialect.def ~verify:(verify_binop ~want_float:true)
              ~summary:"float binary op" name))
       float_binops;
     List.iter
       (fun name ->
-        let commutative = name = "arith.addi" || name = "arith.muli" in
         Dialect.register
-          (Dialect.def ~verify:(verify_binop ~want_float:false) ~commutative
+          (Dialect.def ~verify:(verify_binop ~want_float:false)
              ~summary:"integer binary op" name))
       int_binops
 

@@ -59,12 +59,6 @@ let prepare (stmt : Tdl_ast.stmt) =
 
 (* ---- match-time validation ------------------------------------------ *)
 
-(* Constant loop bounds, zero-based, unit step. *)
-let normalized_loop loop =
-  A.for_step loop = 1
-  &&
-  match A.for_const_bounds loop with Some (0, _) -> true | _ -> false
-
 (* Every subscript must span its memref dimension exactly. *)
 let coverage_ok ~extent_of ~memref_of (accesses : (string * Tdl_ast.iexpr list) list) =
   List.for_all
@@ -132,7 +126,7 @@ let infer_shapes (steps : Tds.builder list) (known : (string, int list) Hashtbl.
         match get in1 with
         | Some [ m; n ] -> put output [ (if transpose then n else m) ]
         | _ -> ())
-    | Tds.Conv2d _ | Tds.Fill _ -> ()
+    | Tds.Conv2d _ -> ()
   in
   (* A couple of forward/backward sweeps reach the fixpoint for any
      pipeline TTGT synthesis produces. *)
@@ -187,9 +181,7 @@ let emit_steps ~target b (steps : Tds.builder list)
           let op = L.matvec b (resolve in1) (resolve in2) (resolve output) in
           if transpose then Core.set_attr op "transpose" (Attr.Bool true)
       | To_linalg, Tds.Conv2d { in1; in2; output } ->
-          ignore (L.conv2d_nchw b (resolve in1) (resolve in2) (resolve output))
-      | To_linalg, Tds.Fill { output; value } ->
-          ignore (L.fill b ~value (resolve output)))
+          ignore (L.conv2d_nchw b (resolve in1) (resolve in2) (resolve output)))
     steps
 
 (* ---- the compiled pattern --------------------------------------------- *)
@@ -217,7 +209,7 @@ let compile ?(target = To_linalg) (t : Tds.tactic) =
     match Matchers.Structural.matched_nest ~depth op with
     | None -> false
     | Some loops ->
-        if not (List.for_all normalized_loop loops) then
+        if not (List.for_all A.for_normalized loops) then
           miss "control-flow"
             "loop nest is not normalized (constant zero-based bounds with \
              unit step required)"
@@ -294,7 +286,6 @@ let compile ?(target = To_linalg) (t : Tds.tactic) =
         | To_affine_matmul -> "affine.matmul")
     | Tds.Matvec _ -> "linalg.matvec"
     | Tds.Conv2d _ -> "linalg.conv2d_nchw"
-    | Tds.Fill _ -> "linalg.fill"
   in
   let generated_ops =
     List.sort_uniq String.compare

@@ -355,12 +355,16 @@ let lower_builder_stmt st (s : stmt) =
           (Tds.Transpose { input = src.tensor; output = s.lhs.tensor; perm })
       end
 
+(* The lowering's errors name no position of their own: one without a
+   location is re-raised at the tactic's [def]. *)
 let lower (t : tactic) =
-  let out, in1, in2 = classify_pattern t.t_pattern in
-  ignore (out, in1, in2);
   let st = { fresh = 0; steps = [] } in
-  (if t.t_builder = [] then synthesize st ~out ~in1 ~in2
-   else List.iter (lower_builder_stmt st) t.t_builder);
+  (try
+     let out, in1, in2 = classify_pattern t.t_pattern in
+     if t.t_builder = [] then synthesize st ~out ~in1 ~in2
+     else List.iter (lower_builder_stmt st) t.t_builder
+   with D.Error (loc, msg) when not (Support.Loc.is_known loc) ->
+     D.error ~loc:t.t_loc msg);
   {
     Tds.name = t.t_name;
     pattern = t.t_pattern;

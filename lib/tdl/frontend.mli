@@ -14,8 +14,8 @@
       (identity permutations, singleton groupings) are elided, so a plain
       GEMM pattern lowers to a single [matmulBuilder]. *)
 
-(** [lower tactic] — raises {!Support.Diag.Error} on patterns outside the
-    supported contraction forms. *)
+(** [lower tactic] — raises {!Support.Diag.Error}, located at the
+    tactic's [def], on patterns outside the supported contraction forms. *)
 val lower : Tdl_ast.tactic -> Tds.tactic
 
 (** [lower_source src] — parse TDL and lower every tactic. *)

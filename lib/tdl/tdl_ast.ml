@@ -27,7 +27,12 @@ type stmt = {
   where : (string * string list) option;
 }
 
-type tactic = { t_name : string; t_pattern : stmt; t_builder : stmt list }
+type tactic = {
+  t_name : string;
+  t_pattern : stmt;
+  t_builder : stmt list;
+  t_loc : Support.Loc.t;
+}
 
 let simple_indices r =
   List.fold_right

@@ -34,6 +34,7 @@ type tactic = {
   t_name : string;
   t_pattern : stmt;
   t_builder : stmt list;  (** empty = auto-synthesize (Listing 8 style) *)
+  t_loc : Support.Loc.t;  (** position of the tactic's [def] *)
 }
 
 (** Index variables of a reference, in order, for bare-variable

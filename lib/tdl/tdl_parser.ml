@@ -17,13 +17,6 @@ type token =
   | Plus_eq
   | Star
   | Plus
-  (* Tokens used only by the TDS (TableGen) syntax. *)
-  | Lt
-  | Gt
-  | Lbracket
-  | Rbracket
-  | Semi
-  | Colon
   | Eof
 
 let token_to_string = function
@@ -42,12 +35,6 @@ let token_to_string = function
   | Plus_eq -> "'+='"
   | Star -> "'*'"
   | Plus -> "'+'"
-  | Lt -> "'<'"
-  | Gt -> "'>'"
-  | Lbracket -> "'['"
-  | Rbracket -> "']'"
-  | Semi -> "';'"
-  | Colon -> "':'"
   | Eof -> "end of input"
 
 type ltok = { tok : token; loc : Support.Loc.t }
@@ -84,11 +71,8 @@ let tokenize ~file src =
     | Some c when is_id c ->
         let l = loc () in
         let start = !pos in
-        (* '.' continues an identifier so dialect-qualified op names
-           (affine.for, linalg.matmul) in TDS Roots<[...]> clauses lex as
-           one token; TDL surface syntax itself never uses '.'. *)
         while (match peek 0 with
-               | Some c -> is_id c || is_digit c || c = '.'
+               | Some c -> is_id c || is_digit c
                | None -> false)
         do
           advance ()
@@ -133,12 +117,6 @@ let tokenize ~file src =
         | '=', _ -> one Eq
         | '*', _ -> one Star
         | '+', _ -> one Plus
-        | '<', _ -> one Lt
-        | '>', _ -> one Gt
-        | '[', _ -> one Lbracket
-        | ']', _ -> one Rbracket
-        | ';', _ -> one Semi
-        | ':', _ -> one Colon
         | _ -> D.errorf ~loc:l "TDL: unexpected character %C" c);
         go ()
   in
@@ -210,11 +188,13 @@ let parse_ref st =
   expect st Lparen;
   let rec idxs acc =
     let e = parse_iexpr st in
-    match (next st).tok with
+    let t = next st in
+    match t.tok with
     | Comma -> idxs (e :: acc)
     | Rparen -> List.rev (e :: acc)
     | other ->
-        D.errorf "TDL: expected ',' or ')' in subscript list, found %s"
+        D.errorf ~loc:t.loc
+          "TDL: expected ',' or ')' in subscript list, found %s"
           (token_to_string other)
   in
   { tensor; indices = idxs [] }
@@ -258,6 +238,7 @@ let parse_stmt_at st =
   { lhs; op; rhs; where }
 
 let parse_tactic_at st =
+  let loc = (peek st).loc in
   expect st Def;
   let name = expect_ident st in
   expect st Lbrace;
@@ -287,7 +268,7 @@ let parse_tactic_at st =
         (pattern, builder)
   in
   expect st Rbrace;
-  { t_name = name; t_pattern = pattern; t_builder = builder }
+  { t_name = name; t_pattern = pattern; t_builder = builder; t_loc = loc }
 
 let parse ?(file = "<tdl>") src =
   let st = { toks = tokenize ~file src } in

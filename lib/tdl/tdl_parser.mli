@@ -23,40 +23,3 @@
 val parse : ?file:string -> string -> Tdl_ast.tactic list
 
 val parse_one : ?file:string -> string -> Tdl_ast.tactic
-
-(** {2 Internals shared with the TDS parser} *)
-
-type token =
-  | Def
-  | Pattern
-  | Builder
-  | Where
-  | Ident of string
-  | Int of int
-  | Lparen
-  | Rparen
-  | Lbrace
-  | Rbrace
-  | Comma
-  | Eq
-  | Plus_eq
-  | Star
-  | Plus
-  | Lt
-  | Gt
-  | Lbracket
-  | Rbracket
-  | Semi
-  | Colon
-  | Eof
-
-type ltok = { tok : token; loc : Support.Loc.t }
-type state = { mutable toks : ltok list }
-
-val tokenize : file:string -> string -> ltok list
-val token_to_string : token -> string
-val peek : state -> ltok
-val next : state -> ltok
-val expect : state -> token -> unit
-val expect_ident : state -> string
-val parse_stmt_at : state -> Tdl_ast.stmt

@@ -1,13 +1,9 @@
-module P = Tdl_parser
-module D = Support.Diag
-
 type builder =
   | Transpose of { input : string; output : string; perm : int list }
   | Reshape of { input : string; output : string; grouping : int list list }
   | Matmul of { in1 : string; in2 : string; output : string }
   | Matvec of { in1 : string; in2 : string; output : string; transpose : bool }
   | Conv2d of { in1 : string; in2 : string; output : string }
-  | Fill of { output : string; value : float }
 
 type tactic = {
   name : string;
@@ -21,15 +17,13 @@ let builder_inputs = function
   | Matmul { in1; in2; _ } | Matvec { in1; in2; _ } | Conv2d { in1; in2; _ }
     ->
       [ in1; in2 ]
-  | Fill _ -> []
 
 let builder_output = function
   | Transpose { output; _ }
   | Reshape { output; _ }
   | Matmul { output; _ }
   | Matvec { output; _ }
-  | Conv2d { output; _ }
-  | Fill { output; _ } ->
+  | Conv2d { output; _ } ->
       output
 
 let pp_names fmt names =
@@ -61,12 +55,6 @@ let pp_builder fmt b =
   | Conv2d { in1; in2; output } ->
       Format.fprintf fmt "convBuilder<%a, %a>" pp_names [ in1; in2 ] out
         output
-  | Fill { output; value } ->
-      (* The value is rendered as a rational to stay within TableGen-ish
-         integer tokens. *)
-      Format.fprintf fmt "fillBuilder<Out<[%s]>, Value<%d, %d>>" output
-        (int_of_float (value *. 1000.))
-        1000
 
 let pp fmt t =
   Format.fprintf fmt "def %s : Tactic<%s, Roots<[%s]>, [\n" t.name
@@ -76,189 +64,3 @@ let pp fmt t =
   Format.fprintf fmt "]>;\n"
 
 let to_string t = Format.asprintf "%a" pp t
-
-(* ---- parsing ------------------------------------------------------- *)
-
-let expect_name st name =
-  let id = P.expect_ident st in
-  if not (String.equal id name) then
-    D.errorf "TDS: expected %s, found %s" name id
-
-let parse_name_list st =
-  (* In<[A, B]> *)
-  P.expect st P.Lt;
-  P.expect st P.Lbracket;
-  let rec go acc =
-    let id = P.expect_ident st in
-    match (P.next st).P.tok with
-    | P.Comma -> go (id :: acc)
-    | P.Rbracket -> List.rev (id :: acc)
-    | other ->
-        D.errorf "TDS: expected ',' or ']', found %s"
-          (P.token_to_string other)
-  in
-  let names = go [] in
-  P.expect st P.Gt;
-  names
-
-let parse_in st =
-  expect_name st "In";
-  parse_name_list st
-
-let parse_out st =
-  expect_name st "Out";
-  match parse_name_list st with
-  | [ o ] -> o
-  | _ -> D.errorf "TDS: Out<> takes exactly one name"
-
-let expect_int st =
-  match (P.next st).P.tok with
-  | P.Int i -> i
-  | other -> D.errorf "TDS: expected integer, found %s" (P.token_to_string other)
-
-let parse_expr_ints st =
-  (* Expr<{0, 2, 1}> or Expr<{{0, 1}, 2}> — returns groups. *)
-  expect_name st "Expr";
-  P.expect st P.Lt;
-  P.expect st P.Lbrace;
-  let rec go acc =
-    let item =
-      match (P.peek st).P.tok with
-      | P.Lbrace ->
-          ignore (P.next st);
-          let rec ints acc =
-            let i = expect_int st in
-            match (P.next st).P.tok with
-            | P.Comma -> ints (i :: acc)
-            | P.Rbrace -> List.rev (i :: acc)
-            | other ->
-                D.errorf "TDS: expected ',' or '}', found %s"
-                  (P.token_to_string other)
-          in
-          ints []
-      | _ -> [ expect_int st ]
-    in
-    match (P.next st).P.tok with
-    | P.Comma -> go (item :: acc)
-    | P.Rbrace -> List.rev (item :: acc)
-    | other ->
-        D.errorf "TDS: expected ',' or '}', found %s" (P.token_to_string other)
-  in
-  let groups = go [] in
-  P.expect st P.Gt;
-  groups
-
-let parse_builder st =
-  let kind = P.expect_ident st in
-  P.expect st P.Lt;
-  let b =
-    match kind with
-    | "transposeBuilder" ->
-        let input =
-          match parse_in st with
-          | [ i ] -> i
-          | _ -> D.errorf "TDS: transposeBuilder takes one input"
-        in
-        P.expect st P.Comma;
-        let output = parse_out st in
-        P.expect st P.Comma;
-        let perm = List.map List.hd (parse_expr_ints st) in
-        Transpose { input; output; perm }
-    | "reshapeBuilder" ->
-        let input =
-          match parse_in st with
-          | [ i ] -> i
-          | _ -> D.errorf "TDS: reshapeBuilder takes one input"
-        in
-        P.expect st P.Comma;
-        let output = parse_out st in
-        P.expect st P.Comma;
-        let grouping = parse_expr_ints st in
-        Reshape { input; output; grouping }
-    | "matmulBuilder" | "convBuilder" -> (
-        let ins = parse_in st in
-        P.expect st P.Comma;
-        let output = parse_out st in
-        match ins with
-        | [ in1; in2 ] ->
-            if String.equal kind "matmulBuilder" then
-              Matmul { in1; in2; output }
-            else Conv2d { in1; in2; output }
-        | _ -> D.errorf "TDS: %s takes two inputs" kind)
-    | "matvecBuilder" -> (
-        let ins = parse_in st in
-        P.expect st P.Comma;
-        let output = parse_out st in
-        P.expect st P.Comma;
-        expect_name st "Trans";
-        P.expect st P.Lt;
-        let t = expect_int st in
-        P.expect st P.Gt;
-        match ins with
-        | [ in1; in2 ] -> Matvec { in1; in2; output; transpose = t <> 0 }
-        | _ -> D.errorf "TDS: matvecBuilder takes two inputs")
-    | "fillBuilder" ->
-        let output = parse_out st in
-        P.expect st P.Comma;
-        expect_name st "Value";
-        P.expect st P.Lt;
-        let num = expect_int st in
-        P.expect st P.Comma;
-        let den = expect_int st in
-        P.expect st P.Gt;
-        Fill { output; value = float_of_int num /. float_of_int den }
-    | other -> D.errorf "TDS: unknown builder kind %S" other
-  in
-  P.expect st P.Gt;
-  b
-
-let parse_tactic_at st =
-  P.expect st P.Def;
-  let name = P.expect_ident st in
-  P.expect st P.Colon;
-  expect_name st "Tactic";
-  P.expect st P.Lt;
-  let pattern = P.parse_stmt_at st in
-  P.expect st P.Comma;
-  (* Optional root-op clause; older TDS files without one default to the
-     affine.for nests every structural tactic matches at. *)
-  let roots =
-    match (P.peek st).P.tok with
-    | P.Ident "Roots" ->
-        expect_name st "Roots";
-        let names = parse_name_list st in
-        P.expect st P.Comma;
-        names
-    | _ -> [ "affine.for" ]
-  in
-  P.expect st P.Lbracket;
-  let rec builders acc =
-    match (P.peek st).P.tok with
-    | P.Rbracket ->
-        ignore (P.next st);
-        List.rev acc
-    | _ ->
-        let b = parse_builder st in
-        (match (P.peek st).P.tok with
-        | P.Comma -> ignore (P.next st)
-        | _ -> ());
-        builders (b :: acc)
-  in
-  let builders = builders [] in
-  P.expect st P.Gt;
-  P.expect st P.Semi;
-  { name; pattern; roots; builders }
-
-let parse ?(file = "<tds>") src =
-  let st = { P.toks = P.tokenize ~file src } in
-  let rec go acc =
-    match (P.peek st).P.tok with
-    | P.Eof -> List.rev acc
-    | _ -> go (parse_tactic_at st :: acc)
-  in
-  go []
-
-let parse_one ?file src =
-  match parse ?file src with
-  | [ t ] -> t
-  | ts -> D.errorf "TDS: expected one tactic, found %d" (List.length ts)

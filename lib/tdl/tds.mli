@@ -4,9 +4,10 @@
     the pattern (in TC syntax) plus a list of builders.
 
     TableGen files are only containers of domain-specific information —
-    this module provides the data type, the textual rendering (Listing 4)
-    and a parser for it, so the two-step TDL → TDS → code pipeline is
-    observable and testable. *)
+    this module provides the data type and its textual rendering
+    (Listing 4). TDS is an output of the pipeline, never an input: the
+    frontend emits it, the backend compiles the data type directly, and
+    the text is printed ([mlt-opt --dump-tds]) but never read back. *)
 
 type builder =
   | Transpose of { input : string; output : string; perm : int list }
@@ -14,15 +15,13 @@ type builder =
   | Matmul of { in1 : string; in2 : string; output : string }
   | Matvec of { in1 : string; in2 : string; output : string; transpose : bool }
   | Conv2d of { in1 : string; in2 : string; output : string }
-  | Fill of { output : string; value : float }
 
 type tactic = {
   name : string;
   pattern : Tdl_ast.stmt;
   roots : string list;
       (** Op names the generated matcher can fire at (rendered as a
-          [Roots<[...]>] clause; files without one parse to
-          [["affine.for"]], the root of every structural nest match). *)
+          [Roots<[...]>] clause). *)
   builders : builder list;
 }
 
@@ -36,8 +35,3 @@ val builder_output : builder -> string
 val pp : Format.formatter -> tactic -> unit
 
 val to_string : tactic -> string
-
-(** Parse the rendered syntax back ([to_string] and [parse] round-trip). *)
-val parse : ?file:string -> string -> tactic list
-
-val parse_one : ?file:string -> string -> tactic

@@ -36,10 +36,6 @@ let paper_contractions () =
     (fun (_, spec, _) -> contraction spec)
     (Workloads.Contraction_spec.paper_benchmarks ())
 
-let normalized_loop loop =
-  A.for_step loop = 1
-  && (match A.for_const_bounds loop with Some (0, _) -> true | _ -> false)
-
 let fill_pattern () =
   Rewriter.pattern ~name:"raise-fill"
     ~roots:(Rewriter.Roots [ "affine.for" ])
@@ -54,7 +50,7 @@ let fill_pattern () =
       match
         if A.is_for op then Some (Affine.Loops.perfect_nest op) else None
       with
-      | Some loops when List.for_all normalized_loop loops ->
+      | Some loops when List.for_all A.for_normalized loops ->
           let depth = List.length loops in
           let innermost = List.nth loops (depth - 1) in
           let actx = Ac.create_ctx () in

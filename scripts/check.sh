@@ -44,6 +44,18 @@ dune exec bench/main.exe -- tune --quick
 dune exec tools/json_check/json_check.exe -- BENCH_tune.json results
 obs_tmp="$(mktemp -d)"
 trap 'rm -rf "$obs_tmp"' EXIT
+# The examples print PASS or FAIL for their equivalence checks but exit 0
+# either way, and two of them print synthesized TDS text: their stdout
+# must match the committed file byte for byte.
+for example in quickstart matrix_chain tensor_contraction custom_tactic \
+  progressive_raising; do
+  echo "== $example"
+  "_build/default/examples/$example.exe"
+done > "$obs_tmp/examples.txt"
+diff scripts/examples_stdout.txt "$obs_tmp/examples.txt" || {
+  echo "check.sh: examples output differs from scripts/examples_stdout.txt" >&2
+  exit 1
+}
 # Table II and the ablations are deterministic (machine model, no wall
 # clock): their --quick output must match the committed file byte for
 # byte.
@@ -194,6 +206,21 @@ for tool in mlt_opt mlt_sim; do
     exit 1
   fi
 done
+# A --tactics file is held to the same rule: TDS (TableGen) syntax is not
+# TDL, so its ':' must fail as a Diag.Error located in the .tdl file
+# (exit 124), never at an anonymous "<tdl>" location.
+printf 'def X : Tactic<C(i) += A(i) * B(i), [matmulBuilder]>;\n' \
+  > "$obs_tmp/tds.tdl"
+status=0
+_build/default/bin/mlt_opt.exe examples/kernels/gemm.c \
+  --tactics "$obs_tmp/tds.tdl" > /dev/null 2> "$obs_tmp/tdl.err" || status=$?
+if [ "$status" -ne 124 ] \
+  || ! grep -q "^mlt-opt: $obs_tmp/tds.tdl:1:7: " "$obs_tmp/tdl.err" \
+  || grep -qF "<tdl>" "$obs_tmp/tdl.err"; then
+  cat "$obs_tmp/tdl.err" >&2
+  echo "check.sh: mlt-opt --tactics on TDS text exited $status without an error at its ':' in the file" >&2
+  exit 1
+fi
 # IR text is held to the same rule: a '-' before an affine map variable
 # (it once escaped the parser as Failure "int_of_string", exit 125) must
 # make mlt-opt fail as a Diag.Error located in the .mlir file (exit 124).

@@ -269,12 +269,6 @@ let test_dialect_registry () =
       "arith.addf"; "affine.for"; "affine.matmul"; "scf.for";
       "linalg.matmul"; "linalg.contract"; "blas.sgemm"; "memref.load";
     ];
-  Alcotest.(check bool) "addf commutative" true
-    (Dialect.is_commutative
-       (Core.create_op ~operands:[] ~result_types:[] "arith.addf"));
-  Alcotest.(check bool) "subf not commutative" false
-    (Dialect.is_commutative
-       (Core.create_op ~operands:[] ~result_types:[] "arith.subf"));
   Alcotest.(check string) "dialect_of" "affine" (Dialect.dialect_of "affine.for")
 
 let suite =

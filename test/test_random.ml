@@ -116,30 +116,6 @@ let prop_random_tiling =
 let gen_perm n =
   QCheck.Gen.(map Array.of_list (shuffle_l (List.init n Fun.id)))
 
-let prop_map_compose_eval =
-  QCheck.Test.make ~name:"map composition commutes with evaluation" ~count:200
-    QCheck.(
-      pair (make (gen_perm 4))
-        (quad (int_range 0 9) (int_range 0 9) (int_range 0 9) (int_range 0 9)))
-    (fun (p, (a, b, c, d)) ->
-      let f = Affine_map.permutation p in
-      let g =
-        Affine_map.make ~n_dims:4
-          Affine_expr.
-            [
-              add (dim 0) (dim 1);
-              mul (const 2) (dim 2);
-              add (dim 3) (const 5);
-              dim 0;
-            ]
-      in
-      let dims = [| a; b; c; d |] in
-      let composed = Affine_map.eval (Affine_map.compose f g) ~dims () in
-      let two_step =
-        Affine_map.eval f ~dims:(Affine_map.eval g ~dims ()) ()
-      in
-      composed = two_step)
-
 let prop_inverse_permutation =
   QCheck.Test.make ~name:"permutation inverse round-trips index vectors"
     ~count:200
@@ -316,7 +292,6 @@ let suite =
       prop_random_contraction_full_pipeline;
       prop_random_chain_reorder;
       prop_random_tiling;
-      prop_map_compose_eval;
       prop_inverse_permutation;
       prop_random_programs_roundtrip;
       prop_worklist_matches_fullsweep;

@@ -1,10 +1,8 @@
 (* Tests for structured remarks: the near-miss stage taxonomy the tactic
-   matchers report ([--remarks=missed]), applied-rewrite remarks, warning
-   routing, and the structural explain helpers. *)
+   matchers report ([--remarks=missed]), applied-rewrite remarks, and
+   warning routing. *)
 
 open Ir
-
-let contains = Astring_contains.contains
 
 (* Capture every remark emitted while [f] runs. *)
 let capture f =
@@ -162,46 +160,6 @@ let test_kinds_of_string () =
   Alcotest.(check bool) "junk rejected" true
     (Remark.kinds_of_string "everything" = None)
 
-let test_structural_explain () =
-  let module S = Matchers.Structural in
-  let m =
-    Met.Emit_affine.translate
-      (Workloads.Polybench.mm ~ni:4 ~nj:4 ~nk:4 ())
-  in
-  let f = Option.get (Core.find_func m "mm") in
-  let loop = List.hd (Affine.Loops.top_level_loops f) in
-  (* The right shape explains as Ok. *)
-  (match S.explain (S.perfect ~depth:3 (fun _ -> true)) loop with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "expected a match, got: %s" e);
-  (* Too-deep expectation names the failing constraint. *)
-  (match S.explain (S.perfect ~depth:4 (fun _ -> true)) loop with
-  | Ok () -> Alcotest.fail "depth-4 must not match a 3-nest"
-  | Error e ->
-      Alcotest.(check bool) "mentions the structural mismatch" true
-        (contains e "loop" || contains e "statement"));
-  (* Non-loop root. *)
-  match S.explain (S.for_ S.any) f with
-  | Ok () -> Alcotest.fail "func is not a loop"
-  | Error e ->
-      Alcotest.(check bool) "names the expected op" true
-        (contains e "affine.for")
-
-let test_explain_nest () =
-  let module S = Matchers.Structural in
-  let m =
-    Met.Emit_affine.translate
-      (Workloads.Polybench.mm ~ni:4 ~nj:4 ~nk:4 ())
-  in
-  let f = Option.get (Core.find_func m "mm") in
-  let loop = List.hd (Affine.Loops.top_level_loops f) in
-  (match S.explain_nest ~depth:3 loop with
-  | Ok loops -> Alcotest.(check int) "three loops" 3 (List.length loops)
-  | Error e -> Alcotest.failf "expected a 3-nest, got: %s" e);
-  match S.explain_nest ~depth:2 loop with
-  | Ok _ -> Alcotest.fail "a 3-nest is not a 2-nest"
-  | Error e -> Alcotest.(check bool) "explains" true (String.length e > 0)
-
 let suite =
   [
     Alcotest.test_case "missed: op-chain stage" `Quick test_missed_op_chain;
@@ -218,6 +176,4 @@ let suite =
       test_warning_capture;
     Alcotest.test_case "to_string rendering" `Quick test_to_string_format;
     Alcotest.test_case "kinds_of_string" `Quick test_kinds_of_string;
-    Alcotest.test_case "Structural.explain" `Quick test_structural_explain;
-    Alcotest.test_case "Structural.explain_nest" `Quick test_explain_nest;
   ]
