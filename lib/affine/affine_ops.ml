@@ -43,16 +43,6 @@ let verify_access ~is_store (op : Core.op) =
     Core.num_operands op - base - 1 <> map.Affine_map.n_dims
   then D.errorf "%s: index operand count does not match access map" op.o_name
 
-let memref_2d_f32 (v : Core.value) name =
-  match v.v_typ with
-  | Typ.Mem_ref ([ _; _ ], Typ.F32) -> ()
-  | t -> D.errorf "%s: expected 2-d f32 memref, got %s" name (Typ.to_string t)
-
-let verify_matmul (op : Core.op) =
-  if Core.num_operands op <> 3 then
-    D.errorf "affine.matmul: expects operands A, B, C";
-  Array.iter (fun v -> memref_2d_f32 v "affine.matmul") op.o_operands
-
 let registered =
   Support.Once.make @@ fun () ->
     Std_dialect.Arith.register ();
@@ -70,7 +60,7 @@ let registered =
           ~verify:(verify_access ~is_store:true)
           ~summary:"affine buffer store" "affine.store";
         Dialect.def ~summary:"apply an affine map" "affine.apply";
-        Dialect.def ~verify:verify_matmul
+        Dialect.def ~verify:Structured.verify
           ~summary:"high-level matmul at the affine level (Bondhugula 2020)"
           "affine.matmul";
       ]

@@ -11,11 +11,17 @@ let names =
 
 let is_blas (op : Core.op) = List.mem op.o_name names
 
+let verifier = function
+  | "blas.stranspose" -> Linalg.Linalg_ops.verify_transpose
+  | "blas.sreshape_copy" -> Linalg.Linalg_ops.verify_reshape
+  | _ -> Structured.verify
+
 let registered =
   Support.Once.make @@ fun () ->
     Dialect.register_all
       (List.map
-         (fun n -> Dialect.def ~summary:"vendor library call" n)
+         (fun n ->
+           Dialect.def ~verify:(verifier n) ~summary:"vendor library call" n)
          names)
 
 let register () = Support.Once.get registered

@@ -3,16 +3,17 @@
     MLT-Blas replaces Linalg operations with these calls (§5.2); the machine
     model charges each one an analytical library time plus the constant
     dynamic-link overhead the paper measures (≈1.5 ms for atax). Semantics
-    mirror the corresponding Linalg ops:
-
-    - [sgemm A B C]: C += A * B (single precision)
-    - [sgemv A x y]: y += A * x
-    - [stranspose ~perm A B]
-    - [sreshape_copy ~grouping A B] *)
+    and verifiers are the corresponding Linalg ops': [sgemm], [sgemv] and
+    [sconv2d] are the contractions whose indexing maps {!Ir.Structured}
+    states, and [stranspose]/[sreshape_copy] are checked like
+    [linalg.transpose]/[linalg.reshape]. *)
 
 open Ir
 
 val register : unit -> unit
+
+(** Every op name of this dialect. *)
+val names : string list
 
 val sgemm : Builder.t -> Core.value -> Core.value -> Core.value -> Core.op
 val sgemv : Builder.t -> Core.value -> Core.value -> Core.value -> Core.op

@@ -463,56 +463,12 @@ and compile_op ctx (op : Core.op) : code option =
       let c = Affine.Stage.apply ctx.stage op in
       let d = def_int ctx (Core.result op 0) in
       Some (fun fr -> fr.ints.(d) <- c fr.ints)
-  | "affine.matmul" | "linalg.matmul" | "blas.sgemm" ->
-      let a = buf_slot ctx op (Core.operand op 0)
-      and b = buf_slot ctx op (Core.operand op 1)
-      and c = buf_slot ctx op (Core.operand op 2) in
-      Some (fun fr -> Kernels.matmul fr.bufs.(a) fr.bufs.(b) fr.bufs.(c))
-  | "linalg.matvec" | "blas.sgemv" ->
-      let transpose =
-        match Core.find_attr op "transpose" with
-        | Some (Attr.Bool b) -> b
-        | _ -> false
-      in
-      let a = buf_slot ctx op (Core.operand op 0)
-      and x = buf_slot ctx op (Core.operand op 1)
-      and y = buf_slot ctx op (Core.operand op 2) in
-      Some
-        (fun fr -> Kernels.matvec ~transpose fr.bufs.(a) fr.bufs.(x) fr.bufs.(y))
-  | "linalg.transpose" | "blas.stranspose" ->
-      let perm = Array.of_list (Attr.get_ints (Core.attr op "permutation")) in
-      let src = buf_slot ctx op (Core.operand op 0)
-      and dst = buf_slot ctx op (Core.operand op 1) in
-      Some (fun fr -> Kernels.transpose ~perm fr.bufs.(src) fr.bufs.(dst))
-  | "linalg.reshape" | "blas.sreshape_copy" ->
-      let src = buf_slot ctx op (Core.operand op 0)
-      and dst = buf_slot ctx op (Core.operand op 1) in
-      Some (fun fr -> Kernels.reshape_copy fr.bufs.(src) fr.bufs.(dst))
-  | "linalg.conv2d_nchw" | "blas.sconv2d" ->
-      let i = buf_slot ctx op (Core.operand op 0)
-      and w = buf_slot ctx op (Core.operand op 1)
-      and o = buf_slot ctx op (Core.operand op 2) in
-      Some (fun fr -> Kernels.conv2d_nchw fr.bufs.(i) fr.bufs.(w) fr.bufs.(o))
-  | "linalg.contract" ->
-      let maps = Linalg.Linalg_ops.contract_maps op in
-      (* Operand shapes are static, so the iteration space is inferable at
-         compile time; the runtime closure goes straight to the kernel. *)
-      let shapes =
-        List.map (static_shape_of op) (Array.to_list op.o_operands)
-      in
-      let dims = Kernels.infer_contract_dims ~maps ~shapes in
-      let loc = Core.nearest_loc op in
-      let a = buf_slot ctx op (Core.operand op 0)
-      and b = buf_slot ctx op (Core.operand op 1)
-      and c = buf_slot ctx op (Core.operand op 2) in
-      Some
-        (fun fr ->
-          Kernels.contract ~loc ~maps ~dims fr.bufs.(a) fr.bufs.(b) fr.bufs.(c))
-  | "linalg.fill" ->
-      let v = Attr.get_float (Core.attr op "value") in
-      let b = buf_slot ctx op (Core.operand op 0) in
-      Some (fun fr -> Kernels.fill v fr.bufs.(b))
-  | name -> error_at op "interp: unsupported operation '%s'" name
+  | name -> (
+      match Kernels.library op with
+      | Some run ->
+          let slots = Array.map (buf_slot ctx op) op.o_operands in
+          Some (fun fr -> run (Array.map (fun s -> fr.bufs.(s)) slots))
+      | None -> error_at op "interp: unsupported operation '%s'" name)
 
 (* ---------------- whole functions --------------------------------------- *)
 

@@ -169,54 +169,10 @@ and exec_op env (op : Core.op) =
           (List.map (as_int env op) (Array.to_list op.o_operands))
       in
       bind env (Core.result op 0) (R_int (Affine_map.eval map ~dims ()).(0))
-  | "affine.matmul" | "linalg.matmul" | "blas.sgemm" ->
-      Kernels.matmul
-        (as_buf env op (Core.operand op 0))
-        (as_buf env op (Core.operand op 1))
-        (as_buf env op (Core.operand op 2))
-  | "linalg.matvec" | "blas.sgemv" ->
-      let transpose =
-        match Core.find_attr op "transpose" with
-        | Some (Attr.Bool b) -> b
-        | _ -> false
-      in
-      Kernels.matvec ~transpose
-        (as_buf env op (Core.operand op 0))
-        (as_buf env op (Core.operand op 1))
-        (as_buf env op (Core.operand op 2))
-  | "linalg.transpose" | "blas.stranspose" ->
-      let perm =
-        Array.of_list (Attr.get_ints (Core.attr op "permutation"))
-      in
-      Kernels.transpose ~perm
-        (as_buf env op (Core.operand op 0))
-        (as_buf env op (Core.operand op 1))
-  | "linalg.reshape" | "blas.sreshape_copy" ->
-      Kernels.reshape_copy
-        (as_buf env op (Core.operand op 0))
-        (as_buf env op (Core.operand op 1))
-  | "linalg.conv2d_nchw" | "blas.sconv2d" ->
-      Kernels.conv2d_nchw
-        (as_buf env op (Core.operand op 0))
-        (as_buf env op (Core.operand op 1))
-        (as_buf env op (Core.operand op 2))
-  | "linalg.contract" ->
-      let maps = Linalg.Linalg_ops.contract_maps op in
-      let shapes =
-        List.map
-          (fun v -> (as_buf env op v).Buffer.shape)
-          (Array.to_list op.o_operands)
-      in
-      let dims = Kernels.infer_contract_dims ~maps ~shapes in
-      Kernels.contract ~loc:(Core.nearest_loc op) ~maps ~dims
-        (as_buf env op (Core.operand op 0))
-        (as_buf env op (Core.operand op 1))
-        (as_buf env op (Core.operand op 2))
-  | "linalg.fill" ->
-      Kernels.fill
-        (Attr.get_float (Core.attr op "value"))
-        (as_buf env op (Core.operand op 0))
-  | name -> error_at op "interp: unsupported operation '%s'" name
+  | name -> (
+      match Kernels.library op with
+      | Some run -> run (Array.map (as_buf env op) op.o_operands)
+      | None -> error_at op "interp: unsupported operation '%s'" name)
 
 let walk_func f args =
   Rt.validate_args f args;

@@ -1,5 +1,3 @@
-module D = Support.Diag
-
 let matmul a b c =
   let m = c.Buffer.shape.(0) and n = c.Buffer.shape.(1) in
   let k = a.Buffer.shape.(1) in
@@ -140,34 +138,25 @@ let contract ~loc ~maps ~dims a b c =
 
 let fill v b = Buffer.fill b v
 
-let infer_contract_dims ~maps ~shapes =
-  let n_dims =
-    match maps with
-    | m :: _ -> m.Ir.Affine_map.n_dims
-    | [] -> D.errorf "infer_contract_dims: no maps"
-  in
-  let dims = Array.make n_dims (-1) in
-  List.iter2
-    (fun (m : Ir.Affine_map.t) shape ->
-      List.iteri
-        (fun pos e ->
-          match Ir.Affine_expr.is_single_dim e with
-          | Some (1, d, 0) ->
-              let extent = shape.(pos) in
-              if dims.(d) = -1 then dims.(d) <- extent
-              else if dims.(d) <> extent then
-                D.errorf
-                  "infer_contract_dims: dim d%d bound to both %d and %d" d
-                  dims.(d) extent
-          | _ ->
-              (* Non-trivial result expressions (e.g. conv windows) do not
-                 pin an extent by themselves. *)
-              ())
-        m.exprs)
-    maps shapes;
-  Array.iteri
-    (fun d e ->
-      if e = -1 then
-        D.errorf "infer_contract_dims: dimension d%d is unconstrained" d)
-    dims;
-  dims
+let library (op : Ir.Core.op) =
+  match op.o_name with
+  | "affine.matmul" | "linalg.matmul" | "blas.sgemm" ->
+      Some (fun b -> matmul b.(0) b.(1) b.(2))
+  | "linalg.matvec" | "blas.sgemv" ->
+      let transpose = Ir.Structured.transposed op in
+      Some (fun b -> matvec ~transpose b.(0) b.(1) b.(2))
+  | "linalg.transpose" | "blas.stranspose" ->
+      let perm = Linalg.Linalg_ops.transpose_perm op in
+      Some (fun b -> transpose ~perm b.(0) b.(1))
+  | "linalg.reshape" | "blas.sreshape_copy" ->
+      Some (fun b -> reshape_copy b.(0) b.(1))
+  | "linalg.conv2d_nchw" | "blas.sconv2d" ->
+      Some (fun b -> conv2d_nchw b.(0) b.(1) b.(2))
+  | "linalg.contract" ->
+      let maps = Option.get (Ir.Structured.maps op) in
+      let dims = Ir.Structured.dims op and loc = Ir.Core.nearest_loc op in
+      Some (fun b -> contract ~loc ~maps ~dims b.(0) b.(1) b.(2))
+  | "linalg.fill" ->
+      let v = Ir.Attr.get_float (Ir.Core.attr op "value") in
+      Some (fun b -> fill v b.(0))
+  | _ -> None

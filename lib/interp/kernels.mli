@@ -24,9 +24,8 @@ val contract :
 
 val fill : float -> Buffer.t -> unit
 
-(** Iteration-space extents for a [linalg.contract]: inferred by matching
-    each map result expression against the operand shapes. Raises
-    {!Support.Diag.Error} if some dimension is unconstrained or
-    inconsistent. *)
-val infer_contract_dims :
-  maps:Ir.Affine_map.t list -> shapes:int array list -> int array
+(** [library op]: the kernel that runs a Linalg, BLAS or [affine.matmul]
+    op on its operands' buffers, attributes decoded once; [None] for any
+    other op. Both engines dispatch through it. Named ops keep their own
+    kernels: {!contract} costs a closure per subscript per point. *)
+val library : Ir.Core.op -> (Buffer.t array -> unit) option

@@ -2,22 +2,23 @@
     raised to by Multi-Level Tactics and lowered via tiling or BLAS calls.
 
     Conventions (single-precision throughout, matching the evaluation):
-    - [matmul A B C]: C(i,j) += A(i,k) * B(k,j)
-    - [matvec A x y]: y(i) += A(i,j) * x(j)
+    - [matmul], [matvec], [conv2d_nchw] and [contract] are contractions
+      [out += in1 * in2] whose indexing maps {!Ir.Structured} states once;
+      they write their last operand.
     - [transpose ~perm A B]: B(i0..in) = A(perm applied), i.e.
       [B[idx] = A[permute idx]] with B's shape = A's shape permuted by
       [perm]: [shape_B.(d) = shape_A.(perm.(d))].
     - [reshape ~grouping A B]: B collapses (or expands, when B has higher
       rank) contiguous dimension groups of the row-major layout; a pure
       copy with reindexing.
-    - [conv2d_nchw I W O]: O(n,f,h,w) += I(n,c,h+kh,w+kw) * W(f,c,kh,kw).
-    - [contract ~maps ins out]: generic Einstein contraction
-      out(map_out(d)) += in1(map_1(d)) * in2(map_2(d)).
     - [fill ~value C]: C = value everywhere. *)
 
 open Ir
 
 val register : unit -> unit
+
+(** Every op name of this dialect. *)
+val names : string list
 
 val matmul : Builder.t -> Core.value -> Core.value -> Core.value -> Core.op
 val matvec : Builder.t -> Core.value -> Core.value -> Core.value -> Core.op
@@ -51,12 +52,13 @@ val is_linalg : Core.op -> bool
 
 val transpose_perm : Core.op -> int array
 val reshape_grouping : Core.op -> int list list
-val contract_maps : Core.op -> Affine_map.t list
 
-(** Inputs (all operands but the last) and output (last operand). *)
-val ins : Core.op -> Core.value list
+(** The verifiers of [linalg.transpose] and [linalg.reshape], which
+    [blas.stranspose] and [blas.sreshape_copy] share: they read the same
+    attributes. *)
+val verify_transpose : Core.op -> unit
 
-val out : Core.op -> Core.value
+val verify_reshape : Core.op -> unit
 
 (** [reshape_check ~grouping in_shape out_shape] validates that collapsing
     [in_shape] by [grouping] yields [out_shape] (used by the verifier and

@@ -15,41 +15,27 @@ type report = {
 
 let library_time model (op : Core.op) =
   let loc = Core.nearest_loc op in
-  let shape2 (v : Core.value) =
-    match Typ.static_shape v.Core.v_typ with
-    | Some [ a; b ] -> (a, b)
-    | _ -> D.errorf ~loc "perf: expected a rank-2 static memref"
+  let elements () =
+    match Typ.num_elements (Core.operand op 0).Core.v_typ with
+    | Some e -> e
+    | None -> D.errorf ~loc "perf: dynamic %s" op.o_name
   in
-  let operand i = Core.operand op i in
   match op.o_name with
   | "blas.sgemm" ->
-      let m, k = shape2 (operand 0) in
-      let _, n = shape2 (operand 1) in
-      Blas_model.gemm_seconds model ~m ~n ~k
+      let d = Structured.dims op in
+      Blas_model.gemm_seconds model ~m:d.(0) ~n:d.(1) ~k:d.(2)
   | "blas.sgemv" ->
-      let m, n = shape2 (operand 0) in
-      Blas_model.gemv_seconds model ~m ~n
-  | "blas.stranspose" -> (
-      match Typ.num_elements (operand 0).Core.v_typ with
-      | Some e -> Blas_model.transpose_seconds model ~elems:e
-      | None -> D.errorf ~loc "perf: dynamic transpose")
-  | "blas.sreshape_copy" -> (
-      match Typ.num_elements (operand 0).Core.v_typ with
-      | Some e -> Blas_model.copy_seconds model ~elems:e
-      | None -> D.errorf ~loc "perf: dynamic reshape")
-  | "blas.sconv2d" -> (
-      match
-        ( Typ.static_shape (operand 0).Core.v_typ,
-          Typ.static_shape (operand 1).Core.v_typ,
-          Typ.static_shape (operand 2).Core.v_typ )
-      with
-      | Some [ n; c; _; _ ], Some [ f; _; kh; kw ], Some [ _; _; oh; ow ] ->
-          Blas_model.conv2d_seconds model ~n ~c ~f ~oh ~ow ~kh ~kw
-      | _ -> D.errorf ~loc "perf: bad conv shapes")
+      let d = Structured.dims op in
+      Blas_model.gemv_seconds model ~m:d.(0) ~n:d.(1)
+  | "blas.stranspose" -> Blas_model.transpose_seconds model ~elems:(elements ())
+  | "blas.sreshape_copy" -> Blas_model.copy_seconds model ~elems:(elements ())
+  | "blas.sconv2d" ->
+      let d = Structured.dims op in
+      Blas_model.conv2d_seconds model ~n:d.(0) ~f:d.(1) ~oh:d.(2) ~ow:d.(3)
+        ~c:d.(4) ~kh:d.(5) ~kw:d.(6)
   | "affine.matmul" ->
-      let m, k = shape2 (operand 0) in
-      let _, n = shape2 (operand 1) in
-      Blas_model.blis_codegen_gemm_seconds model ~m ~n ~k
+      let d = Structured.dims op in
+      Blas_model.blis_codegen_gemm_seconds model ~m:d.(0) ~n:d.(1) ~k:d.(2)
   | _ -> D.errorf ~loc "perf: '%s' is not a library call" op.o_name
 
 let is_library (op : Core.op) =

@@ -186,14 +186,24 @@ let emit_steps ~target b (steps : Tds.builder list)
 
 (* ---- the compiled pattern --------------------------------------------- *)
 
+(* The compile-time errors name no position of their own: one without a
+   location is re-raised at the tactic's [def], as [Frontend.lower]
+   does. *)
 let compile ?(target = To_linalg) (t : Tds.tactic) =
-  let prepared = prepare t.pattern in
-  (if target = To_affine_matmul then
-     match t.builders with
-     | [ Tds.Matmul _ ] -> ()
-     | _ ->
-         D.errorf
-           "backend: tactic %s cannot target the affine matmul raising" t.name);
+  let prepared =
+    try
+      let prepared = prepare t.pattern in
+      (if target = To_affine_matmul then
+         match t.builders with
+         | [ Tds.Matmul _ ] -> ()
+         | _ ->
+             D.errorf
+               "backend: tactic %s cannot target the affine matmul raising"
+               t.name);
+      prepared
+    with D.Error (loc, msg) when not (Support.Loc.is_known loc) ->
+      D.error ~loc:t.loc msg
+  in
   let depth = List.length prepared.vars in
   (* A nest of the right depth that then fails a later stage is a
      near-miss worth a structured remark ([--remarks=missed]); nests of

@@ -371,6 +371,7 @@ let lower (t : tactic) =
     (* Every generated matcher anchors on a perfectly-nested loop nest. *)
     roots = [ "affine.for" ];
     builders = st.steps;
+    loc = t.t_loc;
   }
 
 let lower_source ?file src =

@@ -10,6 +10,7 @@ type tactic = {
   pattern : Tdl_ast.stmt;
   roots : string list;
   builders : builder list;
+  loc : Support.Loc.t;
 }
 
 let builder_inputs = function

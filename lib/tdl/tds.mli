@@ -23,6 +23,7 @@ type tactic = {
       (** Op names the generated matcher can fire at (rendered as a
           [Roots<[...]>] clause). *)
   builders : builder list;
+  loc : Support.Loc.t;  (** position of the TDL [def] *)
 }
 
 (** Tensor names read by a builder step. *)

@@ -6,22 +6,15 @@ module A = Affine.Affine_ops
 let pure_writer_of (buf : Core.value) (op : Core.op) =
   match op.o_name with
   | "affine.store" -> Core.value_equal (A.access_memref op) buf
-  | "linalg.fill" -> Core.value_equal (Core.operand op 0) buf
   | "memref.dealloc" -> Core.value_equal (Core.operand op 0) buf
-  | "linalg.matmul" | "linalg.matvec" | "linalg.conv2d_nchw"
-  | "linalg.contract" | "blas.sgemm" | "blas.sgemv" ->
-      (* Output is the last operand; reads the others. *)
-      Core.value_equal (Core.operand op (Core.num_operands op - 1)) buf
-      && not
-           (List.exists (Core.value_equal buf)
-              (List.filteri
-                 (fun i _ -> i < Core.num_operands op - 1)
-                 (Array.to_list op.o_operands)))
-  | "linalg.transpose" | "linalg.reshape" | "blas.stranspose"
-  | "blas.sreshape_copy" ->
-      Core.value_equal (Core.operand op 1) buf
-      && not (Core.value_equal (Core.operand op 0) buf)
-  | _ -> false
+  | _ -> (
+      (* A structured op writes its destination and reads the rest. *)
+      match Structured.destination op with
+      | Some out ->
+          let reads = Array.sub op.o_operands 0 (Core.num_operands op - 1) in
+          Core.value_equal out buf
+          && not (Array.exists (Core.value_equal buf) reads)
+      | None -> false)
 
 let has_side_effects (op : Core.op) =
   match op.o_name with

@@ -21,48 +21,6 @@ let build_nest b extents body =
   in
   go b [] extents
 
-(* C(i,j) += A(i,k) * B(k,j) *)
-let lower_matmul b a bm c =
-  let m, k =
-    match shape_of a with [ m; k ] -> (m, k) | _ -> assert false
-  in
-  let n = List.nth (shape_of bm) 1 in
-  build_nest b [ m; n; k ] (fun b ivs ->
-      match ivs with
-      | [ i; j; kk ] ->
-          let c0 = A.load_simple b c [ i; j ] in
-          let x = A.load_simple b a [ i; kk ] in
-          let y = A.load_simple b bm [ kk; j ] in
-          let s = Arith.addf b c0 (Arith.mulf b x y) in
-          ignore (A.store_simple b s c [ i; j ])
-      | _ -> assert false)
-
-let lower_matvec b ~transpose a x y =
-  let m, n =
-    match shape_of a with [ m; n ] -> (m, n) | _ -> assert false
-  in
-  if transpose then
-    (* y(j) += A(i,j) * x(i) *)
-    build_nest b [ m; n ] (fun b ivs ->
-        match ivs with
-        | [ i; j ] ->
-            let y0 = A.load_simple b y [ j ] in
-            let a0 = A.load_simple b a [ i; j ] in
-            let x0 = A.load_simple b x [ i ] in
-            let s = Arith.addf b y0 (Arith.mulf b a0 x0) in
-            ignore (A.store_simple b s y [ j ])
-        | _ -> assert false)
-  else
-    build_nest b [ m; n ] (fun b ivs ->
-        match ivs with
-        | [ i; j ] ->
-            let y0 = A.load_simple b y [ i ] in
-            let a0 = A.load_simple b a [ i; j ] in
-            let x0 = A.load_simple b x [ j ] in
-            let s = Arith.addf b y0 (Arith.mulf b a0 x0) in
-            ignore (A.store_simple b s y [ i ])
-        | _ -> assert false)
-
 let lower_transpose b ~perm src dst =
   let out_shape = shape_of dst in
   let rank = Array.length perm in
@@ -114,61 +72,32 @@ let lower_reshape b src dst =
       let out_map = Affine_map.identity n_out in
       ignore (A.store b v dst (out_map, ivs)))
 
-let lower_conv2d b i w o =
-  match (shape_of i, shape_of w, shape_of o) with
-  | [ n; c; _h; _w ], [ f; _; kh; kw ], [ _; _; oh; ow ] ->
-      build_nest b [ n; f; oh; ow; c; kh; kw ] (fun b ivs ->
-          match ivs with
-          | [ nn; ff; y; x; cc; r; s ] ->
-              let o0 = A.load_simple b o [ nn; ff; y; x ] in
-              (* I[n, c, y + r, x + s] *)
-              let imap =
-                Affine_map.make ~n_dims:6
-                  Affine_expr.
-                    [ dim 0; dim 1; add (dim 2) (dim 3); add (dim 4) (dim 5) ]
-              in
-              let iv = A.load b i (imap, [ nn; cc; y; r; x; s ]) in
-              let wv = A.load_simple b w [ ff; cc; r; s ] in
-              let sum = Arith.addf b o0 (Arith.mulf b iv wv) in
-              ignore (A.store_simple b sum o [ nn; ff; y; x ])
-          | _ -> assert false)
-  | _ -> D.errorf "lower-linalg: bad conv shapes"
+(* [m] applied to the ivs it reads, renumbered in order of first use:
+   the access the parser builds for the same printed subscripts. *)
+let access m ivs =
+  let ivs = Array.of_list ivs in
+  let used =
+    List.fold_left
+      (fun acc d -> if List.mem d acc then acc else acc @ [ d ])
+      [] (List.concat_map Affine_expr.used_dims m.Affine_map.exprs)
+  in
+  let pos d = Affine_expr.dim (Option.get (List.find_index (( = ) d) used)) in
+  ( Affine_map.make ~n_dims:(List.length used)
+      (List.map (Affine_expr.substitute_dims pos) m.exprs),
+    List.map (fun d -> ivs.(d)) used )
 
-let lower_contract b maps a bv c =
-  let shapes = [ shape_of a; shape_of bv; shape_of c ] in
-  let dims =
-    (* Reuse the interpreter's inference logic, reimplemented cheaply:
-       bind each bare-dim map result to the operand extent. *)
-    let n_dims =
-      match maps with
-      | (m : Affine_map.t) :: _ -> m.n_dims
-      | [] -> D.errorf "lower-linalg: contract without maps"
-    in
-    let dims = Array.make n_dims (-1) in
-    List.iter2
-      (fun (m : Affine_map.t) shape ->
-        List.iteri
-          (fun pos e ->
-            match Affine_expr.is_single_dim e with
-            | Some (1, d, 0) -> dims.(d) <- List.nth shape pos
-            | _ -> ())
-          m.exprs)
-      maps shapes;
-    Array.iter
-      (fun d ->
-        if d < 0 then D.errorf "lower-linalg: unconstrained contract dim")
-      dims;
-    dims
-  in
-  let ma, mb, mc =
-    match maps with [ x; y; z ] -> (x, y, z) | _ -> assert false
-  in
-  build_nest b (Array.to_list dims) (fun b ivs ->
-      let c0 = A.load b c (mc, ivs) in
-      let av = A.load b a (ma, ivs) in
-      let bvv = A.load b bv (mb, ivs) in
-      let s = Arith.addf b c0 (Arith.mulf b av bvv) in
-      ignore (A.store b s c (mc, ivs)))
+(* out(m_out(d)) += in1(m_1(d)) * in2(m_2(d)), one loop per dim in order. *)
+let lower_contract b op =
+  match (Structured.maps op, Array.to_list op.Core.o_operands) with
+  | Some [ m1; m2; mo ], [ in1; in2; out ] ->
+      build_nest b (Array.to_list (Structured.dims op)) (fun b ivs ->
+          let out_at = access mo ivs in
+          let o = A.load b out out_at in
+          let x = A.load b in1 (access m1 ivs) in
+          let y = A.load b in2 (access m2 ivs) in
+          let s = Arith.addf b o (Arith.mulf b x y) in
+          ignore (A.store b s out out_at))
+  | _ -> D.errorf "lower-linalg: %s is not a contraction" op.o_name
 
 let lower_fill b value c =
   build_nest b (shape_of c) (fun b ivs ->
@@ -188,32 +117,17 @@ let lower_op ?tile_size (ctx : Rewriter.ctx) (op : Core.op) =
   let operand i = Core.operand op i in
   let handled =
     match op.o_name with
-    | "linalg.matmul" ->
-        lower_matmul b (operand 0) (operand 1) (operand 2);
-        true
-    | "linalg.matvec" ->
-        let transpose =
-          match Core.find_attr op "transpose" with
-          | Some (Attr.Bool t) -> t
-          | _ -> false
-        in
-        lower_matvec b ~transpose (operand 0) (operand 1) (operand 2);
-        true
     | "linalg.transpose" ->
         lower_transpose b ~perm:(L.transpose_perm op) (operand 0) (operand 1);
         true
     | "linalg.reshape" ->
         lower_reshape b (operand 0) (operand 1);
         true
-    | "linalg.conv2d_nchw" ->
-        lower_conv2d b (operand 0) (operand 1) (operand 2);
-        true
-    | "linalg.contract" ->
-        lower_contract b (L.contract_maps op) (operand 0) (operand 1)
-          (operand 2);
-        true
     | "linalg.fill" ->
         lower_fill b (Attr.get_float (Core.attr op "value")) (operand 0);
+        true
+    | _ when Option.is_some (Structured.maps op) ->
+        lower_contract b op;
         true
     | _ -> false
   in
@@ -241,17 +155,7 @@ let lower_op ?tile_size (ctx : Rewriter.ctx) (op : Core.op) =
   end;
   handled
 
-let linalg_roots =
-  Rewriter.Roots
-    [
-      "linalg.matmul";
-      "linalg.matvec";
-      "linalg.transpose";
-      "linalg.reshape";
-      "linalg.conv2d_nchw";
-      "linalg.contract";
-      "linalg.fill";
-    ]
+let linalg_roots = Rewriter.Roots L.names
 
 let patterns () =
   [

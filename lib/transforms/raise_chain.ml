@@ -5,22 +5,18 @@ module D = Support.Diag
 
 let rec writes_buffer (op : Core.op) (v : Core.value) =
   match op.o_name with
-  | "linalg.fill" -> Core.value_equal (Core.operand op 0) v
   | "affine.store" -> Core.value_equal (A.access_memref op) v
   | "memref.store" -> Core.value_equal (Core.operand op 1) v
-  | "linalg.matmul" | "linalg.matvec" | "linalg.conv2d_nchw"
-  | "linalg.contract" | "blas.sgemm" | "blas.sgemv" | "blas.sconv2d" ->
-      Core.value_equal (Core.operand op (Core.num_operands op - 1)) v
-  | "linalg.transpose" | "linalg.reshape" | "blas.stranspose"
-  | "blas.sreshape_copy" ->
-      Core.value_equal (Core.operand op 1) v
   | "affine.for" | "scf.for" ->
       (* A loop writes v if anything inside does. *)
       let found = ref false in
       Core.walk op (fun inner ->
           if inner != op && writes_buffer inner v then found := true);
       !found
-  | _ -> false
+  | _ -> (
+      match Structured.destination op with
+      | Some out -> Core.value_equal out v
+      | None -> false)
 
 let last_writer ~anchor (v : Core.value) =
   match anchor.Core.o_parent with

@@ -13,9 +13,8 @@ let convert (ctx : Rewriter.ctx) (op : Core.op) =
         true
     | "linalg.matvec" ->
         let call = B.sgemv b (operand 0) (operand 1) (operand 2) in
-        (match Core.find_attr op "transpose" with
-        | Some (Attr.Bool true) -> Core.set_attr call "transpose" (Attr.Bool true)
-        | _ -> ());
+        if Structured.transposed op then
+          Core.set_attr call "transpose" (Attr.Bool true);
         true
     | "linalg.transpose" ->
         ignore (B.stranspose b ~perm:(L.transpose_perm op) (operand 0) (operand 1));
@@ -39,28 +38,11 @@ let convert (ctx : Rewriter.ctx) (op : Core.op) =
 
 let patterns () =
   [
+    (* linalg.contract has no library call, but stays a dispatch root so
+       the diagnostic above still fires under indexed dispatch. *)
     Rewriter.pattern ~name:"linalg-to-blas"
-      ~roots:
-        (Rewriter.Roots
-           [
-             "linalg.matmul";
-             "linalg.matvec";
-             "linalg.transpose";
-             "linalg.reshape";
-             "linalg.conv2d_nchw";
-             (* Not convertible, but must stay a dispatch root so the
-                diagnostic above still fires under indexed dispatch. *)
-             "linalg.contract";
-           ])
-      ~generated_ops:
-        [
-          "blas.sgemm";
-          "blas.sgemv";
-          "blas.stranspose";
-          "blas.sreshape_copy";
-          "blas.sconv2d";
-        ]
-      convert;
+      ~roots:(Rewriter.Roots (List.filter (( <> ) "linalg.fill") L.names))
+      ~generated_ops:B.names convert;
   ]
 
 let frozen = Rewriter.freeze (patterns ())

@@ -241,6 +241,37 @@ if [ "$status" -ne 124 ] \
   echo "check.sh: mlt-opt on a '-d0' affine map exited $status without a located error naming the file" >&2
   exit 1
 fi
+# A contraction whose operands disagree on a dim (A is 4x6, B 5x3) must
+# fail verification as a Diag.Error located at the op in the .mlir file
+# (exit 124), in plain mlt-opt, under --verify-exec and under
+# --lower-linalg: blas.sgemm and affine.matmul once escaped the
+# interpreter as an uncaught Invalid_argument (exit 125), and the
+# linalg.contract printed and lowered with exit 0.
+for op in \
+  'blas.sgemm %A, %B, %C : memref<4x6xf32>, memref<5x3xf32>, memref<4x3xf32>' \
+  'affine.matmul %A, %B, %C : memref<4x6xf32>, memref<5x3xf32>, memref<4x3xf32>' \
+  'linalg.contract indexing_maps = [affine_map<(d0, d1, d2) -> (d0, d2)>, affine_map<(d0, d1, d2) -> (d2, d1)>, affine_map<(d0, d1, d2) -> (d0, d1)>] ins(%A, %B : memref<4x6xf32>, memref<5x3xf32>) outs(%C : memref<4x3xf32>)'; do
+  kernel="mismatch_${op%% *}"
+  cat > "$obs_tmp/$kernel.mlir" <<EOF
+builtin.module {
+  func.func @g(%A: memref<4x6xf32>, %B: memref<5x3xf32>, %C: memref<4x3xf32>) {
+    $op
+    func.return
+  }
+}
+EOF
+  for mode in "" --verify-exec --lower-linalg; do
+    status=0
+    _build/default/bin/mlt_opt.exe "$obs_tmp/$kernel.mlir" $mode > /dev/null \
+      2> "$obs_tmp/$kernel.err" || status=$?
+    if [ "$status" -ne 124 ] \
+      || ! grep -q "^mlt-opt: $obs_tmp/$kernel.mlir:3:5: " "$obs_tmp/$kernel.err"; then
+      cat "$obs_tmp/$kernel.err" >&2
+      echo "check.sh: mlt-opt $mode on $kernel.mlir exited $status without an error at the op in the file" >&2
+      exit 1
+    fi
+  done
+done
 # A subscript that divides by a loop iv is not affine, and an
 # arith.floordivsi by zero cannot run: under --verify-exec both once
 # escaped as an uncaught exception (exit 125). The parser must reject the

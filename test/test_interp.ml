@@ -100,27 +100,47 @@ let test_reshape_kernel () =
   Alcotest.(check (float 0.)) "relayout" 9. (B.get dst [| 1; 1; 0 |])
 
 let test_contract_kernel_is_matmul () =
-  (* C(i,j) += A(i,k) * B(k,j) expressed as a generic contraction. *)
-  let module M = Ir.Affine_map in
-  let maps =
-    [
-      M.minor_identity ~n_dims:3 ~results:[ 0; 2 ];
-      M.minor_identity ~n_dims:3 ~results:[ 2; 1 ];
-      M.minor_identity ~n_dims:3 ~results:[ 0; 1 ];
-    ]
+  (* Each named kernel computes the generic contraction over the indexing
+     maps Ir.Structured gives its op. *)
+  let maps ?(attrs = []) name =
+    Option.get (Ir.Structured.maps (Ir.Core.create_op ~attrs name))
   in
-  let a = B.create [ 4; 5 ] and b = B.create [ 5; 3 ] in
-  B.randomize ~seed:1 a;
-  B.randomize ~seed:2 b;
-  let c1 = B.create [ 4; 3 ] and c2 = B.create [ 4; 3 ] in
-  let dims =
-    K.infer_contract_dims ~maps
-      ~shapes:[ a.B.shape; b.B.shape; c1.B.shape ]
+  let check what maps shapes named =
+    let[@warning "-8"] [ a; b; c1 ] =
+      List.mapi
+        (fun i s ->
+          let buf = B.create s in
+          B.randomize ~seed:(i + 1) buf;
+          buf)
+        shapes
+    in
+    let c2 = { c1 with B.data = Array.copy c1.B.data } in
+    let dims =
+      Ir.Structured.iteration_dims ~maps
+        ~shapes:[ a.B.shape; b.B.shape; c1.B.shape ]
+    in
+    K.contract ~loc:Support.Loc.unknown ~maps ~dims a b c1;
+    named a b c2;
+    Alcotest.(check bool) (what ^ ": same result") true (B.approx_equal c1 c2);
+    dims
   in
-  Alcotest.(check (array int)) "inferred space" [| 4; 3; 5 |] dims;
-  K.contract ~loc:Support.Loc.unknown ~maps ~dims a b c1;
-  K.matmul a b c2;
-  Alcotest.(check bool) "same result" true (B.approx_equal c1 c2)
+  Alcotest.(check (array int)) "inferred space" [| 4; 3; 5 |]
+    (check "matmul" (maps "linalg.matmul")
+       [ [ 4; 5 ]; [ 5; 3 ]; [ 4; 3 ] ]
+       K.matmul);
+  ignore
+    (check "matvec" (maps "linalg.matvec")
+       [ [ 4; 5 ]; [ 5 ]; [ 4 ] ]
+       (K.matvec ~transpose:false));
+  ignore
+    (check "matvec^T"
+       (maps ~attrs:[ ("transpose", Ir.Attr.Bool true) ] "blas.sgemv")
+       [ [ 4; 5 ]; [ 4 ]; [ 5 ] ]
+       (K.matvec ~transpose:true));
+  ignore
+    (check "conv2d_nchw" (maps "blas.sconv2d")
+       [ [ 2; 3; 6; 7 ]; [ 4; 3; 3; 2 ]; [ 2; 4; 4; 6 ] ]
+       K.conv2d_nchw)
 
 let test_interp_gemm_matches_reference () =
   let n = 6 in

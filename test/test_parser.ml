@@ -208,7 +208,33 @@ let test_parse_errors () =
     (in_func
        "    %x = arith.constant 1 : index\n    %y = arith.addf %x, %x : index");
   expect_at ~line:3 ~col:5
-    (in_func {|    %x = "affine.load"(%A) : (memref<4xf32>) -> (f32)|})
+    (in_func {|    %x = "affine.load"(%A) : (memref<4xf32>) -> (f32)|});
+  (* A contraction whose operands disagree on a dim: the interpreter once
+     met it as an uncaught Invalid_argument, and --lower-linalg lowered
+     the contract over the smaller extent. *)
+  let mismatched op =
+    Printf.sprintf
+      "builtin.module {\n\
+      \  func.func @g(%%A: memref<4x6xf32>, %%B: memref<5x3xf32>, %%C: \
+       memref<4x3xf32>) {\n\
+      \    %s\n\
+      \    func.return\n\
+      \  }\n\
+       }"
+      op
+  in
+  List.iter
+    (fun op -> expect_at ~line:3 ~col:5 (mismatched op))
+    [
+      "blas.sgemm %A, %B, %C : memref<4x6xf32>, memref<5x3xf32>, \
+       memref<4x3xf32>";
+      "affine.matmul %A, %B, %C : memref<4x6xf32>, memref<5x3xf32>, \
+       memref<4x3xf32>";
+      "linalg.contract indexing_maps = [affine_map<(d0, d1, d2) -> (d0, \
+       d2)>, affine_map<(d0, d1, d2) -> (d2, d1)>, affine_map<(d0, d1, d2) \
+       -> (d0, d1)>] ins(%A, %B : memref<4x6xf32>, memref<5x3xf32>) \
+       outs(%C : memref<4x3xf32>)";
+    ]
 
 (* Generic-form attributes in every form the printer writes. *)
 let test_generic_attr_forms () =

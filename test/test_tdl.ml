@@ -126,6 +126,19 @@ let test_frontend_rejects_bad_patterns () =
   (* output index in both inputs *)
   expect_fail "def X { pattern C(i) += A(i,k) * B(i,k) }"
 
+let test_backend_errors_located () =
+  (* The backend's own rejections are located at the tactic's def. *)
+  match
+    Support.Diag.wrap (fun () ->
+        List.map Backend.compile
+          (Frontend.lower_source ~file:"t.tdl"
+             "def X { pattern C(i,j) += C(i,k) * C(k,j) }"))
+  with
+  | Ok _ -> Alcotest.fail "expected a backend error"
+  | Error e ->
+      if not (String.starts_with ~prefix:"t.tdl:1:1: backend: " e) then
+        Alcotest.failf "backend error not located at the def: %s" e
+
 (* ---- compiled raising patterns -------------------------------------- *)
 
 let raise_with_tdl tdl_src c_src =
@@ -271,6 +284,8 @@ let suite =
       test_frontend_conv_classification;
     Alcotest.test_case "frontend: rejects bad patterns" `Quick
       test_frontend_rejects_bad_patterns;
+    Alcotest.test_case "backend: errors located at the def" `Quick
+      test_backend_errors_located;
     Alcotest.test_case "backend: raises gemm to linalg" `Quick
       test_backend_raises_gemm;
     Alcotest.test_case "backend: raising preserves semantics" `Quick

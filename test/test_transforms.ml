@@ -67,6 +67,47 @@ let test_lower_matvec_both () =
       raise_to_linalg m;
       T.Lower_linalg.run m)
 
+let test_lower_named_as_contract () =
+  (* A named op and a linalg.contract over its indexing maps lower to the
+     same loops. *)
+  let lowered shapes build =
+    let f =
+      Core.create_func ~name:"k"
+        ~arg_types:(List.map (fun s -> Typ.memref s Typ.F32) shapes)
+        ~arg_hints:[ "A"; "B"; "C" ] ()
+    in
+    let b = Builder.at_end (Core.func_entry f) in
+    let[@warning "-8"] [ x; y; z ] = Core.func_args f in
+    let maps = Structured.maps (build b x y z) in
+    ignore (Builder.build b "func.return");
+    let m = Core.create_module () in
+    Core.append_op (Core.module_block m) f;
+    Verifier.verify m;
+    T.Lower_linalg.run m;
+    (Option.get maps, Printer.op_to_string m)
+  in
+  let module L = Linalg.Linalg_ops in
+  List.iter
+    (fun (name, shapes, named) ->
+      let maps, expected = lowered shapes named in
+      let _, got = lowered shapes (fun b x y z -> L.contract b ~maps x y z) in
+      Alcotest.(check bool) (name ^ ": lowered to loops") true
+        (Astring_contains.contains expected "affine.for");
+      Alcotest.(check string) name expected got)
+    [
+      ("matmul", [ [ 4; 5 ]; [ 5; 3 ]; [ 4; 3 ] ], L.matmul);
+      ("matvec", [ [ 4; 5 ]; [ 5 ]; [ 4 ] ], L.matvec);
+      ( "matvec^T",
+        [ [ 4; 5 ]; [ 4 ]; [ 5 ] ],
+        fun b x y z ->
+          let op = L.matvec b x y z in
+          Core.set_attr op "transpose" (Attr.Bool true);
+          op );
+      ( "conv2d_nchw",
+        [ [ 1; 2; 6; 6 ]; [ 3; 2; 3; 3 ]; [ 1; 3; 4; 4 ] ],
+        L.conv2d_nchw );
+    ]
+
 (* --- tiling ------------------------------------------------------------ *)
 
 let test_tile_divisible () =
@@ -271,6 +312,23 @@ let test_dce_removes_dead_buffer () =
       Alcotest.(check int) "alloc gone" 0 (count_ops m "memref.alloc");
       Alcotest.(check int) "dead loop gone" 1 (count_ops m "affine.for"))
 
+let test_dce_removes_library_written_buffer () =
+  (* Every structured op writes its last operand: a buffer that only a
+     blas.sconv2d writes is dead. *)
+  let m =
+    Parser.parse_module
+      {|builtin.module {
+  func.func @f(%I: memref<1x2x6x6xf32>, %W: memref<3x2x3x3xf32>) {
+    %O = memref.alloc() : memref<1x3x4x4xf32>
+    blas.sconv2d %I, %W, %O : memref<1x2x6x6xf32>, memref<3x2x3x3xf32>, memref<1x3x4x4xf32>
+    func.return
+  }
+}|}
+  in
+  ignore (T.Dce.run m);
+  Alcotest.(check int) "alloc gone" 0 (count_ops m "memref.alloc");
+  Alcotest.(check int) "call gone" 0 (count_ops m "blas.sconv2d")
+
 let test_dce_keeps_live_buffer () =
   let src =
     "void f(float a[8]) { float t[8]; for (int i = 0; i < 8; ++i) t[i] = \
@@ -317,6 +375,8 @@ let suite =
     Alcotest.test_case "lower TTGT pipeline roundtrip" `Quick
       test_lower_linalg_ttgt_roundtrip;
     Alcotest.test_case "lower matvec kernels" `Quick test_lower_matvec_both;
+    Alcotest.test_case "named ops lower as their contraction" `Quick
+      test_lower_named_as_contract;
     Alcotest.test_case "tile divisible" `Quick test_tile_divisible;
     Alcotest.test_case "tile non-divisible (min bounds)" `Quick
       test_tile_non_divisible;
@@ -346,6 +406,8 @@ let suite =
       test_dce_removes_dead_buffer;
     Alcotest.test_case "dce keeps live buffers" `Quick
       test_dce_keeps_live_buffer;
+    Alcotest.test_case "dce removes a buffer only blas.sconv2d writes" `Quick
+      test_dce_removes_library_written_buffer;
     Alcotest.test_case "lower affine to scf (all kernels)" `Quick
       test_lower_affine_to_scf;
     Alcotest.test_case "scf lowering of delinearized reshape" `Quick
