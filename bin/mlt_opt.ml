@@ -21,13 +21,7 @@ module S = Transform.Script
 let read_file = Cli_common.read_file
 
 let list_ops () =
-  (* Force registration of every dialect, then dump the registry. *)
-  Std_dialect.Arith.register ();
-  Std_dialect.Memref_ops.register ();
-  Std_dialect.Scf.register ();
-  Affine.Affine_ops.register ();
-  Linalg.Linalg_ops.register ();
-  Blas.Blas_ops.register ();
+  (* Every linked dialect registered itself at start-up. *)
   List.iter
     (fun name ->
       match Ir.Dialect.lookup name with
@@ -77,7 +71,6 @@ let run input list_ops_flag force_c config script tactics_file dump_tds
   else
   try
     Cli_common.with_observability ?metrics ~trace ~remarks @@ fun () ->
-    Mlt.Pipeline.register_dialects ();
     let src = read_file input in
     let is_c =
       force_c || Filename.check_suffix input ".c" || input = "-"

@@ -43,33 +43,27 @@ let verify_access ~is_store (op : Core.op) =
     Core.num_operands op - base - 1 <> map.Affine_map.n_dims
   then D.errorf "%s: index operand count does not match access map" op.o_name
 
-let registered =
-  Support.Once.make @@ fun () ->
-    Std_dialect.Arith.register ();
-    Std_dialect.Memref_ops.register ();
-    Dialect.register_all
-      [
-        Dialect.def ~verify:verify_for ~summary:"affine counted loop"
-          "affine.for";
-        Dialect.def ~terminator:true ~summary:"affine loop terminator"
-          "affine.yield";
-        Dialect.def
-          ~verify:(verify_access ~is_store:false)
-          ~summary:"affine buffer load" "affine.load";
-        Dialect.def
-          ~verify:(verify_access ~is_store:true)
-          ~summary:"affine buffer store" "affine.store";
-        Dialect.def ~summary:"apply an affine map" "affine.apply";
-        Dialect.def ~verify:Structured.verify
-          ~summary:"high-level matmul at the affine level (Bondhugula 2020)"
-          "affine.matmul";
-      ]
-
-let register () = Support.Once.get registered
+let () =
+  Dialect.register_all
+    [
+      Dialect.def ~verify:verify_for ~summary:"affine counted loop"
+        "affine.for";
+      Dialect.def ~terminator:true ~summary:"affine loop terminator"
+        "affine.yield";
+      Dialect.def
+        ~verify:(verify_access ~is_store:false)
+        ~summary:"affine buffer load" "affine.load";
+      Dialect.def
+        ~verify:(verify_access ~is_store:true)
+        ~summary:"affine buffer store" "affine.store";
+      Dialect.def ~summary:"apply an affine map" "affine.apply";
+      Dialect.def ~verify:Structured.verify
+        ~summary:"high-level matmul at the affine level (Bondhugula 2020)"
+        "affine.matmul";
+    ]
 
 let for_ b ?(hint = "i") ~lb:(lb_map, lb_args) ~ub:(ub_map, ub_args)
     ?(step = 1) body =
-  register ();
   if List.length lb_args <> lb_map.Affine_map.n_dims then
     D.errorf "affine.for: lower bound operands do not match map";
   if List.length ub_args <> ub_map.Affine_map.n_dims then
@@ -148,7 +142,6 @@ let for_trip_count op =
   | None -> None
 
 let load b memref (map, indices) =
-  register ();
   let elem = Typ.memref_elem memref.Core.v_typ in
   let op =
     Builder.build b
@@ -163,7 +156,6 @@ let load_simple b memref ivs =
   load b memref (Affine_map.identity (List.length ivs), ivs)
 
 let store b value memref (map, indices) =
-  register ();
   Builder.build b
     ~operands:(value :: memref :: indices)
     ~attrs:[ ("map", Attr.Map map) ]
@@ -196,7 +188,6 @@ let stored_value (op : Core.op) =
   Core.operand op 0
 
 let apply b map operands =
-  register ();
   if Affine_map.n_results map <> 1 then
     D.errorf "affine.apply: map must have exactly one result";
   let op =
@@ -207,7 +198,6 @@ let apply b map operands =
   Core.result op 0
 
 let matmul b a bm c =
-  register ();
   Builder.build b ~operands:[ a; bm; c ] "affine.matmul"
 
 let is_matmul (op : Core.op) = String.equal op.o_name "affine.matmul"

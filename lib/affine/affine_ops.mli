@@ -11,8 +11,6 @@
 
 open Ir
 
-val register : unit -> unit
-
 (** {2 affine.for} *)
 
 type bound = Affine_map.t * Core.value list

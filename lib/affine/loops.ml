@@ -67,3 +67,14 @@ let access_stride_wrt iv (op : Core.op) =
               then ok := false)
         map.Affine_map.exprs;
       if !ok then Some !total else None
+
+let vectorizable_wrt ?(fast_math = false) iv ops =
+  List.for_all
+    (fun op ->
+      (not (Affine_ops.is_load op || Affine_ops.is_store op))
+      ||
+      match access_stride_wrt iv op with
+      | Some 1 -> true
+      | Some 0 -> fast_math || not (Affine_ops.is_store op)
+      | _ -> false)
+    ops

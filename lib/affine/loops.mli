@@ -33,6 +33,12 @@ val nest_trip_counts : Core.op list -> int list option
 (** [access_stride_wrt iv op]: derivative of the access's element offset
     with respect to [iv] for an [affine.load]/[affine.store] over a
     statically shaped memref, or [None] when the subscripts are
-    non-linear in [iv]. Shared by the vectorizability analysis and the
-    interchange legality check. *)
+    non-linear in [iv]. *)
 val access_stride_wrt : Core.value -> Core.op -> int option
+
+(** [vectorizable_wrt ?fast_math iv ops]: every affine access in [ops]
+    has stride 1 or 0 in [iv], and no store is invariant in [iv] unless
+    [fast_math] (an invariant store is a reduction, which SIMD lanes
+    only compute by reassociating). The one rule behind the machine
+    model's vectorized loops and the vectorizing interchange. *)
+val vectorizable_wrt : ?fast_math:bool -> Core.value -> Core.op list -> bool

@@ -285,12 +285,6 @@ let progress_ticker st =
 
 let run ?(domains = 1) ?(capture_remarks = false) ?(progress = false) ?cache
     manifest =
-  (* The Dialect op-def registry is write-once-before-parallelism:
-     populate it fully on this domain so the workers spawned below only
-     ever read it (each dialect's Support.Once cell makes even a racing
-     first registration safe, but eager registration means the
-     unsynchronized lookup fast path is all the workers execute). *)
-  Mlt.Pipeline.register_dialects ();
   let entries = Array.of_list (Manifest.entries manifest) in
   let n = Array.length entries in
   let domains = max 1 (min domains n) in

@@ -16,18 +16,14 @@ let verifier = function
   | "blas.sreshape_copy" -> Linalg.Linalg_ops.verify_reshape
   | _ -> Structured.verify
 
-let registered =
-  Support.Once.make @@ fun () ->
-    Dialect.register_all
-      (List.map
-         (fun n ->
-           Dialect.def ~verify:(verifier n) ~summary:"vendor library call" n)
-         names)
-
-let register () = Support.Once.get registered
+let () =
+  Dialect.register_all
+    (List.map
+       (fun n ->
+         Dialect.def ~verify:(verifier n) ~summary:"vendor library call" n)
+       names)
 
 let call3 name b x y z =
-  register ();
   Builder.build b ~operands:[ x; y; z ] name
 
 let sgemm b = call3 "blas.sgemm" b
@@ -35,13 +31,11 @@ let sgemv b = call3 "blas.sgemv" b
 let sconv2d b = call3 "blas.sconv2d" b
 
 let stranspose b ~perm input output =
-  register ();
   Builder.build b ~operands:[ input; output ]
     ~attrs:[ ("permutation", Attr.Ints (Array.to_list perm)) ]
     "blas.stranspose"
 
 let sreshape_copy b ~grouping input output =
-  register ();
   Builder.build b ~operands:[ input; output ]
     ~attrs:[ ("grouping", Attr.Grouping grouping) ]
     "blas.sreshape_copy"

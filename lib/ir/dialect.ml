@@ -15,25 +15,15 @@ let def ?(verify = no_verify) ?(terminator = false) ?(summary = "") name =
     od_summary = summary;
   }
 
-(* The registry is a plain Hashtbl, so it is write-once-before-parallelism:
-   all registration must complete before a second domain reads it
-   (lookups are unsynchronized on the verifier hot path on purpose).
-   Each dialect's [register ()] forces a Support.Once cell, so its body
-   runs once and is published only after it returned: no domain ever
-   observes a half-registered dialect. Two cells may initialize on two
-   domains at once, so writes serialize on [write_mutex]. Multi-domain
-   drivers ([Batch.Driver.run]) additionally register everything eagerly
-   on the calling domain before spawning, so in practice worker domains
-   never write here at all. *)
+(* Filled by each dialect module's initialisation (dialect libraries are
+   linked whole), so before [main] runs on the only domain; only read
+   afterwards, which is why lookups need no lock. *)
 let registry : (string, op_def) Hashtbl.t = Hashtbl.create 64
-let write_mutex = Mutex.create ()
 
-let register d =
-  Mutex.protect write_mutex (fun () -> Hashtbl.replace registry d.od_name d)
+let register_all ds =
+  List.iter (fun d -> Hashtbl.replace registry d.od_name d) ds
 
-let register_all ds = List.iter register ds
 let lookup name = Hashtbl.find_opt registry name
-let is_registered name = Hashtbl.mem registry name
 
 let is_terminator (op : Core.op) =
   match lookup op.o_name with Some d -> d.od_terminator | None -> false

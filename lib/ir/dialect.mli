@@ -1,18 +1,13 @@
 (** Dialect registry: per-operation verification and metadata.
 
-    Dialect libraries register their operation definitions here (explicitly,
-    via their [register ()] entry points). The {!Verifier} consults the
-    registry; unregistered operations only get generic structural checks.
-
-    The registry is {e write-once-before-parallelism}: lookups are
-    unsynchronized (they sit on the verifier hot path), so all
-    registration must happen before IR flows through a second domain.
-    Each dialect's [register ()] forces a {!Support.Once} cell, which
-    runs the registration once and never publishes a half-registered
-    dialect; {!register} serializes writes from cells initializing on
-    two domains at once. Multi-domain drivers additionally register
-    every dialect eagerly on the calling domain before spawning workers
-    (see [docs/CONCURRENCY.md]). *)
+    Each dialect module registers its operation definitions with a
+    top-level [let () = Dialect.register_all defs], and the dialect
+    libraries are linked whole ([-linkall]), so every linked dialect is
+    registered at module initialisation, before [main] runs and before
+    any second domain exists. Afterwards the table is only read, so
+    lookups (on the verifier hot path) take no lock. The {!Verifier}
+    consults the registry; unregistered operations only get generic
+    structural checks. *)
 
 type op_def = {
   od_name : string;  (** fully qualified, e.g. ["linalg.matmul"] *)
@@ -31,14 +26,11 @@ val def :
   string ->
   op_def
 
-(** [register d] installs (or replaces) the definition, under a write
-    mutex. *)
-val register : op_def -> unit
-
+(** [register_all ds] installs (or replaces) each definition. Call it
+    only from a dialect module's initialisation. *)
 val register_all : op_def list -> unit
 
 val lookup : string -> op_def option
-val is_registered : string -> bool
 val is_terminator : Core.op -> bool
 
 (** All registered op names, sorted — used by documentation and tests. *)

@@ -12,9 +12,8 @@ type t = { d_id : int; d_name : string; d_kind : kind; d_help : string }
 let bucket_count = 64
 
 (* ---------------------------------------------------------------------- *)
-(* Registry: process-global, write-once descriptors behind one mutex.
-   Like [Dialect.register]: mutation is mutex-serialized, handles are
-   immutable once published. *)
+(* Registry: process-global, write-once descriptors behind one mutex:
+   mutation is mutex-serialized, handles are immutable once published. *)
 
 let registry_mutex = Mutex.create ()
 let by_name : (string, t) Hashtbl.t = Hashtbl.create 64

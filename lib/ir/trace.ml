@@ -41,13 +41,11 @@ let instant ?args ~cat name = emit ?args ~cat ~phase:Instant name
 let begin_ ?args ~cat name = emit ?args ~cat ~phase:Begin name
 let end_ ?args ~cat name = emit ?args ~cat ~phase:End name
 
-(* [span] takes the end args lazily: they usually summarize what the body
-   did (op counts, applications) and only exist once it has run. *)
-let span ?args ?(end_args = fun () -> []) ~cat name f =
+let span ?args ~cat name f =
   if not (enabled ()) then f ()
   else begin
     begin_ ?args ~cat name;
-    Fun.protect ~finally:(fun () -> end_ ~args:(end_args ()) ~cat name) f
+    Fun.protect ~finally:(fun () -> end_ ~cat name) f
   end
 
 module Memory = struct

@@ -61,13 +61,10 @@ val instant : ?args:(string * arg) list -> cat:string -> string -> unit
 val begin_ : ?args:(string * arg) list -> cat:string -> string -> unit
 val end_ : ?args:(string * arg) list -> cat:string -> string -> unit
 
-(** [span ?args ?end_args ~cat name f] brackets [f ()] in a Begin/End
-    pair (exception-safe). [end_args] is evaluated after [f] so the End
-    event can carry result summaries. With no sink installed this is
-    exactly [f ()]. *)
+(** [span ?args ~cat name f] brackets [f ()] in a Begin/End pair
+    (exception-safe). With no sink installed this is exactly [f ()]. *)
 val span :
   ?args:(string * arg) list ->
-  ?end_args:(unit -> (string * arg) list) ->
   cat:string ->
   string ->
   (unit -> 'a) ->

@@ -76,31 +76,26 @@ let verify_fill (op : Core.op) =
   if Core.num_operands op <> 1 then D.errorf "linalg.fill: expects output";
   ignore (Attr.get_float (Core.attr op "value"))
 
-let registered =
-  Support.Once.make @@ fun () ->
-    Std_dialect.Memref_ops.register ();
-    Dialect.register_all
-      [
-        Dialect.def ~verify:Structured.verify ~summary:"C += A * B"
-          "linalg.matmul";
-        Dialect.def ~verify:Structured.verify ~summary:"y += A * x"
-          "linalg.matvec";
-        Dialect.def ~verify:verify_transpose ~summary:"permute dimensions"
-          "linalg.transpose";
-        Dialect.def ~verify:verify_reshape
-          ~summary:"collapse/expand contiguous dims" "linalg.reshape";
-        Dialect.def ~verify:Structured.verify
-          ~summary:"2-d convolution, NCHW" "linalg.conv2d_nchw";
-        Dialect.def ~verify:Structured.verify
-          ~summary:"generic Einstein contraction" "linalg.contract";
-        Dialect.def ~verify:verify_fill ~summary:"broadcast a scalar"
-          "linalg.fill";
-      ]
-
-let register () = Support.Once.get registered
+let () =
+  Dialect.register_all
+    [
+      Dialect.def ~verify:Structured.verify ~summary:"C += A * B"
+        "linalg.matmul";
+      Dialect.def ~verify:Structured.verify ~summary:"y += A * x"
+        "linalg.matvec";
+      Dialect.def ~verify:verify_transpose ~summary:"permute dimensions"
+        "linalg.transpose";
+      Dialect.def ~verify:verify_reshape
+        ~summary:"collapse/expand contiguous dims" "linalg.reshape";
+      Dialect.def ~verify:Structured.verify
+        ~summary:"2-d convolution, NCHW" "linalg.conv2d_nchw";
+      Dialect.def ~verify:Structured.verify
+        ~summary:"generic Einstein contraction" "linalg.contract";
+      Dialect.def ~verify:verify_fill ~summary:"broadcast a scalar"
+        "linalg.fill";
+    ]
 
 let build3 name b x y z =
-  register ();
   Builder.build b ~operands:[ x; y; z ] name
 
 let matmul b = build3 "linalg.matmul" b
@@ -108,25 +103,21 @@ let matvec b = build3 "linalg.matvec" b
 let conv2d_nchw b = build3 "linalg.conv2d_nchw" b
 
 let transpose b ~perm input output =
-  register ();
   Builder.build b ~operands:[ input; output ]
     ~attrs:[ ("permutation", Attr.Ints (Array.to_list perm)) ]
     "linalg.transpose"
 
 let reshape b ~grouping input output =
-  register ();
   Builder.build b ~operands:[ input; output ]
     ~attrs:[ ("grouping", Attr.Grouping grouping) ]
     "linalg.reshape"
 
 let contract b ~maps a bv c =
-  register ();
   Builder.build b ~operands:[ a; bv; c ]
     ~attrs:
       [ ("indexing_maps", Attr.List (List.map (fun m -> Attr.Map m) maps)) ]
     "linalg.contract"
 
 let fill b ~value c =
-  register ();
   Builder.build b ~operands:[ c ] ~attrs:[ ("value", Attr.Float value) ]
     "linalg.fill"

@@ -15,8 +15,6 @@
 
 open Ir
 
-val register : unit -> unit
-
 (** Every op name of this dialect. *)
 val names : string list
 

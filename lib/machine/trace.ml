@@ -40,27 +40,12 @@ let assign_addresses func =
 
 (* ---- vectorizability -------------------------------------------------- *)
 
-let access_stride_wrt iv op = Affine.Loops.access_stride_wrt iv op
-
-let is_vectorizable ?(fast_math = false) loop =
+let is_vectorizable ?fast_math loop =
   A.is_for loop
-  && (not (List.exists A.is_for (Affine.Loops.body_ops loop)))
   &&
-  let iv = A.for_iv loop in
-  let ok = ref true in
-  List.iter
-    (fun op ->
-      if A.is_load op || A.is_store op then
-        match access_stride_wrt iv op with
-        | Some 1 -> ()
-        | Some 0 ->
-            (* A store invariant in the loop iv is a reduction; without
-               -ffast-math the compiler cannot reassociate it into SIMD
-               lanes. *)
-            if A.is_store op && not fast_math then ok := false
-        | _ -> ok := false)
-    (Affine.Loops.body_ops loop);
-  !ok
+  let ops = Affine.Loops.body_ops loop in
+  (not (List.exists A.is_for ops))
+  && Affine.Loops.vectorizable_wrt ?fast_math (A.for_iv loop) ops
 
 (* ---- compilation ------------------------------------------------------ *)
 
@@ -106,7 +91,7 @@ let is_streamed (op : Core.op) =
   match innermost_enclosing_loop op with
   | None -> false
   | Some loop -> (
-      match access_stride_wrt (A.for_iv loop) op with
+      match Affine.Loops.access_stride_wrt (A.for_iv loop) op with
       | Some s -> abs s <= 2
       | None -> false)
 

@@ -43,13 +43,10 @@ val config_of_name : string -> config option
 
 val all_figure9_configs : config list
 
-(** [register_dialects ()] eagerly registers every dialect's op
-    definitions, the transform dialect's included, into the
-    {!Ir.Dialect} registry; it registers op definitions only. The
-    registry is write-once-before-parallelism, so anything that spawns
-    domains which compile IR must call this first, on the spawning
-    domain ([Batch.Driver.run] does). Idempotent and cheap after the
-    first call. *)
+(** Does nothing. Every linked dialect registers its op definitions
+    when its module initialises (see {!Ir.Dialect}); the stub remains
+    only because the benchmark driver still calls it, and goes with the
+    next benchmark change. *)
 val register_dialects : unit -> unit
 
 (** {2 Configs as transform scripts} *)

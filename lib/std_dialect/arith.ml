@@ -26,28 +26,20 @@ let verify_constant (op : Core.op) =
   | Some (Attr.Int _), t when Typ.is_int t -> ()
   | _ -> D.errorf "arith.constant: value attribute does not match type"
 
-let registered =
-  Support.Once.make @@ fun () ->
-    Dialect.register
-      (Dialect.def ~verify:verify_constant ~summary:"scalar constant"
-         "arith.constant");
-    List.iter
-      (fun name ->
-        Dialect.register
+let () =
+  Dialect.register_all
+    ((Dialect.def ~verify:verify_constant ~summary:"scalar constant"
+        "arith.constant"
+     :: List.map
           (Dialect.def ~verify:(verify_binop ~want_float:true)
-             ~summary:"float binary op" name))
-      float_binops;
-    List.iter
-      (fun name ->
-        Dialect.register
-          (Dialect.def ~verify:(verify_binop ~want_float:false)
-             ~summary:"integer binary op" name))
-      int_binops
-
-let register () = Support.Once.get registered
+             ~summary:"float binary op")
+          float_binops)
+    @ List.map
+        (Dialect.def ~verify:(verify_binop ~want_float:false)
+           ~summary:"integer binary op")
+        int_binops)
 
 let constant_float b ?(typ = Typ.F32) f =
-  register ();
   let op =
     Builder.build b ~result_types:[ typ ]
       ~attrs:[ ("value", Attr.Float f) ]
@@ -56,7 +48,6 @@ let constant_float b ?(typ = Typ.F32) f =
   Core.result op 0
 
 let constant_int b ?(typ = Typ.I64) i =
-  register ();
   let op =
     Builder.build b ~result_types:[ typ ]
       ~attrs:[ ("value", Attr.Int i) ]
@@ -67,7 +58,6 @@ let constant_int b ?(typ = Typ.I64) i =
 let constant_index b i = constant_int b ~typ:Typ.Index i
 
 let binop name b (x : Core.value) (y : Core.value) =
-  register ();
   let op =
     Builder.build b ~operands:[ x; y ] ~result_types:[ x.v_typ ] name
   in

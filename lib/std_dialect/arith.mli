@@ -3,9 +3,6 @@
     The paper's Listing 1 uses the then-current [std.mulf]/[std.addf]
     spelling; we use the modern [arith.*] names. *)
 
-(** Idempotently register the dialect's op definitions. *)
-val register : unit -> unit
-
 (** {2 Builders} *)
 
 val constant_float : Ir.Builder.t -> ?typ:Ir.Typ.t -> float -> Ir.Core.value

@@ -24,27 +24,22 @@ let verify_access ~is_store (op : Core.op) =
       D.errorf "%s: expected a memref operand, got %s" op.o_name
         (Typ.to_string t)
 
-let registered =
-  Support.Once.make @@ fun () ->
-    Dialect.register
-      (Dialect.def ~verify:verify_alloc ~summary:"allocate a buffer"
-         "memref.alloc");
-    Dialect.register
-      (Dialect.def ~verify:verify_dealloc ~summary:"free a buffer"
-         "memref.dealloc");
-    Dialect.register
-      (Dialect.def
-         ~verify:(verify_access ~is_store:false)
-         ~summary:"indexed load" "memref.load");
-    Dialect.register
-      (Dialect.def
-         ~verify:(verify_access ~is_store:true)
-         ~summary:"indexed store" "memref.store")
-
-let register () = Support.Once.get registered
+let () =
+  Dialect.register_all
+    [
+      Dialect.def ~verify:verify_alloc ~summary:"allocate a buffer"
+        "memref.alloc";
+      Dialect.def ~verify:verify_dealloc ~summary:"free a buffer"
+        "memref.dealloc";
+      Dialect.def
+        ~verify:(verify_access ~is_store:false)
+        ~summary:"indexed load" "memref.load";
+      Dialect.def
+        ~verify:(verify_access ~is_store:true)
+        ~summary:"indexed store" "memref.store";
+    ]
 
 let alloc b ?hint typ =
-  register ();
   (match Typ.static_shape typ with
   | Some _ -> ()
   | None ->
@@ -56,13 +51,11 @@ let alloc b ?hint typ =
   v
 
 let dealloc b v =
-  register ();
   ignore (Builder.build b ~operands:[ v ] "memref.dealloc")
 
 let is_alloc (op : Core.op) = String.equal op.o_name "memref.alloc"
 
 let load b memref indices =
-  register ();
   let elem = Typ.memref_elem memref.Core.v_typ in
   let op =
     Builder.build b
@@ -72,5 +65,4 @@ let load b memref indices =
   Core.result op 0
 
 let store b value memref indices =
-  register ();
   Builder.build b ~operands:(value :: memref :: indices) "memref.store"

@@ -1,7 +1,5 @@
 (** The [memref] dialect subset: buffer allocation and deallocation. *)
 
-val register : unit -> unit
-
 (** [alloc b typ] — [typ] must be a fully static memref type. *)
 val alloc : Ir.Builder.t -> ?hint:string -> Ir.Typ.t -> Ir.Core.value
 

@@ -15,17 +15,14 @@ let verify_for (op : Core.op) =
   | last :: _ when String.equal last.o_name "scf.yield" -> ()
   | _ -> D.errorf "scf.for: body must end with scf.yield"
 
-let registered =
-  Support.Once.make @@ fun () ->
-    Dialect.register
-      (Dialect.def ~verify:verify_for ~summary:"counted loop" "scf.for");
-    Dialect.register
-      (Dialect.def ~terminator:true ~summary:"loop terminator" "scf.yield")
-
-let register () = Support.Once.get registered
+let () =
+  Dialect.register_all
+    [
+      Dialect.def ~verify:verify_for ~summary:"counted loop" "scf.for";
+      Dialect.def ~terminator:true ~summary:"loop terminator" "scf.yield";
+    ]
 
 let for_ b ?(hint = "i") ~lb ~ub ~step body =
-  register ();
   let block = Core.create_block ~hints:[ hint ] [ Typ.Index ] in
   let region = Core.create_region [ block ] in
   let op =

@@ -3,8 +3,6 @@
     The affine dialect lowers into [scf] during progressive lowering
     (Figure 2 of the paper); Multi-Level Tactics can also lift from SCF. *)
 
-val register : unit -> unit
-
 (** [for_ b ~lb ~ub ~step body] builds an [scf.for] whose bounds and step
     are SSA index values; [body] receives a builder positioned in the loop
     body and the induction variable. An [scf.yield] terminator is added. *)

@@ -38,7 +38,7 @@ let fsync_dir dir =
       (try Unix.fsync fd with Unix.Unix_error _ -> ());
       Unix.close fd
 
-let with_file ?(fsync = true) ~path f =
+let with_file ~path f =
   let tmp = tmp_path path in
   let oc = Out_channel.open_bin tmp in
   let committed = ref false in
@@ -52,15 +52,15 @@ let with_file ?(fsync = true) ~path f =
       end)
     (fun () ->
       let v = f oc in
-      if fsync then fsync_channel oc;
+      fsync_channel oc;
       Out_channel.close oc;
       Sys.rename tmp path;
       committed := true;
-      if fsync then fsync_dir (Filename.dirname path);
+      fsync_dir (Filename.dirname path);
       v)
 
-let write_file ?fsync ~path contents =
-  with_file ?fsync ~path (fun oc -> Out_channel.output_string oc contents)
+let write_file ~path contents =
+  with_file ~path (fun oc -> Out_channel.output_string oc contents)
 
 let mkdir_p dir =
   let rec go d =
@@ -88,7 +88,7 @@ let mkdir_p dir =
 (* Append one line durably. O_APPEND keeps concurrent appenders from
    interleaving mid-line for short writes; a crash can only tear the
    *last* line, which journal readers must (and do) tolerate. *)
-let append_line ?(fsync = true) ~path line =
+let append_line ~path line =
   let fd =
     Unix.openfile path
       [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ]
@@ -103,4 +103,4 @@ let append_line ?(fsync = true) ~path line =
       while !off < len do
         off := !off + Unix.write fd data !off (len - !off)
       done;
-      if fsync then Unix.fsync fd)
+      Unix.fsync fd)

@@ -6,14 +6,14 @@
     the old file or the new one, and exceptions remove the temp. *)
 
 (** [with_file ~path f] opens a temp file next to [path], runs [f] on its
-    channel, then fsyncs (unless [fsync:false]), closes, and atomically
-    renames onto [path] (best-effort directory fsync afterwards). If [f]
+    channel, then fsyncs, closes, and atomically renames onto [path]
+    (best-effort directory fsync afterwards). If [f]
     — or the commit itself — raises, [path] is untouched and the temp is
     removed; the exception propagates. *)
-val with_file : ?fsync:bool -> path:string -> (out_channel -> 'a) -> 'a
+val with_file : path:string -> (out_channel -> 'a) -> 'a
 
 (** [write_file ~path contents] — {!with_file} writing one string. *)
-val write_file : ?fsync:bool -> path:string -> string -> unit
+val write_file : path:string -> string -> unit
 
 (** [mkdir_p dir] creates [dir] and its parents. Raises a precise
     {!Diag.Error} if any component exists and is not a directory
@@ -22,10 +22,10 @@ val write_file : ?fsync:bool -> path:string -> string -> unit
 val mkdir_p : string -> unit
 
 (** [append_line ~path line] appends [line ^ "\n"] with [O_APPEND] and
-    fsyncs (unless [fsync:false]), creating the file if needed. A crash
+    fsyncs, creating the file if needed. A crash
     can tear only the final line — append-only journal readers must skip
     a trailing partial line. *)
-val append_line : ?fsync:bool -> path:string -> string -> unit
+val append_line : path:string -> string -> unit
 
 (** [is_tmp_name name] — [name] carries this module's temp-file marker;
     recovery scans use it to sweep temps orphaned by a kill. *)

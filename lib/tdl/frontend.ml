@@ -355,6 +355,29 @@ let lower_builder_stmt st (s : stmt) =
           (Tds.Transpose { input = src.tensor; output = s.lhs.tensor; perm })
       end
 
+(* An explicit builder must compute the pattern: it accumulates, its
+   last statement writes the pattern's output, and it reads both inputs. *)
+let check_builder ~(out : ref_) ~(in1 : ref_) ~(in2 : ref_) builder =
+  if not (List.exists (fun s -> s.op = Accumulate) builder) then
+    D.errorf "TDL: builder has no accumulation (+=)";
+  let last = List.nth builder (List.length builder - 1) in
+  if not (String.equal last.lhs.tensor out.tensor) then
+    D.errorf "TDL: builder must end by writing the pattern's output %s"
+      out.tensor;
+  let reads =
+    List.concat_map
+      (fun s ->
+        match s.rhs with
+        | R_ref r -> [ r.tensor ]
+        | R_mul (a, b) -> [ a.tensor; b.tensor ])
+      builder
+  in
+  List.iter
+    (fun (r : ref_) ->
+      if not (List.mem r.tensor reads) then
+        D.errorf "TDL: builder never reads the pattern's input %s" r.tensor)
+    [ in1; in2 ]
+
 (* The lowering's errors name no position of their own: one without a
    location is re-raised at the tactic's [def]. *)
 let lower (t : tactic) =
@@ -362,7 +385,10 @@ let lower (t : tactic) =
   (try
      let out, in1, in2 = classify_pattern t.t_pattern in
      if t.t_builder = [] then synthesize st ~out ~in1 ~in2
-     else List.iter (lower_builder_stmt st) t.t_builder
+     else begin
+       check_builder ~out ~in1 ~in2 t.t_builder;
+       List.iter (lower_builder_stmt st) t.t_builder
+     end
    with D.Error (loc, msg) when not (Support.Loc.is_known loc) ->
      D.error ~loc:t.t_loc msg);
   {

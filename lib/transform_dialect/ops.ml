@@ -113,7 +113,8 @@ let verify_bare op =
 
 (* ---- registration -------------------------------------------------------- *)
 
-let defs =
+let () =
+  Dialect.register_all
   [
     Dialect.def "transform.tile" ~verify:verify_tile
       ~summary:"tile affine loop nests ({sizes = [..]}; one size tiles \
@@ -150,6 +151,3 @@ let defs =
     Dialect.def "transform.to_blas" ~verify:verify_bare
       ~summary:"replace Linalg ops with vendor-library calls";
   ]
-
-let registered = Support.Once.make (fun () -> Dialect.register_all defs)
-let register () = Support.Once.get registered

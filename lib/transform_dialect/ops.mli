@@ -12,10 +12,6 @@
     Attribute discipline: only [Int], [Ints] and [Str] attribute kinds
     are allowed (the generic attribute grammar round-trips exactly
     those); boolean parameters are spelled [Int 0/1]. The per-op
-    verifiers below enforce shape and ranges, so a malformed script is
-    rejected at parse/verify time, before interpretation. *)
-
-(** Registers the op definitions once per process (a {!Support.Once}
-    cell); idempotent, write-once-before-parallelism like every
-    dialect. *)
-val register : unit -> unit
+    verifiers, registered when this module initialises, enforce shape
+    and ranges, so a malformed script is rejected at parse/verify time,
+    before interpretation. *)

@@ -117,7 +117,6 @@ let step_of_op (op : Core.op) =
 (* ---- module <-> steps ---------------------------------------------------- *)
 
 let of_steps steps =
-  Ops.register ();
   let m = Core.create_module () in
   let b = Builder.at_end (Core.module_block m) in
   List.iter
@@ -129,7 +128,6 @@ let of_steps steps =
   m
 
 let steps_of (m : Core.op) =
-  Ops.register ();
   if m.Core.o_name <> "builtin.module" then
     D.errorf ~loc:m.Core.o_loc
       "a transform script must be a builtin.module (found %s)" m.Core.o_name;
@@ -138,7 +136,6 @@ let steps_of (m : Core.op) =
 let print m = Printer.op_to_string m ^ "\n"
 
 let parse ?file src =
-  Ops.register ();
   let m = Parser.parse_module ?file src in
   (* Reject payload IR handed in by mistake: every op must be a
      transform op (steps_of also verifies each). *)

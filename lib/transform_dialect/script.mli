@@ -40,8 +40,7 @@ val step_name : step -> string
     sequence {!Transforms.Pluto.apply} runs, as script steps. *)
 val of_pluto : Transforms.Pluto.config -> step list
 
-(** [of_steps steps] builds the script module (registers the dialect
-    first; the result verifies). *)
+(** [of_steps steps] builds the script module (the result verifies). *)
 val of_steps : step list -> Core.op
 
 (** [step_of_op op] destructures one transform op (verifying it);

@@ -42,21 +42,6 @@ let permutable_body (b : Core.block) =
         loads
   | _ -> false
 
-let vectorizable_wrt loop body_ops =
-  (* Same rule as the machine model's vectorizability check: unit or zero
-     strides, and stores must vary with the loop (no SIMD reductions
-     without -ffast-math). *)
-  let iv = A.for_iv loop in
-  List.for_all
-    (fun op ->
-      if A.is_load op || A.is_store op then
-        match Affine.Loops.access_stride_wrt iv op with
-        | Some 1 -> true
-        | Some 0 -> not (A.is_store op)
-        | _ -> false
-      else true)
-    body_ops
-
 let rotate_nest loops ~inner =
   (* Rebuild the nest with [inner] moved to the innermost position. *)
   let outermost = List.hd loops in
@@ -105,12 +90,12 @@ let vectorize_func func =
         let body = A.for_body innermost in
         if permutable_body body then begin
           let body_ops = non_yield body in
-          if not (vectorizable_wrt innermost body_ops) then
+          let vectorizable l =
+            Affine.Loops.vectorizable_wrt (A.for_iv l) body_ops
+          in
+          if not (vectorizable innermost) then
             (* Deepest vectorizable loop wins (better locality outside). *)
-            match
-              List.rev loops
-              |> List.find_opt (fun l -> vectorizable_wrt l body_ops)
-            with
+            match List.rev loops |> List.find_opt vectorizable with
             | Some candidate ->
                 rotate_nest loops ~inner:candidate;
                 incr changed

@@ -125,15 +125,9 @@ let search ?(domains = 1) ~machine ~translate candidates =
   let cands = Array.of_list candidates in
   let n = Array.length cands in
   if n = 0 then D.errorf "tune: empty candidate space";
-  (* Workers only read the op-def registry, so every dialect a candidate
-     may build is registered here first; and every script is resolved
-     here: step resolution may freeze pattern sets, and frozen sets are
-     the shareable form (docs/CONCURRENCY.md). Workers only read the
-     closures. *)
-  Std_dialect.Scf.register ();
-  Affine.Affine_ops.register ();
-  Linalg.Linalg_ops.register ();
-  Blas.Blas_ops.register ();
+  (* Every script is resolved here: step resolution may freeze pattern
+     sets, and frozen sets are the shareable form (docs/CONCURRENCY.md).
+     Workers only read the closures. *)
   let compiled = Array.map (fun c -> Interp.compile_steps c.c_steps) cands in
   let results : (Machine.Perf.report option * string option) array =
     Array.make n (None, None)

@@ -7,9 +7,9 @@
     candidate position and the winner is the {e first strict minimum} in
     candidate order, so the result is independent of the domain count.
     Candidates fan out over {!Support.Pool} like the batch driver's
-    entries (docs/CONCURRENCY.md). The search registers the payload
-    dialects and compiles every candidate's script on the calling domain
-    before the fan-out, so workers only read shared state.
+    entries (docs/CONCURRENCY.md). The search compiles every candidate's
+    script on the calling domain before the fan-out, so workers only
+    read shared state.
 
     Dedupe: each distinct transformed payload is simulated once. After
     apply and verify, a candidate is keyed on its printed function plus

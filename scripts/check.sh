@@ -380,6 +380,16 @@ if [ "$status" -ne 124 ] \
   echo "check.sh: --print-ir-after with an unknown pass exited $status without listing the pass names" >&2
   exit 1
 fi
+# Every dialect registers itself when its module initialises, so
+# --list-ops must list an op of each of the seven dialect modules.
+_build/default/bin/mlt_opt.exe --list-ops > "$obs_tmp/ops.txt"
+for op in arith.addf memref.load scf.for affine.for linalg.contract \
+  blas.sgemm transform.tile; do
+  grep -q "^$op " "$obs_tmp/ops.txt" || {
+    echo "check.sh: mlt-opt --list-ops does not list $op" >&2
+    exit 1
+  }
+done
 # Smoke the multi-domain batch driver: the example manifest must compile
 # cleanly on a 2-domain pool (domains time-share cores on small machines,
 # so this checks safety, not speed) and produce a well-formed report with

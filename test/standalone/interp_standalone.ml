@@ -125,16 +125,7 @@ let sole_func m =
   | [ f ] -> f
   | fs -> Alcotest.failf "expected one function, found %d" (List.length fs)
 
-let register_dialects () =
-  Std_dialect.Arith.register ();
-  Std_dialect.Memref_ops.register ();
-  Std_dialect.Scf.register ();
-  Affine.Affine_ops.register ();
-  Linalg.Linalg_ops.register ();
-  Blas.Blas_ops.register ()
-
 let test_every_step_applies () =
-  register_dialects ();
   let covered = List.concat_map (fun (_, _, steps, _, _) -> steps) cases in
   List.iter
     (fun t ->
@@ -161,7 +152,6 @@ let test_every_step_applies () =
     cases
 
 let test_tune_searches_blas () =
-  register_dialects ();
   let o =
     Tune.search ~machine:Machine.Machine_model.amd_2920x
       ~translate:(fun () -> Met.Emit_affine.translate mm)

@@ -6,8 +6,6 @@
 open Ir
 module W = Workloads.Polybench
 
-let () = Mlt.Pipeline.register_dialects ()
-
 (* One line per summary row and one per pattern row, wall-clock and GC
    fields left out. *)
 let render_summary summaries =

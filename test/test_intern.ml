@@ -333,7 +333,6 @@ let test_compiled_matches_relaxed () =
   (* The compiled automaton must be pure pruning: byte-identical IR and
      rewrite counts vs relaxed (unindexed, prefix-less) dispatch, with
      fewer match attempts. *)
-  Mlt.Pipeline.register_dialects ();
   let run fz src =
     let m = Met.Emit_affine.translate src in
     let attempts0, rewrites0 = Rewriter.counter_totals () in

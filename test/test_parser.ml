@@ -369,12 +369,21 @@ let prop_generic_attrs_roundtrip =
 
 (* ---- mutation fuzzer ---------------------------------------------------- *)
 
+(* A contract that reads a 2x3 operand through floordiv and mod. *)
+let floordiv_mod_contract =
+  {|builtin.module {
+  func.func @c(%A: memref<2x3xf32>, %B: memref<6xf32>, %C: memref<6xf32>) {
+    linalg.contract indexing_maps = [affine_map<(d0) -> (d0 floordiv 3, d0 mod 3)>, affine_map<(d0) -> (d0)>, affine_map<(d0) -> (d0)>] ins(%A, %B : memref<2x3xf32>, memref<6xf32>) outs(%C : memref<6xf32>)
+    func.return
+  }
+}|}
+
 (* Seeds: the printed tiny suite under every built-in config, a contract
-   whose maps use floordiv, mod and symbols, and a transform script. *)
+   whose maps use floordiv and mod, and a transform script. Every seed
+   must parse and verify, or none of its mutations could be accepted. *)
 let fuzz_seeds =
   lazy
     (let module P = Mlt.Pipeline in
-     P.register_dialects ();
      let printed =
        List.concat_map
          (fun (_, src) ->
@@ -389,10 +398,16 @@ let fuzz_seeds =
          (Transform.Script.of_steps
             (List.concat_map P.steps_of_config P.all_configs))
      in
-     Array.of_list
-       (contract_with
-          "affine_map<(d0, d1, d2)[s0, s1] -> (d0 floordiv 2 + s0, (d2 - s1) mod 3)>"
-       :: script :: printed))
+     let seeds = floordiv_mod_contract :: script :: printed in
+     List.iter
+       (fun seed ->
+         match Parser.parse_module seed with
+         | _ -> ()
+         | exception Support.Diag.Error (loc, msg) ->
+             Alcotest.failf "fuzz seed does not verify: %s\n%s"
+               (Support.Diag.to_string loc msg) seed)
+       seeds;
+     Array.of_list seeds)
 
 (* 1-3 byte edits (replace, delete, insert), each byte random, from the
    IR's punctuation and letters, or copied from the seed. *)

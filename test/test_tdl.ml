@@ -126,6 +126,28 @@ let test_frontend_rejects_bad_patterns () =
   (* output index in both inputs *)
   expect_fail "def X { pattern C(i) += A(i,k) * B(i,k) }"
 
+let test_frontend_rejects_unfaithful_builders () =
+  (* An explicit builder that cannot compute its pattern is rejected at
+     the def; the first one once raised gemm into a transpose of A. *)
+  let expect_fail src expected =
+    match
+      Support.Diag.wrap (fun () -> Frontend.lower (Tdl_parser.parse_one src))
+    with
+    | Ok _ -> Alcotest.failf "expected frontend error for %S" src
+    | Error e -> Alcotest.(check string) src ("<tdl>:1:1: TDL: " ^ expected) e
+  in
+  expect_fail
+    "def X { pattern C(i,j) += A(i,k) * B(k,j) builder C(i,j) = A(i,j) }"
+    "builder has no accumulation (+=)";
+  expect_fail
+    "def X { pattern C(i,j) += A(i,k) * B(k,j) builder D(i,j) += A(i,k) * \
+     B(k,j) }"
+    "builder must end by writing the pattern's output C";
+  expect_fail
+    "def X { pattern C(i,j) += A(i,k) * B(k,j) builder C(i,j) += A(i,k) * \
+     A(k,j) }"
+    "builder never reads the pattern's input B"
+
 let test_backend_errors_located () =
   (* The backend's own rejections are located at the tactic's def. *)
   match
@@ -284,6 +306,8 @@ let suite =
       test_frontend_conv_classification;
     Alcotest.test_case "frontend: rejects bad patterns" `Quick
       test_frontend_rejects_bad_patterns;
+    Alcotest.test_case "frontend: rejects builders that miss the pattern"
+      `Quick test_frontend_rejects_unfaithful_builders;
     Alcotest.test_case "backend: errors located at the def" `Quick
       test_backend_errors_located;
     Alcotest.test_case "backend: raises gemm to linalg" `Quick

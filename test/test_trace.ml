@@ -9,7 +9,6 @@ module W = Workloads.Polybench
 let contains = Astring_contains.contains
 
 let raise_linalg () =
-  Mlt.Pipeline.register_dialects ();
   Transform.Interp.passes_of_steps [ Transform.Script.Raise "linalg" ]
 
 let events_where pred t =

@@ -10,8 +10,6 @@ module Script = Transform.Script
 module W = Workloads.Polybench
 module P = Mlt.Pipeline
 
-let () = P.register_dialects ()
-
 (* ---- random scripts round-trip through the parser ---------------------- *)
 
 let gen_step =

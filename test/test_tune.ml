@@ -9,8 +9,6 @@ module M = Machine
 module W = Workloads.Polybench
 module Script = Transform.Script
 
-let () = Mlt.Pipeline.register_dialects ()
-
 let machine = M.Machine_model.amd_2920x
 
 let src = W.mm ~ni:16 ~nj:16 ~nk:16 ()
