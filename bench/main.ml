@@ -621,8 +621,8 @@ let patterns_section () =
 
 (* ---------------- Scale: million-op modules ------------------------------ *)
 
-(* The gate for the compiled matcher automaton + hash-consing work: a
-   synthesized module of >= 1M ops (deep loop-nest batteries from
+(* The gate for the compiled matcher automaton: a synthesized module of
+   >= 1M ops (deep loop-nest batteries from
    [Workloads.Polybench.scale_battery], lowered to the SCF level and
    cloned to the target size), raised and canonicalized end-to-end with
    the combined greedy set. Three dispatch variants run on structurally
@@ -703,8 +703,8 @@ let scale () =
        targets, and the one that recurs every time a pipeline
        re-canonicalizes an already-clean large module. *)
   let run_variant label make_frozen =
-    (* Fresh module and fresh pattern set per variant: no matcher state,
-       stats, or interned-term churn is shared between timed runs. *)
+    (* Fresh module and fresh pattern set per variant: no matcher state
+       or stats are shared between timed runs. *)
     let m, ops, _ = synth () in
     let fz = make_frozen (Rewriter.freeze (build_set ())) in
     (* Equalize heap state across variants: the first timed run would
@@ -764,46 +764,41 @@ let scale () =
      asserted >= 5x); results %s\n"
     speedup speedup_vs_root steady_speedup (std_s /. std_c) attempt_ratio
     (if identical then "identical" else "DIVERGED");
-  let ts = Typ.interner_stats ()
-  and ats = Attr.interner_stats ()
-  and es = Affine_expr.interner_stats ()
-  and ms = Affine_map.interner_stats () in
-  Printf.printf
-    "interners: typ %d nodes (%d hits), attr %d (%d), affine-expr %d (%d), \
-     affine-map %d (%d)\n"
-    ts.Support.Intern.size ts.Support.Intern.hits ats.Support.Intern.size
-    ats.Support.Intern.hits es.Support.Intern.size es.Support.Intern.hits
-    ms.Support.Intern.size ms.Support.Intern.hits;
   let assert_speedup =
     match Sys.getenv_opt "MLT_BENCH_ASSERT_SPEEDUP" with
     | Some ("1" | "true" | "yes") -> true
     | _ -> false
   in
-  let intern_json (s : Support.Intern.stats) =
-    Printf.sprintf "{\"size\": %d, \"hits\": %d, \"misses\": %d}"
-      s.Support.Intern.size s.Support.Intern.hits s.Support.Intern.misses
-  in
+  let module J = Support.Json in
   Support.Atomic_io.write_file ~path:"BENCH_scale.json"
-    (Printf.sprintf
-       "{\n  \"run_meta\": %s,\n  \"quick\": %b,\n  \"target_ops\": %d,\n  \"module_ops\": %d,\n  \
-        \"module_funcs\": %d,\n  \"set_size\": %d,\n  \"compiled_seconds\": \
-        %.6f,\n  \"rootonly_seconds\": %.6f,\n  \"unindexed_seconds\": \
-        %.6f,\n  \"compiled_steady_seconds\": %.6f,\n  \
-        \"rootonly_steady_seconds\": %.6f,\n  \"unindexed_steady_seconds\": \
-        %.6f,\n  \"compiled_attempts\": %d,\n  \"rootonly_attempts\": %d,\n  \
-        \"unindexed_attempts\": %d,\n  \"applications\": %d,\n  \
-        \"attempt_ratio\": %.2f,\n  \"speedup\": %.3f,\n  \
-        \"speedup_vs_rootonly\": %.3f,\n  \"steady_speedup\": %.3f,\n  \
-        \"speedup_target\": 5.0,\n  \"speedup_asserted\": %b,\n  \
-        \"results_identical\": %b,\n  \"intern_typ\": %s,\n  \"intern_attr\": \
-        %s,\n  \"intern_affine_expr\": %s,\n  \"intern_affine_map\": %s\n}\n"
-       (Support.Run_meta.to_string ())
-       !quick target ops_c probe_funcs
-       (List.length (build_set ()))
-       sec_c sec_s sec_r std_c std_s std_r att_c att_s att_r apps_c
-       attempt_ratio speedup speedup_vs_root steady_speedup assert_speedup
-       identical (intern_json ts) (intern_json ats) (intern_json es)
-       (intern_json ms));
+    (J.to_string
+       (J.Obj
+          [
+            ("run_meta", Support.Run_meta.json ());
+            ("quick", J.Bool !quick);
+            ("target_ops", J.num_int target);
+            ("module_ops", J.num_int ops_c);
+            ("module_funcs", J.num_int probe_funcs);
+            ("set_size", J.num_int (List.length (build_set ())));
+            ("compiled_seconds", J.Num sec_c);
+            ("rootonly_seconds", J.Num sec_s);
+            ("unindexed_seconds", J.Num sec_r);
+            ("compiled_steady_seconds", J.Num std_c);
+            ("rootonly_steady_seconds", J.Num std_s);
+            ("unindexed_steady_seconds", J.Num std_r);
+            ("compiled_attempts", J.num_int att_c);
+            ("rootonly_attempts", J.num_int att_s);
+            ("unindexed_attempts", J.num_int att_r);
+            ("applications", J.num_int apps_c);
+            ("attempt_ratio", J.Num attempt_ratio);
+            ("speedup", J.Num speedup);
+            ("speedup_vs_rootonly", J.Num speedup_vs_root);
+            ("steady_speedup", J.Num steady_speedup);
+            ("speedup_target", J.Num 5.0);
+            ("speedup_asserted", J.Bool assert_speedup);
+            ("results_identical", J.Bool identical);
+          ])
+    ^ "\n");
   Printf.printf "wrote BENCH_scale.json\n";
   if not identical then
     Support.Diag.errorf
@@ -1096,7 +1091,6 @@ let () =
       Metrics.set_enabled true;
       Fun.protect
         ~finally:(fun () ->
-          Metrics.record_intern_stats ();
           Metrics.write ~path (Metrics.snapshot ());
           Printf.printf "wrote metrics to %s\n" path)
         (fun () -> with_trace run_sections)

@@ -63,31 +63,30 @@ let schedule_of_flags ~config ~script =
    with the tuner's search summary appended as a "tune" member when a
    search ran (docs/OBSERVABILITY.md). *)
 let pass_stats_json ?tune pm =
-  let base = Ir.Pass.report_json pm in
-  match Support.Json.parse base with
-  | Ok (Support.Json.Obj fields) ->
-      let tune_fields =
-        match tune with
-        | None -> []
-        | Some (st : Tune.stats) ->
-            [
-              ( "tune",
-                Support.Json.Obj
-                  [
-                    ("candidates", Support.Json.num_int st.Tune.t_candidates);
-                    ("evaluated", Support.Json.num_int st.Tune.t_evaluated);
-                    ("simulated", Support.Json.num_int st.Tune.t_simulated);
-                    ("best_seconds", Support.Json.Num st.Tune.t_best_seconds);
-                    ( "eval_seconds",
-                      Ir.Metrics.histogram_snapshot_json st.Tune.t_eval_latency
-                    );
-                  ] );
-            ]
-      in
-      Support.Json.to_string
-        (Support.Json.Obj
+  let module J = Support.Json in
+  let tune_fields =
+    match tune with
+    | None -> []
+    | Some (st : Tune.stats) ->
+        [
+          ( "tune",
+            J.Obj
+              [
+                ("candidates", J.num_int st.Tune.t_candidates);
+                ("evaluated", J.num_int st.Tune.t_evaluated);
+                ("simulated", J.num_int st.Tune.t_simulated);
+                ("best_seconds", J.Num st.Tune.t_best_seconds);
+                ( "eval_seconds",
+                  Ir.Metrics.histogram_snapshot_json st.Tune.t_eval_latency );
+              ] );
+        ]
+  in
+  match Ir.Pass.report_json_value pm with
+  | J.Obj fields ->
+      J.to_string
+        (J.Obj
            ((("run_meta", Support.Run_meta.json ()) :: fields) @ tune_fields))
-  | _ -> base
+  | _ -> assert false (* the report is always an object *)
 
 (* The canonical differential-execution flag. The long-deprecated
    [--verify] alias is gone: --verify-exec is the one spelling. *)
@@ -137,8 +136,8 @@ let metrics =
           "Enable the Ir.Metrics registry for this run and write the \
            merged snapshot to $(docv) on exit: pass timings and GC \
            deltas, cache hit/miss and latencies, interpreter \
-           compile/exec timings, intern-table sizes, as JSON (schema \
-           in docs/OBSERVABILITY.md).")
+           compile/exec timings, as JSON (schema in \
+           docs/OBSERVABILITY.md).")
 
 let print_debug_locs =
   Arg.(
@@ -182,9 +181,8 @@ let remarks =
    [--metrics=FILE] enables the registry and exports the merged snapshot
    on exit, [--trace=FILE] a Chrome trace sink, [--remarks] a filtered
    stderr remark printer. All exports happen even when [f] raises, so a
-   failing pipeline still leaves its artifacts. Metrics wrap outermost
-   (intern stats are recorded after the trace sink has flushed); the
-   trace sink goes in before remarks so remarks are mirrored into the
+   failing pipeline still leaves its artifacts. Metrics wrap outermost;
+   the trace sink goes in before remarks so remarks are mirrored into the
    trace as instant events. *)
 let with_observability ?metrics ~trace ~remarks f =
   let with_remarks f =
@@ -208,7 +206,5 @@ let with_observability ?metrics ~trace ~remarks f =
   | Some path ->
       Ir.Metrics.set_enabled true;
       Fun.protect
-        ~finally:(fun () ->
-          Ir.Metrics.record_intern_stats ();
-          Ir.Metrics.write ~path (Ir.Metrics.snapshot ()))
+        ~finally:(fun () -> Ir.Metrics.write ~path (Ir.Metrics.snapshot ()))
         (fun () -> with_trace f)

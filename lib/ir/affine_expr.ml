@@ -203,9 +203,7 @@ let row_major_offset strides exprs =
   List.iteri (fun i e -> acc := add !acc (mul (const strides.(i)) e)) exprs;
   !acc
 
-(* Monomorphic structural walk with a physical fast path at every node.
-   Interned expressions (the canonical nodes every [Affine_map] stores)
-   short-circuit immediately. *)
+(* Monomorphic structural walk with a physical fast path at every node. *)
 let rec structural_equal a b =
   a == b
   ||
@@ -247,33 +245,6 @@ let rec structural_compare a b =
 
 let compare a b =
   if a == b then 0 else structural_compare (simplify a) (simplify b)
-
-module Interner = Support.Intern.Make (struct
-  type nonrec t = t
-
-  let equal = structural_equal
-  let hash = Hashtbl.hash
-end)
-
-(* Bottom-up hash-consing: children are canonicalized before the parent is
-   interned, so canonical nodes only ever reference canonical nodes. *)
-let rec intern e =
-  match e with
-  | Dim _ | Sym _ | Const _ -> Interner.intern e
-  | Add (a, b) ->
-      let a' = intern a and b' = intern b in
-      Interner.intern (if a' == a && b' == b then e else Add (a', b'))
-  | Mul (a, b) ->
-      let a' = intern a and b' = intern b in
-      Interner.intern (if a' == a && b' == b then e else Mul (a', b'))
-  | Floor_div (a, b) ->
-      let a' = intern a and b' = intern b in
-      Interner.intern (if a' == a && b' == b then e else Floor_div (a', b'))
-  | Mod (a, b) ->
-      let a' = intern a and b' = intern b in
-      Interner.intern (if a' == a && b' == b then e else Mod (a', b'))
-
-let interner_stats = Interner.stats
 
 (* Precedence: 1 = additive, 2 = multiplicative, 3 = atom. A child is
    parenthesized when its precedence is below what its context requires. *)

@@ -94,20 +94,16 @@ val substitute_dims : (int -> t) -> t -> t
 val row_major_offset : int array -> t list -> t
 
 (** Semantic equality up to {!simplify}, computed by a monomorphic
-    structural walk with a physical ([==]) fast path — interned canonical
-    nodes (see {!intern}) compare in O(1). *)
+    structural walk with a physical ([==]) fast path. *)
 val equal : t -> t -> bool
+
+(** Syntactic equality: the same walk as {!equal} without simplifying
+    either side first, for expressions already simplified (such as the
+    results of an {!Affine_map}). *)
+val structural_equal : t -> t -> bool
 
 (** Total order consistent with {!equal}; monomorphic. *)
 val compare : t -> t -> int
-
-(** [intern e] hash-conses [e] bottom-up into canonical nodes (canonical
-    nodes only reference canonical nodes). [Affine_map.make] interns every
-    result expression, so all maps stored in the IR carry canonical
-    expressions. Domain-safe (see {!Support.Intern}). *)
-val intern : t -> t
-
-val interner_stats : unit -> Support.Intern.stats
 
 (** [add_to_buffer b x] appends the textual form of [x] to [b]: the one
     printer of this type, which {!Printer} calls directly; [pp] and

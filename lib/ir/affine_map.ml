@@ -22,37 +22,24 @@ let check_ranges ~n_dims ~n_syms e =
   go e
 
 (* Monomorphic, length-guarded structural equality (no exception-driven
-   [for_all2], no polymorphic compare). Maps coming out of [make] are
-   canonical nodes, so the [==] fast path is the common case. *)
+   [for_all2], no polymorphic compare). [make] simplifies every result and
+   [simplify] is idempotent, so the results compare syntactically. *)
 let rec exprs_equal a b =
   match (a, b) with
   | [], [] -> true
-  | x :: xs, y :: ys -> E.equal x y && exprs_equal xs ys
+  | x :: xs, y :: ys -> E.structural_equal x y && exprs_equal xs ys
   | _ -> false
 
-let structural_equal a b =
+let equal a b =
   a == b
   || Int.equal a.n_dims b.n_dims
      && Int.equal a.n_syms b.n_syms
      && exprs_equal a.exprs b.exprs
 
-let equal = structural_equal
-
-module Interner = Support.Intern.Make (struct
-  type nonrec t = t
-
-  let equal = structural_equal
-  let hash = Hashtbl.hash
-end)
-
-let interner_stats = Interner.stats
-
 let make ~n_dims ?(n_syms = 0) exprs =
-  let exprs = List.map (fun e -> E.intern (E.simplify e)) exprs in
+  let exprs = List.map E.simplify exprs in
   List.iter (check_ranges ~n_dims ~n_syms) exprs;
-  (* The type is private and every construction path runs through [make],
-     so interning here makes all maps in the IR canonical nodes. *)
-  Interner.intern { n_dims; n_syms; exprs }
+  { n_dims; n_syms; exprs }
 
 let identity n = make ~n_dims:n (List.init n E.dim)
 let constant_map cs = make ~n_dims:0 (List.map E.const cs)

@@ -39,12 +39,10 @@ val inverse_permutation : int array -> int array
 val minor_identity : n_dims:int -> results:int list -> t
 
 (** Structural equality with a physical ([==]) fast path; monomorphic and
-    length-guarded throughout. Because the type is private and every map is
-    built by {!make} — which hash-conses the record and its expressions —
-    structurally equal maps are normally physically equal already. *)
+    length-guarded throughout. Every map is built by {!make}, which
+    simplifies its results, so maps equal up to simplification compare
+    equal. *)
 val equal : t -> t -> bool
-
-val interner_stats : unit -> Support.Intern.stats
 
 (** [add_to_buffer b x] appends the textual form of [x] to [b]: the one
     printer of this type, which {!Printer} calls directly; [pp] and

@@ -26,8 +26,7 @@ let rec grouping_equal a b =
    [try List.for_all2 ... with _ -> false] swallowed *every* exception
    (including ones raised by a nested [Typ]/[Affine_map] comparison), not
    just the [Invalid_argument] of unequal lengths. Monomorphic throughout,
-   with a physical fast path at every node so interned attributes (see
-   [intern]) compare in O(1). *)
+   with a physical fast path at every node. *)
 let rec equal a b =
   a == b
   ||
@@ -51,59 +50,6 @@ and list_equal a b =
   | [], [] -> true
   | x :: xs, y :: ys -> equal x y && list_equal xs ys
   | _ -> false
-
-(* Interner key equality: like [equal] but bitwise on floats, so [-0.] and
-   [0.] keep distinct canonical nodes (they print differently) and NaN
-   payloads are preserved rather than growing the table a node per probe. *)
-let rec key_equal a b =
-  a == b
-  ||
-  match (a, b) with
-  | Float x, Float y ->
-      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-  | List x, List y ->
-      let rec go a b =
-        match (a, b) with
-        | [], [] -> true
-        | x :: xs, y :: ys -> key_equal x y && go xs ys
-        | _ -> false
-      in
-      go x y
-  | _ -> equal a b
-
-module Interner = Support.Intern.Make (struct
-  type nonrec t = t
-
-  let equal = key_equal
-
-  (* [Hashtbl.hash] conflates [0.] with [-0.] and all NaNs; that only
-     costs a shared bucket — [key_equal] keeps the nodes distinct. *)
-  let hash = Hashtbl.hash
-end)
-
-let rec map_preserving f l =
-  match l with
-  | [] -> l
-  | x :: tl ->
-      let x' = f x and tl' = map_preserving f tl in
-      if x' == x && tl' == tl then l else x' :: tl'
-
-(* Bottom-up: nested types/attributes are canonicalized before the parent
-   node is interned. [Map] payloads are already canonical — every map is
-   built by [Affine_map.make], which interns. [Unit] is an immediate. *)
-let rec intern a =
-  match a with
-  | Unit -> a
-  | Bool _ | Int _ | Float _ | Str _ | Ints _ | Grouping _ | Map _ ->
-      Interner.intern a
-  | Type t ->
-      let t' = Typ.intern t in
-      Interner.intern (if t' == t then a else Type t')
-  | List l ->
-      let l' = map_preserving intern l in
-      Interner.intern (if l' == l then a else List l')
-
-let interner_stats = Interner.stats
 
 let add_list b add xs =
   List.iteri

@@ -15,20 +15,9 @@ type t =
 
 (** Structural equality with a physical ([==]) fast path at every node;
     monomorphic (no polymorphic compare) and length-guarded on lists.
-    [Float] keeps IEEE semantics ([nan <> nan]) on structurally distinct
-    nodes; a NaN attribute that went through {!intern} is one canonical
-    node, so it equals itself — bitwise NaN equality, as in MLIR. *)
+    [Float] keeps IEEE semantics ([nan <> nan], [-0. = 0.]) on distinct
+    nodes, so only one physical NaN node equals itself. *)
 val equal : t -> t -> bool
-
-(** [intern a] hash-conses [a] (and nested types/attributes, bottom-up)
-    into canonical nodes. The interner distinguishes floats bitwise, so
-    [-0.] and [0.] — which print differently — never merge, and NaN
-    attributes are uniqued by payload instead of defeating the table.
-    [Core.create_op]/[Core.set_attr] intern every attribute they store.
-    Domain-safe (see {!Support.Intern}). *)
-val intern : t -> t
-
-val interner_stats : unit -> Support.Intern.stats
 
 (** [add_to_buffer b x] appends the textual form of [x] to [b]: the one
     printer of this type, which {!Printer} calls directly; [pp] and

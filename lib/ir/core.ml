@@ -102,23 +102,8 @@ let remove_use v user index =
 
 (* ---- construction ------------------------------------------------------- *)
 
-(* Intern every type and attribute at the construction chokepoints, so all
-   IR — whether built by builders, the parser, or rewrite patterns — holds
-   canonical nodes and downstream [equal] calls hit the [==] fast path.
-   Re-interning an already-canonical node is one lock-free table probe. *)
-let intern_attrs attrs =
-  match attrs with
-  | [] -> attrs
-  | _ ->
-      List.map
-        (fun ((name, a) as pair) ->
-          let a' = Attr.intern a in
-          if a' == a then pair else (name, a'))
-        attrs
-
 let create_op ?loc ?(operands = []) ?(result_types = []) ?(attrs = [])
     ?(regions = []) name =
-  let attrs = intern_attrs attrs in
   let loc =
     match loc with Some l -> l | None -> Domain.DLS.get ambient_loc_key
   in
@@ -143,7 +128,7 @@ let create_op ?loc ?(operands = []) ?(result_types = []) ?(attrs = [])
          (fun i t ->
            {
              v_id = fresh ();
-             v_typ = Typ.intern t;
+             v_typ = t;
              v_hint = None;
              v_def = Def_op (op, i);
              v_uses = [];
@@ -163,7 +148,7 @@ let create_block ?(hints = []) arg_types =
            let hint = List.nth_opt hints i in
            {
              v_id = fresh ();
-             v_typ = Typ.intern t;
+             v_typ = t;
              v_hint = hint;
              v_def = Def_block_arg (block, i);
              v_uses = [];
@@ -200,7 +185,7 @@ let attr op name =
         (Printf.sprintf "Core.attr: %s has no attribute %S" op.o_name name)
 
 let set_attr op name a =
-  op.o_attrs <- (name, Attr.intern a) :: List.remove_assoc name op.o_attrs
+  op.o_attrs <- (name, a) :: List.remove_assoc name op.o_attrs
 
 let region op i = op.o_regions.(i)
 

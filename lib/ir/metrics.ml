@@ -348,29 +348,6 @@ let parse_json j =
   | _ -> Error "document has no \"metrics\" array"
 
 (* ---------------------------------------------------------------------- *)
-(* Intern-table bridge (satellite: export Support.Intern stats) *)
-
-let record_intern_stats () =
-  if Atomic.get enabled_flag then
-    List.iter
-      (fun (table, stats) ->
-        let (s : Support.Intern.stats) = stats () in
-        let g suffix v =
-          set
-            (gauge (Printf.sprintf "mlt_intern_%s_%s" table suffix))
-            (float_of_int v)
-        in
-        g "size" s.size;
-        g "hits" s.hits;
-        g "misses" s.misses)
-      [
-        ("typ", Typ.interner_stats);
-        ("attr", Attr.interner_stats);
-        ("affine_expr", Affine_expr.interner_stats);
-        ("affine_map", Affine_map.interner_stats);
-      ]
-
-(* ---------------------------------------------------------------------- *)
 (* Test support *)
 
 let reset () =

@@ -121,14 +121,6 @@ val write : path:string -> sample list -> unit
     [trace_stats] and the tests. *)
 val parse_json : Support.Json.t -> (sample list, string) result
 
-(** {2 Process-wide sources} *)
-
-(** Record the {!Support.Intern} table statistics of the four IR
-    interners (types, attributes, affine exprs/maps) as gauges
-    ([mlt_intern_<table>_{size,hits,misses}]) — call just before
-    exporting, so the snapshot reflects the tables' end-of-run state. *)
-val record_intern_stats : unit -> unit
-
 (** {2 Test support} *)
 
 (** Zero every cell on every shard (descriptors stay registered). Tests

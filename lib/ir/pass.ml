@@ -388,13 +388,14 @@ let timing_json (t : timing) =
       ("patterns", J.List (List.map pattern_stat_json t.pattern_stats));
     ]
 
-let report_json m =
-  J.to_string
-    (J.Obj
-       [
-         ("total_seconds", J.Num (total_seconds m));
-         ("passes", J.List (List.map timing_json (timings m)));
-       ])
+let report_json_value m =
+  J.Obj
+    [
+      ("total_seconds", J.Num (total_seconds m));
+      ("passes", J.List (List.map timing_json (timings m)));
+    ]
+
+let report_json m = J.to_string (report_json_value m)
 
 let summary_entry_json s =
   J.Obj

@@ -26,11 +26,6 @@ type gc_delta = {
   major_collections : int;
 }
 
-val zero_gc : gc_delta
-
-(** Field-wise sum — the merge used by {!merge_summaries}. *)
-val add_gc : gc_delta -> gc_delta -> gc_delta
-
 type timing = {
   pass_name : string;
   seconds : float;
@@ -128,6 +123,10 @@ val report_table : manager -> string
     "hits":...,"activations":...}, ...]}, ...]}]. *)
 val report_json : manager -> string
 
+(** {!report_json} as a {!Support.Json} value, for callers that add
+    members before printing. *)
+val report_json_value : manager -> Support.Json.t
+
 (** Aggregated variants of the two reports (one row per pass). *)
 val summary_table : manager -> string
 
@@ -139,14 +138,8 @@ val summary_json : manager -> string
     driver's). *)
 val summaries_json_value : summary list -> Support.Json.t
 
-(** JSON round-trip for {!gc_delta}, shared with the batch cache payload
-    so the two emitters cannot diverge. [gc_of_json] treats missing
-    members as zero (payloads written before GC profiling carry none). *)
-val gc_json : gc_delta -> Support.Json.t
-
-val gc_of_json : Support.Json.t -> gc_delta
-
 (** Inverse of one element of {!summaries_json_value}, for the batch
-    cache payload. A missing ["gc"] member reads as {!zero_gc}; any
-    other missing or ill-typed member raises [Failure]. *)
+    cache payload. A missing ["gc"] member reads as all-zero GC counters
+    (payloads written before GC profiling carry none); any other missing
+    or ill-typed member raises [Failure]. *)
 val summary_of_json : Support.Json.t -> summary

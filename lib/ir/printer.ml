@@ -438,9 +438,6 @@ let op_to_string ?debug_locs op =
   add_op env 0 op;
   Buffer.contents env.b
 
-let pp_op ?debug_locs fmt op =
-  Format.pp_print_string fmt (op_to_string ?debug_locs op)
-
 let debug_value v =
   match v.Core.v_hint with
   | Some h -> Printf.sprintf "%%%s<%d>" h v.Core.v_id

@@ -25,10 +25,6 @@
     default form. *)
 val op_to_string : ?debug_locs:bool -> Core.op -> string
 
-(** [pp_op fmt op] — a thin wrapper that writes {!op_to_string}[ op] to
-    [fmt]. *)
-val pp_op : ?debug_locs:bool -> Format.formatter -> Core.op -> unit
-
 (** [debug_value v] renders a value for diagnostics (hint + internal id);
     names are not the printer's stable SSA names. *)
 val debug_value : Core.value -> string

@@ -5,9 +5,9 @@
 
     A pattern is no longer an opaque closure: it declares the op names it
     can match at ({!roots}), a benefit, and optionally the op names it
-    generates. Freezing a pattern list ({!Frozen.of_patterns}) sorts it
-    once by descending benefit and precomputes, per declared root name,
-    the candidate list — so the drivers dispatch O(candidates at this op
+    generates. Freezing a pattern list ({!freeze}) sorts it once by
+    descending benefit and precomputes, per declared root name, the
+    candidate list — so the drivers dispatch O(candidates at this op
     name) instead of O(all patterns) at every worklist visit. *)
 
 (** Handle passed to a pattern while it rewrites; insertion happens at the
@@ -28,8 +28,8 @@ type roots = Any | Roots of string list
 
 (** A structural prefix: a conservative, cheaply checkable necessary
     condition for the pattern to match, declared alongside {!roots} and
-    compiled by {!Frozen.of_patterns} into a decision tree shared by all
-    patterns rooted at the same op name. The drivers evaluate each
+    compiled by {!freeze} into a decision tree shared by all patterns
+    rooted at the same op name. The drivers evaluate each
     declared feature once per op visit and only run [p_apply] on the
     surviving candidates. Like roots, a prefix must over-approximate: the
     apply function still guards on the op itself, so stripping prefixes
@@ -91,17 +91,6 @@ module Frozen : sig
       set (ideally at pass construction), reused across driver runs. *)
   type t
 
-  (** Stable-sorts by descending benefit (ties keep list order), numbers
-      the sorted patterns (a pattern's number is its counter slot in
-      every driver run over the set), and indexes the benefit-sorted
-      candidate list per declared root name, with [Any]-rooted patterns
-      merged into every list. Each
-      bucket's declared {!type-prefix}es are additionally compiled into a
-      shared decision tree (operand arity -> region arity -> nest-spine
-      probes), so the drivers evaluate every structural feature at most
-      once per op visit regardless of how many candidates test it. *)
-  val of_patterns : pattern list -> t
-
   (** [candidates t op_name] — the benefit-sorted patterns that can match
       an op named [op_name]: the indexed list for a declared root, or
       just the [Any]-rooted patterns for any other name. Prefixes are
@@ -128,7 +117,15 @@ module Frozen : sig
   val strip_prefixes : t -> t
 end
 
-(** [freeze ps] is {!Frozen.of_patterns}[ ps]. *)
+(** [freeze ps] stable-sorts [ps] by descending benefit (ties keep list
+    order), numbers the sorted patterns (a pattern's number is its
+    counter slot in every driver run over the set), and indexes the
+    benefit-sorted candidate list per declared root name, with
+    [Any]-rooted patterns merged into every list. Each bucket's declared
+    {!type-prefix}es are additionally compiled into a shared decision
+    tree (operand arity -> region arity -> nest-spine probes), so the
+    drivers evaluate every structural feature at most once per op visit
+    regardless of how many candidates test it. *)
 val freeze : pattern list -> Frozen.t
 
 (** {2 Drivers}

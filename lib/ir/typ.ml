@@ -27,10 +27,6 @@ let memref_elem = function
   | Mem_ref (_, e) -> e
   | _ -> invalid_arg "Typ.memref_elem: not a memref"
 
-let memref_shape = function
-  | Mem_ref (shape, _) -> shape
-  | _ -> invalid_arg "Typ.memref_shape: not a memref"
-
 let static_shape = function
   | Mem_ref (shape, _) ->
       List.fold_right
@@ -56,56 +52,19 @@ let rec list_equal eq a b =
   | x :: xs, y :: ys -> eq x y && list_equal eq xs ys
   | _ -> false
 
-(* Monomorphic structural walk with a physical fast path at every node:
-   interned types (the common case — see [intern]) compare in O(1). *)
-let rec structural_equal (a : t) (b : t) =
+(* Monomorphic structural walk with a physical fast path at every node,
+   so a type shared by reference compares in O(1). *)
+let rec equal (a : t) (b : t) =
   a == b
   ||
   match (a, b) with
   | F32, F32 | F64, F64 | I1, I1 | I32, I32 | I64, I64 | Index, Index ->
       true
   | Mem_ref (sa, ea), Mem_ref (sb, eb) ->
-      list_equal dim_equal sa sb && structural_equal ea eb
+      list_equal dim_equal sa sb && equal ea eb
   | Fun (aa, ra), Fun (ab, rb) ->
-      list_equal structural_equal aa ab && list_equal structural_equal ra rb
+      list_equal equal aa ab && list_equal equal ra rb
   | _ -> false
-
-let equal = structural_equal
-
-module Interner = Support.Intern.Make (struct
-  type nonrec t = t
-
-  let equal = structural_equal
-  let hash = Hashtbl.hash
-end)
-
-(* [List.map f l] that returns [l] itself when [f] fixes every element, so
-   interning an already-canonical node allocates nothing. *)
-let rec map_preserving f l =
-  match l with
-  | [] -> l
-  | x :: tl ->
-      let x' = f x and tl' = map_preserving f tl in
-      if x' == x && tl' == tl then l else x' :: tl'
-
-(* Bottom-up, so a canonical node only ever points at canonical children
-   (the invariant docs/PERF.md relies on). Scalar constructors are OCaml
-   immediates — physical equality already holds — so only the allocated
-   shapes go through the table. *)
-let rec intern t =
-  match t with
-  | F32 | F64 | I1 | I32 | I64 | Index -> t
-  | Mem_ref (shape, elem) ->
-      let elem' = intern elem in
-      Interner.intern (if elem' == elem then t else Mem_ref (shape, elem'))
-  | Fun (args, results) ->
-      let args' = map_preserving intern args
-      and results' = map_preserving intern results in
-      Interner.intern
-        (if args' == args && results' == results then t
-         else Fun (args', results'))
-
-let interner_stats = Interner.stats
 
 let rec add_to_buffer b = function
   | F32 -> Buffer.add_string b "f32"

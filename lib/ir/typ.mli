@@ -26,7 +26,6 @@ val memref : int list -> t -> t
 val memref_rank : t -> int
 
 val memref_elem : t -> t
-val memref_shape : t -> dim list
 
 (** [static_shape t] returns the extents when all dimensions are static. *)
 val static_shape : t -> int list option
@@ -35,19 +34,8 @@ val static_shape : t -> int list option
 val num_elements : t -> int option
 
 (** Structural equality with a physical ([==]) fast path at every node;
-    monomorphic throughout (no polymorphic compare). Interned types (see
-    {!intern}) compare in O(1). *)
+    monomorphic throughout (no polymorphic compare). *)
 val equal : t -> t -> bool
-
-(** [intern t] hash-conses [t] into its canonical node (scalars are OCaml
-    immediates and pass through untouched). [Core.create_op] and
-    [Core.create_block] intern every type they are handed, so all IR built
-    through the builders or the parser carries canonical types. Domain-safe
-    (see {!Support.Intern}). *)
-val intern : t -> t
-
-(** Interning-table counters for diagnostics and [bench -- scale]. *)
-val interner_stats : unit -> Support.Intern.stats
 
 (** [add_to_buffer b x] appends the textual form of [x] to [b]: the one
     printer of this type, which {!Printer} calls directly; [pp] and

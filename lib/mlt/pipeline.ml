@@ -113,20 +113,17 @@ let passes_of_schedule s = Transform.Interp.passes_of_steps (schedule_steps s)
    printed script below cannot express (a tactic's rewrite changes, the
    printer's output format shifts): the version is part of every
    compilation-cache key, so stale artifacts from the previous behavior
-   can never be served (docs/CACHE.md). *)
-let cache_version = "mlt-pipeline-v2"
+   can never be served (docs/CACHE.md). The part after "+" names a
+   retired representation; it stays so existing cache keys stay valid. *)
+let cache_version = "mlt-pipeline-v2+intern-v1"
 
 let schedule_cache_identity s =
   (* The printed transform script carries every transformation parameter
      (tile sizes, BLIS mc/nc/kc, fusion heuristic, ...), so two
      schedules with equal pass names but different parameters can never
      alias in the cache — the aliasing bug the pass-name identity of
-     v1 had. The interner version participates too: hash-consing
-     canonicalizes the in-memory representation (and a future revision
-     could change printed canonical forms), so cached artifacts must
-     never alias across interning disciplines (docs/PERF.md). *)
-  Printf.sprintf "%s+%s:%s" cache_version Support.Intern.version
-    (print_steps (schedule_steps s))
+     v1 had. *)
+  Printf.sprintf "%s:%s" cache_version (print_steps (schedule_steps s))
 
 (* ---- preparation ---------------------------------------------------------- *)
 

@@ -83,11 +83,11 @@ val schedule_steps : schedule -> Transform.Script.step list
 (** [schedule_cache_identity s] — the pipeline + pattern-set identity
     string mixed into every compilation-cache key ({!Batch.Cache}): a
     version tag (bumped when transformation behavior changes in a way
-    the script cannot express), the interner version, and the {e printed
-    transform script}. Because the script carries every parameter (tile
-    sizes, BLIS blocking, fusion heuristic), two schedules with equal
-    identity are promised to compile any source to identical IR — the
-    v1 pass-name identity could not promise that. The schedule's display
+    the script cannot express) and the {e printed transform script}.
+    Because the script carries every parameter (tile sizes, BLIS
+    blocking, fusion heuristic), two schedules with equal identity are
+    promised to compile any source to identical IR — the v1 pass-name
+    identity could not promise that. The schedule's display
     name is deliberately excluded: equal scripts share cache entries. *)
 val schedule_cache_identity : schedule -> string
 

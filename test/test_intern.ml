@@ -1,17 +1,17 @@
-(* Hash-consing (ISSUE 8): canonical-node guarantees of the interners
-   behind Typ/Attr/Affine_expr/Affine_map, the construction chokepoints
-   in Core that make all IR carry canonical nodes, the 4-domain safety of
-   the shared tables, and the compiled matcher automaton's conservative
-   pruning. *)
+(* Value equality of Typ/Attr/Affine_expr/Affine_map: types, attributes
+   and affine maps are plain values, so [equal] alone decides when two of
+   them are the same, whichever nodes they share; plus the compiled
+   matcher automaton's conservative pruning. *)
 
 open Ir
 module W = Workloads.Polybench
 
-(* ---- structural equality implies physical equality ----------------- *)
+(* ---- a value equals its node-disjoint clone ------------------------ *)
 
-(* Generators produce values through the plain constructors (no interning),
-   and [clone] rebuilds a structurally equal value sharing no nodes, so a
-   physical match after [intern] can only come from the table. *)
+(* Generators produce values through the plain constructors, and [clone]
+   rebuilds a structurally equal value sharing no allocated node with it,
+   so [equal] cannot answer from its physical ([==]) fast path and must
+   walk the structure. *)
 let gen_typ =
   let open QCheck.Gen in
   let scalar =
@@ -41,13 +41,12 @@ let rec clone_typ = function
   | Typ.Fun (args, results) ->
       Typ.Fun (List.map clone_typ args, List.map clone_typ results)
 
-let prop_typ_intern =
-  QCheck.Test.make ~name:"equal-by-structure types intern to one node"
-    ~count:200
+let prop_typ_clone_equal =
+  QCheck.Test.make ~name:"types equal their node-disjoint clones" ~count:200
     (QCheck.make ~print:Typ.to_string gen_typ)
     (fun t ->
-      let a = Typ.intern t and b = Typ.intern (clone_typ t) in
-      a == b && Typ.equal a t)
+      let c = clone_typ t in
+      Typ.equal t c && Typ.equal c t)
 
 let gen_expr =
   let open QCheck.Gen in
@@ -81,33 +80,27 @@ let rec clone_expr = function
       Affine_expr.Floor_div (clone_expr a, clone_expr b)
   | Affine_expr.Mod (a, b) -> Affine_expr.Mod (clone_expr a, clone_expr b)
 
-let prop_expr_intern =
-  QCheck.Test.make ~name:"equal-by-structure exprs intern to one node"
-    ~count:200
+let prop_expr_clone_equal =
+  QCheck.Test.make ~name:"exprs equal their node-disjoint clones" ~count:200
     (QCheck.make ~print:Affine_expr.to_string gen_expr)
     (fun e ->
-      let a = Affine_expr.intern e
-      and b = Affine_expr.intern (clone_expr e) in
-      a == b && Affine_expr.equal a e)
+      let c = clone_expr e in
+      Affine_expr.equal e c && Affine_expr.structural_equal e c)
 
-let prop_map_intern =
-  QCheck.Test.make
-    ~name:"equal-by-structure maps are one node straight out of make"
-    ~count:200
+let prop_map_clone_equal =
+  QCheck.Test.make ~name:"maps equal their node-disjoint clones" ~count:200
     (QCheck.make
        ~print:(fun es ->
          String.concat ", " (List.map Affine_expr.to_string es))
        QCheck.Gen.(list_size (int_range 1 3) gen_expr))
     (fun exprs ->
-      (* [make] interns, so two independent constructions of structurally
-         equal maps must already be physically equal. *)
       let a = Affine_map.make ~n_dims:4 exprs
       and b = Affine_map.make ~n_dims:4 (List.map clone_expr exprs) in
-      a == b)
+      a != b && Affine_map.equal a b && Affine_map.equal b a)
 
-(* ---- parse/print round-trips land on the same nodes ----------------- *)
+(* ---- two parses of one text give equal values ----------------------- *)
 
-let test_parse_roundtrip_shares_nodes () =
+let test_parse_roundtrip_equal_values () =
   let m1 = Met.Emit_affine.translate (W.gemm ~ni:6 ~nj:5 ~nk:4 ()) in
   let text = Printer.op_to_string m1 in
   let p1 = Parser.parse_module text and p2 = Parser.parse_module text in
@@ -121,52 +114,28 @@ let test_parse_roundtrip_shares_nodes () =
   in
   let t1, a1 = collect p1 and t2, a2 = collect p2 in
   Alcotest.(check bool) "modules have types" true (t1 <> []);
+  Alcotest.(check int) "as many types" (List.length t1) (List.length t2);
+  Alcotest.(check int) "as many attrs" (List.length a1) (List.length a2);
   List.iter2
     (fun x y ->
-      if x != y then
-        Alcotest.failf "type %s parsed to two distinct nodes"
-          (Typ.to_string x))
+      if not (Typ.equal x y) then
+        Alcotest.failf "type %s parsed to unequal values" (Typ.to_string x))
     t1 t2;
   List.iter2
     (fun x y ->
-      if x != y then
-        Alcotest.failf "attr %s parsed to two distinct nodes"
-          (Attr.to_string x))
-    a1 a2;
-  (* And the canonical node is what [intern] answers for a fresh copy. *)
-  List.iter
-    (fun t ->
-      if Typ.intern (clone_typ t) != t then
-        Alcotest.failf "parsed type %s is not canonical" (Typ.to_string t))
-    t1
+      if not (Attr.equal x y) then
+        Alcotest.failf "attr %s parsed to unequal values" (Attr.to_string x))
+    a1 a2
 
-(* ---- float corner cases in the attribute interner ------------------- *)
+(* ---- signed zeros -------------------------------------------------- *)
 
-let test_float_zero_signs_stay_distinct () =
-  let pos = Attr.intern (Attr.Float 0.0)
-  and neg = Attr.intern (Attr.Float (-0.0)) in
-  (* [-0.] and [0.] print differently, so merging them would change
-     emitted IR; the interner keys floats bitwise. *)
-  Alcotest.(check bool) "distinct canonical nodes" true (pos != neg);
+let test_float_zero_signs_print_apart () =
+  (* [-0.] and [0.] are IEEE-equal but print differently, so each keeps
+     its own printing through the IR. *)
   Alcotest.(check string) "+0. prints as before" "0x0p+0"
-    (Attr.to_string pos);
+    (Attr.to_string (Attr.Float 0.0));
   Alcotest.(check string) "-0. prints as before" "-0x0p+0"
-    (Attr.to_string neg)
-
-let test_nan_interns_once () =
-  let a = Attr.intern (Attr.Float Float.nan)
-  and b = Attr.intern (Attr.Float Float.nan) in
-  (* Same NaN payload -> one node (IEEE [=] never matches NaN, so a
-     value-keyed table would grow a node per probe). Physical equality
-     then makes [Attr.equal] true for the shared node — NaN attribute
-     equality is effectively bitwise once interned, as in MLIR — while
-     structurally distinct NaN boxes that never met the interner still
-     compare false. *)
-  Alcotest.(check bool) "one canonical NaN node" true (a == b);
-  Alcotest.(check bool) "canonical NaN node equals itself" true
-    (Attr.equal a b);
-  Alcotest.(check bool) "un-interned NaN boxes keep IEEE semantics" false
-    (Attr.equal (Attr.Float Float.nan) (Attr.Float Float.nan))
+    (Attr.to_string (Attr.Float (-0.0)))
 
 let test_attr_list_equal_lengths () =
   let open Attr in
@@ -180,72 +149,6 @@ let test_attr_list_equal_lengths () =
     (equal
        (List [ List [ Int 1; Int 2 ] ])
        (List [ List [ Int 1 ] ]))
-
-(* ---- 4-domain stress ------------------------------------------------ *)
-
-let test_four_domain_stress () =
-  (* Every domain interns fresh structural copies of a shared battery of
-     types and maps, racing the lock-free hit path against concurrent
-     inserts; all domains must agree on one canonical node per spec, and
-     re-interning afterwards must not grow the tables (no duplicate or
-     torn entries). Unique-per-domain keys force genuinely concurrent
-     inserts alongside the shared probes. *)
-  let specs =
-    [|
-      (fun () -> Typ.Mem_ref ([ Typ.Static 64; Typ.Static 64 ], Typ.F64));
-      (fun () ->
-        Typ.Mem_ref ([ Typ.Dynamic; Typ.Static 8; Typ.Static 4 ], Typ.F32));
-      (fun () -> Typ.Fun ([ Typ.Index; Typ.F64 ], [ Typ.F64 ]));
-      (fun () ->
-        Typ.Mem_ref
-          ( [ Typ.Static 2; Typ.Static 3; Typ.Static 4; Typ.Static 5 ],
-            Typ.I32 ));
-    |]
-  in
-  let iterations = 2_000 in
-  let burst d =
-    let canon = Array.map (fun spec -> Typ.intern (spec ())) specs in
-    for i = 1 to iterations do
-      Array.iteri
-        (fun s spec ->
-          let t = Typ.intern (spec ()) in
-          if t != canon.(s) then
-            Alcotest.failf "domain %d saw two canonical nodes for %s" d
-              (Typ.to_string t))
-        specs;
-      (* Distinct per-domain-per-iteration keys: concurrent inserts. *)
-      ignore
-        (Typ.intern
-           (Typ.Mem_ref ([ Typ.Static ((d * iterations) + i) ], Typ.F32)));
-      ignore
-        (Affine_map.make ~n_dims:2
-           [ Affine_expr.dim (i land 1); Affine_expr.dim ((i + 1) land 1) ])
-    done;
-    canon
-  in
-  let others = List.init 3 (fun d -> Domain.spawn (fun () -> burst (d + 1))) in
-  let mine = burst 0 in
-  let all = mine :: List.map Domain.join others in
-  List.iteri
-    (fun d canon ->
-      Array.iteri
-        (fun s t ->
-          if t != mine.(s) then
-            Alcotest.failf "domain %d disagrees on canonical node %d" d s)
-        canon)
-    all;
-  (* Tables are settled: re-interning the whole battery hits every time. *)
-  let before = (Typ.interner_stats ()).Support.Intern.size in
-  Array.iter (fun spec -> ignore (Typ.intern (spec ()))) specs;
-  for d = 0 to 3 do
-    for i = 1 to iterations do
-      ignore
-        (Typ.intern
-           (Typ.Mem_ref ([ Typ.Static ((d * iterations) + i) ], Typ.F32)))
-    done
-  done;
-  let after = (Typ.interner_stats ()).Support.Intern.size in
-  Alcotest.(check int) "no duplicates slipped into the table" before after
 
 (* ---- compiled matcher automaton ------------------------------------- *)
 
@@ -362,18 +265,14 @@ let test_compiled_matches_relaxed () =
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_typ_intern; prop_expr_intern; prop_map_intern ]
+    [ prop_typ_clone_equal; prop_expr_clone_equal; prop_map_clone_equal ]
   @ [
-      Alcotest.test_case "parse round-trip shares canonical nodes" `Quick
-        test_parse_roundtrip_shares_nodes;
-      Alcotest.test_case "-0.0 and 0.0 stay distinct nodes" `Quick
-        test_float_zero_signs_stay_distinct;
-      Alcotest.test_case "NaN attrs intern to one node" `Quick
-        test_nan_interns_once;
+      Alcotest.test_case "parse round-trip gives equal values" `Quick
+        test_parse_roundtrip_equal_values;
+      Alcotest.test_case "-0.0 and 0.0 print apart" `Quick
+        test_float_zero_signs_print_apart;
       Alcotest.test_case "Attr.equal list lengths" `Quick
         test_attr_list_equal_lengths;
-      Alcotest.test_case "4-domain interning stress" `Quick
-        test_four_domain_stress;
       Alcotest.test_case "prefix automaton: operand arity" `Quick
         test_prefix_operand_pruning;
       Alcotest.test_case "prefix automaton: nest depth" `Quick
