@@ -22,7 +22,10 @@ let config_name_arg =
     & info [ "config"; "pipeline" ] ~docv:"NAME"
         ~doc:
           "Named pipeline configuration: clang-O3, pluto-default, \
-           pluto-best, mlt-linalg, mlt-blas or mlt-affine-blis.")
+           pluto-best, mlt-linalg, mlt-blas or mlt-affine-blis. \
+           pluto-best searches the Pluto tiling/fusion sweep on the \
+           machine model only in mlt-sim; mlt-opt and mlt-batch have no \
+           machine model and elaborate it as pluto-default.")
 
 let transform_script_arg =
   Arg.(

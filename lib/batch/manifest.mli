@@ -39,7 +39,8 @@ type t
     spawns. *)
 val load : string -> t
 
-(** Build a manifest programmatically (the bench harness does). *)
+(** Build a manifest programmatically (mlt-batch does when a flag
+    overrides every entry's schedule). *)
 val of_entries : entry list -> t
 
 (** Entries in manifest order. *)

@@ -10,7 +10,10 @@
 
     - [Walk] — the simple tree-walking oracle (hash-table environment,
       per-op string dispatch). Intentionally simple; kept as the reference
-      implementation.
+      implementation. No program runs it: the differential tests
+      (test/test_interp_compile.ml's "engines agree" cases, every
+      kernel at the affine, SCF and Linalg levels) compare it with
+      [Compiled].
     - [Compiled] — the staged engine ({!Compile}): the function is compiled
       once into nested closures over slot-indexed register frames, with
       op dispatch, affine maps, loop bounds and memory-access offsets all

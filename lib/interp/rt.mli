@@ -12,8 +12,8 @@ val error_at : Ir.Core.op -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 
 (** Which execution engine runs a function: [Walk] is the simple
     tree-walking oracle, [Compiled] the staged compile-to-closure engine.
-    [Compiled] is the process-wide default; tests and the bench harness
-    pin engines explicitly. *)
+    [Compiled] is the process-wide default; the differential tests pin
+    engines explicitly. *)
 type engine = Walk | Compiled
 
 val default_engine : engine ref

@@ -15,7 +15,8 @@
 
     Metrics are {e disabled by default}: every update is a single
     [Atomic.get] and return, the same hot-path budget as the disabled
-    {!Trace} sink stack (<50ns/call, asserted by [bench -- patterns]).
+    {!Trace} sink stack (<50ns/call, asserted by test/test_metrics.ml's
+    "disabled observe stays under 50 ns/call").
     The [--metrics=FILE] flag on mlt-opt/mlt-sim/mlt-batch/bench enables
     collection for the run and exports the snapshot on exit as strict
     {!Support.Json} (schema in docs/OBSERVABILITY.md). *)

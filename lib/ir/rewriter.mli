@@ -105,15 +105,16 @@ module Frozen : sig
 
   (** [relax t] forgets every root declaration {e and} every prefix (all
       patterns become [Any]-rooted, unpruned): the unindexed-dispatch
-      baseline used by the bench harness and the differential property
-      tests. Rewriting behaviour is identical by the {!roots}/{!type-prefix}
+      baseline of test/test_intern.ml's dispatch tests ("dispatch
+      variants agree on the Figure-9 suite" pins its attempt counts).
+      Rewriting behaviour is identical by the {!roots}/{!type-prefix}
       contracts; only match-attempt counts differ. *)
   val relax : t -> t
 
-  (** [strip_prefixes t] keeps root indexing but drops every prefix —
-      exactly the dispatch PR 4 shipped. The bench harness uses it to
-      attribute attempt reductions to the prefix trees separately from
-      root indexing. *)
+  (** [strip_prefixes t] keeps root indexing but drops every prefix:
+      root-index-only dispatch. test/test_intern.ml's dispatch tests use
+      it to attribute attempt reductions to the prefix trees separately
+      from root indexing. *)
   val strip_prefixes : t -> t
 end
 

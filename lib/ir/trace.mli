@@ -4,7 +4,8 @@
     per-pattern attempt/hit events, interpreter compile/exec spans — emits
     {!event}s through this module to pluggable {!sink}s. With no sink
     installed, {!emit} is a single ref read, so leaving the call sites in
-    hot paths costs nothing (asserted by [bench -- patterns]).
+    hot paths costs nothing (under 50 ns/call, asserted by
+    test/test_trace.ml's "disabled emit stays under 50 ns/call").
 
     Two sinks ship with the repo: {!Chrome} accumulates Chrome
     trace-event JSON (the [--trace=FILE] flag; load the file in Perfetto

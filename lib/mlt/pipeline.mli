@@ -118,8 +118,8 @@ val prepare_schedule_module :
     [src], size the candidate space by {!Tune.max_trip_count} of its
     kernel ([space ~max_trip]), then {!Tune.search} on
     [Domain.recommended_domain_count ()] domains, each candidate on a
-    fresh translation. Pluto-best, [mlt-sim --tune] and [bench -- tune]
-    all search through here. *)
+    fresh translation. Pluto-best ({!resolve_schedule}) and
+    [mlt-sim --tune] both search through here. *)
 val search :
   ?file:string ->
   space:(max_trip:int -> Tune.candidate list) ->

@@ -16,8 +16,6 @@ let json ?domains () =
       ("hostname", Json.Str (hostname ()));
     ]
 
-let to_string ?domains () = Json.to_string (json ?domains ())
-
 let schema_version_of j =
   match Json.member "run_meta" j with
   | Some meta -> (

@@ -1,11 +1,11 @@
 (** The shared [run_meta] block stamped into every machine-readable
-    artifact (BENCH_*.json, --pass-stats, --metrics files) so a recorded
+    artifact (--pass-stats and --metrics files) so a recorded
     perf point is attributable to the environment that produced it —
     and so [trace_stats --diff] can refuse to compare artifacts written
     under different schemas. *)
 
 (** Version of the recorded-artifact schemas. Bump whenever a field of
-    the pass-stats / metrics / BENCH JSON layouts changes meaning, so
+    the pass-stats / metrics JSON layouts changes meaning, so
     offline diffs across the change fail loudly instead of comparing
     apples to oranges. *)
 val schema_version : int
@@ -15,11 +15,6 @@ val schema_version : int
     [Domain.recommended_domain_count ()]), [ocaml_version], [hostname].
     Hostname lookup failures degrade to ["unknown"], never raise. *)
 val json : ?domains:int -> unit -> Json.t
-
-(** [to_string ?domains ()] — {!json} rendered compactly, for emitters
-    that build their artifact with [Printf] rather than the tree
-    writer. *)
-val to_string : ?domains:int -> unit -> string
 
 (** [schema_version_of j] — the [run_meta.schema_version] member of a
     parsed artifact, [None] when the artifact predates run_meta

@@ -233,13 +233,14 @@ let synthesize st ~(out : ref_) ~(in1 : ref_) ~(in2 : ref_) =
 
 (* ---- explicit builder statements (Listing 3) ------------------------ *)
 
+let builder_indices (r : ref_) =
+  match simple_indices r with
+  | Some idx -> idx
+  | None -> D.errorf "TDL: builder statements need simple subscripts"
+
 let expand_where (r : ref_) (where : (string * string list) option) =
   (* The index order of [r] with any fused index expanded to its group. *)
-  let idx =
-    match simple_indices r with
-    | Some idx -> idx
-    | None -> D.errorf "TDL: builder statements need simple subscripts"
-  in
+  let idx = builder_indices r in
   match where with
   | None -> (idx, idx)
   | Some (f, group) ->
@@ -252,9 +253,9 @@ let lower_builder_stmt st (s : stmt) =
   match (s.op, s.rhs) with
   | Accumulate, R_mul (a, b) -> (
       (* Must be an exact matmul/matvec at this point. *)
-      let o = Option.get (simple_indices s.lhs) in
-      let ia = Option.get (simple_indices a) in
-      let ib = Option.get (simple_indices b) in
+      let o = builder_indices s.lhs in
+      let ia = builder_indices a in
+      let ib = builder_indices b in
       match (o, ia, ib) with
       | [ i; j ], [ i'; k ], [ k'; j' ]
         when i = i' && j = j' && k = k' ->

@@ -1,7 +1,7 @@
 (** The machine-model schedule autotuner: enumerate transform-script
     candidates, score each on {!Machine.Perf}'s trace-driven model, keep
     the best — the general search that replaces [Pluto_best]'s bespoke
-    sequential sweep and backs [bench -- tune] / [mlt-sim --tune].
+    sequential sweep and backs pluto-best and [mlt-sim --tune].
 
     Determinism: candidates are evaluated into a slot array indexed by
     candidate position and the winner is the {e first strict minimum} in
@@ -81,7 +81,7 @@ val pluto_space : max_trip:int -> candidate list
 val blis_space : ?quick:bool -> unit -> candidate list
 
 (** [pluto_space] plus [blis_space]: tile sizes, interchange, fusion and
-    blocking — the [bench -- tune] / [mlt-sim --tune] search space.
+    blocking — the [mlt-sim --tune] search space.
     [quick] trims both grids for smoke runs. *)
 val gemm_space : ?quick:bool -> max_trip:int -> unit -> candidate list
 

@@ -275,26 +275,6 @@ let tiny_suite () =
         (name, Contraction_spec.c_source spec ~sizes ~name:"contraction" ()))
       (Contraction_spec.paper_benchmarks ())
 
-(* Deep-loop-nest battery for the scale benchmark (bench -- scale): one
-   representative of every nest shape the raising patterns care about —
-   2-deep vector kernels, 3-deep contractions, and the 7-deep
-   convolution. Extents are tiny: the scale bench measures *compiler*
-   time on op count, not kernel flops, and the synthesized module reaches
-   its target size by cloning these functions, not by enlarging trip
-   counts. *)
-let scale_battery () =
-  let n = 4 in
-  [
-    ("atax", atax ~m:n ~n ());
-    ("gemver", gemver ~n ());
-    ("mvt", mvt ~n ());
-    ("gemm", gemm ~ni:n ~nj:n ~nk:n ());
-    ("mm", mm ~ni:n ~nj:n ~nk:n ());
-    ("2mm", two_mm ~ni:n ~nj:n ~nk:n ~nl:n ());
-    ("3mm", three_mm ~ni:n ~nj:n ~nk:n ~nl:n ~nm:n ());
-    ("conv2d-nchw", conv2d_nchw ~n:1 ~c:2 ~h:8 ~w:8 ~f:2 ~kh:3 ~kw:3 ());
-  ]
-
 let figure9_suite () =
   let f2 = float_of_int in
   let lvl2 = 256 and mmn = 96 and gsz = 128 in

@@ -70,10 +70,3 @@ val figure9_suite : unit -> (string * string * float) list
 (** The same 16 kernels at tiny sizes, for interpreter-based semantic
     tests (flop counts omitted). *)
 val tiny_suite : unit -> (string * string) list
-
-(** Deep-loop-nest battery for [bench -- scale]: one kernel per nest
-    shape (2-deep vector ops, 3-deep contractions, the 7-deep
-    convolution) at tiny extents. The scale benchmark reaches its
-    million-op target by cloning the translated functions, so extents
-    only set per-function op counts. *)
-val scale_battery : unit -> (string * string) list

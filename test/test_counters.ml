@@ -50,9 +50,22 @@ transform.lower_affine runs=16 attempts=380 rewrites=380 ops_delta=1023
 let test_figure9_count_pins () =
   let pm = Pass.create_manager () in
   let sources = List.map (fun (_, s, _) -> s) (W.figure9_suite ()) in
+  let attempts0, rewrites0 = Rewriter.counter_totals () in
   ignore (Mlt.Pipeline.compile_time ~pm `With_mlt sources : float);
-  let got = render_summary (Pass.summarize pm) in
-  Alcotest.(check string) "with-mlt summary rows" expected_figure9_with_mlt got
+  let attempts1, rewrites1 = Rewriter.counter_totals () in
+  let rows = Pass.summarize pm in
+  let got = render_summary rows in
+  Alcotest.(check string) "with-mlt summary rows" expected_figure9_with_mlt got;
+  (* Every driver run happens inside some pass, so the per-pass rows
+     account for exactly the work the domain's totals saw. *)
+  let attempts, rewrites =
+    List.fold_left
+      (fun (a, r) s -> (a + s.Pass.s_match_attempts, r + s.Pass.s_rewrites))
+      (0, 0) rows
+  in
+  Alcotest.(check (pair int int)) "per-pass rows sum to the domain totals"
+    (attempts1 - attempts0, rewrites1 - rewrites0)
+    (attempts, rewrites)
 
 let expected_batch_digest = "9f45ef942a8dd84ce55cb69e7bd27933"
 

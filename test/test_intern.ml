@@ -263,6 +263,79 @@ let test_compiled_matches_relaxed () =
           name att_c att_s att_r)
     (W.tiny_suite ())
 
+(* The combined raising set over the 16 Figure-9 kernels, driven by
+   [apply_sweeps] (the raise-scf pass's driver, so each op is visited once
+   per sweep) under compiled dispatch, root index only and the unindexed
+   scan, at two levels: affine as MET emits it, and lowered to SCF (the
+   full SCF -> affine -> linalg path). Each variant freezes its own set,
+   so no matcher state is shared between the runs compared. *)
+let test_dispatch_variants_agree_on_figure9 () =
+  let build_set () =
+    Transforms.Raise_scf.patterns ()
+    @ [ Transforms.Dce.pattern () ]
+    @ Transforms.Canonicalize.patterns ()
+    @ Transforms.Tactics.all ()
+  in
+  Alcotest.(check int) "combined set size" 16 (List.length (build_set ()));
+  let variants =
+    [
+      ("compiled", Fun.id);
+      ("root-only", Rewriter.Frozen.strip_prefixes);
+      ("unindexed", Rewriter.Frozen.relax);
+    ]
+  in
+  let run level make_frozen name src =
+    let m = Met.Emit_affine.translate src in
+    if String.equal level "scf" then begin
+      Core.walk m (fun op ->
+          if Core.is_func op then Transforms.Lower_affine.run op);
+      Verifier.verify m
+    end;
+    let fz = make_frozen (Rewriter.freeze (build_set ())) in
+    let attempts0, _ = Rewriter.counter_totals () in
+    let apps = Rewriter.apply_sweeps m fz in
+    let attempts1, _ = Rewriter.counter_totals () in
+    Alcotest.(check int)
+      (Printf.sprintf "%s/%s: re-sweep applies nothing" level name)
+      0
+      (Rewriter.apply_sweeps m fz);
+    (apps, attempts1 - attempts0, Printer.op_to_string m)
+  in
+  let check_level level expected =
+    let totals = Array.make (List.length variants) 0 in
+    List.iter
+      (fun (name, src, _) ->
+        let results =
+          List.mapi
+            (fun i (_, make_frozen) ->
+              let apps, attempts, ir = run level make_frozen name src in
+              totals.(i) <- totals.(i) + attempts;
+              (apps, ir))
+            variants
+        in
+        let apps_c, ir_c = List.hd results in
+        List.iter2
+          (fun (vname, _) (apps, ir) ->
+            let what = Printf.sprintf "%s/%s (%s)" level name vname in
+            Alcotest.(check int) (what ^ ": applications") apps_c apps;
+            Alcotest.(check string) (what ^ ": printed IR") ir_c ir)
+          variants results)
+      (W.figure9_suite ());
+    Alcotest.(check (list int))
+      (level ^ ": compiled / root-only / unindexed attempts")
+      expected (Array.to_list totals);
+    let compiled = totals.(0) and root_only = totals.(1)
+    and unindexed = totals.(2) in
+    if unindexed < 5 * compiled then
+      Alcotest.failf "%s: unindexed %d attempts, under 5x compiled's %d" level
+        unindexed compiled;
+    if compiled >= root_only then
+      Alcotest.failf "%s: prefix trees saved nothing (%d vs %d root-only)"
+        level compiled root_only
+  in
+  check_level "affine" [ 134; 269; 3_870 ];
+  check_level "scf" [ 1_614; 4_494; 28_204 ]
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_typ_clone_equal; prop_expr_clone_equal; prop_map_clone_equal ]
@@ -279,4 +352,6 @@ let suite =
         test_prefix_nest_depth_pruning;
       Alcotest.test_case "compiled dispatch = relaxed dispatch" `Quick
         test_compiled_matches_relaxed;
+      Alcotest.test_case "dispatch variants agree on the Figure-9 suite"
+        `Quick test_dispatch_variants_agree_on_figure9;
     ]

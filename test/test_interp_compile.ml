@@ -27,12 +27,16 @@ let func_name_of m =
     (List.hd
        (List.filter Core.is_func (Core.ops_of_block (Core.module_block m))))
 
+(* The 16 kernels, plus the plain gemm [mm] (a Figure-8 kernel, not in
+   the suite), at loop level. *)
+let loop_level_inputs () = ("mm", W.mm ~ni:6 ~nj:5 ~nk:4 ()) :: W.tiny_suite ()
+
 let test_engines_agree_affine_level () =
   List.iter
     (fun (name, src) ->
       let m = Met.Emit_affine.translate src in
       check_engines_agree (name ^ "/affine") m (func_name_of m))
-    (W.tiny_suite ())
+    (loop_level_inputs ())
 
 let test_engines_agree_scf_level () =
   List.iter
@@ -41,7 +45,7 @@ let test_engines_agree_scf_level () =
       Transforms.Lower_affine.run m;
       Verifier.verify m;
       check_engines_agree (name ^ "/scf") m (func_name_of m))
-    (W.tiny_suite ())
+    (loop_level_inputs ())
 
 let test_engines_agree_linalg_level () =
   (* After raising, execution goes through the kernel fast paths of both

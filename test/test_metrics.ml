@@ -200,6 +200,27 @@ let test_json_roundtrip () =
           | _ -> Alcotest.failf "kind mismatch for %S" a.Metrics.s_metric)
         samples parsed
 
+(* The registry shares the rewrite hot path with tracing (the cache and
+   interpreter call [observe] per operation) and the same budget:
+   disabled, an update is one atomic read. *)
+let test_disabled_observe_budget () =
+  if Metrics.enabled () then
+    print_endline "disabled-metrics budget skipped (metrics are enabled)"
+  else begin
+    let h = Metrics.histogram "tm_noop_seconds" in
+    let calls = 2_000_000 in
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to calls do
+      Metrics.observe h 1e-6
+    done;
+    let per_call_ns =
+      (Unix.gettimeofday () -. t0) /. float_of_int calls *. 1e9
+    in
+    if per_call_ns > 50. then
+      Alcotest.failf "disabled metrics cost %.1f ns/call (> 50 ns budget)"
+        per_call_ns
+  end
+
 let suite =
   [
     Alcotest.test_case "log-bucket boundary edge cases" `Quick
@@ -211,4 +232,6 @@ let suite =
     Alcotest.test_case "4-domain merge is deterministic" `Quick
       test_four_domain_merge_deterministic;
     Alcotest.test_case "JSON round-trip" `Quick test_json_roundtrip;
+    Alcotest.test_case "disabled observe stays under 50 ns/call" `Quick
+      test_disabled_observe_budget;
   ]

@@ -148,6 +148,29 @@ let test_frontend_rejects_unfaithful_builders () =
      A(k,j) }"
     "builder never reads the pattern's input B"
 
+let test_frontend_rejects_non_simple_builder_subscript () =
+  (* Listing 3 with a constant subscript in its accumulation: the
+     frontend rejects it at the def, like every other TDL error. *)
+  let src =
+    {|def TTGT {
+  pattern
+    C(a,b,c) += A(a,c,d) * B(d,b)
+  builder
+    D(f,b) = C(a,b,c) where f = a * c
+    E(f,d) = A(a,c,d) where f = a * c
+    D(f,1) += E(f,d) * B(d,b)
+    C(a,b,c) = D(f,b) where f = a * c
+}
+|}
+  in
+  match
+    Support.Diag.wrap (fun () -> Frontend.lower_source ~file:"ttgt.tdl" src)
+  with
+  | Ok _ -> Alcotest.fail "expected a frontend error"
+  | Error e ->
+      Alcotest.(check string) "located at the def"
+        "ttgt.tdl:1:1: TDL: builder statements need simple subscripts" e
+
 let test_backend_errors_located () =
   (* The backend's own rejections are located at the tactic's def. *)
   match
@@ -329,4 +352,6 @@ let suite =
       test_backend_affine_target;
     Alcotest.test_case "backend: affine target rejects TTGT" `Quick
       test_backend_affine_target_rejects_ttgt;
+    Alcotest.test_case "frontend: non-simple builder subscript is located"
+      `Quick test_frontend_rejects_non_simple_builder_subscript;
   ]

@@ -268,6 +268,27 @@ let test_remarks_mirrored_into_trace () =
         | None -> false)
   | es -> Alcotest.failf "expected one remark event, got %d" (List.length es)
 
+(* Tracing call sites stay in the rewrite hot path; with no sink
+   installed each must cost no more than a ref read. The budget is
+   generous (host noise): a regression to eager argument construction
+   would blow past it by orders of magnitude. *)
+let test_disabled_emit_budget () =
+  if Trace.enabled () then
+    print_endline "disabled-trace budget skipped (a trace sink is installed)"
+  else begin
+    let calls = 2_000_000 in
+    let t0 = Unix.gettimeofday () in
+    for i = 1 to calls do
+      Trace.instant ~args:[ ("i", Trace.A_int i) ] ~cat:"test" "noop"
+    done;
+    let per_call_ns =
+      (Unix.gettimeofday () -. t0) /. float_of_int calls *. 1e9
+    in
+    if per_call_ns > 50. then
+      Alcotest.failf "disabled tracing costs %.1f ns/call (> 50 ns budget)"
+        per_call_ns
+  end
+
 let suite =
   [
     Alcotest.test_case "memory sink captures the pipeline taxonomy" `Quick
@@ -288,4 +309,6 @@ let suite =
       test_interp_spans;
     Alcotest.test_case "remarks mirror into the trace" `Quick
       test_remarks_mirrored_into_trace;
+    Alcotest.test_case "disabled emit stays under 50 ns/call" `Quick
+      test_disabled_emit_budget;
   ]
