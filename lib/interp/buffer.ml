@@ -86,16 +86,18 @@ let approx_equal ?(eps = 1e-4) a b =
   let ok = ref true in
   for i = 0 to Array.length a.data - 1 do
     let x = a.data.(i) and y = b.data.(i) in
-    let scale = Float.max 1.0 (Float.max (Float.abs x) (Float.abs y)) in
-    (* Equality covers equal infinities; a NaN or an infinity agrees with
-       nothing else. *)
-    let agree =
-      (Float.is_nan x && Float.is_nan y)
-      || x = y
-      || (Float.is_finite x && Float.is_finite y
-         && Float.abs (x -. y) <= eps *. scale)
-    in
-    if not agree then ok := false
+    (* Equality covers equal infinities and signed zeros, and is the
+       common case, so it comes before the scale; a NaN or an infinity
+       agrees with nothing else. *)
+    if x <> y then begin
+      let scale = Float.max 1.0 (Float.max (Float.abs x) (Float.abs y)) in
+      let agree =
+        (Float.is_nan x && Float.is_nan y)
+        || Float.is_finite x && Float.is_finite y
+           && Float.abs (x -. y) <= eps *. scale
+      in
+      if not agree then ok := false
+    end
   done;
   !ok
 

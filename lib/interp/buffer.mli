@@ -34,12 +34,16 @@ val init : int list -> (int array -> float) -> t
     [0, 1). *)
 val randomize : seed:int -> t -> unit
 
+(** [copy b] — a fresh data array; the shape and strides arrays, never
+    mutated, are shared. *)
 val copy : t -> t
+
 val fill : t -> float -> unit
 
 (** [approx_equal ?eps a b] — same shape, and every pair of elements
-    agrees: both NaN, equal (equal infinities included), or both finite
-    and within [eps] relative tolerance. *)
+    agrees: equal (equal infinities and [0.]/[-0.] included, tested
+    first), both NaN, or both finite with [|x - y| <= eps * max 1 |x| |y|]
+    ([eps] defaults to [1e-4]). test/test_interp.ml pins the table. *)
 val approx_equal : ?eps:float -> t -> t -> bool
 
 (** Largest absolute element-wise difference (shapes must match). *)

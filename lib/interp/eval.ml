@@ -204,25 +204,50 @@ let run_func ?engine f args =
   | Walk -> walk_func f args
   | Compiled -> Compile.run_func f args
 
-let run ?engine m name args =
+let find m name =
   match Core.find_func m name with
-  | Some f -> run_func ?engine f args
+  | Some f -> f
   | None -> error_at m "interp: no function named %S" name
 
-let alloc_args f =
-  List.map (fun (p : Core.value) -> Buffer.of_type p.v_typ) (Core.func_args f)
+let run ?engine m name args = run_func ?engine (find m name) args
+
+(* The seeded battery: argument [i] filled from [seed + i]. *)
+let random_args f ~seed =
+  List.mapi
+    (fun i (p : Core.value) ->
+      let b = Buffer.of_type p.v_typ in
+      Buffer.randomize ~seed:(seed + i) b;
+      b)
+    (Core.func_args f)
 
 let run_on_random ?engine m name ~seed =
-  match Core.find_func m name with
-  | Some f ->
-      let args = alloc_args f in
-      List.iteri (fun i b -> Buffer.randomize ~seed:(seed + i) b) args;
-      run_func ?engine f args;
-      args
-  | None -> error_at m "interp: no function named %S" name
+  let f = find m name in
+  let args = random_args f ~seed in
+  run_func ?engine f args;
+  args
 
+let arg_types f = List.map (fun (p : Core.value) -> p.v_typ) (Core.func_args f)
+
+(* The battery is drawn once, and the second function runs on a copy
+   taken before the first runs: equal argument types draw equal
+   buffers. Other signatures draw their own, after the first run, as
+   [run_on_random] does. *)
 let equivalent ?eps ?engine m1 m2 name ~seed =
-  let r1 = run_on_random ?engine m1 name ~seed in
-  let r2 = run_on_random ?engine m2 name ~seed in
+  let f1 = find m1 name in
+  let r1 = random_args f1 ~seed in
+  let shared =
+    match Core.find_func m2 name with
+    | Some f2 when List.equal Typ.equal (arg_types f1) (arg_types f2) ->
+        Some (f2, List.map Buffer.copy r1)
+    | _ -> None
+  in
+  run_func ?engine f1 r1;
+  let r2 =
+    match shared with
+    | Some (f2, r2) ->
+        run_func ?engine f2 r2;
+        r2
+    | None -> run_on_random ?engine m2 name ~seed
+  in
   List.length r1 = List.length r2
   && List.for_all2 (Buffer.approx_equal ?eps) r1 r2

@@ -47,7 +47,12 @@ val run_on_random :
 
 (** [equivalent m1 m2 name ~seed] — run the same-named function of two
     modules on identical random inputs; [true] when both return as many
-    buffers and each pair is {!Buffer.approx_equal} [?eps]. *)
+    buffers and each pair is {!Buffer.approx_equal} [?eps]. The battery
+    ({!run_on_random}'s, argument [i] drawn from [seed + i]) is drawn
+    once, for [m1]'s function; when [m2]'s takes arguments of the same
+    types, it runs on a {!Buffer.copy} of that battery taken before
+    either runs. Otherwise [m2]'s own battery is drawn after [m1]'s run,
+    and differing signatures answer [false]. *)
 val equivalent :
   ?eps:float ->
   ?engine:engine ->

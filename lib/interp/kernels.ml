@@ -44,25 +44,27 @@ let transpose ~perm src dst =
   if Linalg.Linalg_ops.transposed_shape perm (Array.to_list src.Buffer.shape)
      <> Array.to_list dst.Buffer.shape
   then invalid_arg "Kernels.transpose: shape mismatch";
+  ignore (Ir.Affine_map.permutation perm);
   let rank = Buffer.rank dst in
-  let inv = Ir.Affine_map.inverse_permutation perm in
-  let src_idx = Array.make rank 0 in
-  let dst_idx = Array.make rank 0 in
-  (* dst dim d draws from src dim perm.(d): src_idx.(j) = dst_idx.(inv.(j)). *)
-  let rec go d =
-    if d = rank then begin
-      for j = 0 to rank - 1 do
-        src_idx.(j) <- dst_idx.(inv.(j))
-      done;
-      Buffer.set dst dst_idx (Buffer.get src src_idx)
+  let shape = dst.Buffer.shape and dstr = dst.Buffer.strides in
+  (* dst dim d draws from src dim perm.(d), so a step along it moves the
+     source by that dim's stride. *)
+  let sstr = Array.map (fun p -> src.Buffer.strides.(p)) perm in
+  let sd = src.Buffer.data and dd = dst.Buffer.data in
+  (* Destination order, the innermost dim as one strided copy. *)
+  let rec go d so o =
+    if d = rank - 1 then begin
+      let s = sstr.(d) in
+      for i = 0 to shape.(d) - 1 do
+        dd.(o + i) <- sd.(so + (i * s))
+      done
     end
     else
-      for i = 0 to dst.Buffer.shape.(d) - 1 do
-        dst_idx.(d) <- i;
-        go (d + 1)
+      for i = 0 to shape.(d) - 1 do
+        go (d + 1) (so + (i * sstr.(d))) (o + (i * dstr.(d)))
       done
   in
-  go 0
+  if rank = 0 then dd.(0) <- sd.(0) else go 0 0 0
 
 let reshape_copy src dst =
   if Buffer.num_elements src <> Buffer.num_elements dst then
@@ -73,22 +75,26 @@ let conv2d_nchw i w o =
   match (i.Buffer.shape, w.Buffer.shape, o.Buffer.shape) with
   | [| n; c; h; ww |], [| f; c'; kh; kw |], [| n'; f'; oh; ow |]
     when c = c' && n = n' && f = f' && oh = h - kh + 1 && ow = ww - kw + 1 ->
+      let id = i.Buffer.data and wd = w.Buffer.data and od = o.Buffer.data in
+      let is = i.Buffer.strides and ws = w.Buffer.strides
+      and os = o.Buffer.strides in
+      (* Row-major buffers: the last dim of each has stride 1. *)
       for nn = 0 to n - 1 do
         for ff = 0 to f - 1 do
           for y = 0 to oh - 1 do
             for x = 0 to ow - 1 do
-              let acc = ref (Buffer.get o [| nn; ff; y; x |]) in
+              let oo = (nn * os.(0)) + (ff * os.(1)) + (y * os.(2)) + x in
+              let acc = ref od.(oo) in
               for cc = 0 to c - 1 do
                 for r = 0 to kh - 1 do
+                  let io = (nn * is.(0)) + (cc * is.(1)) + ((y + r) * is.(2)) + x
+                  and wo = (ff * ws.(0)) + (cc * ws.(1)) + (r * ws.(2)) in
                   for s = 0 to kw - 1 do
-                    acc :=
-                      !acc
-                      +. Buffer.get i [| nn; cc; y + r; x + s |]
-                         *. Buffer.get w [| ff; cc; r; s |]
+                    acc := !acc +. (id.(io + s) *. wd.(wo + s))
                   done
                 done
               done;
-              Buffer.set o [| nn; ff; y; x |] !acc
+              od.(oo) <- !acc
             done
           done
         done

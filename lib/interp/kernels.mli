@@ -7,11 +7,16 @@ val matmul : Buffer.t -> Buffer.t -> Buffer.t -> unit
 (** [matvec ?transpose a x y]: y += A x, or y += Aᵀ x when [transpose]. *)
 val matvec : ?transpose:bool -> Buffer.t -> Buffer.t -> Buffer.t -> unit
 
+(** [transpose ~perm src dst]: dst dim [d] is src dim [perm.(d)]. Walks
+    [dst] in order and [src] by its strides permuted by [perm]. *)
 val transpose : perm:int array -> Buffer.t -> Buffer.t -> unit
 
 (** Reshape between row-major contiguous buffers is a plain copy. *)
 val reshape_copy : Buffer.t -> Buffer.t -> unit
 
+(** [conv2d_nchw i w o]: o += conv(i, w) by strides, each output's
+    products added in {!contract}'s order over the [blas.sconv2d] maps
+    (channel, kernel row, kernel column), so the two agree bit for bit. *)
 val conv2d_nchw : Buffer.t -> Buffer.t -> Buffer.t -> unit
 
 (** [contract ~loc ~maps ~dims a b c]: generic contraction over the

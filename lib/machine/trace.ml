@@ -319,7 +319,14 @@ let compile_nest ctx loops ~iter_weight ~vectorized ~fl sites =
       for s = 0 to n_sites - 1 do
         addrs.(s) <- cur.(s) + (k_in.(s) * lo)
       done;
-      run ~movers_only:false ~record:false logged ~n;
+      (* Most plain entries log nowhere: a direct call saves a call
+         through [run] on every entry (2-4% on conv2d-nchw's 5-iteration
+         entries). *)
+      (match !sink with
+      | None ->
+          stats.mem_cycles <-
+            Cache.run_strided hier plan ~n ~addrs ~costs stats.mem_cycles
+      | Some _ -> run ~movers_only:false ~record:false logged ~n);
       count n
     end
   in

@@ -176,9 +176,15 @@ let time_schedule_ext ?pm ?file schedule machine src =
 
 (* ---- differential execution ----------------------------------------------- *)
 
+(* One translation: the schedule runs on a clone of the reference, which
+   prints as a fresh translation's would (test_mlt pins all 16 Figure-9
+   kernels under every config). Once the reference is the undistributed
+   emission (ROADMAP item 3), the two no longer start from the same IR:
+   the schedule's copy must then come from a distributed emission of the
+   same parse, not from this clone. *)
 let check_schedule_semantics ?(seed = 0) ?eps ?engine ?file schedule src =
   let reference = translate_checked ?file src in
-  let transformed = prepare_schedule_module schedule (translate ?file src) in
+  let transformed = prepare_schedule_module schedule (Core.clone_op reference) in
   let name = Core.func_name (sole_func reference) in
   Interp.Eval.equivalent ?eps ?engine reference transformed name ~seed
 

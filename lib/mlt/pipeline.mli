@@ -170,9 +170,12 @@ val time_schedule_ext :
 (** [check_schedule_semantics schedule src] — differential execution
     check: run the untransformed kernel and the schedule's full pipeline
     output on identical random inputs through the interpreter and
-    compare every buffer. The CLI's [--verify-exec] and the test suite
-    use this to pin each pipeline to real execution semantics (not just
-    the verifier's structural invariants). *)
+    compare every buffer. [src] is translated once: the schedule is
+    prepared on a {!Ir.Core.clone_op} of the reference, as
+    [mlt-opt --verify-exec] does, and {!Interp.Eval.equivalent} draws
+    one input battery for both. The CLI's [--verify-exec] and the test
+    suite use this to pin each pipeline to real execution semantics (not
+    just the verifier's structural invariants). *)
 val check_schedule_semantics :
   ?seed:int ->
   ?eps:float ->

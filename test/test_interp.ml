@@ -4,6 +4,39 @@ module B = Interp.Buffer
 module K = Interp.Kernels
 module W = Workloads.Polybench
 
+(* The index-array transpose the library kernel replaced: one source and
+   one destination index vector per element, read through
+   [Buffer.get]/[Buffer.set]. The strided [Kernels.transpose] must move
+   the same bits. *)
+module Ref_transpose = struct
+  let transpose ~perm src dst =
+    let rank = B.rank dst in
+    let inv = Ir.Affine_map.inverse_permutation perm in
+    let src_idx = Array.make rank 0 in
+    let dst_idx = Array.make rank 0 in
+    (* dst dim d draws from src dim perm.(d): src_idx.(j) = dst_idx.(inv.(j)). *)
+    let rec go d =
+      if d = rank then begin
+        for j = 0 to rank - 1 do
+          src_idx.(j) <- dst_idx.(inv.(j))
+        done;
+        B.set dst dst_idx (B.get src src_idx)
+      end
+      else
+        for i = 0 to dst.B.shape.(d) - 1 do
+          dst_idx.(d) <- i;
+          go (d + 1)
+        done
+    in
+    go 0
+end
+
+let same_bits a b =
+  a.B.shape = b.B.shape
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a.B.data b.B.data
+
 let test_buffer_indexing () =
   let b = B.create [ 2; 3; 4 ] in
   Alcotest.(check int) "elements" 24 (B.num_elements b);
@@ -93,6 +126,78 @@ let test_approx_equal_non_finite () =
       (-0.0, 0.0, true);
     ]
 
+(* Random rank 2-4 shapes with extents 1-5, each with a random
+   permutation. *)
+let shape_and_perm =
+  let gen st =
+    let rank = 2 + Random.State.int st 3 in
+    let shape = Array.init rank (fun _ -> 1 + Random.State.int st 5) in
+    let perm = Array.init rank Fun.id in
+    for i = rank - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let t = perm.(i) in
+      perm.(i) <- perm.(j);
+      perm.(j) <- t
+    done;
+    (shape, perm)
+  in
+  let ints a = String.concat "," (List.map string_of_int (Array.to_list a)) in
+  QCheck.make gen ~print:(fun (shape, perm) ->
+      Printf.sprintf "shape [%s] perm [%s]" (ints shape) (ints perm))
+
+let prop_transpose_matches_oracle =
+  QCheck.Test.make ~name:"strided transpose = index-array oracle" ~count:200
+    (QCheck.pair shape_and_perm QCheck.small_nat)
+    (fun ((shape, perm), seed) ->
+      let src = B.create (Array.to_list shape) in
+      B.randomize ~seed src;
+      let out_shape =
+        Linalg.Linalg_ops.transposed_shape perm (Array.to_list shape)
+      in
+      let got = B.create out_shape and want = B.create out_shape in
+      K.transpose ~perm src got;
+      Ref_transpose.transpose ~perm src want;
+      same_bits got want)
+
+(* [approx_equal] pinned on its edge cases: NaNs agree only with NaNs,
+   infinities only with themselves, signed zeros are equal, the
+   tolerance is [eps *. max 1 |x| |y|] inclusive, and buffers of other
+   shapes never agree. *)
+let test_approx_equal_table () =
+  let one x = B.init [ 1 ] (fun _ -> x) in
+  List.iter
+    (fun (what, eps, a, b, expected) ->
+      Alcotest.(check bool) what expected (B.approx_equal ?eps a b))
+    [
+      ("NaN / NaN", None, one Float.nan, one Float.nan, true);
+      ("NaN / 1", None, one Float.nan, one 1.0, false);
+      ("1 / NaN", None, one 1.0, one Float.nan, false);
+      ("inf / inf", None, one Float.infinity, one Float.infinity, true);
+      ("-inf / -inf", None, one Float.neg_infinity, one Float.neg_infinity, true);
+      ("inf / -inf", None, one Float.infinity, one Float.neg_infinity, false);
+      ("inf / max_float", None, one Float.infinity, one Float.max_float, false);
+      ("0 / -0", None, one 0.0, one (-0.0), true);
+      ("-0 / 0", Some 0., one (-0.0), one 0.0, true);
+      ("equal, eps 0", Some 0., one 1e300, one 1e300, true);
+      ("1 ulp apart, eps 0", Some 0., one 1.0, one (Float.succ 1.0), false);
+      (* eps 0.25 at scale 4: the tolerance is exactly 1. *)
+      ("on eps*scale", Some 0.25, one 3.0, one 4.0, true);
+      ("just inside eps*scale", Some 0.25, one (Float.succ 3.0), one 4.0, true);
+      ("just outside eps*scale", Some 0.25, one (Float.pred 3.0), one 4.0, false);
+      (* Below 1 the scale is 1: the tolerance is eps itself. *)
+      ("on eps, scale 1", Some 0.25, one 0.0, one 0.25, true);
+      ("just outside eps, scale 1", Some 0.25, one 0.0, one (Float.succ 0.25), false);
+      ("default eps inside", None, one 1.0, one 1.00001, true);
+      ("default eps outside", None, one 1.0, one 1.001, false);
+      ("shape [2] / [1; 2]", None, B.create [ 2 ], B.create [ 1; 2 ], false);
+      ("shape [2; 3] / [3; 2]", None, B.create [ 2; 3 ], B.create [ 3; 2 ], false);
+      ( "one bad element of three",
+        None,
+        B.init [ 3 ] (fun i -> float_of_int i.(0)),
+        B.init [ 3 ] (fun i -> if i.(0) = 1 then Float.nan else float_of_int i.(0)),
+        false );
+    ]
+
 let test_reshape_kernel () =
   let src = B.init [ 2; 6 ] (fun i -> float_of_int ((i.(0) * 6) + i.(1))) in
   let dst = B.create [ 2; 2; 3 ] in
@@ -105,7 +210,7 @@ let test_contract_kernel_is_matmul () =
   let maps ?(attrs = []) name =
     Option.get (Ir.Structured.maps (Ir.Core.create_op ~attrs name))
   in
-  let check what maps shapes named =
+  let check ?(exact = false) what maps shapes named =
     let[@warning "-8"] [ a; b; c1 ] =
       List.mapi
         (fun i s ->
@@ -121,7 +226,8 @@ let test_contract_kernel_is_matmul () =
     in
     K.contract ~loc:Support.Loc.unknown ~maps ~dims a b c1;
     named a b c2;
-    Alcotest.(check bool) (what ^ ": same result") true (B.approx_equal c1 c2);
+    Alcotest.(check bool) (what ^ ": same result") true
+      (if exact then same_bits c1 c2 else B.approx_equal c1 c2);
     dims
   in
   Alcotest.(check (array int)) "inferred space" [| 4; 3; 5 |]
@@ -138,9 +244,42 @@ let test_contract_kernel_is_matmul () =
        [ [ 4; 5 ]; [ 4 ]; [ 5 ] ]
        (K.matvec ~transpose:true));
   ignore
-    (check "conv2d_nchw" (maps "blas.sconv2d")
+    (check ~exact:true "conv2d_nchw" (maps "blas.sconv2d")
        [ [ 2; 3; 6; 7 ]; [ 4; 3; 3; 2 ]; [ 2; 4; 4; 6 ] ]
        K.conv2d_nchw)
+
+(* [conv2d_nchw] adds the products in [contract]'s order over the
+   [blas.sconv2d] maps (channel, then kernel row, then kernel column,
+   innermost), so the two agree bit for bit on any shapes. *)
+let prop_conv2d_matches_contract =
+  let maps = Option.get (Ir.Structured.maps (Ir.Core.create_op "blas.sconv2d")) in
+  QCheck.Test.make ~name:"strided conv2d_nchw = contract, bit for bit"
+    ~count:100
+    QCheck.(
+      pair
+        (quad (int_range 1 2) (int_range 1 3) (int_range 1 3) (int_range 0 3))
+        (quad (int_range 1 3) (int_range 1 3) (int_range 0 3) small_nat))
+    (fun ((n, c, f, dh), (kh, kw, dw, seed)) ->
+      let h = kh + dh and w = kw + dw in
+      let shapes =
+        [ [ n; c; h; w ]; [ f; c; kh; kw ]; [ n; f; dh + 1; dw + 1 ] ]
+      in
+      let[@warning "-8"] [ i; wt; o1 ] =
+        List.mapi
+          (fun k s ->
+            let b = B.create s in
+            B.randomize ~seed:(seed + k) b;
+            b)
+          shapes
+      in
+      let o2 = B.copy o1 in
+      let dims =
+        Ir.Structured.iteration_dims ~maps
+          ~shapes:[ i.B.shape; wt.B.shape; o1.B.shape ]
+      in
+      K.contract ~loc:Support.Loc.unknown ~maps ~dims i wt o1;
+      K.conv2d_nchw i wt o2;
+      same_bits o1 o2)
 
 let test_interp_gemm_matches_reference () =
   let n = 6 in
@@ -374,6 +513,79 @@ let test_interp_errors () =
     Alcotest.fail "expected shape error"
   with Support.Diag.Error (loc, _) -> check_located "shape" f loc
 
+(* [Eval.equivalent] hands the second module a copy of the first's input
+   battery, taken before either runs. *)
+let test_equivalent_shares_inputs () =
+  let tr = Met.Emit_affine.translate in
+  let copy_out =
+    tr
+      "void k(float A[5][7], float B[5][7]) {\n\
+      \  for (int i = 0; i < 5; ++i)\n\
+      \    for (int j = 0; j < 7; ++j)\n\
+      \      B[i][j] = A[i][j];\n\
+       }\n"
+  in
+  let bump =
+    tr
+      "void k(float A[5][7], float B[5][7]) {\n\
+      \  for (int i = 0; i < 5; ++i)\n\
+      \    for (int j = 0; j < 7; ++j)\n\
+      \      A[i][j] = A[i][j] + 1.0;\n\
+       }\n"
+  in
+  let check what expected m1 m2 =
+    List.iter
+      (fun engine ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s (%s)" what (Interp.Rt.engine_name engine))
+          expected
+          (Interp.Eval.equivalent ~eps:0. ~engine m1 m2 "k" ~seed:5))
+      [ Interp.Eval.Walk; Interp.Eval.Compiled ]
+  in
+  (* B holds a copy of A on return: with no tolerance, both modules read
+     the same bits. *)
+  check "inputs copied out agree" true copy_out (Ir.Core.clone_op copy_out);
+  (* An in-place update run twice on one battery would add 2. *)
+  check "in-place update, copied before the first run" true bump
+    (Ir.Core.clone_op bump);
+  check "different outputs differ" false copy_out bump;
+  (* The battery is the one [run_on_random] draws. *)
+  let drawn = Interp.Eval.run_on_random copy_out "k" ~seed:5 in
+  let a = List.hd drawn and b = List.nth drawn 1 in
+  Alcotest.(check bool) "B = A, bit for bit" true (same_bits a b);
+  let fresh = B.create [ 5; 7 ] in
+  B.randomize ~seed:5 fresh;
+  Alcotest.(check bool) "A is seed's battery" true (same_bits a fresh)
+
+(* Signatures that differ are drawn for each module and answer [false]
+   without raising. *)
+let test_equivalent_signature_mismatch () =
+  let tr = Met.Emit_affine.translate in
+  let kernel params body = tr (Printf.sprintf "void k(%s) {\n%s\n}\n" params body) in
+  let base =
+    kernel "float A[4], float B[4]"
+      "for (int i = 0; i < 4; ++i) B[i] = A[i];"
+  in
+  let extra_arg =
+    kernel "float A[4], float B[4], float C[4]"
+      "for (int i = 0; i < 4; ++i) B[i] = A[i];"
+  in
+  let other_shape =
+    kernel "float A[5], float B[5]"
+      "for (int i = 0; i < 4; ++i) B[i] = A[i];"
+  in
+  List.iter
+    (fun (what, m1, m2) ->
+      match Interp.Eval.equivalent m1 m2 "k" ~seed:1 with
+      | verdict -> Alcotest.(check bool) what false verdict
+      | exception e ->
+          Alcotest.failf "%s raised %s" what (Printexc.to_string e))
+    [
+      ("one more argument", base, extra_arg);
+      ("one fewer argument", extra_arg, base);
+      ("other shapes", base, other_shape);
+    ]
+
 let suite =
   [
     Alcotest.test_case "buffer indexing" `Quick test_buffer_indexing;
@@ -385,9 +597,16 @@ let suite =
     QCheck_alcotest.to_alcotest prop_transpose_involution;
     Alcotest.test_case "approx_equal: NaN and infinities" `Quick
       test_approx_equal_non_finite;
+    Alcotest.test_case "approx_equal table" `Quick test_approx_equal_table;
+    QCheck_alcotest.to_alcotest prop_transpose_matches_oracle;
     Alcotest.test_case "reshape kernel" `Quick test_reshape_kernel;
     Alcotest.test_case "contract generalizes matmul" `Quick
       test_contract_kernel_is_matmul;
+    QCheck_alcotest.to_alcotest prop_conv2d_matches_contract;
+    Alcotest.test_case "equivalent: one input battery, copied" `Quick
+      test_equivalent_shares_inputs;
+    Alcotest.test_case "equivalent: signature mismatch is false" `Quick
+      test_equivalent_signature_mismatch;
     Alcotest.test_case "interp gemm = reference" `Quick
       test_interp_gemm_matches_reference;
     Alcotest.test_case "interp conv = reference" `Quick

@@ -317,6 +317,38 @@ let test_out_of_bounds_kernel_is_located () =
             Machine.Machine_model.intel_i9 src))
     Mlt.Pipeline.[ Clang_O3; Pluto_default; Pluto_best ]
 
+(* [check_schedule_semantics] translates once and prepares the schedule
+   on a clone of the reference: for every Figure-9 kernel, at the
+   Figure-9 and the verify benchmark's sizes, under every config, the
+   clone's schedule prints the bytes a fresh translation's does. *)
+let test_cloned_schedule_prints_as_translated () =
+  let module P = Mlt.Pipeline in
+  let sources =
+    List.map (fun (k, src, _) -> ("fig9 " ^ k, src)) (W.figure9_suite ())
+    @ List.map
+        (fun (k, src) -> ("verify " ^ k, src))
+        (Test_interp_compile.verify_kernels ())
+  in
+  let pairs = ref 0 in
+  List.iter
+    (fun (k, src) ->
+      List.iter
+        (fun c ->
+          let s = P.Config c in
+          let fresh = Printer.op_to_string (P.prepare_schedule s src) in
+          let reference = Met.Emit_affine.translate src in
+          let cloned =
+            Printer.op_to_string
+              (P.prepare_schedule_module s (Core.clone_op reference))
+          in
+          incr pairs;
+          Alcotest.(check string)
+            (Printf.sprintf "%s under %s" k (P.config_name c))
+            fresh cloned)
+        P.all_configs)
+    sources;
+  Alcotest.(check int) "kernels x sizes x configs" 192 !pairs
+
 let suite =
   [
     Alcotest.test_case "chain: CLRS example" `Quick test_chain_cormen_example;
@@ -352,4 +384,6 @@ let suite =
       test_pipeline_errors_name_the_file;
     Alcotest.test_case "out-of-bounds kernel fails at its access" `Quick
       test_out_of_bounds_kernel_is_located;
+    Alcotest.test_case "a cloned reference prepares as a fresh translation"
+      `Quick test_cloned_schedule_prints_as_translated;
   ]
