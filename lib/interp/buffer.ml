@@ -100,14 +100,3 @@ let approx_equal ?(eps = 1e-4) a b =
     end
   done;
   !ok
-
-let pp fmt b =
-  Format.fprintf fmt "buffer<%s>["
-    (String.concat "x" (Array.to_list (Array.map string_of_int b.shape)));
-  let n = min 8 (Array.length b.data) in
-  for i = 0 to n - 1 do
-    if i > 0 then Format.fprintf fmt ", ";
-    Format.fprintf fmt "%g" b.data.(i)
-  done;
-  if Array.length b.data > n then Format.fprintf fmt ", ...";
-  Format.fprintf fmt "]"

@@ -10,11 +10,6 @@ type t = {
 (** [create shape] — zero-initialized. *)
 val create : int list -> t
 
-(** [strides_of shape] — the row-major element strides of a shape. Exposed
-    so the staged execution engine can precompute linear offsets from
-    static memref types at compile time. *)
-val strides_of : int array -> int array
-
 (** [of_type t] for a fully static memref type. *)
 val of_type : Ir.Typ.t -> t
 
@@ -48,5 +43,3 @@ val approx_equal : ?eps:float -> t -> t -> bool
 
 (** Largest absolute element-wise difference (shapes must match). *)
 val max_abs_diff : t -> t -> float
-
-val pp : Format.formatter -> t -> unit

@@ -6,8 +6,8 @@
      register frame (an [int array] for index/integer values, a
      [float array] for scalars, a [Buffer.t array] for memrefs) — no
      hash-table lookups in the hot path;
-   - op dispatch (the walker's per-iteration string match) is resolved
-     once at compile time: each op becomes a closure specialized to its
+   - op dispatch (a tree walker's per-iteration string match) is
+     resolved once at compile time: each op becomes a closure specialized to its
      operand/result slots;
    - affine bounds, [affine.apply] maps and access offsets are staged
      by [Affine.Stage], which also numbers the integer slots; loop bounds
@@ -31,15 +31,16 @@
      step, and outer levels write their iv slot and evaluate the next
      level's bounds per iteration, so tile [min]/[max] and iv-dependent
      bounds hold. The innermost level reads the three loads before the
-     store in every iteration and applies the walker's [*.] and [+.] in IR
-     operand order, so buffers stay bit-identical (NaN payloads included)
-     even when the store aliases a load. A lone innermost loop is a nest
-     of depth 1. Any other body keeps the closure path, whose levels are
-     tried again as nests of their own; [c_fused_loops] counts the fused
-     nests and [c_fused_levels] their summed depth.
+     store in every iteration and applies the reference's [*.] and [+.]
+     in IR operand order, so buffers stay bit-identical (NaN payloads
+     included) even when the store aliases a load. A lone innermost loop
+     is a nest of depth 1. Any other body keeps the closure path, whose
+     levels are tried again as nests of their own; [c_fused_loops] counts
+     the fused nests and [c_fused_levels] their summed depth.
 
-   The tree-walker in [Eval] remains the semantic oracle; differential
-   tests assert bit-identical buffers between the two engines. *)
+   The tests' reference interpreter (test/ref_interp.ml) is the
+   semantic oracle; differential tests assert bit-identical buffers
+   between it and this engine. *)
 
 open Ir
 module A = Affine.Affine_ops
@@ -83,7 +84,7 @@ let create_ctx bounds =
   }
 
 (* Definition sites assign a slot (and with it the value's runtime class,
-   mirroring the walker's dynamic R_int/R_float/R_buf tagging). *)
+   mirroring the reference's dynamic R_int/R_float/R_buf tagging). *)
 let def_int ctx v = Affine.Stage.def ctx.stage v
 
 let def_float ctx (v : Core.value) =
@@ -108,7 +109,7 @@ let buf_slot ctx op (v : Core.value) =
   | Some s -> s
   | None -> error_at op "interp: expected a buffer value"
 
-(* Float reads coerce integer operands like the walker's [as_float]. *)
+(* Float reads coerce integer operands like the reference's [as_float]. *)
 let float_rd ctx op (v : Core.value) : frame -> float =
   match Hashtbl.find_opt ctx.float_slot v.v_id with
   | Some s -> fun fr -> fr.floats.(s)
@@ -255,10 +256,11 @@ let compile_level ctx (op : Core.op) =
    level evaluates its bounds on entry, writes its iv slot each iteration
    (the next level's bounds may read it: tile [min]/[max]) and advances
    the four offsets by its coefficients times its step. The innermost
-   level runs three reads, the walker's [*.] and [+.] in IR operand order
-   and the store per iteration. Reading before writing in every iteration
-   keeps buffers bit-identical to the walker even when the store aliases
-   a load, and the levels iterate in the walker's order. *)
+   level runs three reads, the reference's [*.] and [+.] in IR operand
+   order and the store per iteration. Reading before writing in every
+   iteration keeps buffers bit-identical to the reference even when the
+   store aliases a load, and the levels iterate in the reference's
+   order. *)
 let compile_mac_nest ctx
     (loops, ((ba, a), (bb, b), (bc, c), (bs, s), product_first)) : code =
   let levels : Affine.Stage.level array =
@@ -392,7 +394,7 @@ and compile_op ctx (op : Core.op) : code option =
             | _ -> fun fr -> fr.floats.(d) <- fr.floats.(a) /. fr.floats.(b))
       | None ->
           (* Mixed int/float operands: coerce through getters like the
-             walker's [as_float]. *)
+             reference's [as_float]. *)
           let ga = float_rd ctx op x and gb = float_rd ctx op y in
           Some
             (match op.o_name with
@@ -418,7 +420,7 @@ and compile_op ctx (op : Core.op) : code option =
       let shape = Array.to_list (static_shape_of op r) in
       let d = def_buf ctx r in
       (* Allocation stays inside the closure: an alloc nested in a loop
-         yields a fresh zeroed buffer per iteration, like the walker. *)
+         yields a fresh zeroed buffer per iteration, like the reference. *)
       Some (fun fr -> fr.bufs.(d) <- Buffer.create shape)
   | "affine.for" -> (
       match match_mac_nest ctx op with
@@ -530,5 +532,3 @@ let execute c args =
   in
   List.iteri (fun i b -> fr.bufs.(c.c_arg_slots.(i)) <- b) args;
   c.c_body fr
-
-let run_func f args = execute (compile_func f) args

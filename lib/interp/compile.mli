@@ -7,16 +7,17 @@
     affine bounds, [affine.apply] maps and access offsets are staged by
     {!Affine.Stage}, whose slot table owns the integer frame; the engine
     keeps the buffer reads and writes. Accesses that {!Affine.Bounds}
-    proves in bounds are unchecked; the rest fall back to the walker's
-    per-dimension checked path with identical failure behavior. A perfect
-    [affine.for] nest whose innermost body is one multiply-accumulate
-    statement over proven, linear accesses runs as a single native
-    strided walk.
+    proves in bounds are unchecked; the rest take a per-dimension checked
+    path that fails an index out of its dimension with {!Rt.index_error}.
+    A perfect [affine.for] nest whose innermost body is one
+    multiply-accumulate statement over proven, linear accesses runs as a
+    single native strided walk.
 
-    The tree-walker in {!Eval} is the reference oracle; differential tests
-    assert bit-identical buffers between the two engines. Compilation
-    and runtime failures both raise a {!Support.Diag.Error} located at
-    the offending op, prefixed ["interp: "] (see {!Rt}). *)
+    This is the interpreter's one engine ({!Eval.run_func} runs it). The
+    tests compare its buffers bit for bit with a tree-walking reference
+    interpreter, test/ref_interp.ml. Compilation and runtime failures
+    both raise a {!Support.Diag.Error} located at the offending op,
+    prefixed ["interp: "] (see {!Rt}). *)
 
 (** The typed register frame a compiled function executes against. *)
 type frame = {
@@ -62,6 +63,3 @@ val compile_func : Ir.Core.op -> compiled
     the compiled body over them (results are written into the argument
     buffers, as in {!Eval.run_func}). *)
 val execute : compiled -> Buffer.t list -> unit
-
-(** [run_func f args] = [execute (compile_func f) args]. *)
-val run_func : Ir.Core.op -> Buffer.t list -> unit

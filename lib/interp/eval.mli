@@ -6,44 +6,33 @@
     computes the same buffers as the original (the paper relies on MLIR's
     verifier and testing for this).
 
-    Two execution engines share one op semantics:
+    Functions run on the staged engine ({!Compile}): each call compiles
+    the function once into nested closures over slot-indexed register
+    frames, with op dispatch, affine maps, loop bounds and memory-access
+    offsets resolved at compile time, then executes it. Failures raise a
+    {!Support.Diag.Error} located at the offending op (see {!Rt}). The
+    tests compare it bit for bit with a tree-walking reference
+    interpreter, test/ref_interp.ml. *)
 
-    - [Walk] — the simple tree-walking oracle (hash-table environment,
-      per-op string dispatch). Intentionally simple; kept as the reference
-      implementation. No program runs it: the differential tests
-      (test/test_interp_compile.ml's "engines agree" cases, every
-      kernel at the affine, SCF and Linalg levels) compare it with
-      [Compiled].
-    - [Compiled] — the staged engine ({!Compile}): the function is compiled
-      once into nested closures over slot-indexed register frames, with
-      op dispatch, affine maps, loop bounds and memory-access offsets all
-      resolved at compile time. Default, roughly an order of magnitude
-      faster on loop-level IR.
+(** The one engine. [engine] and {!default_engine} are read only by the
+    benchmark driver, which checks that the compiled engine runs; both go
+    with the next benchmark change. *)
+type engine = Compiled
 
-    Entry points take [?engine] (default {!default_engine}, initially
-    [Compiled]); differential tests pin both engines explicitly and compare
-    buffers bit-for-bit. Both engines fail with a {!Support.Diag.Error}
-    located at the offending op (see {!Rt}). *)
-
-(** Re-export of {!Rt.engine} so callers can say [Interp.Eval.Walk]. *)
-type engine = Rt.engine = Walk | Compiled
-
-(** Process-wide default engine, [Compiled] initially. No CLI flag
-    changes it; callers that want the oracle pass [~engine:Walk]. *)
 val default_engine : engine ref
 
 (** [run_func f args] executes a [func.func]; [args] provides one buffer
     per memref argument (mutated in place). *)
-val run_func : ?engine:engine -> Ir.Core.op -> Buffer.t list -> unit
+val run_func : Ir.Core.op -> Buffer.t list -> unit
 
 (** [run m name args] — look up and run a function of a module. *)
-val run : ?engine:engine -> Ir.Core.op -> string -> Buffer.t list -> unit
+val run : Ir.Core.op -> string -> Buffer.t list -> unit
 
-(** [run_on_random m name ~seed shapes] — convenience for tests: allocate
-    buffers per the function signature, fill them with reproducible random
-    data, run, and return the buffers. *)
-val run_on_random :
-  ?engine:engine -> Ir.Core.op -> string -> seed:int -> Buffer.t list
+(** [run_on_random m name ~seed] — convenience for tests: allocate
+    buffers per the function signature, fill argument [i] with
+    reproducible random data drawn from [seed + i], run, and return the
+    buffers. *)
+val run_on_random : Ir.Core.op -> string -> seed:int -> Buffer.t list
 
 (** [equivalent m1 m2 name ~seed] — run the same-named function of two
     modules on identical random inputs; [true] when both return as many
@@ -54,10 +43,4 @@ val run_on_random :
     either runs. Otherwise [m2]'s own battery is drawn after [m1]'s run,
     and differing signatures answer [false]. *)
 val equivalent :
-  ?eps:float ->
-  ?engine:engine ->
-  Ir.Core.op ->
-  Ir.Core.op ->
-  string ->
-  seed:int ->
-  bool
+  ?eps:float -> Ir.Core.op -> Ir.Core.op -> string -> seed:int -> bool

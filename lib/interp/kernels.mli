@@ -31,6 +31,7 @@ val fill : float -> Buffer.t -> unit
 
 (** [library op]: the kernel that runs a Linalg, BLAS or [affine.matmul]
     op on its operands' buffers, attributes decoded once; [None] for any
-    other op. Both engines dispatch through it. Named ops keep their own
+    other op. The staged engine and the tests' reference interpreter
+    both dispatch through it. Named ops keep their own
     kernels: {!contract} costs a closure per subscript per point. *)
 val library : Ir.Core.op -> (Buffer.t array -> unit) option

@@ -2,12 +2,6 @@ open Ir
 
 let error_at op fmt = Support.Diag.errorf ~loc:(Core.nearest_loc op) fmt
 
-type engine = Walk | Compiled
-
-let default_engine = ref Compiled
-
-let engine_name = function Walk -> "walk" | Compiled -> "compiled"
-
 let floordivsi op x y =
   if y = 0 then error_at op "interp: division by zero"
   else Affine_expr.floordiv x y

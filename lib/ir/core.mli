@@ -227,7 +227,8 @@ val walk : op -> (op -> unit) -> unit
 (** Post-order variant (children before parents). *)
 val walk_post : op -> (op -> unit) -> unit
 
-(** Walk that may erase/replace the visited op: iterates over a snapshot. *)
+(** A walk that may erase/replace the visited op: iterates over a
+    snapshot. *)
 val walk_safe : op -> (op -> unit) -> unit
 
 (** First nested op (pre-order, excluding root) satisfying the predicate. *)

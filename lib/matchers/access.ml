@@ -257,7 +257,7 @@ let match_contraction ctx ~out ~in1 ~in2 (b : Core.block) =
       (match List.rev ops with
       | last :: _ when Core.op_equal last store -> ()
       | _ -> raise Exit);
-      (* Walk backwards from the stored value: add(load_out, mul(a, b)),
+      (* Read backwards from the stored value: add(load_out, mul(a, b)),
          commutatively. *)
       let stored = A.stored_value store in
       match defining stored with

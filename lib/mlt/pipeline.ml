@@ -182,11 +182,11 @@ let time_schedule_ext ?pm ?file schedule machine src =
    emission (ROADMAP item 3), the two no longer start from the same IR:
    the schedule's copy must then come from a distributed emission of the
    same parse, not from this clone. *)
-let check_schedule_semantics ?(seed = 0) ?eps ?engine ?file schedule src =
+let check_schedule_semantics ?(seed = 0) ?eps ?file schedule src =
   let reference = translate_checked ?file src in
   let transformed = prepare_schedule_module schedule (Core.clone_op reference) in
   let name = Core.func_name (sole_func reference) in
-  Interp.Eval.equivalent ?eps ?engine reference transformed name ~seed
+  Interp.Eval.equivalent ?eps reference transformed name ~seed
 
 (* ---- compile-time measurement (§5.2) -------------------------------------- *)
 

@@ -169,8 +169,8 @@ val time_schedule_ext :
 
 (** [check_schedule_semantics schedule src] — differential execution
     check: run the untransformed kernel and the schedule's full pipeline
-    output on identical random inputs through the interpreter and
-    compare every buffer. [src] is translated once: the schedule is
+    output on identical random inputs through the interpreter's one
+    engine ({!Interp.Eval.run_func}) and compare every buffer. [src] is translated once: the schedule is
     prepared on a {!Ir.Core.clone_op} of the reference, as
     [mlt-opt --verify-exec] does, and {!Interp.Eval.equivalent} draws
     one input battery for both. The CLI's [--verify-exec] and the test
@@ -179,7 +179,6 @@ val time_schedule_ext :
 val check_schedule_semantics :
   ?seed:int ->
   ?eps:float ->
-  ?engine:Interp.Eval.engine ->
   ?file:string ->
   schedule ->
   string ->

@@ -8,8 +8,8 @@ let count_ops root pred =
   !n
 
 (* Interchange of reduction loops assumes reassociation: mark the code
-   fast-math so the machine model may vectorize reductions, exactly as
-   [Pluto.apply]'s vectorize step does. *)
+   fast-math so the machine model may vectorize reductions (Pluto
+   configurations with [vectorize] elaborate to this step). *)
 let interchange payload =
   let n = T.Interchange.vectorize_func payload in
   Core.walk payload (fun op ->

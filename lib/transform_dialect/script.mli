@@ -36,8 +36,8 @@ val equal_step : step -> step -> bool
 val step_name : step -> string
 
 (** The elaboration of one Pluto configuration: fuse, then (with
-    [vectorize]) interchange, then (with [tile > 1]) tile — the exact
-    sequence {!Transforms.Pluto.apply} runs, as script steps. *)
+    [vectorize]) interchange, then (with [tile > 1]) tile. The tests hold
+    it to the IR of the legacy direct-call sequence (test/ref_pluto.ml). *)
 val of_pluto : Transforms.Pluto.config -> step list
 
 (** [of_steps steps] builds the script module (the result verifies). *)

@@ -6,19 +6,17 @@
     [Pluto-best] sweeps tile sizes and fusion heuristics and keeps the
     best-scoring variant (the paper sweeps >3000 combinations over days of
     autotuning; our sweep is a small grid scored on the machine model,
-    which preserves the "best of the transformation space" role). *)
+    which preserves the "best of the transformation space" role).
 
-open Ir
+    A configuration runs as the transform-script steps
+    {!Transform.Script.of_pluto} elaborates it to: fusion, then (with
+    [vectorize]) vectorizing interchange, then (with [tile > 1]) tiling. *)
 
 type config = { tile : int; fusion : Loop_fuse.heuristic; vectorize : bool }
 
 val default_config : config
 
 val config_to_string : config -> string
-
-(** [apply config func] transforms in place: fusion, then (optionally)
-    vectorizing interchange, then tiling. *)
-val apply : config -> Core.op -> unit
 
 (** The sweep grid for Pluto-best: tile sizes from 4 up to roughly a
     quarter of [max_trip], times the three fusion heuristics, times

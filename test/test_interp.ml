@@ -31,12 +31,6 @@ module Ref_transpose = struct
     go 0
 end
 
-let same_bits a b =
-  a.B.shape = b.B.shape
-  && Array.for_all2
-       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-       a.B.data b.B.data
-
 let test_buffer_indexing () =
   let b = B.create [ 2; 3; 4 ] in
   Alcotest.(check int) "elements" 24 (B.num_elements b);
@@ -157,7 +151,7 @@ let prop_transpose_matches_oracle =
       let got = B.create out_shape and want = B.create out_shape in
       K.transpose ~perm src got;
       Ref_transpose.transpose ~perm src want;
-      same_bits got want)
+      Ref_interp.same_bits got want)
 
 (* [approx_equal] pinned on its edge cases: NaNs agree only with NaNs,
    infinities only with themselves, signed zeros are equal, the
@@ -227,7 +221,7 @@ let test_contract_kernel_is_matmul () =
     K.contract ~loc:Support.Loc.unknown ~maps ~dims a b c1;
     named a b c2;
     Alcotest.(check bool) (what ^ ": same result") true
-      (if exact then same_bits c1 c2 else B.approx_equal c1 c2);
+      (if exact then Ref_interp.same_bits c1 c2 else B.approx_equal c1 c2);
     dims
   in
   Alcotest.(check (array int)) "inferred space" [| 4; 3; 5 |]
@@ -279,7 +273,7 @@ let prop_conv2d_matches_contract =
       in
       K.contract ~loc:Support.Loc.unknown ~maps ~dims i wt o1;
       K.conv2d_nchw i wt o2;
-      same_bits o1 o2)
+      Ref_interp.same_bits o1 o2)
 
 let test_interp_gemm_matches_reference () =
   let n = 6 in
@@ -375,20 +369,21 @@ let test_interp_affine_bound_no_results () =
       (Astring_contains.contains msg "bound map");
     check_located "bound map" loop loc
 
-let expect_iter_args_error engine f loop =
-  try
-    Interp.Eval.run_func ~engine f [];
-    Alcotest.fail "expected an iter_args error"
-  with Support.Diag.Error (loc, msg) ->
-    Alcotest.(check bool)
-      (Interp.Rt.engine_name engine ^ " names iter_args")
-      true
-      (Astring_contains.contains msg "iter_args");
-    check_located (Interp.Rt.engine_name engine ^ " iter_args") loop loc
+let expect_iter_args_error f loop =
+  List.iter
+    (fun (engine, run_func) ->
+      try
+        run_func f [];
+        Alcotest.fail "expected an iter_args error"
+      with Support.Diag.Error (loc, msg) ->
+        Alcotest.(check bool) (engine ^ " names iter_args") true
+          (Astring_contains.contains msg "iter_args");
+        check_located (engine ^ " iter_args") loop loc)
+    Ref_interp.engines
 
 let test_interp_affine_for_iter_args_diagnosed () =
-  (* A loop with results (loop-carried iter_args) is unsupported; both
-     engines must say so eagerly at the loop op instead of failing later
+  (* A loop with results (loop-carried iter_args) is unsupported; the
+     reference and the compiled engine must say so eagerly at the loop op instead of failing later
      with a misleading "no runtime binding". *)
   Ir.Core.with_loc built_loc @@ fun () ->
   let f = Ir.Core.create_func ~name:"f" ~arg_types:[] () in
@@ -405,8 +400,7 @@ let test_interp_affine_for_iter_args_diagnosed () =
       ~regions:[ Ir.Core.create_region [ body ] ]
   in
   Ir.Core.append_op (Ir.Core.func_entry f) loop;
-  expect_iter_args_error Interp.Eval.Walk f loop;
-  expect_iter_args_error Interp.Eval.Compiled f loop
+  expect_iter_args_error f loop
 
 let test_interp_scf_for_iter_args_diagnosed () =
   (* Same diagnosis for scf.for carrying an extra block argument. *)
@@ -423,11 +417,11 @@ let test_interp_scf_for_iter_args_diagnosed () =
       ~regions:[ Ir.Core.create_region [ body ] ]
   in
   Ir.Core.append_op (Ir.Core.func_entry f) loop;
-  expect_iter_args_error Interp.Eval.Walk f loop;
-  expect_iter_args_error Interp.Eval.Compiled f loop
+  expect_iter_args_error f loop
 
 let test_interp_signed_div_rem () =
-  (* Floor-division semantics on the full sign grid, on both engines:
+  (* Floor-division semantics on the full sign grid, on the reference
+     and the compiled engine:
      quotient rounds toward -inf, remainder carries the divisor's sign
      (consistent with affine Mod/Floor_div, so raise_scf/lower_affine
      round-trips preserve semantics for negative operands). *)
@@ -452,20 +446,18 @@ let test_interp_signed_div_rem () =
       ignore (Std_dialect.Memref_ops.store b r a [ ir ]))
     cases;
   List.iter
-    (fun engine ->
+    (fun (engine, run_func) ->
       let buf = B.create [ 8 ] in
-      Interp.Eval.run_func ~engine f [ buf ];
+      run_func f [ buf ];
       List.iteri
         (fun i (x, y, ed, er) ->
-          let tag op =
-            Printf.sprintf "%s: %d %s %d" (Interp.Rt.engine_name engine) x op y
-          in
+          let tag op = Printf.sprintf "%s: %d %s %d" engine x op y in
           Alcotest.(check (float 0.)) (tag "floordiv") ed
             (B.get buf [| 2 * i |]);
           Alcotest.(check (float 0.)) (tag "rem") er
             (B.get buf [| (2 * i) + 1 |]))
         cases)
-    [ Interp.Eval.Walk; Interp.Eval.Compiled ]
+    Ref_interp.engines
 
 let test_interp_div_rem_by_zero () =
   List.iter
@@ -485,15 +477,15 @@ let test_interp_div_rem_by_zero () =
       ignore (Std_dialect.Memref_ops.store b v a [ c0 ]);
       let div = Option.get (Ir.Core.defining_op v) in
       List.iter
-        (fun engine ->
+        (fun (engine, run_func) ->
           try
-            Interp.Eval.run_func ~engine f [ B.create [ 1 ] ];
-            Alcotest.fail "expected a division-by-zero error"
+            run_func f [ B.create [ 1 ] ];
+            Alcotest.failf "%s: expected a division-by-zero error" engine
           with Support.Diag.Error (loc, msg) ->
-            Alcotest.(check bool) "mentions zero" true
+            Alcotest.(check bool) (engine ^ " mentions zero") true
               (Astring_contains.contains msg "zero");
-            check_located "division by zero" div loc)
-        [ Interp.Eval.Walk; Interp.Eval.Compiled ])
+            check_located (engine ^ " division by zero") div loc)
+        Ref_interp.engines)
     [ Std_dialect.Arith.floordivsi; Std_dialect.Arith.remsi ]
 
 let test_interp_errors () =
@@ -534,13 +526,8 @@ let test_equivalent_shares_inputs () =
        }\n"
   in
   let check what expected m1 m2 =
-    List.iter
-      (fun engine ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s (%s)" what (Interp.Rt.engine_name engine))
-          expected
-          (Interp.Eval.equivalent ~eps:0. ~engine m1 m2 "k" ~seed:5))
-      [ Interp.Eval.Walk; Interp.Eval.Compiled ]
+    Alcotest.(check bool) what expected
+      (Interp.Eval.equivalent ~eps:0. m1 m2 "k" ~seed:5)
   in
   (* B holds a copy of A on return: with no tolerance, both modules read
      the same bits. *)
@@ -552,10 +539,14 @@ let test_equivalent_shares_inputs () =
   (* The battery is the one [run_on_random] draws. *)
   let drawn = Interp.Eval.run_on_random copy_out "k" ~seed:5 in
   let a = List.hd drawn and b = List.nth drawn 1 in
-  Alcotest.(check bool) "B = A, bit for bit" true (same_bits a b);
+  Alcotest.(check bool) "B = A, bit for bit" true (Ref_interp.same_bits a b);
   let fresh = B.create [ 5; 7 ] in
   B.randomize ~seed:5 fresh;
-  Alcotest.(check bool) "A is seed's battery" true (same_bits a fresh)
+  Alcotest.(check bool) "A is seed's battery" true
+    (Ref_interp.same_bits a fresh);
+  Alcotest.(check bool) "the reference draws the same battery" true
+    (Ref_interp.all_same_bits drawn
+       (Ref_interp.run_on_random copy_out "k" ~seed:5))
 
 (* Signatures that differ are drawn for each module and answer [false]
    without raising. *)
@@ -624,8 +615,10 @@ let suite =
       test_interp_affine_for_iter_args_diagnosed;
     Alcotest.test_case "scf.for iter_args diagnosed eagerly" `Quick
       test_interp_scf_for_iter_args_diagnosed;
-    Alcotest.test_case "signed floordiv/rem sign grid (both engines)" `Quick
+    Alcotest.test_case
+      "signed floordiv/rem sign grid (reference and compiled)" `Quick
       test_interp_signed_div_rem;
-    Alcotest.test_case "div/rem by zero raise cleanly (both engines)" `Quick
+    Alcotest.test_case
+      "div/rem by zero raise cleanly (reference and compiled)" `Quick
       test_interp_div_rem_by_zero;
   ]

@@ -1,6 +1,7 @@
 (* Differential tests for the staged compile-to-closure execution engine:
    on every workload and on random programs, the compiled engine must
-   produce buffers bit-identical to the tree-walking oracle. *)
+   produce buffers bit-identical to the tree-walking reference
+   ([Ref_interp]). *)
 
 open Ir
 module A = Affine.Affine_ops
@@ -8,19 +9,18 @@ module B = Interp.Buffer
 module E = Affine_expr
 module W = Workloads.Polybench
 
-(* Run [fname] of module [m] through both engines on identical random
-   inputs and require bit-identical output buffers (not approx_equal: the
-   engines execute the same float operations in the same order). *)
+(* Run [fname] of module [m] through the reference and the compiled
+   engine on identical random inputs and require bit-identical output
+   buffers, NaN payloads included (not approx_equal: both execute the
+   same float operations in the same order). *)
 let engines_agree ?(seed = 17) m fname =
-  let walk = Interp.Eval.run_on_random ~engine:Interp.Eval.Walk m fname ~seed in
-  let compiled =
-    Interp.Eval.run_on_random ~engine:Interp.Eval.Compiled m fname ~seed
-  in
-  List.for_all2 (fun a b -> B.max_abs_diff a b = 0.) walk compiled
+  Ref_interp.all_same_bits
+    (Ref_interp.run_on_random m fname ~seed)
+    (Interp.Eval.run_on_random m fname ~seed)
 
 let check_engines_agree name m fname =
   if not (engines_agree m fname) then
-    Alcotest.failf "%s: compiled engine disagrees with the walker" name
+    Alcotest.failf "%s: compiled engine disagrees with the reference" name
 
 let func_name_of m =
   Core.func_name
@@ -48,8 +48,9 @@ let test_engines_agree_scf_level () =
     (loop_level_inputs ())
 
 let test_engines_agree_linalg_level () =
-  (* After raising, execution goes through the kernel fast paths of both
-     engines; they must still agree bit-for-bit. *)
+  (* After raising, execution goes through the kernels both the reference
+     and the compiled engine dispatch to; they must still agree
+     bit-for-bit. *)
   List.iter
     (fun (name, src) ->
       let m = Met.Emit_affine.translate src in
@@ -111,7 +112,7 @@ let prop_random_programs_engines_agree =
     in
     return (Printf.sprintf "void f(float A%s) { %s }" dims (loops 0))
   in
-  QCheck.Test.make ~name:"random nests: compiled engine = walker (bitwise)"
+  QCheck.Test.make ~name:"random nests: compiled engine = reference (bitwise)"
     ~count:60
     (QCheck.make ~print:Fun.id gen)
     (fun src ->
@@ -383,17 +384,9 @@ let mac_inputs seed =
           | 4 -> Float.neg_infinity
           | _ -> Random.State.float st 4.0 -. 2.0))
 
-let bitwise_equal xs ys =
-  List.for_all2
-    (fun (x : B.t) (y : B.t) ->
-      Array.for_all2
-        (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
-        x.data y.data)
-    xs ys
-
-let prop_fused_mac_is_walker =
+let prop_fused_mac_is_reference =
   QCheck.Test.make
-    ~name:"fused multiply-accumulate loops = walker (bitwise, NaN payloads)"
+    ~name:"fused multiply-accumulate loops = reference (bitwise, NaN payloads)"
     ~count:400
     (QCheck.make ~print:mac_print gen_mac)
     (fun d ->
@@ -403,13 +396,13 @@ let prop_fused_mac_is_walker =
         let args = mac_inputs d.fill_seed in
         match exec args with () -> Ok args | exception e -> Error e
       in
-      let walk = run (Interp.Eval.run_func ~engine:Interp.Eval.Walk f) in
+      let walk = run (Ref_interp.run_func f) in
       let fused = run (Interp.Compile.execute c) in
       c.Interp.Compile.c_fused_loops = (if d.oob then 0 else 1)
       && c.Interp.Compile.c_fused_levels = mac_fused_depth d
       &&
       match (walk, fused) with
-      | Ok w, Ok x -> bitwise_equal w x
+      | Ok w, Ok x -> Ref_interp.all_same_bits w x
       | ( Error (Support.Diag.Error (wloc, wmsg)),
           Error (Support.Diag.Error (loc, msg)) ) ->
           d.oob && Support.Loc.equal loc oob_loc && Support.Loc.equal wloc loc
@@ -455,7 +448,7 @@ let test_frame_is_dense_and_reusable () =
 let test_unprovable_access_uses_checked_fallback () =
   (* A[i * (2 - i)] for i in [0,3) only ever touches A[0] and A[1], but
      interval analysis sees [0*0, 2*2] = [0,4] over shape [2]: it must take
-     the checked fallback — and still agree with the walker. *)
+     the checked fallback — and still agree with the reference. *)
   let f =
     Core.create_func ~name:"quad" ~arg_types:[ Typ.memref [ 2 ] Typ.F32 ]
       ~arg_hints:[ "A" ] ()
@@ -483,33 +476,34 @@ let test_unprovable_access_uses_checked_fallback () =
     x
   in
   let bw = buf () and bc = buf () in
-  Interp.Eval.run_func ~engine:Interp.Eval.Walk f [ bw ];
+  Ref_interp.run_func f [ bw ];
   Interp.Compile.execute c [ bc ];
-  Alcotest.(check (float 0.)) "checked path agrees with walker" 0.
-    (B.max_abs_diff bw bc)
+  Alcotest.(check bool) "checked path agrees with the reference" true
+    (Ref_interp.same_bits bw bc)
 
 let test_out_of_bounds_still_detected () =
   (* Shrinking the declared shape under the loop extent makes the access
-     genuinely out of bounds: both engines must refuse it (not read out of
-     the buffer). Both raise the same [Diag.Error], located at the
-     access, naming the dimension, the index and the extent. *)
+     genuinely out of bounds: the reference and the compiled engine must
+     refuse it (not read out of the buffer). Both raise the same
+     [Diag.Error], located at the access, naming the dimension, the index
+     and the extent. *)
   let m = Met.Emit_affine.translate ~file:"mm.c" (W.mm ~ni:4 ~nj:4 ~nk:4 ()) in
   let f = Option.get (Core.find_func m "mm") in
   List.iter
     (fun (p : Core.value) -> p.Core.v_typ <- Typ.memref [ 3; 3 ] Typ.F32)
     (Core.func_args f);
-  let run engine =
-    Interp.Eval.run_func ~engine f (List.init 3 (fun _ -> B.create [ 3; 3 ]))
+  let run run_func =
+    run_func f (List.init 3 (fun _ -> B.create [ 3; 3 ]))
   in
   let walked =
-    match run Interp.Eval.Walk with
-    | () -> Alcotest.fail "walk: expected out-of-bounds"
+    match run Ref_interp.run_func with
+    | () -> Alcotest.fail "reference: expected out-of-bounds"
     | exception Support.Diag.Error (loc, msg) -> Support.Diag.to_string loc msg
   in
-  match run Interp.Eval.Compiled with
+  match run Interp.Eval.run_func with
   | () -> Alcotest.fail "compiled: expected out-of-bounds"
   | exception Support.Diag.Error (loc, msg) ->
-      Alcotest.(check string) "the walker fails the same way"
+      Alcotest.(check string) "the reference fails the same way"
         (Support.Diag.to_string loc msg) walked;
       let accesses = ref [] in
       Core.walk f (fun op ->
@@ -632,22 +626,44 @@ let test_fused_loops_table () =
     ]
     levels
 
-(* ---- pipeline-level differential check --------------------------------- *)
+(* ---- every schedule's output ------------------------------------------- *)
 
-let test_pipeline_check_semantics () =
-  let src = W.mm ~ni:12 ~nj:12 ~nk:12 () in
+(* Each kernel under each configuration: the pipeline's differential
+   check holds, and the reference and the compiled engine leave the same
+   bits on the prepared module. The suite's extents stay under
+   pluto-default's 32, so a gemm past them adds the min-bounded tiles;
+   mlt-blas adds the BLAS calls and mlt-affine-blis the [affine.matmul]
+   its BLIS schedule times. The counts below keep that coverage. *)
+let test_reference_agrees_on_every_schedule () =
+  let module P = Mlt.Pipeline in
+  let min_bounds = ref 0 and blas = ref 0 and affine_matmul = ref 0 in
   List.iter
-    (fun config ->
+    (fun (name, src) ->
       List.iter
-        (fun engine ->
-          let schedule = Mlt.Pipeline.Config config in
-          if not (Mlt.Pipeline.check_schedule_semantics ~engine schedule src)
-          then
-            Alcotest.failf "%s changed semantics (engine %s)"
-              (Mlt.Pipeline.config_name config)
-              (Interp.Rt.engine_name engine))
-        [ Interp.Eval.Walk; Interp.Eval.Compiled ])
-    [ Mlt.Pipeline.Mlt_linalg; Mlt.Pipeline.Mlt_blas ]
+        (fun config ->
+          let what = Printf.sprintf "%s under %s" name (P.config_name config) in
+          let schedule = P.Config config in
+          if not (P.check_schedule_semantics schedule src) then
+            Alcotest.failf "%s changed semantics" what;
+          let m = P.prepare_schedule schedule src in
+          Core.walk m (fun op ->
+              match op.Core.o_name with
+              | "affine.for" ->
+                  if Affine_map.n_results (fst (A.for_ub op)) > 1 then
+                    incr min_bounds
+              | "affine.matmul" -> incr affine_matmul
+              | name when String.starts_with ~prefix:"blas." name -> incr blas
+              | _ -> ());
+          check_engines_agree what m (func_name_of m))
+        P.all_configs)
+    (("mm 40x36x33", W.mm ~ni:40 ~nj:36 ~nk:33 ()) :: W.tiny_suite ());
+  List.iter
+    (fun (what, n) -> Alcotest.(check bool) what true (!n > 0))
+    [
+      ("min-bounded tiles ran", min_bounds);
+      ("BLAS calls ran", blas);
+      ("affine.matmul ran", affine_matmul);
+    ]
 
 let suite =
   [
@@ -660,17 +676,17 @@ let suite =
     Alcotest.test_case "engines agree: tiled (min-bound maps)" `Quick
       test_engines_agree_tiled;
     QCheck_alcotest.to_alcotest prop_random_programs_engines_agree;
-    QCheck_alcotest.to_alcotest prop_fused_mac_is_walker;
+    QCheck_alcotest.to_alcotest prop_fused_mac_is_reference;
     Alcotest.test_case "mm: every access statically proven in bounds" `Quick
       test_mm_compiles_fully_unchecked;
     Alcotest.test_case "compile once, execute many (dense frames)" `Quick
       test_frame_is_dense_and_reusable;
     Alcotest.test_case "unprovable index takes the checked fallback" `Quick
       test_unprovable_access_uses_checked_fallback;
-    Alcotest.test_case "out-of-bounds detected by both engines" `Quick
-      test_out_of_bounds_still_detected;
-    Alcotest.test_case "pipeline differential check (both engines)" `Quick
-      test_pipeline_check_semantics;
+    Alcotest.test_case "out-of-bounds detected by reference and compiled"
+      `Quick test_out_of_bounds_still_detected;
+    Alcotest.test_case "reference agrees on every schedule's output" `Quick
+      test_reference_agrees_on_every_schedule;
     Alcotest.test_case "fused-loop counts at the verify benchmark's sizes"
       `Quick test_fused_loops_table;
   ]

@@ -1232,14 +1232,14 @@ let prop_strided_matches_closures (name, count, gen) =
         MM.platforms)
 
 (* The simulator rejects a nest at stage time only when it runs an access
-   out of bounds, which the walking interpreter then fails on too. When
+   out of bounds, which the interpreter then fails on too. When
    every loop has constant bounds and runs, the converse holds: each
    access runs at every corner of its box, where its subscripts reach
    their extremes, so any access the interpreter finds out of bounds is
    rejected. The interpreter reads the same analysis: a nest it compiles
-   with no checked access never runs out of bounds in the walker. The
-   walker and the compiled engine fail the same access, with the same
-   located error. *)
+   with no checked access never runs out of bounds in the reference
+   interpreter ([Ref_interp]). The reference and the compiled engine fail
+   the same access, with the same located error. *)
 let prop_rejects_exactly_out_of_bounds =
   QCheck.Test.make ~name:"simulator rejects only out-of-bounds nests"
     ~count:300
@@ -1254,18 +1254,19 @@ let prop_rejects_exactly_out_of_bounds =
         | _ -> false
         | exception Support.Diag.Error _ -> true
       in
-      (* Both engines fail the first out-of-bounds access, located at it. *)
-      let run engine =
+      (* The reference and the compiled engine fail the first
+         out-of-bounds access, located at it. *)
+      let run run_func =
         let bufs = Array.to_list (Array.map Interp.Buffer.create n.shapes) in
-        match Interp.Eval.run_func ~engine f bufs with
+        match run_func f bufs with
         | () -> None
         | exception Support.Diag.Error (loc, msg)
           when Astring_contains.contains msg "out of bounds" ->
             Some (loc, msg)
       in
-      let walked = run Interp.Eval.Walk in
+      let walked = run Ref_interp.run_func in
       let out_of_bounds = Option.is_some walked in
-      (match (walked, run Interp.Eval.Compiled) with
+      (match (walked, run Interp.Eval.run_func) with
       | Some (wl, wm), Some (cl, cm)
         when Support.Loc.is_known wl && Support.Loc.equal wl cl && wm = cm ->
           ()

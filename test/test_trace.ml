@@ -232,7 +232,7 @@ let test_chrome_escaping () =
 let test_interp_spans () =
   let t = Trace.Memory.create () in
   let m = Met.Emit_affine.translate (W.mm ~ni:4 ~nj:4 ~nk:4 ()) in
-  ignore (Interp.Eval.run_on_random ~engine:Interp.Eval.Compiled m "mm" ~seed:3);
+  ignore (Interp.Eval.run_on_random m "mm" ~seed:3);
   Trace.Memory.detach t;
   let interp name =
     events_where
@@ -245,9 +245,7 @@ let test_interp_spans () =
   match interp "exec" with
   | e :: _ ->
       Alcotest.(check (option string)) "exec names the function" (Some "mm")
-        (arg_str e "func");
-      Alcotest.(check (option string)) "exec names the engine"
-        (Some "compiled") (arg_str e "engine")
+        (arg_str e "func")
   | [] -> ()
 
 let test_remarks_mirrored_into_trace () =

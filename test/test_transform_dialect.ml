@@ -105,13 +105,14 @@ let test_configs_match_pinned_digests () =
     P.all_configs
 
 (* The vectorizing Pluto elaboration (interchange + fast_math marking)
-   must match Pluto.apply too — it is what the tuner's sweep runs. *)
+   must match the legacy Ref_pluto.apply too — it is what the tuner's
+   sweep runs. *)
 let test_vectorized_pluto_matches_apply () =
   let src = W.mm ~ni:8 ~nj:8 ~nk:8 () in
   List.iter
     (fun (cfg : T.Pluto.config) ->
       let legacy = Met.Emit_affine.translate src in
-      T.Pluto.apply cfg (sole_func legacy);
+      Ref_pluto.apply cfg (sole_func legacy);
       Verifier.verify legacy;
       let scripted = Met.Emit_affine.translate src in
       let compiled = Transform.Interp.compile_steps (Script.of_pluto cfg) in
@@ -120,7 +121,7 @@ let test_vectorized_pluto_matches_apply () =
         compiled;
       Verifier.verify scripted;
       Alcotest.(check string)
-        (T.Pluto.config_to_string cfg ^ " matches Pluto.apply")
+        (T.Pluto.config_to_string cfg ^ " matches Ref_pluto.apply")
         (Printer.op_to_string legacy)
         (Printer.op_to_string scripted))
     [
@@ -319,7 +320,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_roundtrip;
     Alcotest.test_case "six configs byte-identical to pinned IR digests"
       `Quick test_configs_match_pinned_digests;
-    Alcotest.test_case "vectorized pluto elaborations match Pluto.apply"
+    Alcotest.test_case "vectorized pluto elaborations match Ref_pluto.apply"
       `Quick test_vectorized_pluto_matches_apply;
     Alcotest.test_case "compiled steps run in sequence" `Quick
       test_compile_applies_in_sequence;

@@ -189,7 +189,7 @@ let test_pluto_configs_preserve_semantics () =
     (fun config ->
       equivalent_after "gemm"
         (W.gemm ~ni:10 ~nj:10 ~nk:10 ())
-        (fun m -> T.Pluto.apply config m))
+        (fun m -> Ref_pluto.apply config m))
     configs
 
 (* --- canonicalize ------------------------------------------------------- *)

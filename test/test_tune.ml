@@ -28,7 +28,7 @@ let legacy_sweep () =
       (fun best cfg ->
         let m = translate () in
         let f = sole_func m in
-        T.Pluto.apply cfg f;
+        Ref_pluto.apply cfg f;
         Verifier.verify m;
         let report = M.Perf.time_func machine f in
         match best with
