@@ -134,6 +134,9 @@ let rec box (op : Core.op) =
       | _ -> None)
   | _ -> None
 
+let interval t idx e =
+  Option.map (fun { lo; hi } -> (lo, hi)) (over t idx (merged idx e))
+
 let access (op : Core.op) =
   match op.o_name with
   | "affine.load" | "affine.store" ->

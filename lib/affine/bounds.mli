@@ -22,6 +22,11 @@ type t
     ops nested in them. *)
 val analyze : Core.op list -> t
 
+(** [interval t idx e] — an interval [(lo, hi)] holding every value of
+    [e] when dim [d] is the value [idx.(d)] (an access's index operands;
+    dims bound to one value merged), or [None] when unknown. *)
+val interval : t -> Core.value array -> Affine_expr.t -> (int * int) option
+
 (** [access op] — the memref, the subscripts over the index operands and
     those operands of an [affine.load]/[affine.store], or of a
     [memref.load]/[memref.store] (identity subscripts); else [None]. *)

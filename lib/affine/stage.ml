@@ -143,7 +143,8 @@ let level t op =
 
 (* ---- access offsets --------------------------------------------------- *)
 
-(* An access's location, row-major strides, subscripts and index operands. *)
+(* An access's location, shape, row-major strides, subscripts and index
+   operands. *)
 let access t op =
   let loc = Core.nearest_loc op in
   let memref, exprs, idx = Option.get (Bounds.access op) in
@@ -160,25 +161,51 @@ let access t op =
   for i = n - 2 downto 0 do
     strides.(i) <- strides.(i + 1) * shape.(i + 1)
   done;
-  (loc, strides, exprs, idx)
+  (loc, shape, strides, exprs, idx)
 
 let offset t op =
-  let loc, strides, exprs, idx = access t op in
+  let loc, _, strides, exprs, idx = access t op in
   expr ~who:t.who ~loc ~what:op.Core.o_name (operands t op idx)
     (E.row_major_offset strides exprs)
 
 let subscripts t op =
-  let loc, _, exprs, idx = access t op in
+  let loc, _, _, exprs, idx = access t op in
   let slots = operands t op idx in
   Array.of_list
     (List.map (expr ~who:t.who ~loc ~what:op.Core.o_name slots) exprs)
 
 type strided = { base : int array -> int; coeffs : int array }
 
-let strided t ivs op =
-  let loc, strides, exprs, idx = access t op in
+(* [Some l] when the subscripts are the mixed-radix digits of one [l]:
+   subscript [i] is [(l floordiv strides.(i)) mod shape.(i)] (no
+   [floordiv] where the stride is 1), and the first may lack its [mod].
+   Where [0 <= l < shape.(0) * strides.(0)], the row-major offset of
+   those digits is [l] itself, so [bounds] must prove that. *)
+let digits_of bounds shape strides exprs idx =
+  let digit i e =
+    let is k = function E.Const c -> c = k | _ -> false in
+    match e with
+    | E.Mod (E.Floor_div (l, q), n) when is strides.(i) q && is shape.(i) n ->
+        Some l
+    | E.Mod (l, n) when strides.(i) = 1 && is shape.(i) n -> Some l
+    | E.Floor_div (l, q) when i = 0 && is strides.(0) q -> Some l
+    | _ -> None
+  in
+  match List.mapi digit exprs with
+  | Some l :: rest
+    when List.for_all
+           (function Some l' -> E.structural_equal l l' | None -> false)
+           rest -> (
+      match Bounds.interval bounds idx l with
+      | Some (lo, hi) when lo >= 0 && hi < shape.(0) * strides.(0) -> Some l
+      | _ -> None)
+  | _ -> None
+
+let strided t ~bounds ivs op =
+  let loc, shape, strides, exprs, idx = access t op in
   let e = E.row_major_offset strides exprs in
   check ~who:t.who ~loc ~what:op.Core.o_name (Array.length idx) e;
+  let e = Option.value ~default:e (digits_of bounds shape strides exprs idx) in
   Option.map
     (fun (l : E.linear) ->
       let coeffs = Array.make (Array.length ivs) 0 in

@@ -82,7 +82,15 @@ type strided = {
   coeffs : int array;  (** per iv; every map dim bound to it summed *)
 }
 
-(** [strided t ivs op] splits the offset of the access [op] over the
-    enclosing induction variables [ivs] (outermost first), or [None]
-    when the offset is not linear. The ivs need no slot. *)
-val strided : t -> Core.value array -> Core.op -> strided option
+(** [strided t ~bounds ivs op] splits the offset of the access [op] over
+    the enclosing induction variables [ivs] (outermost first), or [None]
+    when the offset is not linear. The ivs need no slot.
+
+    A reshape's subscripts are the mixed-radix digits of one linear [l]
+    (subscript [i] is [(l floordiv q_i) mod n_i], [q_i] the memref's
+    stride and [n_i] its extent; the last is [l mod n], the first may
+    lack its [mod]): when [bounds] proves [0 <= l < prod n], the offset is
+    [l] itself and is split as such. The fold is exact on every value
+    [bounds] allows, and is made only here: the IR keeps its subscripts. *)
+val strided :
+  t -> bounds:Bounds.t -> Core.value array -> Core.op -> strided option

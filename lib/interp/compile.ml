@@ -19,24 +19,28 @@
      back to the per-dimension checked path, which fails an index out of
      its dimension with a [Diag.Error] located at the access op;
    - a perfect [affine.for] nest (every level's body exactly the next
-     level plus its yield) whose innermost body is one multiply-accumulate
-     statement [S = C + A * B] (three [affine.load]s, [arith.mulf],
-     [arith.addf], the [affine.store] last; either operand order) whose
-     four accesses are proven in bounds with offsets linear in the
-     nest's ivs runs as one native strided walk ([compile_mac_nest]), not
-     as six op closures per iteration and a closure call per outer
-     iteration. Each access's offset is [Affine.Stage.strided]: a base
-     evaluated once per nest entry and a coefficient per level;
-     each level advances the four offsets by its coefficient times its
-     step, and outer levels write their iv slot and evaluate the next
-     level's bounds per iteration, so tile [min]/[max] and iv-dependent
-     bounds hold. The innermost level reads the three loads before the
-     store in every iteration and applies the reference's [*.] and [+.]
-     in IR operand order, so buffers stay bit-identical (NaN payloads
+     level plus its yield) runs as one native strided walk
+     ([compile_nest]), not as op closures per iteration and a closure
+     call per outer iteration, when its innermost body is one of two
+     statements over accesses proven in bounds with offsets linear in the
+     nest's ivs: a multiply-accumulate [S = C + A * B] (three
+     [affine.load]s, [arith.mulf], [arith.addf], the [affine.store] last;
+     either operand order) or a copy [store (load X), Y]. Each access's
+     offset is [Affine.Stage.strided]: a base evaluated once per nest
+     entry and a coefficient per level. A transpose's offsets are linear
+     as written; a reshape's [floordiv]/[mod] digit subscripts are the
+     mixed-radix digits of one linear index, which [strided] folds into
+     that index where [Affine.Bounds] proves it inside the memref. Outer
+     levels write their iv slot and evaluate the next level's bounds per
+     iteration, so tile [min]/[max] and iv-dependent bounds hold. The
+     innermost level reads before it stores in every iteration (a
+     multiply-accumulate applies the reference's [*.] and [+.] in IR
+     operand order), so buffers stay bit-identical (NaN payloads
      included) even when the store aliases a load. A lone innermost loop
      is a nest of depth 1. Any other body keeps the closure path, whose
      levels are tried again as nests of their own; [c_fused_loops] counts
-     the fused nests and [c_fused_levels] their summed depth.
+     the multiply-accumulate nests, [c_fused_levels] their summed depth
+     and [c_copy_loops] the copy nests.
 
    The tests' reference interpreter (test/ref_interp.ml) is the
    semantic oracle; differential tests assert bit-identical buffers
@@ -67,6 +71,7 @@ type ctx = {
   mutable unchecked_accesses : int;
   mutable fused_loops : int;
   mutable fused_levels : int;
+  mutable copy_loops : int;
 }
 
 let create_ctx bounds =
@@ -81,6 +86,7 @@ let create_ctx bounds =
     unchecked_accesses = 0;
     fused_loops = 0;
     fused_levels = 0;
+    copy_loops = 0;
   }
 
 (* Definition sites assign a slot (and with it the value's runtime class,
@@ -185,13 +191,20 @@ let compile_access ctx (op : Core.op) : code =
           b.data.(offset fr b) <- gv fr
   end
 
-(* ---------------- fused multiply-accumulate nests ----------------------- *)
+(* ---------------- strided nests ------------------------------------------ *)
 
 let ( let* ) = Option.bind
 
-(* [Some (a, b, c, s, product_first)] when a loop body's [ops], without
-   its terminator, are exactly [s = addf(mulf(a, b), c)] ([product_first])
-   or [s = addf(c, mulf(a, b))] over three distinct [affine.load]s, with
+(* The innermost body of a strided nest, over its accesses in order. *)
+type body =
+  | Mac of bool
+      (* [s = c + a * b] over [a; b; c; s]; [true] when the product is
+         [arith.addf]'s first operand *)
+  | Copy  (* [store (load x), y] over [x; y] *)
+
+(* [Some (Mac _, [| a; b; c; s |])] when a loop body's [ops], without
+   its terminator, are exactly [s = addf(mulf(a, b), c)] or
+   [s = addf(c, mulf(a, b))] over three distinct [affine.load]s, with
    the [affine.store] [s] last. *)
 let match_mac (ops : Core.op list) =
   let def name (v : Core.value) =
@@ -218,124 +231,164 @@ let match_mac (ops : Core.op list) =
       in
       let* a = def "affine.load" (Core.operand mul 0) in
       let* b = def "affine.load" (Core.operand mul 1) in
-      if a != b && a != c && b != c then Some (a, b, c, s, product_first)
+      if a != b && a != c && b != c then
+        Some (Mac product_first, [| a; b; c; s |])
       else None
   | _ -> None
 
-(* [Some (loops, (a, b, c, s, product_first))] when the perfect nest from
-   [op] ([Affine.Loops.perfect_nest]: every level's body is exactly the
-   next level) ends in a multiply-accumulate body whose four accesses are
-   proven in bounds with offsets linear in the nest's ivs: each is its
-   buffer slot and its {!Affine.Stage.strided} offset, whose base reads
+(* [Some (Copy, [| x; y |])] when the body is exactly an [affine.load] [x]
+   and an [affine.store] [y] of its result. *)
+let match_copy (ops : Core.op list) =
+  match ops with
+  | [ x; y ] when A.is_load x && A.is_store y -> (
+      match (A.stored_value y).v_def with
+      | Core.Def_op (op, 0) when op == x -> Some (Copy, [| x; y |])
+      | _ -> None)
+  | _ -> None
+
+(* [Some (loops, body, sites)] when the perfect nest from [op]
+   ([Affine.Loops.perfect_nest]: every level's body is exactly the next
+   level) ends in a multiply-accumulate or copy body whose accesses are
+   proven in bounds with offsets linear in the nest's ivs: each site is
+   its buffer slot and its {!Affine.Stage.strided} offset (a reshape's
+   digit subscripts folded where the bounds allow), whose base reads
    only values defined outside the nest. Allocates no slot, so a [None]
    leaves [ctx] as it was. *)
-let match_mac_nest ctx (op : Core.op) =
-  let loops, body = Affine.Loops.nest_with_body op in
-  let* a, b, c, s, product_first = match_mac body in
+let match_nest ctx (op : Core.op) =
+  let loops, ops = Affine.Loops.nest_with_body op in
+  let* body, accesses =
+    match match_mac ops with Some m -> Some m | None -> match_copy ops
+  in
   let ivs = Array.of_list (List.map A.for_iv loops) in
-  let strided x =
+  let site x =
     if not (Affine.Bounds.proven_in ctx.bounds x) then None
     else
       Option.map
         (fun o -> (access_buf ctx x, o))
-        (Affine.Stage.strided ctx.stage ivs x)
+        (Affine.Stage.strided ctx.stage ~bounds:ctx.bounds ivs x)
   in
-  let* a = strided a in
-  let* b = strided b in
-  let* c = strided c in
-  let* s = strided s in
-  Some (loops, (a, b, c, s, product_first))
+  let sites = Array.map site accesses in
+  if Array.for_all Option.is_some sites then
+    Some (loops, body, Array.map Option.get sites)
+  else None
 
 (* A loop level ({!Affine.Stage.level}) and its body. *)
 let compile_level ctx (op : Core.op) =
   let body = check_loop_shape op in
   (Affine.Stage.level ctx.stage op, body)
 
-(* A perfect multiply-accumulate nest as one native walk. Per nest entry
-   the four buffers and the four base offsets are read once. Every outer
-   level evaluates its bounds on entry, writes its iv slot each iteration
-   (the next level's bounds may read it: tile [min]/[max]) and advances
-   the four offsets by its coefficients times its step. The innermost
-   level runs three reads, the reference's [*.] and [+.] in IR operand
-   order and the store per iteration. Reading before writing in every
-   iteration keeps buffers bit-identical to the reference even when the
-   store aliases a load, and the levels iterate in the reference's
-   order. *)
-let compile_mac_nest ctx
-    (loops, ((ba, a), (bb, b), (bc, c), (bs, s), product_first)) : code =
+(* The innermost level of a strided nest: [inner fr o] runs it from its
+   lower bound, site [s] starting at [o.(s)] plus its coefficient times
+   that bound and moving by its coefficient times the step. A
+   multiply-accumulate reads its three loads, then applies the
+   reference's [*.] and [+.] in IR operand order and stores; a copy
+   reads, then stores. Reading before writing in every iteration keeps
+   buffers bit-identical to the reference (NaN payloads included) even
+   when the store aliases a load. *)
+let innermost body (lv : Affine.Stage.level) (bufs : int array)
+    (k : int array) =
+  let step = lv.step in
+  match body with
+  | Mac product_first ->
+      let ka = k.(0) and kb = k.(1) and kc = k.(2) and ks = k.(3) in
+      let sa = ka * step and sb = kb * step and sc = kc * step
+      and ss = ks * step in
+      fun fr (o : int array) ->
+        let da = fr.bufs.(bufs.(0)).Buffer.data
+        and db = fr.bufs.(bufs.(1)).Buffer.data
+        and dc = fr.bufs.(bufs.(2)).Buffer.data
+        and ds = fr.bufs.(bufs.(3)).Buffer.data in
+        let lb = lv.lb fr.ints and ub = lv.ub fr.ints in
+        let oa = ref (o.(0) + (ka * lb))
+        and ob = ref (o.(1) + (kb * lb))
+        and oc = ref (o.(2) + (kc * lb))
+        and os = ref (o.(3) + (ks * lb)) in
+        let i = ref lb in
+        if product_first then
+          while !i < ub do
+            ds.(!os) <- (da.(!oa) *. db.(!ob)) +. dc.(!oc);
+            oa := !oa + sa;
+            ob := !ob + sb;
+            oc := !oc + sc;
+            os := !os + ss;
+            i := !i + step
+          done
+        else
+          while !i < ub do
+            ds.(!os) <- dc.(!oc) +. (da.(!oa) *. db.(!ob));
+            oa := !oa + sa;
+            ob := !ob + sb;
+            oc := !oc + sc;
+            os := !os + ss;
+            i := !i + step
+          done
+  | Copy ->
+      let kx = k.(0) and ky = k.(1) in
+      let sx = kx * step and sy = ky * step in
+      fun fr o ->
+        let dx = fr.bufs.(bufs.(0)).Buffer.data
+        and dy = fr.bufs.(bufs.(1)).Buffer.data in
+        let lb = lv.lb fr.ints and ub = lv.ub fr.ints in
+        let ox = ref (o.(0) + (kx * lb)) and oy = ref (o.(1) + (ky * lb)) in
+        let i = ref lb in
+        while !i < ub do
+          dy.(!oy) <- dx.(!ox);
+          ox := !ox + sx;
+          oy := !oy + sy;
+          i := !i + step
+        done
+
+(* A perfect strided nest as one native walk. Per nest entry each site's
+   base offset is read once; every outer level evaluates its bounds on
+   entry, writes its iv slot each iteration (the next level's bounds may
+   read it: tile [min]/[max]) and moves each site's offset by its
+   coefficient times the iv, and the innermost level runs the body
+   ([innermost]). The levels iterate in the reference's order. *)
+let compile_nest ctx (loops, body, sites) : code =
   let levels : Affine.Stage.level array =
     Array.of_list (List.map (fun op -> fst (compile_level ctx op)) loops)
   in
-  ctx.unchecked_accesses <- ctx.unchecked_accesses + 4;
-  ctx.fused_loops <- ctx.fused_loops + 1;
-  ctx.fused_levels <- ctx.fused_levels + Array.length levels;
+  let n = Array.length sites in
+  ctx.unchecked_accesses <- ctx.unchecked_accesses + n;
+  (match body with
+  | Mac _ ->
+      ctx.fused_loops <- ctx.fused_loops + 1;
+      ctx.fused_levels <- ctx.fused_levels + Array.length levels
+  | Copy -> ctx.copy_loops <- ctx.copy_loops + 1);
   let last = Array.length levels - 1 in
-  (* Per level, each offset's coefficient and its advance per iteration. *)
-  let per_step (x : Affine.Stage.strided) =
-    Array.mapi (fun l k -> k * levels.(l).step) x.coeffs
+  let bases = Array.map (fun (_, (o : Affine.Stage.strided)) -> o.base) sites in
+  (* [k.(l).(s)]: site [s]'s move per unit of level [l]'s iv. *)
+  let k =
+    Array.init (last + 1) (fun l ->
+        Array.map (fun (_, (o : Affine.Stage.strided)) -> o.coeffs.(l)) sites)
   in
-  let sa = per_step a and sb = per_step b and sc = per_step c
-  and ss = per_step s in
-  let inner = levels.(last) in
-  let step_in = inner.step in
-  let ka = a.coeffs.(last) and kb = b.coeffs.(last)
-  and kc = c.coeffs.(last) and ks = s.coeffs.(last) in
-  let sa_in = sa.(last) and sb_in = sb.(last) and sc_in = sc.(last)
-  and ss_in = ss.(last) in
+  let inner = innermost body levels.(last) (Array.map fst sites) k.(last) in
   fun fr ->
-    let da = fr.bufs.(ba).Buffer.data
-    and db = fr.bufs.(bb).Buffer.data
-    and dc = fr.bufs.(bc).Buffer.data
-    and ds = fr.bufs.(bs).Buffer.data in
-    let innermost oa ob oc os =
-      let lb = inner.lb fr.ints and ub = inner.ub fr.ints in
-      let oa = ref (oa + (ka * lb))
-      and ob = ref (ob + (kb * lb))
-      and oc = ref (oc + (kc * lb))
-      and os = ref (os + (ks * lb)) in
-      let i = ref lb in
-      if product_first then
-        while !i < ub do
-          ds.(!os) <- (da.(!oa) *. db.(!ob)) +. dc.(!oc);
-          oa := !oa + sa_in;
-          ob := !ob + sb_in;
-          oc := !oc + sc_in;
-          os := !os + ss_in;
-          i := !i + step_in
-        done
-      else
-        while !i < ub do
-          ds.(!os) <- dc.(!oc) +. (da.(!oa) *. db.(!ob));
-          oa := !oa + sa_in;
-          ob := !ob + sb_in;
-          oc := !oc + sc_in;
-          os := !os + ss_in;
-          i := !i + step_in
-        done
-    in
-    let rec level l oa ob oc os =
-      if l = last then innermost oa ob oc os
+    let ints = fr.ints in
+    (* [at.(l)]: each site's offset with the ivs of levels [0 .. l-1]. *)
+    let at = Array.init (last + 1) (fun _ -> Array.make n 0) in
+    let first = at.(0) in
+    for s = 0 to n - 1 do
+      first.(s) <- bases.(s) ints
+    done;
+    let rec level l =
+      if l = last then inner fr at.(l)
       else begin
         let lv = levels.(l) in
-        let lb = lv.lb fr.ints and ub = lv.ub fr.ints in
-        let oa = ref (oa + (a.coeffs.(l) * lb))
-        and ob = ref (ob + (b.coeffs.(l) * lb))
-        and oc = ref (oc + (c.coeffs.(l) * lb))
-        and os = ref (os + (s.coeffs.(l) * lb)) in
-        let i = ref lb in
+        let o = at.(l) and o' = at.(l + 1) and kl = k.(l) in
+        let ub = lv.ub ints in
+        let i = ref (lv.lb ints) in
         while !i < ub do
-          fr.ints.(lv.iv_slot) <- !i;
-          level (l + 1) !oa !ob !oc !os;
-          oa := !oa + sa.(l);
-          ob := !ob + sb.(l);
-          oc := !oc + sc.(l);
-          os := !os + ss.(l);
+          ints.(lv.iv_slot) <- !i;
+          for s = 0 to n - 1 do
+            o'.(s) <- o.(s) + (kl.(s) * !i)
+          done;
+          level (l + 1);
           i := !i + lv.step
         done
       end
     in
-    let ints = fr.ints in
-    level 0 (a.base ints) (b.base ints) (c.base ints) (s.base ints)
+    level 0
 
 (* ---------------- operations -------------------------------------------- *)
 
@@ -423,8 +476,8 @@ and compile_op ctx (op : Core.op) : code option =
          yields a fresh zeroed buffer per iteration, like the reference. *)
       Some (fun fr -> fr.bufs.(d) <- Buffer.create shape)
   | "affine.for" -> (
-      match match_mac_nest ctx op with
-      | Some nest -> Some (compile_mac_nest ctx nest)
+      match match_nest ctx op with
+      | Some nest -> Some (compile_nest ctx nest)
       | None ->
           let { Affine.Stage.step; lb; ub; iv_slot }, body =
             compile_level ctx op
@@ -484,6 +537,7 @@ type compiled = {
   c_unchecked_accesses : int;
   c_fused_loops : int;
   c_fused_levels : int;
+  c_copy_loops : int;
   c_body : code;
 }
 
@@ -516,6 +570,7 @@ let compile_func f =
     c_unchecked_accesses = ctx.unchecked_accesses;
     c_fused_loops = ctx.fused_loops;
     c_fused_levels = ctx.fused_levels;
+    c_copy_loops = ctx.copy_loops;
     c_body = body;
   }
 

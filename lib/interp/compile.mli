@@ -10,8 +10,10 @@
     proves in bounds are unchecked; the rest take a per-dimension checked
     path that fails an index out of its dimension with {!Rt.index_error}.
     A perfect [affine.for] nest whose innermost body is one
-    multiply-accumulate statement over proven, linear accesses runs as a
-    single native strided walk.
+    multiply-accumulate statement or one copy ([store (load x), y]) over
+    proven, linear accesses runs as a single native strided walk; a
+    reshape copy's digit subscripts count as linear where
+    {!Affine.Stage.strided} folds them.
 
     This is the interpreter's one engine ({!Eval.run_func} runs it). The
     tests compare its buffers bit for bit with a tree-walking reference
@@ -50,6 +52,10 @@ type compiled = {
   c_fused_levels : int;
       (** the loop levels of those nests, summed (a lone innermost loop
           counts 1) *)
+  c_copy_loops : int;
+      (** perfect [affine.for] nests staged as one native copy walk
+          ([store (load x), y] innermost, both accesses proven in bounds
+          and linear, reshape digits folded) *)
   c_body : code;
 }
 

@@ -38,9 +38,16 @@ val run_on_random : Ir.Core.op -> string -> seed:int -> Buffer.t list
     modules on identical random inputs; [true] when both return as many
     buffers and each pair is {!Buffer.approx_equal} [?eps]. The battery
     ({!run_on_random}'s, argument [i] drawn from [seed + i]) is drawn
-    once, for [m1]'s function; when [m2]'s takes arguments of the same
-    types, it runs on a {!Buffer.copy} of that battery taken before
-    either runs. Otherwise [m2]'s own battery is drawn after [m1]'s run,
-    and differing signatures answer [false]. *)
+    once, for [m1]'s function.
+
+    When [m2]'s function is {!Ir.Core.structural_equal} to [m1]'s, it
+    would compute the same bits: [m1]'s runs once on the battery and the
+    answer is [true] (its located errors still raise). Otherwise, when
+    [m2]'s takes arguments of the same types, it runs on a {!Buffer.copy}
+    of the battery taken before either runs; else [m2]'s own battery is
+    drawn after [m1]'s run, and differing signatures answer [false].
+
+    The check is one [interp]/[check] trace span whose [identical]
+    argument says whether the second run was skipped. *)
 val equivalent :
   ?eps:float -> Ir.Core.op -> Ir.Core.op -> string -> seed:int -> bool

@@ -10,8 +10,11 @@ let fail op fmt =
         op.Core.o_name op.Core.o_id msg)
     fmt
 
-(* Scope = set of value ids visible at the current program point. Regions
-   introduce nested scopes; block arguments enter scope at block start. *)
+(* Scope = set of value ids visible at the current program point: one
+   table for the whole walk. A block's arguments enter it at block start
+   and each op's results after the op; all of them leave when the block
+   ends, so a sibling block or the code after the region never sees
+   them. *)
 let rec verify_op scope (op : Core.op) =
   Array.iter
     (fun (v : Core.value) ->
@@ -33,17 +36,16 @@ let rec verify_op scope (op : Core.op) =
     (fun (r : Core.region) ->
       List.iter
         (fun (b : Core.block) ->
-          let inner = Hashtbl.copy scope in
-          Array.iter
-            (fun (a : Core.value) -> Hashtbl.replace inner a.Core.v_id ())
-            b.b_args;
+          let defined = ref [] in
+          let define (v : Core.value) =
+            Hashtbl.replace scope v.Core.v_id ();
+            defined := v :: !defined
+          in
+          Array.iter define b.b_args;
           List.iter
             (fun child ->
-              verify_op inner child;
-              Array.iter
-                (fun (res : Core.value) ->
-                  Hashtbl.replace inner res.Core.v_id ())
-                child.o_results)
+              verify_op scope child;
+              Array.iter define child.o_results)
             (Core.ops_of_block b);
           (* Terminator discipline: if any op in the block is a registered
              terminator it must be the last one. *)
@@ -56,7 +58,9 @@ let rec verify_op scope (op : Core.op) =
                     o.Core.o_name
                 else check_terms rest
           in
-          check_terms (Core.ops_of_block b))
+          check_terms (Core.ops_of_block b);
+          List.iter (fun (v : Core.value) -> Hashtbl.remove scope v.Core.v_id)
+            !defined)
         r.r_blocks)
     op.o_regions
 

@@ -139,8 +139,10 @@ type site = { base : int; offset : Affine.Stage.strided; costs : float array }
 (* A straight-line body holds only accesses with linear addresses, float
    arithmetic and non-index constants: nothing in it writes an index
    value, so over one entry of its loop every address moves by a
-   constant delta per iteration. Returns its access sites in body order,
-   each offset split over [ivs], or [None]. *)
+   constant delta per iteration. A reshape copy's digit subscripts count
+   as linear where [ctx.bounds] lets [Affine.Stage.strided] fold them.
+   Returns its access sites in body order, each offset split over [ivs],
+   or [None]. *)
 let straight_line_sites ctx ~ivs body_ops =
   let straight (op : Core.op) =
     match op.o_name with
@@ -156,7 +158,9 @@ let straight_line_sites ctx ~ivs body_ops =
         (fun op ->
           if A.is_load op || A.is_store op then
             let base = buffer_base ctx op in
-            let offset = Affine.Stage.strided ctx.stage ivs op in
+            let offset =
+              Affine.Stage.strided ctx.stage ~bounds:ctx.bounds ivs op
+            in
             let costs = miss_costs ctx op in
             Some (Option.map (fun offset -> { base; offset; costs }) offset)
           else None)

@@ -507,34 +507,32 @@ let test_interp_errors () =
 
 (* [Eval.equivalent] hands the second module a copy of the first's input
    battery, taken before either runs. *)
+let func_k m = Option.get (Ir.Core.find_func m "k")
+
 let test_equivalent_shares_inputs () =
   let tr = Met.Emit_affine.translate in
-  let copy_out =
+  let kernel body =
     tr
-      "void k(float A[5][7], float B[5][7]) {\n\
-      \  for (int i = 0; i < 5; ++i)\n\
-      \    for (int j = 0; j < 7; ++j)\n\
-      \      B[i][j] = A[i][j];\n\
-       }\n"
+      (Printf.sprintf "void k(float A[5][7], float B[5][7]) {\n%s\n}\n" body)
   in
-  let bump =
-    tr
-      "void k(float A[5][7], float B[5][7]) {\n\
-      \  for (int i = 0; i < 5; ++i)\n\
-      \    for (int j = 0; j < 7; ++j)\n\
-      \      A[i][j] = A[i][j] + 1.0;\n\
-       }\n"
-  in
+  let rows = "for (int i = 0; i < 5; ++i) for (int j = 0; j < 7; ++j)" in
+  let columns = "for (int j = 0; j < 7; ++j) for (int i = 0; i < 5; ++i)" in
+  let copy_out = kernel (rows ^ " B[i][j] = A[i][j];") in
+  let copy_out_by_column = kernel (columns ^ " B[i][j] = A[i][j];") in
+  let bump = kernel (rows ^ " A[i][j] = A[i][j] + 1.0;") in
+  let bump_swapped = kernel (rows ^ " A[i][j] = 1.0 + A[i][j];") in
   let check what expected m1 m2 =
+    (* Structurally different functions: both run. *)
+    Alcotest.(check bool) (what ^ ": not structurally equal") false
+      (Ir.Core.structural_equal (func_k m1) (func_k m2));
     Alcotest.(check bool) what expected
       (Interp.Eval.equivalent ~eps:0. m1 m2 "k" ~seed:5)
   in
   (* B holds a copy of A on return: with no tolerance, both modules read
      the same bits. *)
-  check "inputs copied out agree" true copy_out (Ir.Core.clone_op copy_out);
+  check "inputs copied out agree" true copy_out copy_out_by_column;
   (* An in-place update run twice on one battery would add 2. *)
-  check "in-place update, copied before the first run" true bump
-    (Ir.Core.clone_op bump);
+  check "in-place update, copied before the first run" true bump bump_swapped;
   check "different outputs differ" false copy_out bump;
   (* The battery is the one [run_on_random] draws. *)
   let drawn = Interp.Eval.run_on_random copy_out "k" ~seed:5 in
@@ -547,6 +545,109 @@ let test_equivalent_shares_inputs () =
   Alcotest.(check bool) "the reference draws the same battery" true
     (Ref_interp.all_same_bits drawn
        (Ref_interp.run_on_random copy_out "k" ~seed:5))
+
+(* [f ()] under a sink counting [interp] exec spans and collecting each
+   check span's [identical] argument. *)
+let with_check_spans f =
+  let execs = ref 0 and identical = ref [] in
+  let sink (e : Ir.Trace.event) =
+    if e.ev_cat = "interp" && e.ev_phase = Ir.Trace.Begin then
+      match e.ev_name with
+      | "exec" -> incr execs
+      | "check" -> (
+          match List.assoc_opt "identical" e.ev_args with
+          | Some (Ir.Trace.A_bool b) -> identical := b :: !identical
+          | _ -> Alcotest.fail "check span without an identical flag")
+      | _ -> ()
+  in
+  let result =
+    Ir.Trace.with_sink sink (fun () ->
+        match f () with v -> Ok v | exception e -> Error e)
+  in
+  (result, !execs, List.rev !identical)
+
+(* A function structurally equal to the reference runs once, and says
+   so; its located errors still raise. *)
+let test_equivalent_identical_runs_once () =
+  let tr = Met.Emit_affine.translate in
+  let m = tr (W.gemm ~ni:6 ~nj:5 ~nk:4 ()) in
+  let check what m2 ~verdict ~execs ~identical =
+    match
+      with_check_spans (fun () -> Interp.Eval.equivalent m m2 "gemm" ~seed:3)
+    with
+    | Ok v, n, flags ->
+        Alcotest.(check bool) (what ^ ": verdict") verdict v;
+        Alcotest.(check int) (what ^ ": exec spans") execs n;
+        Alcotest.(check (list bool)) (what ^ ": identical") [ identical ] flags
+    | Error e, _, _ -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+  in
+  check "the module itself" m ~verdict:true ~execs:1 ~identical:true;
+  check "a clone" (Ir.Core.clone_op m) ~verdict:true ~execs:1 ~identical:true;
+  let tiled = Ir.Core.clone_op m in
+  Transforms.Loop_tile.tile_all tiled ~size:2;
+  check "a tiled copy" tiled ~verdict:true ~execs:2 ~identical:false;
+  (* Reading A[i] at i = 4 runs out of bounds at the load. *)
+  let oob =
+    tr
+      "void k(float A[4], float B[5]) {\n\
+      \  for (int i = 0; i < 5; ++i) B[i] = A[i];\n\
+       }\n"
+  in
+  match
+    with_check_spans (fun () ->
+        Interp.Eval.equivalent oob (Ir.Core.clone_op oob) "k" ~seed:1)
+  with
+  | Error (Support.Diag.Error (loc, msg)), 1, [ true ] ->
+      Alcotest.(check bool) ("located: " ^ msg) true (Support.Loc.is_known loc)
+  | Error e, n, _ ->
+      Alcotest.failf "raised %s after %d exec spans" (Printexc.to_string e) n
+  | Ok _, _, _ -> Alcotest.fail "an out-of-bounds read ran"
+
+(* One changed constant, a swapped operand pair or -0.0 for 0.0 in a
+   clone makes it a different function: both run, and differing outputs
+   answer [false]. *)
+let test_equivalent_changed_clone_runs_both () =
+  let m =
+    Met.Emit_affine.translate
+      "void k(float A[4], float C[4], float B[4], float D[4]) {\n\
+      \  for (int i = 0; i < 4; ++i) {\n\
+      \    B[i] = (A[i] - C[i]) * 2.0;\n\
+      \    D[i] = 1.0 / (A[i] * 0.0);\n\
+      \  }\n\
+       }\n"
+  in
+  let changed what edit =
+    let m2 = Ir.Core.clone_op m in
+    let f = func_k m2 in
+    edit f;
+    match
+      with_check_spans (fun () -> Interp.Eval.equivalent m m2 "k" ~seed:9)
+    with
+    | Ok v, n, flags ->
+        Alcotest.(check bool) (what ^ ": verdict") false v;
+        Alcotest.(check int) (what ^ ": exec spans") 2 n;
+        Alcotest.(check (list bool)) (what ^ ": identical") [ false ] flags
+    | Error e, _, _ -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+  in
+  let constant f v =
+    Option.get
+      (Ir.Core.find_op f (fun op ->
+           op.Ir.Core.o_name = "arith.constant"
+           && Ir.Attr.equal (Ir.Core.attr op "value") (Ir.Attr.Float v)))
+  in
+  changed "2.0 -> 3.0" (fun f ->
+      Ir.Core.set_attr (constant f 2.0) "value" (Ir.Attr.Float 3.0));
+  changed "A - C -> C - A" (fun f ->
+      let sub =
+        Option.get
+          (Ir.Core.find_op f (fun op -> op.Ir.Core.o_name = "arith.subf"))
+      in
+      let a = Ir.Core.operand sub 0 and c = Ir.Core.operand sub 1 in
+      Ir.Core.set_operand sub 0 c;
+      Ir.Core.set_operand sub 1 a);
+  (* 1 / (A * -0.0) is -inf where 1 / (A * 0.0) is +inf. *)
+  changed "0.0 -> -0.0" (fun f ->
+      Ir.Core.set_attr (constant f 0.0) "value" (Ir.Attr.Float (-0.0)))
 
 (* Signatures that differ are drawn for each module and answer [false]
    without raising. *)
@@ -621,4 +722,8 @@ let suite =
     Alcotest.test_case
       "div/rem by zero raise cleanly (reference and compiled)" `Quick
       test_interp_div_rem_by_zero;
+    Alcotest.test_case "equivalent: an identical function runs once" `Quick
+      test_equivalent_identical_runs_once;
+    Alcotest.test_case "equivalent: a changed clone runs both" `Quick
+      test_equivalent_changed_clone_runs_both;
   ]

@@ -409,6 +409,154 @@ let prop_fused_mac_is_reference =
           && wmsg = msg
       | _ -> false)
 
+(* ---- reshape copies -------------------------------------------------- *)
+
+(* One generated copy nest over an iteration shape [iter] (steps 1-2 or
+   tiled) with [l] the ivs' row-major linear index over [iter] plus
+   [shift]: the flat side [F] (shape [iter]) is read or written at the
+   ivs, the digit side [G] (shape [digits]) at the mixed-radix digits of
+   [l], the first possibly without its [mod]. Where [l] may pass [G]'s
+   size, the fold must not apply: a [mod] digit wraps and a first digit
+   without one runs out of bounds. *)
+type reshape_draw = {
+  iter : int array;
+  steps : int array;
+  digits : int array;
+  shift : int;
+  first_mod : bool;
+  load_digits : bool;  (** [F[ivs] = G[digits]]; else [G[digits] = F[ivs]] *)
+  rtile : int option;
+  rfill : int;
+}
+
+let reshape_print d =
+  let ints a = String.concat "x" (Array.to_list (Array.map string_of_int a)) in
+  Printf.sprintf
+    "iter %s steps %s, digits %s, shift %d, first_mod %b, load_digits %b, \
+     tile %s, fill %d"
+    (ints d.iter) (ints d.steps) (ints d.digits) d.shift d.first_mod
+    d.load_digits
+    (match d.rtile with Some t -> string_of_int t | None -> "-")
+    d.rfill
+
+let gen_reshape =
+  let open QCheck.Gen in
+  let shape = map Array.of_list (list_size (int_range 1 3) (int_range 1 5)) in
+  let* iter = shape in
+  let* rtile = opt ~ratio:0.25 (int_range 2 3) in
+  let* steps =
+    if rtile <> None then return (Array.map (fun _ -> 1) iter)
+    else
+      map Array.of_list
+        (flatten_l
+           (List.map
+              (fun _ -> frequency [ (3, return 1); (1, return 2) ])
+              (Array.to_list iter)))
+  in
+  let* digits = shape in
+  let* shift = frequency [ (4, return 0); (1, return 1) ] in
+  let* first_mod = frequency [ (3, return true); (1, return false) ] in
+  let* load_digits = bool in
+  let* rfill = int_bound 1_000_000 in
+  return { iter; steps; digits; shift; first_mod; load_digits; rtile; rfill }
+
+let row_strides shape =
+  let n = Array.length shape in
+  let st = Array.make n 1 in
+  for i = n - 2 downto 0 do
+    st.(i) <- st.(i + 1) * shape.(i + 1)
+  done;
+  st
+
+(* Whether the copy must walk natively, from the largest [l] the nest
+   reaches (each iv's last value below its extent): [Some true] when [l]
+   stays inside [G], [Some false] when it may leave it; [None] when a
+   digit has extent 1 ([mod 1] simplifies to 0, so a subscript may be
+   linear without a fold). *)
+let reshape_native d =
+  let st = row_strides d.iter in
+  let max_l = ref d.shift in
+  Array.iteri
+    (fun i n ->
+      let last = (n - 1) / d.steps.(i) * d.steps.(i) in
+      max_l := !max_l + (st.(i) * last))
+    d.iter;
+  if Array.exists (fun n -> n = 1) d.digits then None
+  else Some (!max_l < Array.fold_left ( * ) 1 d.digits)
+
+let reshape_func d =
+  let typ shape = Typ.memref (Array.to_list shape) Typ.F32 in
+  let f =
+    Core.create_func ~name:"reshape" ~arg_types:[ typ d.iter; typ d.digits ]
+      ~arg_hints:[ "F"; "G" ] ()
+  in
+  let[@warning "-8"] [ fa; ga ] = Core.func_args f in
+  let depth = Array.length d.iter in
+  let st = row_strides d.iter and q = row_strides d.digits in
+  let l =
+    Array.fold_left E.add (E.const d.shift)
+      (Array.mapi (fun i s -> E.mul (E.const s) (E.dim i)) st)
+  in
+  let digit i n =
+    let quot = if q.(i) = 1 then l else E.floor_div l (E.const q.(i)) in
+    if i = 0 && not d.first_mod then quot else E.mod_ quot (E.const n)
+  in
+  let flat ivs = (Affine_map.identity depth, ivs) in
+  let dig ivs =
+    ( Affine_map.make ~n_dims:depth
+        (Array.to_list (Array.mapi digit d.digits)),
+      ivs )
+  in
+  let rec nest b lvl ivs =
+    if lvl = depth then
+      if d.load_digits then
+        ignore (A.store b (A.load b ga (dig ivs)) fa (flat ivs))
+      else ignore (A.store b (A.load b fa (flat ivs)) ga (dig ivs))
+    else
+      ignore
+        (A.for_const b ~lb:0 ~ub:d.iter.(lvl) ~step:d.steps.(lvl) (fun b iv ->
+             nest b (lvl + 1) (ivs @ [ iv ])))
+  in
+  nest (Builder.at_end (Core.func_entry f)) 0 [];
+  Option.iter (fun size -> Transforms.Loop_tile.tile_all f ~size) d.rtile;
+  f
+
+let prop_reshape_copy_is_reference =
+  QCheck.Test.make
+    ~name:"reshape copy nests = reference (bitwise, native where proven)"
+    ~count:400
+    (QCheck.make ~print:reshape_print gen_reshape)
+    (fun d ->
+      let f = reshape_func d in
+      let c = Interp.Compile.compile_func f in
+      let run exec =
+        let st = Random.State.make [| d.rfill |] in
+        let args =
+          List.map
+            (fun shape ->
+              B.init (Array.to_list shape) (fun _ ->
+                  if Random.State.int st 8 = 0 then
+                    Int64.float_of_bits
+                      (Int64.logor 0x7FF8_0000_0000_0000L
+                         (Int64.of_int (1 + Random.State.int st 0xFFFF)))
+                  else Random.State.float st 4.0 -. 2.0))
+            [ d.iter; d.digits ]
+        in
+        match exec args with () -> Ok args | exception e -> Error e
+      in
+      let walk = run (Ref_interp.run_func f) in
+      let native = run (Interp.Compile.execute c) in
+      Option.fold ~none:true
+        ~some:(fun n -> c.Interp.Compile.c_copy_loops = Bool.to_int n)
+        (reshape_native d)
+      &&
+      match (walk, native) with
+      | Ok w, Ok x -> Ref_interp.all_same_bits w x
+      | ( Error (Support.Diag.Error (wloc, wmsg)),
+          Error (Support.Diag.Error (loc, msg)) ) ->
+          Support.Loc.equal wloc loc && wmsg = msg
+      | _ -> false)
+
 (* ---- introspection: static bounds proof -------------------------------- *)
 
 let compile_mm () =
@@ -626,37 +774,156 @@ let test_fused_loops_table () =
     ]
     levels
 
+(* ---- identical schedules and native copies at the verify sizes -------- *)
+
+(* The verify benchmark's 80 checks, counted per configuration: checks
+   whose schedule left the function structurally equal to the reference
+   run it once (an [interp]/[check] span with [identical]), the others
+   run both, so the exec spans are 2 per kernel less the identical. *)
+let test_identical_schedules_run_once () =
+  let module P = Mlt.Pipeline in
+  let kernels = verify_kernels () in
+  let row config =
+    let identical = ref 0 and execs = ref 0 in
+    let sink (e : Trace.event) =
+      if e.ev_cat = "interp" && e.ev_phase = Trace.Begin then
+        match (e.ev_name, List.assoc_opt "identical" e.ev_args) with
+        | "check", Some (Trace.A_bool true) -> incr identical
+        | "exec", _ -> incr execs
+        | _ -> ()
+    in
+    List.iter
+      (fun (name, src) ->
+        if
+          not
+            (Trace.with_sink sink (fun () ->
+                 P.check_schedule_semantics (P.Config config) src))
+        then
+          Alcotest.failf "%s under %s changed semantics" name
+            (P.config_name config))
+      kernels;
+    Alcotest.(check int)
+      (P.config_name config ^ ": exec spans")
+      ((2 * List.length kernels) - !identical)
+      !execs;
+    Printf.sprintf "%s %d" (P.config_name config) !identical
+  in
+  Alcotest.(check (list string)) "identical schedules of 16 kernels"
+    [ "clang-O3 16"; "pluto-default 10"; "mlt-linalg 3"; "mlt-blas 0";
+      "mlt-affine-blis 13" ]
+    (List.map row
+       P.[ Clang_O3; Pluto_default; Mlt_linalg; Mlt_blas; Mlt_affine_blis ])
+
+(* The seven contractions under mlt-linalg lower through TTGT: transposes
+   and reshape copies around one GEMM. Every copy nest, the reshapes'
+   [floordiv]/[mod] digit subscripts included, walks natively. *)
+let test_contraction_copies_walk_natively () =
+  let module P = Mlt.Pipeline in
+  let digits op =
+    List.exists
+      (function E.Mod _ | E.Floor_div _ -> true | _ -> false)
+      (A.access_map op).Affine_map.exprs
+  in
+  let row (name, src) =
+    let m = P.prepare_schedule (P.Config P.Mlt_linalg) src in
+    let f = Option.get (Core.find_func m (func_name_of m)) in
+    (* Copy bodies: a loop body that is one load and its store. *)
+    let copies = ref 0 and reshapes = ref 0 in
+    Core.walk f (fun op ->
+        if A.is_for op then
+          match Affine.Loops.body_ops op with
+          | [ x; y ]
+            when A.is_load x && A.is_store y
+                 && Core.value_equal (A.stored_value y) (Core.result x 0) ->
+              incr copies;
+              if digits x || digits y then incr reshapes
+          | _ -> ());
+    let c = Interp.Compile.compile_func f in
+    Printf.sprintf "%s: %d copies (%d reshapes), %d native, %d checked" name
+      !copies !reshapes c.Interp.Compile.c_copy_loops
+      c.Interp.Compile.c_checked_accesses
+  in
+  Alcotest.(check (list string)) "copy nests of the mlt-linalg contractions"
+    [
+      "ab-acd-dbc: 3 copies (2 reshapes), 3 native, 0 checked";
+      "abc-acd-db: 5 copies (3 reshapes), 5 native, 0 checked";
+      "abc-ad-bdc: 4 copies (3 reshapes), 4 native, 0 checked";
+      "ab-cad-dcb: 4 copies (2 reshapes), 4 native, 0 checked";
+      "abc-bda-dc: 4 copies (3 reshapes), 4 native, 0 checked";
+      "abcd-aebf-dfce: 6 copies (4 reshapes), 6 native, 0 checked";
+      "abcd-aebf-fdec: 6 copies (4 reshapes), 6 native, 0 checked";
+    ]
+    (List.map row
+       (List.filteri (fun i _ -> i >= 9) (verify_kernels ())))
+
 (* ---- every schedule's output ------------------------------------------- *)
 
 (* Each kernel under each configuration: the pipeline's differential
    check holds, and the reference and the compiled engine leave the same
-   bits on the prepared module. The suite's extents stay under
-   pluto-default's 32, so a gemm past them adds the min-bounded tiles;
-   mlt-blas adds the BLAS calls and mlt-affine-blis the [affine.matmul]
-   its BLIS schedule times. The counts below keep that coverage. *)
+   bits on the prepared module. The tiny suite's extents stay under the
+   32-wide tiles of pluto-default and mlt-linalg, where every schedule of
+   a kernel may leave it as it was and the check run it once; one kernel
+   per family past the tiles (a gemm, a conv, a contraction and a
+   level-2 kernel) adds the min-bounded tiles, and a tiled schedule must
+   run both sides. mlt-blas adds the BLAS calls and mlt-affine-blis the
+   [affine.matmul] its BLIS schedule times. The counts below keep that
+   coverage. *)
 let test_reference_agrees_on_every_schedule () =
   let module P = Mlt.Pipeline in
   let min_bounds = ref 0 and blas = ref 0 and affine_matmul = ref 0 in
+  let past_tiles =
+    [
+      ("mm 40x36x33", W.mm ~ni:40 ~nj:36 ~nk:33 ());
+      ( "conv2d-nchw 2x36x36",
+        W.conv2d_nchw ~n:1 ~c:2 ~h:36 ~w:36 ~f:2 ~kh:3 ~kw:3 () );
+      ( "abc-acd-db 34x3x3x3",
+        Workloads.Contraction_spec.c_source
+          (Workloads.Contraction_spec.parse "abc-acd-db")
+          ~sizes:[ ('a', 34); ('b', 3); ('c', 3); ('d', 3) ]
+          ~name:"contraction" () );
+      ("atax 40x36", W.atax ~m:40 ~n:36 ());
+    ]
+  in
   List.iter
     (fun (name, src) ->
+      let tiled = ref 0 in
       List.iter
         (fun config ->
           let what = Printf.sprintf "%s under %s" name (P.config_name config) in
           let schedule = P.Config config in
-          if not (P.check_schedule_semantics schedule src) then
-            Alcotest.failf "%s changed semantics" what;
+          let identical = ref [] in
+          let sink (e : Trace.event) =
+            if
+              e.ev_cat = "interp" && e.ev_name = "check"
+              && e.ev_phase = Trace.Begin
+            then identical := List.assoc_opt "identical" e.ev_args :: !identical
+          in
+          if
+            not
+              (Trace.with_sink sink (fun () ->
+                   P.check_schedule_semantics schedule src))
+          then Alcotest.failf "%s changed semantics" what;
           let m = P.prepare_schedule schedule src in
+          let min_bounded = ref false in
           Core.walk m (fun op ->
               match op.Core.o_name with
               | "affine.for" ->
                   if Affine_map.n_results (fst (A.for_ub op)) > 1 then
-                    incr min_bounds
+                    min_bounded := true
               | "affine.matmul" -> incr affine_matmul
               | name when String.starts_with ~prefix:"blas." name -> incr blas
               | _ -> ());
+          if !min_bounded then begin
+            incr min_bounds;
+            incr tiled;
+            if !identical <> [ Some (Trace.A_bool false) ] then
+              Alcotest.failf "%s: a tiled schedule did not run both sides" what
+          end;
           check_engines_agree what m (func_name_of m))
-        P.all_configs)
-    (("mm 40x36x33", W.mm ~ni:40 ~nj:36 ~nk:33 ()) :: W.tiny_suite ());
+        P.all_configs;
+      if List.mem_assoc name past_tiles && !tiled = 0 then
+        Alcotest.failf "%s: no schedule tiled it" name)
+    (past_tiles @ W.tiny_suite ());
   List.iter
     (fun (what, n) -> Alcotest.(check bool) what true (!n > 0))
     [
@@ -689,4 +956,9 @@ let suite =
       test_reference_agrees_on_every_schedule;
     Alcotest.test_case "fused-loop counts at the verify benchmark's sizes"
       `Quick test_fused_loops_table;
+    Alcotest.test_case "identical schedules run once at the verify sizes"
+      `Quick test_identical_schedules_run_once;
+    Alcotest.test_case "contraction copies walk natively under mlt-linalg"
+      `Quick test_contraction_copies_walk_natively;
+    QCheck_alcotest.to_alcotest prop_reshape_copy_is_reference;
   ]

@@ -349,6 +349,29 @@ let test_cloned_schedule_prints_as_translated () =
     sources;
   Alcotest.(check int) "kernels x sizes x configs" 192 !pairs
 
+(* Every Figure-9 kernel, translated and under every configuration, is
+   structurally equal to its clone and to its printed text parsed back,
+   and a function structurally equal to its clone makes the differential
+   check run it once. *)
+let test_figure9_clones_structurally_equal () =
+  let module P = Mlt.Pipeline in
+  List.iter
+    (fun (k, src, _) ->
+      let reference = Met.Emit_affine.translate src in
+      List.iter
+        (fun (what, m) ->
+          let what = k ^ " " ^ what in
+          Alcotest.(check bool) (what ^ ": clone") true
+            (Core.structural_equal m (Core.clone_op m));
+          Alcotest.(check bool) (what ^ ": reparsed") true
+            (Core.structural_equal m
+               (Parser.parse_module (Printer.op_to_string m))))
+        (("translated", reference)
+        :: List.map
+             (fun c -> (P.config_name c, P.prepare_schedule (P.Config c) src))
+             P.all_configs))
+    (W.figure9_suite ())
+
 let suite =
   [
     Alcotest.test_case "chain: CLRS example" `Quick test_chain_cormen_example;
@@ -386,4 +409,6 @@ let suite =
       test_out_of_bounds_kernel_is_located;
     Alcotest.test_case "a cloned reference prepares as a fresh translation"
       `Quick test_cloned_schedule_prints_as_translated;
+    Alcotest.test_case "Figure-9 clones are structurally equal" `Quick
+      test_figure9_clones_structurally_equal;
   ]
