@@ -130,8 +130,8 @@ let test_parse_roundtrip_equal_values () =
 (* ---- signed zeros -------------------------------------------------- *)
 
 let test_float_zero_signs_print_apart () =
-  (* [-0.] and [0.] are IEEE-equal but print differently, so each keeps
-     its own printing through the IR. *)
+  (* [-0.] and [0.] are IEEE-equal but print differently (and are
+     unequal attributes), so each keeps its own printing through the IR. *)
   Alcotest.(check string) "+0. prints as before" "0x0p+0"
     (Attr.to_string (Attr.Float 0.0));
   Alcotest.(check string) "-0. prints as before" "-0x0p+0"
