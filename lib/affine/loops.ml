@@ -32,22 +32,13 @@ let nest_trip_counts loops =
       | _ -> None)
     loops (Some [])
 
-let elem_strides shape =
-  let n = List.length shape in
-  let arr = Array.of_list shape in
-  let strides = Array.make n 1 in
-  for i = n - 2 downto 0 do
-    strides.(i) <- strides.(i + 1) * arr.(i + 1)
-  done;
-  strides
-
 let access_stride_wrt iv (op : Core.op) =
   match Typ.static_shape (Affine_ops.access_memref op).Core.v_typ with
   | None -> None
   | Some shape ->
       let map = Affine_ops.access_map op in
       let operands = Array.of_list (Affine_ops.access_indices op) in
-      let strides = elem_strides shape in
+      let strides = Affine_expr.row_major_strides (Array.of_list shape) in
       let total = ref 0 in
       let ok = ref true in
       List.iteri

@@ -156,12 +156,7 @@ let access t op =
   if List.length exprs <> Array.length shape then
     D.errorf ~loc "%s: %s map arity does not match memref rank" t.who
       op.Core.o_name;
-  let n = Array.length shape in
-  let strides = Array.make n 1 in
-  for i = n - 2 downto 0 do
-    strides.(i) <- strides.(i + 1) * shape.(i + 1)
-  done;
-  (loc, shape, strides, exprs, idx)
+  (loc, shape, E.row_major_strides shape, exprs, idx)
 
 let offset t op =
   let loc, _, strides, exprs, idx = access t op in

@@ -1,17 +1,9 @@
 type t = { shape : int array; strides : int array; data : float array }
 
-let strides_of shape =
-  let n = Array.length shape in
-  let strides = Array.make n 1 in
-  for i = n - 2 downto 0 do
-    strides.(i) <- strides.(i + 1) * shape.(i + 1)
-  done;
-  strides
-
 let create shape =
   let shape = Array.of_list shape in
   let total = Array.fold_left ( * ) 1 shape in
-  { shape; strides = strides_of shape; data = Array.make total 0. }
+  { shape; strides = Ir.Affine_expr.row_major_strides shape; data = Array.make total 0. }
 
 let of_type t =
   match Ir.Typ.static_shape t with

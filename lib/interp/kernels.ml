@@ -9,10 +9,9 @@ let matmul a b c =
   for i = 0 to m - 1 do
     for kk = 0 to k - 1 do
       let aik = ad.((i * k) + kk) in
-      if aik <> 0. then
-        for j = 0 to n - 1 do
-          cd.((i * n) + j) <- cd.((i * n) + j) +. (aik *. bd.((kk * n) + j))
-        done
+      for j = 0 to n - 1 do
+        cd.((i * n) + j) <- cd.((i * n) + j) +. (aik *. bd.((kk * n) + j))
+      done
     done
   done
 
@@ -32,11 +31,11 @@ let matvec ?(transpose = false) a x y =
     if x.Buffer.shape.(0) <> n || y.Buffer.shape.(0) <> m then
       invalid_arg "Kernels.matvec: shape mismatch";
     for i = 0 to m - 1 do
-      let acc = ref 0. in
+      let acc = ref yd.(i) in
       for j = 0 to n - 1 do
         acc := !acc +. (ad.((i * n) + j) *. xd.(j))
       done;
-      yd.(i) <- yd.(i) +. !acc
+      yd.(i) <- !acc
     done
   end
 

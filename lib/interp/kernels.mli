@@ -2,6 +2,10 @@
     BLAS dialects) used by the interpreter. All follow the accumulating
     buffer semantics documented in {!Linalg.Linalg_ops}. *)
 
+(** [matmul a b c]: C += A B. Like {!matvec}, it adds each output's
+    products to the output's value one at a time in the loops' order
+    (ascending k), zeros of [a] included, so it computes the bits of
+    [C\[i\]\[j\] += A\[i\]\[k\] * B\[k\]\[j\]]. *)
 val matmul : Buffer.t -> Buffer.t -> Buffer.t -> unit
 
 (** [matvec ?transpose a x y]: y += A x, or y += Aᵀ x when [transpose]. *)

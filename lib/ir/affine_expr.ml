@@ -198,6 +198,14 @@ let rec substitute_dims f = function
   | Floor_div (a, b) -> floor_div (substitute_dims f a) (substitute_dims f b)
   | Mod (a, b) -> mod_ (substitute_dims f a) (substitute_dims f b)
 
+let row_major_strides shape =
+  let n = Array.length shape in
+  let strides = Array.make n 1 in
+  for i = n - 2 downto 0 do
+    strides.(i) <- strides.(i + 1) * shape.(i + 1)
+  done;
+  strides
+
 let row_major_offset strides exprs =
   let acc = ref (const 0) in
   List.iteri (fun i e -> acc := add !acc (mul (const strides.(i)) e)) exprs;

@@ -87,6 +87,10 @@ val max_dim : t -> int
 (** [substitute_dims f e] replaces every [Dim i] with [f i]. *)
 val substitute_dims : (int -> t) -> t -> t
 
+(** [row_major_strides shape] — the element strides of a row-major
+    array of that shape: the last dimension's is 1. *)
+val row_major_strides : int array -> int array
+
 (** [row_major_offset strides exprs] is the element offset
     [sum_i strides.(i) * e_i] of a subscript list, as one simplified
     expression (linear whenever every subscript is), so stagers can fold

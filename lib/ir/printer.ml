@@ -179,6 +179,14 @@ let add_applied_expr env (operands : Core.value array) e =
 let add_applied_map env (map : Affine_map.t) operands =
   add_comma_list env (add_applied_expr env operands) map.Affine_map.exprs
 
+let access_to_string memref operands exprs =
+  let env = create_env (Buffer.create 64) in
+  add_value env memref;
+  add_char env '[';
+  add_comma_list env (add_applied_expr env operands) exprs;
+  add_char env ']';
+  Buffer.contents env.b
+
 (* ins(%a, %b : t, t) outs(%c : t) used by the linalg forms. *)
 let add_ins_outs env ~ins ~outs =
   let group kw vs =

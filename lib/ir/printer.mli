@@ -25,6 +25,12 @@
     default form. *)
 val op_to_string : ?debug_locs:bool -> Core.op -> string
 
+(** [access_to_string memref operands exprs] — ["%A[%i, %j + 1]"]: a
+    subscript list over operand values, written as an access prints
+    (names from hints), for diagnostics. *)
+val access_to_string :
+  Core.value -> Core.value array -> Affine_expr.t list -> string
+
 (** [debug_value v] renders a value for diagnostics (hint + internal id);
     names are not the printer's stable SSA names. *)
 val debug_value : Core.value -> string

@@ -23,7 +23,8 @@ type t = {
   r_stage : string option;
       (** for [Missed]: the matcher stage that rejected — one of
           ["control-flow"], ["op-chain"], ["access-unification"],
-          ["coverage"] *)
+          ["coverage"] — or ["dependence"], the legality test that
+          refused a loop transform *)
   r_loc : Support.Loc.t;
   r_message : string;
 }

@@ -35,18 +35,15 @@ type pattern = {
   p_benefit : int;
   p_roots : roots;
   p_prefix : prefix option;
-  p_generated_ops : string list;
   p_apply : ctx -> Core.op -> bool;
 }
 
-let pattern ~name ?(benefit = 1) ?(roots = Any) ?prefix ?(generated_ops = [])
-    apply =
+let pattern ~name ?(benefit = 1) ?(roots = Any) ?prefix apply =
   {
     p_name = name;
     p_benefit = benefit;
     p_roots = roots;
     p_prefix = prefix;
-    p_generated_ops = generated_ops;
     p_apply = apply;
   }
 

@@ -62,16 +62,13 @@ type pattern = {
   p_benefit : int;  (** higher applies first *)
   p_roots : roots;
   p_prefix : prefix option;  (** structural prefix, [None] = no pruning *)
-  p_generated_ops : string list;
-      (** advisory: op names the rewrite may insert *)
   p_apply : ctx -> Core.op -> bool;
       (** Inspect [op]; if it matches, mutate the IR (insert replacement
           ops via [ctx.builder], erase matched ops) and return [true]. *)
 }
 
-(** [pattern ~name ?benefit ?roots ?prefix ?generated_ops apply] —
-    [benefit] defaults to 1, [roots] to [Any], [prefix] to none,
-    [generated_ops] to []. A pure constructor: descriptors carry no
+(** [pattern ~name ?benefit ?roots ?prefix apply] — [benefit] defaults
+    to 1, [roots] to [Any], [prefix] to none. A pure constructor: descriptors carry no
     mutable state, so a frozen set may be shared across domains, and a
     pattern is counted under [name] by the driver runs that use it
     (see {!section-stats}). *)
@@ -80,7 +77,6 @@ val pattern :
   ?benefit:int ->
   ?roots:roots ->
   ?prefix:prefix ->
-  ?generated_ops:string list ->
   (ctx -> Core.op -> bool) ->
   pattern
 

@@ -57,6 +57,15 @@ let rec index_vars = function
   | I_add (a, b) | I_sub (a, b) | I_mul (a, b) ->
       index_vars a @ index_vars b
 
+let rec affine_of_index var =
+  let open Ir.Affine_expr in
+  function
+  | I_var v -> var v
+  | I_const c -> const c
+  | I_add (a, b) -> Add (affine_of_index var a, affine_of_index var b)
+  | I_sub (a, b) -> Add (affine_of_index var a, Mul (Const (-1), affine_of_index var b))
+  | I_mul (a, b) -> Mul (affine_of_index var a, affine_of_index var b)
+
 let rec strip_locs_stmt = function
   | S_for f ->
       S_for

@@ -58,6 +58,11 @@ val stmt_accesses : stmt -> ref_ list * ref_ list
 (** Loop variables referenced by an index expression. *)
 val index_vars : index -> string list
 
+(** [affine_of_index var idx] — [idx] as an affine expression, each
+    loop variable [v] as [var v] (unsimplified: the one conversion behind
+    MET's access maps and its dependence test). *)
+val affine_of_index : (string -> Ir.Affine_expr.t) -> index -> Ir.Affine_expr.t
+
 (** Structural equality helper: reset every statement location to
     {!Support.Loc.unknown} (for AST comparisons in tests). *)
 val strip_locs : kernel -> kernel

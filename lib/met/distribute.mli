@@ -4,19 +4,13 @@
     accumulation from its initialization statement) and simplifies
     pattern recognition.
 
-    Legality is decided with a conservative syntactic test: two statements
-    may be separated iff for every array one of them writes and the other
-    accesses, all subscript expressions on that array are syntactically
-    identical (so every dependence between them is intra-iteration and
-    forward, which distribution preserves). Statements that fail the test
-    stay in the same nest. *)
+    Two statements of a loop body may go to separate copies of the loop
+    unless a dependence between them ({!Affine.Dependence}, over the
+    subscripts' linear forms) is carried by that loop. The groups — the
+    strongly connected components of the statements' dependence graph —
+    are emitted in a topological order, ties broken by first member
+    (Allen–Kennedy distribution), so a statement never moves after one
+    whose store it must precede. *)
 
 (** Distribute every loop of a kernel body, recursively (innermost first). *)
 val kernel : C_ast.kernel -> C_ast.kernel
-
-(** Distribute a statement; a loop may fan out into several loops. *)
-val stmt : C_ast.stmt -> C_ast.stmt list
-
-(** Exposed for tests: may statements [a] and [b] (in this order) be placed
-    in separate copies of their enclosing loop? *)
-val separable : C_ast.stmt -> C_ast.stmt -> bool

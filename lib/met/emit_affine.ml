@@ -25,13 +25,7 @@ let ref_access env (r : ref_) =
     | Some i -> i
     | None -> assert false
   in
-  let rec conv = function
-    | I_var v -> Affine_expr.dim (dim_of v)
-    | I_const c -> Affine_expr.const c
-    | I_add (a, b) -> Affine_expr.Add (conv a, conv b)
-    | I_sub (a, b) -> Affine_expr.(Add (conv a, Mul (Const (-1), conv b)))
-    | I_mul (a, b) -> Affine_expr.Mul (conv a, conv b)
-  in
+  let conv = affine_of_index (fun v -> Affine_expr.dim (dim_of v)) in
   let exprs =
     List.map
       (fun idx ->

@@ -287,20 +287,6 @@ let compile ?(target = To_linalg) (t : Tds.tactic) =
           end
         end
   in
-  let generated_of_builder = function
-    | Tds.Transpose _ -> "linalg.transpose"
-    | Tds.Reshape _ -> "linalg.reshape"
-    | Tds.Matmul _ -> (
-        match target with
-        | To_linalg -> "linalg.matmul"
-        | To_affine_matmul -> "affine.matmul")
-    | Tds.Matvec _ -> "linalg.matvec"
-    | Tds.Conv2d _ -> "linalg.conv2d_nchw"
-  in
-  let generated_ops =
-    List.sort_uniq String.compare
-      ("memref.alloc" :: List.map generated_of_builder t.builders)
-  in
   (* The apply function's first gate is [matched_nest ~depth], which
      requires the perfect nest rooted at [op] to have exactly [depth]
      loops ([Loops.perfect_nest] treats "affine.yield" as the only
@@ -312,8 +298,7 @@ let compile ?(target = To_linalg) (t : Tds.tactic) =
   let prefix =
     Rewriter.prefix ~nest_depth:depth ~nest_ignore:[ "affine.yield" ] ()
   in
-  Rewriter.pattern ~name:t.name ~roots:(Rewriter.Roots t.roots) ~prefix
-    ~generated_ops apply
+  Rewriter.pattern ~name:t.name ~roots:(Rewriter.Roots t.roots) ~prefix apply
 
 let compile_tdl ?target src =
   List.map (compile ?target) (Frontend.lower_source src)

@@ -98,7 +98,6 @@ let run ?(blocking = default_blocking) root =
   let pat =
     Rewriter.pattern ~name:"blis-schedule"
       ~roots:(Rewriter.Roots [ "affine.matmul" ])
-      ~generated_ops:[ "affine.for"; "affine.load"; "affine.store" ]
       (fun ctx op ->
         if A.is_matmul op then begin
           lower_one blocking ctx.Rewriter.builder op;

@@ -1,52 +1,11 @@
 open Ir
 module A = Affine.Affine_ops
 
-let non_yield (b : Core.block) =
-  List.filter
-    (fun (o : Core.op) -> not (String.equal o.o_name "affine.yield"))
-    (Core.ops_of_block b)
-
-let access_sig op =
-  ( (A.access_memref op).Core.v_id,
-    Affine_map.to_string (A.access_map op),
-    List.map (fun (v : Core.value) -> v.Core.v_id) (A.access_indices op) )
-
-let permutable_body (b : Core.block) =
-  let ops = non_yield b in
-  let stores = List.filter A.is_store ops in
-  let loads = List.filter A.is_load ops in
-  let arith_ok =
-    List.for_all
-      (fun (o : Core.op) ->
-        A.is_store o || A.is_load o
-        || List.mem o.o_name Std_dialect.Arith.float_binops
-        || Std_dialect.Arith.is_constant o)
-      ops
-  in
-  match stores with
-  | [ store ] ->
-      arith_ok
-      &&
-      let target = (A.access_memref store).Core.v_id in
-      let store_sig = access_sig store in
-      (* Loads from the written array must be the accumulator (identical
-         subscripts); loads from other arrays are unrestricted. *)
-      List.for_all
-        (fun ld ->
-          let memref, _, _ = access_sig ld in
-          memref <> target
-          ||
-          let m, map, idx = access_sig ld in
-          let m', map', idx' = store_sig in
-          m = m' && map = map' && idx = idx')
-        loads
-  | _ -> false
-
 let rotate_nest loops ~inner =
   (* Rebuild the nest with [inner] moved to the innermost position. *)
   let outermost = List.hd loops in
   let innermost_old = List.nth loops (List.length loops - 1) in
-  let body_ops = non_yield (A.for_body innermost_old) in
+  let body_ops = Affine.Loops.body_ops innermost_old in
   let order = List.filter (fun l -> not (Core.op_equal l inner)) loops @ [ inner ] in
   let b = Builder.before outermost in
   let rec build b built = function
@@ -87,20 +46,31 @@ let vectorize_func func =
       let depth = List.length loops in
       if depth > 1 && Affine.Loops.nest_trip_counts loops <> None then begin
         let innermost = List.nth loops (depth - 1) in
-        let body = A.for_body innermost in
-        if permutable_body body then begin
-          let body_ops = non_yield body in
-          let vectorizable l =
-            Affine.Loops.vectorizable_wrt (A.for_iv l) body_ops
-          in
-          if not (vectorizable innermost) then
-            (* Deepest vectorizable loop wins (better locality outside). *)
-            match List.rev loops |> List.find_opt vectorizable with
-            | Some candidate ->
+        let body_ops = Affine.Loops.body_ops innermost in
+        let ivs = Affine.Dependence.ivs_around innermost @ [ A.for_iv innermost ] in
+        let outer = List.length ivs - depth in
+        let vectorizable l =
+          Affine.Loops.vectorizable_wrt (A.for_iv l) body_ops
+        in
+        if not (vectorizable innermost) then
+          (* Deepest vectorizable loop wins (better locality outside). *)
+          match List.rev loops |> List.find_opt vectorizable with
+          | Some candidate ->
+              (* Moving it innermost must keep every dependence
+                 lexicographically positive; a reduction's accumulator
+                 reorders under reassociation. *)
+              let at =
+                outer + Option.get (List.find_index (Core.op_equal candidate) loops)
+              in
+              if
+                Option.is_none
+                  Affine.Dependence.(
+                    violation ~reassociate:true ~ok:(rotatable ~at) (ivs, body_ops))
+              then begin
                 rotate_nest loops ~inner:candidate;
                 incr changed
-            | None -> ()
-        end
+              end
+          | None -> ()
       end
       else if depth = 1 then List.iter process (Affine.Loops.body_ops op)
     end

@@ -2,11 +2,10 @@
     [smartfuse] (fuse when loops share data, balancing locality and
     parallelism) and [maxfuse] (fuse whenever legal).
 
-    Legality uses the same conservative syntactic test as MET's loop
-    distribution, transposed: two adjacent loops with identical bounds
-    may fuse iff every array written by one and accessed by the other is
-    accessed with the same subscript pattern (map and induction-variable
-    positions), so all cross-loop dependences are intra-iteration. *)
+    Two adjacent loops with identical bounds heading perfect nests of
+    equal depth may fuse when every dependence from the first into the
+    second ({!Affine.Dependence}) keeps a distance [>= 0] on the fused
+    loop; a [*] distance refuses. *)
 
 open Ir
 

@@ -1,6 +1,7 @@
 open Ir
 module A = Affine.Affine_ops
 module D = Support.Diag
+module Dep = Affine.Dependence
 
 let const_bounds loop =
   match A.for_const_bounds loop with
@@ -83,6 +84,28 @@ let tile_nest loops ~sizes =
     (List.combine loops (List.combine ubs (List.combine sizes tiled)));
   Core.erase_op outermost
 
+(* Tiling reorders the nest's iterations by blocks, which keeps every
+   dependence only when each is >= 0 in every loop of the nest (the nest
+   is a permutable band); a reduction's accumulator reorders under
+   reassociation. A nest that is not is skipped with a [missed] remark
+   naming the pair of accesses and their distance vector. *)
+let permutable loops =
+  let innermost = List.nth loops (List.length loops - 1) in
+  let ivs = Dep.ivs_around innermost @ [ A.for_iv innermost ] in
+  let band = List.length ivs - List.length loops in
+  match
+    Dep.violation ~reassociate:true ~ok:(Dep.permutable ~band)
+      (ivs, Affine.Loops.body_ops innermost)
+  with
+  | None -> true
+  | Some why ->
+      if Remark.enabled () then
+        Remark.remark
+          ~loc:(Core.nearest_loc (List.hd loops))
+          ~context:"transform" ~pattern:"transform.tile" ~stage:"dependence"
+          Remark.Missed "nest not tiled: %s" why;
+      false
+
 (* One size tiles every dimension; a list pairs with the nest's loops
    outermost-first, truncated to its depth or padded with 1 (untiled). *)
 let fit_sizes sizes depth =
@@ -100,11 +123,19 @@ let tile_nests root ~sizes =
     if A.is_for op then begin
       let loops = Affine.Loops.perfect_nest op in
       let depth = List.length loops in
-      if depth > 1 && Affine.Loops.nest_trip_counts loops <> None then begin
-        tile_nest loops ~sizes:(fit_sizes sizes depth);
-        incr tiled
-      end
-      else if depth = 1 then List.iter process (Affine.Loops.body_ops op)
+      match Affine.Loops.nest_trip_counts loops with
+      | Some trips when depth > 1 ->
+          let sizes = fit_sizes sizes depth in
+          (* Sizes that split no loop keep the iteration order. *)
+          if
+            (not (List.exists2 (fun trip size -> size > 1 && size < trip) trips sizes))
+            || permutable loops
+          then begin
+            tile_nest loops ~sizes;
+            incr tiled
+          end
+      | _ ->
+          if depth = 1 then List.iter process (Affine.Loops.body_ops op)
     end
     else
       Array.iter

@@ -17,7 +17,13 @@ val tile_nest : Core.op list -> sizes:int list -> unit
     > 1 with constant trip counts under [root] and returns how many it
     tiled. One size tiles every dimension; otherwise [sizes] pairs with
     each nest's loops outermost-first, truncated to its depth or padded
-    with 1 (untiled). Depth-1 loops are searched for deeper nests. *)
+    with 1 (untiled). Depth-1 loops are searched for deeper nests. A
+    nest whose tiling would reorder its iterations is tiled only when it
+    is a permutable band ({!Affine.Dependence.permutable}, reductions
+    reassociating); otherwise it is skipped with a [missed] remark at
+    the nest (stage ["dependence"]) naming the accesses and their
+    distance vector. [tile_nest] asks nothing: {!Lower_linalg} tiles the
+    nests it builds, permutable by construction. *)
 val tile_nests : Core.op -> sizes:int list -> int
 
 (** [tile_all root ~size] = [tile_nests root ~sizes:[size]], count

@@ -85,11 +85,9 @@ let patterns () =
   [
     Rewriter.pattern ~name:"affine-for-to-scf"
       ~roots:(Rewriter.Roots [ "affine.for" ])
-      ~generated_ops:[ "scf.for" ]
       (fun ctx op -> if A.is_for op then lower_for ctx op else false);
     Rewriter.pattern ~name:"affine-access-to-memref"
       ~roots:(Rewriter.Roots [ "affine.load"; "affine.store" ])
-      ~generated_ops:[ "memref.load"; "memref.store" ]
       (fun ctx op ->
         if A.is_load op || A.is_store op then lower_access ctx op else false);
     Rewriter.pattern ~name:"affine-apply-to-arith"

@@ -32,22 +32,13 @@ let lower_transpose b ~perm src dst =
       let v = A.load_simple b src src_ivs in
       ignore (A.store_simple b v dst (Array.to_list ivs)))
 
-let row_major_strides shape =
-  let n = List.length shape in
-  let arr = Array.of_list shape in
-  let strides = Array.make n 1 in
-  for i = n - 2 downto 0 do
-    strides.(i) <- strides.(i + 1) * arr.(i + 1)
-  done;
-  strides
-
 let lower_reshape b src dst =
   (* Contiguous row-major relayout: iterate the output space; the input
      subscripts delinearize the shared row-major offset. *)
   let out_shape = shape_of dst and in_shape = shape_of src in
-  let out_strides = row_major_strides out_shape in
-  let in_strides = row_major_strides in_shape in
   let in_shape_a = Array.of_list in_shape in
+  let out_strides = Affine_expr.row_major_strides (Array.of_list out_shape) in
+  let in_strides = Affine_expr.row_major_strides in_shape_a in
   build_nest b out_shape (fun b ivs ->
       let n_out = List.length ivs in
       let linear =
@@ -160,7 +151,6 @@ let linalg_roots = Rewriter.Roots L.names
 let patterns () =
   [
     Rewriter.pattern ~name:"lower-linalg" ~roots:linalg_roots
-      ~generated_ops:[ "affine.for"; "affine.load"; "affine.store" ]
       (lower_op ?tile_size:None);
   ]
 
@@ -173,6 +163,5 @@ let run_tiled ~size root =
        (Rewriter.freeze
           [
             Rewriter.pattern ~name:"lower-linalg-tiled" ~roots:linalg_roots
-              ~generated_ops:[ "affine.for"; "affine.load"; "affine.store" ]
               (lower_op ~tile_size:size);
           ]))

@@ -177,7 +177,6 @@ let rewrite_chain func chain =
 let pattern () =
   Rewriter.pattern ~name:"reorder-matmul-chain"
     ~roots:(Rewriter.Roots [ "linalg.matmul" ])
-    ~generated_ops:[ "linalg.matmul"; "linalg.fill"; "memref.alloc" ]
     (fun _ctx op ->
       if not (L.is_matmul op) then false
       else

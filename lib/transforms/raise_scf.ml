@@ -118,12 +118,10 @@ let patterns () =
         (* The scf.for verifier pins the shape: (lb, ub, step) + one body
            region. *)
       ~prefix:(Rewriter.prefix ~operands:3 ~regions:1 ())
-      ~generated_ops:[ "affine.for" ]
       (fun ctx op ->
         if Std_dialect.Scf.is_for op then raise_for ctx op else false);
     Rewriter.pattern ~name:"raise-memref-access"
       ~roots:(Rewriter.Roots [ "memref.load"; "memref.store" ])
-      ~generated_ops:[ "affine.load"; "affine.store" ]
       (fun ctx op ->
         if
           String.equal op.Core.o_name "memref.load"

@@ -39,7 +39,6 @@ let paper_contractions () =
 let fill_pattern () =
   Rewriter.pattern ~name:"raise-fill"
     ~roots:(Rewriter.Roots [ "affine.for" ])
-    ~generated_ops:[ "linalg.fill" ]
     (fun ctx op ->
       let miss stage msg =
         if Remark.enabled () then

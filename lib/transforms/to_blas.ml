@@ -42,7 +42,7 @@ let patterns () =
        the diagnostic above still fires under indexed dispatch. *)
     Rewriter.pattern ~name:"linalg-to-blas"
       ~roots:(Rewriter.Roots (List.filter (( <> ) "linalg.fill") L.names))
-      ~generated_ops:B.names convert;
+      convert;
   ]
 
 let frozen = Rewriter.freeze (patterns ())

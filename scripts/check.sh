@@ -286,6 +286,63 @@ for kernel in div_iv div_zero; do
     exit 1
   fi
 done
+# Every loop transform asks one dependence test (Affine.Dependence):
+# these legal programs must keep their semantics under every loop
+# schedule. skew, mv and alias once miscompiled when tiled; dist and
+# dist2 when MET distributed their loops.
+cat > "$obs_tmp/skew.c" <<'EOF'
+void skew(float A[65][65]) {
+  for (int i = 0; i < 64; ++i)
+    for (int j = 0; j < 64; ++j)
+      A[i+1][j] = A[i][j+1] + 1.0;
+}
+EOF
+cat > "$obs_tmp/mv.c" <<'EOF'
+void mv(float A[16][16], float x[16]) {
+  for (int i = 0; i < 16; ++i)
+    for (int j = 0; j < 16; ++j)
+      x[i] += A[i][j] * x[j];
+}
+EOF
+cat > "$obs_tmp/alias.c" <<'EOF'
+void alias(float B[16][16], float C[16][16]) {
+  for (int i = 0; i < 16; ++i)
+    for (int j = 0; j < 16; ++j)
+      for (int k = 0; k < 16; ++k)
+        C[i][j] += C[i][k] * B[k][j];
+}
+EOF
+cat > "$obs_tmp/dist.c" <<'EOF'
+void dist(float A[1], float B[16], float C[16]) {
+  for (int i = 0; i < 16; ++i) {
+    A[0] = C[i] * 2.0;
+    B[i] = A[0] + 1.0;
+  }
+}
+EOF
+cat > "$obs_tmp/dist2.c" <<'EOF'
+void dist2(float A[17], float B[16], float D[16]) {
+  for (int i = 0; i < 16; ++i) {
+    A[i] = 2.0;
+    B[i] = D[i] * 3.0;
+    D[i] = A[i+1] + 1.0;
+  }
+}
+EOF
+for kernel in skew mv alias dist dist2; do
+  for flags in "--config pluto-default" "--config pluto-best" "--tile 8" \
+    "--fuse maxfuse --tile 4"; do
+    status=0
+    # shellcheck disable=SC2086
+    _build/default/bin/mlt_opt.exe "$obs_tmp/$kernel.c" $flags --verify-exec \
+      > /dev/null 2> "$obs_tmp/$kernel.err" || status=$?
+    if [ "$status" -ne 0 ]; then
+      cat "$obs_tmp/$kernel.err" >&2
+      echo "check.sh: mlt-opt $flags --verify-exec on $kernel.c exited $status" >&2
+      exit 1
+    fi
+  done
+done
 # A schedule the simulator cannot time must fail as a Diag.Error located
 # in the input file (exit 124): lower_affine leaves scf.for loops, which
 # the simulator rejects at the loop's source position.

@@ -13,6 +13,7 @@ let () =
       ("tdl", Test_tdl.suite);
       ("transforms", Test_transforms.suite);
       ("interchange", Test_interchange.suite);
+      ("dependence", Test_dependence.suite);
       ("machine", Test_machine.suite);
       ("raise-scf", Test_raise_scf.suite);
       ("delinearize", Test_delinearize.suite);

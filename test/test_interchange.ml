@@ -43,24 +43,48 @@ let test_already_vectorizable_untouched () =
   Alcotest.(check int) "no rotation" 0
     (T.Interchange.vectorize_func (Option.get (Core.find_func m "f")))
 
+(* The dependence test's verdict on the innermost body of [f]'s first
+   nest for moving its loop [at] innermost. *)
+let rotation f ~at ~reassociate =
+  let inner = innermost_of f in
+  let ivs = Affine.Dependence.ivs_around inner @ [ Affine.Affine_ops.for_iv inner ] in
+  Affine.Dependence.(
+    violation ~reassociate ~ok:(rotatable ~at) (ivs, Affine.Loops.body_ops inner))
+
+let legal = Option.is_none
+
 let test_non_reduction_body_untouched () =
-  (* x[i] = x[i + 1] style dependences are not the reduction form: the
-     legality check must refuse to permute. *)
+  (* i is the unit-stride loop, but the load reads the element the store
+     wrote one j earlier and one i later: the dependence (i, j) = (-1, 1)
+     read backward is (1, -1), which turns negative once i is innermost.
+     The test must refuse to permute. *)
   let src =
-    "void f(float A[8][9]) { for (int i = 0; i < 8; ++i) for (int j = 0; j \
-     < 8; ++j) A[i][j] = A[i][j + 1] + 1.0; }"
+    "void f(float A[9][9]) { for (int i = 0; i < 8; ++i) for (int j = 1; j \
+     < 9; ++j) A[j][i] = A[j - 1][i + 1] + 1.0; }"
   in
   let m = translate src in
   let f = Option.get (Core.find_func m "f") in
-  Alcotest.(check bool) "body not permutable" false
-    (T.Interchange.permutable_body (Affine.Affine_ops.for_body (innermost_of f)));
+  Alcotest.(check bool) "i not rotatable" false
+    (legal (rotation f ~at:0 ~reassociate:true));
   Alcotest.(check int) "no rotation" 0 (T.Interchange.vectorize_func f)
 
 let test_permutable_body_recognizes_contraction () =
+  (* gemm's accumulator depends on itself only along k; a sum over two
+     loops into one cell is permutable only under reassociation. *)
   let m = translate (W.mm ~ni:4 ~nj:4 ~nk:4 ()) in
   let f = Option.get (Core.find_func m "mm") in
-  Alcotest.(check bool) "gemm body permutable" true
-    (T.Interchange.permutable_body (Affine.Affine_ops.for_body (innermost_of f)))
+  Alcotest.(check bool) "gemm: j rotatable" true
+    (legal (rotation f ~at:1 ~reassociate:false));
+  let m =
+    translate
+      "void f(float A[4][4], float s[1]) { for (int i = 0; i < 4; ++i) for \
+       (int j = 0; j < 4; ++j) s[0] += A[i][j]; }"
+  in
+  let f = Option.get (Core.find_func m "f") in
+  Alcotest.(check bool) "sum: i not rotatable as written" false
+    (legal (rotation f ~at:0 ~reassociate:false));
+  Alcotest.(check bool) "sum: i rotatable under reassociation" true
+    (legal (rotation f ~at:0 ~reassociate:true))
 
 let test_all_kernels_survive_interchange () =
   List.iter

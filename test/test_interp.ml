@@ -225,11 +225,11 @@ let test_contract_kernel_is_matmul () =
     dims
   in
   Alcotest.(check (array int)) "inferred space" [| 4; 3; 5 |]
-    (check "matmul" (maps "linalg.matmul")
+    (check ~exact:true "matmul" (maps "linalg.matmul")
        [ [ 4; 5 ]; [ 5; 3 ]; [ 4; 3 ] ]
        K.matmul);
   ignore
-    (check "matvec" (maps "linalg.matvec")
+    (check ~exact:true "matvec" (maps "linalg.matvec")
        [ [ 4; 5 ]; [ 5 ]; [ 4 ] ]
        (K.matvec ~transpose:false));
   ignore
@@ -241,6 +241,31 @@ let test_contract_kernel_is_matmul () =
     (check ~exact:true "conv2d_nchw" (maps "blas.sconv2d")
        [ [ 2; 3; 6; 7 ]; [ 4; 3; 3; 2 ]; [ 2; 4; 4; 6 ] ]
        K.conv2d_nchw)
+
+(* A library kernel adds each output's products in its loops' order,
+   starting from the output's value: under mlt-blas every tiny-suite
+   kernel computes the bits clang-O3's loops compute. *)
+let test_library_kernels_match_loops () =
+  List.iter
+    (fun (name, src) ->
+      let run config =
+        let m = Mlt.Pipeline.prepare_schedule (Mlt.Pipeline.Config config) src in
+        Interp.Eval.run_on_random m (Test_interp_compile.func_name_of m) ~seed:13
+      in
+      if
+        not
+          (Ref_interp.all_same_bits
+             (run Mlt.Pipeline.Clang_O3) (run Mlt.Pipeline.Mlt_blas))
+      then Alcotest.failf "%s: mlt-blas differs from clang-O3 in bits" name)
+    (W.tiny_suite ());
+  (* Nothing skips a zero of A: 0 * inf is NaN, and -0 + 0 * 1 is +0. *)
+  let a = B.init [ 1; 1 ] (fun _ -> 0.) in
+  let b = B.init [ 1; 2 ] (fun i -> if i.(1) = 0 then Float.infinity else 1.) in
+  let c = B.init [ 1; 2 ] (fun _ -> -0.) in
+  K.matmul a b c;
+  Alcotest.(check bool) "-0 + 0 * inf is NaN" true (Float.is_nan (B.get c [| 0; 0 |]));
+  Alcotest.(check int64) "-0 + 0 * 1 is +0" 0L
+    (Int64.bits_of_float (B.get c [| 0; 1 |]))
 
 (* [conv2d_nchw] adds the products in [contract]'s order over the
    [blas.sconv2d] maps (channel, then kernel row, then kernel column,
@@ -694,6 +719,8 @@ let suite =
     Alcotest.test_case "reshape kernel" `Quick test_reshape_kernel;
     Alcotest.test_case "contract generalizes matmul" `Quick
       test_contract_kernel_is_matmul;
+    Alcotest.test_case "library kernels compute what their loops compute"
+      `Quick test_library_kernels_match_loops;
     QCheck_alcotest.to_alcotest prop_conv2d_matches_contract;
     Alcotest.test_case "equivalent: one input battery, copied" `Quick
       test_equivalent_shares_inputs;

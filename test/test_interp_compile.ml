@@ -363,7 +363,15 @@ let mac_func d =
     end
   in
   nest (Builder.at_end (Core.func_entry f)) 0 [];
-  Option.iter (fun size -> Transforms.Loop_tile.tile_all f ~size) d.tile;
+  (* A tiled nest is perfect from the top. It is tiled without asking
+     the dependence test: both engines run the same tiled function,
+     whether or not it computes what the untiled one does. *)
+  Option.iter
+    (fun size ->
+      let loops = Affine.Loops.perfect_nest (List.hd (Affine.Loops.top_level_loops f)) in
+      if List.length loops > 1 then
+        Transforms.Loop_tile.tile_nest loops ~sizes:(List.map (fun _ -> size) loops))
+    d.tile;
   f
 
 (* Finite values, NaNs with distinct payloads (either sign), -0.0 and
