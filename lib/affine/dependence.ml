@@ -58,9 +58,7 @@ let can_zero = function Any -> true | Dist d -> d = 0
 
 (* The dependence can join two instances in one iteration of loops
    [0, n); an outer loop that carries it keeps it. *)
-let meets_within v n =
-  let rec go i = i >= n || (can_zero v.(i) && go (i + 1)) in
-  go 0
+let meets_within v n = Array.for_all can_zero (Array.sub v 0 n)
 
 let permutable ~band v =
   let loops p =
@@ -109,6 +107,9 @@ let is_store (op : Core.op) =
 let accesses ivs ops =
   let dim = dims Core.value_equal ivs in
   let found = ref [] and blind = ref None in
+  let memref (v : Core.value) =
+    match v.v_typ with Typ.Mem_ref _ -> true | _ -> false
+  in
   let visit (op : Core.op) =
     match Bounds.access op with
     | Some (memref, exprs, idx) ->
@@ -119,13 +120,8 @@ let accesses ivs ops =
         in
         found := (op, memref, List.map linear exprs) :: !found
     | None ->
-        if
-          Option.is_none !blind
-          && Array.exists
-               (fun (v : Core.value) ->
-                 match v.v_typ with Typ.Mem_ref _ -> true | _ -> false)
-               op.o_operands
-        then blind := Some op
+        if Option.is_none !blind && Array.exists memref op.o_operands then
+          blind := Some op
   in
   List.iter (fun root -> Core.walk root visit) ops;
   match !blind with Some op -> Error op | None -> Ok (List.rev !found)
@@ -164,7 +160,7 @@ let describe op =
       (if is_store op then "store " else "load ")
       ^ Printer.access_to_string memref idx exprs
 
-let violation ?(reassociate = false) ?into ~ok (ivs, ops) =
+let violation ?into ~ok (ivs, ops) =
   let depth = List.length ivs in
   let xs = accesses ivs ops in
   match (xs, Option.fold ~none:xs ~some:(fun (ivs, ops) -> accesses ivs ops) into) with
@@ -175,7 +171,7 @@ let violation ?(reassociate = false) ?into ~ok (ivs, ops) =
         if
           (is_store a || is_store b)
           && Core.value_equal ma mb
-          && not (reassociate && (reduction x y || reduction y x))
+          && not (reduction x y || reduction y x)
         then
           match test ~depth la lb with
           | Vector v when not (ok v) ->

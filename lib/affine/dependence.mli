@@ -71,8 +71,8 @@ val carried : dist array -> bool
     its function, outermost first. *)
 val ivs_around : Core.op -> Core.value list
 
-(** [violation ?reassociate ?into ~ok (ivs, ops)] — why the loops [ivs]
-    may not be transformed, or [None]: the first pair of accesses
+(** [violation ?into ~ok (ivs, ops)] — why the loops [ivs] may not be
+    transformed, or [None]: the first pair of accesses
     ({!Bounds.access}) to one memref, one of them a store, whose {!test}
     vector over [ivs] fails [ok] (["load %A\[%i, %j + 1\] and store
     %A\[%i + 1, %j\] depend at distance (-1, 1)"]), or the first op under
@@ -80,14 +80,14 @@ val ivs_around : Core.op -> Core.value list
     the test cannot see its effects). The pairs are those within [ops],
     an access with itself included, or with [into = (ivs', ops')] those
     of an access under [ops] and one under [ops'], whose loops pair
-    with [ivs] position by position (a fusion). With [reassociate], a
-    reduction's accumulator is skipped: a store [X\[s\] = (X\[s\] ⊕ e1)
-    ⊕ e2 …], [⊕] one of [addf] or [mulf], paired with itself or with the
-    one load of [X] among the tree's leaves when it reads [X\[s\]].
-    Tiling and interchange reorder these under reassociation, which
-    Pluto also assumes. *)
+    with [ivs] position by position (a fusion). A reduction's
+    accumulator is skipped: a store [X\[s\] = (X\[s\] ⊕ e1) ⊕ e2 …],
+    [⊕] one of [addf] or [mulf], paired with itself or with the one load
+    of [X] among the tree's leaves when it reads [X\[s\]]. Tiling and
+    interchange reorder these under reassociation, which Pluto also
+    assumes; a fusion never pairs them, as the load lies in the store's
+    own loop. *)
 val violation :
-  ?reassociate:bool ->
   ?into:Core.value list * Core.op list ->
   ok:(dist array -> bool) ->
   Core.value list * Core.op list ->

@@ -65,7 +65,7 @@ let vectorize_func func =
               if
                 Option.is_none
                   Affine.Dependence.(
-                    violation ~reassociate:true ~ok:(rotatable ~at) (ivs, body_ops))
+                    violation ~ok:(rotatable ~at) (ivs, body_ops))
               then begin
                 rotate_nest loops ~inner:candidate;
                 incr changed

@@ -7,7 +7,7 @@
     ({!Affine.Dependence}) lexicographically positive. A reduction's
     accumulator ([X\[s\] = X\[s\] + f(...)]) reorders under
     reassociation, which Pluto also assumes
-    ({!Affine.Dependence.violation}'s [reassociate]). *)
+    ({!Affine.Dependence.violation}). *)
 
 open Ir
 

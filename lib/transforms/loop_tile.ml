@@ -10,18 +10,20 @@ let const_bounds loop =
       D.errorf ~loc:(Core.nearest_loc loop)
         "tile: loop bounds must be constant, zero-based, unit-step"
 
+(* The nest's upper bounds and the loops [sizes] split: a size in
+   (1, ub) gets a tile loop, any other leaves the loop point-only. *)
+let splits loops ~sizes =
+  let ubs = List.map const_bounds loops in
+  (ubs, List.map2 (fun ub size -> size > 1 && size < ub) ubs sizes)
+
 let tile_nest loops ~sizes =
   if List.length loops <> List.length sizes then
     invalid_arg "tile_nest: sizes do not pair with loops";
   let outermost = List.hd loops in
-  let ubs = List.map const_bounds loops in
+  let ubs, tiled = splits loops ~sizes in
   let innermost = List.nth loops (List.length loops - 1) in
   let body_ops = Affine.Loops.body_ops innermost in
   let old_ivs = Affine.Loops.nest_ivs loops in
-  (* Effective tiling decision per loop. *)
-  let tiled =
-    List.map2 (fun ub size -> size > 1 && size < ub) ubs sizes
-  in
   let b = Builder.before outermost in
   (* Each tile loop and point loop is built under the location of the
      loop it replaces. *)
@@ -94,8 +96,7 @@ let permutable loops =
   let ivs = Dep.ivs_around innermost @ [ A.for_iv innermost ] in
   let band = List.length ivs - List.length loops in
   match
-    Dep.violation ~reassociate:true ~ok:(Dep.permutable ~band)
-      (ivs, Affine.Loops.body_ops innermost)
+    Dep.violation ~ok:(Dep.permutable ~band) (ivs, Affine.Loops.body_ops innermost)
   with
   | None -> true
   | Some why ->
@@ -123,19 +124,17 @@ let tile_nests root ~sizes =
     if A.is_for op then begin
       let loops = Affine.Loops.perfect_nest op in
       let depth = List.length loops in
-      match Affine.Loops.nest_trip_counts loops with
-      | Some trips when depth > 1 ->
-          let sizes = fit_sizes sizes depth in
-          (* Sizes that split no loop keep the iteration order. *)
-          if
-            (not (List.exists2 (fun trip size -> size > 1 && size < trip) trips sizes))
-            || permutable loops
-          then begin
-            tile_nest loops ~sizes;
-            incr tiled
-          end
-      | _ ->
-          if depth = 1 then List.iter process (Affine.Loops.body_ops op)
+      if depth > 1 && Affine.Loops.nest_trip_counts loops <> None then begin
+        let sizes = fit_sizes sizes depth in
+        (* Bounds are checked first; sizes that split no loop keep the
+           iteration order. *)
+        if (not (List.mem true (snd (splits loops ~sizes)))) || permutable loops
+        then begin
+          tile_nest loops ~sizes;
+          incr tiled
+        end
+      end
+      else if depth = 1 then List.iter process (Affine.Loops.body_ops op)
     end
     else
       Array.iter

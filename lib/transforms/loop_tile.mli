@@ -22,8 +22,11 @@ val tile_nest : Core.op list -> sizes:int list -> unit
     is a permutable band ({!Affine.Dependence.permutable}, reductions
     reassociating); otherwise it is skipped with a [missed] remark at
     the nest (stage ["dependence"]) naming the accesses and their
-    distance vector. [tile_nest] asks nothing: {!Lower_linalg} tiles the
-    nests it builds, permutable by construction. *)
+    distance vector. Bounds are checked first: a nest with constant
+    trip counts whose loops are not all zero-based and unit-step raises
+    {!Support.Diag.Error} whether or not it is permutable. [tile_nest] asks nothing:
+    {!Lower_linalg} tiles the nests it builds, permutable by
+    construction. *)
 val tile_nests : Core.op -> sizes:int list -> int
 
 (** [tile_all root ~size] = [tile_nests root ~sizes:[size]], count

@@ -45,11 +45,11 @@ let test_already_vectorizable_untouched () =
 
 (* The dependence test's verdict on the innermost body of [f]'s first
    nest for moving its loop [at] innermost. *)
-let rotation f ~at ~reassociate =
+let rotation f ~at =
   let inner = innermost_of f in
   let ivs = Affine.Dependence.ivs_around inner @ [ Affine.Affine_ops.for_iv inner ] in
   Affine.Dependence.(
-    violation ~reassociate ~ok:(rotatable ~at) (ivs, Affine.Loops.body_ops inner))
+    violation ~ok:(rotatable ~at) (ivs, Affine.Loops.body_ops inner))
 
 let legal = Option.is_none
 
@@ -64,27 +64,23 @@ let test_non_reduction_body_untouched () =
   in
   let m = translate src in
   let f = Option.get (Core.find_func m "f") in
-  Alcotest.(check bool) "i not rotatable" false
-    (legal (rotation f ~at:0 ~reassociate:true));
+  Alcotest.(check bool) "i not rotatable" false (legal (rotation f ~at:0));
   Alcotest.(check int) "no rotation" 0 (T.Interchange.vectorize_func f)
 
 let test_permutable_body_recognizes_contraction () =
   (* gemm's accumulator depends on itself only along k; a sum over two
-     loops into one cell is permutable only under reassociation. *)
+     loops into one cell reorders under reassociation. *)
   let m = translate (W.mm ~ni:4 ~nj:4 ~nk:4 ()) in
   let f = Option.get (Core.find_func m "mm") in
-  Alcotest.(check bool) "gemm: j rotatable" true
-    (legal (rotation f ~at:1 ~reassociate:false));
+  Alcotest.(check bool) "gemm: j rotatable" true (legal (rotation f ~at:1));
   let m =
     translate
       "void f(float A[4][4], float s[1]) { for (int i = 0; i < 4; ++i) for \
        (int j = 0; j < 4; ++j) s[0] += A[i][j]; }"
   in
   let f = Option.get (Core.find_func m "f") in
-  Alcotest.(check bool) "sum: i not rotatable as written" false
-    (legal (rotation f ~at:0 ~reassociate:false));
   Alcotest.(check bool) "sum: i rotatable under reassociation" true
-    (legal (rotation f ~at:0 ~reassociate:true))
+    (legal (rotation f ~at:0))
 
 let test_all_kernels_survive_interchange () =
   List.iter
