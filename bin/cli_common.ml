@@ -78,6 +78,7 @@ let pass_stats_json ?tune pm =
                 ("candidates", J.num_int st.Tune.t_candidates);
                 ("evaluated", J.num_int st.Tune.t_evaluated);
                 ("simulated", J.num_int st.Tune.t_simulated);
+                ("pruned", J.num_int st.Tune.t_pruned);
                 ("best_seconds", J.Num st.Tune.t_best_seconds);
                 ( "eval_seconds",
                   Ir.Metrics.histogram_snapshot_json st.Tune.t_eval_latency );

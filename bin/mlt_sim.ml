@@ -33,18 +33,20 @@ let run_tune ~machine ~quick ~pass_stats ~file src =
   in
   let st = outcome.Tune.o_stats in
   Printf.printf "machine:          %s\n" machine.Machine.Machine_model.name;
-  Printf.printf "candidates:       %d (%d evaluated, %d simulated)\n"
-    st.Tune.t_candidates st.Tune.t_evaluated st.Tune.t_simulated;
+  Printf.printf
+    "candidates:       %d (%d evaluated, %d simulated, %d pruned)\n"
+    st.Tune.t_candidates st.Tune.t_evaluated st.Tune.t_simulated
+    st.Tune.t_pruned;
   Printf.printf "best schedule:    %s\n" outcome.Tune.o_best.Tune.c_name;
   Printf.printf "simulated time:   %.6f s\n" st.Tune.t_best_seconds;
   List.iter
     (fun (ev : Tune.evaluation) ->
-      match ev.Tune.ev_seconds with
-      | Some s ->
-          Printf.printf "  %-28s %.6f s\n" ev.Tune.ev_candidate.Tune.c_name s
-      | None ->
-          Printf.printf "  %-28s inapplicable\n"
-            ev.Tune.ev_candidate.Tune.c_name)
+      let name = ev.Tune.ev_candidate.Tune.c_name in
+      match (ev.Tune.ev_seconds, ev.Tune.ev_error, ev.Tune.ev_lower_bound) with
+      | Some s, _, _ -> Printf.printf "  %-28s %.6f s\n" name s
+      | None, None, Some b ->
+          Printf.printf "  %-28s pruned (bound %.6f s)\n" name b
+      | None, _, _ -> Printf.printf "  %-28s inapplicable\n" name)
     outcome.Tune.o_evaluations;
   print_string "\nwinning transform script:\n";
   print_string

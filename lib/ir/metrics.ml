@@ -50,8 +50,11 @@ let histogram ?help name = register Histogram ?help name
 (* ---------------------------------------------------------------------- *)
 (* Per-domain shards.  A shard is an id-indexed cell array owned by one
    domain; updates never synchronize.  Shards register themselves in
-   [shards] at creation so [snapshot] can see every domain's cells even
-   after the owning domain has been joined. *)
+   [shards] at creation so [snapshot] can see every live domain's
+   cells.  A dying domain folds its cells into [retired] and leaves
+   [shards] ([Domain.at_exit]): [Support.Pool] spawns fresh domains on
+   every run, so otherwise every run would leave one more shard for
+   every snapshot to fold. *)
 
 type hist_cell = {
   mutable hc_count : int;
@@ -67,12 +70,57 @@ type cell =
 
 type shard = { mutable cells : cell array }
 
-let shards : shard list ref = ref []
+(* Only ever touched under [registry_mutex]. *)
+let retired = { cells = [||] }
+let shards : shard list ref = ref [ retired ]
+
+(* Add [cell] into [retired]'s cell [id], copying: the dying domain
+   may still run other exit callbacks, and they must not write into
+   [retired]. *)
+let retire_cell id cell =
+  let n = Array.length retired.cells in
+  if id >= n then begin
+    let grown = Array.make (max (id + 1) (2 * n)) C_empty in
+    Array.blit retired.cells 0 grown 0 n;
+    retired.cells <- grown
+  end;
+  retired.cells.(id) <-
+    (match (retired.cells.(id), cell) with
+    | _, C_empty -> retired.cells.(id)
+    | C_empty, C_counter r -> C_counter (ref !r)
+    | C_empty, C_gauge r -> C_gauge (ref !r)
+    | C_empty, C_hist h ->
+        C_hist { h with hc_buckets = Array.copy h.hc_buckets }
+    | C_counter a, C_counter r ->
+        a := !a + !r;
+        C_counter a
+    | C_gauge a, C_gauge r ->
+        (match (!a, !r) with
+        | Some x, Some y -> a := Some (Float.max x y)
+        | None, v -> a := v
+        | Some _, None -> ());
+        C_gauge a
+    | C_hist a, C_hist h ->
+        a.hc_count <- a.hc_count + h.hc_count;
+        a.hc_sum <- a.hc_sum +. h.hc_sum;
+        Array.iteri
+          (fun b n -> a.hc_buckets.(b) <- a.hc_buckets.(b) + n)
+          h.hc_buckets;
+        C_hist a
+    | _ ->
+        (* Unreachable: a cell's kind is its descriptor's. *)
+        assert false)
+
+let retire s =
+  locked (fun () ->
+      Array.iteri retire_cell s.cells;
+      shards := List.filter (fun x -> x != s) !shards)
 
 let shard_key =
   Domain.DLS.new_key (fun () ->
       let s = { cells = Array.make 16 C_empty } in
       locked (fun () -> shards := s :: !shards);
+      Domain.at_exit (fun () -> retire s);
       s)
 
 let fresh_cell = function
@@ -192,21 +240,22 @@ let merge_cell kind acc cell =
          descriptor, whose kind is write-once. *)
       assert false
 
+(* The fold holds the lock, so no shard retires during it: a dying
+   shard is counted either live or in [retired], never both. *)
 let snapshot () =
-  let descs, shard_list =
-    locked (fun () -> (List.rev !descriptors, !shards))
-  in
-  descs
-  |> List.map (fun d ->
-         let v =
-           List.fold_left
-             (fun acc s ->
-               if d.d_id < Array.length s.cells then
-                 merge_cell d.d_kind acc s.cells.(d.d_id)
-               else acc)
-             (zero_value d.d_kind) shard_list
-         in
-         { s_metric = d.d_name; s_help = d.d_help; s_value = v })
+  locked (fun () ->
+      List.rev_map
+        (fun d ->
+          let v =
+            List.fold_left
+              (fun acc s ->
+                if d.d_id < Array.length s.cells then
+                  merge_cell d.d_kind acc s.cells.(d.d_id)
+                else acc)
+              (zero_value d.d_kind) !shards
+          in
+          { s_metric = d.d_name; s_help = d.d_help; s_value = v })
+        !descriptors)
   |> List.sort (fun a b -> String.compare a.s_metric b.s_metric)
 
 (* ---------------------------------------------------------------------- *)
@@ -365,3 +414,5 @@ let reset () =
                   Array.fill h.hc_buckets 0 bucket_count 0)
             s.cells)
         !shards)
+
+let shard_count () = locked (fun () -> List.length !shards)

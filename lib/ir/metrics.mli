@@ -127,3 +127,7 @@ val parse_json : Support.Json.t -> (sample list, string) result
 (** Zero every cell on every shard (descriptors stay registered). Tests
     only — concurrent updates during a reset are lost, not corrupted. *)
 val reset : unit -> unit
+
+(** The shards {!snapshot} folds: one per live domain that has recorded
+    a metric, plus one that holds every exited domain's cells. *)
+val shard_count : unit -> int

@@ -81,7 +81,11 @@ let m_replayed =
            (Cache.replay, Cache.replay_movers)"
         "mlt_sim_replayed_accesses")
 
-let time_func model func =
+(* The walk [time_func] and [lower_bound] share: [simulate] runs over
+   each maximal run of trace-simulable ops, so the cache stays warm
+   across adjacent loop nests, and library calls are timed
+   analytically. *)
+let walk_func model func simulate =
   if not (Core.is_func func) then invalid_arg "Perf.time_func";
   Core.walk func (fun op ->
       if Linalg.Linalg_ops.is_linalg op then
@@ -90,7 +94,6 @@ let time_func model func =
            library calls before timing"
           op.Core.o_name);
   let addrs = Sim_trace.assign_addresses func in
-  let hier = hierarchy model in
   let stats = Sim_trace.empty_stats () in
   let fast_math =
     match Core.find_attr func "fast_math" with
@@ -98,12 +101,10 @@ let time_func model func =
     | _ -> false
   in
   let library_seconds = ref 0. in
-  (* Group maximal runs of trace-simulable ops so the cache stays warm
-     across adjacent loop nests; library calls are timed analytically. *)
   let pending = ref [] in
   let flush () =
     if !pending <> [] then begin
-      Sim_trace.simulate ~fast_math model hier addrs stats (List.rev !pending);
+      simulate ~fast_math addrs stats (List.rev !pending);
       pending := []
     end
   in
@@ -119,13 +120,6 @@ let time_func model func =
         | _ -> pending := op :: !pending)
     (Core.ops_of_block (Core.func_entry func));
   flush ();
-  if Metrics.enabled () then begin
-    let l1 = Cache.l1 hier in
-    Metrics.add (Support.Once.get m_accesses)
-      (int_of_float stats.Sim_trace.accesses);
-    Metrics.add (Support.Once.get m_l1_probes) (Cache.probes l1);
-    Metrics.add (Support.Once.get m_replayed) (Cache.replayed l1)
-  end;
   let compute_cycles =
     (stats.Sim_trace.flops_scalar /. model.M.scalar_flops_per_cycle)
     +. (stats.Sim_trace.flops_vector /. model.M.vector_flops_per_cycle)
@@ -141,5 +135,26 @@ let time_func model func =
     library_seconds = !library_seconds;
     stats;
   }
+
+let time_func model func =
+  let hier = hierarchy model in
+  let report =
+    walk_func model func (fun ~fast_math ->
+        Sim_trace.simulate ~fast_math model hier)
+  in
+  if Metrics.enabled () then begin
+    let l1 = Cache.l1 hier in
+    Metrics.add (Support.Once.get m_accesses)
+      (int_of_float report.stats.Sim_trace.accesses);
+    Metrics.add (Support.Once.get m_l1_probes) (Cache.probes l1);
+    Metrics.add (Support.Once.get m_replayed) (Cache.replayed l1)
+  end;
+  report
+
+(* The counting walk adds no [mem_cycles], so the report's seconds are
+   [time_func]'s with [mem_cycles = 0]. *)
+let lower_bound model func =
+  (walk_func model func (fun ~fast_math -> Sim_trace.count ~fast_math model))
+    .seconds
 
 let gflops ~flops report = flops /. report.seconds /. 1e9

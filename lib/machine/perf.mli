@@ -23,5 +23,15 @@ type report = {
     the report is the one a fresh hierarchy gives. *)
 val time_func : Machine_model.t -> Ir.Core.op -> report
 
+(** [lower_bound model func]: the seconds {!time_func} would report with
+    [mem_cycles = 0], from the same staged walk with probing switched
+    off ({!Trace.count}). Its iteration, flop and access counts are the
+    full walk's bit for bit, and it is computed in {!time_func}'s
+    operation order, where [Float.max compute mem >= compute] and every
+    later operation is monotone, so it never exceeds [time_func]'s
+    seconds. It neither resets nor reads a cache hierarchy and records
+    no metric. Raises what {!time_func} raises. *)
+val lower_bound : Machine_model.t -> Ir.Core.op -> float
+
 (** [gflops ~flops report] *)
 val gflops : flops:float -> report -> float

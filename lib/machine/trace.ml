@@ -51,7 +51,8 @@ let is_vectorizable ?fast_math loop =
 
 type ctx = {
   model : Machine_model.t;
-  hier : Cache.hierarchy;
+  hier : Cache.hierarchy option;
+      (** [None]: the counting walk, which stages no probe *)
   addrs : address_map;
   stats : stats;
   stage : Affine.Stage.t;
@@ -117,12 +118,15 @@ let compile_access ctx op =
   let base = buffer_base ctx op in
   let offset = Affine.Stage.offset ctx.stage op in
   let costs = miss_costs ctx op in
-  let hier = ctx.hier and stats = ctx.stats in
-  fun env ->
-    let level = Cache.access_hierarchy hier (base + (4 * offset env)) in
-    ctx.n_accesses <- ctx.n_accesses + 1;
-    if level > 1 then
-      stats.mem_cycles <- stats.mem_cycles +. costs.(level - 2)
+  match ctx.hier with
+  | None -> fun _ -> ctx.n_accesses <- ctx.n_accesses + 1
+  | Some hier ->
+      let stats = ctx.stats in
+      fun env ->
+        let level = Cache.access_hierarchy hier (base + (4 * offset env)) in
+        ctx.n_accesses <- ctx.n_accesses + 1;
+        if level > 1 then
+          stats.mem_cycles <- stats.mem_cycles +. costs.(level - 2)
 
 let is_flop (op : Core.op) =
   match op.o_name with
@@ -170,6 +174,20 @@ let straight_line_sites ctx ~ivs body_ops =
       Some (List.map Option.get sites)
     else None
 
+(* Whether a bound of a loop below [loops.(l)] in a perfect nest reads
+   its iv. A bound's other operands are ivs further out or values
+   defined before the nest, so when none reads it, every iteration of
+   level [l] in one run of it walks the same iteration space below. *)
+let reads_iv loops l =
+  let iv = (A.for_iv loops.(l)).Core.v_id in
+  let reads (_, args) =
+    List.exists (fun (v : Core.value) -> v.v_id = iv) args
+  in
+  let last = Array.length loops - 1 in
+  Array.exists
+    (fun lp -> reads (A.for_lb lp) || reads (A.for_ub lp))
+    (Array.sub loops (l + 1) (last - l))
+
 (* A perfect nest whose innermost body is straight-line runs as one walk.
    Per nest entry each site's base address is evaluated once; every
    level evaluates its bounds on entry, moves each site's address by its
@@ -207,7 +225,7 @@ let straight_line_sites ctx ~ivs body_ops =
    replayed ones too), and a replay adds the sub-walk's access,
    iteration and flop counts. A replayed sub-walk leaves the entry with
    no predecessor ([prev_n]). *)
-let compile_nest ctx loops ~iter_weight ~vectorized ~fl sites =
+let compile_nest ctx hier loops ~iter_weight ~vectorized ~fl sites =
   let levels = Array.of_list (List.map (Affine.Stage.level ctx.stage) loops) in
   let last = Array.length levels - 1 in
   let sites = Array.of_list sites in
@@ -228,7 +246,7 @@ let compile_nest ctx loops ~iter_weight ~vectorized ~fl sites =
      applied; [addrs]: the innermost entry's walk. *)
   let at = Array.init (last + 1) (fun _ -> Array.make n_sites 0) in
   let addrs = Array.make n_sites 0 in
-  let hier = ctx.hier and stats = ctx.stats in
+  let stats = ctx.stats in
   let l1 = Cache.l1 hier in
   let line = Cache.line l1 in
   let line_mask = lnot (line - 1) in
@@ -250,17 +268,10 @@ let compile_nest ctx loops ~iter_weight ~vectorized ~fl sites =
             (Array.sub moves (l + 1) (last - l))
   in
   let loops = Array.of_list loops in
-  let reads_iv l =
-    let iv = (A.for_iv loops.(l)).Core.v_id in
-    let reads (_, args) = List.exists (fun (v : Core.value) -> v.v_id = iv) args in
-    Array.exists
-      (fun lp -> reads (A.for_lb lp) || reads (A.for_ub lp))
-      (Array.sub loops (l + 1) (last - l))
-  in
   let all_sites f = Array.for_all f (Array.init n_sites Fun.id) in
   let sub_walk =
     Array.init last (fun l ->
-        l < last - 1 && all_sites (repeats l) && not (reads_iv l))
+        l < last - 1 && all_sites (repeats l) && not (reads_iv loops l))
   in
   (* A depth-1 nest's entries follow each other through closure-path
      code, so only the dynamic test applies. *)
@@ -502,6 +513,64 @@ let compile_nest ctx loops ~iter_weight ~vectorized ~fl sites =
     done;
     walk 0 env
 
+(* The counting walk of a straight-line nest: [compile_nest]'s
+   iteration, flop and access counts, with no address and no probe. An
+   innermost entry counts its [n] iterations at once, as there. An outer
+   level whose iv no deeper bound reads ([reads_iv]) walks the same
+   space below in every iteration, so its first iteration's counts,
+   times the trip count, stand for the rest. Every count is an integer
+   or a multiple of 1/8 far below 2^53, so these products add the same
+   bits as the full walk's per-iteration sums. *)
+let count_nest ctx loops ~iter_weight ~vectorized ~fl ~n_sites =
+  let levels = Array.of_list (List.map (Affine.Stage.level ctx.stage) loops) in
+  let last = Array.length levels - 1 in
+  let loops = Array.of_list loops in
+  let uniform = Array.init last (fun l -> not (reads_iv loops l)) in
+  let stats = ctx.stats in
+  let add_flops x =
+    if vectorized then stats.flops_vector <- stats.flops_vector +. x
+    else stats.flops_scalar <- stats.flops_scalar +. x
+  in
+  let flops () = if vectorized then stats.flops_vector else stats.flops_scalar in
+  let rec walk l env =
+    let lv = levels.(l) in
+    let lo = lv.lb env and hi = lv.ub env in
+    if lo < hi then begin
+      let n = ((hi - lo - 1) / lv.step) + 1 in
+      if l = last then begin
+        ctx.n_accesses <- ctx.n_accesses + (n * n_sites);
+        let n = float_of_int n in
+        add_flops (fl *. n);
+        stats.iterations <- stats.iterations +. (iter_weight *. n)
+      end
+      else if uniform.(l) then begin
+        env.(lv.iv_slot) <- lo;
+        let accesses = ctx.n_accesses in
+        let iterations = stats.iterations and fl0 = flops () in
+        walk (l + 1) env;
+        let rest = n - 1 in
+        ctx.n_accesses <-
+          ctx.n_accesses + (rest * (ctx.n_accesses - accesses));
+        let rest = float_of_int rest in
+        add_flops (rest *. (flops () -. fl0));
+        stats.iterations <-
+          stats.iterations
+          +. (rest *. (stats.iterations -. iterations))
+          +. float_of_int n
+      end
+      else begin
+        let i = ref lo in
+        while !i < hi do
+          env.(lv.iv_slot) <- !i;
+          walk (l + 1) env;
+          stats.iterations <- stats.iterations +. 1.;
+          i := !i + lv.step
+        done
+      end
+    end
+  in
+  walk 0
+
 let rec compile_block ctx (ops : Core.op list) =
   let closures = ref [] in
   let stage = ctx.stage in
@@ -567,7 +636,12 @@ and compile_for ctx (op : Core.op) =
       let innermost = List.nth loops (List.length loops - 1) in
       let vectorized, iter_weight = vectorization ctx innermost in
       let fl = float_of_int (direct_flops body_ops) in
-      compile_nest ctx loops ~iter_weight ~vectorized ~fl sites
+      (match ctx.hier with
+      | Some hier ->
+          compile_nest ctx hier loops ~iter_weight ~vectorized ~fl sites
+      | None ->
+          count_nest ctx loops ~iter_weight ~vectorized ~fl
+            ~n_sites:(List.length sites))
   | None ->
       let { Affine.Stage.step; lb; ub; iv_slot } =
         Affine.Stage.level ctx.stage op
@@ -591,7 +665,7 @@ and compile_for ctx (op : Core.op) =
           i := !i + step
         done
 
-let simulate ?(fast_math = false) model hier addrs stats ops =
+let walk ?(fast_math = false) model hier addrs stats ops =
   let ctx =
     {
       model;
@@ -609,3 +683,6 @@ let simulate ?(fast_math = false) model hier addrs stats ops =
   stats.flops_scalar <- stats.flops_scalar +. float_of_int (direct_flops ops);
   Array.iter (fun c -> c env) closures;
   stats.accesses <- stats.accesses +. float_of_int ctx.n_accesses
+
+let simulate ?fast_math model hier = walk ?fast_math model (Some hier)
+let count ?fast_math model = walk ?fast_math model None

@@ -72,6 +72,20 @@ val simulate :
   Core.op list ->
   unit
 
+(** [count m addresses stats ops]: {!simulate}'s walk with probing
+    switched off at staging time. Access closures and straight-line
+    innermost entries only count, no hierarchy is read, and nothing
+    replays, so [stats] gains exactly the iterations, flops and accesses
+    {!simulate} adds, bit for bit, and no [mem_cycles]. Staging is
+    {!simulate}'s, so it raises the same errors. *)
+val count :
+  ?fast_math:bool ->
+  Machine_model.t ->
+  address_map ->
+  stats ->
+  Core.op list ->
+  unit
+
 (** [is_vectorizable ?fast_math loop] — exposed for tests: the
     innermost-loop unit-stride check. Reductions (stores invariant in the
     loop iv) only vectorize under [fast_math] (reassociation). *)

@@ -141,11 +141,13 @@ let prepare_schedule ?pm ?file schedule src =
 (* ---- search and pluto-best ----------------------------------------------- *)
 
 (* The one search from mini-C: size the space by the kernel's largest
-   trip count, then score every candidate on the machine model, fanned
-   out over Support.Pool. *)
+   trip count, then score the candidates on the machine model, fanned
+   out over Support.Pool. The tuner only clones the checked translation,
+   so it serves as the search's one translation. *)
 let search ?file ~space machine src =
-  let max_trip = Tune.max_trip_count (sole_func (translate_checked ?file src)) in
-  let translate () = translate ?file src in
+  let m = translate_checked ?file src in
+  let max_trip = Tune.max_trip_count (sole_func m) in
+  let translate () = m in
   Tune.search
     ~domains:(Domain.recommended_domain_count ())
     ~machine ~translate (space ~max_trip)

@@ -117,9 +117,11 @@ val prepare_schedule_module :
 (** [search ~space machine src] — the one search from mini-C: translate
     [src], size the candidate space by {!Tune.max_trip_count} of its
     kernel ([space ~max_trip]), then {!Tune.search} on
-    [Domain.recommended_domain_count ()] domains, each candidate on a
-    fresh translation. Pluto-best ({!resolve_schedule}) and
-    [mlt-sim --tune] both search through here. *)
+    [Domain.recommended_domain_count ()] domains. [src] is translated
+    once: each candidate is prepared on a {!Ir.Core.clone_op} of that
+    translation, which prints as a fresh one. Pluto-best
+    ({!resolve_schedule}) and [mlt-sim --tune] both search through
+    here. *)
 val search :
   ?file:string ->
   space:(max_trip:int -> Tune.candidate list) ->

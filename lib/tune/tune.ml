@@ -9,6 +9,7 @@ type candidate = { c_name : string; c_steps : Script.step list }
 type evaluation = {
   ev_candidate : candidate;
   ev_seconds : float option;
+  ev_lower_bound : float option;
   ev_wall_seconds : float;
   ev_error : string option;
 }
@@ -17,6 +18,7 @@ type stats = {
   t_candidates : int;
   t_evaluated : int;
   t_simulated : int;
+  t_pruned : int;
   t_best_seconds : float;
   t_eval_latency : Metrics.histogram_snapshot;
 }
@@ -146,15 +148,18 @@ let search ?(domains = 1) ~machine ~translate candidates =
     f ();
     walls.(i) <- walls.(i) +. (Unix.gettimeofday () -. t0)
   in
-  (* Phase 1: translate, apply and verify every candidate, keeping the
-     transformed function and its key. *)
+  (* Phase 1: apply and verify every candidate on its own clone of one
+     translation, keeping the transformed function and its key. A clone
+     prints as a fresh translation, so the keys are a fresh
+     translation's. The clones are made here, on the calling domain:
+     reading a block may tidy it, so workers share no IR. *)
   let payloads : (Core.op * Support.Digest.t) option array =
     Array.make n None
   in
-  let prepare ~worker:_ i =
+  let prepare clones ~worker:_ i =
     timed i (fun () ->
         match
-          let m = translate () in
+          let m = clones.(i) in
           let f = sole_func m in
           List.iter (fun c -> ignore (Interp.apply_step c f)) compiled.(i);
           Verifier.verify m;
@@ -163,19 +168,32 @@ let search ?(domains = 1) ~machine ~translate candidates =
         | slot -> payloads.(i) <- Some slot
         | exception exn -> results.(i) <- (None, Some (error_of exn)))
   in
-  (* Phase 2: simulate the first candidate of each key group only. *)
-  let simulate reps ~worker:_ j =
-    let i = reps.(j) in
+  let simulate i =
     timed i (fun () ->
         let f = fst (Option.get payloads.(i)) in
         match Machine.Perf.time_func machine f with
         | report -> results.(i) <- (Some report, None)
         | exception exn -> results.(i) <- (None, Some (error_of exn)))
   in
+  (* Each group's static bound ({!Machine.Perf.lower_bound}), kept at its
+     representative. A bound that raises stays [None] and its group is
+     simulated, so the error recorded is [time_func]'s. *)
+  let bounds = Array.make n None in
+  let bound i =
+    timed i (fun () ->
+        let f = fst (Option.get payloads.(i)) in
+        bounds.(i) <-
+          (match Machine.Perf.lower_bound machine f with
+          | b -> Some b
+          | exception _ -> None))
+  in
   let rep_of = Array.make n (-1) in
-  let simulated =
+  let pruned = Array.make n false in
+  let simulated, n_pruned =
     Trace.span ~cat:"driver" "tune-search" (fun () ->
-        Support.Pool.run ~domains n prepare;
+        let source = translate () in
+        let clones = Array.init n (fun _ -> Core.clone_op source) in
+        Support.Pool.run ~domains n (prepare clones);
         (* Group in candidate order on the calling domain, so each
            group's representative is its lowest index whatever the
            domain count. *)
@@ -190,16 +208,58 @@ let search ?(domains = 1) ~machine ~translate candidates =
               slot)
           payloads;
         let reps =
-          Array.of_list
-            (List.filter (fun i -> rep_of.(i) = i) (List.init n Fun.id))
+          List.filter (fun i -> rep_of.(i) = i) (List.init n Fun.id)
         in
-        Support.Pool.run ~domains (Array.length reps) (simulate reps);
-        Array.length reps)
+        List.iter bound reps;
+        (* The incumbent: the smallest bound, the lowest index on a tie.
+           It is simulated first, and a group whose bound is strictly
+           greater than the incumbent's seconds can neither win nor tie,
+           since its own seconds are at least its bound. Every decision
+           is taken here, so it is the same on any domain count. *)
+        let incumbent =
+          List.fold_left
+            (fun acc i ->
+              match (bounds.(i), acc) with
+              | Some b, Some (_, b') when b' <= b -> acc
+              | Some b, _ -> Some (i, b)
+              | None, _ -> acc)
+            None reps
+        in
+        let cut =
+          match incumbent with
+          | None -> Float.infinity
+          | Some (i, _) -> (
+              simulate i;
+              match results.(i) with
+              | Some r, _ -> r.Machine.Perf.seconds
+              | None, _ -> Float.infinity)
+        in
+        let rest =
+          List.filter
+            (fun i ->
+              match (incumbent, bounds.(i)) with
+              | Some (inc, _), _ when inc = i -> false
+              | _, Some b when b > cut ->
+                  pruned.(i) <- true;
+                  false
+              | _ -> true)
+            reps
+          |> Array.of_list
+        in
+        Support.Pool.run ~domains (Array.length rest) (fun ~worker:_ j ->
+            simulate rest.(j));
+        let n_pruned = List.length (List.filter (Array.get pruned) reps) in
+        (List.length reps - n_pruned, n_pruned))
   in
   (* The simulator is deterministic, so equal keys give equal reports:
-     every member takes its representative's outcome. *)
+     every member takes its representative's outcome and bound. *)
   Array.iteri
-    (fun i r -> if r >= 0 && r <> i then results.(i) <- results.(r))
+    (fun i r ->
+      if r >= 0 && r <> i then begin
+        results.(i) <- results.(r);
+        bounds.(i) <- bounds.(r);
+        pruned.(i) <- pruned.(r)
+      end)
     rep_of;
   let eval_seconds = Support.Once.get m_eval_seconds in
   Array.iter (Metrics.observe eval_seconds) walls;
@@ -227,11 +287,10 @@ let search ?(domains = 1) ~machine ~translate candidates =
       D.errorf "tune: no candidate evaluated successfully%s"
         (match first_error with Some e -> ": " ^ e | None -> "")
   | Some (best_index, report) ->
-      let evaluated =
-        Array.fold_left
-          (fun acc (r, _) -> if r <> None then acc + 1 else acc)
-          0 results
-      in
+      let evaluated = ref 0 in
+      Array.iteri
+        (fun i (r, _) -> if r <> None || pruned.(i) then incr evaluated)
+        results;
       let evaluations =
         List.mapi
           (fun j c ->
@@ -242,6 +301,7 @@ let search ?(domains = 1) ~machine ~translate candidates =
                 Option.map
                   (fun (r : Machine.Perf.report) -> r.Machine.Perf.seconds)
                   r;
+              ev_lower_bound = bounds.(j);
               ev_wall_seconds = walls.(j);
               ev_error = e;
             })
@@ -265,8 +325,9 @@ let search ?(domains = 1) ~machine ~translate candidates =
         o_stats =
           {
             t_candidates = n;
-            t_evaluated = evaluated;
+            t_evaluated = !evaluated;
             t_simulated = simulated;
+            t_pruned = n_pruned;
             t_best_seconds = report.Machine.Perf.seconds;
             t_eval_latency = eval_latency;
           };

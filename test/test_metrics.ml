@@ -155,6 +155,28 @@ let test_four_domain_merge_deterministic () =
   Alcotest.(check (list string)) "snapshot sorted by name"
     (List.sort compare names) names
 
+(* Support.Pool spawns fresh domains on every run. Each exited domain's
+   cells fold into one retired shard, so 100 runs leave the calling
+   domain's shard and the retired one, and lose no update. *)
+let test_exited_domains_retire () =
+  with_metrics @@ fun () ->
+  let c = Metrics.counter "tm_retire_counter" in
+  for _ = 1 to 100 do
+    (* Each task waits for the other, so both workers run one: the
+       spawned domain always records. *)
+    let arrived = Atomic.make 0 in
+    Support.Pool.run ~domains:2 2 (fun ~worker:_ _ ->
+        Metrics.incr c;
+        Atomic.incr arrived;
+        while Atomic.get arrived < 2 do
+          Domain.cpu_relax ()
+        done)
+  done;
+  Alcotest.(check int) "exact total" 200 (counter_value "tm_retire_counter");
+  let shards = Metrics.shard_count () in
+  if shards > 2 then
+    Alcotest.failf "%d shards for 1 live domain (at most 2)" shards
+
 (* ---- JSON round-trip ------------------------------------------------ *)
 
 let test_json_roundtrip () =
@@ -231,6 +253,8 @@ let suite =
       test_disabled_updates_are_dropped;
     Alcotest.test_case "4-domain merge is deterministic" `Quick
       test_four_domain_merge_deterministic;
+    Alcotest.test_case "exited domains fold into one retired shard" `Quick
+      test_exited_domains_retire;
     Alcotest.test_case "JSON round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "disabled observe stays under 50 ns/call" `Quick
       test_disabled_observe_budget;

@@ -61,26 +61,72 @@ let test_winner_matches_legacy_sweep () =
     (Printer.op_to_string legacy_ir)
     (Printer.op_to_string replay)
 
+(* The four pluto_search kernels below at 64, then the five Figure-9
+   level-2 kernels pluto-best tunes. *)
+let level2_kernels () =
+  [
+    ("atax", W.atax ~m:64 ~n:64 ());
+    ("gesummv", W.gesummv ~n:64 ());
+    ("mvt", W.mvt ~n:64 ());
+    ("gemver", W.gemver ~n:64 ());
+  ]
+
+let figure9_level2 () =
+  List.filter_map
+    (fun (k, src, _) ->
+      if List.mem k [ "atax"; "bicg"; "gemver"; "gesummv"; "mvt" ] then
+        Some ("Figure-9 " ^ k, src)
+      else None)
+    (W.figure9_suite ())
+
+let report_bits (r : M.Perf.report) =
+  let s = r.M.Perf.stats in
+  List.map Int64.bits_of_float
+    M.Perf.
+      [
+        r.seconds;
+        r.loop_seconds;
+        r.library_seconds;
+        s.M.Trace.flops_scalar;
+        s.M.Trace.flops_vector;
+        s.M.Trace.mem_cycles;
+        s.M.Trace.iterations;
+        s.M.Trace.accesses;
+      ]
+
+(* Every pruning decision is taken on the calling domain, so the winner,
+   its report and both counts are the same on any domain count. *)
 let test_deterministic_across_domains () =
-  let outcomes =
-    List.map
-      (fun domains ->
-        Tune.search ~domains ~machine ~translate (Tune.pluto_space ~max_trip))
-      [ 1; 2; 4; 7 ]
+  let summary (o : Tune.outcome) =
+    let st = o.Tune.o_stats in
+    ( (o.Tune.o_best.Tune.c_name, o.Tune.o_best_index),
+      ( report_bits o.Tune.o_best_report,
+        (st.Tune.t_simulated, st.Tune.t_pruned) ) )
   in
-  match outcomes with
-  | first :: rest ->
+  let testable =
+    Alcotest.(pair (pair string int) (pair (list int64) (pair int int)))
+  in
+  List.iter
+    (fun machine ->
       List.iter
-        (fun (o : Tune.outcome) ->
-          Alcotest.(check int) "same winner index" first.Tune.o_best_index
-            o.Tune.o_best_index;
-          Alcotest.(check string) "same winner name"
-            first.Tune.o_best.Tune.c_name o.Tune.o_best.Tune.c_name;
-          Alcotest.(check (float 0.)) "same seconds"
-            first.Tune.o_stats.Tune.t_best_seconds
-            o.Tune.o_stats.Tune.t_best_seconds)
-        rest
-  | [] -> assert false
+        (fun (name, src) ->
+          let translate () = Met.Emit_affine.translate src in
+          let max_trip = Tune.max_trip_count (sole_func (translate ())) in
+          let search domains =
+            summary
+              (Tune.search ~domains ~machine ~translate
+                 (Tune.pluto_space ~max_trip))
+          in
+          let one = search 1 in
+          List.iter
+            (fun domains ->
+              Alcotest.check testable
+                (Printf.sprintf "%s on %s, %d domains" name
+                   machine.M.Machine_model.name domains)
+                one (search domains))
+            [ 2; 4 ])
+        ((("mm 16", src) :: level2_kernels ()) @ figure9_level2 ()))
+    M.Machine_model.platforms
 
 let test_gemm_space_beats_default () =
   let outcome =
@@ -175,26 +221,38 @@ let test_dedupe_is_exact () =
   let space, translate, outcome = pluto_search src in
   let funcs = List.map (transformed translate) space in
   let printed = List.map Printer.op_to_string funcs in
+  let st = outcome.Tune.o_stats in
   Alcotest.(check int) "candidates" 25 (List.length space);
   Alcotest.(check int) "groups by printed IR alone" 6 (distinct printed);
   Alcotest.(check int) "groups with the function's attributes" 12
     (distinct (List.map2 (fun p f -> (p, f.Core.o_attrs)) printed funcs));
-  Alcotest.(check int) "one simulation per group" 12
-    outcome.Tune.o_stats.Tune.t_simulated;
-  let seconds =
-    List.map
-      (fun (ev : Tune.evaluation) -> Option.get ev.Tune.ev_seconds)
-      outcome.Tune.o_evaluations
+  Alcotest.(check (pair int int)) "each group simulated or pruned" (2, 10)
+    (st.Tune.t_simulated, st.Tune.t_pruned);
+  let direct =
+    List.map (fun f -> (M.Perf.time_func machine f).M.Perf.seconds) funcs
   in
+  let best = st.Tune.t_best_seconds in
   List.iter2
-    (fun f s ->
-      Alcotest.(check int64) "bit-equal to a direct simulation"
-        (Int64.bits_of_float (M.Perf.time_func machine f).M.Perf.seconds)
-        (Int64.bits_of_float s))
-    funcs seconds;
+    (fun d (ev : Tune.evaluation) ->
+      let name = ev.Tune.ev_candidate.Tune.c_name in
+      let bound = Option.get ev.Tune.ev_lower_bound in
+      if not (bound <= d) then Alcotest.failf "%s: bound above its seconds" name;
+      match ev.Tune.ev_seconds with
+      | Some s ->
+          Alcotest.(check int64) "bit-equal to a direct simulation"
+            (Int64.bits_of_float d) (Int64.bits_of_float s)
+      | None ->
+          (* Pruned: strictly slower than the winner, so it could neither
+             win nor tie. *)
+          Alcotest.(check (option string)) (name ^ " pruned, no error") None
+            ev.Tune.ev_error;
+          if not (d > best && bound > best) then
+            Alcotest.failf "%s: pruned but not strictly slower than the winner"
+              name)
+    direct outcome.Tune.o_evaluations;
   (* The trap a key on printed IR alone falls into: equal text, a
      different fast_math mark, a different modelled time. *)
-  let rows = List.combine (List.combine printed funcs) seconds in
+  let rows = List.combine (List.combine printed funcs) direct in
   let trap =
     List.exists
       (fun ((p, f), s) ->
@@ -216,19 +274,20 @@ let test_dedupe_is_exact () =
 
 let test_simulated_counts () =
   List.iter
-    (fun (name, src, simulated) ->
+    (fun (name, src, counts) ->
       let _, _, o = pluto_search src in
       let st = o.Tune.o_stats in
       Alcotest.(check (pair int int))
         (name ^ " candidates / evaluated")
         (25, 25)
         (st.Tune.t_candidates, st.Tune.t_evaluated);
-      Alcotest.(check int) (name ^ " simulated") simulated st.Tune.t_simulated)
+      Alcotest.(check (pair int int)) (name ^ " simulated / pruned") counts
+        (st.Tune.t_simulated, st.Tune.t_pruned))
     [
-      ("atax", W.atax ~m:64 ~n:64 (), 12);
-      ("gesummv", W.gesummv ~n:64 (), 10);
-      ("mvt", W.mvt ~n:64 (), 17);
-      ("gemver", W.gemver ~n:64 (), 9);
+      ("atax", W.atax ~m:64 ~n:64 (), (2, 10));
+      ("gesummv", W.gesummv ~n:64 (), (3, 7));
+      ("mvt", W.mvt ~n:64 (), (1, 16));
+      ("gemver", W.gemver ~n:64 (), (1, 8));
     ];
   (* The Figure-9 cell, through the pipeline's pluto-best path. *)
   let _, src, _ =
@@ -240,10 +299,66 @@ let test_simulated_counts () =
   with
   | _, Some st ->
       Alcotest.(check (list int)) "Figure-9 gesummv: candidates, evaluated, \
-                                    simulated"
-        [ 37; 37; 14 ]
-        [ st.Tune.t_candidates; st.Tune.t_evaluated; st.Tune.t_simulated ]
+                                    simulated, pruned"
+        [ 37; 37; 4; 10 ]
+        [
+          st.Tune.t_candidates;
+          st.Tune.t_evaluated;
+          st.Tune.t_simulated;
+          st.Tune.t_pruned;
+        ]
   | _, None -> Alcotest.fail "Pluto_best should return tuner stats"
+
+(* The static bound is time_func's seconds with no memory cycles:
+   recomputed here from the full report's stats, bit for bit, and never
+   above the report's seconds. *)
+let check_bound what m f =
+  let r = M.Perf.time_func m f in
+  let s = r.M.Perf.stats in
+  let open M.Machine_model in
+  let compute =
+    (s.M.Trace.flops_scalar /. m.scalar_flops_per_cycle)
+    +. (s.M.Trace.flops_vector /. m.vector_flops_per_cycle)
+  in
+  let expected =
+    seconds_of_cycles m
+      (compute +. (s.M.Trace.iterations *. m.loop_overhead_cycles))
+    +. r.M.Perf.library_seconds
+  in
+  let bound = M.Perf.lower_bound m f in
+  Alcotest.(check int64) (what ^ ": compute-plus-overhead seconds")
+    (Int64.bits_of_float expected) (Int64.bits_of_float bound);
+  if not (bound <= r.M.Perf.seconds) then
+    Alcotest.failf "%s: bound %h above seconds %h" what bound r.M.Perf.seconds
+
+let test_lower_bound () =
+  let module P = Mlt.Pipeline in
+  List.iter
+    (fun model ->
+      let on = model.M.Machine_model.name in
+      List.iter
+        (fun (name, src) ->
+          List.iter
+            (fun config ->
+              let schedule, _ = P.resolve_schedule model src (P.Config config) in
+              check_bound
+                (Printf.sprintf "%s %s on %s" name (P.config_name config) on)
+                model
+                (sole_func (P.prepare_schedule schedule src)))
+            P.all_configs)
+        (W.tiny_suite ());
+      List.iter
+        (fun (name, src) ->
+          let translate () = Met.Emit_affine.translate src in
+          let max_trip = Tune.max_trip_count (sole_func (translate ())) in
+          List.iter
+            (fun (c : Tune.candidate) ->
+              check_bound
+                (Printf.sprintf "%s %s on %s" name c.Tune.c_name on)
+                model (transformed translate c))
+            (Tune.pluto_space ~max_trip))
+        (level2_kernels ()))
+    M.Machine_model.platforms
 
 let test_pluto_best_pipeline_uses_tuner () =
   (* Config Pluto_best must report the same winner the tuner finds, and
@@ -328,4 +443,6 @@ let suite =
       test_dedupe_is_exact;
     Alcotest.test_case "simulation counts per kernel" `Quick
       test_simulated_counts;
+    Alcotest.test_case "the static bound is the compute-plus-overhead seconds"
+      `Quick test_lower_bound;
   ]
