@@ -9,6 +9,11 @@
    - op dispatch (a tree walker's per-iteration string match) is
      resolved once at compile time: each op becomes a closure specialized to its
      operand/result slots;
+   - a contraction or transpose (Linalg, BLAS, [affine.matmul]) runs as
+     its [Linalg.Lowering] nest, built once at compile time on a detached
+     block whose arguments take the operands' buffer slots
+     ([library_nest]), so it computes its lowering's bits by
+     construction; a reshape is a blit and a fill a [Buffer.fill];
    - affine bounds, [affine.apply] maps and access offsets are staged
      by [Affine.Stage], which also numbers the integer slots; loop bounds
      are evaluated once per loop entry;
@@ -36,13 +41,17 @@
      innermost level reads before it stores in every iteration (a
      multiply-accumulate applies the reference's [*.] and [+.] in IR
      operand order), so buffers stay bit-identical (NaN payloads
-     included) even when the store aliases a load. A lone innermost loop
+     included) even when the store aliases a load. A reduction, whose
+     accumulator load and store stay on one element that no operand
+     load's array holds, keeps the accumulator in a register and stores
+     once after the loop. A lone innermost loop
      is a nest of depth 1. Any other body keeps the closure path, whose
      levels are tried again as nests of their own; [c_fused_loops] counts
      the multiply-accumulate nests, [c_fused_levels] their summed depth
      and [c_copy_loops] the copy nests.
 
-   The tests' reference interpreter (test/ref_interp.ml) is the
+   The tests' reference interpreter (test/ref_interp.ml), which runs
+   library ops as hand-written loops (test/ref_kernels.ml), is the
    semantic oracle; differential tests assert bit-identical buffers
    between it and this engine. *)
 
@@ -64,7 +73,8 @@ type ctx = {
   stage : Affine.Stage.t; (* integer values: frame.ints slots *)
   float_slot : (int, int) Hashtbl.t; (* value id -> frame.floats index *)
   buf_slot : (int, int) Hashtbl.t;
-  bounds : Affine.Bounds.t;
+  mutable bounds : Affine.Bounds.t;
+      (* the function's; a library op's nest while it compiles *)
   mutable n_floats : int;
   mutable n_bufs : int;
   mutable checked_accesses : int;
@@ -284,7 +294,9 @@ let compile_level ctx (op : Core.op) =
    reference's [*.] and [+.] in IR operand order and stores; a copy
    reads, then stores. Reading before writing in every iteration keeps
    buffers bit-identical to the reference (NaN payloads included) even
-   when the store aliases a load. *)
+   when the store aliases a load. A reduction whose store array no
+   operand load reads keeps its element in a register: each iteration
+   would have read back what the previous one stored. *)
 let innermost body (lv : Affine.Stage.level) (bufs : int array)
     (k : int array) =
   let step = lv.step in
@@ -293,6 +305,8 @@ let innermost body (lv : Affine.Stage.level) (bufs : int array)
       let ka = k.(0) and kb = k.(1) and kc = k.(2) and ks = k.(3) in
       let sa = ka * step and sb = kb * step and sc = kc * step
       and ss = ks * step in
+      (* The accumulator [c] and the store [s] stay on one element. *)
+      let reduction = bufs.(2) = bufs.(3) && kc = 0 && ks = 0 in
       fun fr (o : int array) ->
         let da = fr.bufs.(bufs.(0)).Buffer.data
         and db = fr.bufs.(bufs.(1)).Buffer.data
@@ -300,28 +314,52 @@ let innermost body (lv : Affine.Stage.level) (bufs : int array)
         and ds = fr.bufs.(bufs.(3)).Buffer.data in
         let lb = lv.lb fr.ints and ub = lv.ub fr.ints in
         let oa = ref (o.(0) + (ka * lb))
-        and ob = ref (o.(1) + (kb * lb))
-        and oc = ref (o.(2) + (kc * lb))
-        and os = ref (o.(3) + (ks * lb)) in
+        and ob = ref (o.(1) + (kb * lb)) in
         let i = ref lb in
-        if product_first then
-          while !i < ub do
-            ds.(!os) <- (da.(!oa) *. db.(!ob)) +. dc.(!oc);
-            oa := !oa + sa;
-            ob := !ob + sb;
-            oc := !oc + sc;
-            os := !os + ss;
-            i := !i + step
-          done
-        else
-          while !i < ub do
-            ds.(!os) <- dc.(!oc) +. (da.(!oa) *. db.(!ob));
-            oa := !oa + sa;
-            ob := !ob + sb;
-            oc := !oc + sc;
-            os := !os + ss;
-            i := !i + step
-          done
+        if reduction && o.(2) = o.(3) && da != ds && db != ds then begin
+          (* No load reads the stored array: the element stays in a
+             register, stored once after the loop if it ran. *)
+          if lb < ub then begin
+            let os = o.(3) in
+            let acc = ref dc.(os) in
+            if product_first then
+              while !i < ub do
+                acc := (da.(!oa) *. db.(!ob)) +. !acc;
+                oa := !oa + sa;
+                ob := !ob + sb;
+                i := !i + step
+              done
+            else
+              while !i < ub do
+                acc := !acc +. (da.(!oa) *. db.(!ob));
+                oa := !oa + sa;
+                ob := !ob + sb;
+                i := !i + step
+              done;
+            ds.(os) <- !acc
+          end
+        end
+        else begin
+          let oc = ref (o.(2) + (kc * lb)) and os = ref (o.(3) + (ks * lb)) in
+          if product_first then
+            while !i < ub do
+              ds.(!os) <- (da.(!oa) *. db.(!ob)) +. dc.(!oc);
+              oa := !oa + sa;
+              ob := !ob + sb;
+              oc := !oc + sc;
+              os := !os + ss;
+              i := !i + step
+            done
+          else
+            while !i < ub do
+              ds.(!os) <- dc.(!oc) +. (da.(!oa) *. db.(!ob));
+              oa := !oa + sa;
+              ob := !ob + sb;
+              oc := !oc + sc;
+              os := !os + ss;
+              i := !i + step
+            done
+        end
   | Copy ->
       let kx = k.(0) and ky = k.(1) in
       let sx = kx * step and sy = ky * step in
@@ -518,12 +556,49 @@ and compile_op ctx (op : Core.op) : code option =
       let c = Affine.Stage.apply ctx.stage op in
       let d = def_int ctx (Core.result op 0) in
       Some (fun fr -> fr.ints.(d) <- c fr.ints)
+  | "linalg.reshape" | "blas.sreshape_copy" ->
+      (* Row-major buffers of one size: a reshape is a blit. *)
+      let src = buf_slot ctx op (Core.operand op 0)
+      and dst = buf_slot ctx op (Core.operand op 1) in
+      Some
+        (fun fr ->
+          let s = fr.bufs.(src) in
+          Array.blit s.Buffer.data 0 fr.bufs.(dst).Buffer.data 0
+            (Buffer.num_elements s))
+  | "linalg.fill" ->
+      let v = Attr.get_float (Core.attr op "value") in
+      let dst = buf_slot ctx op (Core.operand op 0) in
+      Some (fun fr -> Buffer.fill fr.bufs.(dst) v)
   | name -> (
-      match Kernels.library op with
-      | Some run ->
-          let slots = Array.map (buf_slot ctx op) op.o_operands in
-          Some (fun fr -> run (Array.map (fun s -> fr.bufs.(s)) slots))
+      match library_nest ctx op with
+      | Some _ as code -> code
       | None -> error_at op "interp: unsupported operation '%s'" name)
+
+(* A contraction or transpose runs as its {!Linalg.Lowering} nest, built
+   once on a detached block whose arguments stand for [op]'s operands and
+   take their buffer slots, so the function's use-lists stay as they
+   were. The nest is bounded by its own {!Affine.Bounds} and stamped with
+   [op]'s location, where its errors point. *)
+and library_nest ctx (op : Core.op) =
+  let blk =
+    Core.create_block
+      (List.map (fun (v : Core.value) -> v.v_typ) (Array.to_list op.o_operands))
+  in
+  if
+    Core.with_loc (Core.nearest_loc op) (fun () ->
+        Linalg.Lowering.lower (Builder.at_end blk) op blk.b_args)
+  then begin
+    Array.iteri
+      (fun i (v : Core.value) ->
+        Hashtbl.replace ctx.buf_slot v.v_id (buf_slot ctx op op.o_operands.(i)))
+      blk.b_args;
+    let bounds = ctx.bounds in
+    ctx.bounds <- Affine.Bounds.analyze (Core.ops_of_block blk);
+    let code = compile_block ctx blk in
+    ctx.bounds <- bounds;
+    Some code
+  end
+  else None
 
 (* ---------------- whole functions --------------------------------------- *)
 

@@ -13,7 +13,10 @@
     multiply-accumulate statement or one copy ([store (load x), y]) over
     proven, linear accesses runs as a single native strided walk; a
     reshape copy's digit subscripts count as linear where
-    {!Affine.Stage.strided} folds them.
+    {!Affine.Stage.strided} folds them. A Linalg, BLAS or
+    [affine.matmul] contraction or transpose runs as its
+    {!Linalg.Lowering} nest, built once at compile time on a detached
+    block (the function is left as it was).
 
     This is the interpreter's one engine ({!Eval.run_func} runs it). The
     tests compare its buffers bit for bit with a tree-walking reference
@@ -48,7 +51,8 @@ type compiled = {
   c_fused_loops : int;
       (** perfect [affine.for] nests staged as one native
           multiply-accumulate walk ([s = c + a * b] innermost, all four
-          accesses proven in bounds and linear); one per statement *)
+          accesses proven in bounds and linear); one per statement,
+          library contractions' lowered nests included *)
   c_fused_levels : int;
       (** the loop levels of those nests, summed (a lone innermost loop
           counts 1) *)

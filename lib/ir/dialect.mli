@@ -16,9 +16,6 @@ type op_def = {
   od_summary : string;
 }
 
-(** [no_verify] is a verifier that accepts anything. *)
-val no_verify : Core.op -> unit
-
 val def :
   ?verify:(Core.op -> unit) ->
   ?terminator:bool ->

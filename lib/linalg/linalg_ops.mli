@@ -58,11 +58,5 @@ val verify_transpose : Core.op -> unit
 
 val verify_reshape : Core.op -> unit
 
-(** [reshape_check ~grouping in_shape out_shape] validates that collapsing
-    [in_shape] by [grouping] yields [out_shape] (used by the verifier and
-    by the TTGT builder synthesis). *)
-val reshape_check :
-  grouping:int list list -> int list -> int list -> bool
-
 (** [transposed_shape perm shape]: shape of the transpose result. *)
 val transposed_shape : int array -> int list -> int list

@@ -49,9 +49,6 @@ type program = kernel list
 
 (** {2 Traversal helpers} *)
 
-(** Arrays read (via [E_ref]) by an expression. *)
-val expr_reads : expr -> ref_ list
-
 (** [(writes, reads)] of a statement subtree, as references. *)
 val stmt_accesses : stmt -> ref_ list * ref_ list
 
@@ -67,7 +64,5 @@ val affine_of_index : (string -> Ir.Affine_expr.t) -> index -> Ir.Affine_expr.t
     {!Support.Loc.unknown} (for AST comparisons in tests). *)
 val strip_locs : kernel -> kernel
 
-val pp_index : Format.formatter -> index -> unit
-val pp_expr : Format.formatter -> expr -> unit
 val pp_stmt : Format.formatter -> stmt -> unit
 val pp_kernel : Format.formatter -> kernel -> unit

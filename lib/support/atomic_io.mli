@@ -30,6 +30,3 @@ val append_line : path:string -> string -> unit
 (** [is_tmp_name name] — [name] carries this module's temp-file marker;
     recovery scans use it to sweep temps orphaned by a kill. *)
 val is_tmp_name : string -> bool
-
-(** [fsync_channel oc] — flush and fsync an open channel. *)
-val fsync_channel : out_channel -> unit

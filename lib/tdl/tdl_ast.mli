@@ -10,7 +10,6 @@ type iexpr = {
 }
 
 val var : string -> iexpr
-val iexpr_to_string : iexpr -> string
 
 (** A tensor reference [C(a, b, c)]. *)
 type ref_ = { tensor : string; indices : iexpr list }

@@ -1,9 +1,11 @@
 (** Progressive lowering of Linalg operations to affine loop nests —
     the default Linalg code-generation path of MLT-Linalg (§5.2).
 
-    Each named operation lowers to the canonical loop nest of its
-    definition; [linalg.reshape] lowers to a copy whose input subscripts
-    delinearize the row-major offset (floordiv/mod affine maps). Tiling
+    Each operation is replaced by its {!Linalg.Lowering} nest, the one
+    the interpreter runs: a contraction's canonical loop nest from its
+    {!Ir.Structured} maps, and for [linalg.reshape] a copy whose input
+    subscripts delinearize the row-major offset (floordiv/mod affine
+    maps). Tiling
     (the optimization Linalg "primarily performs" at the paper's
     timeframe) is applied separately by {!Loop_tile}. *)
 

@@ -10,16 +10,8 @@
 
 open Ir
 
-(** TDL source of the standard tactics (gemm, matvec, matvec-transposed,
-    conv2d). *)
-val standard_tdl : string
-
 (** Compiled standard tactics targeting Linalg. *)
 val standard : unit -> Rewriter.pattern list
-
-(** Tactics for the seven paper contractions (TTGT), generated from
-    {!Workloads.Contraction_spec.paper_benchmarks}. *)
-val paper_contractions : unit -> Rewriter.pattern list
 
 (** [contraction spec] — TTGT tactic for one contraction spec. *)
 val contraction : Workloads.Contraction_spec.t -> Rewriter.pattern

@@ -38,9 +38,6 @@ val c_source :
 (** Scalar multiplications performed by the contraction nest. *)
 val flops : t -> sizes:(char * int) list -> float
 
-(** Extent lookup helper; raises if missing. *)
-val size_of : (char * int) list -> char -> int
-
 (** The seven contraction benchmarks of Figure 9, with the scaled-down
     default sizes used in our reproduction: name, spec, sizes. *)
 val paper_benchmarks : unit -> (string * t * (char * int) list) list

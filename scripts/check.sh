@@ -344,6 +344,23 @@ for kernel in skew mv alias dist dist2; do
     fi
   done
 done
+# The interpreter runs every Linalg, BLAS and affine.matmul op as its
+# lowered loop nest (Linalg.Lowering): each example kernel under the two
+# configs that leave library calls (BLAS calls with transposes and
+# reshapes; affine.matmul) must pass the differential check. chain.c's
+# three large GEMMs take most of the ~30 s this loop runs.
+for kernel in examples/kernels/*.c; do
+  for config in mlt-blas mlt-affine-blis; do
+    status=0
+    _build/default/bin/mlt_opt.exe "$kernel" --config "$config" --verify-exec \
+      > /dev/null 2> "$obs_tmp/library.err" || status=$?
+    if [ "$status" -ne 0 ]; then
+      cat "$obs_tmp/library.err" >&2
+      echo "check.sh: mlt-opt --config $config --verify-exec on $kernel exited $status" >&2
+      exit 1
+    fi
+  done
+done
 # A schedule the simulator cannot time must fail as a Diag.Error located
 # in the input file (exit 124): lower_affine leaves scf.for loops, which
 # the simulator rejects at the loop's source position.

@@ -3,9 +3,10 @@
    differential tests compare the library's staged engine
    ([Interp.Eval.run_func]) with it, bit for bit.
 
-   It shares what is not engine-specific with the library:
-   [Interp.Kernels.library] runs the Linalg, BLAS and [affine.matmul]
-   ops, and [Interp.Rt] supplies the argument and loop-shape checks, the
+   The Linalg, BLAS and [affine.matmul] ops run as the hand-written loops
+   of [Ref_kernels], which the engine does not share: it runs them as
+   their lowered nests. What is not engine-specific comes from the
+   library: [Interp.Rt] supplies the argument and loop-shape checks, the
    signed division semantics and the located index error, so both
    engines fail the same way at the same op. *)
 
@@ -177,7 +178,7 @@ and exec_op env (op : Core.op) =
       in
       bind env (Core.result op 0) (R_int (Affine_map.eval map ~dims ()).(0))
   | name -> (
-      match Interp.Kernels.library op with
+      match Ref_kernels.library op with
       | Some run -> run (Array.map (as_buf env op) op.o_operands)
       | None -> error_at op "interp: unsupported operation '%s'" name)
 

@@ -1,10 +1,24 @@
+(* The reference kernels: one hand-written loop per Linalg, BLAS and
+   [affine.matmul] op, kept simple on purpose. The library engine runs
+   these ops as their [Linalg.Lowering] nests; the tests' reference
+   interpreter ([Ref_interp]) runs them here, so the differential tests
+   check each lowering against an independent statement of the op.
+
+   All follow the accumulating buffer semantics of [Linalg.Linalg_ops]
+   and add each output's products to the output's value one at a time in
+   the order of the op's loop nest ([Ir.Structured]'s maps, the last dim
+   innermost), zeros included: [matmul] computes the bits of
+   [C[i][j] += A[i][k] * B[k][j]] over ascending [k]. *)
+
+module Buffer = Interp.Buffer
+
 let matmul a b c =
   let m = c.Buffer.shape.(0) and n = c.Buffer.shape.(1) in
   let k = a.Buffer.shape.(1) in
   if
     a.Buffer.shape.(0) <> m || b.Buffer.shape.(0) <> k
     || b.Buffer.shape.(1) <> n
-  then invalid_arg "Kernels.matmul: shape mismatch";
+  then invalid_arg "Ref_kernels.matmul: shape mismatch";
   let ad = a.Buffer.data and bd = b.Buffer.data and cd = c.Buffer.data in
   for i = 0 to m - 1 do
     for kk = 0 to k - 1 do
@@ -20,7 +34,7 @@ let matvec ?(transpose = false) a x y =
   let ad = a.Buffer.data and xd = x.Buffer.data and yd = y.Buffer.data in
   if transpose then begin
     if x.Buffer.shape.(0) <> m || y.Buffer.shape.(0) <> n then
-      invalid_arg "Kernels.matvec^T: shape mismatch";
+      invalid_arg "Ref_kernels.matvec^T: shape mismatch";
     for i = 0 to m - 1 do
       for j = 0 to n - 1 do
         yd.(j) <- yd.(j) +. (ad.((i * n) + j) *. xd.(i))
@@ -29,7 +43,7 @@ let matvec ?(transpose = false) a x y =
   end
   else begin
     if x.Buffer.shape.(0) <> n || y.Buffer.shape.(0) <> m then
-      invalid_arg "Kernels.matvec: shape mismatch";
+      invalid_arg "Ref_kernels.matvec: shape mismatch";
     for i = 0 to m - 1 do
       let acc = ref yd.(i) in
       for j = 0 to n - 1 do
@@ -42,7 +56,7 @@ let matvec ?(transpose = false) a x y =
 let transpose ~perm src dst =
   if Linalg.Linalg_ops.transposed_shape perm (Array.to_list src.Buffer.shape)
      <> Array.to_list dst.Buffer.shape
-  then invalid_arg "Kernels.transpose: shape mismatch";
+  then invalid_arg "Ref_kernels.transpose: shape mismatch";
   ignore (Ir.Affine_map.permutation perm);
   let rank = Buffer.rank dst in
   let shape = dst.Buffer.shape and dstr = dst.Buffer.strides in
@@ -67,9 +81,11 @@ let transpose ~perm src dst =
 
 let reshape_copy src dst =
   if Buffer.num_elements src <> Buffer.num_elements dst then
-    invalid_arg "Kernels.reshape_copy: element count mismatch";
+    invalid_arg "Ref_kernels.reshape_copy: element count mismatch";
   Array.blit src.Buffer.data 0 dst.Buffer.data 0 (Buffer.num_elements src)
 
+(* Each output's products in the [blas.sconv2d] maps' order: channel,
+   kernel row, kernel column. *)
 let conv2d_nchw i w o =
   match (i.Buffer.shape, w.Buffer.shape, o.Buffer.shape) with
   | [| n; c; h; ww |], [| f; c'; kh; kw |], [| n'; f'; oh; ow |]
@@ -98,39 +114,20 @@ let conv2d_nchw i w o =
           done
         done
       done
-  | _ -> invalid_arg "Kernels.conv2d_nchw: shape mismatch"
+  | _ -> invalid_arg "Ref_kernels.conv2d_nchw: shape mismatch"
 
-let contract ~loc ~maps ~dims a b c =
+(* [contract ~maps ~dims a b c]: the generic contraction over the
+   iteration space [dims]; [maps] take each point to the operands'
+   subscripts. *)
+let contract ~maps ~dims a b c =
   match maps with
   | [ ma; mb; mc ] ->
-      (* Stage the subscripts once over the iteration point [idx]; each
-         point then costs one closure application per subscript into
-         reused index arrays instead of three map evaluations allocating
-         fresh result arrays. *)
       let idx = Array.make (Array.length dims) 0 in
-      let stage (m : Ir.Affine_map.t) =
-        Array.of_list
-          (List.map
-             (Affine.Stage.expr ~who:"interp" ~loc ~what:"linalg.contract"
-                (Array.init (Array.length dims) Fun.id))
-             m.exprs)
-      in
-      let ca = stage ma and cb = stage mb and cc = stage mc in
-      let ia = Array.make (Array.length ca) 0
-      and ib = Array.make (Array.length cb) 0
-      and ic = Array.make (Array.length cc) 0 in
-      let apply cs out =
-        for r = 0 to Array.length cs - 1 do
-          out.(r) <- cs.(r) idx
-        done
-      in
       let rec go d =
         if d = Array.length dims then begin
-          apply ca ia;
-          apply cb ib;
-          apply cc ic;
-          Buffer.set c ic
-            (Buffer.get c ic +. (Buffer.get a ia *. Buffer.get b ib))
+          let at m = Ir.Affine_map.eval m ~dims:idx () in
+          let ic = at mc in
+          Buffer.set c ic (Buffer.get c ic +. (Buffer.get a (at ma) *. Buffer.get b (at mb)))
         end
         else
           for i = 0 to dims.(d) - 1 do
@@ -139,10 +136,13 @@ let contract ~loc ~maps ~dims a b c =
           done
       in
       go 0
-  | _ -> invalid_arg "Kernels.contract: expected three maps"
+  | _ -> invalid_arg "Ref_kernels.contract: expected three maps"
 
 let fill v b = Buffer.fill b v
 
+(* [library op]: the kernel that runs [op] on its operands' buffers,
+   attributes decoded once; [None] for an op that is not a Linalg, BLAS
+   or [affine.matmul] op. *)
 let library (op : Ir.Core.op) =
   match op.o_name with
   | "affine.matmul" | "linalg.matmul" | "blas.sgemm" ->
@@ -159,8 +159,8 @@ let library (op : Ir.Core.op) =
       Some (fun b -> conv2d_nchw b.(0) b.(1) b.(2))
   | "linalg.contract" ->
       let maps = Option.get (Ir.Structured.maps op) in
-      let dims = Ir.Structured.dims op and loc = Ir.Core.nearest_loc op in
-      Some (fun b -> contract ~loc ~maps ~dims b.(0) b.(1) b.(2))
+      let dims = Ir.Structured.dims op in
+      Some (fun b -> contract ~maps ~dims b.(0) b.(1) b.(2))
   | "linalg.fill" ->
       let v = Ir.Attr.get_float (Ir.Core.attr op "value") in
       Some (fun b -> fill v b.(0))

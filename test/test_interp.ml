@@ -1,13 +1,14 @@
-(* Tests for the buffer substrate, reference kernels, and IR interpreter. *)
+(* Tests for the buffer substrate, the library ops the engine runs as
+   their lowered nests, and the IR interpreter. *)
 
 module B = Interp.Buffer
-module K = Interp.Kernels
+module L = Linalg.Linalg_ops
 module W = Workloads.Polybench
 
-(* The index-array transpose the library kernel replaced: one source and
-   one destination index vector per element, read through
-   [Buffer.get]/[Buffer.set]. The strided [Kernels.transpose] must move
-   the same bits. *)
+(* The index-array transpose: one source and one destination index
+   vector per element, read through [Buffer.get]/[Buffer.set]. The
+   engine's transpose nest and [Ref_kernels.transpose] must move the
+   same bits. *)
 module Ref_transpose = struct
   let transpose ~perm src dst =
     let rank = B.rank dst in
@@ -46,30 +47,59 @@ let test_buffer_init_iter () =
   let b = B.init [ 3; 3 ] (fun idx -> float_of_int ((idx.(0) * 3) + idx.(1))) in
   Alcotest.(check (float 0.)) "row major" 5. b.B.data.(5)
 
+(* A function whose body is the one op [build] makes from its arguments,
+   one per buffer of [bufs], verified. *)
+let op_func build bufs =
+  let f =
+    Ir.Core.create_func ~name:"op"
+      ~arg_types:
+        (List.map
+           (fun b -> Ir.Typ.memref (Array.to_list b.B.shape) Ir.Typ.F32)
+           bufs)
+      ()
+  in
+  let b = Ir.Builder.at_end (Ir.Core.func_entry f) in
+  ignore (build b (Array.of_list (Ir.Core.func_args f)));
+  Ir.Verifier.verify f;
+  f
+
+(* [engine_op build bufs]: the library engine runs the op on [bufs], in
+   place. *)
+let engine_op build bufs = Interp.Eval.run_func (op_func build bufs) bufs
+
+let matmul b v = L.matmul b v.(0) v.(1) v.(2)
+let transpose perm b v = L.transpose b ~perm v.(0) v.(1)
+
+let sgemv_t b v =
+  Ir.Builder.build b
+    ~operands:(Array.to_list v)
+    ~attrs:[ ("transpose", Ir.Attr.Bool true) ]
+    "blas.sgemv"
+
 let test_matmul_kernel () =
   let a = B.init [ 2; 3 ] (fun i -> float_of_int ((i.(0) * 3) + i.(1))) in
   let b = B.init [ 3; 2 ] (fun i -> float_of_int ((i.(0) * 2) + i.(1))) in
   let c = B.create [ 2; 2 ] in
-  K.matmul a b c;
+  engine_op matmul [ a; b; c ];
   (* [[0 1 2][3 4 5]] x [[0 1][2 3][4 5]] = [[10 13][28 40]] *)
   Alcotest.(check (float 0.)) "c00" 10. (B.get c [| 0; 0 |]);
   Alcotest.(check (float 0.)) "c01" 13. (B.get c [| 0; 1 |]);
   Alcotest.(check (float 0.)) "c10" 28. (B.get c [| 1; 0 |]);
   Alcotest.(check (float 0.)) "c11" 40. (B.get c [| 1; 1 |]);
   (* Accumulating semantics: running again doubles. *)
-  K.matmul a b c;
+  engine_op matmul [ a; b; c ];
   Alcotest.(check (float 0.)) "accumulates" 20. (B.get c [| 0; 0 |])
 
 let test_matvec_kernel () =
   let a = B.init [ 2; 3 ] (fun i -> float_of_int ((i.(0) * 3) + i.(1))) in
   let x = B.init [ 3 ] (fun i -> float_of_int (i.(0) + 1)) in
   let y = B.create [ 2 ] in
-  K.matvec a x y;
+  engine_op (fun b v -> L.matvec b v.(0) v.(1) v.(2)) [ a; x; y ];
   Alcotest.(check (float 0.)) "y0" 8. (B.get y [| 0 |]);
   Alcotest.(check (float 0.)) "y1" 26. (B.get y [| 1 |]);
   let xt = B.init [ 2 ] (fun i -> float_of_int (i.(0) + 1)) in
   let yt = B.create [ 3 ] in
-  K.matvec ~transpose:true a xt yt;
+  engine_op sgemv_t [ a; xt; yt ];
   (* y = A^T [1;2]: columns dot [1;2] = [6; 9; 12] *)
   Alcotest.(check (float 0.)) "yt0" 6. (B.get yt [| 0 |]);
   Alcotest.(check (float 0.)) "yt2" 12. (B.get yt [| 2 |])
@@ -77,7 +107,7 @@ let test_matvec_kernel () =
 let test_transpose_kernel () =
   let src = B.init [ 2; 3; 4 ] (fun i -> float_of_int ((100 * i.(0)) + (10 * i.(1)) + i.(2))) in
   let dst = B.create [ 2; 4; 3 ] in
-  K.transpose ~perm:[| 0; 2; 1 |] src dst;
+  engine_op (transpose [| 0; 2; 1 |]) [ src; dst ];
   Alcotest.(check (float 0.)) "dst[1,3,2] = src[1,2,3]" 123.
     (B.get dst [| 1; 3; 2 |])
 
@@ -90,9 +120,9 @@ let prop_transpose_involution =
       B.randomize ~seed:7 src;
       let mid = B.create [ y; z; x ] in
       (* perm [1;2;0]: out dim d = src dim perm(d). *)
-      K.transpose ~perm:[| 1; 2; 0 |] src mid;
+      engine_op (transpose [| 1; 2; 0 |]) [ src; mid ];
       let back = B.create [ x; y; z ] in
-      K.transpose ~perm:[| 2; 0; 1 |] mid back;
+      engine_op (transpose [| 2; 0; 1 |]) [ mid; back ];
       B.approx_equal ~eps:0. src back)
 
 (* A NaN or an infinity agrees only with a NaN or the same infinity, so a
@@ -149,7 +179,7 @@ let prop_transpose_matches_oracle =
         Linalg.Linalg_ops.transposed_shape perm (Array.to_list shape)
       in
       let got = B.create out_shape and want = B.create out_shape in
-      K.transpose ~perm src got;
+      engine_op (transpose perm) [ src; got ];
       Ref_transpose.transpose ~perm src want;
       Ref_interp.same_bits got want)
 
@@ -195,16 +225,18 @@ let test_approx_equal_table () =
 let test_reshape_kernel () =
   let src = B.init [ 2; 6 ] (fun i -> float_of_int ((i.(0) * 6) + i.(1))) in
   let dst = B.create [ 2; 2; 3 ] in
-  K.reshape_copy src dst;
+  engine_op (fun b v -> L.reshape b ~grouping:[ [ 0 ]; [ 1; 2 ] ] v.(0) v.(1))
+    [ src; dst ];
   Alcotest.(check (float 0.)) "relayout" 9. (B.get dst [| 1; 1; 0 |])
 
 let test_contract_kernel_is_matmul () =
-  (* Each named kernel computes the generic contraction over the indexing
-     maps Ir.Structured gives its op. *)
+  (* The engine runs each named op as the generic contraction over the
+     indexing maps Ir.Structured gives it, and both compute the bits of
+     the reference's contraction loop. *)
   let maps ?(attrs = []) name =
     Option.get (Ir.Structured.maps (Ir.Core.create_op ~attrs name))
   in
-  let check ?(exact = false) what maps shapes named =
+  let check what maps shapes named =
     let[@warning "-8"] [ a; b; c1 ] =
       List.mapi
         (fun i s ->
@@ -213,34 +245,37 @@ let test_contract_kernel_is_matmul () =
           buf)
         shapes
     in
-    let c2 = { c1 with B.data = Array.copy c1.B.data } in
+    let c2 = B.copy c1 and c3 = B.copy c1 in
     let dims =
       Ir.Structured.iteration_dims ~maps
         ~shapes:[ a.B.shape; b.B.shape; c1.B.shape ]
     in
-    K.contract ~loc:Support.Loc.unknown ~maps ~dims a b c1;
-    named a b c2;
-    Alcotest.(check bool) (what ^ ": same result") true
-      (if exact then Ref_interp.same_bits c1 c2 else B.approx_equal c1 c2);
+    engine_op (fun b v -> L.contract b ~maps v.(0) v.(1) v.(2)) [ a; b; c1 ];
+    engine_op named [ a; b; c2 ];
+    Ref_kernels.contract ~maps ~dims a b c3;
+    Alcotest.(check bool) (what ^ ": contract = named op, bit for bit") true
+      (Ref_interp.same_bits c1 c2);
+    Alcotest.(check bool) (what ^ ": = the reference loop, bit for bit") true
+      (Ref_interp.same_bits c1 c3);
     dims
   in
   Alcotest.(check (array int)) "inferred space" [| 4; 3; 5 |]
-    (check ~exact:true "matmul" (maps "linalg.matmul")
+    (check "matmul" (maps "linalg.matmul")
        [ [ 4; 5 ]; [ 5; 3 ]; [ 4; 3 ] ]
-       K.matmul);
+       matmul);
   ignore
-    (check ~exact:true "matvec" (maps "linalg.matvec")
+    (check "matvec" (maps "linalg.matvec")
        [ [ 4; 5 ]; [ 5 ]; [ 4 ] ]
-       (K.matvec ~transpose:false));
+       (fun b v -> L.matvec b v.(0) v.(1) v.(2)));
   ignore
     (check "matvec^T"
        (maps ~attrs:[ ("transpose", Ir.Attr.Bool true) ] "blas.sgemv")
        [ [ 4; 5 ]; [ 4 ]; [ 5 ] ]
-       (K.matvec ~transpose:true));
+       sgemv_t);
   ignore
-    (check ~exact:true "conv2d_nchw" (maps "blas.sconv2d")
+    (check "conv2d_nchw" (maps "blas.sconv2d")
        [ [ 2; 3; 6; 7 ]; [ 4; 3; 3; 2 ]; [ 2; 4; 4; 6 ] ]
-       K.conv2d_nchw)
+       (fun b v -> L.conv2d_nchw b v.(0) v.(1) v.(2)))
 
 (* A library kernel adds each output's products in its loops' order,
    starting from the output's value: under mlt-blas every tiny-suite
@@ -262,14 +297,15 @@ let test_library_kernels_match_loops () =
   let a = B.init [ 1; 1 ] (fun _ -> 0.) in
   let b = B.init [ 1; 2 ] (fun i -> if i.(1) = 0 then Float.infinity else 1.) in
   let c = B.init [ 1; 2 ] (fun _ -> -0.) in
-  K.matmul a b c;
+  engine_op matmul [ a; b; c ];
   Alcotest.(check bool) "-0 + 0 * inf is NaN" true (Float.is_nan (B.get c [| 0; 0 |]));
   Alcotest.(check int64) "-0 + 0 * 1 is +0" 0L
     (Int64.bits_of_float (B.get c [| 0; 1 |]))
 
-(* [conv2d_nchw] adds the products in [contract]'s order over the
-   [blas.sconv2d] maps (channel, then kernel row, then kernel column,
-   innermost), so the two agree bit for bit on any shapes. *)
+(* The engine's [linalg.conv2d_nchw] adds the products in the reference
+   [contract]'s order over the [blas.sconv2d] maps (channel, then kernel
+   row, then kernel column, innermost), so the two agree bit for bit on
+   any shapes. *)
 let prop_conv2d_matches_contract =
   let maps = Option.get (Ir.Structured.maps (Ir.Core.create_op "blas.sconv2d")) in
   QCheck.Test.make ~name:"strided conv2d_nchw = contract, bit for bit"
@@ -296,9 +332,164 @@ let prop_conv2d_matches_contract =
         Ir.Structured.iteration_dims ~maps
           ~shapes:[ i.B.shape; wt.B.shape; o1.B.shape ]
       in
-      K.contract ~loc:Support.Loc.unknown ~maps ~dims i wt o1;
-      K.conv2d_nchw i wt o2;
+      Ref_kernels.contract ~maps ~dims i wt o1;
+      engine_op (fun b v -> L.conv2d_nchw b v.(0) v.(1) v.(2)) [ i; wt; o2 ];
       Ref_interp.same_bits o1 o2)
+
+(* One library op over small shapes: a [linalg.contract] of 1-4 dims
+   with extents 1-5 whose maps each read a subset of the dims in any
+   order, the output's dims outermost, innermost or anywhere; a
+   [linalg.transpose]; or a transposed [blas.sgemv]. *)
+type lib_draw =
+  | Contract of int array * int list list
+      (** extents; the dims of the [A], [B] and output subscripts *)
+  | Transpose of int array * int array  (** source shape, permutation *)
+  | Matvec_t of int * int  (** [A]'s shape *)
+
+let lib_print = function
+  | Contract (ext, maps) ->
+      let dims ds = String.concat "," (List.map (Printf.sprintf "d%d") ds) in
+      Printf.sprintf "contract extents [%s] maps (%s)"
+        (String.concat "," (Array.to_list (Array.map string_of_int ext)))
+        (String.concat ") (" (List.map dims maps))
+  | Transpose (shape, perm) ->
+      let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+      Printf.sprintf "transpose shape [%s] perm [%s]" (ints shape) (ints perm)
+  | Matvec_t (m, n) -> Printf.sprintf "sgemv^T %dx%d" m n
+
+let gen_lib =
+  let open QCheck.Gen in
+  let subset n = map (List.filter_map Fun.id)
+      (flatten_l (List.init n (fun d -> map (fun b -> if b then Some d else None) bool)))
+  in
+  let contract =
+    let* n = int_range 1 4 in
+    let* ext = array_repeat n (int_range 1 5) in
+    let* k = int_range 1 n in
+    let* out =
+      oneof
+        [
+          return (List.init k Fun.id);
+          return (List.init k (fun i -> n - k + i));
+          map (fun ds -> if ds = [] then [ 0 ] else ds) (subset n);
+        ]
+    in
+    let* in1 = subset n and* in2 = subset n in
+    (* Every dim is some map's bare subscript, and no operand is rank 0. *)
+    let* to_in1 = list_repeat n bool in
+    let missing d = not (List.mem d out || List.mem d in1 || List.mem d in2) in
+    let in1 = in1 @ List.filter (fun d -> missing d && List.nth to_in1 d) (List.init n Fun.id)
+    and in2 = in2 @ List.filter (fun d -> missing d && not (List.nth to_in1 d)) (List.init n Fun.id) in
+    let* pick = int_range 0 (n - 1) in
+    let in1 = if in1 = [] then [ pick ] else in1
+    and in2 = if in2 = [] then [ pick ] else in2 in
+    let* maps = flatten_l (List.map shuffle_l [ in1; in2; out ]) in
+    return (Contract (ext, maps))
+  in
+  let transpose =
+    let* rank = int_range 1 4 in
+    let* shape = array_repeat rank (int_range 1 5) in
+    let* perm = map Array.of_list (shuffle_l (List.init rank Fun.id)) in
+    return (Transpose (shape, perm))
+  in
+  frequency
+    [
+      (4, contract);
+      (1, transpose);
+      (1, map2 (fun m n -> Matvec_t (m, n)) (int_range 1 5) (int_range 1 5));
+    ]
+
+let lib_func = function
+  | Contract (ext, dims) ->
+      let maps =
+        List.map
+          (fun ds ->
+            Ir.Affine_map.make ~n_dims:(Array.length ext)
+              (List.map Ir.Affine_expr.dim ds))
+          dims
+      in
+      op_func
+        (fun b v -> L.contract b ~maps v.(0) v.(1) v.(2))
+        (List.map (fun ds -> B.create (List.map (fun d -> ext.(d)) ds)) dims)
+  | Transpose (shape, perm) ->
+      op_func (transpose perm)
+        [ B.create (Array.to_list shape);
+          B.create (L.transposed_shape perm (Array.to_list shape)) ]
+  | Matvec_t (m, n) -> op_func sgemv_t [ B.create [ m; n ]; B.create [ m ]; B.create [ n ] ]
+
+let prop_library_ops_match_reference =
+  QCheck.Test.make
+    ~name:"random contract/transpose/sgemv^T: engine = Ref_kernels, bit for bit"
+    ~count:300
+    (QCheck.pair (QCheck.make ~print:lib_print gen_lib) QCheck.small_nat)
+    (fun (d, seed) ->
+      let f = lib_func d in
+      (* Finite values, NaNs with distinct payloads, -0.0 and infinities. *)
+      let run run_func =
+        let st = Random.State.make [| seed |] in
+        let args =
+          List.map
+            (fun (p : Ir.Core.value) ->
+              let b = B.of_type p.v_typ in
+              Array.iteri
+                (fun i _ ->
+                  b.B.data.(i) <-
+                    (match Random.State.int st 16 with
+                    | 0 ->
+                        Int64.float_of_bits
+                          (Int64.logor 0x7FF8_0000_0000_0000L
+                             (Int64.of_int (1 + Random.State.int st 0xFFFF)))
+                    | 1 -> -0.0
+                    | 2 -> Float.infinity
+                    | _ -> Random.State.float st 4.0 -. 2.0))
+                b.B.data;
+              b)
+            (Ir.Core.func_args f)
+        in
+        run_func f args;
+        args
+      in
+      Ref_interp.all_same_bits (run Ref_interp.run_func)
+        (run Interp.Eval.run_func))
+
+(* Running a library op as its lowered nest builds the nest on a block of
+   its own: the compiled function is left structurally as it was, and no
+   value of it gains a use. The nest's accesses are proven in bounds. *)
+let test_compile_leaves_library_ops () =
+  let module P = Mlt.Pipeline in
+  let n = ref 0 in
+  List.iter
+    (fun (name, src) ->
+      List.iter
+        (fun config ->
+          let m = P.prepare_schedule (P.Config config) src in
+          let f = Option.get (Ir.Core.find_func m (Test_interp_compile.func_name_of m)) in
+          let before = Ir.Core.clone_op f in
+          let values = ref [] in
+          Ir.Core.walk f (fun op ->
+              values := Array.to_list op.Ir.Core.o_results @ !values;
+              Array.iter
+                (fun r ->
+                  List.iter
+                    (fun (blk : Ir.Core.block) ->
+                      values := Array.to_list blk.b_args @ !values)
+                    r.Ir.Core.r_blocks)
+                op.o_regions);
+          let uses () =
+            List.map (fun (v : Ir.Core.value) -> List.length v.v_uses) !values
+          in
+          let uses_before = uses () in
+          let c = Interp.Compile.compile_func f in
+          n := !n + c.Interp.Compile.c_fused_loops;
+          let what = Printf.sprintf "%s under %s" name (P.config_name config) in
+          Alcotest.(check bool) (what ^ ": structurally equal") true
+            (Ir.Core.structural_equal before f);
+          Alcotest.(check (list int)) (what ^ ": use counts") uses_before (uses ());
+          Alcotest.(check int) (what ^ ": checked accesses") 0
+            c.Interp.Compile.c_checked_accesses)
+        P.[ Mlt_blas; Mlt_affine_blis ])
+    (W.tiny_suite ());
+  Alcotest.(check bool) "library nests compiled" true (!n > 0)
 
 let test_interp_gemm_matches_reference () =
   let n = 6 in
@@ -309,7 +500,7 @@ let test_interp_gemm_matches_reference () =
   B.randomize ~seed:5 c;
   (* gemm source zero-initializes C, so reference is plain matmul. *)
   let c_ref = B.create [ n; n ] in
-  K.matmul a b c_ref;
+  Ref_kernels.matmul a b c_ref;
   Interp.Eval.run m "gemm" [ a; b; c ];
   Alcotest.(check bool) "interpreted = reference" true
     (B.approx_equal c c_ref)
@@ -320,7 +511,7 @@ let test_interp_conv_matches_reference () =
   let o = B.create [ 1; 2; 6; 6 ] and o_ref = B.create [ 1; 2; 6; 6 ] in
   B.randomize ~seed:6 i;
   B.randomize ~seed:7 w;
-  K.conv2d_nchw i w o_ref;
+  Ref_kernels.conv2d_nchw i w o_ref;
   Interp.Eval.run m "conv2d_nchw" [ i; w; o ];
   Alcotest.(check bool) "interpreted conv = kernel" true
     (B.approx_equal o o_ref)
@@ -722,6 +913,9 @@ let suite =
     Alcotest.test_case "library kernels compute what their loops compute"
       `Quick test_library_kernels_match_loops;
     QCheck_alcotest.to_alcotest prop_conv2d_matches_contract;
+    QCheck_alcotest.to_alcotest prop_library_ops_match_reference;
+    Alcotest.test_case "compiling library ops leaves the function as it was"
+      `Quick test_compile_leaves_library_ops;
     Alcotest.test_case "equivalent: one input battery, copied" `Quick
       test_equivalent_shares_inputs;
     Alcotest.test_case "equivalent: signature mismatch is false" `Quick

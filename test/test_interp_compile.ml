@@ -124,7 +124,8 @@ let prop_random_programs_engines_agree =
 
 (* One generated nest of 1-4 [affine.for] levels around
    [S[..] = C[..] + A[..] * B[..]] over 2-d arrays of extent [mac_u + 1],
-   in every operand and load order, with aliasing stores, reversed
+   in every operand and load order, with aliasing stores, operands that
+   read the stored array, reductions into one element, reversed
    (negative-coefficient) and shifted subscripts over any level's iv,
    constant, iv-dependent and [min]/[max] bounds, steps 1-3, zero-trip
    levels, tiled variants and one optional non-perfect level. Every iv
@@ -148,6 +149,10 @@ type mac_draw = {
           below it fuses, the levels down to it do not *)
   subs : (mac_sub * mac_sub) array;  (** A, B, C loads, then the store *)
   store_arr : int;  (** 0-2: A, B, C (aliasing a load); 3: a fresh D *)
+  load_arrs : int array;
+      (** the arrays the A, B and C loads read: their own ([0; 1; 2]), or
+          an operand reads the stored array, as in
+          [C[i][j] = C[i][j] + C[i][k] * C[k][j]] *)
   load_order : int list;  (** emission order of the A, B, C loads *)
   mul_swap : bool;  (** [mulf(b, a)] *)
   product_first : bool;  (** [addf(a * b, c)] *)
@@ -189,8 +194,9 @@ let mac_print d =
              d.levels)))
     (match d.split with Some p -> iv p | None -> "-")
     (acc (String.make 1 "ABCD".[d.store_arr]) d.subs.(3))
-    (Printf.sprintf "%s + %s * %s" (acc "C" d.subs.(2)) (acc "A" d.subs.(0))
-       (acc "B" d.subs.(1)))
+    (let arr l = String.make 1 "ABCD".[d.load_arrs.(l)] in
+     Printf.sprintf "%s + %s * %s" (acc (arr 2) d.subs.(2))
+       (acc (arr 0) d.subs.(0)) (acc (arr 1) d.subs.(1)))
     (String.concat ""
        (List.map (fun l -> String.make 1 "ABC".[l]) d.load_order))
     d.mul_swap d.product_first d.mul_last
@@ -240,26 +246,59 @@ let gen_mac =
     if tile <> None || depth = 1 then return None
     else opt ~ratio:0.3 (int_range 0 (depth - 2))
   in
-  let sub =
+  let sub_below n =
     frequency
-      [
-        (6, map2 (fun v f -> Iv (v, f)) (int_range 0 (depth - 1))
-              (oneofl [ `Plain; `Rev; `Shift ]));
-        (1, map (fun c -> Cst c) (int_range 0 mac_u));
-      ]
+      ((if n = 0 then []
+        else
+          [
+            (6, map2 (fun v f -> Iv (v, f)) (int_range 0 (n - 1))
+                  (oneofl [ `Plain; `Rev; `Shift ]));
+          ])
+      @ [ (1, map (fun c -> Cst c) (int_range 0 mac_u)) ])
   in
-  let* loads = list_repeat 3 (pair sub sub) in
-  let* store_arr = int_range 0 3 in
-  let* same = bool in
+  let sub = sub_below depth in
+  (* A reduction stores to the element its C load reads, off the
+     innermost iv, so the accumulator may stay in a register. *)
+  let* reduction = map (fun r -> r = 0) (int_range 0 3) in
+  let* ab = list_repeat 2 (pair sub sub) in
+  let* c =
+    if reduction then pair (sub_below (depth - 1)) (sub_below (depth - 1))
+    else pair sub sub
+  in
+  (* [C[c0][c1] += C[c0][v] * B[..]], the innermost iv [v] running over
+     [0, mac_u), reads the accumulated element where [v = c1]. *)
+  let* witness = map (fun w -> reduction && w) bool in
+  let* c1 = int_range 1 (mac_u - 1) in
+  let c = if witness then (fst c, Cst c1) else c in
+  let ab =
+    if witness then (fst c, Iv (depth - 1, `Plain)) :: List.tl ab else ab
+  in
+  let levels =
+    if witness then
+      List.mapi
+        (fun l lv ->
+          if l = depth - 1 then { lb = Const 0; ub = Const mac_u; step = 1 }
+          else lv)
+        levels
+    else levels
+  in
+  let loads = ab @ [ c ] in
+  let* store_arr = if reduction then return 2 else int_range 0 3 in
+  let* same = if reduction then return true else bool in
   let* own = pair sub sub in
   let store =
     if store_arr < 3 && same then List.nth loads store_arr else own
+  in
+  let* reads_stored = pair (int_range 0 2) (int_range 0 2) in
+  let load_arrs =
+    [| (if witness || fst reads_stored = 0 then store_arr else 0);
+       (if snd reads_stored = 0 then store_arr else 1); 2 |]
   in
   let* load_order = shuffle_l [ 0; 1; 2 ] in
   let* mul_swap = bool in
   let* product_first = bool in
   let* mul_last = bool in
-  let* oob = map (fun r -> r = 0) (int_range 0 9) in
+  let* oob = map (fun r -> r = 0 && not witness) (int_range 0 9) in
   let* fill_seed = int_bound 1_000_000 in
   return
     {
@@ -267,6 +306,7 @@ let gen_mac =
       split;
       subs = Array.of_list (loads @ [ store ]);
       store_arr;
+      load_arrs;
       load_order;
       mul_swap;
       product_first;
@@ -323,7 +363,7 @@ let mac_func d =
               ivs )
           else map d.subs.(l)
         in
-        vals.(l) <- A.load b arrs.(l) access;
+        vals.(l) <- A.load b arrs.(d.load_arrs.(l)) access;
         (if l = 0 && d.oob then
            match vals.(0).Core.v_def with
            | Core.Def_op (op, _) -> op.Core.o_loc <- oob_loc
@@ -735,50 +775,52 @@ let fused_loops_table () =
        (verify_kernels ()))
 
 let test_fused_loops_table () =
-  (* mlt-blas leaves no loop nest; pluto-default fuses bicg's, gesummv's
-     and mvt's two statements into one body, which stays on the closure
-     path. Each fused nest holds one statement, so the loop counts are
-     those of the innermost-only fusion; the levels are the nests'
-     summed depths. *)
+  (* pluto-default fuses bicg's, gesummv's and mvt's two statements into
+     one body, which stays on the closure path. mlt-blas and
+     mlt-affine-blis leave library calls, each run as its lowered nest:
+     one per BLAS call or [affine.matmul], a TTGT contraction's GEMM
+     three levels deep. Each fused nest holds one statement, so the loop
+     counts are those of the innermost-only fusion; the levels are the
+     nests' summed depths. *)
   let loops, levels = fused_loops_table () in
   Alcotest.(check (list string)) "fused loops: reference + 5 schedules"
     [
-      "atax 2 2 2 2 0 2";
-      "bicg 2 2 0 2 0 2";
-      "gemver 2 2 2 2 0 2";
-      "gesummv 2 2 0 2 0 2";
-      "mvt 2 2 0 2 0 2";
-      "2mm 2 2 2 2 0 0";
-      "3mm 3 3 3 3 0 0";
-      "gemm 1 1 1 1 0 0";
-      "conv2d-nchw 1 1 1 1 0 1";
-      "ab-acd-dbc 1 1 1 1 0 1";
-      "abc-acd-db 1 1 1 1 0 1";
-      "abc-ad-bdc 1 1 1 1 0 1";
-      "ab-cad-dcb 1 1 1 1 0 1";
-      "abc-bda-dc 1 1 1 1 0 1";
-      "abcd-aebf-dfce 1 1 1 1 0 1";
-      "abcd-aebf-fdec 1 1 1 1 0 1";
+      "atax 2 2 2 2 2 2";
+      "bicg 2 2 0 2 2 2";
+      "gemver 2 2 2 2 2 2";
+      "gesummv 2 2 0 2 2 2";
+      "mvt 2 2 0 2 2 2";
+      "2mm 2 2 2 2 2 2";
+      "3mm 3 3 3 3 3 3";
+      "gemm 1 1 1 1 1 1";
+      "conv2d-nchw 1 1 1 1 1 1";
+      "ab-acd-dbc 1 1 1 1 1 1";
+      "abc-acd-db 1 1 1 1 1 1";
+      "abc-ad-bdc 1 1 1 1 1 1";
+      "ab-cad-dcb 1 1 1 1 1 1";
+      "abc-bda-dc 1 1 1 1 1 1";
+      "abcd-aebf-dfce 1 1 1 1 1 1";
+      "abcd-aebf-fdec 1 1 1 1 1 1";
     ]
     loops;
   Alcotest.(check (list string)) "fused levels: reference + 5 schedules"
     [
-      "atax 4 4 2 8 0 4";
-      "bicg 4 4 0 8 0 4";
-      "gemver 4 4 8 8 0 4";
-      "gesummv 4 4 0 8 0 4";
-      "mvt 4 4 0 8 0 4";
-      "2mm 6 6 6 6 0 0";
-      "3mm 9 9 9 9 0 0";
-      "gemm 3 3 6 6 0 0";
-      "conv2d-nchw 7 7 7 7 0 7";
-      "ab-acd-dbc 4 4 4 4 0 4";
-      "abc-acd-db 4 4 4 4 0 4";
-      "abc-ad-bdc 4 4 4 4 0 4";
-      "ab-cad-dcb 4 4 4 4 0 4";
-      "abc-bda-dc 4 4 4 4 0 4";
-      "abcd-aebf-dfce 6 6 6 6 0 6";
-      "abcd-aebf-fdec 6 6 6 6 0 6";
+      "atax 4 4 2 8 4 4";
+      "bicg 4 4 0 8 4 4";
+      "gemver 4 4 8 8 4 4";
+      "gesummv 4 4 0 8 4 4";
+      "mvt 4 4 0 8 4 4";
+      "2mm 6 6 6 6 6 6";
+      "3mm 9 9 9 9 9 9";
+      "gemm 3 3 6 6 3 3";
+      "conv2d-nchw 7 7 7 7 7 7";
+      "ab-acd-dbc 4 4 4 4 3 4";
+      "abc-acd-db 4 4 4 4 3 4";
+      "abc-ad-bdc 4 4 4 4 3 4";
+      "ab-cad-dcb 4 4 4 4 3 4";
+      "abc-bda-dc 4 4 4 4 3 4";
+      "abcd-aebf-dfce 6 6 6 6 3 6";
+      "abcd-aebf-fdec 6 6 6 6 3 6";
     ]
     levels
 
